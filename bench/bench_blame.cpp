@@ -13,11 +13,6 @@
 // over [origin, eoi]), and this bench re-asserts it: the summed
 // component nanoseconds must equal the summed journey totals, exactly.
 // A violation exits nonzero regardless of the report gate.
-//
-// Without -DES2_TRACE=ON the hooks compile away and no journeys exist;
-// the bench then reports only informational zeros and exits 0 (the
-// gated comparison, bench_blame_check, is registered only in trace
-// builds against bench/baseline-trace/).
 #include <cmath>
 #include <vector>
 
@@ -66,7 +61,6 @@ int main(int argc, char** argv) {
   CsvWriter csv({"config", "component", "kind", "ns", "fraction", "p50_ns",
                  "p99_ns"});
   bool sum_ok = true;
-  bool any_journeys = false;
 
   for (int s = 0; s < 3; ++s) {
     const StreamResult& r = results[static_cast<size_t>(s)];
@@ -79,7 +73,6 @@ int main(int argc, char** argv) {
     report.add_info(cell + ".journeys", static_cast<double>(blame.journeys));
     report.add_info(cell + ".attributed", static_cast<double>(blame.complete));
     if (blame.complete == 0) continue;
-    any_journeys = true;
 
     // PI+H is expected to land here with a near-zero attributed count:
     // quota-based hybrid handling suppresses virtually every completion
@@ -88,7 +81,7 @@ int main(int argc, char** argv) {
     // table above shows the path PI+H removed — but fractions computed
     // from a handful of journeys would gate on noise, so small samples
     // report informationally only.
-    [[maybe_unused]] const bool gate_fractions = blame.complete >= 16;
+    const bool gate_fractions = blame.complete >= 16;
 
     // The exactness check behind the gate: blame is a partition of the
     // journey interval, so the component sum must equal the journey-total
@@ -110,7 +103,6 @@ int main(int argc, char** argv) {
                    format("%.6f", c.fraction),
                    format("%lld", static_cast<long long>(c.p50)),
                    format("%lld", static_cast<long long>(c.p99))});
-#if ES2_TRACE_ENABLED
       // Gate the budget itself. Fractions are ratios of two deterministic
       // sums, so same-seed runs reproduce them exactly; the tolerance only
       // buys room for intentional model drift between baseline refreshes.
@@ -119,9 +111,7 @@ int main(int argc, char** argv) {
       } else {
         report.add_info(cell + ".frac." + c.name, c.fraction);
       }
-#endif
     }
-#if ES2_TRACE_ENABLED
     if (gate_fractions) {
       report.add(cell + ".e2e_p99_ns",
                  static_cast<double>(summary.end_to_end_p99), 0.15);
@@ -133,13 +123,6 @@ int main(int argc, char** argv) {
       report.add_info(cell + ".journeys_attributed",
                       static_cast<double>(blame.complete));
     }
-#endif
-  }
-
-  if (!any_journeys) {
-    std::printf(
-        "\n[no journeys captured — configure with -DES2_TRACE=ON to compile "
-        "the event-path hooks; blame gates are trace-build-only]\n");
   }
 
   write_csv(args, "blame", csv);

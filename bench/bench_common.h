@@ -22,7 +22,6 @@
 #include "snapshot/state_hash.h"
 #include "metrics/bench_schema.h"
 #include "trace/export.h"
-#include "trace/hooks.h"
 
 namespace es2::bench {
 
@@ -121,17 +120,16 @@ inline ProfileOptions profile_request(const BenchArgs& args) {
 /// Exports the traced cell's journey data to --trace=<path> and prints the
 /// stage breakdown. When the cell was also profiled, the profiler's span
 /// slices ride along as Perfetto "X" events next to the journey bars.
-/// Returns false when --trace-smoke was requested and the export failed
-/// validation (missing records, invalid JSON, empty stages).
+/// Returns false when no records were captured, the write failed, or
+/// --trace-smoke was requested and validation failed (invalid JSON, empty
+/// stages).
 inline bool export_trace(const BenchArgs& args, const TraceData* trace,
                          const TraceStages& stages,
                          const ProfileData* profile = nullptr) {
   if (args.trace_path.empty()) return true;
   if (trace == nullptr || trace->records.empty()) {
-    std::printf(
-        "[trace requested but no records captured — configure with "
-        "-DES2_TRACE=ON to compile the instrumentation hooks]\n");
-    return !args.trace_smoke;
+    std::printf("[trace requested but no records captured]\n");
+    return false;
   }
   const std::vector<PerfettoSlice> prof_slices =
       profile != nullptr ? prof_perfetto_slices(*profile)
@@ -214,9 +212,7 @@ inline bool export_profile(const BenchArgs& args, const ProfileData* profile,
     return false;
   }
   if (profile->spans.empty() && profile->nodes.empty()) {
-    std::printf(
-        "[profile requested but no scopes recorded — configure with "
-        "-DES2_PROFILE=ON to compile the instrumentation hooks]\n");
+    std::printf("[profile requested but no scopes recorded]\n");
   }
   if (!write_file(args.profile_path,
                   prof_to_collapsed(*profile, CollapsedWeight::kSimNs))) {

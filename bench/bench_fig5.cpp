@@ -50,20 +50,17 @@ int main(int argc, char** argv) {
         o.seed = args.seed;
         o.warmup = args.fast ? msec(100) : msec(250);
         o.measure = args.fast ? msec(250) : msec(800);
-        // --trace: capture the recv-TCP / PI cell, the paper's canonical
-        // exit-less delivery path.
+        // Every cell runs traced so the per-stage blame columns below
+        // cover the whole grid (tracing is passive; the exit/TIG numbers
+        // and the gated report are unchanged).
+        o.trace.enabled = true;
+        o.trace.capacity = std::size_t{1} << 18;
+        // --trace/--profile/--hash-epochs export the recv-TCP / PI cell,
+        // the paper's canonical exit-less delivery path.
         if (c * 3 + s == 7) {
-          o.trace = trace_request(args);
           o.profile = profile_request(args);
           o.snapshot = hash_request(args);
         }
-#if ES2_TRACE_ENABLED
-        // Trace builds run every cell traced so the per-stage blame
-        // columns below cover the whole grid (tracing is passive; the
-        // exit/TIG numbers and the gated report are unchanged).
-        o.trace.enabled = true;
-        o.trace.capacity = std::size_t{1} << 18;
-#endif
         results[c * 3 + s] = run_stream(o);
       });
     }
@@ -91,10 +88,8 @@ int main(int argc, char** argv) {
   }
   write_csv(args, "fig5", csv);
 
-#if ES2_TRACE_ENABLED
-  // Per-stage blame columns (trace builds only): the share of total
-  // journey time each event-path component owns, per cell. The committed
-  // fig5.csv format above is untouched; the budget gate proper lives in
+  // Per-stage blame columns: the share of total journey time each
+  // event-path component owns, per cell. The budget gate proper lives in
   // bench_blame.
   CsvWriter blame_csv(
       {"case", "config", "component", "kind", "ns", "fraction"});
@@ -120,7 +115,6 @@ int main(int argc, char** argv) {
                 bt.render().c_str());
   }
   write_csv(args, "fig5_blame", blame_csv);
-#endif
 
   BenchReport report = make_report(args, "fig5");
   const char* case_keys[] = {"send_tcp", "send_udp", "recv_tcp", "recv_udp"};

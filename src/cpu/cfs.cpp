@@ -6,7 +6,7 @@
 #include "base/assert.h"
 #include "base/strings.h"
 #include "metrics/metrics.h"
-#include "profile/hooks.h"
+#include "profile/profiler.h"
 
 namespace es2 {
 
@@ -228,9 +228,7 @@ void CfsScheduler::check_wakeup_preemption(Core& core, SimThread& woken) {
 }
 
 void CfsScheduler::do_resched(Core& core) {
-#if ES2_PROFILE_ENABLED
-  Profiler::Scope prof_scope(active_profiler(sim_), ProfComp::kCfsResched);
-#endif
+  Profiler::Scope prof_scope(sim_.profiler(), ProfComp::kCfsResched);
   core.resched_pending_ = false;
   core.slice_timer_.cancel();
   account_current(core);

@@ -5,14 +5,13 @@
 #include "base/assert.h"
 #include "base/log.h"
 #include "cpu/cfs.h"
-#include "trace/hooks.h"
+#include "trace/trace.h"
 
 namespace es2 {
 
 namespace {
 std::atomic<std::uint64_t> g_next_thread_id{1};
 
-#if ES2_TRACE_ENABLED
 // Sched records must not carry id_: it comes from a process-global counter,
 // so a second run in the same process would get different values and break
 // byte-identical same-seed traces. Thread names are deterministic; tag the
@@ -22,7 +21,6 @@ std::uint32_t trace_thread_tag(const std::string& name) {
   for (char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
   return h;
 }
-#endif
 }
 
 SimThread::SimThread(Simulator& sim, std::string name, int weight)
@@ -129,12 +127,10 @@ void SimThread::sched_in(Core& core) {
   state_ = State::kRunning;
   core_ = &core;
   last_ran_start_ = sim_.now();
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(sim_)) {
+  if (Tracer* tr = sim_.tracer()) {
     tr->emit(sim_.now(), TraceKind::kSchedIn, -1, -1, core.id(),
              trace_thread_tag(name_));
   }
-#endif
   notify(true);
   if (active_) {
     arm_segment();
@@ -149,13 +145,11 @@ void SimThread::sched_in(Core& core) {
 
 void SimThread::sched_out() {
   ES2_CHECK(state_ == State::kRunning);
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(sim_)) {
+  if (Tracer* tr = sim_.tracer()) {
     tr->emit(sim_.now(), TraceKind::kSchedOut, -1, -1,
              core_ != nullptr ? core_->id() : -1,
              trace_thread_tag(name_));
   }
-#endif
   // CPU-time/vruntime accrual happened in CfsScheduler::account_current.
   freeze_segment();
   state_ = State::kRunnable;

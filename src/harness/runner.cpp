@@ -138,7 +138,7 @@ void ScenarioWatchdog::trip(ScenarioStatus status, std::string detail) {
   detail_ = std::move(detail);
   // With tracing on, point the report at the journey nearest the trip.
   if (const Tracer* tracer = sim_.tracer();
-      tracer != nullptr && tracer->enabled() && tracer->last_corr() != 0) {
+      tracer != nullptr && tracer->last_corr() != 0) {
     detail_ += format(" [near corr=%llu]",
                       static_cast<unsigned long long>(tracer->last_corr()));
   }

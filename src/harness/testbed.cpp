@@ -15,12 +15,10 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   sim_ = std::make_unique<Simulator>(o.seed);
   if (o.trace.enabled) {
     tracer_ = std::make_unique<Tracer>(o.trace);
-    tracer_->enable();
     sim_->set_tracer(tracer_.get());
   }
   if (o.profile.enabled) {
     profiler_ = std::make_unique<Profiler>(o.profile);
-    profiler_->enable();
     sim_->set_profiler(profiler_.get());
   }
   host_ = std::make_unique<KvmHost>(*sim_, o.host_cores, o.costs);

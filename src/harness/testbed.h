@@ -70,13 +70,11 @@ struct TestbedOptions {
   bool audit = false;
   SimDuration audit_period = msec(1);
   /// Event-path tracing. `trace.enabled` builds a Tracer and attaches it
-  /// to the simulator; hooks only emit when the build also compiled them
-  /// in (-DES2_TRACE=ON). Off by default: zero records, zero overhead.
+  /// to the simulator. Off by default: no records, one null test per hook.
   TraceOptions trace;
   /// Scoped profiling. `profile.enabled` builds a Profiler and attaches
-  /// it to the simulator; scopes only record when the build also compiled
-  /// the call sites in (-DES2_PROFILE=ON). Passive either way: profiled
-  /// runs leave golden outputs bit-identical.
+  /// it to the simulator. Passive: profiled runs leave golden outputs
+  /// bit-identical.
   ProfileOptions profile;
   /// Unified telemetry. Instruments register across every layer either
   /// way; `metrics.enabled` additionally runs a MetricsSampler on a

@@ -35,7 +35,6 @@ Profiler::Profiler(ProfileOptions options)
 }
 
 void Profiler::span_begin(ProfComp comp, unsigned key, SimTime now) {
-  if (!enabled_) return;
   if (key >= kMaxKeys) key = kMaxKeys - 1;
   SpanSlot& slot =
       span_slots_[static_cast<std::size_t>(comp) * kMaxKeys + key];
@@ -47,7 +46,6 @@ void Profiler::span_begin(ProfComp comp, unsigned key, SimTime now) {
 }
 
 void Profiler::span_end(ProfComp comp, unsigned key, SimTime now) {
-  if (!enabled_) return;
   if (key >= kMaxKeys) key = kMaxKeys - 1;
   SpanSlot& slot =
       span_slots_[static_cast<std::size_t>(comp) * kMaxKeys + key];
@@ -95,7 +93,6 @@ std::int32_t Profiler::child_of(std::int32_t parent, ProfComp comp) {
 }
 
 void Profiler::push(ProfComp comp) {
-  if (!enabled_) return;
   if (stack_.size() >= kMaxDepth) {
     // Over-deep nesting: keep pop() balanced without growing the stack.
     ++overflow_depth_;
@@ -113,7 +110,6 @@ void Profiler::push(ProfComp comp) {
 }
 
 void Profiler::pop() {
-  if (!enabled_) return;
   if (overflow_depth_ > 0) {
     --overflow_depth_;
     return;

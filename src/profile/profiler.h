@@ -27,9 +27,8 @@
 // and the slice ring — the steady-state record paths perform zero heap
 // allocations (asserted via es2_alloc_hook).
 //
-// Like the tracer, the *library* is always built; the model-layer call
-// sites compile away unless the build sets -DES2_PROFILE=ON (see
-// profile/hooks.h).
+// Like the tracer's, the model-layer call sites are compiled into every
+// build and record only while a Profiler is attached to the simulator.
 #pragma once
 
 #include <chrono>
@@ -105,10 +104,6 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
-  bool enabled() const { return enabled_; }
-
   // --- async component spans (sim-time) --------------------------------
   // One open slot per (comp, key); a begin over an already-open slot
   // closes nothing and counts as dropped (the model's span pairs are
@@ -164,7 +159,6 @@ class Profiler {
 
   std::int32_t child_of(std::int32_t parent, ProfComp comp);
 
-  bool enabled_ = false;
   std::vector<SpanSlot> span_slots_;  // kProfComps x kMaxKeys
   std::vector<TreeNode> tree_;        // capacity kMaxNodes, never grown
   std::int32_t root_first_ = -1;      // head of the root sibling chain

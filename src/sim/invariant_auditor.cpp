@@ -22,10 +22,7 @@ int InvariantAuditor::run_now() {
   // When tracing is on, stamp each violation with the journey nearest the
   // sweep so a failed audit points at a concrete kick->EOI path.
   std::uint64_t corr = 0;
-  if (const Tracer* tracer = sim_.tracer();
-      tracer != nullptr && tracer->enabled()) {
-    corr = tracer->last_corr();
-  }
+  if (const Tracer* tracer = sim_.tracer()) corr = tracer->last_corr();
   int found = 0;
   for (Named& c : checks_) {
     std::optional<std::string> violation = c.check();

@@ -57,7 +57,6 @@ void Tracer::grow() {
 
 void Tracer::emit(SimTime t, TraceKind kind, int vm, int vcpu, int cpu,
                   std::uint32_t arg, std::uint64_t corr) {
-  if (!enabled_) return;
   const std::size_t index = static_cast<std::size_t>(total_ % capacity_);
   if (index >= allocated_) grow();
   TraceRecord& r = slot(index);

@@ -10,11 +10,11 @@
 // performs zero heap allocations.
 //
 // Tracing is passive by design: a Tracer draws no RNG numbers, schedules
-// no events and never touches model state, so enabling it cannot perturb
-// a run (asserted by tests). The hot-path instrumentation call sites are
-// additionally compiled out unless the build sets `ES2_TRACE` (see
-// trace/hooks.h), keeping the default build's goldens bit-identical at
-// zero instruction cost.
+// no events and never touches model state, so attaching one cannot
+// perturb a run (asserted by tests). The instrumentation call sites are
+// compiled into every build, each one null test on the simulator's
+// tracer pointer: a run with no tracer attached records nothing and
+// keeps its goldens bit-identical.
 //
 // Correlation ids stitch one I/O request's journey across the async
 // layers. The id is minted at the journey's origin (guest kick / wire
@@ -106,11 +106,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Runtime switch; a constructed-but-disabled tracer drops every emit.
-  void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
-  bool enabled() const { return enabled_; }
-
   /// Appends a record. Zero allocations once the ring has warmed up to
   /// its capacity (slabs are only ever added, never freed or moved).
   void emit(SimTime t, TraceKind kind, int vm, int vcpu, int cpu,
@@ -119,7 +114,7 @@ class Tracer {
   /// Records currently held, oldest first (at most `capacity`).
   std::vector<TraceRecord> snapshot() const;
 
-  /// Total records emitted while enabled (including overwritten ones).
+  /// Total records emitted (including overwritten ones).
   std::uint64_t emitted() const { return total_; }
   /// Records lost to ring wraparound.
   std::uint64_t dropped() const {
@@ -171,7 +166,6 @@ class Tracer {
     return vm * kMaxVcpusPerVm + vcpu;
   }
 
-  bool enabled_ = false;
   std::size_t capacity_;
   std::size_t allocated_ = 0;  // slots backed by slabs so far
   std::uint64_t total_ = 0;    // records emitted (monotonic)

@@ -7,21 +7,16 @@
 #include "fault/fault.h"
 #include "fault/recovery.h"
 #include "metrics/metrics.h"
-#include "profile/hooks.h"
-#include "trace/hooks.h"
+#include "profile/profiler.h"
+#include "trace/trace.h"
 
 namespace es2 {
 
-#if ES2_TRACE_ENABLED
 namespace {
 int worker_core(VhostWorker& worker) {
   return worker.thread().core() != nullptr ? worker.thread().core()->id() : -1;
 }
-}  // namespace
-#endif
 
-#if ES2_PROFILE_ENABLED
-namespace {
 ProfComp turn_comp(const VqHandler& h) {
   const int q = h.profile_queue();
   return q >= 0 && q % 2 != 0 ? ProfComp::kVhostTurnRx
@@ -32,7 +27,6 @@ unsigned turn_key(const VqHandler& h) {
   return q >= 0 ? static_cast<unsigned>(q) : 0u;
 }
 }  // namespace
-#endif
 
 // ---------------------------------------------------------------------------
 // VhostWorker
@@ -60,12 +54,10 @@ void VhostWorker::activate(VqHandler& handler) {
   handler.queued_ = true;
   active_.push_back(&handler);
   active_high_water_ = std::max(active_high_water_, active_.size());
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(host_.sim())) {
+  if (Tracer* tr = host_.sim().tracer()) {
     tr->emit(host_.sim().now(), TraceKind::kWorkerWake, -1, -1,
              worker_core(*this));
   }
-#endif
   thread_.wake();
 }
 
@@ -82,22 +74,18 @@ void VhostWorker::crash_and_restart(SimDuration restart_delay) {
   // the next dispatch boundary).
   for (VqHandler* h : active_) h->queued_ = false;
   active_.clear();
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(host_.sim())) {
+  if (Tracer* tr = host_.sim().tracer()) {
     tr->emit(host_.sim().now(), TraceKind::kWorkerCrash, -1, -1,
              worker_core(*this),
              static_cast<std::uint32_t>(restart_delay));
   }
-#endif
   restart_ = host_.sim().after(restart_delay, [this] {
     crashed_ = false;
     ++restarts_;
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(host_.sim())) {
+    if (Tracer* tr = host_.sim().tracer()) {
       tr->emit(host_.sim().now(), TraceKind::kWorkerRestart, -1, -1,
                worker_core(*this));
     }
-#endif
     // A notify-mode worker is re-woken by the next kick; a polling worker
     // has no kicks coming (notifications are disabled) and must resume
     // its spin loop itself.
@@ -224,22 +212,18 @@ void VhostWorker::main_loop() {
     // storm before reaching this handler.
     wait += faults_->worker_stall();
   }
-#if ES2_PROFILE_ENABLED
   // One turn = dispatch wait + wakeup latency + the handler's service,
   // closed by the continuation below. The span slot is keyed by the flat
   // queue index, so per-queue turn residency falls out of the export.
-  if (Profiler* pf = active_profiler(host_.sim())) {
+  if (Profiler* pf = host_.sim().profiler()) {
     pf->span_begin(turn_comp(*handler), turn_key(*handler), now);
   }
-#endif
   thread_.exec(wait + host_.costs().ns(kLoopOverhead), [this, handler] {
     handler->service(*this, [this, handler](bool requeue) {
-#if ES2_PROFILE_ENABLED
-      if (Profiler* pf = active_profiler(host_.sim())) {
+      if (Profiler* pf = host_.sim().profiler()) {
         pf->span_end(turn_comp(*handler), turn_key(*handler),
                      host_.sim().now());
       }
-#endif
       if (requeue) {
         handler->ready_at_ = host_.sim().now() + requeue_delay_;
         activate(*handler);
@@ -267,13 +251,11 @@ class VhostNetBackend::TxHandler final : public VqHandler {
 
   void service(VhostWorker& worker,
                std::function<void(bool)> done) override {
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(worker.host().sim())) {
+    if (Tracer* tr = worker.host().sim().tracer()) {
       tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
                worker_core(worker), static_cast<std::uint32_t>(q_),
                backend_.tx_kick_corr_);
     }
-#endif
     // Lifecycle gate: a wedged/quarantined/disabled queue parks the turn
     // (and runs the ring-integrity check on the way in).
     if (!backend_.pre_service(q_)) {
@@ -283,13 +265,11 @@ class VhostNetBackend::TxHandler final : public VqHandler {
     // Algorithm 1 line 8-10: entering a turn disables guest notifications.
     if (backend_.tx_vq(pair_).notifications_enabled()) {
       backend_.tx_vq(pair_).disable_notifications();
-#if ES2_TRACE_ENABLED
-      if (Tracer* tr = active_tracer(worker.host().sim())) {
+      if (Tracer* tr = worker.host().sim().tracer()) {
         tr->emit(worker.host().sim().now(), TraceKind::kNotifyDisable, -1, -1,
                  worker_core(worker), static_cast<std::uint32_t>(q_),
                  backend_.tx_kick_corr_);
       }
-#endif
     }
     workload_ = 0;
     poll(worker, std::move(done));
@@ -322,13 +302,11 @@ class VhostNetBackend::TxHandler final : public VqHandler {
         return;
       }
       ++backend_.tx_reverts_;
-#if ES2_TRACE_ENABLED
-      if (Tracer* tr = active_tracer(worker.host().sim())) {
+      if (Tracer* tr = worker.host().sim().tracer()) {
         tr->emit(worker.host().sim().now(), TraceKind::kNotifyEnable, -1, -1,
                  worker_core(worker), static_cast<std::uint32_t>(q_),
                  backend_.tx_kick_corr_);
       }
-#endif
       done(false);
       return;
     }
@@ -353,13 +331,11 @@ class VhostNetBackend::TxHandler final : public VqHandler {
         ++backend_.tx_irqs_;
         backend_.raise_msi(backend_.tx_msi(pair_));
       } else {
-#if ES2_TRACE_ENABLED
-        if (Tracer* tr = active_tracer(worker.host().sim())) {
+        if (Tracer* tr = worker.host().sim().tracer()) {
           tr->emit(worker.host().sim().now(), TraceKind::kIrqSuppressed, -1,
                    -1, worker_core(worker), static_cast<std::uint32_t>(q_),
                    backend_.tx_kick_corr_);
         }
-#endif
       }
       ++workload_;
       poll(worker, std::move(done));
@@ -390,26 +366,22 @@ class VhostNetBackend::RxHandler final : public VqHandler {
 
   void service(VhostWorker& worker,
                std::function<void(bool)> done) override {
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(worker.host().sim())) {
+    if (Tracer* tr = worker.host().sim().tracer()) {
       tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
                worker_core(worker), static_cast<std::uint32_t>(q_),
                backend_.rx_kick_corr_);
     }
-#endif
     if (!backend_.pre_service(q_)) {
       done(false);
       return;
     }
     if (backend_.rx_vq(pair_).notifications_enabled()) {
       backend_.rx_vq(pair_).disable_notifications();
-#if ES2_TRACE_ENABLED
-      if (Tracer* tr = active_tracer(worker.host().sim())) {
+      if (Tracer* tr = worker.host().sim().tracer()) {
         tr->emit(worker.host().sim().now(), TraceKind::kNotifyDisable, -1, -1,
                  worker_core(worker), static_cast<std::uint32_t>(q_),
                  backend_.rx_kick_corr_);
       }
-#endif
     }
     workload_ = 0;
     poll(worker, std::move(done));
@@ -446,13 +418,11 @@ class VhostNetBackend::RxHandler final : public VqHandler {
         poll(worker, std::move(done));
         return;
       }
-#if ES2_TRACE_ENABLED
-      if (Tracer* tr = active_tracer(worker.host().sim())) {
+      if (Tracer* tr = worker.host().sim().tracer()) {
         tr->emit(worker.host().sim().now(), TraceKind::kNotifyEnable, -1, -1,
                  worker_core(worker), static_cast<std::uint32_t>(q_),
                  backend_.rx_kick_corr_);
       }
-#endif
       // Under fault injection the refill kick itself may be swallowed:
       // schedule a re-poll so a lost kick degrades to latency, not a wedge.
       backend_.arm_rx_repoll();
@@ -482,13 +452,11 @@ class VhostNetBackend::RxHandler final : public VqHandler {
         ++backend_.rx_irqs_;
         backend_.raise_msi(backend_.rx_msi(pair_));
       } else {
-#if ES2_TRACE_ENABLED
-        if (Tracer* tr = active_tracer(worker.host().sim())) {
+        if (Tracer* tr = worker.host().sim().tracer()) {
           tr->emit(worker.host().sim().now(), TraceKind::kIrqSuppressed, -1,
                    -1, worker_core(worker), static_cast<std::uint32_t>(q_),
                    backend_.rx_kick_corr_);
         }
-#endif
       }
       ++workload_;
       poll(worker, std::move(done));
@@ -699,14 +667,11 @@ Cycles VhostNetBackend::rx_cost(const PacketPtr& p) {
 
 void VhostNetBackend::raise_msi(const MsiMessage& msi) {
   if (msi_filter_ && !msi_filter_(msi)) return;  // coalesced
-#if ES2_PROFILE_ENABLED
   // The raise -> router -> vcpu delivery chain is synchronous, so a sync
   // scope captures its full host cost.
-  Profiler::Scope prof_scope(active_profiler(vm_.host().sim()),
+  Profiler::Scope prof_scope(vm_.host().sim().profiler(),
                              ProfComp::kVhostMsi);
-#endif
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     std::uint64_t corr =
         msi.vector == tx_msi_.vector ? tx_kick_corr_ : rx_kick_corr_;
     if (corr == 0) corr = tr->begin_journey();
@@ -722,43 +687,36 @@ void VhostNetBackend::raise_msi(const MsiMessage& msi) {
     vm_.host().router().deliver_msi(vm_, msi);
     return;
   }
-#endif
   if (faults_ != nullptr && faults_->drop_msi()) return;
   vm_.host().router().deliver_msi(vm_, msi);
 }
 
 void VhostNetBackend::raise_msi_now(const MsiMessage& msi) {
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     const std::uint64_t corr = tr->begin_journey();
     tr->emit(vm_.host().sim().now(), TraceKind::kMsiRaise, vm_.id(), -1,
              worker_core(worker_), msi.vector, corr);
     tr->set_inflight(corr);
   }
-#endif
   vm_.host().router().deliver_msi(vm_, msi);
 }
 
 void VhostNetBackend::notify_tx(int pair) {
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     // A TX kick opens a fresh journey: everything the handler does on its
     // next turn is on this kick's behalf.
     tx_kick_corr_ = tr->begin_journey();
     tr->emit(vm_.host().sim().now(), TraceKind::kKick, vm_.id(), -1, -1,
              static_cast<std::uint32_t>(2 * pair), tx_kick_corr_);
   }
-#endif
   if (kick_blocked(2 * pair)) return;
   if (faults_ != nullptr) {
     switch (faults_->kick_fate()) {
       case FaultInjector::KickFate::kDrop:
-#if ES2_TRACE_ENABLED
-        if (Tracer* tr = active_tracer(vm_.host().sim())) {
+        if (Tracer* tr = vm_.host().sim().tracer()) {
           tr->emit(vm_.host().sim().now(), TraceKind::kKickDrop, vm_.id(), -1,
                    -1, static_cast<std::uint32_t>(2 * pair), tx_kick_corr_);
         }
-#endif
         return;
       case FaultInjector::KickFate::kDelay:
         vm_.host().sim().after(faults_->kick_delay(), [this, pair] {
@@ -773,26 +731,22 @@ void VhostNetBackend::notify_tx(int pair) {
 }
 
 void VhostNetBackend::notify_rx(int pair) {
-#if ES2_TRACE_ENABLED
   std::uint64_t refill_corr = 0;
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     // A refill kick is bookkeeping, not an I/O request: give it its own id
     // but leave rx_kick_corr_ (the data-path journey) alone.
     refill_corr = tr->begin_journey();
     tr->emit(vm_.host().sim().now(), TraceKind::kKick, vm_.id(), -1, -1,
              static_cast<std::uint32_t>(2 * pair + 1), refill_corr);
   }
-#endif
   if (kick_blocked(2 * pair + 1)) return;
   if (faults_ != nullptr) {
     switch (faults_->kick_fate()) {
       case FaultInjector::KickFate::kDrop:
-#if ES2_TRACE_ENABLED
-        if (Tracer* tr = active_tracer(vm_.host().sim())) {
+        if (Tracer* tr = vm_.host().sim().tracer()) {
           tr->emit(vm_.host().sim().now(), TraceKind::kKickDrop, vm_.id(), -1,
                    -1, static_cast<std::uint32_t>(2 * pair + 1), refill_corr);
         }
-#endif
         return;
       case FaultInjector::KickFate::kDelay:
         vm_.host().sim().after(faults_->kick_delay(), [this, pair] {
@@ -833,15 +787,13 @@ void VhostNetBackend::write_status(std::uint8_t status) {
     if (recovery_log_ != nullptr) {
       recovery_log_->note_action(RecoveryRung::kDeviceReset, kScopeWorker);
     }
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(vm_.host().sim())) {
+    if (Tracer* tr = vm_.host().sim().tracer()) {
       std::uint64_t corr = fault_corr_[kScopeWorker];
       if (corr == 0) corr = fault_corr_[kScopeTx];
       if (corr == 0) corr = fault_corr_[kScopeRx];
       tr->emit(vm_.host().sim().now(), TraceKind::kDeviceReset, vm_.id(), -1,
                worker_core(worker_), /*arg=*/0, corr);
     }
-#endif
     if (reset_listener_) reset_listener_();
     return;
   }
@@ -853,14 +805,12 @@ void VhostNetBackend::write_status(std::uint8_t status) {
       (status_ & kStatusDeviceNeedsReset));
   if (!was_driver_ok && driver_ok()) {
     ++renegotiations_;
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(vm_.host().sim())) {
+    if (Tracer* tr = vm_.host().sim().tracer()) {
       tr->emit(vm_.host().sim().now(), TraceKind::kRenegotiate, vm_.id(), -1,
                worker_core(worker_),
                static_cast<std::uint32_t>(features_acked_ & 0xffffffffu),
                fault_corr_[kScopeWorker]);
     }
-#endif
   }
 }
 
@@ -888,13 +838,11 @@ void VhostNetBackend::reset_queue(int q) {
   if (!any_quarantined) {
     status_ &= static_cast<std::uint8_t>(~kStatusDeviceNeedsReset);
   }
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     tr->emit(vm_.host().sim().now(), TraceKind::kQueueReset, vm_.id(), -1,
              worker_core(worker_), static_cast<std::uint32_t>(q),
              fault_corr_[q % 2]);
   }
-#endif
 }
 
 bool VhostNetBackend::pre_service(int q) {
@@ -916,13 +864,11 @@ void VhostNetBackend::on_ring_fault(int q, RingFault f) {
   queue(q).flag_fault(f);
   status_ |= kStatusDeviceNeedsReset;
   ++ring_faults_detected_;
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     tr->emit(vm_.host().sim().now(), TraceKind::kRingFault, vm_.id(), -1,
              worker_core(worker_), static_cast<std::uint32_t>(f),
              fault_corr_[q % 2]);
   }
-#endif
 }
 
 void VhostNetBackend::note_progress(int scope) {
@@ -930,13 +876,11 @@ void VhostNetBackend::note_progress(int scope) {
   const int closed =
       recovery_log_->note_progress(scope, vm_.host().sim().now());
   if (closed > 0) {
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(vm_.host().sim())) {
+    if (Tracer* tr = vm_.host().sim().tracer()) {
       tr->emit(vm_.host().sim().now(), TraceKind::kRecovered, vm_.id(), -1,
                worker_core(worker_), static_cast<std::uint32_t>(closed),
                fault_corr_[scope]);
     }
-#endif
     fault_corr_[scope] = 0;
     // Progress on any queue also closes worker-scope instances.
     fault_corr_[kScopeWorker] = 0;
@@ -958,13 +902,11 @@ bool VhostNetBackend::kick_blocked(int q) {
 
 void VhostNetBackend::open_fault(LifecycleFault mode, int scope) {
   std::uint64_t corr = 0;
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     corr = tr->begin_journey();
     tr->emit(vm_.host().sim().now(), TraceKind::kFaultInject, vm_.id(), -1,
              worker_core(worker_), static_cast<std::uint32_t>(mode), corr);
   }
-#endif
   fault_corr_[scope] = corr;
   if (recovery_log_ != nullptr) {
     recovery_log_->open(mode, scope, vm_.host().sim().now(), corr);
@@ -1158,25 +1100,21 @@ void VhostNetBackend::arm_rx_repoll() {
 }
 
 void VhostNetBackend::receive_from_wire(PacketPtr packet) {
-#if ES2_PROFILE_ENABLED
-  Profiler::Scope prof_scope(active_profiler(vm_.host().sim()),
+  Profiler::Scope prof_scope(vm_.host().sim().profiler(),
                              ProfComp::kVhostWireRx);
-#endif
   const int pair = steer_pair(packet->proto, packet->flow);
   std::deque<PacketPtr>& buf = sock_buf(pair);
   if (static_cast<int>(buf.size()) >= params_.sock_buffer) {
     ++rx_dropped_;
     return;
   }
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(vm_.host().sim())) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     // The RX data path has no guest kick; the wire arrival is the
     // journey's origin (latest arrival wins the batch's id).
     rx_kick_corr_ = tr->begin_journey();
     tr->emit(vm_.host().sim().now(), TraceKind::kWireRx, vm_.id(), -1, -1,
              static_cast<std::uint32_t>(pair), rx_kick_corr_);
   }
-#endif
   buf.push_back(std::move(packet));
   worker_.activate(rx_handler(pair));
 }

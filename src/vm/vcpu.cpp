@@ -4,19 +4,17 @@
 #include "base/log.h"
 #include "base/strings.h"
 #include "metrics/metrics.h"
-#include "profile/hooks.h"
-#include "trace/hooks.h"
+#include "profile/profiler.h"
+#include "trace/trace.h"
 #include "vm/vm.h"
 
 namespace es2 {
 
-#if ES2_TRACE_ENABLED
 namespace {
 int core_of(const SimThread& thread) {
   return thread.core() != nullptr ? thread.core()->id() : -1;
 }
 }  // namespace
-#endif
 
 Vcpu::Vcpu(Vm& vm, int index, int pinned_core)
     : vm_(vm),
@@ -88,15 +86,11 @@ void Vcpu::vm_exit(ExitReason cause, Cycles handle_cost,
   ES2_CHECK_MSG(mode_ == Mode::kGuest, "vm_exit while already in host mode");
   mode_ = Mode::kHost;
   stats_.record_exit(cause);
-#if ES2_PROFILE_ENABLED
-  Profiler::Scope prof_scope(active_profiler(sim_), ProfComp::kVcpuExit);
-#endif
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(sim_)) {
+  Profiler::Scope prof_scope(sim_.profiler(), ProfComp::kVcpuExit);
+  if (Tracer* tr = sim_.tracer()) {
     tr->emit(sim_.now(), TraceKind::kVmExit, vm_.id(), index_,
              core_of(thread_), static_cast<std::uint32_t>(cause));
   }
-#endif
   const CostModel& c = vm_.host().costs();
   host_exec(c.exit_transition + handle_cost, std::move(then));
 }
@@ -117,24 +111,20 @@ void Vcpu::vm_entry() {
     if (inject >= 0) entry_cost += costs.inject_interrupt;
   }
 
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(sim_)) {
+  if (Tracer* tr = sim_.tracer()) {
     tr->emit(sim_.now(), TraceKind::kVmEntry, vm_.id(), index_,
              core_of(thread_),
              inject >= 0 ? static_cast<std::uint32_t>(inject) : 0xffffffffu,
              inject >= 0 ? tr->vector_corr(vm_.id(), index_, inject) : 0);
   }
-#endif
   host_exec(entry_cost, [this, inject] {
     mode_ = Mode::kGuest;
     if (inject >= 0) {
-#if ES2_TRACE_ENABLED
-      if (Tracer* tr = active_tracer(sim_)) {
+      if (Tracer* tr = sim_.tracer()) {
         tr->emit(sim_.now(), TraceKind::kIrqInject, vm_.id(), index_,
                  core_of(thread_), static_cast<std::uint32_t>(inject),
                  tr->vector_corr(vm_.id(), index_, inject));
       }
-#endif
       lapic_.begin_service(static_cast<Vector>(inject));
       dispatch_irq(static_cast<Vector>(inject));
       return;
@@ -153,8 +143,7 @@ void Vcpu::vm_entry() {
 void Vcpu::dispatch_irq(Vector vector) {
   ES2_CHECK(mode_ == Mode::kGuest);
   ++irqs_taken_;
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(sim_)) {
+  if (Tracer* tr = sim_.tracer()) {
     // Consume the pending-delivery entry and open an in-service frame; the
     // matching EOI pops it (nested interrupts stack).
     const std::uint64_t corr = tr->take_vector_corr(vm_.id(), index_, vector);
@@ -162,16 +151,13 @@ void Vcpu::dispatch_irq(Vector vector) {
     tr->emit(sim_.now(), TraceKind::kIrqDispatch, vm_.id(), index_,
              core_of(thread_), vector, corr);
   }
-#endif
-#if ES2_PROFILE_ENABLED
   // dispatch -> EOI is this vcpu's interrupt-service span (nested
   // interrupts fold into the outer span; the begin-on-open counts as
   // dropped rather than opening a second slot).
-  if (Profiler* pf = active_profiler(sim_)) {
+  if (Profiler* pf = sim_.profiler()) {
     pf->span_begin(ProfComp::kGuestIrqService,
                    static_cast<unsigned>(vm_.id() * 16 + index_), sim_.now());
   }
-#endif
   const CostModel& c = vm_.host().costs();
   guest_exec(c.guest_irq_dispatch,
              [this, vector] { vm_.guest().take_interrupt(index_, vector); });
@@ -194,20 +180,16 @@ void Vcpu::guest_io_kick(std::function<void()> notify,
 }
 
 void Vcpu::guest_eoi(std::function<void()> done) {
-#if ES2_PROFILE_ENABLED
-  if (Profiler* pf = active_profiler(sim_)) {
+  if (Profiler* pf = sim_.profiler()) {
     pf->span_end(ProfComp::kGuestIrqService,
                  static_cast<unsigned>(vm_.id() * 16 + index_), sim_.now());
   }
-#endif
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(sim_)) {
+  if (Tracer* tr = sim_.tracer()) {
     // The EOI write closes the innermost in-service frame, whichever
     // mechanism (trap or virtual EOI) retires it below.
     tr->emit(sim_.now(), TraceKind::kEoi, vm_.id(), index_, core_of(thread_),
              0, tr->pop_service(vm_.id(), index_));
   }
-#endif
   const CostModel& c = vm_.host().costs();
   if (exitless_irqs()) {
     // PI: exit-less virtual EOI (paper Fig. 2 step 5); ELI: the physical
@@ -271,9 +253,8 @@ bool Vcpu::interrupt_pending() const {
 }
 
 void Vcpu::deliver_interrupt(Vector vector) {
-#if ES2_TRACE_ENABLED
   std::uint64_t corr = 0;
-  if (Tracer* tr = active_tracer(sim_)) {
+  if (Tracer* tr = sim_.tracer()) {
     // Adopt the journey of the MSI being delivered (set by the backend
     // around the synchronous router call); timer/IPI deliveries arrive
     // without one and start their own.
@@ -281,7 +262,6 @@ void Vcpu::deliver_interrupt(Vector vector) {
     if (corr == 0) corr = tr->begin_journey();
     tr->remember_vector(vm_.id(), index_, vector, corr);
   }
-#endif
   if (vm_.irq_mode() == InterruptVirtMode::kExitlessDirect) {
     // ELI/DID-style deprivileging (§II-C): the physical Local-APIC delivers
     // straight through the guest IDT when the vCPU occupies its core —
@@ -291,12 +271,10 @@ void Vcpu::deliver_interrupt(Vector vector) {
     // whoever holds the core meanwhile is exposed to misdelivery /
     // interruptibility loss — the reason ELI requires dedicated cores.
     vapic_.pi().post(vector);  // reuse the bitmap as the physical IRR
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(sim_)) {
+    if (Tracer* tr = sim_.tracer()) {
       tr->emit(sim_.now(), TraceKind::kPiPost, vm_.id(), index_,
                core_of(thread_), vector, corr);
     }
-#endif
     if (thread_.running() && mode_ == Mode::kGuest) {
       suspend_guest_activity();
       const CostModel& c = vm_.host().costs();
@@ -328,13 +306,11 @@ void Vcpu::deliver_interrupt(Vector vector) {
 
   if (vm_.irq_mode() == InterruptVirtMode::kPostedInterrupt) {
     const bool need_notification = vapic_.pi().post(vector);
-#if ES2_TRACE_ENABLED
-    if (Tracer* tr = active_tracer(sim_)) {
+    if (Tracer* tr = sim_.tracer()) {
       tr->emit(sim_.now(),
                need_notification ? TraceKind::kPiPost : TraceKind::kPiCoalesced,
                vm_.id(), index_, core_of(thread_), vector, corr);
     }
-#endif
     if (!need_notification) return;  // coalesced by the ON bit
 
     if (thread_.running() && mode_ == Mode::kGuest) {
@@ -364,12 +340,10 @@ void Vcpu::deliver_interrupt(Vector vector) {
 
   // Baseline: software-emulated LAPIC.
   lapic_.post(vector);
-#if ES2_TRACE_ENABLED
-  if (Tracer* tr = active_tracer(sim_)) {
+  if (Tracer* tr = sim_.tracer()) {
     tr->emit(sim_.now(), TraceKind::kLapicPost, vm_.id(), index_,
              core_of(thread_), vector, corr);
   }
-#endif
   if (thread_.running() && mode_ == Mode::kGuest) {
     // The emulated LAPIC cannot touch a running guest: it kicks the vCPU
     // with an IPI, forcing an EXTERNAL_INTERRUPT exit, and injects during

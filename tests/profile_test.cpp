@@ -4,10 +4,6 @@
 // the zero-alloc scoped profiler (span aggregation, slice ring, scope
 // tree, allocation guarantee via es2_alloc_hook), and — against real
 // streams — the passivity contract: profiling a run must not change it.
-//
-// The analyzer/profiler units run in every build; the end-to-end cases
-// need the instrumentation call sites and skip without -DES2_TRACE=ON /
-// -DES2_PROFILE=ON.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,11 +14,9 @@
 #include "harness/experiments.h"
 #include "profile/blame.h"
 #include "profile/blame_export.h"
-#include "profile/hooks.h"
 #include "profile/prof_export.h"
 #include "profile/profiler.h"
 #include "trace/export.h"
-#include "trace/hooks.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -249,7 +243,6 @@ TEST(BlameExport, DiffNamesTheRegressedComponent) {
 
 TEST(Profiler, SpansAggregatePerComponentKey) {
   Profiler p;
-  p.enable();
   p.span_begin(ProfComp::kVhostTurnTx, 0, 1000);
   p.span_end(ProfComp::kVhostTurnTx, 0, 1400);
   p.span_begin(ProfComp::kVhostTurnTx, 0, 2000);
@@ -272,7 +265,6 @@ TEST(Profiler, SliceRingKeepsTheNewest) {
   ProfileOptions o;
   o.slice_capacity = 4;
   Profiler p(o);
-  p.enable();
   for (int i = 0; i < 6; ++i) {
     p.span_begin(ProfComp::kVhostMsi, 0, i * 100);
     p.span_end(ProfComp::kVhostMsi, 0, i * 100 + 50);
@@ -286,7 +278,6 @@ TEST(Profiler, SliceRingKeepsTheNewest) {
 
 TEST(Profiler, UnbalancedBeginCountsAsDropped) {
   Profiler p;
-  p.enable();
   p.span_begin(ProfComp::kVhostTurnRx, 1, 100);
   p.span_begin(ProfComp::kVhostTurnRx, 1, 200);  // slot already open
   p.span_end(ProfComp::kVhostTurnRx, 1, 300);
@@ -299,7 +290,6 @@ TEST(Profiler, UnbalancedBeginCountsAsDropped) {
 
 TEST(Profiler, ScopeTreeNestsAndSurvivesOverflow) {
   Profiler p;
-  p.enable();
   {
     Profiler::Scope outer(&p, ProfComp::kVcpuExit);
     Profiler::Scope inner(&p, ProfComp::kCfsResched);
@@ -327,7 +317,6 @@ TEST(Profiler, ScopeTreeNestsAndSurvivesOverflow) {
 
 TEST(Profiler, RecordPathsAllocateNothing) {
   Profiler p;
-  p.enable();
   // Warm both paths (first touch of a span slot / tree node).
   p.span_begin(ProfComp::kVhostTurnTx, 2, 0);
   p.span_end(ProfComp::kVhostTurnTx, 2, 10);
@@ -350,7 +339,6 @@ TEST(Profiler, RecordPathsAllocateNothing) {
 
 TEST(ProfExport, CollapsedStacksAreSortedAndDeterministic) {
   Profiler p;
-  p.enable();
   {
     Profiler::Scope outer(&p, ProfComp::kVcpuExit);
     Profiler::Scope inner(&p, ProfComp::kCfsResched);
@@ -406,9 +394,6 @@ TEST(ProfilePath, ProfilingIsPassive) {
 }
 
 TEST(ProfilePath, SameSeedProfileExportsAreByteIdentical) {
-#if !ES2_PROFILE_ENABLED
-  GTEST_SKIP() << "needs -DES2_PROFILE=ON";
-#else
   StreamOptions o = short_stream(42);
   o.profile.enabled = true;
   const StreamResult a = run_stream(o);
@@ -419,13 +404,9 @@ TEST(ProfilePath, SameSeedProfileExportsAreByteIdentical) {
   EXPECT_EQ(prof_to_json_text(*a.profile), prof_to_json_text(*b.profile));
   EXPECT_EQ(prof_to_collapsed(*a.profile, CollapsedWeight::kSimNs),
             prof_to_collapsed(*b.profile, CollapsedWeight::kSimNs));
-#endif
 }
 
 TEST(ProfilePath, SameSeedBlameExportsAreByteIdentical) {
-#if !ES2_TRACE_ENABLED
-  GTEST_SKIP() << "needs -DES2_TRACE=ON";
-#else
   StreamOptions o = short_stream(43);
   o.trace.enabled = true;
   o.trace.capacity = std::size_t{1} << 17;
@@ -440,13 +421,9 @@ TEST(ProfilePath, SameSeedBlameExportsAreByteIdentical) {
     EXPECT_EQ(blame_critical_path(ba.worst[i]),
               blame_critical_path(bb.worst[i]));
   }
-#endif
 }
 
 TEST(ProfilePath, BlameFractionsSumToTracedJourneyTotals) {
-#if !ES2_TRACE_ENABLED
-  GTEST_SKIP() << "needs -DES2_TRACE=ON";
-#else
   StreamOptions o = short_stream(44);
   o.trace.enabled = true;
   o.trace.capacity = std::size_t{1} << 17;
@@ -467,13 +444,9 @@ TEST(ProfilePath, BlameFractionsSumToTracedJourneyTotals) {
     for (std::size_t c = 0; c < kBlameComponents; ++c) gsum += g.ns[c];
     EXPECT_EQ(gsum, g.total);
   }
-#endif
 }
 
 TEST(ProfilePath, ProfiledStreamRecordsVhostSpans) {
-#if !ES2_PROFILE_ENABLED
-  GTEST_SKIP() << "needs -DES2_PROFILE=ON";
-#else
   StreamOptions o = short_stream(45);
   o.profile.enabled = true;
   const StreamResult r = run_stream(o);
@@ -489,7 +462,6 @@ TEST(ProfilePath, ProfiledStreamRecordsVhostSpans) {
   }
   EXPECT_TRUE(saw_turn);
   EXPECT_TRUE(saw_guest);
-#endif
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Trace-based event-path regression tests (compiled under -DES2_TRACE=ON
-// only — they need the instrumentation call sites).
+// Trace-based event-path regression tests.
 //
 // These lock down the event path itself, not just aggregate counters:
 //   * determinism — same seed, same workload => byte-identical traces;

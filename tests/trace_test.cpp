@@ -1,8 +1,7 @@
 // Tracer unit tests: ring-buffer wraparound, correlation-id plumbing, the
 // span builder on hand-crafted record sequences, exporter round-trips and
 // the zero-allocation guarantee on the hot emit path (this binary links
-// es2_alloc_hook). These run in every build — the trace library itself is
-// always compiled; only the model call sites are gated by ES2_TRACE.
+// es2_alloc_hook).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,7 +20,6 @@ namespace {
 
 Tracer make_tracer(std::size_t capacity) {
   TraceOptions o;
-  o.enabled = true;
   o.capacity = capacity;
   return Tracer(o);
 }
@@ -30,16 +28,8 @@ Tracer make_tracer(std::size_t capacity) {
 // Ring buffer
 // ---------------------------------------------------------------------------
 
-TEST(TracerRing, DisabledTracerDropsEverything) {
-  Tracer tracer;  // constructed but never enabled
-  tracer.emit(100, TraceKind::kKick, 0, 0, 1);
-  EXPECT_EQ(tracer.emitted(), 0u);
-  EXPECT_TRUE(tracer.snapshot().empty());
-}
-
 TEST(TracerRing, KeepsRecordsInEmitOrder) {
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   for (int i = 0; i < 10; ++i) {
     tracer.emit(i * 10, TraceKind::kVmExit, 0, 0, 2,
                 static_cast<std::uint32_t>(i));
@@ -57,7 +47,6 @@ TEST(TracerRing, KeepsRecordsInEmitOrder) {
 
 TEST(TracerRing, WraparoundKeepsTheNewestRecords) {
   Tracer tracer = make_tracer(8);
-  tracer.enable();
   for (int i = 0; i < 20; ++i) {
     tracer.emit(i, TraceKind::kKick, 0, -1, -1);
   }
@@ -73,7 +62,6 @@ TEST(TracerRing, WraparoundKeepsTheNewestRecords) {
 TEST(TracerRing, CapacityCrossingSlabBoundaryGrowsCorrectly) {
   // 10000 > one 4096-record slab: forces multi-slab growth.
   Tracer tracer = make_tracer(10000);
-  tracer.enable();
   for (int i = 0; i < 10000; ++i) {
     tracer.emit(i, TraceKind::kSchedIn, -1, -1, 0);
   }
@@ -134,7 +122,6 @@ TEST(TracerCorr, ServiceStackNestsPerVcpu) {
 
 TEST(TracerCorr, LastCorrTracksMostRecentCorrelatedEmit) {
   Tracer tracer = make_tracer(16);
-  tracer.enable();
   EXPECT_EQ(tracer.last_corr(), 0u);
   tracer.emit(1, TraceKind::kKick, 0, -1, -1, 0, 42);
   tracer.emit(2, TraceKind::kSchedIn, -1, -1, 0);  // uncorrelated: no change
@@ -149,7 +136,6 @@ TEST(TracerCorr, LastCorrTracksMostRecentCorrelatedEmit) {
 
 TEST(SpanBuilder, StitchesOneCompleteJourney) {
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   tracer.emit(100, TraceKind::kKick, 0, -1, -1, 0, 7);
   tracer.emit(250, TraceKind::kWorkerTurn, 0, -1, 4, 0, 7);
   tracer.emit(400, TraceKind::kMsiRaise, 0, -1, 4, 33, 7);
@@ -188,7 +174,6 @@ TEST(SpanBuilder, StitchesOneCompleteJourney) {
 TEST(SpanBuilder, LandmarksRecordFirstOccurrenceOnly) {
   // A coalesced journey posts twice; the span keeps the earliest MSI.
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   tracer.emit(100, TraceKind::kKick, 0, -1, -1, 0, 3);
   tracer.emit(200, TraceKind::kMsiRaise, 0, -1, 4, 33, 3);
   tracer.emit(300, TraceKind::kPiCoalesced, 0, 0, 4, 33, 3);
@@ -200,7 +185,6 @@ TEST(SpanBuilder, LandmarksRecordFirstOccurrenceOnly) {
 
 TEST(SpanBuilder, WireRxOpensTheJourneyLikeAKick) {
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   tracer.emit(50, TraceKind::kWireRx, 0, -1, -1, 0, 9);
   tracer.emit(180, TraceKind::kWorkerTurn, 0, -1, 4, 1, 9);
   tracer.emit(320, TraceKind::kMsiRaise, 0, -1, 4, 34, 9);
@@ -216,7 +200,6 @@ TEST(SpanBuilder, WireRxOpensTheJourneyLikeAKick) {
 
 TEST(SpanBuilder, PartialJourneysFeedTheStagesTheyCompleted) {
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   // Journey 1: kick serviced, interrupt suppressed — no msi/dispatch/eoi.
   tracer.emit(100, TraceKind::kKick, 0, -1, -1, 0, 1);
   tracer.emit(260, TraceKind::kWorkerTurn, 0, -1, 4, 0, 1);
@@ -242,7 +225,6 @@ TEST(SpanBuilder, PartialJourneysFeedTheStagesTheyCompleted) {
 
 TEST(SpanBuilder, UncorrelatedRecordsFormNoJourney) {
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   tracer.emit(10, TraceKind::kSchedIn, -1, -1, 0, 5);
   tracer.emit(20, TraceKind::kVmExit, 0, 0, 1, 2);
   std::vector<JourneySpan> spans;
@@ -257,7 +239,6 @@ TEST(SpanBuilder, UncorrelatedRecordsFormNoJourney) {
 
 std::vector<TraceRecord> sample_records() {
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   tracer.emit(100, TraceKind::kKick, 0, -1, -1, 0, 7);
   tracer.emit(250, TraceKind::kWorkerTurn, 0, -1, 4, 0, 7);
   tracer.emit(400, TraceKind::kMsiRaise, 0, -1, 4, 33, 7);
@@ -324,7 +305,6 @@ TEST(TraceExport, JsonValidatorRejectsMalformedInput) {
 TEST(TracerAlloc, SteadyStateEmitAllocatesNothing) {
   constexpr std::size_t kCapacity = 1 << 12;
   Tracer tracer = make_tracer(kCapacity);
-  tracer.enable();
   // Warm up: fill the ring completely (allocates its slabs) and touch the
   // correlation structures for every (vm, vcpu) the loop below uses.
   for (std::size_t i = 0; i < kCapacity; ++i) {
@@ -358,7 +338,6 @@ TEST(TracerAlloc, SteadyStateEmitAllocatesNothing) {
 TEST(TraceAnnotation, AuditorViolationCarriesNearestCorr) {
   Simulator sim(1);
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   sim.set_tracer(&tracer);
   tracer.emit(0, TraceKind::kKick, 0, -1, -1, 0, 42);
 
@@ -388,7 +367,6 @@ TEST(TraceAnnotation, AuditorWithoutTracerLeavesCorrZero) {
 TEST(TraceAnnotation, WatchdogTripCarriesNearestCorr) {
   Simulator sim(1);
   Tracer tracer = make_tracer(64);
-  tracer.enable();
   sim.set_tracer(&tracer);
   tracer.emit(0, TraceKind::kMsiRaise, 0, -1, 4, 33, 42);
 
