@@ -6,6 +6,9 @@
 //     (mostly sub-4µs completions, some sub-ms, a tail of long timers);
 //   * the preempted-CPU-segment pattern: schedule a completion, cancel it
 //     before it fires, reschedule (the queue's dominant cancel load);
+//   * the model's continuation pattern: a three-deep chain of wrapped
+//     Callbacks built, moved and invoked (FramePool frames);
+//   * packet churn: make_packet, share the handle, release it;
 //   * the end-to-end Fig. 4 quota sweep wall time.
 //
 // Emits BENCH_eventcore.json in the shared es2-bench-v1 schema
@@ -18,6 +21,7 @@
 //
 // Usage: bench_eventcore [--fast] [--seed=N] [--out=DIR]
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -33,6 +37,8 @@
 #include "bench_common.h"
 #include "harness/experiments.h"
 #include "harness/parallel.h"
+#include "net/packet.h"
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "base/strings.h"
 
@@ -199,6 +205,63 @@ ChurnResult run_cancel_churn(std::int64_t target_ops, std::uint64_t seed) {
   return r;
 }
 
+/// Times `op` over `target` iterations after one warm-up call (which may
+/// carve FramePool slabs), counting allocations over the timed part only.
+template <typename Op>
+ChurnResult run_pooled(std::int64_t target, Op op) {
+  op(0);
+  const std::int64_t alloc0 = test::allocation_count();
+  const auto start = Clock::now();
+  for (std::int64_t i = 1; i <= target; ++i) op(i);
+  const double elapsed = seconds_since(start);
+  const std::int64_t allocs = test::allocation_count() - alloc0;
+  ChurnResult r;
+  r.events_per_sec = static_cast<double>(target) / elapsed;
+  r.ns_per_event = elapsed * 1e9 / static_cast<double>(target);
+  r.allocs_per_event =
+      static_cast<double>(allocs) / static_cast<double>(target);
+  return r;
+}
+
+/// vCPU exec -> thread segment -> caller: each hop wraps the previous
+/// continuation, so the outer two live in FramePool frames.
+ChurnResult run_continuation_chain(std::int64_t target) {
+  std::int64_t sink = 0;
+  const ChurnResult r = run_pooled(target, [&sink](std::int64_t i) {
+    Callback<void()> done = [&sink, i] { sink += i; };
+    Callback<void()> segment = [&sink, done = std::move(done)] {
+      done();
+      ++sink;
+    };
+    Callback<void()> exec = [&sink, segment = std::move(segment), i] {
+      segment();
+      sink ^= i;
+    };
+    Callback<void()> fired = std::move(exec);
+    fired();
+  });
+  ES2_CHECK(sink != 0);
+  return r;
+}
+
+/// A packet's life on a ring: made, shared into a 64-deep queue, and
+/// released when a later packet takes its slot.
+ChurnResult run_packet_make_release(std::int64_t target) {
+  std::array<PacketPtr, 64> ring;
+  std::uint64_t sink = 0;
+  const ChurnResult r = run_pooled(target, [&ring, &sink](std::int64_t i) {
+    Packet p;
+    p.flow = static_cast<std::uint64_t>(i);
+    p.wire_size = 1078;
+    const PacketPtr made = make_packet(p);
+    PacketPtr& slot = ring[static_cast<std::size_t>(i) % ring.size()];
+    if (slot) sink += slot->flow;
+    slot = made;
+  });
+  ES2_CHECK(sink != 0);
+  return r;
+}
+
 /// End-to-end check: wall time of the Fig. 4 quota sweep (the PR's
 /// representative full-simulation workload) on the production queue.
 double fig4_sweep_seconds(bool fast, std::uint64_t seed) {
@@ -272,6 +335,8 @@ int bench_main(int argc, char** argv) {
   const ChurnResult cancel_new = run_cancel_churn<EventQueue>(cancel_ops, seed);
   const ChurnResult cancel_old =
       run_cancel_churn<legacy::EventQueue>(cancel_ops, seed);
+  const ChurnResult chain = run_continuation_chain(fires);
+  const ChurnResult packets = run_packet_make_release(fires);
 
   Table t({"workload", "impl", "events/s", "ns/event", "allocs/event"});
   auto row = [&t](const char* wl, const char* impl, const ChurnResult& r) {
@@ -282,6 +347,8 @@ int bench_main(int argc, char** argv) {
   row("schedule+fire", "legacy", fire_old);
   row("cancel churn", "pooled", cancel_new);
   row("cancel churn", "legacy", cancel_old);
+  row("continuation chain", "pooled", chain);
+  row("packet make+release", "pooled", packets);
   std::printf("%s", t.render().c_str());
   std::printf("speedup: schedule+fire %.2fx, cancel churn %.2fx\n",
               fire_new.events_per_sec / fire_old.events_per_sec,
@@ -314,6 +381,8 @@ int bench_main(int argc, char** argv) {
   add_churn("schedule_fire_legacy", fire_old);
   add_churn("cancel_churn_pooled", cancel_new);
   add_churn("cancel_churn_legacy", cancel_old);
+  add_churn("continuation_chain_pooled", chain);
+  add_churn("packet_make_release", packets);
   report.add_info("speedup_schedule_fire",
                   fire_new.events_per_sec / fire_old.events_per_sec);
   report.add_info("speedup_cancel_churn",

@@ -94,7 +94,7 @@ class ApacheServer::Worker final : public GuestTask {
   }
 
   ApacheServer& server_;
-  std::deque<HttpRequest> queue_;
+  Ring<HttpRequest> queue_;
   HttpRequest current_;
   int segments_left_ = 0;
   Bytes sent_offset_ = 0;
@@ -107,7 +107,7 @@ class ApacheServer::RequestSink final : public FlowSink {
   }
 
   void on_packet(Vcpu&, const PacketPtr& packet,
-                 std::function<void()> done) override {
+                 Callback<void()> done) override {
     HttpRequest req{packet->flow, packet->probe_id};
     const size_t w = packet->flow % server_.workers_.size();
     if (!server_.workers_[w]->enqueue(req)) ++server_.accept_queue_drops_;
@@ -178,7 +178,7 @@ class ApacheServer::ListenerTask final : public GuestTask {
 
  private:
   ApacheServer& server_;
-  std::deque<PacketPtr> backlog_;
+  Ring<PacketPtr> backlog_;
 };
 
 class ApacheServer::ListenSink final : public FlowSink {
@@ -188,7 +188,7 @@ class ApacheServer::ListenSink final : public FlowSink {
   }
 
   void on_packet(Vcpu&, const PacketPtr& packet,
-                 std::function<void()> done) override {
+                 Callback<void()> done) override {
     // Rung 3 of the overload ladder: SYN-cookie-style early shedding. The
     // listen path refuses new connections beyond a tiny backlog *before*
     // the expensive accept, reserving the remaining CPU for connections
@@ -335,7 +335,7 @@ void HttperfClient::send_syn(std::uint64_t conn_id, SimTime first_attempt) {
     ++pending_overflows_;
     return;
   }
-  pending_.emplace(conn_id, first_attempt);
+  pending_.put(conn_id, first_attempt);
   Packet syn;
   syn.proto = Proto::kTcp;
   syn.flow = listen_flow_;
@@ -346,19 +346,16 @@ void HttperfClient::send_syn(std::uint64_t conn_id, SimTime first_attempt) {
   // SYN retransmission timer (dropped on establishment).
   peer_.sim().after(syn_rto_, [this, conn_id, first_attempt] {
     if (!running_) return;
-    const auto it = pending_.find(conn_id);
-    if (it == pending_.end()) return;  // established meanwhile
-    pending_.erase(it);
+    if (!pending_.take(conn_id)) return;  // established meanwhile
     ++retries_;
     send_syn(conn_id, first_attempt);
   });
 }
 
 void HttperfClient::on_packet(const PacketPtr& packet) {
-  const auto it = pending_.find(packet->probe_id);
-  if (it == pending_.end()) return;  // duplicate SYN/ACK after a retry
-  connect_time_.record(peer_.sim().now() - it->second);
-  pending_.erase(it);
+  const auto sent = pending_.take(packet->probe_id);
+  if (!sent) return;  // duplicate SYN/ACK after a retry
+  connect_time_.record(peer_.sim().now() - *sent);
   ++established_;
 }
 
@@ -417,15 +414,7 @@ void HttperfClient::snapshot_state(SnapshotWriter& w) const {
   w.put_i64(retries_);
   w.put_i64(pending_overflows_);
   w.put_i64(connect_time_.count());
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pending_.size());
-  for (const auto& [k, v] : pending_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.put_u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t k : keys) {
-    w.put_u64(k);
-    w.put_i64(pending_.at(k));
-  }
+  pending_.snapshot(w);
 }
 
 }  // namespace es2

@@ -10,10 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "base/id_time_table.h"
+#include "base/ring.h"
 #include "guest/guest_os.h"
 #include "guest/virtio_net.h"
 #include "net/peer.h"
@@ -163,7 +164,7 @@ class HttperfClient : public Snapshottable {
   std::int64_t retries_ = 0;
   std::int64_t pending_overflows_ = 0;
   Histogram connect_time_;
-  std::unordered_map<std::uint64_t, SimTime> pending_;  // conn -> first SYN
+  IdTimeTable pending_;  // conn -> first SYN
 };
 
 }  // namespace es2

@@ -76,7 +76,7 @@ class MemcachedServer::Worker final : public GuestTask {
 
  private:
   MemcachedServer& server_;
-  std::deque<PendingRequest> queue_;
+  Ring<PendingRequest> queue_;
 };
 
 class MemcachedServer::Sink final : public FlowSink {
@@ -86,7 +86,7 @@ class MemcachedServer::Sink final : public FlowSink {
   }
 
   void on_packet(Vcpu&, const PacketPtr& packet,
-                 std::function<void()> done) override {
+                 Callback<void()> done) override {
     PendingRequest req;
     req.flow = packet->flow;
     req.probe_id = packet->probe_id;
@@ -152,15 +152,13 @@ void MemaslapClient::send_request(std::uint64_t flow) {
   req.payload = is_get ? params_.costs.get_request : params_.costs.set_request;
   req.wire_size = req.payload + kTcpUdpHeader;
   req.probe_id = next_req_++;
-  outstanding_[req.probe_id] = peer_.sim().now();
+  outstanding_.put(req.probe_id, peer_.sim().now());
   peer_.send(make_packet(std::move(req)));
 }
 
 void MemaslapClient::on_response(const PacketPtr& packet) {
-  const auto it = outstanding_.find(packet->probe_id);
-  if (it != outstanding_.end()) {
-    latency_.record(peer_.sim().now() - it->second);
-    outstanding_.erase(it);
+  if (const auto sent = outstanding_.take(packet->probe_id)) {
+    latency_.record(peer_.sim().now() - *sent);
   }
   ++ops_;
   resp_bytes_ += packet->payload;
@@ -209,15 +207,7 @@ void MemaslapClient::snapshot_state(SnapshotWriter& w) const {
   w.put_i64(ops_);
   w.put_i64(resp_bytes_);
   w.put_i64(latency_.count());
-  std::vector<std::uint64_t> keys;
-  keys.reserve(outstanding_.size());
-  for (const auto& [k, v] : outstanding_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.put_u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t k : keys) {
-    w.put_u64(k);
-    w.put_i64(outstanding_.at(k));
-  }
+  outstanding_.snapshot(w);
 }
 
 }  // namespace es2

@@ -7,10 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "base/id_time_table.h"
+#include "base/ring.h"
 #include "base/rng.h"
 #include "guest/guest_os.h"
 #include "guest/virtio_net.h"
@@ -111,7 +112,7 @@ class MemaslapClient : public Snapshottable {
   Bytes resp_bytes_base_ = 0;
   SimTime window_start_ = 0;
   Histogram latency_;
-  std::unordered_map<std::uint64_t, SimTime> outstanding_;
+  IdTimeTable outstanding_;  // request id -> send time
 };
 
 }  // namespace es2

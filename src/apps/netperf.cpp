@@ -112,7 +112,7 @@ void NetperfSender::emit_segments(Vcpu& vcpu) {
 }
 
 void NetperfSender::on_packet(Vcpu&, const PacketPtr& packet,
-                              std::function<void()> done) {
+                              Callback<void()> done) {
   // Peer ACK: advance the window; wake the sender if it was waiting.
   if (packet->ack_seq > acked_) acked_ = packet->ack_seq;
   if (!runnable()) wake();
@@ -130,7 +130,7 @@ NetperfReceiver::NetperfReceiver(GuestOs& os, VirtioNetFrontend& dev,
 }
 
 void NetperfReceiver::on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                                std::function<void()> done) {
+                                Callback<void()> done) {
   ++packets_received_;
   if (proto_ != Proto::kTcp) {
     bytes_received_ += packet->payload;

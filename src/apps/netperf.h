@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "guest/guest_os.h"
 #include "guest/virtio_net.h"
@@ -30,7 +29,7 @@ class NetperfSender final : public GuestTask,
 
   void run_unit(Vcpu& vcpu) override;
   void on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                 std::function<void()> done) override;
+                 Callback<void()> done) override;
 
   Bytes bytes_sent() const { return bytes_sent_; }
   std::int64_t packets_sent() const { return packets_sent_; }
@@ -72,7 +71,7 @@ class NetperfReceiver final : public FlowSink, public Snapshottable {
                   Proto proto);
 
   void on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                 std::function<void()> done) override;
+                 Callback<void()> done) override;
 
   Bytes bytes_received() const { return bytes_received_; }
   std::int64_t packets_received() const { return packets_received_; }

@@ -1,8 +1,5 @@
 #include "apps/ping.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace es2 {
 
 PingResponder::PingResponder(GuestOs& os, VirtioNetFrontend& dev,
@@ -12,7 +9,7 @@ PingResponder::PingResponder(GuestOs& os, VirtioNetFrontend& dev,
 }
 
 void PingResponder::on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                              std::function<void()> done) {
+                              Callback<void()> done) {
   Packet reply;
   reply.proto = Proto::kIcmp;
   reply.flow = flow_;
@@ -50,17 +47,16 @@ void PingClient::send_echo() {
   p.wire_size = payload_ + kTcpUdpHeader;
   p.probe_id = next_probe_++;
   p.sent_at = peer_.sim().now();
-  outstanding_[p.probe_id] = p.sent_at;
+  outstanding_.put(p.probe_id, p.sent_at);
   ++sent_;
   peer_.send(make_packet(std::move(p)));
   peer_.sim().after(interval_, [this] { send_echo(); });
 }
 
 void PingClient::on_reply(const PacketPtr& packet) {
-  const auto it = outstanding_.find(packet->probe_id);
-  if (it == outstanding_.end()) return;
-  const SimDuration rtt = peer_.sim().now() - it->second;
-  outstanding_.erase(it);
+  const auto sent = outstanding_.take(packet->probe_id);
+  if (!sent) return;
+  const SimDuration rtt = peer_.sim().now() - *sent;
   ++received_;
   rtt_.record(rtt);
   samples_.push_back(rtt);
@@ -78,15 +74,7 @@ void PingClient::snapshot_state(SnapshotWriter& w) const {
   w.put_i64(sent_);
   w.put_i64(received_);
   w.put_i64(rtt_.count());
-  std::vector<std::uint64_t> keys;
-  keys.reserve(outstanding_.size());
-  for (const auto& [k, v] : outstanding_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.put_u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t k : keys) {
-    w.put_u64(k);
-    w.put_i64(outstanding_.at(k));
-  }
+  outstanding_.snapshot(w);
 }
 
 }  // namespace es2

@@ -3,8 +3,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
+#include "base/id_time_table.h"
 #include "guest/guest_os.h"
 #include "guest/virtio_net.h"
 #include "net/peer.h"
@@ -18,7 +18,7 @@ class PingResponder final : public FlowSink, public Snapshottable {
   PingResponder(GuestOs& os, VirtioNetFrontend& dev, std::uint64_t flow);
 
   void on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                 std::function<void()> done) override;
+                 Callback<void()> done) override;
 
   std::int64_t echoed() const { return echoed_; }
 
@@ -63,7 +63,7 @@ class PingClient : public Snapshottable {
   std::int64_t received_ = 0;
   Histogram rtt_;
   std::vector<SimDuration> samples_;
-  std::unordered_map<std::uint64_t, SimTime> outstanding_;
+  IdTimeTable outstanding_;  // probe id -> send time
 };
 
 }  // namespace es2

@@ -1,7 +1,6 @@
 #include "apps/storm.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "base/assert.h"
 
@@ -73,7 +72,7 @@ void StormClient::open_connection() {
 void StormClient::send_syn(std::uint64_t conn_id, SimTime first_attempt,
                            int tries) {
   if (!running_) return;
-  pending_.emplace(conn_id, first_attempt);
+  pending_.put(conn_id, first_attempt);
   Packet syn;
   syn.proto = Proto::kTcp;
   syn.flow = listen_flow_;
@@ -86,9 +85,7 @@ void StormClient::send_syn(std::uint64_t conn_id, SimTime first_attempt,
   peer_.send(make_packet(std::move(syn)));
   peer_.sim().after(syn_rto_, [this, conn_id, first_attempt, tries] {
     if (!running_) return;
-    const auto it = pending_.find(conn_id);
-    if (it == pending_.end()) return;  // established meanwhile
-    pending_.erase(it);
+    if (!pending_.take(conn_id)) return;  // established meanwhile
     if (tries + 1 >= max_retries_) {
       // Retry budget exhausted: the user gave up. This is what eventually
       // deflates the retransmit flywheel once the ramp ends.
@@ -102,10 +99,9 @@ void StormClient::send_syn(std::uint64_t conn_id, SimTime first_attempt,
 
 void StormClient::on_packet(const PacketPtr& packet) {
   if (packet->flags.syn && packet->flags.ack) {
-    const auto it = pending_.find(packet->probe_id);
-    if (it == pending_.end()) return;  // late SYN/ACK after abandonment
-    connect_time_.record(peer_.sim().now() - it->second);
-    pending_.erase(it);
+    const auto sent = pending_.take(packet->probe_id);
+    if (!sent) return;  // late SYN/ACK after abandonment
+    connect_time_.record(peer_.sim().now() - *sent);
     ++established_;
     return;
   }
@@ -142,15 +138,7 @@ void StormClient::snapshot_state(SnapshotWriter& w) const {
   w.put_i64(pending_overflows_);
   w.put_i64(goodput_bytes_);
   w.put_i64(connect_time_.count());
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pending_.size());
-  for (const auto& [k, v] : pending_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.put_u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t k : keys) {
-    w.put_u64(k);
-    w.put_i64(pending_.at(k));
-  }
+  pending_.snapshot(w);
 }
 
 }  // namespace es2

@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "base/id_time_table.h"
 #include "net/peer.h"
 #include "stats/histogram.h"
 
@@ -97,7 +97,7 @@ class StormClient : public Snapshottable {
   Bytes goodput_base_ = 0;
   SimTime window_start_ = 0;
   Histogram connect_time_;
-  std::unordered_map<std::uint64_t, SimTime> pending_;  // conn -> first SYN
+  IdTimeTable pending_;  // conn -> first SYN
 };
 
 }  // namespace es2

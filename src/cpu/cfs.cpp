@@ -68,6 +68,10 @@ void CfsScheduler::add(SimThread& thread, int pinned_core) {
   thread.sched_ = this;
   thread.pinned_core_ = pinned_core;
   thread.state_ = SimThread::State::kBlocked;
+  ++registered_;
+  for (auto& c : cores_) {
+    if (c->rq_.capacity() < registered_) c->rq_.reserve(2 * registered_);
+  }
 }
 
 Core& CfsScheduler::pick_core_for(SimThread& thread) {
@@ -147,14 +151,20 @@ void CfsScheduler::enqueue(Core& core, SimThread& thread, bool wakeup) {
     const double bonus = params_.gentle_sleepers ? latency / 2.0 : latency;
     thread.vruntime_ = std::max(thread.vruntime_, core.min_vruntime_ - bonus);
   }
-  core.rq_.insert(&thread);
+  auto& rq = core.rq_;
+  rq.insert(std::upper_bound(rq.begin(), rq.end(), &thread, Core::ByVruntime{}),
+            &thread);
   thread.rq_core_ = core.id_;
   update_min_vruntime(core);
 }
 
 void CfsScheduler::dequeue(Core& core, SimThread& thread) {
-  const auto erased = core.rq_.erase(&thread);
-  ES2_CHECK_MSG(erased == 1, "thread not on expected runqueue");
+  auto& rq = core.rq_;
+  const auto it =
+      std::lower_bound(rq.begin(), rq.end(), &thread, Core::ByVruntime{});
+  ES2_CHECK_MSG(it != rq.end() && *it == &thread,
+                "thread not on expected runqueue");
+  rq.erase(it);
   thread.rq_core_ = -1;
   update_min_vruntime(core);
 }
@@ -177,7 +187,7 @@ void CfsScheduler::update_min_vruntime(Core& core) {
   double candidate = std::numeric_limits<double>::infinity();
   if (core.current_ != nullptr) candidate = core.current_->vruntime_;
   if (!core.rq_.empty()) {
-    candidate = std::min(candidate, (*core.rq_.begin())->vruntime_);
+    candidate = std::min(candidate, core.rq_.front()->vruntime_);
   }
   if (candidate != std::numeric_limits<double>::infinity()) {
     core.min_vruntime_ = std::max(core.min_vruntime_, candidate);
@@ -234,7 +244,7 @@ void CfsScheduler::do_resched(Core& core) {
   account_current(core);
 
   SimThread* best =
-      core.rq_.empty() ? nullptr : *core.rq_.begin();
+      core.rq_.empty() ? nullptr : core.rq_.front();
   SimThread* current = core.current_;
   if (current != nullptr &&
       (best == nullptr || !Core::ByVruntime{}(best, current))) {

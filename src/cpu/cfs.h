@@ -12,9 +12,7 @@
 // their own stack frame.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -87,7 +85,10 @@ class Core {
   CfsScheduler& sched_;
   int id_;
   SimThread* current_ = nullptr;
-  std::set<SimThread*, ByVruntime> rq_;
+  /// Runnable threads sorted by ByVruntime (front = next to run).
+  /// CfsScheduler::add reserves room for every registered thread, so
+  /// enqueue and dequeue never allocate.
+  std::vector<SimThread*> rq_;
   double min_vruntime_ = 0.0;
   bool resched_pending_ = false;
   EventHandle slice_timer_;
@@ -151,6 +152,7 @@ class CfsScheduler : public Snapshottable {
   CfsParams params_;
   Rng rng_;
   std::vector<std::unique_ptr<Core>> cores_;
+  std::size_t registered_ = 0;  // threads ever add()ed
 };
 
 }  // namespace es2

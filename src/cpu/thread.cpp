@@ -41,7 +41,7 @@ SimDuration SimThread::cpu_time() const {
   return t;
 }
 
-void SimThread::exec(SimDuration duration, std::function<void()> done) {
+void SimThread::exec(SimDuration duration, Callback<void()> done) {
   ES2_CHECK_MSG(state_ != State::kFinished, "exec on finished thread");
   ES2_CHECK_MSG(state_ != State::kBlocked, "exec on blocked thread");
   ES2_CHECK_MSG(!active_, "thread already has an active segment");

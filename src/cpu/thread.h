@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/units.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 
 namespace es2 {
@@ -30,7 +31,7 @@ class Core;
 /// work inside an interrupted guest segment).
 struct PausedSegment {
   SimDuration remaining = 0;
-  std::function<void()> done;
+  Callback<void()> done;
 };
 
 /// CFS load weights (subset of the kernel's prio_to_weight table).
@@ -59,7 +60,7 @@ class SimThread {
 
   /// Submits a work segment. Legal in any non-finished, non-blocked state;
   /// at most one active segment at a time.
-  void exec(SimDuration duration, std::function<void()> done);
+  void exec(SimDuration duration, Callback<void()> done);
 
   /// Removes and returns the active segment with its remaining time
   /// (nested-interrupt support). Returns nullopt if no segment is active.
@@ -110,7 +111,7 @@ class SimThread {
 
   struct ActiveSegment {
     SimDuration remaining = 0;
-    std::function<void()> done;
+    Callback<void()> done;
     EventHandle completion;   // armed only while running
     SimTime armed_at = 0;
     bool armed = false;

@@ -11,7 +11,7 @@ DirectNic::DirectNic(Vm& vm, Link& tx_link, DirectNicParams params)
 }
 
 void DirectNic::transmit(Vcpu& vcpu, PacketPtr packet,
-                         std::function<void()> done) {
+                         Callback<void()> done) {
   // The doorbell is an ordinary store into the passed-through BAR: guest
   // work only, no exit (this is exactly what direct assignment buys).
   vcpu.guest_exec(params_.doorbell,

@@ -15,11 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
+#include "base/ring.h"
 #include "net/link.h"
 #include "net/packet.h"
+#include "sim/callback.h"
 #include "vm/vm.h"
 
 namespace es2 {
@@ -43,7 +43,7 @@ class DirectNic {
   Vm& vm() { return vm_; }
 
   /// Guest transmit from `vcpu` context: doorbell write + DMA, no VM exit.
-  void transmit(Vcpu& vcpu, PacketPtr packet, std::function<void()> done);
+  void transmit(Vcpu& vcpu, PacketPtr packet, Callback<void()> done);
 
   /// Wire ingress: DMA into the guest buffer, then the VF's MSI-X
   /// interrupt via VT-d PI (through the router, so redirection applies).
@@ -66,7 +66,7 @@ class DirectNic {
   Link& tx_link_;
   DirectNicParams params_;
   MsiMessage rx_msi_;
-  std::deque<PacketPtr> rx_queue_;
+  Ring<PacketPtr> rx_queue_;
   std::int64_t tx_packets_ = 0;
   std::int64_t rx_packets_ = 0;
   std::int64_t rx_dropped_ = 0;

@@ -8,6 +8,8 @@ namespace es2 {
 
 VcpuStatusTracker::VcpuStatusTracker(Vm& vm)
     : vm_(vm), irq_counts_(static_cast<size_t>(vm.num_vcpus()), 0) {
+  online_.reserve(static_cast<size_t>(vm.num_vcpus()));
+  offline_.reserve(static_cast<size_t>(vm.num_vcpus()));
   // All vCPUs start offline, ordered by index (deterministic bootstrap).
   for (int i = 0; i < vm.num_vcpus(); ++i) {
     offline_.push_back(i);

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "vm/vm.h"
@@ -36,7 +35,7 @@ class VcpuStatusTracker {
   const std::vector<int>& online() const { return online_; }
 
   /// Deschedule-ordered offline list (front = longest offline).
-  const std::deque<int>& offline() const { return offline_; }
+  const std::vector<int>& offline() const { return offline_; }
 
   bool is_online(int vcpu) const;
 
@@ -64,8 +63,9 @@ class VcpuStatusTracker {
   void on_sched(int vcpu, bool in);
 
   Vm& vm_;
+  // Both reserved for every vCPU up front: sched in/out never allocates.
   std::vector<int> online_;
-  std::deque<int> offline_;
+  std::vector<int> offline_;
   std::vector<std::int64_t> irq_counts_;
   int sticky_target_ = -1;
   std::int64_t transitions_ = 0;

@@ -147,7 +147,7 @@ void GuestOs::netdev_watchdog_tick(Vcpu& vcpu, std::size_t i) {
 }
 
 void GuestOs::deliver_to_stack(Vcpu& vcpu, const PacketPtr& packet,
-                               std::function<void()> done) {
+                               Callback<void()> done) {
   const auto it = flows_.find(packet->flow);
   if (it == flows_.end()) {
     ++unknown_flow_;

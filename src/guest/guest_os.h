@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -19,6 +18,7 @@
 #include "base/rng.h"
 #include "guest/guest_params.h"
 #include "net/packet.h"
+#include "sim/callback.h"
 #include "vm/guest_cpu.h"
 #include "vm/vm.h"
 
@@ -71,7 +71,7 @@ class FlowSink {
   /// Handles one packet; must call `done` exactly once (possibly after
   /// guest_exec work on `vcpu`).
   virtual void on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                         std::function<void()> done) = 0;
+                         Callback<void()> done) = 0;
 };
 
 class GuestOs final : public GuestCpu, public Snapshottable {
@@ -112,7 +112,7 @@ class GuestOs final : public GuestCpu, public Snapshottable {
   // --- driver-facing ----------------------------------------------------------
   /// Delivers a received packet to its flow sink (NAPI context).
   void deliver_to_stack(Vcpu& vcpu, const PacketPtr& packet,
-                        std::function<void()> done);
+                        Callback<void()> done);
 
   /// True if `vcpu_index`'s logical CPU sits halted in the idle loop.
   bool cpu_idle(int vcpu_index) const;

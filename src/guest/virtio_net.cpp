@@ -87,9 +87,12 @@ void VirtioNetFrontend::negotiate() {
 
 void VirtioNetFrontend::wake_tx_waiters() {
   if (tx_waiters_.empty()) return;
-  auto waiters = std::move(tx_waiters_);
-  tx_waiters_.clear();
-  for (GuestTask* task : waiters) task->wake();
+  // Swap rather than move, so both lists keep their storage; tasks that
+  // re-register while being woken wait for the next pass.
+  ES2_CHECK(waking_.empty());
+  waking_.swap(tx_waiters_);
+  for (GuestTask* task : waking_) task->wake();
+  waking_.clear();
 }
 
 bool VirtioNetFrontend::owns_vector(Vector v) const {
@@ -135,7 +138,7 @@ void VirtioNetFrontend::handle_irq(Vcpu& vcpu, Vector vector) {
 }
 
 void VirtioNetFrontend::napi_poll(Vcpu& vcpu, int pair,
-                                  std::function<void()> done) {
+                                  Callback<void()> done) {
   // One poll pass per (vm, pair); the span closes in finish_poll when the
   // pass re-arms interrupts (the napi_complete epilogue is excluded).
   if (Profiler* pf = vcpu.vm().host().sim().profiler()) {
@@ -173,7 +176,7 @@ Cycles rx_packet_cost(const GuestParams& p, const Packet& pkt) {
 }  // namespace
 
 void VirtioNetFrontend::napi_poll_one(Vcpu& vcpu, int pair, int budget_left,
-                                      std::function<void()> done) {
+                                      Callback<void()> done) {
   Virtqueue& rx = backend_.rx_vq(pair);
   auto entry = rx.pop_used();
   if (!entry) {
@@ -211,7 +214,7 @@ void VirtioNetFrontend::napi_poll_one(Vcpu& vcpu, int pair, int budget_left,
 }
 
 void VirtioNetFrontend::finish_poll(Vcpu& vcpu, int pair,
-                                    std::function<void()> done) {
+                                    Callback<void()> done) {
   refill_rx(vcpu, pair, [this, &vcpu, pair, done = std::move(done)]() mutable {
     Virtqueue& rx = backend_.rx_vq(pair);
     rx.enable_interrupts();
@@ -251,7 +254,7 @@ void VirtioNetFrontend::finish_poll(Vcpu& vcpu, int pair,
 }
 
 void VirtioNetFrontend::reclaim_tx(Vcpu& vcpu, int pair,
-                                   std::function<void()> done) {
+                                   Callback<void()> done) {
   Virtqueue& tx = backend_.tx_vq(pair);
   int freed = 0;
   while (tx.pop_used()) ++freed;
@@ -261,18 +264,14 @@ void VirtioNetFrontend::reclaim_tx(Vcpu& vcpu, int pair,
   }
   const Cycles cost = static_cast<Cycles>(freed) *
                       os_.params().tx_reclaim_per_entry;
-  vcpu.guest_exec(cost, [this, done = std::move(done)]() mutable {
-    if (!tx_waiters_.empty()) {
-      auto waiters = std::move(tx_waiters_);
-      tx_waiters_.clear();
-      for (GuestTask* task : waiters) task->wake();
-    }
+  vcpu.guest_exec(cost, [this, done = std::move(done)] {
+    wake_tx_waiters();
     done();
   });
 }
 
 void VirtioNetFrontend::refill_rx(Vcpu& vcpu, int pair,
-                                  std::function<void()> done) {
+                                  Callback<void()> done) {
   Virtqueue& rx = backend_.rx_vq(pair);
   int added = 0;
   bool kick = false;
@@ -307,7 +306,7 @@ void VirtioNetFrontend::refill_rx(Vcpu& vcpu, int pair,
 }
 
 void VirtioNetFrontend::refill_all_rx(Vcpu& vcpu, int pair,
-                                      std::function<void()> done) {
+                                      Callback<void()> done) {
   if (pair >= backend_.num_queue_pairs()) {
     done();
     return;
@@ -318,7 +317,7 @@ void VirtioNetFrontend::refill_all_rx(Vcpu& vcpu, int pair,
 }
 
 void VirtioNetFrontend::transmit(Vcpu& vcpu, PacketPtr packet,
-                                 std::function<void(bool)> done) {
+                                 Callback<void(bool)> done) {
   // XPS-style steering: TX follows the same RSS hash the host uses for RX,
   // so a flow's two directions stay on one queue pair.
   const int pair = backend_.steer_pair(packet->proto, packet->flow);
@@ -358,7 +357,7 @@ void VirtioNetFrontend::transmit(Vcpu& vcpu, PacketPtr packet,
 }
 
 void VirtioNetFrontend::tx_watchdog_tick(Vcpu& vcpu,
-                                         std::function<void()> done) {
+                                         Callback<void()> done) {
   // The receive-livelock detector piggybacks on the same tick. Every
   // vCPU's staggered timer runs it, so it keeps sampling even while the
   // NAPI vCPU is wedged; on a single-vCPU guest the timer interrupt
@@ -412,7 +411,7 @@ void VirtioNetFrontend::tx_watchdog_tick(Vcpu& vcpu,
 }
 
 void VirtioNetFrontend::watchdog_pair(Vcpu& vcpu, int pair,
-                                      std::function<void()> done) {
+                                      Callback<void()> done) {
   if (pair >= backend_.num_queue_pairs()) {
     done();
     return;
@@ -486,7 +485,7 @@ void VirtioNetFrontend::watchdog_pair(Vcpu& vcpu, int pair,
                   });
 }
 
-void VirtioNetFrontend::ladder_stage(Vcpu& vcpu, std::function<void()> done) {
+void VirtioNetFrontend::ladder_stage(Vcpu& vcpu, Callback<void()> done) {
   const GuestParams& p = os_.params();
   if (!p.recovery_ladder) {
     done();
@@ -524,7 +523,7 @@ void VirtioNetFrontend::ladder_stage(Vcpu& vcpu, std::function<void()> done) {
 }
 
 void VirtioNetFrontend::guest_reset_queue(Vcpu& vcpu, int q,
-                                          std::function<void()> done) {
+                                          Callback<void()> done) {
   ++ladder_queue_resets_;
   vcpu.guest_exec(os_.params().queue_reset_cost,
                   [this, &vcpu, q, done = std::move(done)]() mutable {
@@ -550,7 +549,7 @@ void VirtioNetFrontend::guest_reset_queue(Vcpu& vcpu, int q,
 }
 
 void VirtioNetFrontend::guest_reset_device(Vcpu& vcpu,
-                                           std::function<void()> done) {
+                                           Callback<void()> done) {
   ++ladder_device_resets_;
   std::fill(ladder_recent_.begin(), ladder_recent_.end(), 0);
   vcpu.guest_exec(os_.params().device_reset_cost,

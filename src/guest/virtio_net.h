@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "guest/guest_params.h"
 #include "net/packet.h"
+#include "sim/callback.h"
 #include "virtio/vhost.h"
 #include "vm/vm.h"
 
@@ -44,7 +44,7 @@ class VirtioNetFrontend {
   /// called with sent=false when the TX ring is full (queue stopped); the
   /// caller should block and retry after `wake()`.
   void transmit(Vcpu& vcpu, PacketPtr packet,
-                std::function<void(bool sent)> done);
+                Callback<void(bool sent)> done);
 
   /// Registers a task to wake when TX descriptors free up after a stop.
   void add_tx_waiter(GuestTask& task);
@@ -59,7 +59,7 @@ class VirtioNetFrontend {
   /// runs the NAPI poll the lost MSI would have started, the way e1000's
   /// watchdog recovers missed interrupts. Calls `done` exactly once; on
   /// healthy paths it is a pure state check.
-  void tx_watchdog_tick(Vcpu& vcpu, std::function<void()> done);
+  void tx_watchdog_tick(Vcpu& vcpu, Callback<void()> done);
 
   /// Guest halves of the recovery ladder (GuestParams::recovery_ladder):
   /// queue resets and full device resets initiated by the driver.
@@ -129,21 +129,21 @@ class VirtioNetFrontend {
   void negotiate();
   /// Recovery-ladder stage of the watchdog tick (no-op unless
   /// GuestParams::recovery_ladder and DEVICE_NEEDS_RESET).
-  void ladder_stage(Vcpu& vcpu, std::function<void()> done);
-  void guest_reset_queue(Vcpu& vcpu, int q, std::function<void()> done);
-  void guest_reset_device(Vcpu& vcpu, std::function<void()> done);
+  void ladder_stage(Vcpu& vcpu, Callback<void()> done);
+  void guest_reset_queue(Vcpu& vcpu, int q, Callback<void()> done);
+  void guest_reset_device(Vcpu& vcpu, Callback<void()> done);
   /// Watchdog halves for one queue pair; chains to the next pair.
-  void watchdog_pair(Vcpu& vcpu, int pair, std::function<void()> done);
+  void watchdog_pair(Vcpu& vcpu, int pair, Callback<void()> done);
   /// Chains refill_rx across pairs [pair, N).
-  void refill_all_rx(Vcpu& vcpu, int pair, std::function<void()> done);
+  void refill_all_rx(Vcpu& vcpu, int pair, Callback<void()> done);
   void wake_tx_waiters();
-  void napi_poll(Vcpu& vcpu, int pair, std::function<void()> done);
+  void napi_poll(Vcpu& vcpu, int pair, Callback<void()> done);
   void napi_poll_one(Vcpu& vcpu, int pair, int budget_left,
-                     std::function<void()> done);
-  void finish_poll(Vcpu& vcpu, int pair, std::function<void()> done);
+                     Callback<void()> done);
+  void finish_poll(Vcpu& vcpu, int pair, Callback<void()> done);
   /// Frees completed TX descriptors; wakes stopped-queue waiters.
-  void reclaim_tx(Vcpu& vcpu, int pair, std::function<void()> done);
-  void refill_rx(Vcpu& vcpu, int pair, std::function<void()> done);
+  void reclaim_tx(Vcpu& vcpu, int pair, Callback<void()> done);
+  void refill_rx(Vcpu& vcpu, int pair, Callback<void()> done);
 
   // --- overload internals ---------------------------------------------------
   class KsoftirqdTask;
@@ -172,6 +172,7 @@ class VirtioNetFrontend {
   // event sequences identical to the pre-MQ driver.
   std::vector<bool> napi_scheduled_;
   std::vector<GuestTask*> tx_waiters_;
+  std::vector<GuestTask*> waking_;  // wake_tx_waiters' reused swap buffer
   std::int64_t tx_stops_ = 0;
   std::int64_t rx_polled_ = 0;
   std::int64_t kicks_ = 0;

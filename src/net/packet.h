@@ -6,10 +6,13 @@
 // clocking, request/response exchanges, and connection handshakes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
+#include <utility>
 
 #include "base/units.h"
+#include "sim/frame_pool.h"
 #include "snapshot/snapshot.h"
 
 namespace es2 {
@@ -38,10 +41,67 @@ struct Packet {
   std::uint64_t probe_id = 0;   // echo/request correlation (ICMP, RPC)
 };
 
-using PacketPtr = std::shared_ptr<const Packet>;
+/// Shared, immutable handle to a packet: the queues, rings and events a
+/// packet passes through each hold one. An intrusive handle over a
+/// FramePool frame (sim/frame_pool.h) with a non-atomic count — a packet
+/// never leaves the single-threaded world that made it — so creating,
+/// passing and dropping packets performs no heap allocation once the pool
+/// is warm. The last handle to go returns the frame to the pool.
+class PacketPtr {
+ public:
+  PacketPtr() noexcept = default;
+  PacketPtr(std::nullptr_t) noexcept {}
+  PacketPtr(const PacketPtr& other) noexcept : box_(other.box_) {
+    if (box_ != nullptr) ++box_->refs;
+  }
+  PacketPtr(PacketPtr&& other) noexcept
+      : box_(std::exchange(other.box_, nullptr)) {}
+  PacketPtr& operator=(PacketPtr other) noexcept {
+    std::swap(box_, other.box_);
+    return *this;
+  }
+  ~PacketPtr() {
+    if (box_ != nullptr && --box_->refs == 0) {
+      box_->~Box();
+      FramePool::release(box_, kClass);
+    }
+  }
+
+  const Packet* get() const noexcept {
+    return box_ != nullptr ? &box_->packet : nullptr;
+  }
+  const Packet& operator*() const noexcept { return box_->packet; }
+  const Packet* operator->() const noexcept { return &box_->packet; }
+  explicit operator bool() const noexcept { return box_ != nullptr; }
+  friend bool operator==(const PacketPtr& a, const PacketPtr& b) noexcept {
+    return a.box_ == b.box_;
+  }
+  friend bool operator==(const PacketPtr& a, std::nullptr_t) noexcept {
+    return a.box_ == nullptr;
+  }
+
+  /// Handles sharing this packet (0 for a null handle).
+  std::uint32_t use_count() const noexcept {
+    return box_ != nullptr ? box_->refs : 0;
+  }
+
+ private:
+  struct Box {
+    Packet packet;
+    std::uint32_t refs;
+  };
+  static constexpr std::size_t kClass = FramePool::class_of(sizeof(Box));
+
+  friend PacketPtr make_packet(Packet p);
+
+  Box* box_ = nullptr;
+};
 
 inline PacketPtr make_packet(Packet p) {
-  return std::make_shared<const Packet>(std::move(p));
+  PacketPtr ptr;
+  ptr.box_ = ::new (FramePool::allocate(PacketPtr::kClass))
+      PacketPtr::Box{std::move(p), 1};
+  return ptr;
 }
 
 /// Serializes one packet's metadata (or a null marker) into a snapshot.

@@ -52,9 +52,10 @@ class EventQueue;
 namespace detail {
 
 /// Inline storage for a scheduled callback. All model lambdas in this
-/// codebase capture at most a `this` pointer, a couple of scalars, or a
-/// `std::function` copy (32 bytes on libstdc++); 48 bytes holds them all
-/// and keeps the whole record at 96 bytes (1.5 cache lines).
+/// codebase capture at most a `this` pointer, a couple of scalars, a
+/// PacketPtr (8 bytes) or one `Callback` continuation (32 bytes, see
+/// sim/callback.h); 48 bytes holds them all and keeps the whole record at
+/// 96 bytes (1.5 cache lines).
 inline constexpr std::size_t kInlineCallbackCapacity = 48;
 
 inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;

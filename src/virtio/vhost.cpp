@@ -61,7 +61,7 @@ void VhostWorker::activate(VqHandler& handler) {
   thread_.wake();
 }
 
-void VhostWorker::exec(Cycles cycles, std::function<void()> done) {
+void VhostWorker::exec(Cycles cycles, Callback<void()> done) {
   thread_.exec(host_.costs().ns(cycles), std::move(done));
 }
 
@@ -250,7 +250,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
   }
 
   void service(VhostWorker& worker,
-               std::function<void(bool)> done) override {
+               Callback<void(bool)> done) override {
     if (Tracer* tr = worker.host().sim().tracer()) {
       tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
                worker_core(worker), static_cast<std::uint32_t>(q_),
@@ -276,7 +276,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
   }
 
  private:
-  void poll(VhostWorker& worker, std::function<void(bool)> done) {
+  void poll(VhostWorker& worker, Callback<void(bool)> done) {
     Virtqueue& vq = backend_.tx_vq(pair_);
     if (workload_ >= backend_.effective_quota()) {
       // High load: stay in polling mode, wait for the next turn
@@ -365,7 +365,7 @@ class VhostNetBackend::RxHandler final : public VqHandler {
   }
 
   void service(VhostWorker& worker,
-               std::function<void(bool)> done) override {
+               Callback<void(bool)> done) override {
     if (Tracer* tr = worker.host().sim().tracer()) {
       tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
                worker_core(worker), static_cast<std::uint32_t>(q_),
@@ -388,7 +388,7 @@ class VhostNetBackend::RxHandler final : public VqHandler {
   }
 
  private:
-  void poll(VhostWorker& worker, std::function<void(bool)> done) {
+  void poll(VhostWorker& worker, Callback<void(bool)> done) {
     Virtqueue& vq = backend_.rx_vq(pair_);
     // Ingress draining is bounded by the vhost weight, NOT the ES2 quota:
     // Algorithm 1 throttles guest *notifications*; wire traffic is not a
@@ -397,7 +397,7 @@ class VhostNetBackend::RxHandler final : public VqHandler {
       done(true);
       return;
     }
-    std::deque<PacketPtr>& sock_buf = backend_.sock_buf(pair_);
+    Ring<PacketPtr>& sock_buf = backend_.sock_buf(pair_);
     if (sock_buf.empty()) {
       // No more ingress traffic. Refill notifications stay disabled — the
       // handler reactivates on wire arrivals, not guest kicks.
@@ -478,7 +478,7 @@ struct VhostNetBackend::ExtraPair {
   Virtqueue rx;
   std::unique_ptr<TxHandler> tx_handler;
   std::unique_ptr<RxHandler> rx_handler;
-  std::deque<PacketPtr> sock_buf;
+  Ring<PacketPtr> sock_buf;
   MsiMessage tx_msi;
   MsiMessage rx_msi;
 
@@ -552,7 +552,7 @@ Virtqueue& VhostNetBackend::rx_vq(int pair) {
                    : extra_pairs_[static_cast<std::size_t>(pair - 1)]->rx;
 }
 
-std::deque<PacketPtr>& VhostNetBackend::sock_buf(int pair) {
+Ring<PacketPtr>& VhostNetBackend::sock_buf(int pair) {
   return pair == 0 ? sock_buf_
                    : extra_pairs_[static_cast<std::size_t>(pair - 1)]->sock_buf;
 }
@@ -1103,7 +1103,7 @@ void VhostNetBackend::receive_from_wire(PacketPtr packet) {
   Profiler::Scope prof_scope(vm_.host().sim().profiler(),
                              ProfComp::kVhostWireRx);
   const int pair = steer_pair(packet->proto, packet->flow);
-  std::deque<PacketPtr>& buf = sock_buf(pair);
+  Ring<PacketPtr>& buf = sock_buf(pair);
   if (static_cast<int>(buf.size()) >= params_.sock_buffer) {
     ++rx_dropped_;
     return;

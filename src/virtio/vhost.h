@@ -21,15 +21,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/ring.h"
 #include "base/rng.h"
 #include "net/link.h"
 #include "net/packet.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 #include "virtio/virtqueue.h"
 #include "vm/cost_model.h"
@@ -51,7 +52,7 @@ class VqHandler {
   /// Runs one turn on the worker thread; must invoke `done(requeue)`
   /// exactly once (possibly after several exec segments).
   virtual void service(VhostWorker& worker,
-                       std::function<void(bool requeue)> done) = 0;
+                       Callback<void(bool requeue)> done) = 0;
 
   const std::string& name() const { return name_; }
   /// True while queued (or running) on the worker; the backend lifecycle
@@ -142,7 +143,7 @@ class VhostWorker : public Snapshottable {
 
   /// Runs `cycles` of host work on the worker thread, then `done`
   /// (handler helper).
-  void exec(Cycles cycles, std::function<void()> done);
+  void exec(Cycles cycles, Callback<void()> done);
 
   KvmHost& host() { return host_; }
   SimThread& thread() { return thread_; }
@@ -203,7 +204,7 @@ class VhostWorker : public Snapshottable {
   double slow_wakeup_prob_;
   Rng rng_;
   bool was_sleeping_ = true;
-  std::deque<VqHandler*> active_;
+  std::vector<VqHandler*> active_;
   std::size_t active_high_water_ = 0;
   std::uint64_t turns_ = 0;
   std::uint64_t wakeups_ = 0;
@@ -474,7 +475,7 @@ class VhostNetBackend : public Snapshottable {
   int effective_quota() const {
     return poll_quota_ > 0 ? poll_quota_ : params_.weight;
   }
-  std::deque<PacketPtr>& sock_buf(int pair);
+  Ring<PacketPtr>& sock_buf(int pair);
   TxHandler& tx_handler(int pair);
   RxHandler& rx_handler(int pair);
   /// Handler turn gate: false parks the turn (wedged / disabled /
@@ -520,7 +521,7 @@ class VhostNetBackend : public Snapshottable {
   std::unique_ptr<TxHandler> tx_handler_;
   std::unique_ptr<RxHandler> rx_handler_;
   std::vector<std::unique_ptr<ExtraPair>> extra_pairs_;
-  std::deque<PacketPtr> sock_buf_;
+  Ring<PacketPtr> sock_buf_;
   MsiMessage tx_msi_;
   MsiMessage rx_msi_;
   MsiFilter msi_filter_;

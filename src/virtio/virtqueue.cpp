@@ -16,6 +16,8 @@ bool need_event(std::int64_t event, std::int64_t new_idx, std::int64_t old_idx) 
 Virtqueue::Virtqueue(std::string name, int capacity, RingLayout layout)
     : name_(std::move(name)), capacity_(capacity), layout_(layout) {
   ES2_CHECK_MSG(capacity_ > 0, "virtqueue capacity must be positive");
+  avail_ = Ring<Entry>(static_cast<std::size_t>(capacity_));
+  used_ = Ring<Entry>(static_cast<std::size_t>(capacity_));
 }
 
 bool Virtqueue::add_avail(Entry entry) {

@@ -28,10 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
+#include "base/ring.h"
 #include "base/units.h"
 #include "net/packet.h"
 #include "stats/meters.h"
@@ -200,8 +200,8 @@ class Virtqueue {
   std::string name_;
   int capacity_;
   RingLayout layout_ = RingLayout::kSplit;
-  std::deque<Entry> avail_;
-  std::deque<Entry> used_;
+  Ring<Entry> avail_;  // both sized to capacity_: they never grow
+  Ring<Entry> used_;
   int in_flight_ = 0;
 
   // Packed-layout wrap counters (virtio 1.1 §2.7.1): flipped every time

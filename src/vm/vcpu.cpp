@@ -42,7 +42,7 @@ void Vcpu::start() {
 // Execution plumbing
 // ---------------------------------------------------------------------------
 
-void Vcpu::timed_exec(bool guest, Cycles cost, std::function<void()> done) {
+void Vcpu::timed_exec(bool guest, Cycles cost, Callback<void()> done) {
   const SimDuration ns = vm_.host().costs().ns(cost);
   thread_.exec(ns, [this, guest, ns, done = std::move(done)] {
     stats_.add_span(ns, guest);
@@ -50,12 +50,12 @@ void Vcpu::timed_exec(bool guest, Cycles cost, std::function<void()> done) {
   });
 }
 
-void Vcpu::guest_exec(Cycles cost, std::function<void()> done) {
+void Vcpu::guest_exec(Cycles cost, Callback<void()> done) {
   ES2_CHECK_MSG(mode_ == Mode::kGuest, "guest_exec while in host mode");
   timed_exec(/*guest=*/true, cost, std::move(done));
 }
 
-void Vcpu::host_exec(Cycles cost, std::function<void()> done) {
+void Vcpu::host_exec(Cycles cost, Callback<void()> done) {
   ES2_CHECK_MSG(mode_ == Mode::kHost, "host_exec while in guest mode");
   timed_exec(/*guest=*/false, cost, std::move(done));
 }
@@ -82,7 +82,7 @@ void Vcpu::continue_in_guest() {
 // ---------------------------------------------------------------------------
 
 void Vcpu::vm_exit(ExitReason cause, Cycles handle_cost,
-                   std::function<void()> then) {
+                   Callback<void()> then) {
   ES2_CHECK_MSG(mode_ == Mode::kGuest, "vm_exit while already in host mode");
   mode_ = Mode::kHost;
   stats_.record_exit(cause);
@@ -167,8 +167,7 @@ void Vcpu::dispatch_irq(Vector vector) {
 // Guest-facing primitives
 // ---------------------------------------------------------------------------
 
-void Vcpu::guest_io_kick(std::function<void()> notify,
-                         std::function<void()> done) {
+void Vcpu::guest_io_kick(Callback<void()> notify, Callback<void()> done) {
   const CostModel& c = vm_.host().costs();
   vm_exit(ExitReason::kIoInstruction, c.handle_io_instruction,
           [this, notify = std::move(notify), done = std::move(done)]() mutable {
@@ -179,7 +178,7 @@ void Vcpu::guest_io_kick(std::function<void()> notify,
           });
 }
 
-void Vcpu::guest_eoi(std::function<void()> done) {
+void Vcpu::guest_eoi(Callback<void()> done) {
   if (Profiler* pf = sim_.profiler()) {
     pf->span_end(ProfComp::kGuestIrqService,
                  static_cast<unsigned>(vm_.id() * 16 + index_), sim_.now());

@@ -15,13 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "apic/lapic.h"
 #include "apic/vapic.h"
 #include "apic/vectors.h"
 #include "cpu/thread.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 #include "vm/cost_model.h"
 #include "vm/exit.h"
@@ -66,17 +66,17 @@ class Vcpu {
   // --- guest-facing primitives (invoked by the GuestCpu implementation) --
 
   /// Runs `cost` cycles of unprivileged guest work, then `done`.
-  void guest_exec(Cycles cost, std::function<void()> done);
+  void guest_exec(Cycles cost, Callback<void()> done);
 
   /// Guest I/O request notification (virtqueue kick): traps with an
   /// IO_INSTRUCTION exit; `notify` runs in host context (the ioeventfd
   /// signal), then the vCPU re-enters and `done` continues guest code.
-  void guest_io_kick(std::function<void()> notify, std::function<void()> done);
+  void guest_io_kick(Callback<void()> notify, Callback<void()> done);
 
   /// End-of-interrupt write from the guest's handler. Baseline: APIC_ACCESS
   /// exit; PI: exit-less virtual EOI. `done` continues handler epilogue
   /// (softirq part) in guest mode.
-  void guest_eoi(std::function<void()> done);
+  void guest_eoi(Callback<void()> done);
 
   /// Guest went idle: HLT exit; the thread blocks until an interrupt.
   void guest_halt();
@@ -129,11 +129,11 @@ class Vcpu {
   enum class Mode { kHost, kGuest };
 
   void run_loop();  // thread main body
-  void host_exec(Cycles cost, std::function<void()> done);
-  void timed_exec(bool guest, Cycles cost, std::function<void()> done);
+  void host_exec(Cycles cost, Callback<void()> done);
+  void timed_exec(bool guest, Cycles cost, Callback<void()> done);
 
   /// Transitions guest->host for `cause`, runs handler work, then `then`.
-  void vm_exit(ExitReason cause, Cycles handle_cost, std::function<void()> then);
+  void vm_exit(ExitReason cause, Cycles handle_cost, Callback<void()> then);
   void vm_entry();
 
   /// Resumes the innermost suspended guest activity, or asks the guest OS

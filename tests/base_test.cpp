@@ -1,10 +1,16 @@
-// Unit tests for src/base: RNG, strings, table, csv, units.
+// Unit tests for src/base: RNG, strings, table, csv, units, the Ring
+// FIFO and the id -> time correlation table.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "base/csv.h"
+#include "base/id_time_table.h"
+#include "base/ring.h"
 #include "base/rng.h"
 #include "base/strings.h"
 #include "base/table.h"
@@ -162,6 +168,91 @@ TEST(Csv, WritesFile) {
   w.add_row({"v"});
   const std::string path = ::testing::TempDir() + "/es2_csv_test/out.csv";
   EXPECT_TRUE(w.write_file(path));
+}
+
+// ---------------------------------------------------------------------------
+// Ring
+// ---------------------------------------------------------------------------
+
+TEST(Ring, BehavesLikeADequeUnderRandomFifoTraffic) {
+  Ring<std::unique_ptr<int>> ring;
+  std::deque<int> model;
+  Rng rng = Rng::stream(3, "ring");
+  int next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.next_below(2) == 0 || model.empty()) {
+      ring.push_back(std::make_unique<int>(next));
+      model.push_back(next++);
+    } else {
+      ASSERT_EQ(*ring.front(), model.front());
+      ring.pop_front();
+      model.pop_front();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+  }
+  std::size_t i = 0;
+  for (const auto& v : ring) EXPECT_EQ(*v, model[i++]);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, MoveTransfersTheElements) {
+  Ring<int> a(4);
+  for (int v = 0; v < 20; ++v) a.push_back(v);  // grows past the reserve
+  for (int v = 0; v < 5; ++v) a.pop_front();
+  Ring<int> b = std::move(a);
+  EXPECT_TRUE(a.empty());  // moved-from rings are empty
+  ASSERT_EQ(b.size(), 15u);
+  EXPECT_EQ(b.front(), 5);
+  EXPECT_EQ(b[14], 19);
+}
+
+// ---------------------------------------------------------------------------
+// IdTimeTable
+// ---------------------------------------------------------------------------
+
+TEST(IdTimeTable, MatchesAMapUnderRandomPutAndTake) {
+  IdTimeTable table;
+  std::map<std::uint64_t, SimTime> model;
+  Rng rng = Rng::stream(5, "id-table");
+  for (int step = 0; step < 50000; ++step) {
+    // A small id space forces long probe runs, collisions and overwrites.
+    const std::uint64_t id = rng.next_below(300);
+    if (rng.next_below(2) == 0) {
+      const SimTime t = static_cast<SimTime>(rng.next_below(1000000));
+      table.put(id, t);
+      model[id] = t;
+    } else {
+      const auto got = table.take(id);
+      const auto it = model.find(id);
+      ASSERT_EQ(got.has_value(), it != model.end()) << "id " << id;
+      if (got) {
+        EXPECT_EQ(*got, it->second);
+        model.erase(it);
+      }
+    }
+    ASSERT_EQ(table.size(), model.size());
+  }
+}
+
+/// Records the field sequence a snapshot writes.
+struct FieldLog {
+  std::vector<std::uint64_t> fields;
+  void put_u32(std::uint32_t v) { fields.push_back(v); }
+  void put_u64(std::uint64_t v) { fields.push_back(v); }
+  void put_i64(std::int64_t v) { fields.push_back(static_cast<std::uint64_t>(v)); }
+};
+
+TEST(IdTimeTable, SnapshotWritesEntriesInIdOrder) {
+  IdTimeTable table;
+  for (std::uint64_t id : {42u, 7u, 1000u, 8u}) {
+    table.put(id, static_cast<SimTime>(id * 10));
+  }
+  ASSERT_TRUE(table.take(8).has_value());
+  FieldLog log;
+  table.snapshot(log);
+  EXPECT_EQ(log.fields,
+            (std::vector<std::uint64_t>{3, 7, 70, 42, 420, 1000, 10000}));
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 
 #include "base/alloc_hook.h"
 #include "base/rng.h"
+#include "net/packet.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 
 namespace es2 {
@@ -36,9 +38,11 @@ static_assert(sizeof(ModelStandIn) + sizeof(std::int64_t) <=
               "[this, ptr, scalar] capture must fit inline");
 static_assert(sizeof(std::function<void()>) <= kInlineCallbackCapacity,
               "a std::function copy must fit inline (vm timer ticks)");
-static_assert(sizeof(std::shared_ptr<int>) + sizeof(void*) <=
-                  kInlineCallbackCapacity,
+static_assert(sizeof(PacketPtr) + sizeof(void*) <= kInlineCallbackCapacity,
               "[this, PacketPtr] capture must fit inline (link delivery)");
+static_assert(sizeof(Callback<void()>) + sizeof(void*) <=
+                  kInlineCallbackCapacity,
+              "[this, done] capture must fit inline (segment completions)");
 
 // ---------------------------------------------------------------------------
 // Ordering across calendar layers

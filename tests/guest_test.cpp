@@ -143,7 +143,7 @@ TEST(GuestOs, JitterStaysWithinBounds) {
 /// Sink that counts packets delivered up the stack.
 class CountSink final : public FlowSink {
  public:
-  void on_packet(Vcpu&, const PacketPtr&, std::function<void()> done) override {
+  void on_packet(Vcpu&, const PacketPtr&, Callback<void()> done) override {
     ++packets;
     done();
   }

@@ -114,7 +114,7 @@ TEST(Virtqueue, DisabledInterruptsSuppress) {
 class CountingHandler final : public VqHandler {
  public:
   CountingHandler() : VqHandler("counting") {}
-  void service(VhostWorker& worker, std::function<void(bool)> done) override {
+  void service(VhostWorker& worker, Callback<void(bool)> done) override {
     ++turns;
     worker.exec(2300 /* 1us */, [this, done = std::move(done)] {
       done(requeues_left > 0 && requeues_left--);
