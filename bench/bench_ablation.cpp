@@ -67,12 +67,8 @@ int main(int argc, char** argv) {
       o.seed = args.seed;
       o.warmup = args.fast ? msec(100) : msec(250);
       o.measure = args.fast ? msec(250) : msec(800);
-      // --trace: capture the paper's chosen quota (8).
-      if (quotas[q] == 8) {
-        o.trace = trace_request(args);
-        o.profile = profile_request(args);
-        o.snapshot = hash_request(args);
-      }
+      // --observe watches the paper's chosen quota (8).
+      if (quotas[q] == 8) observe_request(args, o);
       quota_results[q] = run_stream(o);
     });
   }
@@ -117,13 +113,6 @@ int main(int argc, char** argv) {
   write_bench_report(args, report);
 
   const StreamResult& traced = quota_results[2];  // quota 8
-  if (!export_trace(args, traced.trace.get(), traced.stages,
-                    traced.profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, traced.profile.get(), traced.trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, traced.hashes.get())) return 1;
+  if (!export_artifacts(args, traced)) return 1;
   return 0;
 }

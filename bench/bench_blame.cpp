@@ -48,10 +48,7 @@ int main(int argc, char** argv) {
       o.measure = args.fast ? msec(250) : msec(800);
       o.trace.enabled = true;
       o.trace.capacity = std::size_t{1} << 18;
-      if (s == 2) {
-        o.profile = profile_request(args);
-        o.snapshot = hash_request(args);
-      }
+      if (s == 2) observe_request(args, o);
       results[static_cast<size_t>(s)] = run_stream(o);
     });
   }
@@ -129,13 +126,6 @@ int main(int argc, char** argv) {
   write_bench_report(args, report);
 
   const StreamResult& profiled = results[2];
-  if (!export_trace(args, profiled.trace.get(), profiled.stages,
-                    profiled.profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, profiled.profile.get(), profiled.trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, profiled.hashes.get())) return 1;
+  if (!export_artifacts(args, profiled)) return 1;
   return sum_ok ? 0 : 1;
 }

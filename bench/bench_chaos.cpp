@@ -25,7 +25,6 @@
 //                    [--ckpt=DIR | --resume=DIR] [--retries=N]
 //                    [--die-after=N]
 #include <cctype>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -158,10 +157,8 @@ std::string stack_key(const char* label) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--wedge") == 0) return run_wedge(args);
-  }
+  const BenchArgs args = parse_args(argc, argv, {"--wedge"});
+  if (args.has("--wedge")) return run_wedge(args);
 
   print_header("Chaos", "goodput and recovery under seeded faults");
 
@@ -201,9 +198,9 @@ int main(int argc, char** argv) {
                    // a row before calling the cell wedged.
                    o.budget.progress_window = msec(100);
                    o.budget.stall_windows = 12;
-                   // --hash-epochs: hash the healthiest cell (first stack,
+                   // --observe watches the healthiest cell (first stack,
                    // zero loss) — the chaos determinism oracle.
-                   if (idx == 0) o.stream.snapshot = hash_request(args);
+                   if (idx == 0) observe_request(args, o.stream);
                    results[idx] = run_chaos_stream(o, name);
                    ScenarioReport rep = results[idx].report;
                    rep.artifact = cell_artifact(results[idx]);
@@ -292,7 +289,7 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_hash_log(args, results[0].stream.hashes.get())) return 1;
+  if (!export_artifacts(args, results[0].stream)) return 1;
 
   runner.print_failures(stdout);
   return runner.exit_code();

@@ -5,11 +5,15 @@
 // the paper's reference values for side-by-side comparison.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <vector>
 
 #include "base/csv.h"
 #include "base/strings.h"
@@ -29,23 +33,13 @@ struct BenchArgs {
   bool fast = false;
   std::uint64_t seed = 1;
   std::string out_dir = "bench/out";
-  /// --trace=<path>: run one representative cell with tracing on and
-  /// export its event-path trace as Perfetto JSON to <path>.
-  std::string trace_path;
-  /// --trace-smoke: after exporting, re-read the file, validate the JSON
-  /// and assert the stage latencies are populated; exit nonzero otherwise.
+  /// --observe=<dir>: run the bench's elected cell with every observer on
+  /// and write its artifacts into <dir> (see export_artifacts).
+  std::string observe_dir;
+  /// --trace-smoke: after exporting, re-read <dir>/trace.json, validate the
+  /// JSON and assert the stage latencies are populated; exit nonzero
+  /// otherwise.
   bool trace_smoke = false;
-  /// --profile=<path>: run one representative cell with the scoped
-  /// profiler on and export collapsed stacks (flamegraph input) to
-  /// <path>, the es2-prof-v1 aggregate to <path>.json and — when the cell
-  /// is also traced — the es2-blame-v1 latency-budget report to
-  /// <path>.blame.json plus the raw ES2T trace to <path>.trace.bin
-  /// (tools/latency_blame input).
-  std::string profile_path;
-  /// --hash-epochs=<path>: run one representative cell with epoch
-  /// state-hashing on and export its es2-hash-v1 series to <path>
-  /// (divergence-bisector input).
-  std::string hash_path;
   /// --ckpt=<dir>: checkpoint each completed sweep cell into <dir>.
   /// --resume=<dir> additionally replays cells that already finished OK.
   std::string ckpt_dir;
@@ -55,34 +49,63 @@ struct BenchArgs {
   /// --die-after=N: crash-safety test hook — _Exit after N cells
   /// checkpoint (requires --ckpt).
   int die_after = 0;
+  /// This bench's own flags that were given, in order (see parse_args).
+  std::vector<std::string> extra;
+
+  bool has(std::string_view flag) const {
+    return std::find(extra.begin(), extra.end(), flag) != extra.end();
+  }
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+/// Parses the shared bench flags (`--flag` / `--flag=value` form). `own`
+/// names the bench's own flags, collected into `args.extra`; an entry
+/// ending in `*` matches by prefix. Any other flag exits 2 naming it.
+inline BenchArgs parse_args(int argc, char** argv,
+                            std::initializer_list<std::string_view> own = {}) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) args.fast = true;
-    if (std::strcmp(argv[i], "--trace-smoke") == 0) args.trace_smoke = true;
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    }
-    if (std::strncmp(argv[i], "--out=", 6) == 0) args.out_dir = argv[i] + 6;
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) args.trace_path = argv[i] + 8;
-    if (std::strncmp(argv[i], "--profile=", 10) == 0) {
-      args.profile_path = argv[i] + 10;
-    }
-    if (std::strncmp(argv[i], "--hash-epochs=", 14) == 0) {
-      args.hash_path = argv[i] + 14;
-    }
-    if (std::strncmp(argv[i], "--ckpt=", 7) == 0) args.ckpt_dir = argv[i] + 7;
-    if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-      args.ckpt_dir = argv[i] + 9;
+    const std::string_view a = argv[i];
+    const char* v = nullptr;  // the value of the flag `is` matched last
+    const auto is = [&](std::string_view flag) {
+      if (!a.starts_with(flag)) return false;
+      v = argv[i] + flag.size();
+      return true;
+    };
+    const auto is_own = [&a](std::string_view flag) {
+      if (!flag.ends_with('*')) return a == flag;
+      return a.starts_with(flag.substr(0, flag.size() - 1));
+    };
+    if (a == "--fast") {
+      args.fast = true;
+    } else if (a == "--trace-smoke") {
+      args.trace_smoke = true;
+    } else if (is("--seed=")) {
+      args.seed = std::strtoull(v, nullptr, 10);
+    } else if (is("--out=")) {
+      args.out_dir = v;
+    } else if (is("--observe=")) {
+      args.observe_dir = v;
+    } else if (is("--ckpt=")) {
+      args.ckpt_dir = v;
+    } else if (is("--resume=")) {
+      args.ckpt_dir = v;
       args.resume = true;
-    }
-    if (std::strncmp(argv[i], "--retries=", 10) == 0) {
-      args.retries = static_cast<int>(std::strtol(argv[i] + 10, nullptr, 10));
-    }
-    if (std::strncmp(argv[i], "--die-after=", 12) == 0) {
-      args.die_after = static_cast<int>(std::strtol(argv[i] + 12, nullptr, 10));
+    } else if (is("--retries=")) {
+      args.retries = static_cast<int>(std::strtol(v, nullptr, 10));
+    } else if (is("--die-after=")) {
+      args.die_after = static_cast<int>(std::strtol(v, nullptr, 10));
+    } else if (std::any_of(own.begin(), own.end(), is_own)) {
+      args.extra.emplace_back(a);
+    } else if (is("--trace=") || is("--profile=") || is("--hash-epochs=")) {
+      std::fprintf(stderr,
+                   "%s: %.*s is retired; use --observe=<dir>, which writes "
+                   "trace.json, trace.bin, profile.folded, profile.json, "
+                   "blame.json and hashes.json into <dir>\n",
+                   argv[0], static_cast<int>(a.find('=') + 1), a.data());
+      std::exit(2);
+    } else {
+      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], argv[i]);
+      std::exit(2);
     }
   }
   return args;
@@ -98,73 +121,91 @@ inline RunnerOptions runner_options(const BenchArgs& args) {
   return o;
 }
 
-/// Trace request for the one bench cell elected to run traced (no-op
-/// TraceOptions when --trace was not given).
-inline TraceOptions trace_request(const BenchArgs& args) {
-  TraceOptions t;
-  t.enabled = !args.trace_path.empty();
-  t.capacity = std::size_t{1} << 18;
-  return t;
+/// Arms every observer on `o` when --observe was given. Benches call it on
+/// the one cell they elect to observe; a no-op otherwise.
+inline void observe_request(const BenchArgs& args, ObserveOptions& o) {
+  if (args.observe_dir.empty()) return;
+  o.trace.enabled = true;
+  o.trace.capacity = std::size_t{1} << 18;
+  o.profile.enabled = true;
+  o.metrics.enabled = true;
+  o.snapshot.hash_epochs = true;
 }
 
-/// Profiler request for the one bench cell elected to run profiled (no-op
-/// ProfileOptions when --profile was not given). Pairs with trace_request:
-/// benches arm both on the same cell so the blame report and the profiler
-/// slices describe one run.
-inline ProfileOptions profile_request(const BenchArgs& args) {
-  ProfileOptions p;
-  p.enabled = !args.profile_path.empty();
-  return p;
-}
-
-/// Exports the traced cell's journey data to --trace=<path> and prints the
-/// stage breakdown. When the cell was also profiled, the profiler's span
-/// slices ride along as Perfetto "X" events next to the journey bars.
-/// Returns false when no records were captured, the write failed, or
-/// --trace-smoke was requested and validation failed (invalid JSON, empty
-/// stages).
-inline bool export_trace(const BenchArgs& args, const TraceData* trace,
-                         const TraceStages& stages,
-                         const ProfileData* profile = nullptr) {
-  if (args.trace_path.empty()) return true;
-  if (trace == nullptr || trace->records.empty()) {
-    std::printf("[trace requested but no records captured]\n");
+/// Writes the observed cell's artifacts into --observe=<dir> and prints
+/// their summaries:
+///   trace.json      Perfetto journeys, profiler slices merged alongside
+///   trace.bin       raw ES2T records (tools/latency_blame input)
+///   profile.folded  collapsed stacks weighted by sim-ns (flamegraph input)
+///   profile.json    es2-prof-v1 aggregate
+///   blame.json      es2-blame-v1 latency budget
+///   hashes.json     es2-hash-v1 epoch series (tools/divergence_bisect input)
+/// No-op without --observe. Returns false when an artifact is missing, a
+/// write failed, or --trace-smoke found an unparsable trace.json or empty
+/// stage latencies.
+inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
+  if (args.observe_dir.empty()) return true;
+  if (a.trace == nullptr || a.trace->records.empty() || a.profile == nullptr ||
+      a.hashes == nullptr || a.hashes->entries.empty()) {
+    std::printf("[--observe: the observed cell left no trace records, "
+                "profile or epoch hashes]\n");
     return false;
   }
-  const std::vector<PerfettoSlice> prof_slices =
-      profile != nullptr ? prof_perfetto_slices(*profile)
-                         : std::vector<PerfettoSlice>{};
-  const std::string json =
-      to_perfetto_json(trace->records, trace->spans, prof_slices);
-  if (!write_file(args.trace_path, json)) {
-    std::printf("[trace export to %s failed]\n", args.trace_path.c_str());
+  std::error_code ec;
+  std::filesystem::create_directories(args.observe_dir, ec);
+  const std::string dir = args.observe_dir + "/";
+  const TraceData& trace = *a.trace;
+  const BlameBreakdown blame = blame_of(&trace);
+  const bool written =
+      write_file(dir + "trace.json",
+                 to_perfetto_json(trace.records, trace.spans,
+                                  prof_perfetto_slices(*a.profile))) &&
+      write_file(dir + "trace.bin", to_binary(trace.records)) &&
+      write_file(dir + "profile.folded",
+                 prof_to_collapsed(*a.profile, CollapsedWeight::kSimNs)) &&
+      write_file(dir + "profile.json", prof_to_json_text(*a.profile)) &&
+      write_blame_file(dir + "blame.json", blame) &&
+      write_file(dir + "hashes.json", a.hashes->to_json_text());
+  if (!written) {
+    std::printf("[--observe: writing into %s failed]\n", dir.c_str());
     return false;
   }
+  const TraceStages& s = a.stages;
   std::printf(
-      "[trace: %zu records, %lld journeys (%lld complete) -> %s]\n"
+      "[trace: %zu records, %lld journeys (%lld complete)]\n"
       "[stages ns p50/p99: kick->backend %lld/%lld, backend->msi %lld/%lld, "
       "msi->dispatch %lld/%lld, dispatch->eoi %lld/%lld, end-to-end "
       "%lld/%lld]\n",
-      trace->records.size(), static_cast<long long>(stages.journeys),
-      static_cast<long long>(stages.complete), args.trace_path.c_str(),
-      static_cast<long long>(stages.kick_to_backend_p50),
-      static_cast<long long>(stages.kick_to_backend_p99),
-      static_cast<long long>(stages.backend_to_msi_p50),
-      static_cast<long long>(stages.backend_to_msi_p99),
-      static_cast<long long>(stages.msi_to_dispatch_p50),
-      static_cast<long long>(stages.msi_to_dispatch_p99),
-      static_cast<long long>(stages.dispatch_to_eoi_p50),
-      static_cast<long long>(stages.dispatch_to_eoi_p99),
-      static_cast<long long>(stages.end_to_end_p50),
-      static_cast<long long>(stages.end_to_end_p99));
+      trace.records.size(), static_cast<long long>(s.journeys),
+      static_cast<long long>(s.complete),
+      static_cast<long long>(s.kick_to_backend_p50),
+      static_cast<long long>(s.kick_to_backend_p99),
+      static_cast<long long>(s.backend_to_msi_p50),
+      static_cast<long long>(s.backend_to_msi_p99),
+      static_cast<long long>(s.msi_to_dispatch_p50),
+      static_cast<long long>(s.msi_to_dispatch_p99),
+      static_cast<long long>(s.dispatch_to_eoi_p50),
+      static_cast<long long>(s.dispatch_to_eoi_p99),
+      static_cast<long long>(s.end_to_end_p50),
+      static_cast<long long>(s.end_to_end_p99));
+  std::printf("[profile: %zu span stats, %zu scope nodes, %zu slices]\n",
+              a.profile->spans.size(), a.profile->nodes.size(),
+              a.profile->slices.size());
+  std::printf("%s", render_blame_markdown(blame_summary(blame)).c_str());
+  std::printf("[blame: %lld journeys (%lld attributed)]\n",
+              static_cast<long long>(blame.journeys),
+              static_cast<long long>(blame.complete));
+  std::printf("[epoch hashes: %zu epochs x %zu components]\n",
+              a.hashes->entries.size(), a.hashes->component_names.size());
+  std::printf("[observed artifacts written to %s]\n", dir.c_str());
   if (!args.trace_smoke) return true;
   std::string reread;
-  if (!read_file(args.trace_path, &reread) || !json_valid(reread)) {
+  if (!read_file(dir + "trace.json", &reread) || !json_valid(reread)) {
     std::printf("[trace smoke FAILED: exported JSON does not parse]\n");
     return false;
   }
-  if (stages.complete <= 0 || stages.end_to_end_p50 <= 0 ||
-      stages.msi_to_dispatch_p50 <= 0 || stages.dispatch_to_eoi_p50 <= 0) {
+  if (s.complete <= 0 || s.end_to_end_p50 <= 0 || s.msi_to_dispatch_p50 <= 0 ||
+      s.dispatch_to_eoi_p50 <= 0) {
     std::printf("[trace smoke FAILED: stage latencies not populated]\n");
     return false;
   }
@@ -172,113 +213,18 @@ inline bool export_trace(const BenchArgs& args, const TraceData* trace,
   return true;
 }
 
-/// Epoch-hash request for the one bench cell elected to run hashed (no-op
-/// SnapshotOptions when --hash-epochs was not given).
-inline SnapshotOptions hash_request(const BenchArgs& args) {
-  SnapshotOptions s;
-  s.hash_epochs = !args.hash_path.empty();
-  return s;
-}
-
-/// Exports the hashed cell's es2-hash-v1 series to --hash-epochs=<path>.
-/// Returns false only when the export was requested and failed.
-inline bool export_hash_log(const BenchArgs& args, const HashSeries* series) {
-  if (args.hash_path.empty()) return true;
-  if (series == nullptr || series->entries.empty()) {
-    std::printf("[--hash-epochs requested but no epochs recorded]\n");
-    return false;
-  }
-  if (!write_file(args.hash_path, series->to_json_text())) {
-    std::printf("[hash export to %s failed]\n", args.hash_path.c_str());
-    return false;
-  }
-  std::printf("[epoch hashes: %zu epochs x %zu components -> %s]\n",
-              series->entries.size(), series->component_names.size(),
-              args.hash_path.c_str());
-  return true;
-}
-
-/// Exports the profiled cell's data to --profile=<path>: collapsed stacks
-/// at <path>, the es2-prof-v1 aggregate at <path>.json, and — when the
-/// cell was also traced — the es2-blame-v1 latency-budget report at
-/// <path>.blame.json plus the raw ES2T binary trace at <path>.trace.bin,
-/// printing the per-component budget table. Returns false only when a
-/// requested write failed.
-inline bool export_profile(const BenchArgs& args, const ProfileData* profile,
-                           const TraceData* trace = nullptr) {
-  if (args.profile_path.empty()) return true;
-  if (profile == nullptr) {
-    std::printf("[--profile requested but no profiler ran]\n");
-    return false;
-  }
-  if (profile->spans.empty() && profile->nodes.empty()) {
-    std::printf("[profile requested but no scopes recorded]\n");
-  }
-  if (!write_file(args.profile_path,
-                  prof_to_collapsed(*profile, CollapsedWeight::kSimNs))) {
-    std::printf("[profile export to %s failed]\n", args.profile_path.c_str());
-    return false;
-  }
-  if (!write_file(args.profile_path + ".json", prof_to_json_text(*profile))) {
-    std::printf("[profile export to %s.json failed]\n",
-                args.profile_path.c_str());
-    return false;
-  }
-  std::printf("[profile: %zu span stats, %zu scope nodes, %zu slices -> %s]\n",
-              profile->spans.size(), profile->nodes.size(),
-              profile->slices.size(), args.profile_path.c_str());
-  if (trace != nullptr && !trace->records.empty()) {
-    const BlameBreakdown blame = blame_of(trace);
-    if (!write_blame_file(args.profile_path + ".blame.json", blame)) {
-      std::printf("[blame export to %s.blame.json failed]\n",
-                  args.profile_path.c_str());
-      return false;
-    }
-    if (!write_file(args.profile_path + ".trace.bin",
-                    to_binary(trace->records))) {
-      std::printf("[trace export to %s.trace.bin failed]\n",
-                  args.profile_path.c_str());
-      return false;
-    }
-    std::printf("%s", render_blame_markdown(blame_summary(blame)).c_str());
-    std::printf("[blame: %lld journeys (%lld attributed) -> %s.blame.json]\n",
-                static_cast<long long>(blame.journeys),
-                static_cast<long long>(blame.complete),
-                args.profile_path.c_str());
-  }
-  return true;
-}
-
-/// --profile for benches without a natural testbed cell: runs one short
-/// canonical stream with the profiler (and, for blame, the tracer) on and
-/// exports it. No-op when the flag was not given.
-inline bool export_standalone_profile(const BenchArgs& args) {
-  if (args.profile_path.empty()) return true;
+/// --observe for benches without a natural testbed cell (micro, eventcore,
+/// dataplane, related_work): runs one short canonical stream with every
+/// observer on and exports it. No-op without --observe.
+inline bool export_standalone(const BenchArgs& args) {
+  if (args.observe_dir.empty()) return true;
   StreamOptions o;
   o.config = Es2Config::pi_h_r();
   o.seed = args.seed;
   o.warmup = msec(100);
   o.measure = msec(400);
-  o.profile = profile_request(args);
-  o.trace.enabled = true;
-  o.trace.capacity = std::size_t{1} << 18;
-  const StreamResult r = run_stream(o);
-  return export_profile(args, r.profile.get(), r.trace.get());
-}
-
-/// --hash-epochs for benches without a natural testbed cell (micro,
-/// eventcore, related_work): runs one short canonical stream with hashing
-/// on and exports its series. No-op when the flag was not given.
-inline bool export_standalone_hash_log(const BenchArgs& args) {
-  if (args.hash_path.empty()) return true;
-  StreamOptions o;
-  o.config = Es2Config::pi_h_r();
-  o.seed = args.seed;
-  o.warmup = msec(100);
-  o.measure = msec(400);
-  o.snapshot = hash_request(args);
-  const StreamResult r = run_stream(o);
-  return export_hash_log(args, r.hashes.get());
+  observe_request(args, o);
+  return export_artifacts(args, run_stream(o));
 }
 
 inline void print_header(const char* id, const char* title) {

@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
 
   write_csv(args, "dataplane", csv);
   write_bench_report(args, report);
-  if (!export_standalone_hash_log(args)) return 1;
-  if (!export_standalone_profile(args)) return 1;
+  if (!export_standalone(args)) return 1;
   return (invariant_ok && exitless_ok && adaptive_ok) ? 0 : 1;
 }

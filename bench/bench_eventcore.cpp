@@ -397,8 +397,7 @@ int bench_main(int argc, char** argv) {
   report.add("layers.boxed_callbacks",
              static_cast<double>(stats.boxed_callbacks), 0.0);
   bench::write_bench_report(args, report);
-  if (!bench::export_standalone_hash_log(args)) return 1;
-  if (!bench::export_standalone_profile(args)) return 1;
+  if (!bench::export_standalone(args)) return 1;
   return 0;
 }
 

@@ -44,12 +44,8 @@ int main(int argc, char** argv) {
         o.seed = args.seed;
         o.warmup = args.fast ? msec(100) : msec(250);
         o.measure = args.fast ? msec(250) : msec(800);
-        // --trace: capture TCP 1024B at the paper-selected quota 4.
-        if (c == 2 && quotas[q] == 4) {
-          o.trace = trace_request(args);
-          o.profile = profile_request(args);
-          o.snapshot = hash_request(args);
-        }
+        // --observe watches TCP 1024B at the paper-selected quota 4.
+        if (c == 2 && quotas[q] == 4) observe_request(args, o);
         results[c * quotas.size() + q] = run_stream(o);
       });
     }
@@ -99,13 +95,6 @@ int main(int argc, char** argv) {
   write_bench_report(args, report);
 
   const StreamResult& traced = results[2 * quotas.size() + 5];  // TCP, quota 4
-  if (!export_trace(args, traced.trace.get(), traced.stages,
-                    traced.profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, traced.profile.get(), traced.trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, traced.hashes.get())) return 1;
+  if (!export_artifacts(args, traced)) return 1;
   return 0;
 }

@@ -55,12 +55,9 @@ int main(int argc, char** argv) {
         // and the gated report are unchanged).
         o.trace.enabled = true;
         o.trace.capacity = std::size_t{1} << 18;
-        // --trace/--profile/--hash-epochs export the recv-TCP / PI cell,
+        // --observe watches the recv-TCP / PI cell,
         // the paper's canonical exit-less delivery path.
-        if (c * 3 + s == 7) {
-          o.profile = profile_request(args);
-          o.snapshot = hash_request(args);
-        }
+        if (c * 3 + s == 7) observe_request(args, o);
         results[c * 3 + s] = run_stream(o);
       });
     }
@@ -131,13 +128,6 @@ int main(int argc, char** argv) {
   write_bench_report(args, report);
 
   const StreamResult& traced = results[7];
-  if (!export_trace(args, traced.trace.get(), traced.stages,
-                    traced.profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, traced.profile.get(), traced.trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, traced.hashes.get())) return 1;
+  if (!export_artifacts(args, traced)) return 1;
   return 0;
 }

@@ -44,12 +44,10 @@ int main(int argc, char** argv) {
           o.seed = args.seed;
           o.warmup = args.fast ? msec(200) : msec(400);
           o.measure = args.fast ? msec(400) : sec(1);
-          // --trace: capture the receiving PI+H+R cell at the largest
+          // --observe watches the receiving PI+H+R cell at the largest
           // size — the full redirected event path under oversubscription.
           if (!vm_sends && c == 3 && s == sizes.size() - 1) {
-            o.trace = trace_request(args);
-            o.profile = profile_request(args);
-            o.snapshot = hash_request(args);
+            observe_request(args, o);
           }
           results[s * 4 + c] = run_stream(o);
         });
@@ -89,14 +87,7 @@ int main(int argc, char** argv) {
     }
     if (!vm_sends) {
       const StreamResult& traced = results[(sizes.size() - 1) * 4 + 3];
-      if (!export_trace(args, traced.trace.get(), traced.stages,
-                        traced.profile.get())) {
-        return 1;
-      }
-      if (!export_profile(args, traced.profile.get(), traced.trace.get())) {
-        return 1;
-      }
-      if (!export_hash_log(args, traced.hashes.get())) return 1;
+      if (!export_artifacts(args, traced)) return 1;
     }
   }
   std::printf(

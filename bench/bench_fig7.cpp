@@ -30,12 +30,8 @@ int main(int argc, char** argv) {
     o.samples = samples;
     o.interval = interval;
     o.seed = args.seed;
-    // --trace: capture the full-ES2 config, the one the paper plots flat.
-    if (i == 2) {
-      o.trace = trace_request(args);
-      o.profile = profile_request(args);
-      o.snapshot = hash_request(args);
-    }
+    // --observe watches the full-ES2 config, the one the paper plots flat.
+    if (i == 2) observe_request(args, o);
     results[i] = run_ping(o);
   });
 
@@ -74,13 +70,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_trace(args, results[2].trace.get(), results[2].stages,
-                    results[2].profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, results[2].profile.get(), results[2].trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, results[2].hashes.get())) return 1;
+  if (!export_artifacts(args, results[2])) return 1;
   return 0;
 }

@@ -24,12 +24,8 @@ int main(int argc, char** argv) {
       o.seed = args.seed;
       o.warmup = args.fast ? msec(200) : msec(400);
       o.measure = args.fast ? msec(400) : sec(1);
-      // --trace: capture the full-ES2 memcached cell.
-      if (c == 3) {
-        o.trace = trace_request(args);
-        o.profile = profile_request(args);
-        o.snapshot = hash_request(args);
-      }
+      // --observe watches the full-ES2 memcached cell.
+      if (c == 3) observe_request(args, o);
       mem[c] = run_memcached(o);
     });
     tasks.push_back([&, c] {
@@ -87,13 +83,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_trace(args, mem[3].trace.get(), mem[3].stages,
-                    mem[3].profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, mem[3].profile.get(), mem[3].trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, mem[3].hashes.get())) return 1;
+  if (!export_artifacts(args, mem[3])) return 1;
   return 0;
 }

@@ -33,12 +33,8 @@ int main(int argc, char** argv) {
         o.rate_per_sec = rates[r];
         o.duration = args.fast ? sec(1) : sec(2);
         o.seed = args.seed;
-        // --trace: capture full ES2 at the lowest (healthy) request rate.
-        if (r == 0 && c == 3) {
-          o.trace = trace_request(args);
-          o.profile = profile_request(args);
-          o.snapshot = hash_request(args);
-        }
+        // --observe watches full ES2 at the lowest (healthy) request rate.
+        if (r == 0 && c == 3) observe_request(args, o);
         results[r * 4 + c] = run_httperf(o);
       });
     }
@@ -86,13 +82,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_trace(args, results[3].trace.get(), results[3].stages,
-                    results[3].profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, results[3].profile.get(), results[3].trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, results[3].hashes.get())) return 1;
+  if (!export_artifacts(args, results[3])) return 1;
   return 0;
 }

@@ -167,15 +167,12 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 }  // namespace es2
 
 int main(int argc, char** argv) {
-  const es2::bench::BenchArgs args = es2::bench::parse_args(argc, argv);
-  // Benchmark's flag parser must not see our flags; hand it a filtered
-  // argv (plus a short min-time under --fast).
+  const es2::bench::BenchArgs args =
+      es2::bench::parse_args(argc, argv, {"--benchmark_*"});
+  // Benchmark's flag parser must not see our flags; hand it only its own
+  // (plus a short min-time under --fast).
   std::vector<std::string> fwd_storage = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_", 12) == 0) {
-      fwd_storage.push_back(argv[i]);
-    }
-  }
+  fwd_storage.insert(fwd_storage.end(), args.extra.begin(), args.extra.end());
   if (args.fast) fwd_storage.push_back("--benchmark_min_time=0.05");
   std::vector<char*> fwd;
   for (std::string& s : fwd_storage) fwd.push_back(s.data());
@@ -195,7 +192,6 @@ int main(int argc, char** argv) {
     report.add_info(key + ".ns_per_iter", ns);
   }
   es2::bench::write_bench_report(args, report);
-  if (!es2::bench::export_standalone_hash_log(args)) return 1;
-  if (!es2::bench::export_standalone_profile(args)) return 1;
+  if (!es2::bench::export_standalone(args)) return 1;
   return 0;
 }

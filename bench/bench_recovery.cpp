@@ -19,7 +19,6 @@
 // line with its trace correlation id.
 //
 // Usage: bench_recovery [--fast] [--seed=N] [--out=DIR] [--soak]
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -89,6 +88,7 @@ int run_soak(const BenchArgs& args) {
   o.chaos.stream.measure = args.fast ? sec(2) : sec(10);
   o.chaos.budget.max_sim_time = o.chaos.stream.measure + sec(5);
   o.chaos.stream.snapshot.hash_epochs = true;  // the state-hash log leg
+  observe_request(args, o.chaos.stream);
   const RecoveryStreamResult r = run_recovery_stream(o, "recovery-soak");
 
   std::printf("%s\n", r.chaos.report.to_line().c_str());
@@ -118,12 +118,10 @@ int run_soak(const BenchArgs& args) {
     std::printf("[state-hash log: %zu epochs x %zu components]\n",
                 h->entries.size(), h->component_names.size());
   }
-  // The soak always hashes; --hash-epochs additionally exports the series
-  // for tools/divergence_bisect (recovery-path nondeterminism hunts).
-  if (!args.hash_path.empty() &&
-      !export_hash_log(args, r.chaos.stream.hashes.get())) {
-    return 1;
-  }
+  // The soak always hashes; --observe arms the other observers too and
+  // exports everything, hashes.json included (tools/divergence_bisect
+  // input for recovery-path nondeterminism hunts).
+  if (!export_artifacts(args, r.chaos.stream)) return 1;
   std::printf("audit: %llu sweeps, %lld violations\n",
               static_cast<unsigned long long>(r.chaos.audit_sweeps),
               static_cast<long long>(r.chaos.audit_violations));
@@ -148,10 +146,8 @@ int run_soak(const BenchArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--soak") == 0) return run_soak(args);
-  }
+  const BenchArgs args = parse_args(argc, argv, {"--soak"});
+  if (args.has("--soak")) return run_soak(args);
 
   print_header("Recovery", "MTTR per lifecycle fault mode, per stack");
 
@@ -175,6 +171,8 @@ int main(int argc, char** argv) {
     for (const LifecycleFault mode : modes) {
       RecoveryStreamOptions o = cell_options(args, s.config);
       o.chaos.faults = plan_for(mode);
+      // --observe watches the first cell.
+      if (results.empty()) observe_request(args, o.chaos.stream);
       const std::string name =
           format("%s/%s", s.label, lifecycle_fault_name(mode));
       const RecoveryStreamResult r = run_recovery_stream(o, name);
@@ -221,6 +219,7 @@ int main(int argc, char** argv) {
   std::printf("%s", t.render().c_str());
   write_csv(args, "recovery", csv);
   write_bench_report(args, report);
+  if (!export_artifacts(args, results.front().chaos.stream)) return 1;
   if (rc != 0) std::printf("RECOVERY FAILED: see wedge reports above\n");
   return rc;
 }

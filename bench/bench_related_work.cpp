@@ -210,7 +210,6 @@ int main(int argc, char** argv) {
     report.add(p + "hazards", static_cast<double>(cases[i].hazards));
   }
   write_bench_report(args, report);
-  if (!export_standalone_hash_log(args)) return 1;
-  if (!export_standalone_profile(args)) return 1;
+  if (!export_standalone(args)) return 1;
   return 0;
 }

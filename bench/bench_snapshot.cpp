@@ -12,8 +12,7 @@
 //  * wall-clock, informational: ns per world hash and ns per serialize —
 //    the price of one epoch tick and of one checkpoint.
 //
-// Usage: bench_snapshot [--fast] [--seed=N] [--out=DIR]
-//                       [--hash-epochs=PATH]
+// Usage: bench_snapshot [--fast] [--seed=N] [--out=DIR] [--observe=DIR]
 #include <chrono>
 #include <string>
 
@@ -45,6 +44,7 @@ int main(int argc, char** argv) {
   TestbedOptions to;
   to.config = Es2Config::pi_h_r();
   to.seed = args.seed;
+  observe_request(args, to);
   to.snapshot.hash_epochs = true;
   to.snapshot.epoch = msec(5);
   Testbed tb(to);
@@ -131,8 +131,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(sink & 0xF), ser_bytes);
 
   write_bench_report(args, report);
-  if (!export_hash_log(args, &tb.hash_log()->series())) {
-    if (!args.hash_path.empty()) return 1;
-  }
-  return 0;
+  RunArtifacts artifacts;
+  harvest(tb, artifacts);
+  return export_artifacts(args, artifacts) ? 0 : 1;
 }

@@ -18,7 +18,6 @@
 //
 // Usage: bench_storm [--fast] [--seed=N] [--out=DIR]
 //                    [--ckpt=DIR | --resume=DIR] [--retries=N]
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -177,9 +176,9 @@ int main(int argc, char** argv) {
             [&, s, p, m, idx](const std::string& name) {
               StormOptions o =
                   cell_options(args, stacks[s].config, ramp_list[p], arms[m]);
-              // --hash-epochs: hash the calmest cell as the storm
+              // --observe watches the calmest cell as the storm
               // determinism oracle.
-              if (idx == 0) o.snapshot = hash_request(args);
+              if (idx == 0) observe_request(args, o);
               results[idx] = run_storm(o, name);
               ScenarioReport rep = results[idx].report;
               // An expected livelock verdict is this cell succeeding at
@@ -324,7 +323,7 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_hash_log(args, results[0].hashes.get())) return 1;
+  if (!export_artifacts(args, results[0])) return 1;
 
   runner.print_failures(stdout);
   if (failures > 0) {

@@ -29,13 +29,9 @@ int main(int argc, char** argv) {
   parallel_for(2, [&](int i) {
     StreamOptions o = base_opts;
     o.config = i == 0 ? Es2Config::baseline() : Es2Config::pi();
-    // --trace: capture the Baseline cell — the exit-heavy path the table
+    // --observe watches the Baseline cell — the exit-heavy path the table
     // dissects.
-    if (i == 0) {
-      o.trace = trace_request(args);
-      o.profile = profile_request(args);
-      o.snapshot = hash_request(args);
-    }
+    if (i == 0) observe_request(args, o);
     results[i] = run_stream(o);
   });
 
@@ -93,13 +89,6 @@ int main(int argc, char** argv) {
   add_config("pi", pi);
   write_bench_report(args, report);
 
-  if (!export_trace(args, base.trace.get(), base.stages,
-                    base.profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, base.profile.get(), base.trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, base.hashes.get())) return 1;
+  if (!export_artifacts(args, base)) return 1;
   return 0;
 }

@@ -92,7 +92,10 @@ void RecoveryLog::snapshot_state(SnapshotWriter& w) const {
     w.put_i64(inst.recovered_at);
     w.put_u8(static_cast<std::uint8_t>(inst.rung));
     w.put_bool(inst.rung_known);
-    w.put_u64(inst.corr);
+    // `corr` is observer output (a trace journey id when traced), not
+    // model state; hash its untraced value, the instance id, so tracing
+    // leaves the epoch hashes unchanged.
+    w.put_u64(static_cast<std::uint64_t>(inst.id));
   }
   for (const std::int64_t a : actions_) w.put_i64(a);
 }

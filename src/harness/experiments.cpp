@@ -17,34 +17,33 @@ namespace {
 
 inline constexpr std::uint64_t kStreamFlowBase = 100;
 
-TestbedOptions testbed_options(const Es2Config& config, bool macro,
-                               std::uint64_t seed) {
+/// The canonical micro/macro testbed for a runner's options: its config,
+/// seed and observers (one base assignment carries all four).
+template <typename Opts>
+TestbedOptions testbed_options(const Opts& opts, bool macro) {
   TestbedOptions o;
-  o.config = config;
-  o.seed = seed;
-  if (macro) {
-    o.num_vms = 4;
-    o.vcpus_per_vm = 4;
-    o.stack_vms = true;
-    o.vhost_core = 4;
-  } else {
-    o.num_vms = 1;
-    o.vcpus_per_vm = 1;
-    o.stack_vms = false;
-    o.vhost_core = 4;
-  }
+  static_cast<ObserveOptions&>(o) = opts;
+  o.config = opts.config;
+  o.seed = opts.seed;
+  o.num_vms = macro ? 4 : 1;
+  o.vcpus_per_vm = macro ? 4 : 1;
+  o.stack_vms = macro;
+  o.vhost_core = 4;
   return o;
 }
 
-/// Maps the StreamOptions dataplane axes (queue pairs, ring layout, poll
-/// mode) onto the testbed. Defaults leave the options untouched, so
-/// pre-dataplane configs keep their exact construction sequence.
-void apply_dataplane(TestbedOptions& to, const StreamOptions& opts) {
+/// A stream's testbed: the canonical topology plus its dataplane axes
+/// (queue pairs, ring layout, poll mode). Defaults leave the options
+/// untouched, so pre-dataplane configs keep their exact construction
+/// sequence.
+TestbedOptions stream_testbed_options(const StreamOptions& opts) {
+  TestbedOptions to = testbed_options(opts, opts.macro);
   to.vhost_params.num_queue_pairs = opts.num_queue_pairs;
   to.vhost_params.ring_layout = opts.ring_layout;
   to.poll_mode = opts.poll_mode;
   to.poll_interval = opts.poll_interval;
   to.adaptive_poll_budget = opts.adaptive_poll_budget;
+  return to;
 }
 
 /// The netperf endpoints for one stream scenario, attached in a fixed
@@ -105,31 +104,7 @@ struct StreamWorkload {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Traces
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<TraceData> harvest_trace(Testbed& tb) {
-  Tracer* tracer = tb.tracer();
-  if (tracer == nullptr) return nullptr;
-  auto data = std::make_shared<TraceData>();
-  data->records = tracer->snapshot();
-  data->breakdown = build_spans(data->records, &data->spans);
-  return data;
-}
-
-std::shared_ptr<ProfileData> harvest_profile(Testbed& tb) {
-  Profiler* profiler = tb.profiler();
-  if (profiler == nullptr) return nullptr;
-  return std::make_shared<ProfileData>(profiler->data());
-}
-
-BlameBreakdown blame_of(const TraceData* data, const BlameOptions& options) {
-  if (data == nullptr) return BlameBreakdown{};
-  return analyze_blame(data->records, options);
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry
+// Run artifacts
 // ---------------------------------------------------------------------------
 
 double MetricsData::value(const std::string& key, double fallback) const {
@@ -150,29 +125,39 @@ std::shared_ptr<MetricsData> harvest_metrics(Testbed& tb) {
   return data;
 }
 
-std::shared_ptr<HashSeries> harvest_hashes(Testbed& tb) {
-  const EpochHashLog* log = tb.hash_log();
-  if (log == nullptr) return nullptr;
-  return std::make_shared<HashSeries>(log->series());
+void harvest(Testbed& tb, RunArtifacts& out) {
+  if (const Tracer* tracer = tb.tracer()) {
+    out.trace = std::make_shared<TraceData>();
+    TraceData& t = *out.trace;
+    t.records = tracer->snapshot();
+    t.breakdown = build_spans(t.records, &t.spans);
+    const SpanBreakdown& b = t.breakdown;
+    TraceStages& s = out.stages;
+    s.journeys = static_cast<std::int64_t>(t.spans.size());
+    s.complete = b.complete;
+    s.kick_to_backend_p50 = b.kick_to_backend.p50();
+    s.kick_to_backend_p99 = b.kick_to_backend.p99();
+    s.backend_to_msi_p50 = b.backend_to_msi.p50();
+    s.backend_to_msi_p99 = b.backend_to_msi.p99();
+    s.msi_to_dispatch_p50 = b.msi_to_dispatch.p50();
+    s.msi_to_dispatch_p99 = b.msi_to_dispatch.p99();
+    s.dispatch_to_eoi_p50 = b.dispatch_to_eoi.p50();
+    s.dispatch_to_eoi_p99 = b.dispatch_to_eoi.p99();
+    s.end_to_end_p50 = b.end_to_end.p50();
+    s.end_to_end_p99 = b.end_to_end.p99();
+  }
+  if (const Profiler* profiler = tb.profiler()) {
+    out.profile = std::make_shared<ProfileData>(profiler->data());
+  }
+  out.metrics = harvest_metrics(tb);
+  if (const EpochHashLog* log = tb.hash_log()) {
+    out.hashes = std::make_shared<HashSeries>(log->series());
+  }
 }
 
-TraceStages trace_stages(const TraceData* data) {
-  TraceStages s;
-  if (data == nullptr) return s;
-  const SpanBreakdown& b = data->breakdown;
-  s.journeys = static_cast<std::int64_t>(data->spans.size());
-  s.complete = b.complete;
-  s.kick_to_backend_p50 = b.kick_to_backend.p50();
-  s.kick_to_backend_p99 = b.kick_to_backend.p99();
-  s.backend_to_msi_p50 = b.backend_to_msi.p50();
-  s.backend_to_msi_p99 = b.backend_to_msi.p99();
-  s.msi_to_dispatch_p50 = b.msi_to_dispatch.p50();
-  s.msi_to_dispatch_p99 = b.msi_to_dispatch.p99();
-  s.dispatch_to_eoi_p50 = b.dispatch_to_eoi.p50();
-  s.dispatch_to_eoi_p99 = b.dispatch_to_eoi.p99();
-  s.end_to_end_p50 = b.end_to_end.p50();
-  s.end_to_end_p99 = b.end_to_end.p99();
-  return s;
+BlameBreakdown blame_of(const TraceData* data, const BlameOptions& options) {
+  if (data == nullptr) return BlameBreakdown{};
+  return analyze_blame(data->records, options);
 }
 
 ExitBreakdown exit_breakdown(const ExitStats& stats, SimTime now) {
@@ -202,6 +187,13 @@ DropCounts stream_drops(Testbed& tb) {
                                              tb.peer_to_vm().packets_shed());
   d.sock_backlog = tb.backend().rx_dropped();
   return d;
+}
+
+/// A stream result's drop rows; the flat fields are views of two of them.
+void collect_drops(Testbed& tb, StreamResult& r) {
+  r.drops = stream_drops(tb);
+  r.rx_dropped = r.drops.sock_backlog;
+  r.link_dropped = r.drops.wire;
 }
 
 /// Measurement-window bookkeeping shared by the healthy and chaos runners.
@@ -259,10 +251,7 @@ struct StreamWindow {
       result.guest_irqs_per_sec =
           static_cast<double>(irqs - irqs_base) / secs;
     }
-    result.rx_dropped = tb.backend().rx_dropped();
-    result.link_dropped = static_cast<std::int64_t>(
-        tb.vm_to_peer().packets_dropped() + tb.peer_to_vm().packets_dropped());
-    result.drops = stream_drops(tb);
+    collect_drops(tb, result);
     return result;
   }
 };
@@ -270,13 +259,7 @@ struct StreamWindow {
 }  // namespace
 
 StreamResult run_stream(const StreamOptions& opts) {
-  TestbedOptions to = testbed_options(opts.config, opts.macro, opts.seed);
-  apply_dataplane(to, opts);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
-  Testbed tb(to);
+  Testbed tb(stream_testbed_options(opts));
   if (opts.quota_override > 0) {
     HybridIoHandling::attach(tb.backend(), opts.quota_override);
   }
@@ -292,11 +275,7 @@ StreamResult run_stream(const StreamOptions& opts) {
   window.open(tb, w);
   tb.sim().run_for(opts.measure);
   StreamResult result = window.collect(tb, w, opts.vm_sends);
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  harvest(tb, result);
   return result;
 }
 
@@ -304,17 +283,11 @@ namespace {
 
 /// TestbedOptions for a supervised (chaos/recovery) stream run.
 TestbedOptions chaos_testbed_options(const ChaosStreamOptions& opts) {
-  TestbedOptions to =
-      testbed_options(opts.stream.config, opts.stream.macro, opts.stream.seed);
-  apply_dataplane(to, opts.stream);
+  TestbedOptions to = stream_testbed_options(opts.stream);
   to.faults = opts.faults;
   to.audit = opts.audit;
   to.audit_period = opts.audit_period;
   to.guest_params.tx_watchdog = opts.tx_watchdog;
-  to.trace = opts.stream.trace;
-  to.profile = opts.stream.profile;
-  to.metrics = opts.stream.metrics;
-  to.snapshot = opts.stream.snapshot;
   return to;
 }
 
@@ -347,10 +320,7 @@ ChaosStreamResult supervise_stream(Testbed& tb, StreamWorkload& w,
   if (window_open) {
     result.stream = window.collect(tb, w, opts.stream.vm_sends);
   } else {
-    result.stream.rx_dropped = tb.backend().rx_dropped();
-    result.stream.link_dropped = static_cast<std::int64_t>(
-        tb.vm_to_peer().packets_dropped() + tb.peer_to_vm().packets_dropped());
-    result.stream.drops = stream_drops(tb);
+    collect_drops(tb, result.stream);
   }
 
   if (drain > 0) {
@@ -370,11 +340,7 @@ ChaosStreamResult supervise_stream(Testbed& tb, StreamWorkload& w,
     result.audit_sweeps = tb.auditor()->sweeps();
     result.audit_violations = tb.auditor()->total_violations();
   }
-  result.stream.trace = harvest_trace(tb);
-  result.stream.profile = harvest_profile(tb);
-  result.stream.stages = trace_stages(result.stream.trace.get());
-  result.stream.metrics = harvest_metrics(tb);
-  result.stream.hashes = harvest_hashes(tb);
+  harvest(tb, result.stream);
   result.report = wd.report(name);
   // Failure lines carry the top moving metrics so a wedge points at the
   // layer that stopped (or never started) making progress.
@@ -505,12 +471,7 @@ RecoveryStreamResult run_recovery_stream(const RecoveryStreamOptions& opts,
 // ---------------------------------------------------------------------------
 
 PingResult run_ping(const PingOptions& opts) {
-  TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
-  Testbed tb(to);
+  Testbed tb(testbed_options(opts, /*macro=*/true));
   const std::uint64_t flow = 7;
   PingResponder responder(tb.guest(), tb.frontend(), flow);
   PingClient client(tb.peer(), flow, opts.interval);
@@ -528,11 +489,7 @@ PingResult run_ping(const PingOptions& opts) {
   result.rtt = client.rtt();
   result.samples = client.samples();
   result.lost = client.lost();
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  harvest(tb, result);
   return result;
 }
 
@@ -541,12 +498,7 @@ PingResult run_ping(const PingOptions& opts) {
 // ---------------------------------------------------------------------------
 
 MemcachedResult run_memcached(const MemcachedOptions& opts) {
-  TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
-  Testbed tb(to);
+  Testbed tb(testbed_options(opts, /*macro=*/true));
   const std::uint64_t base_flow = 1000;
   MemcachedServer server(tb.guest(), tb.frontend(), base_flow,
                          opts.client_threads, opts.workers);
@@ -568,11 +520,7 @@ MemcachedResult run_memcached(const MemcachedOptions& opts) {
   result.ops_per_sec = client.ops_per_sec(tb.sim().now());
   result.throughput_mbps = client.response_mbps(tb.sim().now());
   result.latency = client.latency();
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  harvest(tb, result);
   return result;
 }
 
@@ -581,12 +529,7 @@ MemcachedResult run_memcached(const MemcachedOptions& opts) {
 // ---------------------------------------------------------------------------
 
 ApacheResult run_apache(const ApacheOptions& opts) {
-  TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
-  Testbed tb(to);
+  Testbed tb(testbed_options(opts, /*macro=*/true));
   const std::uint64_t base_flow = 2000;
   ApacheServer server(tb.guest(), tb.frontend(), base_flow, opts.concurrency,
                       opts.workers);
@@ -603,21 +546,12 @@ ApacheResult run_apache(const ApacheOptions& opts) {
   ApacheResult result;
   result.requests_per_sec = client.requests_per_sec(tb.sim().now());
   result.throughput_mbps = client.response_mbps(tb.sim().now());
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  harvest(tb, result);
   return result;
 }
 
 HttperfResult run_httperf(const HttperfOptions& opts) {
-  TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
-  Testbed tb(to);
+  Testbed tb(testbed_options(opts, /*macro=*/true));
   const std::uint64_t base_flow = 3000;
   ApacheServer server(tb.guest(), tb.frontend(), base_flow, /*client_conns=*/1,
                       /*workers=*/4);
@@ -638,11 +572,7 @@ HttperfResult run_httperf(const HttperfOptions& opts) {
       static_cast<double>(client.connect_time().p99()) / 1e6;
   result.established = client.established();
   result.retries = client.retries();
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  harvest(tb, result);
   return result;
 }
 
@@ -651,12 +581,8 @@ HttperfResult run_httperf(const HttperfOptions& opts) {
 // ---------------------------------------------------------------------------
 
 StormResult run_storm(const StormOptions& opts, const std::string& name) {
-  TestbedOptions to = testbed_options(opts.config, /*macro=*/false, opts.seed);
+  TestbedOptions to = testbed_options(opts, /*macro=*/false);
   to.guest_params.overload_mitigation = opts.mitigation;
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
   Testbed tb(to);
   ApacheCosts costs;
   costs.syn_backlog = opts.syn_backlog;
@@ -736,11 +662,7 @@ StormResult run_storm(const StormOptions& opts, const std::string& name) {
   r.report = wd.report(name);
   r.livelocked = r.report.status == ScenarioStatus::kLivelock;
   r.livelock_expected = opts.expect_livelock;
-  r.trace = harvest_trace(tb);
-  r.profile = harvest_profile(tb);
-  r.stages = trace_stages(r.trace.get());
-  r.metrics = harvest_metrics(tb);
-  r.hashes = harvest_hashes(tb);
+  harvest(tb, r);
   // Unacceptable verdicts carry the top moving metrics, same as chaos.
   if (!r.acceptable()) r.report.telemetry = r.metrics->top_deltas;
   return r;

@@ -24,7 +24,7 @@
 namespace es2 {
 
 // ---------------------------------------------------------------------------
-// Event-path traces (shared by every runner)
+// Run artifacts (shared by every runner)
 // ---------------------------------------------------------------------------
 
 /// Raw harvest from one traced run: the record snapshot plus the stitched
@@ -51,14 +51,6 @@ struct TraceStages {
   std::int64_t end_to_end_p99 = 0;
 };
 
-/// Snapshots a testbed's tracer and stitches journeys. Null when the run
-/// was not traced. Call after the measured span, before teardown.
-std::shared_ptr<TraceData> harvest_trace(Testbed& tb);
-
-// ---------------------------------------------------------------------------
-// Telemetry (shared by every runner)
-// ---------------------------------------------------------------------------
-
 /// Final registry snapshot from one run, attached to result rows next to
 /// TraceStages. Self-contained: outlives the testbed.
 struct MetricsData {
@@ -75,16 +67,25 @@ struct MetricsData {
 /// Call after the measured span, before teardown. Never null.
 std::shared_ptr<MetricsData> harvest_metrics(Testbed& tb);
 
-/// Copies the testbed's epoch-hash series (the divergence-bisector input).
-/// Null unless the run set `snapshot.hash_epochs`. Call before teardown.
-std::shared_ptr<HashSeries> harvest_hashes(Testbed& tb);
+/// What the four observers (ObserveOptions) leave behind after one run.
+/// Every runner's result inherits it. Self-contained: outlives the testbed.
+struct RunArtifacts {
+  /// Null unless the run was traced.
+  std::shared_ptr<TraceData> trace;
+  /// Stage summary of `trace` (all zeros when untraced).
+  TraceStages stages;
+  /// Null unless the run was profiled.
+  std::shared_ptr<ProfileData> profile;
+  /// Final registry snapshot (never null after a harvest).
+  std::shared_ptr<MetricsData> metrics;
+  /// Null unless the run hashed epochs.
+  std::shared_ptr<HashSeries> hashes;
+};
 
-/// Stage summary of a harvested trace (all zeros for null / empty data).
-TraceStages trace_stages(const TraceData* data);
-
-/// Snapshots a testbed's profiler (span aggregates, scope tree, slice
-/// ring). Null when the run was not profiled. Call before teardown.
-std::shared_ptr<ProfileData> harvest_profile(Testbed& tb);
+/// Reads every observer of `tb` into `out`: the tracer's records stitched
+/// into journeys, the profiler, the registry and the epoch-hash series.
+/// Call after the measured span, before teardown.
+void harvest(Testbed& tb, RunArtifacts& out);
 
 /// Critical-path blame over a harvested trace (empty breakdown for null
 /// or untraced data). The analyzer is offline; call it on result rows,
@@ -126,7 +127,7 @@ struct DropCounts {
 // Netperf streams (Table I, Fig. 4, Fig. 5, Fig. 6)
 // ---------------------------------------------------------------------------
 
-struct StreamOptions {
+struct StreamOptions : ObserveOptions {
   Es2Config config;
   Proto proto = Proto::kTcp;
   Bytes msg_size = 1024;
@@ -154,17 +155,9 @@ struct StreamOptions {
   std::uint64_t seed = 1;
   SimDuration warmup = msec(200);
   SimDuration measure = msec(800);
-  /// Event-path tracing for this run (off by default).
-  TraceOptions trace;
-  /// Scoped profiling for this run (off by default; passive when on).
-  ProfileOptions profile;
-  /// Registry sampling cadence (on by default; passive either way).
-  MetricsOptions metrics;
-  /// Epoch state-hashing (off by default; passive when on).
-  SnapshotOptions snapshot;
 };
 
-struct StreamResult {
+struct StreamResult : RunArtifacts {
   ExitBreakdown exits;
   double throughput_mbps = 0;
   double packets_per_sec = 0;
@@ -176,15 +169,6 @@ struct StreamResult {
   /// drops.sock_backlog, link_dropped == drops.wire; kept as flat fields
   /// too so existing consumers read unchanged).
   DropCounts drops;
-  /// Null unless the run was traced.
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  /// Null unless the run was profiled.
-  std::shared_ptr<ProfileData> profile;
-  /// Final registry snapshot (never null after a run).
-  std::shared_ptr<MetricsData> metrics;
-  /// Null unless the run hashed epochs.
-  std::shared_ptr<HashSeries> hashes;
 };
 
 StreamResult run_stream(const StreamOptions& opts);
@@ -315,26 +299,17 @@ RecoveryStreamResult run_recovery_stream(const RecoveryStreamOptions& opts,
 // Ping RTT (Fig. 7)
 // ---------------------------------------------------------------------------
 
-struct PingOptions {
+struct PingOptions : ObserveOptions {
   Es2Config config;
   int samples = 120;
   SimDuration interval = msec(250);
   std::uint64_t seed = 1;
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
 };
 
-struct PingResult {
+struct PingResult : RunArtifacts {
   Histogram rtt;                       // ns
   std::vector<SimDuration> samples;    // Fig. 7 is a time series
   std::int64_t lost = 0;
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 PingResult run_ping(const PingOptions& opts);
@@ -343,7 +318,7 @@ PingResult run_ping(const PingOptions& opts);
 // Memcached (Fig. 8a)
 // ---------------------------------------------------------------------------
 
-struct MemcachedOptions {
+struct MemcachedOptions : ObserveOptions {
   Es2Config config;
   int client_threads = 16;
   int concurrency_per_thread = 16;  // 256 concurrent requests total
@@ -352,21 +327,12 @@ struct MemcachedOptions {
   std::uint64_t seed = 1;
   SimDuration warmup = msec(300);
   SimDuration measure = sec(1);
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
 };
 
-struct MemcachedResult {
+struct MemcachedResult : RunArtifacts {
   double ops_per_sec = 0;
   double throughput_mbps = 0;  // response bytes
   Histogram latency;           // ns per op
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 MemcachedResult run_memcached(const MemcachedOptions& opts);
@@ -375,52 +341,34 @@ MemcachedResult run_memcached(const MemcachedOptions& opts);
 // Apache (Fig. 8b) and Httperf (Fig. 9)
 // ---------------------------------------------------------------------------
 
-struct ApacheOptions {
+struct ApacheOptions : ObserveOptions {
   Es2Config config;
   int concurrency = 16;
   int workers = 8;
   std::uint64_t seed = 1;
   SimDuration warmup = msec(300);
   SimDuration measure = sec(1);
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
 };
 
-struct ApacheResult {
+struct ApacheResult : RunArtifacts {
   double requests_per_sec = 0;
   double throughput_mbps = 0;
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 ApacheResult run_apache(const ApacheOptions& opts);
 
-struct HttperfOptions {
+struct HttperfOptions : ObserveOptions {
   Es2Config config;
   double rate_per_sec = 1000;
   SimDuration duration = sec(3);
   std::uint64_t seed = 1;
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
 };
 
-struct HttperfResult {
+struct HttperfResult : RunArtifacts {
   double avg_connect_ms = 0;
   double p99_connect_ms = 0;
   std::int64_t established = 0;
   std::int64_t retries = 0;
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 HttperfResult run_httperf(const HttperfOptions& opts);
@@ -429,7 +377,7 @@ HttperfResult run_httperf(const HttperfOptions& opts);
 // Connection storms: overload, receive livelock, graceful degradation
 // ---------------------------------------------------------------------------
 
-struct StormOptions {
+struct StormOptions : ObserveOptions {
   Es2Config config;
   /// Arrival-rate envelope (ramp / hold / ramp-down / diurnal bursts).
   StormShape shape;
@@ -471,13 +419,9 @@ struct StormOptions {
     b.stall_tolerance = 8;
     return b;
   }();
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
 };
 
-struct StormResult {
+struct StormResult : RunArtifacts {
   // Client-side connection accounting (whole storm span).
   std::int64_t attempted = 0;
   std::int64_t established = 0;
@@ -512,11 +456,6 @@ struct StormResult {
   ScenarioReport report;
   bool livelocked = false;        // report.status == kLivelock
   bool livelock_expected = false; // copied from options
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 
   /// The cell verdict: clean, or livelocked exactly when that was the
   /// point of the cell.

@@ -35,7 +35,27 @@
 
 namespace es2 {
 
-struct TestbedOptions {
+/// The four passive observers of a run: on-vs-off leaves golden outputs
+/// bit-identical. `TestbedOptions` and every runner's options inherit
+/// this, so one base assignment carries all four through the harness.
+struct ObserveOptions {
+  /// Event-path tracing. `trace.enabled` builds a Tracer and attaches it
+  /// to the simulator. Off by default: no records, one null test per hook.
+  TraceOptions trace;
+  /// Scoped profiling. `profile.enabled` builds a Profiler and attaches
+  /// it to the simulator.
+  ProfileOptions profile;
+  /// Unified telemetry. Instruments register across every layer either
+  /// way; `metrics.enabled` (the default) additionally runs a
+  /// MetricsSampler on a deterministic in-sim cadence.
+  MetricsOptions metrics;
+  /// Epoch state-hashing. `snapshot.hash_epochs` arms a periodic FNV
+  /// digest of every registered component (the determinism oracle behind
+  /// `tools/divergence_bisect`).
+  SnapshotOptions snapshot;
+};
+
+struct TestbedOptions : ObserveOptions {
   Es2Config config;
   std::uint64_t seed = 1;
   int host_cores = 8;
@@ -69,23 +89,6 @@ struct TestbedOptions {
   /// Run the invariant auditor over the tested VM's event path.
   bool audit = false;
   SimDuration audit_period = msec(1);
-  /// Event-path tracing. `trace.enabled` builds a Tracer and attaches it
-  /// to the simulator. Off by default: no records, one null test per hook.
-  TraceOptions trace;
-  /// Scoped profiling. `profile.enabled` builds a Profiler and attaches
-  /// it to the simulator. Passive: profiled runs leave golden outputs
-  /// bit-identical.
-  ProfileOptions profile;
-  /// Unified telemetry. Instruments register across every layer either
-  /// way; `metrics.enabled` additionally runs a MetricsSampler on a
-  /// deterministic in-sim cadence. Sampling is passive: on-vs-off leaves
-  /// golden outputs bit-identical.
-  MetricsOptions metrics;
-  /// Epoch state-hashing. `snapshot.hash_epochs` arms a periodic FNV
-  /// digest of every registered component (the determinism oracle behind
-  /// `tools/divergence_bisect`). Hashing is passive: on-vs-off leaves
-  /// golden outputs bit-identical.
-  SnapshotOptions snapshot;
 };
 
 class Testbed {

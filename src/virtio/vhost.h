@@ -541,7 +541,8 @@ class VhostNetBackend : public Snapshottable {
   std::vector<std::int64_t> pair_rx_packets_;
   // Trace correlation registers: the journey id of the latest TX kick /
   // RX wire arrival, carried into worker turns and MSI raises. Written
-  // only by the (compile-time gated) trace hooks; inert otherwise.
+  // only by the trace hooks, which run when a Tracer is attached; inert
+  // otherwise.
   std::uint64_t tx_kick_corr_ = 0;
   std::uint64_t rx_kick_corr_ = 0;
 

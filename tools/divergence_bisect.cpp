@@ -1,8 +1,9 @@
 // Divergence bisector: where did two same-seed runs split, and whose
 // fault was it?
 //
-// Input: two es2-hash-v1 JSON files exported with `--hash-epochs=<path>`
-// (any bench) or harvested via `Testbed::hash_log()`. Each records, per
+// Input: two es2-hash-v1 JSON files: `<dir>/hashes.json` from any bench
+// run with `--observe=<dir>`, or a series harvested via
+// `Testbed::hash_log()`. Each records, per
 // epoch of simulated time, an FNV digest of every registered component
 // plus the folded world digest. Two deterministic same-seed runs must
 // produce identical series; when they do not, the first divergent epoch
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: divergence_bisect A.json B.json [--quiet]\n"
                  "  A/B: es2-hash-v1 epoch-hash series "
-                 "(bench --hash-epochs=<path>)\n");
+                 "(<dir>/hashes.json from bench --observe=<dir>)\n");
     return 2;
   }
 

@@ -2,14 +2,14 @@
 //
 // Three modes, picked by the inputs:
 //
-//  * `latency_blame trace.bin` — read a raw ES2T binary trace (exported by
-//    any bench via `--profile=<path>`, written next to it as
-//    `<path>.trace.bin`, or by `to_binary`), run the critical-path
-//    analyzer, and print the markdown latency-budget table plus the
-//    worst-journey ledger. `--json=<path>` additionally writes the
-//    es2-blame-v1 report.
+//  * `latency_blame trace.bin` — read a raw ES2T binary trace (any bench
+//    run with `--observe=<dir>` writes `<dir>/trace.bin`; `to_binary`
+//    makes one from records), run the critical-path analyzer, and print
+//    the markdown latency-budget table plus the worst-journey ledger.
+//    `--json=<path>` additionally writes the es2-blame-v1 report.
 //  * `latency_blame blame.json` — re-render an existing es2-blame-v1
-//    report as the same markdown table (for eyeballing a CI artifact).
+//    report (e.g. `<dir>/blame.json` from `--observe=<dir>`) as the same
+//    markdown table.
 //  * `latency_blame --diff a.json b.json` — diff two es2-blame-v1 reports
 //    and name the component whose share of the journey total grew the
 //    most: the answer to "which stage regressed between these runs?".
@@ -63,7 +63,9 @@ int usage() {
                "[--top=N] [--k=F]\n"
                "       latency_blame <blame.json>\n"
                "       latency_blame --diff <a.json> <b.json> "
-               "[--threshold=F]\n");
+               "[--threshold=F]\n"
+               "  trace.bin, blame.json: written by any bench run with "
+               "--observe=<dir>\n");
   return 2;
 }
 
