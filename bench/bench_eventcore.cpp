@@ -3,7 +3,9 @@
 // on the workload shapes the simulator actually produces:
 //
 //   * schedule+fire churn with a rolling occupancy and realistic delay mix
-//     (mostly sub-4µs completions, some sub-ms, a tail of long timers);
+//     (mostly sub-4µs completions, some sub-ms, a tail of long timers),
+//     on the bare queue and through Simulator::at + run_until slices (the
+//     model's own dispatch entry);
 //   * the preempted-CPU-segment pattern: schedule a completion, cancel it
 //     before it fires, reschedule (the queue's dominant cancel load);
 //   * the model's continuation pattern: a three-deep chain of wrapped
@@ -40,6 +42,7 @@
 #include "net/packet.h"
 #include "sim/callback.h"
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "base/strings.h"
 
 namespace es2::legacy {
@@ -167,6 +170,38 @@ ChurnResult run_fire_churn(std::int64_t target_fires, std::uint64_t seed) {
   r.ns_per_event = elapsed * 1e9 / static_cast<double>(target_fires);
   r.allocs_per_event =
       static_cast<double>(allocs) / static_cast<double>(target_fires);
+  return r;
+}
+
+/// The schedule+fire churn driven through the model's real dispatch
+/// entry: every event re-arms itself through Simulator::at, and the clock
+/// advances in run_until slices. A warm-up stretch grows the slabs and
+/// heaps to their working size first, so only the steady state is timed.
+ChurnResult run_simulator_churn(std::int64_t target_fires, std::uint64_t seed) {
+  Simulator sim(seed);
+  Rng rng = Rng::stream(seed, "eventcore-fire");
+  struct Rearm {
+    Simulator* sim;
+    Rng* rng;
+    void operator()() const { sim->at(sim->now() + next_delay(*rng), *this); }
+  };
+  for (int i = 0; i < 1024; ++i) sim.at(next_delay(rng), Rearm{&sim, &rng});
+  auto run_slices = [&sim](std::uint64_t fires) {
+    const std::uint64_t stop = sim.events_executed() + fires;
+    while (sim.events_executed() < stop) sim.run_until(sim.now() + usec(10));
+  };
+  run_slices(static_cast<std::uint64_t>(target_fires) / 4);
+  const std::uint64_t fired0 = sim.events_executed();
+  const std::int64_t alloc0 = test::allocation_count();
+  const auto start = Clock::now();
+  run_slices(static_cast<std::uint64_t>(target_fires));
+  const double elapsed = seconds_since(start);
+  const std::int64_t allocs = test::allocation_count() - alloc0;
+  const double fired = static_cast<double>(sim.events_executed() - fired0);
+  ChurnResult r;
+  r.events_per_sec = fired / elapsed;
+  r.ns_per_event = elapsed * 1e9 / fired;
+  r.allocs_per_event = static_cast<double>(allocs) / fired;
   return r;
 }
 
@@ -332,6 +367,7 @@ int bench_main(int argc, char** argv) {
 
   const ChurnResult fire_new = run_fire_churn<EventQueue>(fires, seed);
   const ChurnResult fire_old = run_fire_churn<legacy::EventQueue>(fires, seed);
+  const ChurnResult fire_sim = run_simulator_churn(fires, seed);
   const ChurnResult cancel_new = run_cancel_churn<EventQueue>(cancel_ops, seed);
   const ChurnResult cancel_old =
       run_cancel_churn<legacy::EventQueue>(cancel_ops, seed);
@@ -345,6 +381,7 @@ int bench_main(int argc, char** argv) {
   };
   row("schedule+fire", "pooled", fire_new);
   row("schedule+fire", "legacy", fire_old);
+  row("schedule+fire", "run_until", fire_sim);
   row("cancel churn", "pooled", cancel_new);
   row("cancel churn", "legacy", cancel_old);
   row("continuation chain", "pooled", chain);
@@ -379,6 +416,7 @@ int bench_main(int argc, char** argv) {
   };
   add_churn("schedule_fire_pooled", fire_new);
   add_churn("schedule_fire_legacy", fire_old);
+  add_churn("simulator_run_until", fire_sim);
   add_churn("cancel_churn_pooled", cancel_new);
   add_churn("cancel_churn_legacy", cancel_old);
   add_churn("continuation_chain_pooled", chain);

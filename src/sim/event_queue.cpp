@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/assert.h"
 
@@ -43,6 +44,8 @@ void EventCore::close() {
     }
   }
 }
+
+void EventCore::destroy() { delete this; }
 
 std::uint32_t EventCore::acquire_slot() {
   if (free_head_ == kInvalidSlot) {
@@ -263,18 +266,13 @@ void EventCore::refill_near() {
   }
 }
 
-SimTime EventCore::next_time() {
-  ES2_CHECK_MSG(live_ > 0, "next_time on empty queue");
+const HeapKey& EventCore::next_key() {
   skim(near_, near_stale_);
   if (near_.empty()) refill_near();
-  return near_.front().when;
+  return near_.front();
 }
 
-SimTime EventCore::pop_and_run() {
-  ES2_CHECK_MSG(live_ > 0, "pop_and_run on empty queue");
-  skim(near_, near_stale_);
-  if (near_.empty()) refill_near();
-  const HeapKey k = near_.front();
+void EventCore::fire(HeapKey k) {
   std::pop_heap(near_.begin(), near_.end(), KeyLater{});
   near_.pop_back();
   EventRecord& r = record(k.slot);
@@ -286,16 +284,37 @@ SimTime EventCore::pop_and_run() {
   r.gen++;
   --live_;
   stats_.fired++;
-  // Reclaim the slot on both normal return and exceptional unwind: a
-  // throwing callback must still have its closure destroyed and its
-  // record returned to the free list (the seed's std::function entry
-  // was likewise destroyed during unwind).
+  // ops->fire destroys the closure on return and on unwind, so the
+  // record no longer owns it; the guard returns the slot to the free
+  // list on both paths too.
+  const CallbackOps* ops = std::exchange(r.ops, nullptr);
   struct SlotReclaimer {
     EventCore* core;
     std::uint32_t slot;
     ~SlotReclaimer() { core->free_slot(slot); }
   } reclaim{this, k.slot};
-  r.ops->invoke(r.buf);
+  ops->fire(r.buf);
+}
+
+std::uint64_t EventCore::run_until(SimTime deadline,
+                                   std::uint64_t max_events, SimTime& now) {
+  std::uint64_t executed = 0;
+  while (executed < max_events && live_ > 0) {
+    const HeapKey k = next_key();
+    if (k.when > deadline) break;
+    // Advance the clock BEFORE running the event, so callbacks observing
+    // now() (and deferring follow-up work) see the event's own timestamp.
+    now = k.when;
+    fire(k);
+    ++executed;
+  }
+  return executed;
+}
+
+SimTime EventCore::pop_and_run() {
+  ES2_CHECK_MSG(live_ > 0, "pop_and_run on empty queue");
+  const HeapKey k = next_key();
+  fire(k);
   return k.when;
 }
 

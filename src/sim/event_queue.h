@@ -6,18 +6,22 @@
 //  * A slab-pooled event store: fixed-size `EventRecord`s in 256-record
 //    slabs with a free list. Records never move, so callbacks are
 //    constructed once, in place, in a `kInlineCallbackCapacity`-byte
-//    inline buffer (type-erased through a static ops vtable). Callables
-//    larger than the buffer fall back to one boxed heap allocation; the
-//    `boxed_callbacks` counter proves the steady state never takes that
-//    path. After warm-up, schedule/cancel/fire perform zero heap
-//    allocations.
+//    inline buffer (type-erased through a static `{fire, destroy}` ops
+//    table; `fire` invokes and then destroys the callable, so dispatch
+//    is one indirect call). Callables larger than the buffer fall back
+//    to one boxed heap allocation; the `boxed_callbacks` counter proves
+//    the steady state never takes that path. After warm-up,
+//    schedule/cancel/fire perform zero heap allocations.
 //
-//  * Generation-counted handles: `{slot, generation}` plus a shared
+//  * Generation-counted handles: `{slot, generation}` plus a counted
 //    reference to the pool core. `cancel()` and `pending()` are O(1);
 //    cancellation destroys the callback and reclaims the slot
 //    immediately (no lazy heap skimming of whole entries — at most a
-//    16-byte stale key stays behind, see below). Handles may outlive
-//    the queue: the core is freed when the last handle drops it.
+//    24-byte stale key stays behind, see below). Handles may outlive
+//    the queue: the core is freed when the last handle drops it. The
+//    count is not atomic: a core and its handles are used by one thread
+//    at a time (each Simulator is a single-threaded world), the same
+//    rule PacketPtr relies on.
 //
 //  * A calendar-queue front-end keyed on `SimTime`: a small "near" heap
 //    carries everything due in the current 2^kBucketShift-ns bucket or
@@ -61,24 +65,35 @@ inline constexpr std::size_t kInlineCallbackCapacity = 48;
 inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
 
 /// Type-erased operations on a callback stored in an EventRecord buffer.
+/// `fire` invokes the callable and then destroys it, also when the call
+/// throws; `destroy` drops a callable that never fired (cancel, close).
 struct CallbackOps {
-  void (*invoke)(void* buf);
+  void (*fire)(void* buf);
   void (*destroy)(void* buf);
 };
 
 template <typename Fn>
 struct InlineOps {
-  static void invoke(void* buf) { (*static_cast<Fn*>(buf))(); }
+  static void fire(void* buf) {
+    struct Destroyer {
+      Fn* fn;
+      ~Destroyer() { fn->~Fn(); }
+    } guard{static_cast<Fn*>(buf)};
+    (*guard.fn)();
+  }
   static void destroy(void* buf) { static_cast<Fn*>(buf)->~Fn(); }
-  static constexpr CallbackOps ops{&invoke, &destroy};
+  static constexpr CallbackOps ops{&fire, &destroy};
 };
 
 template <typename Fn>
 struct BoxedOps {
   static Fn*& box(void* buf) { return *static_cast<Fn**>(buf); }
-  static void invoke(void* buf) { (*box(buf))(); }
+  static void fire(void* buf) {
+    const std::unique_ptr<Fn> owned(box(buf));
+    (*owned)();
+  }
   static void destroy(void* buf) { delete box(buf); }
-  static constexpr CallbackOps ops{&invoke, &destroy};
+  static constexpr CallbackOps ops{&fire, &destroy};
 };
 
 /// Where a live event currently lives (drives O(1) cancellation).
@@ -120,8 +135,11 @@ struct KeyLater {
 };
 
 /// The pool + calendar state. Owned jointly by the EventQueue and any
-/// outstanding handles, so a handle can always safely answer
-/// cancel()/pending() even after its queue is destroyed.
+/// outstanding handles through an intrusive, non-atomic reference count
+/// (the queue holds one reference, each handle one more), so a handle
+/// can always safely answer cancel()/pending() even after its queue is
+/// destroyed. A core and all of its handles must be used by one thread
+/// at a time.
 class EventCore {
  public:
   static constexpr int kBucketShift = 12;           // 4096 ns per bucket
@@ -132,6 +150,12 @@ class EventCore {
   ~EventCore() { close(); }
   EventCore(const EventCore&) = delete;
   EventCore& operator=(const EventCore&) = delete;
+
+  /// A new core starts with one reference, the creator's.
+  void retain() { ++refs_; }
+  void release() {
+    if (--refs_ == 0) destroy();
+  }
 
   /// Destroys every un-fired callback and invalidates all handles.
   /// Called when the owning queue dies; outstanding handles then report
@@ -175,7 +199,16 @@ class EventCore {
   }
 
   bool has_next() const { return live_ > 0; }
-  SimTime next_time();
+
+  /// Fires events in (when, seq) order until none is left, the earliest
+  /// lies past `deadline`, or `max_events` have fired. `now` is set to
+  /// each event's time before its callback runs. Returns the number of
+  /// events fired.
+  std::uint64_t run_until(SimTime deadline, std::uint64_t max_events,
+                          SimTime& now);
+
+  /// Fires the earliest live event and returns its time; has_next() must
+  /// be true.
   SimTime pop_and_run();
 
   std::size_t live() const { return live_; }
@@ -194,7 +227,14 @@ class EventCore {
     return static_cast<std::uint64_t>(when) >> kBucketShift;
   }
 
+  /// Deletes the core on its last release; kept out of line so the
+  /// inlined release() on every handle stays a decrement and a test.
+  void destroy();
   void free_slot(std::uint32_t slot);
+  /// Brings the earliest live key to the near heap's top; live_ > 0.
+  const HeapKey& next_key();
+  /// Pops the near heap's top `k` and runs its callback.
+  void fire(HeapKey k);
   void unlink_from_wheel(EventRecord& r, std::uint32_t slot);
   void push_near(std::uint32_t slot, EventRecord& r);
   void push_far(std::uint32_t slot, EventRecord& r);
@@ -226,41 +266,67 @@ class EventCore {
 
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  std::uint32_t refs_ = 1;
   EventQueueStats stats_;
 };
 
 }  // namespace detail
 
 /// Handle for a scheduled event; cheap to copy, may outlive the event
-/// and the queue itself.
+/// and the queue itself. Like PacketPtr, its reference count is not
+/// atomic: use a handle only on the thread that runs its Simulator.
 class EventHandle {
  public:
-  EventHandle() = default;
+  EventHandle() noexcept = default;
+  EventHandle(const EventHandle& other) noexcept
+      : core_(other.core_), slot_(other.slot_), gen_(other.gen_) {
+    if (core_ != nullptr) core_->retain();
+  }
+  EventHandle(EventHandle&& other) noexcept
+      : core_(std::exchange(other.core_, nullptr)),
+        slot_(other.slot_),
+        gen_(other.gen_) {}
+  EventHandle& operator=(EventHandle other) noexcept {
+    std::swap(core_, other.core_);
+    slot_ = other.slot_;
+    gen_ = other.gen_;
+    return *this;
+  }
+  ~EventHandle() {
+    if (core_ != nullptr) core_->release();
+  }
 
   /// Cancels the event if it has not fired yet. Safe to call repeatedly,
   /// on an empty handle, or after the event has fired.
   void cancel() {
-    if (core_) core_->cancel(slot_, gen_);
+    if (core_ != nullptr) core_->cancel(slot_, gen_);
   }
 
   /// True if the event is still scheduled to fire.
-  bool pending() const { return core_ && core_->pending(slot_, gen_); }
+  bool pending() const {
+    return core_ != nullptr && core_->pending(slot_, gen_);
+  }
 
  private:
   friend class EventQueue;
-  EventHandle(std::shared_ptr<detail::EventCore> core, std::uint32_t slot,
-              std::uint32_t gen)
-      : core_(std::move(core)), slot_(slot), gen_(gen) {}
+  EventHandle(detail::EventCore* core, std::uint32_t slot,
+              std::uint32_t gen) noexcept
+      : core_(core), slot_(slot), gen_(gen) {
+    core_->retain();
+  }
 
-  std::shared_ptr<detail::EventCore> core_;
+  detail::EventCore* core_ = nullptr;
   std::uint32_t slot_ = detail::kInvalidSlot;
   std::uint32_t gen_ = 0;
 };
 
 class EventQueue {
  public:
-  EventQueue() : core_(std::make_shared<detail::EventCore>()) {}
-  ~EventQueue() { core_->close(); }
+  EventQueue() : core_(new detail::EventCore) {}
+  ~EventQueue() {
+    core_->close();
+    core_->release();
+  }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -302,8 +368,11 @@ class EventQueue {
   /// True if a live (non-cancelled) event remains.
   bool has_next() const { return core_->has_next(); }
 
-  /// Time of the earliest live event; `has_next()` must be true.
-  SimTime next_time() { return core_->next_time(); }
+  /// The dispatch loop: see detail::EventCore::run_until.
+  std::uint64_t run_until(SimTime deadline, std::uint64_t max_events,
+                          SimTime& now) {
+    return core_->run_until(deadline, max_events, now);
+  }
 
   /// Pops and runs the earliest live event, returning its time.
   SimTime pop_and_run() { return core_->pop_and_run(); }
@@ -315,7 +384,7 @@ class EventQueue {
   const EventQueueStats& stats() const { return core_->stats(); }
 
  private:
-  std::shared_ptr<detail::EventCore> core_;
+  detail::EventCore* core_;
 };
 
 }  // namespace es2

@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <limits>
+
 #include "base/assert.h"
 
 namespace es2 {
@@ -7,44 +9,25 @@ namespace es2 {
 Simulator::Simulator(std::uint64_t seed) : seed_(seed) {}
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
-  std::uint64_t executed = 0;
-  while (queue_.has_next() && queue_.next_time() <= deadline) {
-    // Advance the clock BEFORE running the event, so callbacks observing
-    // now() (and deferring follow-up work) see the event's own timestamp.
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
-    ++executed;
-  }
-  // Advance the clock to the deadline even if the queue ran dry, so that
-  // back-to-back run_for() calls measure contiguous wall spans.
-  if (now_ < deadline) now_ = deadline;
-  events_executed_ += executed;
-  return executed;
+  return run_until_capped(deadline, std::numeric_limits<std::uint64_t>::max());
 }
 
 std::uint64_t Simulator::run_until_capped(SimTime deadline,
                                           std::uint64_t max_events) {
-  std::uint64_t executed = 0;
-  while (executed < max_events && queue_.has_next() &&
-         queue_.next_time() <= deadline) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
-    ++executed;
-  }
-  // Only a run that genuinely drained the span may claim the deadline as
-  // its new clock; a capped stop resumes where it left off.
+  const std::uint64_t executed = queue_.run_until(deadline, max_events, now_);
+  // Advance the clock to the deadline even if the queue ran dry, so that
+  // back-to-back run_for() calls measure contiguous wall spans. Only a run
+  // that genuinely drained the span may claim the deadline as its new
+  // clock; a capped stop resumes where it left off.
   if (executed < max_events && now_ < deadline) now_ = deadline;
   events_executed_ += executed;
   return executed;
 }
 
 std::uint64_t Simulator::run_to_completion() {
-  std::uint64_t executed = 0;
-  while (queue_.has_next()) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
-    ++executed;
-  }
+  const std::uint64_t executed =
+      queue_.run_until(std::numeric_limits<SimTime>::max(),
+                       std::numeric_limits<std::uint64_t>::max(), now_);
   events_executed_ += executed;
   return executed;
 }

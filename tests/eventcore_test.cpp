@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "base/alloc_hook.h"
@@ -217,14 +219,44 @@ TEST(EventCore, SelfCancelDuringCallbackIsNoop) {
 
 TEST(EventCore, HandleOutlivesQueue) {
   EventHandle survivor;
+  EventHandle copied;
+  EventHandle moved;
+  EventHandle self_assigned;
+  std::vector<EventHandle> kept;
   {
     Simulator sim;
     survivor = sim.at(sec(1), [] {});
     EXPECT_TRUE(survivor.pending());
+    copied = survivor;
+    EventHandle source = sim.at(sec(2), [] {});
+    moved = std::move(source);
+    self_assigned = sim.at(sec(3), [] {});
+    EventHandle& alias = self_assigned;
+    self_assigned = alias;
+    EXPECT_TRUE(self_assigned.pending());
+    self_assigned = std::move(alias);
+    EXPECT_TRUE(self_assigned.pending());
+    for (int i = 0; i < 100; ++i) {
+      kept.push_back(sim.at(usec(static_cast<SimTime>(i % 7)), [] {}));
+    }
+    sim.run_for(usec(3));  // some kept handles fire, the rest stay pending
+    EXPECT_TRUE(copied.pending());
+    EXPECT_TRUE(moved.pending());
   }
-  // The queue is gone; the pooled core lives on through the handle.
-  EXPECT_FALSE(survivor.pending());
-  survivor.cancel();  // must be safe, not a use-after-free
+  // The queue is gone; the pooled core lives on through the handles.
+  for (EventHandle* h : {&survivor, &copied, &moved, &self_assigned}) {
+    EXPECT_FALSE(h->pending());
+    h->cancel();  // must be safe, not a use-after-free
+  }
+  for (EventHandle& h : kept) {
+    EXPECT_FALSE(h.pending());
+    h.cancel();
+  }
+  // Dropping the handles one by one releases the core with the last.
+  survivor = EventHandle();
+  copied = EventHandle();
+  kept.erase(kept.begin(), kept.begin() + 50);
+  moved.cancel();
 }
 
 TEST(EventCore, PendingCallbackCapturesAreDestroyedWithQueue) {
@@ -251,6 +283,93 @@ TEST(EventCore, OversizedCallbackFallsBackToBox) {
   EXPECT_EQ(sim.queue().stats().boxed_callbacks, 1u);
   sim.run_to_completion();
   EXPECT_EQ(seen, 99);
+}
+
+// ---------------------------------------------------------------------------
+// Every stored callable is destroyed exactly once: after a normal fire, a
+// throwing fire, a cancel and queue teardown, inline and boxed alike.
+// ---------------------------------------------------------------------------
+
+/// Counts destructions of the live (not moved-from) instance.
+struct DestroyCounter {
+  int* destroyed;
+  bool* throws;
+  DestroyCounter(int* d, bool* t) : destroyed(d), throws(t) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)),
+        throws(other.throws) {}
+  DestroyCounter(const DestroyCounter&) = delete;
+  ~DestroyCounter() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  void operator()() {
+    EXPECT_EQ(*destroyed, 0) << "callable destroyed before it ran";
+    if (*throws) throw std::runtime_error("boom");
+  }
+};
+
+/// The same callable padded past the inline buffer, so it is boxed.
+struct BoxedDestroyCounter {
+  DestroyCounter counter;
+  std::array<std::int64_t, 16> pad{};
+  void operator()() { counter(); }
+};
+static_assert(sizeof(BoxedDestroyCounter) > kInlineCallbackCapacity);
+
+enum class Ending { kFire, kThrow, kCancel, kTeardown };
+
+int destructions(Ending ending, bool boxed) {
+  int destroyed = 0;
+  bool throws = ending == Ending::kThrow;
+  {
+    Simulator sim;
+    EventHandle h =
+        boxed ? sim.queue().schedule(
+                    usec(1), BoxedDestroyCounter{{&destroyed, &throws}, {}})
+              : sim.at(usec(1), DestroyCounter(&destroyed, &throws));
+    EXPECT_EQ(sim.queue().stats().boxed_callbacks, boxed ? 1u : 0u);
+    EXPECT_EQ(destroyed, 0);
+    switch (ending) {
+      case Ending::kFire:
+        sim.run_to_completion();
+        break;
+      case Ending::kThrow:
+        EXPECT_THROW(sim.run_to_completion(), std::runtime_error);
+        break;
+      case Ending::kCancel:
+        h.cancel();
+        h.cancel();
+        break;
+      case Ending::kTeardown:
+        break;
+    }
+    if (ending != Ending::kTeardown) {
+      // The slot is back on the free list and the core keeps working.
+      EXPECT_EQ(sim.queue().size(), 0u);
+      int fired = 0;
+      sim.after(usec(2), [&fired] { ++fired; });
+      sim.run_to_completion();
+      EXPECT_EQ(fired, 1);
+      EXPECT_EQ(sim.queue().stats().slabs_allocated, 1u);
+    }
+  }  // kTeardown: the queue destroys the pending callable here
+  return destroyed;
+}
+
+TEST(EventCore, InlineCallableIsDestroyedExactlyOnce) {
+  for (Ending e :
+       {Ending::kFire, Ending::kThrow, Ending::kCancel, Ending::kTeardown}) {
+    EXPECT_EQ(destructions(e, /*boxed=*/false), 1)
+        << "ending " << static_cast<int>(e);
+  }
+}
+
+TEST(EventCore, BoxedCallableIsDestroyedExactlyOnce) {
+  for (Ending e :
+       {Ending::kFire, Ending::kThrow, Ending::kCancel, Ending::kTeardown}) {
+    EXPECT_EQ(destructions(e, /*boxed=*/true), 1)
+        << "ending " << static_cast<int>(e);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -349,6 +468,166 @@ TEST(EventCore, MatchesReferenceModelUnderRandomOps) {
     std::vector<int> expect;
     for (const Ref& r : expect_refs) expect.push_back(r.id);
     EXPECT_EQ(fired, expect) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Randomized differential test of the dispatch loop: run_until,
+// run_until_capped and run_for slices whose callbacks schedule and cancel
+// re-entrantly, against an ordered (when, seq) reference model.
+// ---------------------------------------------------------------------------
+
+/// What both worlds record and share: ids are handed out in scheduling
+/// order, so the two agree on every id as long as they agree on order.
+struct SliceWorld {
+  std::vector<std::pair<int, SimTime>> fired;  // (id, now() inside it)
+  std::vector<int> cancel_on_fire;             // id -> id it cancels, or -1
+};
+
+constexpr int kSliceMaxIds = 3000;
+
+/// The follow-up work of event `id`, a pure function of (seed, id) and of
+/// the world's own state: follow-ups at now, in the current bucket, in
+/// the wheel window and far out; cancels of random earlier ids; and a
+/// same-instant pair whose first event cancels the second, which is then
+/// the very next key in the near heap.
+template <typename World>
+void slice_act(World& w, std::uint64_t seed, int id) {
+  const int victim = w.cancel_on_fire[static_cast<std::size_t>(id)];
+  if (victim >= 0) w.cancel(victim);
+  if (w.next_id() >= kSliceMaxIds) return;
+  Rng rng(seed * 1000003u + static_cast<std::uint64_t>(id));
+  const std::uint64_t follow_ups = rng.next_below(3);
+  for (std::uint64_t k = 0; k < follow_ups; ++k) {
+    SimDuration d = 0;
+    switch (rng.next_below(4)) {
+      case 0: d = 0; break;
+      case 1: d = static_cast<SimDuration>(rng.next_below(4096)); break;
+      case 2: d = static_cast<SimDuration>(rng.next_below(msec(1))); break;
+      default: d = static_cast<SimDuration>(rng.next_below(msec(40))); break;
+    }
+    w.schedule(d);
+  }
+  if (rng.next_below(4) == 0) {
+    w.cancel(static_cast<int>(rng.next_below(
+        static_cast<std::uint64_t>(w.next_id()))));
+  }
+  if (rng.next_below(5) == 0) {
+    const int first = w.schedule(0);
+    const int second = w.schedule(0);
+    w.cancel_on_fire[static_cast<std::size_t>(first)] = second;
+  }
+}
+
+struct RealSliceWorld : SliceWorld {
+  Simulator sim;
+  std::uint64_t seed;
+  std::vector<EventHandle> handles;
+  explicit RealSliceWorld(std::uint64_t s) : sim(s), seed(s) {}
+  int next_id() const { return static_cast<int>(handles.size()); }
+  SimTime now() const { return sim.now(); }
+  int schedule(SimDuration d) {
+    const int id = next_id();
+    cancel_on_fire.push_back(-1);
+    handles.push_back(sim.after(d, [this, id] {
+      fired.emplace_back(id, sim.now());
+      slice_act(*this, seed, id);
+    }));
+    return id;
+  }
+  void cancel(int id) { handles[static_cast<std::size_t>(id)].cancel(); }
+};
+
+struct RefSliceWorld : SliceWorld {
+  using Key = std::pair<SimTime, std::uint64_t>;  // (when, seq)
+  std::uint64_t seed;
+  SimTime clock = 0;
+  std::uint64_t next_seq = 0;
+  std::map<Key, int> pending;
+  std::vector<Key> key_of;  // id -> its key (valid while pending)
+  explicit RefSliceWorld(std::uint64_t s) : seed(s) {}
+  int next_id() const { return static_cast<int>(key_of.size()); }
+  SimTime now() const { return clock; }
+  int schedule(SimDuration d) {
+    const int id = next_id();
+    cancel_on_fire.push_back(-1);
+    key_of.push_back(Key{clock + d, next_seq++});
+    pending.emplace(key_of.back(), id);
+    return id;
+  }
+  void cancel(int id) { pending.erase(key_of[static_cast<std::size_t>(id)]); }
+  /// Fires in (when, seq) order up to `deadline`, at most `cap` events.
+  std::uint64_t run(SimTime deadline, std::uint64_t cap) {
+    std::uint64_t n = 0;
+    while (n < cap && !pending.empty() &&
+           pending.begin()->first.first <= deadline) {
+      const auto [key, id] = *pending.begin();
+      pending.erase(pending.begin());
+      clock = key.first;
+      fired.emplace_back(id, clock);
+      slice_act(*this, seed, id);
+      ++n;
+    }
+    if (n < cap && clock < deadline) clock = deadline;
+    return n;
+  }
+};
+
+TEST(EventCore, RunSlicesMatchReferenceModel) {
+  constexpr std::uint64_t kUncapped = ~std::uint64_t{0};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    RealSliceWorld real(seed);
+    RefSliceWorld ref(seed);
+    Rng rng = Rng::stream(seed, "slices");
+    for (int i = 0; i < 64; ++i) {
+      const SimDuration d =
+          static_cast<SimDuration>(rng.next_below(msec(5)));
+      real.schedule(d);
+      ref.schedule(d);
+    }
+    int calls = 0;
+    std::uint64_t capped_calls = 0;
+    while (!ref.pending.empty()) {
+      ++calls;
+      // Spans from zero (same-instant slices) to past the wheel window.
+      const SimDuration span =
+          rng.next_below(4) == 0
+              ? 0
+              : static_cast<SimDuration>(rng.next_below(msec(3)));
+      const SimTime deadline = real.sim.now() + span;
+      std::uint64_t got = 0;
+      std::uint64_t want = 0;
+      switch (rng.next_below(3)) {
+        case 0:
+          got = real.sim.run_until(deadline);
+          want = ref.run(deadline, kUncapped);
+          break;
+        case 1: {
+          const std::uint64_t cap = 1 + rng.next_below(8);
+          got = real.sim.run_until_capped(deadline, cap);
+          want = ref.run(deadline, cap);
+          if (want == cap) ++capped_calls;
+          break;
+        }
+        default:
+          got = real.sim.run_for(span);
+          want = ref.run(deadline, kUncapped);
+          break;
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " call " << calls;
+      ASSERT_EQ(real.sim.now(), ref.now()) << "seed " << seed << " call "
+                                           << calls;
+      ASSERT_EQ(real.sim.queue().size(), ref.pending.size())
+          << "seed " << seed << " call " << calls;
+    }
+    EXPECT_EQ(real.sim.run_to_completion(), 0u);
+    EXPECT_EQ(real.fired, ref.fired) << "seed " << seed;
+    EXPECT_EQ(real.sim.events_executed(), ref.fired.size());
+    // The workload must reach every path it is meant to cover.
+    EXPECT_GE(ref.next_id(), kSliceMaxIds) << "seed " << seed;
+    EXPECT_GT(capped_calls, 0u) << "seed " << seed;
+    EXPECT_GT(real.sim.queue().stats().far_hits, 0u) << "seed " << seed;
+    EXPECT_GT(real.sim.queue().stats().cancelled, 0u) << "seed " << seed;
   }
 }
 

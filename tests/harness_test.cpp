@@ -1,6 +1,7 @@
 // Tests for the parallel sweep runner: shared-work-index balancing under
-// skewed task durations, completeness, determinism of result slots, and
-// exception propagation out of worker threads.
+// skewed task durations, completeness, determinism of result slots,
+// exception propagation out of worker threads, and the one-thread-per-
+// event-core rule that sweep tasks rely on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "base/rng.h"
 #include "harness/parallel.h"
+#include "sim/simulator.h"
 
 namespace es2 {
 namespace {
@@ -107,6 +110,52 @@ TEST(ParallelRunner, SerialPathAlsoPropagates) {
   tasks.push_back([&ran] { ran.fetch_add(1); });
   EXPECT_THROW(ParallelRunner(1).run(std::move(tasks)), std::runtime_error);
   EXPECT_EQ(ran.load(), 2);
+}
+
+/// One sweep task's event-core work: handles held across run_until
+/// slices, copied, cancelled, and outliving their Simulator, all on the
+/// thread that runs the task. Returns the number of events fired.
+std::uint64_t run_handle_churn(std::uint64_t seed) {
+  std::vector<EventHandle> held;  // declared first: outlives `sim`
+  std::uint64_t fired = 0;
+  Simulator sim(seed);
+  Rng rng = sim.make_rng("handles");
+  for (int slice = 0; slice < 40; ++slice) {
+    for (int i = 0; i < 32; ++i) {
+      const auto delay = static_cast<SimDuration>(rng.next_below(usec(300)));
+      held.push_back(sim.after(delay, [&fired] { ++fired; }));
+    }
+    for (int i = 0; i < 8; ++i) {
+      EventHandle victim = held[rng.next_below(held.size())];
+      victim.cancel();
+    }
+    sim.run_until(sim.now() + usec(50));
+  }
+  return fired;
+}
+
+TEST(ParallelRunner, SimulatorsKeepTheirEventHandlesOnTheirWorker) {
+  // EventHandle counts references to its event core without atomics,
+  // which is sound because each sweep task builds, runs and tears down
+  // its own Simulator (and every handle into it) on one worker thread.
+  // The tsan preset runs this test: a core shared across workers would
+  // show up as a data race on that count.
+  constexpr int kSims = 6;
+  std::vector<std::uint64_t> parallel(kSims, 0);
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < kSims; ++i) {
+    tasks.push_back([&parallel, i] {
+      parallel[static_cast<size_t>(i)] =
+          run_handle_churn(static_cast<std::uint64_t>(i) + 1);
+    });
+  }
+  ParallelRunner(4).run(std::move(tasks));
+  for (int i = 0; i < kSims; ++i) {
+    const std::uint64_t serial =
+        run_handle_churn(static_cast<std::uint64_t>(i) + 1);
+    EXPECT_GT(serial, 0u);
+    EXPECT_EQ(parallel[static_cast<size_t>(i)], serial) << "sim " << i;
+  }
 }
 
 TEST(ParallelFor, CoversRange) {
