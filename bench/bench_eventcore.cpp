@@ -1,11 +1,11 @@
-// Event-core microbenchmark: the pooled calendar queue against the seed's
-// heap-of-std::function queue (kept verbatim below as `legacy::EventQueue`),
-// on the workload shapes the simulator actually produces:
+// Event-core microbenchmark: the pooled calendar queue on the workload
+// shapes the simulator actually produces, every event fired through the
+// one dispatch loop (run_until):
 //
 //   * schedule+fire churn with a rolling occupancy and realistic delay mix
 //     (mostly sub-4µs completions, some sub-ms, a tail of long timers),
-//     on the bare queue and through Simulator::at + run_until slices (the
-//     model's own dispatch entry);
+//     on the bare queue (one event per run_until call) and through
+//     Simulator::at + run_until slices (the model's own dispatch entry);
 //   * the preempted-CPU-segment pattern: schedule a completion, cancel it
 //     before it fires, reschedule (the queue's dominant cancel load);
 //   * the model's continuation pattern: a three-deep chain of wrapped
@@ -14,20 +14,18 @@
 //   * the end-to-end Fig. 4 quota sweep wall time.
 //
 // Emits BENCH_eventcore.json in the shared es2-bench-v1 schema
-// (events/sec, ns/event, allocations/event, speedup vs legacy, fig4 wall
-// seconds, queue layer counters) so the perf trajectory is tracked from
-// this PR onward. Wall-clock rates are informational (never gated);
+// (events/sec, ns/event, allocations/event, fig4 wall seconds, queue layer
+// counters). Wall-clock rates are informational (never gated);
 // allocation counts and queue-layer counters are deterministic and gated.
 // This binary links es2_alloc_hook, so allocations/event is measured, not
 // estimated.
 //
 // Usage: bench_eventcore [--fast] [--seed=N] [--out=DIR]
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,83 +43,18 @@
 #include "sim/simulator.h"
 #include "base/strings.h"
 
-namespace es2::legacy {
-
-// The seed event queue, verbatim: binary heap of (time, seq) entries, one
-// std::function + one shared_ptr<bool> control block per event, lazy
-// cancellation skimmed at the heap top. Kept here as the benchmark
-// baseline so the speedup claim stays reproducible.
-class EventHandle {
- public:
-  EventHandle() = default;
-  void cancel() {
-    if (alive_ && *alive_) *alive_ = false;
-  }
-  bool pending() const { return alive_ && *alive_; }
-
- private:
-  friend class EventQueue;
-  explicit EventHandle(std::shared_ptr<bool> alive) : alive_(std::move(alive)) {}
-  std::shared_ptr<bool> alive_;
-};
-
-class EventQueue {
- public:
-  EventQueue() = default;
-  EventHandle schedule(SimTime when, std::function<void()> fn) {
-    ES2_CHECK_MSG(when >= 0, "cannot schedule before time 0");
-    auto alive = std::make_shared<bool>(true);
-    heap_.push_back(Entry{when, next_seq_++, std::move(fn), alive});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return EventHandle(std::move(alive));
-  }
-  bool has_next() {
-    skim();
-    return !heap_.empty();
-  }
-  SimTime next_time() {
-    skim();
-    return heap_.front().when;
-  }
-  SimTime pop_and_run() {
-    skim();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry entry = std::move(heap_.back());
-    heap_.pop_back();
-    *entry.alive = false;
-    entry.fn();
-    return entry.when;
-  }
-
- private:
-  struct Entry {
-    SimTime when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> alive;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  void skim() {
-    while (!heap_.empty() && !*heap_.front().alive) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-  }
-  std::vector<Entry> heap_;
-  std::uint64_t next_seq_ = 0;
-};
-
-}  // namespace es2::legacy
-
 namespace es2 {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+
+/// Fires the earliest live event, advancing `now` to its time; false when
+/// the queue is empty.
+bool fire_next(EventQueue& q, SimTime& now) {
+  return q.run_until(kForever, /*max_events=*/1, now) == 1;
+}
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -144,11 +77,10 @@ struct ChurnResult {
   double allocs_per_event = 0;
 };
 
-/// Rolling schedule+fire churn: pop the earliest event, schedule one
+/// Rolling schedule+fire churn: fire the earliest event, schedule one
 /// replacement, keeping a steady occupancy like a running simulation.
-template <typename Queue>
 ChurnResult run_fire_churn(std::int64_t target_fires, std::uint64_t seed) {
-  Queue q;
+  EventQueue q;
   Rng rng = Rng::stream(seed, "eventcore-fire");
   SimTime now = 0;
   std::int64_t side_effect = 0;
@@ -159,7 +91,7 @@ ChurnResult run_fire_churn(std::int64_t target_fires, std::uint64_t seed) {
   const std::int64_t alloc0 = test::allocation_count();
   const auto start = Clock::now();
   for (std::int64_t fired = 0; fired < target_fires; ++fired) {
-    now = q.pop_and_run();
+    fire_next(q, now);
     q.schedule(now + next_delay(rng), [&side_effect] { ++side_effect; });
   }
   const double elapsed = seconds_since(start);
@@ -207,9 +139,8 @@ ChurnResult run_simulator_churn(std::int64_t target_fires, std::uint64_t seed) {
 
 /// The preempted-segment pattern: schedule a completion, usually cancel
 /// it before it fires and rearm. 4 of 5 completions are cancelled.
-template <typename Queue>
 ChurnResult run_cancel_churn(std::int64_t target_ops, std::uint64_t seed) {
-  Queue q;
+  EventQueue q;
   Rng rng = Rng::stream(seed, "eventcore-cancel");
   SimTime now = 0;
   std::int64_t side_effect = 0;
@@ -224,12 +155,9 @@ ChurnResult run_cancel_churn(std::int64_t target_ops, std::uint64_t seed) {
       ++ops;
     }
     // Drain a little so live events fire and time advances.
-    if (ops % 8 == 0 && q.has_next()) {
-      now = q.pop_and_run();
-      ++ops;
-    }
+    if (ops % 8 == 0 && fire_next(q, now)) ++ops;
   }
-  while (q.has_next()) q.pop_and_run();
+  q.run_until(kForever, std::numeric_limits<std::uint64_t>::max(), now);
   const double elapsed = seconds_since(start);
   const std::int64_t allocs = test::allocation_count() - alloc0;
   ChurnResult r;
@@ -343,7 +271,7 @@ EventQueueStats layer_stats(std::uint64_t seed) {
     q.schedule(now + next_delay(rng), [&sink] { ++sink; });
   }
   for (int i = 0; i < 200000; ++i) {
-    now = q.pop_and_run();
+    fire_next(q, now);
     auto h = q.schedule(now + next_delay(rng), [&sink] { ++sink; });
     if (rng.next_u64() % 3 == 0) {
       h.cancel();
@@ -359,18 +287,15 @@ int bench_main(int argc, char** argv) {
   const std::uint64_t seed = args.seed;
 
   std::printf("================================================================\n");
-  std::printf("eventcore — pooled calendar queue vs seed heap+std::function\n");
+  std::printf("eventcore — pooled calendar queue\n");
   std::printf("================================================================\n");
 
   const std::int64_t fires = fast ? 300000 : 3000000;
   const std::int64_t cancel_ops = fast ? 300000 : 3000000;
 
-  const ChurnResult fire_new = run_fire_churn<EventQueue>(fires, seed);
-  const ChurnResult fire_old = run_fire_churn<legacy::EventQueue>(fires, seed);
+  const ChurnResult fire_new = run_fire_churn(fires, seed);
   const ChurnResult fire_sim = run_simulator_churn(fires, seed);
-  const ChurnResult cancel_new = run_cancel_churn<EventQueue>(cancel_ops, seed);
-  const ChurnResult cancel_old =
-      run_cancel_churn<legacy::EventQueue>(cancel_ops, seed);
+  const ChurnResult cancel_new = run_cancel_churn(cancel_ops, seed);
   const ChurnResult chain = run_continuation_chain(fires);
   const ChurnResult packets = run_packet_make_release(fires);
 
@@ -380,16 +305,11 @@ int bench_main(int argc, char** argv) {
                fixed(r.ns_per_event, 1), fixed(r.allocs_per_event, 4)});
   };
   row("schedule+fire", "pooled", fire_new);
-  row("schedule+fire", "legacy", fire_old);
-  row("schedule+fire", "run_until", fire_sim);
+  row("schedule+fire", "simulator", fire_sim);
   row("cancel churn", "pooled", cancel_new);
-  row("cancel churn", "legacy", cancel_old);
   row("continuation chain", "pooled", chain);
   row("packet make+release", "pooled", packets);
   std::printf("%s", t.render().c_str());
-  std::printf("speedup: schedule+fire %.2fx, cancel churn %.2fx\n",
-              fire_new.events_per_sec / fire_old.events_per_sec,
-              cancel_new.events_per_sec / cancel_old.events_per_sec);
 
   const EventQueueStats stats = layer_stats(seed);
   std::printf(
@@ -415,16 +335,10 @@ int bench_main(int argc, char** argv) {
     report.add(p + "allocs_per_event", r.allocs_per_event, 0.1);
   };
   add_churn("schedule_fire_pooled", fire_new);
-  add_churn("schedule_fire_legacy", fire_old);
   add_churn("simulator_run_until", fire_sim);
   add_churn("cancel_churn_pooled", cancel_new);
-  add_churn("cancel_churn_legacy", cancel_old);
   add_churn("continuation_chain_pooled", chain);
   add_churn("packet_make_release", packets);
-  report.add_info("speedup_schedule_fire",
-                  fire_new.events_per_sec / fire_old.events_per_sec);
-  report.add_info("speedup_cancel_churn",
-                  cancel_new.events_per_sec / cancel_old.events_per_sec);
   report.add_info("fig4_sweep_wall_seconds", fig4_s);
   report.add("layers.near_hits", static_cast<double>(stats.near_hits));
   report.add("layers.wheel_hits", static_cast<double>(stats.wheel_hits));

@@ -1,6 +1,6 @@
 // Snapshot microbench — what does the robustness layer cost and carry?
 //
-// Not a paper figure: this bench characterizes the es2-snap-v1 layer. It
+// Not a paper figure: this bench characterizes the es2-snap-v2 layer. It
 // builds the canonical micro testbed (PI+H+R, one netperf TCP stream),
 // runs it warm with epoch hashing on, and reports:
 //
@@ -39,7 +39,7 @@ std::string key_of(const std::string& component) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = parse_args(argc, argv);
-  print_header("Snapshot", "es2-snap-v1 image size and hashing cost");
+  print_header("Snapshot", "es2-snap-v2 image size and hashing cost");
 
   TestbedOptions to;
   to.config = Es2Config::pi_h_r();
@@ -70,11 +70,7 @@ int main(int argc, char** argv) {
   Table t({"component", "bytes", "hash"});
   for (std::size_t i = 0; i < w.sections().size(); ++i) {
     const SnapshotWriter::Section& s = w.sections()[i];
-    // The trailing section stays open until the next begin_section, so its
-    // recorded size is 0 — its payload runs to the end of the buffer.
-    const std::size_t end =
-        (i + 1 == w.sections().size()) ? w.byte_size() : s.offset + s.size;
-    const std::size_t size = end - s.offset;
+    const std::size_t size = w.section_size(i);
     report.add("bytes." + key_of(s.name), static_cast<double>(size), 0.0);
     const std::string hex = format("%016llx", static_cast<unsigned long long>(
                                                   w.section_hash(i)));

@@ -279,12 +279,11 @@ int main(int argc, char** argv) {
       require(ron.report.ok(), cell + "on: " + ron.report.to_line());
       report.add(cell + "off.ok", roff.acceptable() ? 1.0 : 0.0, 0.0);
       report.add(cell + "on.ok", ron.report.ok() ? 1.0 : 0.0, 0.0);
-      // Counts are deterministic per seed; the wide tolerance absorbs
-      // deliberate recalibration, not nondeterminism.
+      // Counts are deterministic per seed: gated exactly.
       report.add(cell + "off.established",
-                 static_cast<double>(roff.established), 0.5);
+                 static_cast<double>(roff.established), 0.0);
       report.add(cell + "on.established",
-                 static_cast<double>(ron.established), 0.5);
+                 static_cast<double>(ron.established), 0.0);
       report.add(cell + "on.max_rung",
                  static_cast<double>(ron.overload_max_rung), 0.0);
       if (!ramp_list[p].collapses) {
@@ -314,10 +313,10 @@ int main(int argc, char** argv) {
                      cell.c_str(), retained,
                      static_cast<long long>(ron.established),
                      static_cast<long long>(roff.established)));
-      report.add(cell + "retention_x", retained, 0.5);
+      report.add(cell + "retention_x", retained, 0.0);
       report.add(cell + "off.livelocked", roff.livelocked ? 1.0 : 0.0, 0.0);
       report.add(cell + "on.episodes_recovered",
-                 static_cast<double>(ron.episodes_recovered), 0.5);
+                 static_cast<double>(ron.episodes_recovered), 0.0);
       report.add_info(cell + "on.mttr_p50_us", ron.mttr_p50 / 1e3);
     }
   }

@@ -9,7 +9,7 @@ PollModeDriverTask::PollModeDriverTask(GuestOs& os, VirtioNetFrontend& dev,
     : GuestTask(os, "poll-mode-driver", vcpu_affinity), dev_(dev),
       params_(params) {
   // Interrupt substitution: the device never interrupts again.
-  dev.backend().rx_vq().disable_interrupts();
+  dev.backend().rx_vq(0).disable_interrupts();
 }
 
 double PollModeDriverTask::wasted_fraction() const {
@@ -21,7 +21,7 @@ double PollModeDriverTask::wasted_fraction() const {
 void PollModeDriverTask::run_unit(Vcpu& vcpu) {
   // One poll probe per scheduling turn; bursts drain up to `burst` packets.
   vcpu.guest_exec(params_.probe, [this, &vcpu] {
-    Virtqueue& rx = dev_.backend().rx_vq();
+    Virtqueue& rx = dev_.backend().rx_vq(0);
     // Keep interrupts off even if NAPI-style code re-enabled them.
     rx.disable_interrupts();
     if (rx.used_count() == 0) {
@@ -34,7 +34,7 @@ void PollModeDriverTask::run_unit(Vcpu& vcpu) {
 }
 
 void PollModeDriverTask::consume_one(Vcpu& vcpu, int budget_left) {
-  Virtqueue& rx = dev_.backend().rx_vq();
+  Virtqueue& rx = dev_.backend().rx_vq(0);
   auto entry = rx.pop_used();
   if (!entry || budget_left <= 0) {
     // Refill what we consumed so the backend never starves for buffers.
@@ -51,7 +51,7 @@ void PollModeDriverTask::consume_one(Vcpu& vcpu, int budget_left) {
           static_cast<Cycles>(added) * os().params().rx_refill_per_buffer;
       vcpu.guest_exec(cost, [this, &vcpu, kick] {
         if (kick) {
-          vcpu.guest_io_kick([this] { dev_.backend().notify_rx(); },
+          vcpu.guest_io_kick([this] { dev_.backend().notify_rx(0); },
                              [this, &vcpu] { os().task_done(vcpu); });
           return;
         }

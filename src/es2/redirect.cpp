@@ -173,22 +173,20 @@ void InterruptRedirector::snapshot_state(SnapshotWriter& w) const {
     for (int v = 0; v < vm.num_vcpus(); ++v) w.put_i64(t.interrupts(v));
     w.put_i64(t.transitions());
   }
-  if (per_queue_affinity_) {
-    // Appended only when the multi-queue affinity extension is on, so the
-    // default stacks keep their exact es2-snap-v1 byte layout. Same host-
-    // order walk; the per-VM vector map is ordered by vector number.
-    for (int i = 0; i < host_.num_vms(); ++i) {
-      Vm& vm = host_.vm(i);
-      if (!tracks(vm)) continue;
-      const auto vm_it = vector_sticky_.find(&vm);
-      const std::size_t entries =
-          vm_it == vector_sticky_.end() ? 0 : vm_it->second.size();
-      w.put_u32(static_cast<std::uint32_t>(entries));
-      if (vm_it == vector_sticky_.end()) continue;
-      for (const auto& [vector, target] : vm_it->second) {
-        w.put_u32(static_cast<std::uint32_t>(vector));
-        w.put_u32(static_cast<std::uint32_t>(target));
-      }
+  // Per-queue affinity targets (empty unless the multi-queue affinity
+  // extension is on). Same host-order walk; the per-VM vector map is
+  // ordered by vector number.
+  for (int i = 0; i < host_.num_vms(); ++i) {
+    Vm& vm = host_.vm(i);
+    if (!tracks(vm)) continue;
+    const auto vm_it = vector_sticky_.find(&vm);
+    const std::size_t entries =
+        vm_it == vector_sticky_.end() ? 0 : vm_it->second.size();
+    w.put_u32(static_cast<std::uint32_t>(entries));
+    if (vm_it == vector_sticky_.end()) continue;
+    for (const auto& [vector, target] : vm_it->second) {
+      w.put_u32(static_cast<std::uint32_t>(vector));
+      w.put_u32(static_cast<std::uint32_t>(target));
     }
   }
 }

@@ -90,9 +90,9 @@ class RecoveryLog : public Snapshottable {
   /// recovery.mttr_ns histograms (recorded at close time).
   void register_metrics(MetricsRegistry& registry);
 
-  /// Serializes the full ledger (Snapshottable shape; registered by the
-  /// testbed only when lifecycle faults are armed, so faults-off worlds
-  /// keep their exact section layout).
+  /// Serializes the full ledger except the trace correlation ids
+  /// (Snapshottable shape; the testbed builds and registers the ledger
+  /// only when lifecycle faults or overload mitigation are armed).
   void snapshot_state(SnapshotWriter& w) const override;
 
  private:

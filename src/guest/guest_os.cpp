@@ -167,9 +167,7 @@ void GuestOs::register_metrics(MetricsRegistry& registry) {
 void GuestOs::snapshot_state(SnapshotWriter& w) const {
   snapshot_rng(w, rng_);
   w.put_i64(unknown_flow_);
-  // Detector input, meaningful only when the overload ladder is armed;
-  // gating it keeps every pre-overload image byte-identical.
-  if (params_.overload_mitigation) w.put_i64(app_progress_);
+  w.put_i64(app_progress_);
   w.put_u32(static_cast<std::uint32_t>(rr_cursor_.size()));
   for (std::uint64_t c : rr_cursor_) w.put_u64(c);
   w.put_u32(static_cast<std::uint32_t>(tasks_.size()));

@@ -580,7 +580,8 @@ void VirtioNetFrontend::add_tx_waiter(GuestTask& task) {
 }
 
 void VirtioNetFrontend::register_metrics(MetricsRegistry& registry) {
-  MetricLabels labels = {{"vm", os_.vm().name()}};
+  const std::string& vm = os_.vm().name();
+  MetricLabels labels = {{"vm", vm}};
   registry.probe("guest.net.kicks", labels, [this] {
     return static_cast<double>(kicks_);
   });
@@ -596,21 +597,37 @@ void VirtioNetFrontend::register_metrics(MetricsRegistry& registry) {
   registry.probe("guest.net.rx_watchdog_polls", labels, [this] {
     return static_cast<double>(rx_watchdog_polls_);
   });
-}
-
-void VirtioNetFrontend::register_lifecycle_metrics(MetricsRegistry& registry) {
-  const std::string vm = os_.vm().name();
-  registry.probe("recovery.watchdog", {{"vm", vm}, {"cause", "tx_rekick"}},
-                 [this] { return static_cast<double>(tx_watchdog_kicks_); });
-  registry.probe("recovery.watchdog", {{"vm", vm}, {"cause", "napi_poll"}},
-                 [this] { return static_cast<double>(rx_watchdog_polls_); });
-  MetricLabels labels = {{"vm", vm}};
-  registry.probe("guest.net.ladder_queue_resets", labels, [this] {
-    return static_cast<double>(ladder_queue_resets_);
-  });
-  registry.probe("guest.net.ladder_device_resets", labels, [this] {
-    return static_cast<double>(ladder_device_resets_);
-  });
+  // Lifecycle telemetry joins when the device's self-check is armed
+  // (lifecycle fault drills), overload telemetry with the ksoftirqd task.
+  if (backend_.lifecycle_selfcheck_armed()) {
+    registry.probe("recovery.watchdog", {{"vm", vm}, {"cause", "tx_rekick"}},
+                   [this] { return static_cast<double>(tx_watchdog_kicks_); });
+    registry.probe("recovery.watchdog", {{"vm", vm}, {"cause", "napi_poll"}},
+                   [this] { return static_cast<double>(rx_watchdog_polls_); });
+    registry.probe("guest.net.ladder_queue_resets", labels, [this] {
+      return static_cast<double>(ladder_queue_resets_);
+    });
+    registry.probe("guest.net.ladder_device_resets", labels, [this] {
+      return static_cast<double>(ladder_device_resets_);
+    });
+  }
+  if (ksoftirqd_ != nullptr) {
+    registry.probe("guest.net.overload.rung", labels, [this] {
+      return static_cast<double>(overload_rung_);
+    });
+    registry.probe("guest.net.overload.max_rung", labels, [this] {
+      return static_cast<double>(overload_max_rung_);
+    });
+    registry.probe("guest.net.overload.livelock_detections", labels, [this] {
+      return static_cast<double>(livelock_detections_);
+    });
+    registry.probe("guest.net.overload.ksoftirqd_defers", labels, [this] {
+      return static_cast<double>(ksoftirqd_defers_);
+    });
+    registry.probe("guest.net.overload.ksoftirqd_polls", labels, [this] {
+      return static_cast<double>(ksoftirqd_polls_);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -782,26 +799,27 @@ void VirtioNetFrontend::ksoftirqd_finish(Vcpu& vcpu, int pair) {
   });
 }
 
-void VirtioNetFrontend::register_overload_metrics(MetricsRegistry& registry) {
-  MetricLabels labels = {{"vm", os_.vm().name()}};
-  registry.probe("guest.net.overload.rung", labels, [this] {
-    return static_cast<double>(overload_rung_);
-  });
-  registry.probe("guest.net.overload.max_rung", labels, [this] {
-    return static_cast<double>(overload_max_rung_);
-  });
-  registry.probe("guest.net.overload.livelock_detections", labels, [this] {
-    return static_cast<double>(livelock_detections_);
-  });
-  registry.probe("guest.net.overload.ksoftirqd_defers", labels, [this] {
-    return static_cast<double>(ksoftirqd_defers_);
-  });
-  registry.probe("guest.net.overload.ksoftirqd_polls", labels, [this] {
-    return static_cast<double>(ksoftirqd_polls_);
-  });
-}
-
-void VirtioNetFrontend::snapshot_overload_state(SnapshotWriter& w) const {
+void VirtioNetFrontend::snapshot_state(SnapshotWriter& w) const {
+  w.put_u32(static_cast<std::uint32_t>(tx_waiters_.size()));
+  w.put_i64(tx_stops_);
+  w.put_i64(rx_polled_);
+  w.put_i64(kicks_);
+  w.put_i64(tx_watchdog_kicks_);
+  w.put_i64(rx_watchdog_polls_);
+  for (std::size_t i = 0; i < napi_scheduled_.size(); ++i) {
+    w.put_bool(napi_scheduled_[i]);
+    w.put_i64(watchdog_last_used_[i]);
+    w.put_u32(static_cast<std::uint32_t>(watchdog_strikes_[i]));
+    w.put_i64(rx_watchdog_last_polled_[i]);
+    w.put_u32(static_cast<std::uint32_t>(rx_watchdog_strikes_[i]));
+    w.put_i64(rx_polled_by_pair_[i]);
+    w.put_bool(ksoftirqd_pending_[i] != 0);
+  }
+  for (int recent : ladder_recent_) {
+    w.put_u32(static_cast<std::uint32_t>(recent));
+  }
+  w.put_i64(ladder_queue_resets_);
+  w.put_i64(ladder_device_resets_);
   w.put_u32(static_cast<std::uint32_t>(overload_rung_));
   w.put_u32(static_cast<std::uint32_t>(overload_max_rung_));
   w.put_u32(static_cast<std::uint32_t>(overload_strikes_));
@@ -812,41 +830,6 @@ void VirtioNetFrontend::snapshot_overload_state(SnapshotWriter& w) const {
   w.put_i64(livelock_detections_);
   w.put_i64(ksoftirqd_defers_);
   w.put_i64(ksoftirqd_polls_);
-  for (char pend : ksoftirqd_pending_) w.put_bool(pend != 0);
-}
-
-void VirtioNetFrontend::snapshot_lifecycle_state(SnapshotWriter& w) const {
-  for (int recent : ladder_recent_) {
-    w.put_u32(static_cast<std::uint32_t>(recent));
-  }
-  w.put_i64(ladder_queue_resets_);
-  w.put_i64(ladder_device_resets_);
-}
-
-void VirtioNetFrontend::snapshot_state(SnapshotWriter& w) const {
-  // Pair 0 keeps the exact pre-MQ field order (and therefore byte layout);
-  // additional pairs append their state only when negotiated, so
-  // single-queue images are bit-identical to older ones.
-  w.put_bool(napi_scheduled_[0]);
-  w.put_u32(static_cast<std::uint32_t>(tx_waiters_.size()));
-  w.put_i64(tx_stops_);
-  w.put_i64(rx_polled_);
-  w.put_i64(kicks_);
-  w.put_i64(watchdog_last_used_[0]);
-  w.put_u32(static_cast<std::uint32_t>(watchdog_strikes_[0]));
-  w.put_i64(tx_watchdog_kicks_);
-  w.put_i64(rx_watchdog_last_polled_[0]);
-  w.put_u32(static_cast<std::uint32_t>(rx_watchdog_strikes_[0]));
-  w.put_i64(rx_watchdog_polls_);
-  for (int pair = 1; pair < backend_.num_queue_pairs(); ++pair) {
-    const auto i = static_cast<std::size_t>(pair);
-    w.put_bool(napi_scheduled_[i]);
-    w.put_i64(watchdog_last_used_[i]);
-    w.put_u32(static_cast<std::uint32_t>(watchdog_strikes_[i]));
-    w.put_i64(rx_watchdog_last_polled_[i]);
-    w.put_u32(static_cast<std::uint32_t>(rx_watchdog_strikes_[i]));
-    w.put_i64(rx_polled_by_pair_[i]);
-  }
 }
 
 }  // namespace es2

@@ -93,33 +93,15 @@ class VirtioNetFrontend {
   VhostNetBackend& backend() { return backend_; }
 
   /// Registers driver telemetry — kicks, NAPI polls, queue stops, watchdog
-  /// recoveries (label vm=<name>).
+  /// recoveries (label vm=<name>) — plus the per-cause watchdog and ladder
+  /// counters when the device's lifecycle self-check is armed, and the
+  /// overload detector/ladder counters when overload mitigation is.
   void register_metrics(MetricsRegistry& registry);
 
-  /// Serializes NAPI scheduling state and the TX/RX watchdog counters.
-  /// Embedded in the owning GuestOs's snapshot section.
+  /// Serializes NAPI scheduling state, the TX/RX watchdog counters, the
+  /// recovery-ladder state and the overload detector/ladder state, every
+  /// queue pair alike. Embedded in the owning GuestOs's snapshot section.
   void snapshot_state(SnapshotWriter& w) const;
-
-  /// Per-cause watchdog recovery counters (tx_rekick / napi_poll) plus the
-  /// ladder counters; registered by the harness only when lifecycle faults
-  /// are armed so the frozen instrument set stays unchanged elsewhere.
-  void register_lifecycle_metrics(MetricsRegistry& registry);
-
-  /// Serializes ladder state. Separate from snapshot_state (which is
-  /// embedded in the GuestOs section) so faults-off images keep their
-  /// exact byte layout; registered as its own section when lifecycle
-  /// faults are armed.
-  void snapshot_lifecycle_state(SnapshotWriter& w) const;
-
-  /// Overload detector/ladder telemetry (label vm=<name>); registered by
-  /// the harness only when overload mitigation is armed so the frozen
-  /// instrument set stays unchanged elsewhere.
-  void register_overload_metrics(MetricsRegistry& registry);
-
-  /// Serializes detector + ladder + ksoftirqd state; registered as its own
-  /// side section only when overload mitigation is armed (same discipline
-  /// as snapshot_lifecycle_state).
-  void snapshot_overload_state(SnapshotWriter& w) const;
 
  private:
   /// Status-register bring-up shared by the constructor and the device-
@@ -167,9 +149,7 @@ class VirtioNetFrontend {
 
   GuestOs& os_;
   VhostNetBackend& backend_;
-  // Per-queue-pair NAPI/watchdog state (index = pair). Single-queue
-  // devices only ever touch index 0, which keeps their snapshot bytes and
-  // event sequences identical to the pre-MQ driver.
+  // Per-queue-pair NAPI/watchdog state (index = pair).
   std::vector<bool> napi_scheduled_;
   std::vector<GuestTask*> tx_waiters_;
   std::vector<GuestTask*> waking_;  // wake_tx_waiters' reused swap buffer
@@ -192,15 +172,15 @@ class VirtioNetFrontend {
   // locals, to keep the tick allocation-free).
   std::vector<char> watchdog_tx_stalled_;
   std::vector<char> watchdog_rx_stalled_;
-  // Recovery-ladder state (snapshot via snapshot_lifecycle_state only):
-  // queue resets performed per flat queue index within the current
-  // DEVICE_NEEDS_RESET episode (decays once the device reports healthy).
+  // Recovery-ladder state: queue resets performed per flat queue index
+  // within the current DEVICE_NEEDS_RESET episode (decays once the device
+  // reports healthy).
   std::vector<int> ladder_recent_;
   std::int64_t ladder_queue_resets_ = 0;
   std::int64_t ladder_device_resets_ = 0;
-  // Overload state (snapshot via snapshot_overload_state only; the task
-  // exists only when GuestParams::overload_mitigation is set, so unarmed
-  // worlds keep their task list, schedules and snapshot bytes unchanged).
+  // Overload state. The task exists only when
+  // GuestParams::overload_mitigation is set: it joins the guest's task
+  // list, and with it the round-robin schedule.
   std::unique_ptr<GuestTask> ksoftirqd_;
   std::vector<char> ksoftirqd_pending_;
   int overload_rung_ = 0;

@@ -62,17 +62,10 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
 
   // The recovery ledger has two clients: lifecycle fault drills and the
   // receive-livelock admission ladder (overload mitigation). Either one
-  // arms it; default-off runs build none, keeping the snapshot section
-  // set and instrument set byte-identical to the pre-overload era.
+  // arms it; default-off runs build none.
   if (o.faults.lifecycle_enabled() || o.guest_params.overload_mitigation) {
     recovery_log_ = std::make_unique<RecoveryLog>();
     backend_->set_recovery_log(recovery_log_.get());
-  }
-  if (o.guest_params.overload_mitigation) {
-    // Overload worlds carry the ladder's link fields in their snapshots;
-    // everything else keeps the pre-overload image byte layout.
-    link_->a_to_b.arm_overload_snapshot();
-    link_->b_to_a.arm_overload_snapshot();
   }
 
   if (o.faults.enabled()) {
@@ -143,33 +136,7 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   if (es2_->redirector())
     snapshotter_.add("es2.redirector", *es2_->redirector());
   if (faults_) snapshotter_.add("fault", *faults_);
-  if (recovery_log_) {
-    // Side-sections: the base layout of every pre-existing section is
-    // untouched; these only exist when the corresponding mode (lifecycle
-    // faults, overload mitigation) is armed.
-    auto side = [this](std::string name, FnSnapshottable::Fn fn) {
-      lifecycle_sections_.push_back(
-          std::make_unique<FnSnapshottable>(std::move(fn)));
-      snapshotter_.add(std::move(name), *lifecycle_sections_.back());
-    };
-    if (o.faults.lifecycle_enabled()) {
-      side("vhost-worker/lifecycle", [this](SnapshotWriter& w) {
-        worker_->snapshot_lifecycle_state(w);
-      });
-      side("vhost/vm0/lifecycle", [this](SnapshotWriter& w) {
-        backend_->snapshot_lifecycle_state(w);
-      });
-      side("guest/vm0/net.lifecycle", [this](SnapshotWriter& w) {
-        frontend_->snapshot_lifecycle_state(w);
-      });
-    }
-    if (o.guest_params.overload_mitigation) {
-      side("guest/vm0/net.overload", [this](SnapshotWriter& w) {
-        frontend_->snapshot_overload_state(w);
-      });
-    }
-    snapshotter_.add("recovery", *recovery_log_);
-  }
+  if (recovery_log_) snapshotter_.add("recovery", *recovery_log_);
 
   register_all_metrics();
   if (o.metrics.enabled) {
@@ -227,11 +194,6 @@ void Testbed::register_all_metrics() {
   for (auto& guest : guests_) guest->register_metrics(registry_);
   worker_->register_metrics(registry_);
   backend_->register_metrics(registry_);
-  // Poll counters exist only when a polling mode is armed, keeping the
-  // frozen instrument set of notify-mode runs unchanged.
-  if (options_.poll_mode != PollMode::kNotify) {
-    worker_->register_poll_metrics(registry_);
-  }
   link_->a_to_b.register_metrics(registry_, "vm_to_peer");
   link_->b_to_a.register_metrics(registry_, "peer_to_vm");
   // Canonical drops{cause=...} family, wire rows. Always on: a drop that
@@ -240,17 +202,8 @@ void Testbed::register_all_metrics() {
   link_->b_to_a.register_drop_metrics(registry_, "peer_to_vm");
   if (faults_) faults_->register_metrics(registry_);
   if (recovery_log_) recovery_log_->register_metrics(registry_);
-  if (options_.faults.lifecycle_enabled()) {
-    worker_->register_lifecycle_metrics(registry_);
-    backend_->register_lifecycle_metrics(registry_);
-    frontend_->register_lifecycle_metrics(registry_);
-  }
-  if (options_.guest_params.overload_mitigation) {
-    frontend_->register_overload_metrics(registry_);
-  }
 
-  // Epoch-hash position probes. Registered only when hashing is on, so a
-  // hash-off registry snapshot is byte-identical to the pre-snapshot era.
+  // Epoch-hash position probes, registered only when hashing is on.
   if (options_.snapshot.hash_epochs) {
     registry_.probe("snapshot.epochs", [this] {
       return hash_log_ ? static_cast<double>(hash_log_->epochs()) : 0.0;

@@ -163,10 +163,6 @@ class Testbed {
   std::vector<std::unique_ptr<CpuBurnTask>> burn_tasks_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<RecoveryLog> recovery_log_;
-  // Adapters exposing mode-gated state (lifecycle drill state, overload
-  // ladder state) as their own snapshot sections — registered only when
-  // the mode is armed, keeping the base section layout byte-identical.
-  std::vector<std::unique_ptr<FnSnapshottable>> lifecycle_sections_;
   std::unique_ptr<InvariantAuditor> auditor_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<Profiler> profiler_;

@@ -65,13 +65,9 @@ void Link::snapshot_state(SnapshotWriter& w) const {
   w.put_i64(packets_.value());
   w.put_i64(bytes_.value());
   w.put_i64(dropped_.value());
-  // Overload-ladder fields append only when armed (overload mitigation
-  // on): default worlds keep the pre-overload byte layout.
-  if (snapshot_overload_) {
-    w.put_u32(static_cast<std::uint32_t>(backpressure_keep_));
-    w.put_u64(backpressure_seq_);
-    w.put_i64(shed_.value());
-  }
+  w.put_u32(static_cast<std::uint32_t>(backpressure_keep_));
+  w.put_u64(backpressure_seq_);
+  w.put_i64(shed_.value());
 }
 
 void Link::register_metrics(MetricsRegistry& registry,

@@ -65,15 +65,10 @@ class Link : public Snapshottable {
   void register_drop_metrics(MetricsRegistry& registry,
                              const std::string& direction);
 
-  /// Serializes serializer occupancy (line_free_at, in-flight count) and
-  /// lifetime wire counters.
+  /// Serializes serializer occupancy (line_free_at, in-flight count),
+  /// lifetime wire counters and the backpressure state (admission ratio,
+  /// sequence, shed count).
   void snapshot_state(SnapshotWriter& w) const override;
-
-  /// Appends the overload-ladder fields (backpressure config/sequence,
-  /// shed count) to snapshot_state. Armed by the testbed only when
-  /// overload mitigation is on, so every pre-overload world keeps its
-  /// exact snapshot byte layout.
-  void arm_overload_snapshot() { snapshot_overload_ = true; }
 
  private:
   SimDuration serialization_delay(Bytes size) const;
@@ -87,7 +82,6 @@ class Link : public Snapshottable {
   int in_flight_ = 0;         // delivery events scheduled, not yet fired
   int backpressure_keep_ = 0;       // admit 1-in-N while > 1 (0/1 = off)
   std::uint64_t backpressure_seq_ = 0;
-  bool snapshot_overload_ = false;
   Counter packets_;
   Counter bytes_;
   Counter dropped_;

@@ -311,12 +311,5 @@ std::uint64_t EventCore::run_until(SimTime deadline,
   return executed;
 }
 
-SimTime EventCore::pop_and_run() {
-  ES2_CHECK_MSG(live_ > 0, "pop_and_run on empty queue");
-  const HeapKey k = next_key();
-  fire(k);
-  return k.when;
-}
-
 }  // namespace detail
 }  // namespace es2

@@ -198,18 +198,12 @@ class EventCore {
            record(slot).gen == gen;
   }
 
-  bool has_next() const { return live_ > 0; }
-
   /// Fires events in (when, seq) order until none is left, the earliest
   /// lies past `deadline`, or `max_events` have fired. `now` is set to
   /// each event's time before its callback runs. Returns the number of
   /// events fired.
   std::uint64_t run_until(SimTime deadline, std::uint64_t max_events,
                           SimTime& now);
-
-  /// Fires the earliest live event and returns its time; has_next() must
-  /// be true.
-  SimTime pop_and_run();
 
   std::size_t live() const { return live_; }
   const EventQueueStats& stats() const { return stats_; }
@@ -365,17 +359,11 @@ class EventQueue {
     return EventHandle(core_, slot, r.gen);
   }
 
-  /// True if a live (non-cancelled) event remains.
-  bool has_next() const { return core_->has_next(); }
-
   /// The dispatch loop: see detail::EventCore::run_until.
   std::uint64_t run_until(SimTime deadline, std::uint64_t max_events,
                           SimTime& now) {
     return core_->run_until(deadline, max_events, now);
   }
-
-  /// Pops and runs the earliest live event, returning its time.
-  SimTime pop_and_run() { return core_->pop_and_run(); }
 
   /// Live (scheduled, not cancelled) events.
   size_t size() const { return core_->live(); }

@@ -47,12 +47,14 @@ void SnapshotWriter::put_string(std::string_view s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-std::uint64_t SnapshotWriter::section_hash(std::size_t i) const {
+std::size_t SnapshotWriter::section_size(std::size_t i) const {
   const Section& s = sections_[i];
-  const std::size_t end =
-      (section_open_ && i + 1 == sections_.size()) ? buf_.size()
-                                                   : s.offset + s.size;
-  return fnv1a(buf_.data() + s.offset, end - s.offset);
+  return section_open_ && i + 1 == sections_.size() ? buf_.size() - s.offset
+                                                    : s.size;
+}
+
+std::uint64_t SnapshotWriter::section_hash(std::size_t i) const {
+  return fnv1a(buf_.data() + sections_[i].offset, section_size(i));
 }
 
 std::uint64_t SnapshotWriter::world_hash() const {
@@ -80,14 +82,11 @@ std::string SnapshotWriter::serialize() const {
   append_u32(static_cast<std::uint32_t>(sections_.size()));
   for (std::size_t i = 0; i < sections_.size(); ++i) {
     const Section& s = sections_[i];
-    const std::size_t end =
-        (section_open_ && i + 1 == sections_.size()) ? buf_.size()
-                                                     : s.offset + s.size;
+    const std::size_t size = section_size(i);
     append_u32(static_cast<std::uint32_t>(s.name.size()));
     out.append(s.name);
-    append_u64(end - s.offset);
-    out.append(reinterpret_cast<const char*>(buf_.data()) + s.offset,
-               end - s.offset);
+    append_u64(size);
+    out.append(reinterpret_cast<const char*>(buf_.data()) + s.offset, size);
   }
   append_u64(fnv1a(out.data(), out.size()));
   return out;

@@ -1,4 +1,4 @@
-// Versioned, byte-stable state serialization (es2-snap-v1).
+// Versioned, byte-stable state serialization (es2-snap-v2).
 //
 // The snapshot layer is the substrate for three robustness features:
 // epoch state-hashing (a per-epoch digest of every stateful component,
@@ -16,7 +16,12 @@
 //  * iteration orders are deterministic (never an unordered_map walk);
 //  * the file is framed into named sections — one per component — so a
 //    reader can skip unknown sections and a hasher can digest each
-//    component independently.
+//    component independently;
+//  * a section always carries all of its component's state, whatever
+//    modes the run arms: a mode adds sections only for components that
+//    exist only in that mode (fault injector, recovery ledger).
+//
+// A reader rejects any version but its own.
 //
 // Pending simulator events are NOT serialized: callbacks capture arbitrary
 // closures. Restore instead re-executes deterministically — a world
@@ -27,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,30 +67,16 @@ class Snapshottable {
   virtual void snapshot_state(SnapshotWriter& w) const = 0;
 };
 
-/// Adapts a serialization closure to the Snapshottable interface — used
-/// for optional side-sections (e.g. device-lifecycle state) that are
-/// registered only in the scenarios that arm them, so the base section
-/// layout of every existing world stays byte-identical.
-class FnSnapshottable : public Snapshottable {
- public:
-  using Fn = std::function<void(SnapshotWriter&)>;
-  explicit FnSnapshottable(Fn fn) : fn_(std::move(fn)) {}
-  void snapshot_state(SnapshotWriter& w) const override { fn_(w); }
-
- private:
-  Fn fn_;
-};
-
 /// Accumulates named sections of fixed-width little-endian fields.
 class SnapshotWriter {
  public:
   static constexpr char kMagic[8] = {'e', 's', '2', 's', 'n', 'a', 'p', '1'};
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   struct Section {
     std::string name;
     std::size_t offset = 0;  // payload start in buf_
-    std::size_t size = 0;    // payload length
+    std::size_t size = 0;    // payload length once closed; see section_size
   };
 
   /// Opens a named section; fields written until the next begin_section
@@ -106,6 +96,9 @@ class SnapshotWriter {
 
   const std::vector<Section>& sections() const { return sections_; }
 
+  /// Payload length of section `i`, including the still-open last one.
+  std::size_t section_size(std::size_t i) const;
+
   /// FNV-1a digest of section `i`'s payload bytes.
   std::uint64_t section_hash(std::size_t i) const;
 
@@ -113,7 +106,7 @@ class SnapshotWriter {
   /// worlds with identical component states produce identical hashes.
   std::uint64_t world_hash() const;
 
-  /// Full es2-snap-v1 file image: magic, version, section table + payloads,
+  /// Full es2-snap-v2 file image: magic, version, section table + payloads,
   /// trailing FNV-1a checksum of everything before it.
   std::string serialize() const;
 
@@ -132,7 +125,7 @@ class SnapshotWriter {
   bool section_open_ = false;
 };
 
-/// Reads an es2-snap-v1 image produced by SnapshotWriter::serialize().
+/// Reads an es2-snap-v2 image produced by SnapshotWriter::serialize().
 /// Fields must be read back in the order they were written; any
 /// out-of-bounds read or type underflow poisons the reader (`ok()` goes
 /// false and further reads return zeros) instead of crashing.

@@ -4,7 +4,7 @@
 // A `WorldSnapshotter` is an ordered registry of every Snapshottable in
 // one world (the Testbed fills it at construction; workloads append
 // themselves when they attach). Walking it produces either a full
-// es2-snap-v1 image or — via a reusable scratch writer — a per-component
+// es2-snap-v2 image or — via a reusable scratch writer — a per-component
 // hash vector. `EpochHashLog` records those vectors each epoch; the
 // es2-hash-v1 JSON export of two same-seed runs feeds
 // `tools/divergence_bisect`, which finds the first divergent epoch and
@@ -53,7 +53,7 @@ class WorldSnapshotter {
   /// Writes one named section per component into `w`.
   void write(SnapshotWriter& w) const;
 
-  /// Serialized es2-snap-v1 image of the whole world.
+  /// Serialized es2-snap-v2 image of the whole world.
   std::string serialize() const;
 
   /// Digest of the whole world right now.

@@ -26,6 +26,14 @@ unsigned turn_key(const VqHandler& h) {
   const int q = h.profile_queue();
   return q >= 0 ? static_cast<unsigned>(q) : 0u;
 }
+
+/// Queue and handler names: bare for pair 0 ("vm0/txq", "vm0/tx"),
+/// numbered beyond it ("vm0/txq1", "vm0/tx1"). Metric labels and the
+/// worker's snapshot carry them.
+std::string pair_name(const Vm& vm, const char* base, int pair) {
+  return pair == 0 ? vm.name() + "/" + base
+                   : vm.name() + format("/%s%d", base, pair);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -101,32 +109,6 @@ void VhostWorker::set_poll_mode(PollMode mode, SimDuration poll_interval,
   // A polling worker cannot rely on a first kick to start its spin loop
   // (notifications may already be suppressed); enter it at t=0.
   if (mode != PollMode::kNotify) thread_.wake();
-}
-
-void VhostWorker::register_poll_metrics(MetricsRegistry& registry) {
-  MetricLabels labels = {{"worker", thread_.name()}};
-  registry.probe("vhost.worker.poll_spins", labels, [this] {
-    return static_cast<double>(poll_spins_);
-  });
-  registry.probe("vhost.worker.poll_harvests", labels, [this] {
-    return static_cast<double>(poll_harvests_);
-  });
-}
-
-void VhostWorker::register_lifecycle_metrics(MetricsRegistry& registry) {
-  MetricLabels labels = {{"worker", thread_.name()}};
-  registry.probe("vhost.worker.crashes", labels, [this] {
-    return static_cast<double>(crashes_);
-  });
-  registry.probe("vhost.worker.restarts", labels, [this] {
-    return static_cast<double>(restarts_);
-  });
-}
-
-void VhostWorker::snapshot_lifecycle_state(SnapshotWriter& w) const {
-  w.put_bool(crashed_);
-  w.put_i64(crashes_);
-  w.put_i64(restarts_);
 }
 
 void VhostWorker::main_loop() {
@@ -240,9 +222,7 @@ void VhostWorker::main_loop() {
 class VhostNetBackend::TxHandler final : public VqHandler {
  public:
   TxHandler(VhostNetBackend& backend, int pair)
-      : VqHandler(pair == 0
-                      ? backend.vm().name() + "/tx"
-                      : backend.vm().name() + format("/tx%d", pair)),
+      : VqHandler(pair_name(backend.vm(), "tx", pair)),
         backend_(backend),
         pair_(pair),
         q_(2 * pair) {
@@ -323,8 +303,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
         return;
       }
       backend_.tx_link_.transmit(entry.packet);
-      ++backend_.tx_packets_;
-      ++backend_.pair_tx_packets_[static_cast<std::size_t>(pair_)];
+      ++backend_.pair_at(pair_).tx_packets;
       vq.push_used(Virtqueue::Entry{nullptr, 0});
       backend_.note_progress(kScopeTx);
       if (vq.interrupt_needed()) {
@@ -355,9 +334,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
 class VhostNetBackend::RxHandler final : public VqHandler {
  public:
   RxHandler(VhostNetBackend& backend, int pair)
-      : VqHandler(pair == 0
-                      ? backend.vm().name() + "/rx"
-                      : backend.vm().name() + format("/rx%d", pair)),
+      : VqHandler(pair_name(backend.vm(), "rx", pair)),
         backend_(backend),
         pair_(pair),
         q_(2 * pair + 1) {
@@ -397,7 +374,7 @@ class VhostNetBackend::RxHandler final : public VqHandler {
       done(true);
       return;
     }
-    Ring<PacketPtr>& sock_buf = backend_.sock_buf(pair_);
+    Ring<PacketPtr>& sock_buf = backend_.pair_at(pair_).sock_buf;
     if (sock_buf.empty()) {
       // No more ingress traffic. Refill notifications stay disabled — the
       // handler reactivates on wire arrivals, not guest kicks.
@@ -444,8 +421,7 @@ class VhostNetBackend::RxHandler final : public VqHandler {
       }
       auto buffer = vq.pop_avail();
       ES2_CHECK(buffer.has_value());
-      ++backend_.rx_packets_;
-      ++backend_.pair_rx_packets_[static_cast<std::size_t>(pair_)];
+      ++backend_.pair_at(pair_).rx_packets;
       vq.push_used(Virtqueue::Entry{packet, packet->wire_size});
       backend_.note_progress(kScopeRx);
       if (vq.interrupt_needed()) {
@@ -470,35 +446,26 @@ class VhostNetBackend::RxHandler final : public VqHandler {
 };
 
 // ---------------------------------------------------------------------------
-// ExtraPair — rings/handlers/buffers for queue pairs beyond pair 0
+// QueuePair
 // ---------------------------------------------------------------------------
 
-struct VhostNetBackend::ExtraPair {
-  Virtqueue tx;
-  Virtqueue rx;
-  std::unique_ptr<TxHandler> tx_handler;
-  std::unique_ptr<RxHandler> rx_handler;
-  Ring<PacketPtr> sock_buf;
-  MsiMessage tx_msi;
-  MsiMessage rx_msi;
-
-  ExtraPair(VhostNetBackend& backend, int pair)
-      : tx(backend.vm().name() + format("/txq%d", pair),
-           backend.params().vq_capacity, backend.params().ring_layout),
-        rx(backend.vm().name() + format("/rxq%d", pair),
-           backend.params().vq_capacity, backend.params().ring_layout),
-        tx_handler(std::make_unique<TxHandler>(backend, pair)),
-        rx_handler(std::make_unique<RxHandler>(backend, pair)) {
-    // Each pair gets its own MSI vectors (continuing pair 0's layout of
-    // kFirstDeviceVector+1/+2) with guest affinity spread across vCPUs —
-    // the standard irqbalance-style queue->vCPU mapping.
-    const int vcpus = backend.vm().num_vcpus();
-    tx_msi = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 1 + 2 * pair),
-                        pair % vcpus, DeliveryMode::kLowestPriority};
-    rx_msi = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 2 + 2 * pair),
-                        pair % vcpus, DeliveryMode::kLowestPriority};
-  }
-};
+VhostNetBackend::QueuePair::QueuePair(VhostNetBackend& backend, int pair)
+    : tx_vq(pair_name(backend.vm(), "txq", pair),
+            backend.params().vq_capacity, backend.params().ring_layout),
+      rx_vq(pair_name(backend.vm(), "rxq", pair),
+            backend.params().vq_capacity, backend.params().ring_layout),
+      tx_handler(std::make_unique<TxHandler>(backend, pair)),
+      rx_handler(std::make_unique<RxHandler>(backend, pair)) {
+  // Each pair gets its own virtio-net MSI vectors (kFirstDeviceVector+1/+2
+  // for pair 0, then +2 per pair) with guest affinity spread across vCPUs
+  // — the standard irqbalance-style queue->vCPU mapping — and
+  // lowest-priority delivery (Linux apic_flat default).
+  const int vcpus = backend.vm().num_vcpus();
+  tx_msi = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 1 + 2 * pair),
+                      pair % vcpus, DeliveryMode::kLowestPriority};
+  rx_msi = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 2 + 2 * pair),
+                      pair % vcpus, DeliveryMode::kLowestPriority};
+}
 
 // ---------------------------------------------------------------------------
 // VhostNetBackend
@@ -510,29 +477,15 @@ VhostNetBackend::VhostNetBackend(Vm& vm, VhostWorker& worker, Link& tx_link,
       worker_(worker),
       tx_link_(tx_link),
       params_(params),
-      tx_vq_(vm.name() + "/txq", params.vq_capacity, params.ring_layout),
-      rx_vq_(vm.name() + "/rxq", params.vq_capacity, params.ring_layout),
       rng_(vm.host().sim().make_rng("vhost/" + vm.name())) {
   ES2_CHECK_MSG(params_.num_queue_pairs >= 1,
                 "vhost-net needs at least one queue pair");
-  tx_handler_ = std::make_unique<TxHandler>(*this, 0);
-  rx_handler_ = std::make_unique<RxHandler>(*this, 0);
-  // Default MSI identities: virtio-net queue vectors, guest affinity on
-  // vCPU 0, lowest-priority delivery (Linux apic_flat default).
-  tx_msi_ = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 1), 0,
-                       DeliveryMode::kLowestPriority};
-  rx_msi_ = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 2), 0,
-                       DeliveryMode::kLowestPriority};
-  for (int p = 1; p < params_.num_queue_pairs; ++p) {
-    extra_pairs_.push_back(std::make_unique<ExtraPair>(*this, p));
-  }
+  pairs_.reserve(static_cast<std::size_t>(num_queue_pairs()));
+  for (int p = 0; p < num_queue_pairs(); ++p) pairs_.emplace_back(*this, p);
   const std::size_t nq = static_cast<std::size_t>(num_queues());
   wedged_.assign(nq, false);
   selfcheck_strikes_.assign(nq, 0);
   selfcheck_last_progress_.assign(nq, 0);
-  const std::size_t np = static_cast<std::size_t>(num_queue_pairs());
-  pair_tx_packets_.assign(np, 0);
-  pair_rx_packets_.assign(np, 0);
   // Boot pre-negotiated with everything on offer acked (packed/MQ bits
   // included when configured); the frontend renegotiates from scratch.
   features_acked_ = features_offered();
@@ -542,41 +495,16 @@ VhostNetBackend::~VhostNetBackend() = default;
 
 void VhostNetBackend::set_poll_quota(int quota) { poll_quota_ = quota; }
 
-Virtqueue& VhostNetBackend::tx_vq(int pair) {
-  return pair == 0 ? tx_vq_
-                   : extra_pairs_[static_cast<std::size_t>(pair - 1)]->tx;
+std::int64_t VhostNetBackend::tx_packets() const {
+  std::int64_t total = 0;
+  for (const QueuePair& p : pairs_) total += p.tx_packets;
+  return total;
 }
 
-Virtqueue& VhostNetBackend::rx_vq(int pair) {
-  return pair == 0 ? rx_vq_
-                   : extra_pairs_[static_cast<std::size_t>(pair - 1)]->rx;
-}
-
-Ring<PacketPtr>& VhostNetBackend::sock_buf(int pair) {
-  return pair == 0 ? sock_buf_
-                   : extra_pairs_[static_cast<std::size_t>(pair - 1)]->sock_buf;
-}
-
-VhostNetBackend::TxHandler& VhostNetBackend::tx_handler(int pair) {
-  return pair == 0
-             ? *tx_handler_
-             : *extra_pairs_[static_cast<std::size_t>(pair - 1)]->tx_handler;
-}
-
-VhostNetBackend::RxHandler& VhostNetBackend::rx_handler(int pair) {
-  return pair == 0
-             ? *rx_handler_
-             : *extra_pairs_[static_cast<std::size_t>(pair - 1)]->rx_handler;
-}
-
-const MsiMessage& VhostNetBackend::tx_msi(int pair) const {
-  return pair == 0 ? tx_msi_
-                   : extra_pairs_[static_cast<std::size_t>(pair - 1)]->tx_msi;
-}
-
-const MsiMessage& VhostNetBackend::rx_msi(int pair) const {
-  return pair == 0 ? rx_msi_
-                   : extra_pairs_[static_cast<std::size_t>(pair - 1)]->rx_msi;
+std::int64_t VhostNetBackend::rx_packets() const {
+  std::int64_t total = 0;
+  for (const QueuePair& p : pairs_) total += p.rx_packets;
+  return total;
 }
 
 int VhostNetBackend::steer_pair(Proto proto, std::uint64_t flow) const {
@@ -603,17 +531,18 @@ void VhostNetBackend::set_poll_mode(PollMode mode) {
 bool VhostNetBackend::poll_check() {
   bool any = false;
   for (int p = 0; p < num_queue_pairs(); ++p) {
+    QueuePair& qp = pair_at(p);
     const int txq = 2 * p;
     const int rxq = 2 * p + 1;
     if (queue_operational(txq) && !wedged_[static_cast<std::size_t>(txq)] &&
-        tx_vq(p).has_avail() && !tx_handler(p).queued()) {
-      worker_.activate(tx_handler(p));
+        qp.tx_vq.has_avail() && !qp.tx_handler->queued()) {
+      worker_.activate(*qp.tx_handler);
       any = true;
     }
     if (queue_operational(rxq) && !wedged_[static_cast<std::size_t>(rxq)] &&
-        !sock_buf(p).empty() && rx_vq(p).has_avail() &&
-        !rx_handler(p).queued()) {
-      worker_.activate(rx_handler(p));
+        !qp.sock_buf.empty() && qp.rx_vq.has_avail() &&
+        !qp.rx_handler->queued()) {
+      worker_.activate(*qp.rx_handler);
       any = true;
     }
   }
@@ -624,20 +553,19 @@ bool VhostNetBackend::poll_rearm() {
   bool raced = false;
   for (int p = 0; p < num_queue_pairs(); ++p) {
     if (!queue_operational(2 * p) && !queue_operational(2 * p + 1)) continue;
-    Virtqueue& tx = tx_vq(p);
-    if (tx.enable_notifications()) {
-      tx.disable_notifications();
-      worker_.activate(tx_handler(p));
+    QueuePair& qp = pair_at(p);
+    if (qp.tx_vq.enable_notifications()) {
+      qp.tx_vq.disable_notifications();
+      worker_.activate(*qp.tx_handler);
       raced = true;
     }
     // The RX handler is woken by wire arrivals, not guest kicks; the only
     // kick it ever needs is the buffer-refill one, and only while ingress
     // is actually stuck waiting on guest buffers.
-    Virtqueue& rx = rx_vq(p);
-    if (!sock_buf(p).empty()) {
-      if (rx.has_avail() || rx.enable_notifications()) {
-        rx.disable_notifications();
-        worker_.activate(rx_handler(p));
+    if (!qp.sock_buf.empty()) {
+      if (qp.rx_vq.has_avail() || qp.rx_vq.enable_notifications()) {
+        qp.rx_vq.disable_notifications();
+        worker_.activate(*qp.rx_handler);
         raced = true;
       }
     }
@@ -673,7 +601,7 @@ void VhostNetBackend::raise_msi(const MsiMessage& msi) {
                              ProfComp::kVhostMsi);
   if (Tracer* tr = vm_.host().sim().tracer()) {
     std::uint64_t corr =
-        msi.vector == tx_msi_.vector ? tx_kick_corr_ : rx_kick_corr_;
+        msi.vector == tx_msi(0).vector ? tx_kick_corr_ : rx_kick_corr_;
     if (corr == 0) corr = tr->begin_journey();
     if (faults_ != nullptr && faults_->drop_msi()) {
       tr->emit(vm_.host().sim().now(), TraceKind::kMsiDrop, vm_.id(), -1,
@@ -720,14 +648,14 @@ void VhostNetBackend::notify_tx(int pair) {
         return;
       case FaultInjector::KickFate::kDelay:
         vm_.host().sim().after(faults_->kick_delay(), [this, pair] {
-          worker_.activate(tx_handler(pair));
+          worker_.activate(*pair_at(pair).tx_handler);
         });
         return;
       case FaultInjector::KickFate::kDeliver:
         break;
     }
   }
-  worker_.activate(tx_handler(pair));
+  worker_.activate(*pair_at(pair).tx_handler);
 }
 
 void VhostNetBackend::notify_rx(int pair) {
@@ -750,14 +678,14 @@ void VhostNetBackend::notify_rx(int pair) {
         return;
       case FaultInjector::KickFate::kDelay:
         vm_.host().sim().after(faults_->kick_delay(), [this, pair] {
-          worker_.activate(rx_handler(pair));
+          worker_.activate(*pair_at(pair).rx_handler);
         });
         return;
       case FaultInjector::KickFate::kDeliver:
         break;
     }
   }
-  worker_.activate(rx_handler(pair));
+  worker_.activate(*pair_at(pair).rx_handler);
 }
 
 // ---------------------------------------------------------------------------
@@ -963,8 +891,9 @@ void VhostNetBackend::inject_worker_crash(SimDuration restart_delay) {
 }
 
 VqHandler& VhostNetBackend::handler_of(int q) {
-  return q % 2 == 0 ? static_cast<VqHandler&>(tx_handler(q / 2))
-                    : static_cast<VqHandler&>(rx_handler(q / 2));
+  QueuePair& qp = pair_at(q / 2);
+  return q % 2 == 0 ? static_cast<VqHandler&>(*qp.tx_handler)
+                    : static_cast<VqHandler&>(*qp.rx_handler);
 }
 
 void VhostNetBackend::arm_lifecycle_selfcheck() {
@@ -991,7 +920,8 @@ void VhostNetBackend::lifecycle_selfcheck_tick() {
     if (worker_.crashed()) continue;
     const bool work = q % 2 == 0
                           ? vq.has_avail()
-                          : (!sock_buf(q / 2).empty() && vq.has_avail());
+                          : (!pair_at(q / 2).sock_buf.empty() &&
+                             vq.has_avail());
     VqHandler& h = handler_of(q);
     if (!work || progressed || h.queued() || !vq.enabled() ||
         vq.pending_fault() != RingFault::kNone || !driver_ok()) {
@@ -1019,78 +949,18 @@ void VhostNetBackend::lifecycle_selfcheck_tick() {
                                       [this] { lifecycle_selfcheck_tick(); });
 }
 
-void VhostNetBackend::register_lifecycle_metrics(MetricsRegistry& registry) {
-  MetricLabels labels = {{"vm", vm_.name()}};
-  registry.probe("vhost.lifecycle.status", labels, [this] {
-    return static_cast<double>(status_);
-  });
-  registry.probe("vhost.lifecycle.ring_faults", labels, [this] {
-    return static_cast<double>(ring_faults_detected_);
-  });
-  registry.probe("vhost.lifecycle.kicks_ignored", labels, [this] {
-    return static_cast<double>(kicks_ignored_);
-  });
-  registry.probe("vhost.lifecycle.selfcheck_repolls", labels, [this] {
-    return static_cast<double>(selfcheck_repolls_);
-  });
-  registry.probe("vhost.lifecycle.queue_resets", labels, [this] {
-    return static_cast<double>(queue_resets_);
-  });
-  registry.probe("vhost.lifecycle.device_resets", labels, [this] {
-    return static_cast<double>(device_resets_);
-  });
-  registry.probe("vhost.lifecycle.renegotiations", labels, [this] {
-    return static_cast<double>(renegotiations_);
-  });
-  // Uniform per-cause watchdog-recovery reporting (the guest frontend
-  // registers the tx_rekick / napi_poll causes): host-side re-polls from
-  // both the PR-2 RX safety net and the lifecycle self-check.
-  registry.probe("recovery.watchdog",
-                 {{"vm", vm_.name()}, {"cause", "vhost_repoll"}}, [this] {
-                   return static_cast<double>(rx_repolls_ +
-                                              selfcheck_repolls_);
-                 });
-}
-
-void VhostNetBackend::snapshot_lifecycle_state(SnapshotWriter& w) const {
-  w.put_u8(status_);
-  w.put_u64(features_acked_);
-  for (bool wedged : wedged_) w.put_bool(wedged);
-  for (int strikes : selfcheck_strikes_) {
-    w.put_u32(static_cast<std::uint32_t>(strikes));
-  }
-  for (std::int64_t progress : selfcheck_last_progress_) {
-    w.put_i64(progress);
-  }
-  w.put_u32(static_cast<std::uint32_t>(corrupt_seq_));
-  w.put_u32(static_cast<std::uint32_t>(tear_seq_));
-  w.put_u32(static_cast<std::uint32_t>(wedge_seq_));
-  w.put_i64(ring_faults_detected_);
-  w.put_i64(kicks_ignored_);
-  w.put_i64(selfcheck_repolls_);
-  w.put_i64(queue_resets_);
-  w.put_i64(device_resets_);
-  w.put_i64(renegotiations_);
-  tx_vq_.snapshot_lifecycle_state(w);
-  rx_vq_.snapshot_lifecycle_state(w);
-  for (const auto& pair : extra_pairs_) {
-    pair->tx.snapshot_lifecycle_state(w);
-    pair->rx.snapshot_lifecycle_state(w);
-  }
-}
-
 void VhostNetBackend::arm_rx_repoll() {
   if (faults_ == nullptr || params_.rx_repoll_period <= 0) return;
   if (rx_repoll_.pending()) return;
   rx_repoll_ = vm_.host().sim().after(params_.rx_repoll_period, [this] {
     bool still_waiting = false;
-    for (int p = 0; p < num_queue_pairs(); ++p) {
-      if (sock_buf(p).empty()) continue;  // drained, nothing to recover
-      if (rx_vq(p).has_avail()) {
+    for (QueuePair& qp : pairs_) {
+      if (qp.sock_buf.empty()) continue;  // drained, nothing to recover
+      if (qp.rx_vq.has_avail()) {
         // Buffers appeared but the handler is still asleep: the refill
         // kick was lost. Re-poll in its place.
         ++rx_repolls_;
-        worker_.activate(rx_handler(p));
+        worker_.activate(*qp.rx_handler);
       } else {
         still_waiting = true;  // still waiting on guest buffers
       }
@@ -1103,7 +973,7 @@ void VhostNetBackend::receive_from_wire(PacketPtr packet) {
   Profiler::Scope prof_scope(vm_.host().sim().profiler(),
                              ProfComp::kVhostWireRx);
   const int pair = steer_pair(packet->proto, packet->flow);
-  Ring<PacketPtr>& buf = sock_buf(pair);
+  Ring<PacketPtr>& buf = pair_at(pair).sock_buf;
   if (static_cast<int>(buf.size()) >= params_.sock_buffer) {
     ++rx_dropped_;
     return;
@@ -1116,7 +986,7 @@ void VhostNetBackend::receive_from_wire(PacketPtr packet) {
              static_cast<std::uint32_t>(pair), rx_kick_corr_);
   }
   buf.push_back(std::move(packet));
-  worker_.activate(rx_handler(pair));
+  worker_.activate(*pair_at(pair).rx_handler);
 }
 
 void VhostNetBackend::set_rx_backpressure(bool on) {
@@ -1139,15 +1009,31 @@ void VhostWorker::register_metrics(MetricsRegistry& registry) {
   registry.probe("vhost.worker.active_handlers", labels, [this] {
     return static_cast<double>(active_.size());
   });
+  if (poll_mode_ != PollMode::kNotify) {
+    registry.probe("vhost.worker.poll_spins", labels, [this] {
+      return static_cast<double>(poll_spins_);
+    });
+    registry.probe("vhost.worker.poll_harvests", labels, [this] {
+      return static_cast<double>(poll_harvests_);
+    });
+  }
+  if (faults_ != nullptr && faults_->plan().lifecycle_enabled()) {
+    registry.probe("vhost.worker.crashes", labels, [this] {
+      return static_cast<double>(crashes_);
+    });
+    registry.probe("vhost.worker.restarts", labels, [this] {
+      return static_cast<double>(restarts_);
+    });
+  }
 }
 
 void VhostNetBackend::register_metrics(MetricsRegistry& registry) {
   MetricLabels labels = {{"vm", vm_.name()}};
   registry.probe("vhost.tx.packets", labels, [this] {
-    return static_cast<double>(tx_packets_);
+    return static_cast<double>(tx_packets());
   });
   registry.probe("vhost.rx.packets", labels, [this] {
-    return static_cast<double>(rx_packets_);
+    return static_cast<double>(rx_packets());
   });
   registry.probe("vhost.tx.irqs", labels, [this] {
     return static_cast<double>(tx_irqs_);
@@ -1173,15 +1059,44 @@ void VhostNetBackend::register_metrics(MetricsRegistry& registry) {
     return static_cast<double>(rx_repolls_);
   });
   registry.probe("vhost.rx.sock_backlog", labels, [this] {
-    std::size_t total = sock_buf_.size();
-    for (const auto& pair : extra_pairs_) total += pair->sock_buf.size();
+    std::size_t total = 0;
+    for (const QueuePair& qp : pairs_) total += qp.sock_buf.size();
     return static_cast<double>(total);
   });
-  tx_vq_.register_metrics(registry, vm_.name());
-  rx_vq_.register_metrics(registry, vm_.name());
-  for (const auto& pair : extra_pairs_) {
-    pair->tx.register_metrics(registry, vm_.name());
-    pair->rx.register_metrics(registry, vm_.name());
+  for (QueuePair& qp : pairs_) {
+    qp.tx_vq.register_metrics(registry, vm_.name());
+    qp.rx_vq.register_metrics(registry, vm_.name());
+  }
+  if (selfcheck_armed_) {
+    registry.probe("vhost.lifecycle.status", labels, [this] {
+      return static_cast<double>(status_);
+    });
+    registry.probe("vhost.lifecycle.ring_faults", labels, [this] {
+      return static_cast<double>(ring_faults_detected_);
+    });
+    registry.probe("vhost.lifecycle.kicks_ignored", labels, [this] {
+      return static_cast<double>(kicks_ignored_);
+    });
+    registry.probe("vhost.lifecycle.selfcheck_repolls", labels, [this] {
+      return static_cast<double>(selfcheck_repolls_);
+    });
+    registry.probe("vhost.lifecycle.queue_resets", labels, [this] {
+      return static_cast<double>(queue_resets_);
+    });
+    registry.probe("vhost.lifecycle.device_resets", labels, [this] {
+      return static_cast<double>(device_resets_);
+    });
+    registry.probe("vhost.lifecycle.renegotiations", labels, [this] {
+      return static_cast<double>(renegotiations_);
+    });
+    // Uniform per-cause watchdog-recovery reporting (the guest frontend
+    // registers the tx_rekick / napi_poll causes): host-side re-polls from
+    // both the RX re-poll safety net and the lifecycle self-check.
+    registry.probe("recovery.watchdog",
+                   {{"vm", vm_.name()}, {"cause", "vhost_repoll"}}, [this] {
+                     return static_cast<double>(rx_repolls_ +
+                                                selfcheck_repolls_);
+                   });
   }
 }
 
@@ -1197,43 +1112,51 @@ void VhostWorker::snapshot_state(SnapshotWriter& w) const {
   w.put_u64(turns_);
   w.put_u64(wakeups_);
   thread_.snapshot_state(w);
-  if (poll_mode_ != PollMode::kNotify) {
-    // Poll-mode fields are appended so notify-mode images keep their
-    // exact es2-snap-v1 byte layout.
-    w.put_u8(static_cast<std::uint8_t>(poll_mode_));
-    w.put_i64(last_work_);
-    w.put_i64(poll_spins_);
-    w.put_i64(poll_harvests_);
-  }
+  w.put_u8(static_cast<std::uint8_t>(poll_mode_));
+  w.put_i64(last_work_);
+  w.put_i64(poll_spins_);
+  w.put_i64(poll_harvests_);
+  w.put_bool(crashed_);
+  w.put_i64(crashes_);
+  w.put_i64(restarts_);
 }
 
 void VhostNetBackend::snapshot_state(SnapshotWriter& w) const {
   w.put_u32(static_cast<std::uint32_t>(poll_quota_));
-  tx_vq_.snapshot_state(w);
-  rx_vq_.snapshot_state(w);
-  w.put_u32(static_cast<std::uint32_t>(sock_buf_.size()));
-  for (const PacketPtr& p : sock_buf_) snapshot_packet(w, p);
-  // Extra queue pairs append after pair 0 so single-queue devices keep
-  // their exact es2-snap-v1 byte layout.
-  for (const auto& pair : extra_pairs_) {
-    pair->tx.snapshot_state(w);
-    pair->rx.snapshot_state(w);
-    w.put_u32(static_cast<std::uint32_t>(pair->sock_buf.size()));
-    for (const PacketPtr& p : pair->sock_buf) snapshot_packet(w, p);
+  for (const QueuePair& qp : pairs_) {
+    qp.tx_vq.snapshot_state(w);
+    qp.rx_vq.snapshot_state(w);
+    w.put_u32(static_cast<std::uint32_t>(qp.sock_buf.size()));
+    for (const PacketPtr& p : qp.sock_buf) snapshot_packet(w, p);
+    w.put_i64(qp.tx_packets);
+    w.put_i64(qp.rx_packets);
   }
   snapshot_rng(w, rng_);
   w.put_i64(rx_dropped_);
   w.put_i64(rx_repolls_);
-  w.put_i64(tx_packets_);
-  w.put_i64(rx_packets_);
   w.put_i64(tx_irqs_);
   w.put_i64(rx_irqs_);
   w.put_i64(tx_reverts_);
   w.put_i64(tx_quota_hits_);
-  if (params_.num_queue_pairs > 1) {
-    for (std::int64_t v : pair_tx_packets_) w.put_i64(v);
-    for (std::int64_t v : pair_rx_packets_) w.put_i64(v);
+  w.put_u8(status_);
+  w.put_u64(features_acked_);
+  for (bool wedged : wedged_) w.put_bool(wedged);
+  w.put_bool(selfcheck_armed_);
+  for (int strikes : selfcheck_strikes_) {
+    w.put_u32(static_cast<std::uint32_t>(strikes));
   }
+  for (std::int64_t progress : selfcheck_last_progress_) {
+    w.put_i64(progress);
+  }
+  w.put_u32(static_cast<std::uint32_t>(corrupt_seq_));
+  w.put_u32(static_cast<std::uint32_t>(tear_seq_));
+  w.put_u32(static_cast<std::uint32_t>(wedge_seq_));
+  w.put_i64(ring_faults_detected_);
+  w.put_i64(kicks_ignored_);
+  w.put_i64(selfcheck_repolls_);
+  w.put_i64(queue_resets_);
+  w.put_i64(device_resets_);
+  w.put_i64(renegotiations_);
 }
 
 }  // namespace es2

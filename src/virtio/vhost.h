@@ -136,11 +136,6 @@ class VhostWorker : public Snapshottable {
   std::int64_t poll_spins() const { return poll_spins_; }
   std::int64_t poll_harvests() const { return poll_harvests_; }
 
-  /// Poll-mode-only telemetry; registered by the harness only when a poll
-  /// mode is active (keeps the frozen instrument set — and the sampler's
-  /// snapshot bytes — unchanged for every notify-mode scenario).
-  void register_poll_metrics(MetricsRegistry& registry);
-
   /// Runs `cycles` of host work on the worker thread, then `done`
   /// (handler helper).
   void exec(Cycles cycles, Callback<void()> done);
@@ -171,17 +166,9 @@ class VhostWorker : public Snapshottable {
   std::int64_t crashes() const { return crashes_; }
   std::int64_t restarts() const { return restarts_; }
 
-  /// Lifecycle-only telemetry, registered by the harness when lifecycle
-  /// faults are armed (keeps the frozen instrument set — and with it the
-  /// sampler's snapshot bytes — unchanged for every existing scenario).
-  void register_lifecycle_metrics(MetricsRegistry& registry);
-
-  /// Serializes crash/restart state. Separate from snapshot_state so the
-  /// faults-off es2-snap-v1 layout stays bit-identical; the harness
-  /// registers it as its own section when lifecycle faults are armed.
-  void snapshot_lifecycle_state(SnapshotWriter& w) const;
-
-  /// Registers worker telemetry probes (label worker=<thread name>).
+  /// Registers worker telemetry probes (label worker=<thread name>). The
+  /// poll counters join only in a polling mode, the crash/restart counters
+  /// only when the attached fault plan arms lifecycle faults.
   void register_metrics(MetricsRegistry& registry);
 
   /// Attaches a fault injector (random dispatch stalls). Null (the
@@ -189,7 +176,8 @@ class VhostWorker : public Snapshottable {
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
   /// Serializes the worker RNG, the active-handler queue (names in
-  /// round-robin order) and the thread's scheduling state.
+  /// round-robin order), the thread's scheduling state, the busy-poll
+  /// state and the crash/restart state.
   void snapshot_state(SnapshotWriter& w) const override;
 
  private:
@@ -208,9 +196,7 @@ class VhostWorker : public Snapshottable {
   std::size_t active_high_water_ = 0;
   std::uint64_t turns_ = 0;
   std::uint64_t wakeups_ = 0;
-  // Busy-poll state (inert in the default kNotify mode; snapshot fields
-  // are appended only when a poll mode is active so notify-mode images
-  // keep their exact es2-snap-v1 layout).
+  // Busy-poll state (inert in the default kNotify mode).
   PollMode poll_mode_ = PollMode::kNotify;
   SimDuration poll_interval_ = 0;
   SimDuration adaptive_budget_ = 0;
@@ -218,7 +204,7 @@ class VhostWorker : public Snapshottable {
   SimTime last_work_ = 0;
   std::int64_t poll_spins_ = 0;
   std::int64_t poll_harvests_ = 0;
-  // Lifecycle state (snapshot via snapshot_lifecycle_state only).
+  // Lifecycle state.
   bool crashed_ = false;
   std::int64_t crashes_ = 0;
   std::int64_t restarts_ = 0;
@@ -277,20 +263,17 @@ class VhostNetBackend : public Snapshottable {
   VhostNetBackend& operator=(const VhostNetBackend&) = delete;
 
   Vm& vm() { return vm_; }
-  Virtqueue& tx_vq() { return tx_vq_; }
-  Virtqueue& rx_vq() { return rx_vq_; }
   const VhostNetParams& params() const { return params_; }
 
   // --- multi-queue (VIRTIO_NET_F_MQ) ---------------------------------------
-  // Queue pair 0 is the classic TX/RX pair every existing scenario uses;
-  // pairs 1..N-1 exist only when params.num_queue_pairs > 1. Flat queue
-  // indices interleave pairs: q = 2*pair + direction (0 = TX, 1 = RX), so
-  // q 0/1 keep their historical meaning.
+  // Every queue pair, pair 0 included, is one entry of `pairs_`
+  // (params.num_queue_pairs of them; > 1 negotiates VIRTIO_NET_F_MQ). Flat
+  // queue indices interleave pairs: q = 2*pair + direction (0 = TX, 1 = RX).
 
   int num_queue_pairs() const { return params_.num_queue_pairs; }
   int num_queues() const { return 2 * params_.num_queue_pairs; }
-  Virtqueue& tx_vq(int pair);
-  Virtqueue& rx_vq(int pair);
+  Virtqueue& tx_vq(int pair) { return pair_at(pair).tx_vq; }
+  Virtqueue& rx_vq(int pair) { return pair_at(pair).rx_vq; }
   /// Steers an ingress flow to a queue pair (RSS by 5-tuple hash).
   int steer_pair(Proto proto, std::uint64_t flow) const;
 
@@ -300,14 +283,9 @@ class VhostNetBackend : public Snapshottable {
   void set_poll_quota(int quota);
   int poll_quota() const { return poll_quota_; }
 
-  /// MSI messages the device raises (guest affinity encoded in dest).
-  /// The no-arg forms address queue pair 0.
-  void set_tx_msi(MsiMessage msi) { tx_msi_ = msi; }
-  void set_rx_msi(MsiMessage msi) { rx_msi_ = msi; }
-  const MsiMessage& tx_msi() const { return tx_msi_; }
-  const MsiMessage& rx_msi() const { return rx_msi_; }
-  const MsiMessage& tx_msi(int pair) const;
-  const MsiMessage& rx_msi(int pair) const;
+  /// MSI messages a queue pair raises (guest affinity encoded in dest).
+  const MsiMessage& tx_msi(int pair) const { return pair_at(pair).tx_msi; }
+  const MsiMessage& rx_msi(int pair) const { return pair_at(pair).rx_msi; }
 
   /// Optional MSI interception for related-work baselines (interrupt
   /// coalescing): return false to swallow the interrupt — the filter
@@ -372,8 +350,9 @@ class VhostNetBackend : public Snapshottable {
   /// Arms the host-side lifecycle watchdog (see
   /// VhostNetParams::lifecycle_selfcheck_period). Called by the harness
   /// only when lifecycle faults are armed: healthy worlds schedule no
-  /// extra events and stay bit-identical.
+  /// extra events.
   void arm_lifecycle_selfcheck();
+  bool lifecycle_selfcheck_armed() const { return selfcheck_armed_; }
 
   /// Recovery ledger (owned by the harness); null keeps every hook inert.
   void set_recovery_log(RecoveryLog* log) { recovery_log_ = log; }
@@ -406,19 +385,7 @@ class VhostNetBackend : public Snapshottable {
   std::int64_t device_resets() const { return device_resets_; }
   std::int64_t renegotiations() const { return renegotiations_; }
 
-  /// Lifecycle-only telemetry; registered by the harness when lifecycle
-  /// faults are armed (keeps the frozen instrument set unchanged
-  /// elsewhere).
-  void register_lifecycle_metrics(MetricsRegistry& registry);
-
-  /// Serializes device status, negotiated features, wedges, injection
-  /// rotation state and both queues' lifecycle state. Separate section
-  /// from snapshot_state so faults-off images keep their exact layout.
-  void snapshot_lifecycle_state(SnapshotWriter& w) const;
-
   // --- guest-facing (ioeventfd side of the kick) -------------------------
-  void notify_tx() { notify_tx(0); }
-  void notify_rx() { notify_rx(0); }
   void notify_tx(int pair);
   void notify_rx(int pair);
 
@@ -438,8 +405,9 @@ class VhostNetBackend : public Snapshottable {
   /// Times the RX re-poll safety net recovered from a (presumed lost)
   /// refill kick; stays 0 without a fault injector.
   std::int64_t rx_repolls() const { return rx_repolls_; }
-  std::int64_t tx_packets() const { return tx_packets_; }
-  std::int64_t rx_packets() const { return rx_packets_; }
+  /// Packets moved, summed over every queue pair.
+  std::int64_t tx_packets() const;
+  std::int64_t rx_packets() const;
   std::int64_t tx_irqs() const { return tx_irqs_; }
   std::int64_t rx_irqs() const { return rx_irqs_; }
   /// Turns that ended by re-entering notification mode (queue drained
@@ -448,11 +416,13 @@ class VhostNetBackend : public Snapshottable {
   std::int64_t tx_quota_hits() const { return tx_quota_hits_; }
 
   /// Registers backend telemetry — per-direction packet/IRQ counts, mode
-  /// transitions, drops — plus both virtqueues' probes (label vm=<name>).
+  /// transitions, drops — plus every virtqueue's probes (label vm=<name>).
+  /// The lifecycle counters join once the self-check is armed.
   void register_metrics(MetricsRegistry& registry);
 
-  /// Serializes both virtqueues, the host socket buffer contents, the
-  /// cost-jitter RNG and every lifetime counter.
+  /// Serializes every queue pair (rings, socket buffer, packet counters),
+  /// the cost-jitter RNG, every lifetime counter and the device lifecycle
+  /// state (status, features, wedges, self-check and injection rotation).
   void snapshot_state(SnapshotWriter& w) const override;
 
  private:
@@ -461,10 +431,27 @@ class VhostNetBackend : public Snapshottable {
   friend class TxHandler;
   friend class RxHandler;
 
-  /// Rings, handlers, socket buffer and MSI identities for one queue pair
-  /// beyond pair 0 (which lives in the legacy members so single-queue
-  /// scenarios keep their exact construction order and snapshot bytes).
-  struct ExtraPair;
+  /// Rings, handlers, host socket buffer, MSI identities and progress
+  /// counters of one queue pair.
+  struct QueuePair {
+    QueuePair(VhostNetBackend& backend, int pair);
+
+    Virtqueue tx_vq;
+    Virtqueue rx_vq;
+    std::unique_ptr<TxHandler> tx_handler;
+    std::unique_ptr<RxHandler> rx_handler;
+    Ring<PacketPtr> sock_buf;
+    MsiMessage tx_msi;
+    MsiMessage rx_msi;
+    std::int64_t tx_packets = 0;
+    std::int64_t rx_packets = 0;
+  };
+  QueuePair& pair_at(int pair) {
+    return pairs_[static_cast<std::size_t>(pair)];
+  }
+  const QueuePair& pair_at(int pair) const {
+    return pairs_[static_cast<std::size_t>(pair)];
+  }
 
   Cycles tx_cost(const Virtqueue::Entry& e);
   Cycles rx_cost(const PacketPtr& p);
@@ -475,9 +462,6 @@ class VhostNetBackend : public Snapshottable {
   int effective_quota() const {
     return poll_quota_ > 0 ? poll_quota_ : params_.weight;
   }
-  Ring<PacketPtr>& sock_buf(int pair);
-  TxHandler& tx_handler(int pair);
-  RxHandler& rx_handler(int pair);
   /// Handler turn gate: false parks the turn (wedged / disabled /
   /// quarantined queue), running the integrity check on the way in and
   /// quarantining on a fresh fault.
@@ -498,8 +482,7 @@ class VhostNetBackend : public Snapshottable {
   void lifecycle_selfcheck_tick();
   VqHandler& handler_of(int q);
   std::int64_t progress_counter(int q) const {
-    return q % 2 == 0 ? pair_tx_packets_[static_cast<std::size_t>(q / 2)]
-                      : pair_rx_packets_[static_cast<std::size_t>(q / 2)];
+    return q % 2 == 0 ? pair_at(q / 2).tx_packets : pair_at(q / 2).rx_packets;
   }
   /// Busy-poll scan: activates every handler with pending work.
   bool poll_check();
@@ -516,29 +499,15 @@ class VhostNetBackend : public Snapshottable {
   EventHandle rx_repoll_;
   int poll_quota_ = 0;
   PollMode poll_mode_ = PollMode::kNotify;
-  Virtqueue tx_vq_;
-  Virtqueue rx_vq_;
-  std::unique_ptr<TxHandler> tx_handler_;
-  std::unique_ptr<RxHandler> rx_handler_;
-  std::vector<std::unique_ptr<ExtraPair>> extra_pairs_;
-  Ring<PacketPtr> sock_buf_;
-  MsiMessage tx_msi_;
-  MsiMessage rx_msi_;
+  std::vector<QueuePair> pairs_;  // built once, never resized
   MsiFilter msi_filter_;
   Rng rng_;
   std::int64_t rx_dropped_ = 0;
   std::int64_t rx_repolls_ = 0;
-  std::int64_t tx_packets_ = 0;
-  std::int64_t rx_packets_ = 0;
   std::int64_t tx_irqs_ = 0;
   std::int64_t rx_irqs_ = 0;
   std::int64_t tx_reverts_ = 0;
   std::int64_t tx_quota_hits_ = 0;
-  // Per-pair progress counters (the lifecycle self-check needs per-queue
-  // progress; the aggregate counters above remain the frozen telemetry).
-  // For pair 0 they move in lockstep with tx_packets_/rx_packets_.
-  std::vector<std::int64_t> pair_tx_packets_;
-  std::vector<std::int64_t> pair_rx_packets_;
   // Trace correlation registers: the journey id of the latest TX kick /
   // RX wire arrival, carried into worker turns and MSI raises. Written
   // only by the trace hooks, which run when a Tracer is attached; inert
@@ -546,9 +515,8 @@ class VhostNetBackend : public Snapshottable {
   std::uint64_t tx_kick_corr_ = 0;
   std::uint64_t rx_kick_corr_ = 0;
 
-  // Lifecycle state (snapshot via snapshot_lifecycle_state only). Boots
-  // pre-negotiated for directly-constructed test rings; the frontend
-  // renegotiates from scratch in its constructor.
+  // Lifecycle state. Boots pre-negotiated for directly-constructed test
+  // rings; the frontend renegotiates from scratch in its constructor.
   std::uint8_t status_ = kStatusAcknowledge | kStatusDriver |
                          kStatusFeaturesOk | kStatusDriverOk;
   std::uint64_t features_acked_ = kFeatureMrgRxBuf | kFeatureEventIdx |

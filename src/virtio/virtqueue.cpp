@@ -161,16 +161,8 @@ void Virtqueue::snapshot_state(SnapshotWriter& w) const {
   w.put_i64(used_event_);
   w.put_i64(notify_enables_);
   w.put_i64(irq_enables_);
-  if (layout_ == RingLayout::kPacked) {
-    // Packed-only fields are appended so split rings keep their exact
-    // es2-snap-v1 byte layout (BENCH_snapshot gates section sizes at
-    // tolerance zero).
-    w.put_bool(driver_wrap_);
-    w.put_bool(device_wrap_);
-  }
-}
-
-void Virtqueue::snapshot_lifecycle_state(SnapshotWriter& w) const {
+  w.put_bool(driver_wrap_);
+  w.put_bool(device_wrap_);
   w.put_bool(enabled_);
   w.put_i64(reset_epoch_);
   w.put_u8(static_cast<std::uint8_t>(injected_fault_));

@@ -151,12 +151,6 @@ class Virtqueue {
   /// no longer agrees with the descriptor position it published.
   void inject_wrap_tear() { driver_wrap_ = !driver_wrap_; }
 
-  /// Serializes the lifecycle/integrity state (enable bit, reset epoch,
-  /// fault markers). Kept out of snapshot_state so faults-off worlds keep
-  /// their exact es2-snap-v1 byte layout; the owning device embeds this
-  /// in its fault-gated lifecycle section.
-  void snapshot_lifecycle_state(SnapshotWriter& w) const;
-
   // --- statistics ---------------------------------------------------------
 
   std::int64_t total_added() const { return avail_idx_; }
@@ -175,9 +169,11 @@ class Virtqueue {
   void register_metrics(MetricsRegistry& registry,
                         const std::string& vm_name);
 
-  /// Serializes ring occupancy (every avail/used entry's packet metadata)
-  /// and the full EVENT_IDX suppression state. Embedded in the owning
-  /// device's snapshot section.
+  /// Serializes ring occupancy (every avail/used entry's packet metadata),
+  /// the full EVENT_IDX suppression state, the packed wrap counters (kept
+  /// in step by split rings too) and the lifecycle/integrity state (enable
+  /// bit, reset epoch, fault markers). Embedded in the owning device's
+  /// snapshot section.
   void snapshot_state(SnapshotWriter& w) const;
 
  private:
@@ -224,7 +220,7 @@ class Virtqueue {
   std::int64_t notify_enables_ = 0;
   std::int64_t irq_enables_ = 0;
 
-  // Lifecycle state (snapshot via snapshot_lifecycle_state only).
+  // Lifecycle state.
   bool enabled_ = true;
   std::int64_t reset_epoch_ = 0;
   RingFault injected_fault_ = RingFault::kNone;

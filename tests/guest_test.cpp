@@ -152,10 +152,10 @@ class CountSink final : public FlowSink {
 
 TEST(VirtioNet, RxRingPrePostedAtInit) {
   GuestWorld w;
-  EXPECT_EQ(w.tb->backend().rx_vq().avail_count(),
-            w.tb->backend().rx_vq().capacity());
-  EXPECT_FALSE(w.tb->backend().rx_vq().notifications_enabled());
-  EXPECT_FALSE(w.tb->backend().tx_vq().interrupts_enabled());
+  EXPECT_EQ(w.tb->backend().rx_vq(0).avail_count(),
+            w.tb->backend().rx_vq(0).capacity());
+  EXPECT_FALSE(w.tb->backend().rx_vq(0).notifications_enabled());
+  EXPECT_FALSE(w.tb->backend().tx_vq(0).interrupts_enabled());
 }
 
 TEST(VirtioNet, RxPathDeliversToSinkViaNapi) {

@@ -176,8 +176,8 @@ TEST(DeviceStatus, WriteZeroPerformsFullReset) {
   EXPECT_FALSE(w.tb->backend().driver_ok());
   EXPECT_EQ(w.tb->backend().features_acked(), 0u);
   EXPECT_EQ(w.tb->backend().device_resets(), resets + 1);
-  EXPECT_EQ(w.tb->backend().tx_vq().total_added(), 0);
-  EXPECT_EQ(w.tb->backend().rx_vq().total_added(), 0);
+  EXPECT_EQ(w.tb->backend().tx_vq(0).total_added(), 0);
+  EXPECT_EQ(w.tb->backend().rx_vq(0).total_added(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ TEST(RecoveryLadder, PackedWrapTearClassifiesAndClimbsTheLadder) {
   // On a packed device the injector's avail-tear mode becomes a wrap
   // tear: the fault the split layout cannot even express.
   w.tb->backend().inject_avail_tear();  // first tear lands on TX
-  EXPECT_EQ(w.tb->backend().tx_vq().check_integrity(),
+  EXPECT_EQ(w.tb->backend().tx_vq(0).check_integrity(),
             RingFault::kBadWrapCounter);
   w.tb->sim().run_for(msec(50));
   EXPECT_GE(w.tb->backend().ring_faults_detected(), 1);
@@ -258,13 +258,13 @@ TEST(RecoveryLadder, PackedWrapTearClassifiesAndClimbsTheLadder) {
   EXPECT_GE(w.tb->frontend().ladder_queue_resets(), 1);
   EXPECT_FALSE(w.tb->backend().needs_reset());
   // The reset restored a healthy wrap phase.
-  EXPECT_EQ(w.tb->backend().tx_vq().check_integrity(), RingFault::kNone);
+  EXPECT_EQ(w.tb->backend().tx_vq(0).check_integrity(), RingFault::kNone);
 }
 
 TEST(RecoveryLadder, PackedDuplicateHeadIsQuarantinedAndQueueReset) {
   RecoveryWorld w(/*ladder=*/true, RingLayout::kPacked);
   w.tb->sim().run_for(msec(50));
-  w.tb->backend().rx_vq().inject_duplicate_head();
+  w.tb->backend().rx_vq(0).inject_duplicate_head();
   w.tb->sim().run_for(msec(50));
   // Descriptor-table faults classify identically on both layouts, and the
   // ladder's queue-reset rung clears them the same way.
@@ -272,7 +272,7 @@ TEST(RecoveryLadder, PackedDuplicateHeadIsQuarantinedAndQueueReset) {
   EXPECT_GE(w.tb->frontend().ladder_queue_resets(), 1);
   EXPECT_EQ(w.tb->frontend().ladder_device_resets(), 0);
   EXPECT_FALSE(w.tb->backend().needs_reset());
-  EXPECT_EQ(w.tb->backend().rx_vq().check_integrity(), RingFault::kNone);
+  EXPECT_EQ(w.tb->backend().rx_vq(0).check_integrity(), RingFault::kNone);
 }
 
 TEST(RecoveryLadder, LadderOffLeavesTheFaultAsALoudOpenInstance) {
@@ -312,6 +312,22 @@ void expect_exhausted(SnapshotReader& r) {
                           "update reset() and this test together";
 }
 
+/// Reads a just-reset ring's occupancy and EVENT_IDX suppression fields
+/// (capacity 8, both rings empty, notifications and interrupts re-enabled,
+/// indices zeroed) up to the cumulative telemetry.
+void expect_reset_ring_fields(SnapshotReader& r) {
+  EXPECT_EQ(r.get_u32(), 8u);   // capacity survives reset
+  EXPECT_EQ(r.get_u32(), 0u);   // avail ring emptied
+  EXPECT_EQ(r.get_u32(), 0u);   // used ring emptied
+  EXPECT_EQ(r.get_u32(), 0u);   // in flight
+  EXPECT_TRUE(r.get_bool());    // notifications re-enabled
+  EXPECT_EQ(r.get_i64(), 0);    // avail_idx
+  EXPECT_EQ(r.get_i64(), 0);    // avail_event
+  EXPECT_TRUE(r.get_bool());    // interrupts re-enabled
+  EXPECT_EQ(r.get_i64(), 0);    // used_idx
+  EXPECT_EQ(r.get_i64(), 0);    // used_event
+}
+
 TEST(ResetSnapshotDrift, VirtqueueInventoryMatchesAndResetRestoresIt) {
   Virtqueue vq("tx", 8);
   ASSERT_TRUE(vq.add_avail({nullptr, 64}));
@@ -328,25 +344,21 @@ TEST(ResetSnapshotDrift, VirtqueueInventoryMatchesAndResetRestoresIt) {
   std::string error;
   ASSERT_TRUE(r.load(w.serialize(), &error)) << error;
   ASSERT_TRUE(r.seek("vq"));
-  EXPECT_EQ(r.get_u32(), 8u);   // capacity survives reset
-  EXPECT_EQ(r.get_u32(), 0u);   // avail ring emptied
-  EXPECT_EQ(r.get_u32(), 0u);   // used ring emptied
-  EXPECT_EQ(r.get_u32(), 0u);   // in flight
-  EXPECT_TRUE(r.get_bool());    // notifications re-enabled
-  EXPECT_EQ(r.get_i64(), 0);    // avail_idx
-  EXPECT_EQ(r.get_i64(), 0);    // avail_event
-  EXPECT_TRUE(r.get_bool());    // interrupts re-enabled
-  EXPECT_EQ(r.get_i64(), 0);    // used_idx
-  EXPECT_EQ(r.get_i64(), 0);    // used_event
+  expect_reset_ring_fields(r);
   EXPECT_EQ(r.get_i64(), 0);    // notify_enables: cumulative telemetry,
   EXPECT_EQ(r.get_i64(), 1);    // irq_enables:    deliberately kept
+  EXPECT_TRUE(r.get_bool());    // driver wrap counter at the boot phase
+  EXPECT_TRUE(r.get_bool());    // device wrap counter at the boot phase
+  EXPECT_TRUE(r.get_bool());    // enabled
+  EXPECT_EQ(r.get_i64(), 1);    // reset epoch bumped
+  EXPECT_EQ(r.get_u8(), 0u);    // no injected fault
+  EXPECT_EQ(r.get_u8(), 0u);    // no pending fault
   expect_exhausted(r);
 }
 
-TEST(ResetSnapshotDrift, PackedVirtqueueAppendsOnlyTheWrapCounters) {
-  // The packed layout may only *append* to the split snapshot layout
-  // (split images must stay byte-identical): two wrap bools at the end,
-  // nothing else, and reset() restores both to the boot phase.
+TEST(ResetSnapshotDrift, PackedVirtqueueResetRestoresTheWrapCounters) {
+  // Packed and split rings serialize the same fields; reset() returns
+  // both wrap counters to the boot phase.
   Virtqueue vq("tx", 8, RingLayout::kPacked);
   for (int i = 0; i < 9; ++i) {  // cross one wrap so the phase flipped
     ASSERT_TRUE(vq.add_avail({nullptr, 64}));
@@ -359,23 +371,22 @@ TEST(ResetSnapshotDrift, PackedVirtqueueAppendsOnlyTheWrapCounters) {
   SnapshotWriter w;
   w.begin_section("vq");
   vq.snapshot_state(w);
+  SnapshotWriter split;
+  split.begin_section("vq");
+  Virtqueue("tx", 8).snapshot_state(split);
+  EXPECT_EQ(w.byte_size(), split.byte_size());
   SnapshotReader r;
   ASSERT_TRUE(r.load(w.serialize()));
   ASSERT_TRUE(r.seek("vq"));
-  EXPECT_EQ(r.get_u32(), 8u);   // capacity
-  EXPECT_EQ(r.get_u32(), 0u);   // avail ring emptied
-  EXPECT_EQ(r.get_u32(), 0u);   // used ring emptied
-  EXPECT_EQ(r.get_u32(), 0u);   // in flight
-  EXPECT_TRUE(r.get_bool());    // notifications re-enabled
-  EXPECT_EQ(r.get_i64(), 0);    // avail_idx
-  EXPECT_EQ(r.get_i64(), 0);    // avail_event
-  EXPECT_TRUE(r.get_bool());    // interrupts re-enabled
-  EXPECT_EQ(r.get_i64(), 0);    // used_idx
-  EXPECT_EQ(r.get_i64(), 0);    // used_event
+  expect_reset_ring_fields(r);
   EXPECT_EQ(r.get_i64(), 0);    // notify_enables
   EXPECT_EQ(r.get_i64(), 0);    // irq_enables
   EXPECT_TRUE(r.get_bool());    // driver wrap counter back to boot phase
   EXPECT_TRUE(r.get_bool());    // device wrap counter back to boot phase
+  EXPECT_TRUE(r.get_bool());    // enabled
+  EXPECT_EQ(r.get_i64(), 1);    // reset epoch bumped
+  EXPECT_EQ(r.get_u8(), 0u);    // no injected fault
+  EXPECT_EQ(r.get_u8(), 0u);    // no pending fault
   expect_exhausted(r);
 }
 
@@ -386,11 +397,16 @@ TEST(ResetSnapshotDrift, VirtqueueLifecycleInventoryMatches) {
   vq.reset();
 
   SnapshotWriter w;
-  w.begin_section("vq.lc");
-  vq.snapshot_lifecycle_state(w);
+  w.begin_section("vq");
+  vq.snapshot_state(w);
   SnapshotReader r;
   ASSERT_TRUE(r.load(w.serialize()));
-  ASSERT_TRUE(r.seek("vq.lc"));
+  ASSERT_TRUE(r.seek("vq"));
+  expect_reset_ring_fields(r);
+  (void)r.get_i64();          // notify_enables
+  (void)r.get_i64();          // irq_enables
+  (void)r.get_bool();         // driver wrap counter
+  (void)r.get_bool();         // device wrap counter
   EXPECT_TRUE(r.get_bool());  // enabled (reset leaves the queue enabled)
   EXPECT_EQ(r.get_i64(), 1);  // reset epoch bumped
   EXPECT_EQ(r.get_u8(), 0u);  // injected fault cleared
@@ -448,17 +464,36 @@ TEST(ResetSnapshotDrift, FrontendInventoryMatches) {
   SnapshotReader r;
   ASSERT_TRUE(r.load(sw.serialize()));
   ASSERT_TRUE(r.seek("net"));
-  (void)r.get_bool();  // napi_scheduled
   (void)r.get_u32();   // tx_waiters
   (void)r.get_i64();   // tx_stops
   (void)r.get_i64();   // rx_polled
   (void)r.get_i64();   // kicks
+  (void)r.get_i64();   // tx_watchdog_kicks
+  (void)r.get_i64();   // rx_watchdog_polls
+  // The one queue pair.
+  (void)r.get_bool();  // napi_scheduled
   (void)r.get_i64();   // watchdog_last_used
   (void)r.get_u32();   // watchdog_strikes
-  (void)r.get_i64();   // tx_watchdog_kicks
   (void)r.get_i64();   // rx_watchdog_last_polled
   (void)r.get_u32();   // rx_watchdog_strikes
-  (void)r.get_i64();   // rx_watchdog_polls
+  (void)r.get_i64();   // rx_polled_by_pair
+  (void)r.get_bool();  // ksoftirqd_pending
+  // Recovery ladder: one recent-reset count per flat queue, then totals.
+  (void)r.get_u32();   // ladder_recent[TX0]
+  (void)r.get_u32();   // ladder_recent[RX0]
+  (void)r.get_i64();   // ladder_queue_resets
+  (void)r.get_i64();   // ladder_device_resets
+  // Overload detector and ladder.
+  (void)r.get_u32();   // overload_rung
+  (void)r.get_u32();   // overload_max_rung
+  (void)r.get_u32();   // overload_strikes
+  (void)r.get_u32();   // overload_clear
+  (void)r.get_bool();  // overload_episode_open
+  (void)r.get_i64();   // overload_last_polls
+  (void)r.get_i64();   // overload_last_progress
+  (void)r.get_i64();   // livelock_detections
+  (void)r.get_i64();   // ksoftirqd_defers
+  (void)r.get_i64();   // ksoftirqd_polls
   expect_exhausted(r);
 }
 

@@ -684,7 +684,8 @@ TEST(BusyPoll, AlwaysPollResultsAreLayoutInvariant) {
 }
 
 TEST(BusyPoll, PollCountersStayOutOfTheNotifyModeInstrumentSet) {
-  // The frozen instrument set of stock notify-mode runs must not grow.
+  // Only a polling worker registers poll counters: the instrument set of
+  // stock notify-mode runs must not grow.
   const StreamResult res = run_stream(dataplane_stream(RingLayout::kSplit));
   EXPECT_EQ(res.metrics->value(
                 metric_key("vhost.worker.poll_spins", {{"worker", "vhost-vm0"}}),

@@ -1,4 +1,4 @@
-// Snapshot / restore / resume tests: es2-snap-v1 byte stability, the
+// Snapshot / restore / resume tests: es2-snap-v2 byte stability, the
 // epoch-hash determinism oracle, sweep checkpoints, and self-healing
 // resume. The headline guarantees:
 //
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/netperf.h"
@@ -132,16 +133,21 @@ TEST(SnapshotFormat, RejectsCorruption) {
   EXPECT_FALSE(r.load(truncated, &error));
   EXPECT_EQ(error, "checksum mismatch: snapshot corrupted");
 
-  // A version bump must be rejected even when the checksum is valid.
-  std::string vbump = image;
-  vbump[sizeof(SnapshotWriter::kMagic)] = 2;  // version u32 LE, lo byte
-  const std::size_t body = vbump.size() - 8;
-  const std::uint64_t sum = fnv1a(vbump.data(), body);
-  for (int i = 0; i < 8; ++i)
-    vbump[body + static_cast<std::size_t>(i)] =
-        static_cast<char>(sum >> (8 * i));
-  EXPECT_FALSE(r.load(vbump, &error));
-  EXPECT_EQ(error, "unsupported version");
+  // Any other version — the retired v1 layout or a future one — must be
+  // rejected even when the checksum is valid.
+  ASSERT_EQ(SnapshotWriter::kVersion, 2u);
+  for (const int version : {1, 3}) {
+    std::string other = image;
+    // Version u32 LE, low byte.
+    other[sizeof(SnapshotWriter::kMagic)] = static_cast<char>(version);
+    const std::size_t body = other.size() - 8;
+    const std::uint64_t sum = fnv1a(other.data(), body);
+    for (int i = 0; i < 8; ++i)
+      other[body + static_cast<std::size_t>(i)] =
+          static_cast<char>(sum >> (8 * i));
+    EXPECT_FALSE(r.load(other, &error)) << "version " << version;
+    EXPECT_EQ(error, "unsupported version");
+  }
 }
 
 TEST(SnapshotFormat, ReaderOkTripsOnOverread) {
@@ -271,7 +277,7 @@ TEST(HashSeries, BisectorNamesTheGuiltyComponent) {
 // ---------------------------------------------------------------------------
 
 // Builds the micro PI+H+R world with one TCP stream, runs `span`, and
-// returns the serialized es2-snap-v1 image.
+// returns the serialized es2-snap-v2 image.
 std::string run_and_serialize(std::uint64_t seed, SimDuration span) {
   TestbedOptions to;
   to.config = Es2Config::pi_h_r();
@@ -323,9 +329,9 @@ TEST(Determinism, ResumeEquivalenceAcrossSeeds) {
 }
 
 TEST(Determinism, ExtraQueuePairRingsAreCaptured) {
-  // Multi-queue devices serialize every pair's rings, not just the legacy
-  // pair-0 members: mutating only an extra pair's ring must change the
-  // backend section bytes.
+  // Multi-queue devices serialize every pair's rings, not just pair 0's:
+  // mutating only a later pair's ring must change the backend section
+  // bytes.
   TestbedOptions to;
   to.config = Es2Config::pi_h_r();
   to.vhost_params.num_queue_pairs = 4;
@@ -344,7 +350,7 @@ TEST(Determinism, ExtraQueuePairRingsAreCaptured) {
 
 TEST(Determinism, SameSeedMultiQueuePackedWorldsSerializeByteIdentically) {
   // The queue-pair round-trip at world scope: a packed 4-pair world with
-  // two RSS-steered streams serializes to the same es2-snap-v1 image on
+  // two RSS-steered streams serializes to the same es2-snap-v2 image on
   // every same-seed run, and the image loads cleanly.
   auto run = [](std::uint64_t seed) {
     TestbedOptions to;
@@ -377,6 +383,62 @@ TEST(Determinism, SameSeedMultiQueuePackedWorldsSerializeByteIdentically) {
   std::string error;
   ASSERT_TRUE(r.load(a, &error)) << error;
   EXPECT_GE(r.section_count(), 10u);
+}
+
+/// Section names and payload sizes of a world's image, in section order.
+std::vector<std::pair<std::string, std::size_t>> section_sizes(
+    const Testbed& tb) {
+  SnapshotWriter w;
+  tb.snapshotter().write(w);
+  std::vector<std::pair<std::string, std::size_t>> out;
+  for (std::size_t i = 0; i < w.sections().size(); ++i) {
+    out.emplace_back(w.sections()[i].name, w.section_size(i));
+  }
+  return out;
+}
+
+TEST(Snapshot, SectionLayoutIndependentOfModes) {
+  // One section per component, all of its state, every run: arming every
+  // mode on the same topology adds only the sections of the components
+  // that exist only when armed, and leaves every shared section's size
+  // alone. Two sections differ by content, not layout: the guest section
+  // lists the overload ladder's ksoftirqd task, and the CFS section lists
+  // the polling vhost worker, which set_poll_mode makes runnable at t=0.
+  TestbedOptions plain;
+  plain.config = Es2Config::pi_h_r();
+  plain.vcpus_per_vm = 2;
+  plain.vhost_params.num_queue_pairs = 2;
+  TestbedOptions armed = plain;
+  armed.config.per_queue_affinity = true;
+  armed.faults.desc_corrupt_period = sec(1000);  // lifecycle faults
+  armed.guest_params.recovery_ladder = true;
+  armed.guest_params.overload_mitigation = true;
+  armed.vhost_params.ring_layout = RingLayout::kPacked;
+  armed.poll_mode = PollMode::kAdaptive;
+  const Testbed a(plain);
+  const Testbed b(armed);
+  const auto base = section_sizes(a);
+  const auto modes = section_sizes(b);
+
+  std::vector<std::string> base_names;
+  for (const auto& [name, size] : base) base_names.push_back(name);
+  std::vector<std::string> shared_names;
+  std::vector<std::string> extra_names;
+  for (const auto& [name, size] : modes) {
+    (name == "fault" || name == "recovery" ? extra_names : shared_names)
+        .push_back(name);
+  }
+  EXPECT_EQ(shared_names, base_names);
+  EXPECT_EQ(extra_names, (std::vector<std::string>{"fault", "recovery"}));
+
+  for (const auto& [name, size] : base) {
+    if (name == "guest/vm0" || name == "cfs") continue;
+    for (const auto& [armed_name, armed_size] : modes) {
+      if (armed_name == name) {
+        EXPECT_EQ(armed_size, size) << "section " << name;
+      }
+    }
+  }
 }
 
 TEST(Determinism, EpochHashingIsPassive) {

@@ -218,16 +218,16 @@ TEST(VhostNetBackend, TxDrainsQueueToWire) {
   BackendWorld w;
   w.vm.start();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(w.backend.tx_vq().add_avail(dummy_entry()));
+    ASSERT_TRUE(w.backend.tx_vq(0).add_avail(dummy_entry()));
   }
-  w.backend.notify_tx();
+  w.backend.notify_tx(0);
   w.sim.run_for(msec(1));
   EXPECT_EQ(w.wire.size(), 10u);
   EXPECT_EQ(w.backend.tx_packets(), 10);
   // All descriptors completed back to the guest.
-  EXPECT_EQ(w.backend.tx_vq().used_count(), 10);
+  EXPECT_EQ(w.backend.tx_vq(0).used_count(), 10);
   // Queue drained below quota: back in notification mode.
-  EXPECT_TRUE(w.backend.tx_vq().notifications_enabled());
+  EXPECT_TRUE(w.backend.tx_vq(0).notifications_enabled());
 }
 
 TEST(VhostNetBackend, QuotaYieldKeepsNotificationsDisabled) {
@@ -235,17 +235,17 @@ TEST(VhostNetBackend, QuotaYieldKeepsNotificationsDisabled) {
   w.vm.start();
   w.backend.set_poll_quota(2);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(w.backend.tx_vq().add_avail(dummy_entry()));
+    ASSERT_TRUE(w.backend.tx_vq(0).add_avail(dummy_entry()));
   }
-  w.backend.notify_tx();
+  w.backend.notify_tx(0);
   // After the first turn (2 pops) the handler must requeue with
   // notifications still off — the non-exit polling mode.
   w.sim.run_for(usec(12));
-  EXPECT_FALSE(w.backend.tx_vq().notifications_enabled());
+  EXPECT_FALSE(w.backend.tx_vq(0).notifications_enabled());
   EXPECT_GE(w.backend.tx_quota_hits(), 1);
   w.sim.run_for(msec(1));
   // Eventually drains and reverts.
-  EXPECT_TRUE(w.backend.tx_vq().notifications_enabled());
+  EXPECT_TRUE(w.backend.tx_vq(0).notifications_enabled());
   EXPECT_GE(w.backend.tx_mode_reverts(), 1);
 }
 
@@ -253,8 +253,8 @@ TEST(VhostNetBackend, RxDeliversIntoGuestBuffersAndRaisesIrq) {
   BackendWorld w;
   w.vm.start();
   // The guest has no driver here: post RX buffers by hand.
-  while (w.backend.rx_vq().free_slots() > 0) {
-    ASSERT_TRUE(w.backend.rx_vq().add_avail(Virtqueue::Entry{nullptr, 0}));
+  while (w.backend.rx_vq(0).free_slots() > 0) {
+    ASSERT_TRUE(w.backend.rx_vq(0).add_avail(Virtqueue::Entry{nullptr, 0}));
   }
   Packet p;
   p.proto = Proto::kUdp;
@@ -263,7 +263,7 @@ TEST(VhostNetBackend, RxDeliversIntoGuestBuffersAndRaisesIrq) {
   w.backend.receive_from_wire(make_packet(std::move(p)));
   w.sim.run_for(msec(1));
   EXPECT_EQ(w.backend.rx_packets(), 1);
-  EXPECT_EQ(w.backend.rx_vq().used_count(), 1);
+  EXPECT_EQ(w.backend.rx_vq(0).used_count(), 1);
   EXPECT_EQ(w.guest.irqs, 1);
 }
 
@@ -295,9 +295,9 @@ TEST(VhostNetBackend, RxStarvedOfBuffersWaitsForRefillKick) {
   EXPECT_EQ(w.backend.rx_packets(), 0);
   // The handler armed refill notifications; a guest buffer post + kick
   // resumes delivery.
-  ASSERT_TRUE(w.backend.rx_vq().add_avail(Virtqueue::Entry{nullptr, 0}));
-  EXPECT_TRUE(w.backend.rx_vq().kick_needed());
-  w.backend.notify_rx();
+  ASSERT_TRUE(w.backend.rx_vq(0).add_avail(Virtqueue::Entry{nullptr, 0}));
+  EXPECT_TRUE(w.backend.rx_vq(0).kick_needed());
+  w.backend.notify_rx(0);
   w.sim.run_for(msec(1));
   EXPECT_EQ(w.backend.rx_packets(), 1);
 }
