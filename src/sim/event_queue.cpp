@@ -27,8 +27,8 @@ void EventCore::close() {
   near_.clear();
   far_.clear();
   near_stale_ = far_stale_ = 0;
-  for (Bucket& b : wheel_) b.head = kInvalidSlot;
-  for (std::uint64_t& word : occupied_) word = 0;
+  wheel0_.clear();
+  wheel1_.clear();
   live_ = 0;
   // Rebuild the free list from scratch (idempotent), keeping low slots
   // first, so every slab's records stay reachable if the core is used
@@ -94,30 +94,44 @@ void EventCore::push_far(std::uint32_t slot, EventRecord& r) {
   std::push_heap(far_.begin(), far_.end(), KeyLater{});
 }
 
-void EventCore::link_wheel(std::uint32_t slot, EventRecord& r) {
-  const std::uint32_t idx =
-      static_cast<std::uint32_t>(bucket_index(r.when)) & (kWheelBuckets - 1);
-  r.loc = EventLocation::kWheel;
+void EventCore::link(Wheel& w, std::uint32_t idx, std::uint32_t slot,
+                     EventRecord& r) {
   r.bucket = idx;
   r.prev = kInvalidSlot;
-  r.next = wheel_[idx].head;
+  r.next = w.buckets[idx].head;
   if (r.next != kInvalidSlot) record(r.next).prev = slot;
-  wheel_[idx].head = slot;
-  occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+  w.buckets[idx].head = slot;
+  w.occupied[idx / 64] |= std::uint64_t{1} << (idx % 64);
 }
 
-void EventCore::unlink_from_wheel(EventRecord& r, std::uint32_t slot) {
+void EventCore::unlink(Wheel& w, EventRecord& r, std::uint32_t slot) {
   (void)slot;  // only referenced by the debug check below
   if (r.prev != kInvalidSlot) {
     record(r.prev).next = r.next;
   } else {
-    ES2_DCHECK(wheel_[r.bucket].head == slot);
-    wheel_[r.bucket].head = r.next;
+    ES2_DCHECK(w.buckets[r.bucket].head == slot);
+    w.buckets[r.bucket].head = r.next;
   }
   if (r.next != kInvalidSlot) record(r.next).prev = r.prev;
-  if (wheel_[r.bucket].head == kInvalidSlot) {
-    occupied_[r.bucket / 64] &= ~(std::uint64_t{1} << (r.bucket % 64));
+  if (w.buckets[r.bucket].head == kInvalidSlot) {
+    w.occupied[r.bucket / 64] &= ~(std::uint64_t{1} << (r.bucket % 64));
   }
+}
+
+EventLocation EventCore::place(std::uint32_t slot, EventRecord& r) {
+  const std::uint64_t b = bucket_index(r.when);
+  if (b <= cursor_) {
+    push_near(slot, r);
+  } else if (b < cursor_ + kWheelBuckets) {
+    r.loc = EventLocation::kWheel0;
+    link(wheel0_, Wheel::slot_of(b), slot, r);
+  } else if ((b >> kEpochShift) < (cursor_ >> kEpochShift) + kWheelBuckets) {
+    r.loc = EventLocation::kWheel1;
+    link(wheel1_, Wheel::slot_of(b >> kEpochShift), slot, r);
+  } else {
+    push_far(slot, r);
+  }
+  return r.loc;
 }
 
 void EventCore::enqueue(std::uint32_t slot, SimTime when) {
@@ -125,16 +139,18 @@ void EventCore::enqueue(std::uint32_t slot, SimTime when) {
   EventRecord& r = record(slot);
   r.when = when;
   r.seq = next_seq_++;
-  const std::uint64_t b = bucket_index(when);
-  if (b <= cursor_) {
-    push_near(slot, r);
-    stats_.near_hits++;
-  } else if (b < cursor_ + kWheelBuckets) {
-    link_wheel(slot, r);
-    stats_.wheel_hits++;
-  } else {
-    push_far(slot, r);
-    stats_.far_hits++;
+  // The counters keep their single-wheel meaning: far = past the
+  // level-0 horizon, whichever of level 1 or the far heap holds it.
+  switch (place(slot, r)) {
+    case EventLocation::kNear:
+      stats_.near_hits++;
+      break;
+    case EventLocation::kWheel0:
+      stats_.wheel_hits++;
+      break;
+    default:
+      stats_.far_hits++;
+      break;
   }
   stats_.scheduled++;
   ++live_;
@@ -145,8 +161,10 @@ void EventCore::cancel(std::uint32_t slot, std::uint32_t gen) {
   EventRecord& r = record(slot);
   if (r.gen != gen || r.loc == EventLocation::kFree) return;
   const EventLocation loc = r.loc;
-  if (loc == EventLocation::kWheel) {
-    unlink_from_wheel(r, slot);
+  if (loc == EventLocation::kWheel0) {
+    unlink(wheel0_, r, slot);
+  } else if (loc == EventLocation::kWheel1) {
+    unlink(wheel1_, r, slot);
   } else if (loc == EventLocation::kNear) {
     ++near_stale_;
   } else {
@@ -191,33 +209,52 @@ void EventCore::maybe_compact(std::vector<HeapKey>& heap, std::size_t& stale) {
   stats_.heap_compactions++;
 }
 
-std::uint64_t EventCore::next_occupied_bucket(bool& found) const {
-  // Wheel buckets live strictly inside (cursor_, cursor_ + kWheelBuckets),
-  // so each set bit maps back to a unique absolute bucket index.
-  const std::uint32_t start =
-      (static_cast<std::uint32_t>(cursor_) + 1) & (kWheelBuckets - 1);
+void EventCore::Wheel::clear() {
+  for (Bucket& b : buckets) b.head = kInvalidSlot;
+  for (std::uint64_t& word : occupied) word = 0;
+}
+
+std::uint64_t EventCore::Wheel::next_after(std::uint64_t base,
+                                           bool& found) const {
+  found = false;
+  std::uint64_t any = 0;
+  for (const std::uint64_t word : occupied) any |= word;
+  if (any == 0) return 0;  // the common case for level 1
+  const std::uint32_t start = slot_of(base + 1);
   for (std::uint32_t scanned = 0; scanned < kWheelBuckets;) {
     const std::uint32_t idx = (start + scanned) & (kWheelBuckets - 1);
     const std::uint32_t word = idx / 64;
-    std::uint64_t bits = occupied_[word] >> (idx % 64);
+    std::uint64_t bits = occupied[word] >> (idx % 64);
     const std::uint32_t span =
         std::min<std::uint32_t>(64 - idx % 64, kWheelBuckets - scanned);
     if (bits != 0) {
       const auto bit = static_cast<std::uint32_t>(__builtin_ctzll(bits));
       if (bit < span) {
-        const std::uint32_t abs_idx = (idx + bit) & (kWheelBuckets - 1);
-        // Distance forward from cursor_ in circular bucket space.
-        const std::uint32_t rel =
-            (abs_idx - static_cast<std::uint32_t>(cursor_)) &
-            (kWheelBuckets - 1);
+        // Distance forward from base in circular slot space.
+        const std::uint32_t rel = slot_of(idx + bit - slot_of(base));
         found = true;
-        return cursor_ + rel;
+        return base + rel;
       }
     }
     scanned += span;
   }
-  found = false;
   return 0;
+}
+
+std::uint64_t EventCore::cascade(Wheel& w, std::uint32_t idx) {
+  std::uint32_t slot = w.buckets[idx].head;
+  w.buckets[idx].head = kInvalidSlot;
+  w.occupied[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+  std::uint64_t moved = 0;
+  while (slot != kInvalidSlot) {
+    EventRecord& r = record(slot);
+    const std::uint32_t next = r.next;
+    r.prev = r.next = kInvalidSlot;
+    place(slot, r);
+    slot = next;
+    ++moved;
+  }
+  return moved;
 }
 
 void EventCore::migrate_far() {
@@ -225,44 +262,55 @@ void EventCore::migrate_far() {
     skim(far_, far_stale_);
     if (far_.empty()) return;
     const HeapKey k = far_.front();
-    if (bucket_index(k.when) >= cursor_ + kWheelBuckets) return;
+    if ((bucket_index(k.when) >> kEpochShift) >=
+        (cursor_ >> kEpochShift) + kWheelBuckets) {
+      return;
+    }
     std::pop_heap(far_.begin(), far_.end(), KeyLater{});
     far_.pop_back();
-    EventRecord& r = record(k.slot);
-    if (bucket_index(k.when) <= cursor_) {
-      push_near(k.slot, r);
-    } else {
-      link_wheel(k.slot, r);
+    // Counted once, on entering level 0 or near; a stop in level 1
+    // counts when its epoch cascades.
+    if (place(k.slot, record(k.slot)) != EventLocation::kWheel1) {
+      stats_.far_migrations++;
     }
-    stats_.far_migrations++;
   }
 }
 
 void EventCore::refill_near() {
   while (near_.empty()) {
-    bool found = false;
-    const std::uint64_t next_bucket = next_occupied_bucket(found);
-    if (found) {
-      cursor_ = next_bucket;
-      const std::uint32_t idx =
-          static_cast<std::uint32_t>(cursor_) & (kWheelBuckets - 1);
-      std::uint32_t slot = wheel_[idx].head;
-      wheel_[idx].head = kInvalidSlot;
-      occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-      while (slot != kInvalidSlot) {
-        EventRecord& r = record(slot);
-        const std::uint32_t next = r.next;
-        r.prev = r.next = kInvalidSlot;
-        push_near(slot, r);
-        slot = next;
-      }
+    // The cursor moves to the earliest of: the next occupied level-0
+    // bucket, the start of the next occupied level-1 epoch, or (with
+    // both wheels empty) the far heap's top. Every far event lies past
+    // the level-1 window, so it never undercuts the other two; and no
+    // level-1 epoch starts inside the cursor's own epoch, so a level-0
+    // bucket there wins without a level-1 scan.
+    bool found0 = false;
+    bool found1 = false;
+    const std::uint64_t b0 = wheel0_.next_after(cursor_, found0);
+    const std::uint64_t epoch = cursor_ >> kEpochShift;
+    std::uint64_t e1 = 0;
+    if (!found0 || (b0 >> kEpochShift) != epoch) {
+      e1 = wheel1_.next_after(epoch, found1);
+    }
+    if (found1 && (!found0 || (e1 << kEpochShift) <= b0)) {
+      // An epoch start wins ties: its events may share the cursor's
+      // bucket with level-0 entries, which the drain below then joins.
+      cursor_ = e1 << kEpochShift;
+      stats_.far_migrations += cascade(wheel1_, Wheel::slot_of(e1));
+    } else if (found0) {
+      cursor_ = b0;
     } else {
       skim(far_, far_stale_);
       ES2_CHECK_MSG(!far_.empty(), "live event count out of sync");
       cursor_ = bucket_index(far_.front().when);
     }
-    // The wheel window moved forward: admit far events that now fit.
-    migrate_far();
+    // Level 0's window is strictly after the cursor: drain the bucket
+    // the cursor now stands on into the near heap, in the same step.
+    const std::uint32_t idx = Wheel::slot_of(cursor_);
+    if (wheel0_.occupied_at(idx)) cascade(wheel0_, idx);
+    // A new epoch moves the level-1 window: admit far events that now
+    // fit. Within one epoch every far event stays past the window.
+    if ((cursor_ >> kEpochShift) != epoch) migrate_far();
   }
 }
 

@@ -23,19 +23,27 @@
 //    at a time (each Simulator is a single-threaded world), the same
 //    rule PacketPtr relies on.
 //
-//  * A calendar-queue front-end keyed on `SimTime`: a small "near" heap
-//    carries everything due in the current 2^kBucketShift-ns bucket or
-//    earlier, a kWheelBuckets-slot timer wheel of intrusive lists
-//    covers the next ~1 ms, and a sorted overflow heap holds far-future
-//    events, migrating into the wheel as the cursor advances. Every
-//    event carries a global sequence number and the near heap orders by
-//    (when, seq), so firing order is exactly the seed's deterministic
-//    (time, insertion-order) contract, independent of bucket layout.
+//  * A calendar-queue front-end keyed on `SimTime`, four tiers deep: a
+//    small "near" heap carries everything due in the current
+//    2^kBucketShift-ns bucket or earlier; a level-0 timing wheel of
+//    kWheelBuckets intrusive lists (one 4096-ns bucket each) covers the
+//    next ~1 ms; a level-1 wheel of kWheelBuckets lists (one 2^20-ns
+//    "epoch" = 256 level-0 buckets each) covers the next ~268 ms; and a
+//    sorted overflow ("far") heap holds the rest. One placement rule,
+//    place(), files an event by its bucket relative to the cursor, on
+//    schedule and again whenever the cursor moves: a level-1 epoch
+//    cascades through it into level 0 / near once the cursor reaches
+//    the epoch's start, and far events cascade into the wheels as the
+//    horizon reaches them (Varghese & Lauck's hierarchical wheel).
+//    Every event carries a global sequence number and only the near
+//    heap fires, in (when, seq) order, so firing order is exactly the
+//    deterministic (time, insertion-order) contract, independent of
+//    tier layout.
 //
-// Cancelled events that sit in one of the two heaps leave a stale
-// 24-byte key which is dropped when it surfaces; heaps compact
-// themselves when more than half their keys are stale, so cancel-heavy
-// workloads cannot bloat the queue.
+// Wheel entries unlink on cancel in O(1). Cancelled events that sit in
+// one of the two heaps leave a stale 24-byte key which is dropped when
+// it surfaces; heaps compact themselves when more than half their keys
+// are stale, so cancel-heavy workloads cannot bloat the queue.
 #pragma once
 
 #include <cstddef>
@@ -100,7 +108,8 @@ struct BoxedOps {
 enum class EventLocation : std::uint8_t {
   kFree = 0,   // on the free list
   kNear,       // keyed into the near heap
-  kWheel,      // linked into a wheel bucket
+  kWheel0,     // linked into a level-0 wheel bucket
+  kWheel1,     // linked into a level-1 wheel bucket (an epoch)
   kFar,        // keyed into the far overflow heap
 };
 
@@ -113,7 +122,7 @@ struct EventRecord {
   EventLocation loc = EventLocation::kFree;
   std::uint32_t prev = kInvalidSlot;  // wheel-bucket list / unused
   std::uint32_t next = kInvalidSlot;  // wheel-bucket list / free list
-  std::uint32_t bucket = 0;           // wheel index while loc == kWheel
+  std::uint32_t bucket = 0;           // wheel slot while in a wheel
   const CallbackOps* ops = nullptr;
   alignas(std::max_align_t) unsigned char buf[kInlineCallbackCapacity];
 };
@@ -143,7 +152,8 @@ struct KeyLater {
 class EventCore {
  public:
   static constexpr int kBucketShift = 12;           // 4096 ns per bucket
-  static constexpr std::uint32_t kWheelBuckets = 256;
+  static constexpr std::uint32_t kWheelBuckets = 256;  // slots per level
+  static constexpr int kEpochShift = 8;  // level-0 buckets per epoch: 256
   static constexpr std::uint32_t kSlabSize = 256;
 
   EventCore() = default;
@@ -184,13 +194,13 @@ class EventCore {
     return slabs_[slot / kSlabSize]->records[slot % kSlabSize];
   }
 
-  /// Files a freshly constructed event into the calendar (near heap,
-  /// wheel bucket, or far heap by `when`) and stamps its sequence.
+  /// Files a freshly constructed event into the calendar (see place())
+  /// and stamps its sequence.
   void enqueue(std::uint32_t slot, SimTime when);
 
   /// O(1): destroys the callback, bumps the generation and reclaims the
-  /// slot. Wheel entries unlink immediately; heap entries leave a stale
-  /// key behind.
+  /// slot. Wheel entries (either level) unlink immediately; heap entries
+  /// leave a stale key behind.
   void cancel(std::uint32_t slot, std::uint32_t gen);
 
   bool pending(std::uint32_t slot, std::uint32_t gen) const {
@@ -216,6 +226,26 @@ class EventCore {
   struct Bucket {
     std::uint32_t head = kInvalidSlot;
   };
+  /// One wheel level: kWheelBuckets intrusive lists plus an occupancy
+  /// bitmap. Level 0 indexes absolute buckets, level 1 absolute epochs;
+  /// position `p` lives in slot `p % kWheelBuckets`. Every linked
+  /// position lies in (base, base + kWheelBuckets), where base is the
+  /// cursor's position on that level, so a set bit maps back to exactly
+  /// one absolute position.
+  struct Wheel {
+    Bucket buckets[kWheelBuckets];
+    std::uint64_t occupied[kWheelBuckets / 64] = {};
+
+    static std::uint32_t slot_of(std::uint64_t pos) {
+      return static_cast<std::uint32_t>(pos) & (kWheelBuckets - 1);
+    }
+    bool occupied_at(std::uint32_t idx) const {
+      return (occupied[idx / 64] >> (idx % 64)) & 1;
+    }
+    void clear();
+    /// The first occupied position after `base`, or `found=false`.
+    std::uint64_t next_after(std::uint64_t base, bool& found) const;
+  };
 
   static std::uint64_t bucket_index(SimTime when) {
     return static_cast<std::uint64_t>(when) >> kBucketShift;
@@ -229,10 +259,17 @@ class EventCore {
   const HeapKey& next_key();
   /// Pops the near heap's top `k` and runs its callback.
   void fire(HeapKey k);
-  void unlink_from_wheel(EventRecord& r, std::uint32_t slot);
   void push_near(std::uint32_t slot, EventRecord& r);
   void push_far(std::uint32_t slot, EventRecord& r);
-  void link_wheel(std::uint32_t slot, EventRecord& r);
+  void link(Wheel& w, std::uint32_t idx, std::uint32_t slot, EventRecord& r);
+  void unlink(Wheel& w, EventRecord& r, std::uint32_t slot);
+  /// Files an event by its bucket b: b <= cursor_ -> near heap; within
+  /// the level-0 window -> level 0; epoch within the level-1 window ->
+  /// level 1; otherwise the far heap. Sets and returns `r.loc`.
+  EventLocation place(std::uint32_t slot, EventRecord& r);
+  /// Empties one wheel slot, handing each of its events to place();
+  /// returns how many it moved.
+  std::uint64_t cascade(Wheel& w, std::uint32_t idx);
 
   /// Drops stale keys off a heap top; compacts when >half stale.
   void skim(std::vector<HeapKey>& heap, std::size_t& stale);
@@ -241,21 +278,18 @@ class EventCore {
   /// Advances the wheel cursor until the near heap holds the earliest
   /// live event. Requires live_ > 0.
   void refill_near();
-  /// Pulls far-heap events that now fall inside the wheel window.
+  /// Pulls far-heap events that now fall inside the level-1 window.
   void migrate_far();
-  /// Absolute index of the next occupied wheel bucket after cursor_, or
-  /// 0 with `found=false` when the wheel is empty.
-  std::uint64_t next_occupied_bucket(bool& found) const;
 
   std::vector<std::unique_ptr<Slab>> slabs_;
   std::uint32_t free_head_ = kInvalidSlot;
 
   std::vector<HeapKey> near_;  // events with bucket_index(when) <= cursor_
   std::size_t near_stale_ = 0;
-  std::vector<HeapKey> far_;   // events at or past the wheel horizon
+  std::vector<HeapKey> far_;   // events past the level-1 horizon
   std::size_t far_stale_ = 0;
-  Bucket wheel_[kWheelBuckets];
-  std::uint64_t occupied_[kWheelBuckets / 64] = {};
+  Wheel wheel0_;               // buckets in (cursor_, cursor_ + 256)
+  Wheel wheel1_;               // epochs past cursor_'s, within 256 of it
   std::uint64_t cursor_ = 0;   // absolute bucket index currently drained
 
   std::uint64_t next_seq_ = 0;

@@ -4,7 +4,10 @@
 // integer adds — a Simulator is single-threaded). `wheel_hits` vs
 // `near_hits`/`far_hits` shows how well the calendar front-end absorbs
 // the workload: near = due in the current bucket (straight to the small
-// heap), wheel = O(1) bucket insert, far = overflow heap insert.
+// heap), wheel = O(1) level-0 bucket insert, far = past the ~1 ms
+// level-0 horizon (an O(1) level-1 insert within ~268 ms, an overflow
+// heap insert beyond). Each far event counts once in `far_migrations`
+// when it reaches level 0 or the near heap.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +20,9 @@ struct EventQueueStats {
   std::uint64_t cancelled = 0;        // live events cancelled
   std::uint64_t boxed_callbacks = 0;  // callables too big for inline buf
   std::uint64_t near_hits = 0;        // scheduled straight into near heap
-  std::uint64_t wheel_hits = 0;       // scheduled into a wheel bucket
-  std::uint64_t far_hits = 0;         // scheduled into the overflow heap
-  std::uint64_t far_migrations = 0;   // far -> wheel/near refills
+  std::uint64_t wheel_hits = 0;       // scheduled into a level-0 bucket
+  std::uint64_t far_hits = 0;         // scheduled past the level-0 horizon
+  std::uint64_t far_migrations = 0;   // far events reaching level 0/near
   std::uint64_t heap_compactions = 0; // stale-key compaction passes
   std::uint64_t peak_live = 0;        // max concurrently scheduled events
   std::uint64_t slabs_allocated = 0;  // pool growth events (not steady state)

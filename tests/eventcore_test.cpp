@@ -1,5 +1,7 @@
 // Contract tests for the zero-allocation event core: ordering across the
-// calendar layers (near heap / wheel / overflow heap), generation-handle
+// calendar tiers (near heap / level-0 wheel / level-1 wheel / overflow
+// heap), including the cascade of a level-1 epoch into an occupied
+// level-0 bucket, generation-handle
 // cancellation semantics, handle-outlives-queue safety, determinism under
 // interleaved cancels, inline-callback storage, and the zero-steady-state-
 // allocation guarantee (this binary links es2_alloc_hook).
@@ -10,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,8 +54,9 @@ static_assert(sizeof(Callback<void()>) + sizeof(void*) <=
 // ---------------------------------------------------------------------------
 
 TEST(EventCore, OrderingAcrossNearWheelAndFarLayers) {
-  // Times chosen to land in all three layers: same-bucket (near), within
-  // the ~1ms wheel horizon, and far beyond it.
+  // Times chosen to land in every tier: same-bucket (near), within the
+  // ~1 ms level-0 horizon, within the ~268 ms level-1 horizon, and far
+  // beyond it.
   Simulator sim;
   std::vector<SimTime> fired;
   const std::vector<SimTime> times = {
@@ -88,6 +92,67 @@ TEST(EventCore, SameInstantFifoAcrossLayerMigration) {
   sim.run_to_completion();
   ASSERT_EQ(order.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(EventCore, LevelOneCascadeIntoOccupiedLevelZeroBucketKeepsOrder) {
+  // B is filed into level 1 while the cursor sits on bucket 0. Once the
+  // cursor has moved to bucket 1, A and C land in level 0, in the very
+  // bucket that starts B's epoch. Reaching that bucket must cascade B
+  // and drain the level-0 bucket in the same step; otherwise B fires
+  // alone, ahead of the earlier A and of C, which shares B's instant
+  // but was scheduled after it.
+  constexpr SimTime kEpoch = SimTime{1} << 20;  // 256 level-0 buckets
+  Simulator sim;
+  const EventQueueStats& stats = sim.queue().stats();
+  std::string order;
+  sim.at(kEpoch + 10, [&] { order += 'B'; });
+  EXPECT_EQ(stats.far_hits, 1u);  // past the level-0 horizon: level 1
+  sim.at(4096, [&] { order += 'x'; });
+  // Fire x alone: the cap stops the loop before it refills again.
+  ASSERT_EQ(sim.run_until_capped(4096, 1), 1u);
+  sim.at(kEpoch + 5, [&] { order += 'A'; });
+  sim.at(kEpoch + 10, [&] { order += 'C'; });
+  EXPECT_EQ(stats.wheel_hits, 3u);  // x, A, C: all in level 0
+  EXPECT_EQ(stats.far_hits, 1u);
+  sim.run_to_completion();
+  EXPECT_EQ(order, "xABC");
+  EXPECT_EQ(sim.now(), kEpoch + 10);
+  EXPECT_EQ(stats.far_migrations, 1u);
+}
+
+TEST(EventCore, LoneEventsOnTierBoundariesFireOnTime) {
+  // With nothing else queued, the refill must find an event that sits on
+  // a tier boundary on its own, with no neighbour to step the cursor
+  // there first. Each event is scheduled from inside a callback, where
+  // the cursor stands on now's bucket, at an offset from now or from
+  // now's level-1 epoch start.
+  constexpr SimTime kBucket = 4096;
+  constexpr SimTime kEpoch = SimTime{1} << 20;
+  constexpr SimTime kHorizon = SimTime{1} << 28;  // level-1 horizon
+  const std::vector<SimTime> starts = {
+      0,      1,          kBucket - 1, kBucket,
+      kEpoch, kEpoch - 1, kEpoch + 255 * kBucket, 7 * kEpoch + 77};
+  const std::vector<SimTime> offsets = {
+      256 * kBucket - 1, 256 * kBucket, 256 * kBucket + 1,
+      kEpoch - 1,        kEpoch,        kEpoch + 1,
+      255 * kEpoch,      kHorizon - kBucket, kHorizon - 1,
+      kHorizon,          kHorizon + 1,  kHorizon + kBucket};
+  for (const SimTime start : starts) {
+    for (const bool from_epoch : {false, true}) {
+      for (const SimTime offset : offsets) {
+        Simulator sim;
+        const SimTime base = from_epoch ? start / kEpoch * kEpoch : start;
+        const SimTime when = std::max(start, base + offset);
+        SimTime fired_at = -1;
+        sim.at(start, [&] {
+          sim.at(when, [&] { fired_at = sim.now(); });
+        });
+        sim.run_to_completion();
+        EXPECT_EQ(fired_at, when) << "start " << start << " offset " << offset
+                                  << (from_epoch ? " from epoch" : "");
+      }
+    }
+  }
 }
 
 TEST(EventCore, DeferRunsAfterQueuedSameInstantEvents) {
@@ -157,7 +222,11 @@ TEST(EventCore, HeapCompactionDuringCancelStormKeepsStaleCountExact) {
       far_events.push_back(sim.after(sec(3), [] {}));  // far overflow heap
     }
     for (EventHandle& h : near_events) h.cancel();
+    // sec(3) lies past the level-1 horizon, so these keys sit in the far
+    // heap and cancelling them all must compact it.
+    const std::uint64_t compactions = stats.heap_compactions;
     for (EventHandle& h : far_events) h.cancel();
+    EXPECT_GT(stats.heap_compactions, compactions) << "round " << round;
     sim.after(2, [] {});  // forces a skim through the cancelled keys
     sim.run_for(usec(1));
   }
@@ -482,9 +551,39 @@ TEST(EventCore, MatchesReferenceModelUnderRandomOps) {
 struct SliceWorld {
   std::vector<std::pair<int, SimTime>> fired;  // (id, now() inside it)
   std::vector<int> cancel_on_fire;             // id -> id it cancels, or -1
+  bool all_tiers = false;  // draw follow-up delays with tier_delay()
 };
 
 constexpr int kSliceMaxIds = 3000;
+
+/// A delay from one calendar tier, or from one of the tier boundaries:
+/// the current level-0 bucket, the level-0 window (< 1 ms), the level-1
+/// window (1-268 ms), past the level-1 horizon, an exact level-1 epoch
+/// start k * 2^20 or one ns either side, and the 2^28-ns level-1 horizon
+/// plus or minus one level-0 bucket, from now and from now's epoch start.
+SimDuration tier_delay(Rng& rng, SimTime now) {
+  constexpr SimTime kBucket = 4096;
+  constexpr SimTime kEpoch = SimTime{1} << 20;
+  constexpr SimTime kHorizon = SimTime{1} << 28;
+  const SimTime bucket_step =
+      kBucket * (static_cast<SimTime>(rng.next_below(3)) - 1);
+  switch (rng.next_below(7)) {
+    case 0:
+      return static_cast<SimDuration>(
+          rng.next_below(static_cast<std::uint64_t>(kBucket - now % kBucket)));
+    case 1: return static_cast<SimDuration>(rng.next_below(msec(1)));
+    case 2:
+      return msec(1) + static_cast<SimDuration>(rng.next_below(msec(267)));
+    case 3: return kHorizon + static_cast<SimDuration>(rng.next_below(sec(1)));
+    case 4: {
+      const SimTime k =
+          now / kEpoch + 1 + static_cast<SimTime>(rng.next_below(300));
+      return k * kEpoch + static_cast<SimTime>(rng.next_below(3)) - 1 - now;
+    }
+    case 5: return kHorizon + bucket_step;
+    default: return now / kEpoch * kEpoch + kHorizon + bucket_step - now;
+  }
+}
 
 /// The follow-up work of event `id`, a pure function of (seed, id) and of
 /// the world's own state: follow-ups at now, in the current bucket, in
@@ -499,6 +598,10 @@ void slice_act(World& w, std::uint64_t seed, int id) {
   Rng rng(seed * 1000003u + static_cast<std::uint64_t>(id));
   const std::uint64_t follow_ups = rng.next_below(3);
   for (std::uint64_t k = 0; k < follow_ups; ++k) {
+    if (w.all_tiers) {
+      w.schedule(tier_delay(rng, w.now()));
+      continue;
+    }
     SimDuration d = 0;
     switch (rng.next_below(4)) {
       case 0: d = 0; break;
@@ -573,8 +676,41 @@ struct RefSliceWorld : SliceWorld {
   }
 };
 
-TEST(EventCore, RunSlicesMatchReferenceModel) {
+/// Runs both worlds through one randomly chosen run_until /
+/// run_until_capped / run_for slice of `span` and checks that they fire
+/// as many events and agree on the clock and the pending count. Returns
+/// true when a capped call stopped at its cap.
+bool run_one_slice(RealSliceWorld& real, RefSliceWorld& ref, Rng& rng,
+                   SimDuration span) {
   constexpr std::uint64_t kUncapped = ~std::uint64_t{0};
+  const SimTime deadline = real.sim.now() + span;
+  std::uint64_t got = 0;
+  std::uint64_t want = 0;
+  bool capped = false;
+  switch (rng.next_below(3)) {
+    case 0:
+      got = real.sim.run_until(deadline);
+      want = ref.run(deadline, kUncapped);
+      break;
+    case 1: {
+      const std::uint64_t cap = 1 + rng.next_below(8);
+      got = real.sim.run_until_capped(deadline, cap);
+      want = ref.run(deadline, cap);
+      capped = want == cap;
+      break;
+    }
+    default:
+      got = real.sim.run_for(span);
+      want = ref.run(deadline, kUncapped);
+      break;
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(real.sim.now(), ref.now());
+  EXPECT_EQ(real.sim.queue().size(), ref.pending.size());
+  return capped;
+}
+
+TEST(EventCore, RunSlicesMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     RealSliceWorld real(seed);
     RefSliceWorld ref(seed);
@@ -594,31 +730,8 @@ TEST(EventCore, RunSlicesMatchReferenceModel) {
           rng.next_below(4) == 0
               ? 0
               : static_cast<SimDuration>(rng.next_below(msec(3)));
-      const SimTime deadline = real.sim.now() + span;
-      std::uint64_t got = 0;
-      std::uint64_t want = 0;
-      switch (rng.next_below(3)) {
-        case 0:
-          got = real.sim.run_until(deadline);
-          want = ref.run(deadline, kUncapped);
-          break;
-        case 1: {
-          const std::uint64_t cap = 1 + rng.next_below(8);
-          got = real.sim.run_until_capped(deadline, cap);
-          want = ref.run(deadline, cap);
-          if (want == cap) ++capped_calls;
-          break;
-        }
-        default:
-          got = real.sim.run_for(span);
-          want = ref.run(deadline, kUncapped);
-          break;
-      }
-      ASSERT_EQ(got, want) << "seed " << seed << " call " << calls;
-      ASSERT_EQ(real.sim.now(), ref.now()) << "seed " << seed << " call "
-                                           << calls;
-      ASSERT_EQ(real.sim.queue().size(), ref.pending.size())
-          << "seed " << seed << " call " << calls;
+      if (run_one_slice(real, ref, rng, span)) ++capped_calls;
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " call " << calls;
     }
     EXPECT_EQ(real.sim.run_to_completion(), 0u);
     EXPECT_EQ(real.fired, ref.fired) << "seed " << seed;
@@ -631,6 +744,61 @@ TEST(EventCore, RunSlicesMatchReferenceModel) {
   }
 }
 
+TEST(EventCore, TwoLevelWheelMatchesReferenceModel) {
+  // Every tier and tier boundary, on both sides of the dispatch loop:
+  // between slices the test schedules tier_delay()s and cancels random
+  // pending ids (so cancels hit every tier), and every fired event's
+  // follow-ups draw tier_delay()s too. Slices run from zero to ~300 ms,
+  // so the cursor crosses many level-1 epochs, cascading some of them
+  // into an occupied level-0 bucket, and jumps onto far-heap tops.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RealSliceWorld real(seed);
+    RefSliceWorld ref(seed);
+    real.all_tiers = ref.all_tiers = true;
+    Rng rng = Rng::stream(seed, "two-level");
+    auto outside = [&] {
+      for (int k = 0; k < 3 && ref.next_id() < kSliceMaxIds; ++k) {
+        const SimDuration d = tier_delay(rng, ref.now());
+        real.schedule(d);
+        ref.schedule(d);
+      }
+      if (rng.next_below(2) == 0) {
+        const int victim = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(ref.next_id())));
+        real.cancel(victim);
+        ref.cancel(victim);
+      }
+    };
+    for (int i = 0; i < 32; ++i) outside();
+    int calls = 0;
+    while (!ref.pending.empty()) {
+      ++calls;
+      outside();
+      SimDuration span = 0;
+      switch (rng.next_below(5)) {
+        case 0: break;
+        case 1: span = static_cast<SimDuration>(rng.next_below(4096)); break;
+        case 2: span = static_cast<SimDuration>(rng.next_below(msec(1))); break;
+        case 3:
+          span = static_cast<SimDuration>(rng.next_below(msec(20)));
+          break;
+        default:
+          span = static_cast<SimDuration>(rng.next_below(msec(300)));
+          break;
+      }
+      run_one_slice(real, ref, rng, span);
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " call " << calls;
+    }
+    EXPECT_EQ(real.sim.run_to_completion(), 0u);
+    EXPECT_EQ(real.fired, ref.fired) << "seed " << seed;
+    EXPECT_GE(ref.next_id(), kSliceMaxIds) << "seed " << seed;
+    const EventQueueStats& stats = real.sim.queue().stats();
+    EXPECT_GT(stats.far_hits, 0u) << "seed " << seed;
+    EXPECT_GT(stats.far_migrations, 0u) << "seed " << seed;
+    EXPECT_GT(stats.cancelled, 0u) << "seed " << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Perf counters
 // ---------------------------------------------------------------------------
@@ -639,17 +807,24 @@ TEST(EventCore, StatsCountersTrackScheduleCancelFireAndLayers) {
   Simulator sim;
   const EventQueueStats& stats = sim.queue().stats();
   sim.at(0, [] {});                      // near (bucket 0)
-  sim.at(usec(100), [] {});              // wheel
+  sim.at(usec(100), [] {});              // level-0 wheel
+  sim.at(msec(50), [] {});               // level-1 wheel: counts as far
+  sim.at(msec(300), [] {});  // far heap; level 1 once the cursor
+                             // reaches the 50 ms timer's epoch
   EventHandle far = sim.at(sec(4), [] {});  // far heap
-  EXPECT_EQ(stats.scheduled, 3u);
+  EXPECT_EQ(stats.scheduled, 5u);
   EXPECT_EQ(stats.near_hits, 1u);
   EXPECT_EQ(stats.wheel_hits, 1u);
-  EXPECT_EQ(stats.far_hits, 1u);
-  EXPECT_EQ(stats.peak_live, 3u);
+  EXPECT_EQ(stats.far_hits, 3u);
+  EXPECT_EQ(stats.peak_live, 5u);
   far.cancel();
   EXPECT_EQ(stats.cancelled, 1u);
   sim.run_to_completion();
-  EXPECT_EQ(stats.fired, 2u);
+  EXPECT_EQ(stats.fired, 4u);
+  // The 50 ms and 300 ms timers each entered level 0 / near exactly once
+  // (the 300 ms one by way of level 1); the cancelled far event never
+  // did.
+  EXPECT_EQ(stats.far_migrations, 2u);
   EXPECT_EQ(stats.boxed_callbacks, 0u);
 }
 
@@ -660,12 +835,14 @@ TEST(EventCore, StatsCountersTrackScheduleCancelFireAndLayers) {
 TEST(EventCore, SteadyStateScheduleCancelFireAllocatesNothing) {
   Simulator sim;
   std::vector<EventHandle> handles;
-  handles.reserve(1024);
-  // One churn round exercises every layer: same-instant defers, wheel
-  // inserts, far-heap inserts, cancels of each, fires of the rest.
+  handles.reserve(2048);
+  // One churn round exercises every tier: same-instant defers, level-0
+  // inserts, level-1 and far-heap inserts, cancels of each, fires of the
+  // rest.
   auto churn = [&] {
     for (int i = 0; i < 1000; ++i) {
       sim.after(static_cast<SimDuration>(i % 200) * usec(1) + 1, [] {});
+      handles.push_back(sim.after(msec(50), [] {}));
       handles.push_back(sim.after(sec(2), [] {}));
     }
     for (EventHandle& h : handles) h.cancel();
