@@ -91,6 +91,8 @@ class Core {
   std::vector<SimThread*> rq_;
   double min_vruntime_ = 0.0;
   bool resched_pending_ = false;
+  // Not a ResidentTimer: it sits idle whenever the core has no contender,
+  // and an idle resident record still holds an event-pool slot.
   EventHandle slice_timer_;
   std::uint64_t context_switches_ = 0;
   std::uint64_t preemptions_ = 0;

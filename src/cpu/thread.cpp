@@ -5,6 +5,7 @@
 #include "base/assert.h"
 #include "base/log.h"
 #include "cpu/cfs.h"
+#include "stats/meters.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -27,12 +28,10 @@ SimThread::SimThread(Simulator& sim, std::string name, int weight)
     : sim_(sim),
       name_(std::move(name)),
       id_(g_next_thread_id.fetch_add(1, std::memory_order_relaxed)),
-      weight_(weight) {
+      weight_(weight),
+      completion_(
+          sim.queue().resident<&SimThread::on_segment_complete>(this)) {
   ES2_CHECK_MSG(weight_ > 0, "thread weight must be positive");
-}
-
-SimThread::~SimThread() {
-  if (active_) active_->completion.cancel();
 }
 
 SimDuration SimThread::cpu_time() const {
@@ -41,7 +40,8 @@ SimDuration SimThread::cpu_time() const {
   return t;
 }
 
-void SimThread::exec(SimDuration duration, Callback<void()> done) {
+void SimThread::exec(SimDuration duration, Callback<void()> done,
+                     SimDuration span, bool in_guest) {
   ES2_CHECK_MSG(state_ != State::kFinished, "exec on finished thread");
   ES2_CHECK_MSG(state_ != State::kBlocked, "exec on blocked thread");
   ES2_CHECK_MSG(!active_, "thread already has an active segment");
@@ -49,19 +49,23 @@ void SimThread::exec(SimDuration duration, Callback<void()> done) {
   active_.emplace();
   active_->remaining = duration;
   active_->done = std::move(done);
+  active_->span = span;
+  active_->in_guest = in_guest;
   if (state_ == State::kRunning) arm_segment();
 }
 
 std::optional<PausedSegment> SimThread::suspend_active() {
   if (!active_) return std::nullopt;
   freeze_segment();
-  PausedSegment paused{active_->remaining, std::move(active_->done)};
+  PausedSegment paused{active_->remaining, std::move(active_->done),
+                       active_->span, active_->in_guest};
   active_.reset();
   return paused;
 }
 
 void SimThread::resume_segment(PausedSegment segment) {
-  exec(segment.remaining, std::move(segment.done));
+  exec(segment.remaining, std::move(segment.done), segment.span,
+       segment.in_guest);
 }
 
 void SimThread::block() {
@@ -80,10 +84,8 @@ void SimThread::wake() {
 
 void SimThread::finish() {
   if (state_ == State::kFinished) return;
-  if (active_) {
-    active_->completion.cancel();
-    active_.reset();
-  }
+  completion_.cancel();
+  active_.reset();
   if (sched_) sched_->on_finish(*this);
   state_ = State::kFinished;
 }
@@ -93,13 +95,12 @@ void SimThread::arm_segment() {
   if (active_->armed) return;
   active_->armed = true;
   active_->armed_at = sim_.now();
-  active_->completion =
-      sim_.after(active_->remaining, [this] { on_segment_complete(); });
+  completion_.arm(sim_.now() + active_->remaining);
 }
 
 void SimThread::freeze_segment() {
   if (!active_ || !active_->armed) return;
-  active_->completion.cancel();
+  completion_.cancel();
   const SimDuration ran = sim_.now() - active_->armed_at;
   active_->remaining -= ran;
   if (active_->remaining < 0) active_->remaining = 0;
@@ -109,6 +110,7 @@ void SimThread::freeze_segment() {
 void SimThread::on_segment_complete() {
   ES2_CHECK(active_ && state_ == State::kRunning);
   auto done = std::move(active_->done);
+  if (spans_ != nullptr) spans_->add(active_->span, active_->in_guest);
   active_.reset();
   if (done) done();
   // The callback must have left the thread either blocked, finished, or

@@ -7,6 +7,14 @@
 // frozen/thawed across CFS preemptions, so component code never sees a
 // preemption — exactly like a real thread does not.
 //
+// A segment's completion is the simulator's most common event, so it
+// costs one re-key of a record the thread owns for life: the thread's
+// `ResidentTimer` is armed when a segment starts running and cancelled
+// when it is frozen. A segment may also carry a `span` of accounted time
+// (guest or host): the thread adds it to the owner's `SpanAccumulator`
+// right before `done` runs, once per segment however often it was
+// suspended and resumed in between.
+//
 // Threads with no active segment fall back to their `main` body when
 // scheduled; `main` must leave the thread either with a pending segment or
 // blocked (enforced by ES2_CHECK), which rules out silent busy states.
@@ -26,12 +34,16 @@ namespace es2 {
 
 class CfsScheduler;
 class Core;
+class SpanAccumulator;
 
 /// A paused work segment (used by the vCPU layer to nest interrupt handler
-/// work inside an interrupted guest segment).
+/// work inside an interrupted guest segment). `span` and `in_guest` ride
+/// along so the resumed segment accounts its full span on completion.
 struct PausedSegment {
   SimDuration remaining = 0;
   Callback<void()> done;
+  SimDuration span = 0;
+  bool in_guest = false;
 };
 
 /// CFS load weights (subset of the kernel's prio_to_weight table).
@@ -49,7 +61,6 @@ class SimThread {
   using Notifier = std::function<void(SimThread&, bool sched_in)>;
 
   SimThread(Simulator& sim, std::string name, int weight = kWeightNice0);
-  ~SimThread();
   SimThread(const SimThread&) = delete;
   SimThread& operator=(const SimThread&) = delete;
 
@@ -59,8 +70,15 @@ class SimThread {
   void set_main(std::function<void()> main) { main_ = std::move(main); }
 
   /// Submits a work segment. Legal in any non-finished, non-blocked state;
-  /// at most one active segment at a time.
-  void exec(SimDuration duration, Callback<void()> done);
+  /// at most one active segment at a time. On completion `span` is added
+  /// (as guest or host time) to the installed span accumulator, if any,
+  /// right before `done` runs.
+  void exec(SimDuration duration, Callback<void()> done, SimDuration span = 0,
+            bool in_guest = false);
+
+  /// Installs the accumulator that completed segments' spans go to (null:
+  /// spans are dropped). The owner installs it once.
+  void set_span_accumulator(SpanAccumulator* spans) { spans_ = spans; }
 
   /// Removes and returns the active segment with its remaining time
   /// (nested-interrupt support). Returns nullopt if no segment is active.
@@ -112,9 +130,10 @@ class SimThread {
   struct ActiveSegment {
     SimDuration remaining = 0;
     Callback<void()> done;
-    EventHandle completion;   // armed only while running
+    SimDuration span = 0;
     SimTime armed_at = 0;
-    bool armed = false;
+    bool armed = false;       // completion_ pending (only while running)
+    bool in_guest = false;
   };
 
   // Scheduler-side hooks.
@@ -131,6 +150,8 @@ class SimThread {
   int weight_;
   State state_ = State::kBlocked;
   std::optional<ActiveSegment> active_;
+  ResidentTimer completion_;   // the active segment's completion
+  SpanAccumulator* spans_ = nullptr;
   std::function<void()> main_;
   std::vector<Notifier> notifiers_;
 

@@ -34,7 +34,7 @@ void GuestTask::wake() {
 GuestOs::GuestOs(Vm& vm, GuestParams params)
     : vm_(vm), params_(params),
       rng_(vm.host().sim().make_rng("guest/" + vm.name())),
-      rr_cursor_(static_cast<size_t>(vm.num_vcpus()), 0) {
+      vcpu_tasks_(static_cast<size_t>(vm.num_vcpus())) {
   vm.set_guest(this);
 }
 
@@ -47,7 +47,19 @@ Cycles GuestOs::jittered(Cycles cost) {
 
 GuestOs::~GuestOs() = default;
 
-void GuestOs::add_task(GuestTask& task) { tasks_.push_back(&task); }
+void GuestOs::add_task(GuestTask& task) {
+  ES2_CHECK_MSG(task.next_on_vcpu_ == nullptr, "task added twice");
+  task.index_ = tasks_.size();
+  tasks_.push_back(&task);
+  VcpuTasks& v = vcpu_tasks_[static_cast<size_t>(task.vcpu_affinity())];
+  if (v.tail != nullptr) {
+    v.tail->next_on_vcpu_ = &task;
+  } else {
+    v.head = &task;
+  }
+  v.tail = &task;
+  task.next_on_vcpu_ = v.head;
+}
 
 void GuestOs::attach_netdev(VirtioNetFrontend& dev) {
   netdevs_.push_back(&dev);
@@ -65,22 +77,26 @@ void GuestOs::register_flow(std::uint64_t flow, FlowSink& sink) {
 void GuestOs::unregister_flow(std::uint64_t flow) { flows_.erase(flow); }
 
 GuestTask* GuestOs::pick_task(int vcpu_index) {
-  // Two priority levels: any runnable normal task beats any burn task.
-  // Round-robin within a level via a per-vCPU rotating cursor.
+  VcpuTasks& v = vcpu_tasks_[static_cast<size_t>(vcpu_index)];
+  if (v.head == nullptr) return nullptr;
+  GuestTask* const cursor_task =
+      v.cursor < tasks_.size() ? tasks_[v.cursor] : nullptr;
+  GuestTask* const start =
+      cursor_task != nullptr && cursor_task->vcpu_affinity() == vcpu_index
+          ? cursor_task->next_on_vcpu_
+          : v.head;
   GuestTask* burn = nullptr;
-  const size_t n = tasks_.size();
-  if (n == 0) return nullptr;
-  auto& cursor = rr_cursor_[static_cast<size_t>(vcpu_index)];
-  for (size_t i = 0; i < n; ++i) {
-    GuestTask* t = tasks_[(cursor + 1 + i) % n];
-    if (!t->runnable() || t->vcpu_affinity() != vcpu_index) continue;
-    if (t->low_priority()) {
+  GuestTask* t = start;
+  do {
+    if (t->runnable()) {
+      if (!t->low_priority()) {
+        v.cursor = t->index_;
+        return t;
+      }
       if (burn == nullptr) burn = t;
-      continue;
     }
-    cursor = (cursor + 1 + i) % n;
-    return t;
-  }
+    t = t->next_on_vcpu_;
+  } while (t != start);
   return burn;
 }
 
@@ -168,8 +184,8 @@ void GuestOs::snapshot_state(SnapshotWriter& w) const {
   snapshot_rng(w, rng_);
   w.put_i64(unknown_flow_);
   w.put_i64(app_progress_);
-  w.put_u32(static_cast<std::uint32_t>(rr_cursor_.size()));
-  for (std::uint64_t c : rr_cursor_) w.put_u64(c);
+  w.put_u32(static_cast<std::uint32_t>(vcpu_tasks_.size()));
+  for (const VcpuTasks& v : vcpu_tasks_) w.put_u64(v.cursor);
   w.put_u32(static_cast<std::uint32_t>(tasks_.size()));
   for (const GuestTask* t : tasks_) {
     w.put_string(t->name());

@@ -3,9 +3,10 @@
 //
 // Implements the `GuestCpu` contract: a tiny two-priority task scheduler
 // per vCPU (normal tasks + "lowest-priority CPU burn" tasks, matching the
-// paper's test setup), IDT-style interrupt routing (device vectors to
-// their driver, timer/IPI vectors to stub handlers), a flow demux that
-// hands received packets to protocol sinks, and idle/HLT handling.
+// paper's test setup; pick_task documents the exact order), IDT-style
+// interrupt routing (device vectors to their driver, timer/IPI vectors to
+// stub handlers), a flow demux that hands received packets to protocol
+// sinks, and idle/HLT handling.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +58,17 @@ class GuestTask {
   const GuestOs& os() const { return os_; }
 
  private:
+  friend class GuestOs;
+
   GuestOs& os_;
   std::string name_;
   int vcpu_affinity_;
   bool low_priority_;
   bool runnable_ = true;
+  // Set by GuestOs::add_task: the position in the OS's task list, and the
+  // next task with the same affinity (a ring in task-list order).
+  std::uint64_t index_ = 0;
+  GuestTask* next_on_vcpu_ = nullptr;
 };
 
 /// Receives packets demultiplexed by flow id in NAPI (softirq) context.
@@ -132,12 +139,29 @@ class GuestOs final : public GuestCpu, public Snapshottable {
   /// vm=<name>) — plus each attached netdev's driver probes.
   void register_metrics(MetricsRegistry& registry);
 
-  /// Serializes the guest kernel: jitter RNG, per-vCPU scheduler cursors,
+  /// Serializes the guest kernel: jitter RNG, per-vCPU scheduler cursors
+  /// (each the task-list index of the last normal task picked),
   /// task runnability, the registered flow set (sorted) and every attached
   /// netdev driver's NAPI/watchdog state.
   void snapshot_state(SnapshotWriter& w) const override;
 
  private:
+  /// One vCPU's share of the task list: its tasks as an intrusive ring in
+  /// task-list order (head = lowest index, tail = highest), and the
+  /// round-robin cursor.
+  struct VcpuTasks {
+    std::uint64_t cursor = 0;  // task-list index of the last normal pick
+    GuestTask* head = nullptr;
+    GuestTask* tail = nullptr;
+  };
+
+  /// Two priority levels, round-robin within a level: the first runnable
+  /// normal task after the cursor in task-list order (wrapping), else the
+  /// first runnable burn task in that order, else null. Walks only this
+  /// vCPU's ring, from the cursor's successor on it (or the ring head
+  /// while the cursor is not one of this vCPU's tasks, i.e. before its
+  /// first normal pick), which visits exactly the tasks a scan of the
+  /// whole list from cursor + 1 would, in the same order.
   GuestTask* pick_task(int vcpu_index);
   void wake_vcpu_for_task(const GuestTask& task);
   /// Timer-tick tail: runs each netdev's TX watchdog, then EOIs.
@@ -148,7 +172,7 @@ class GuestOs final : public GuestCpu, public Snapshottable {
   GuestParams params_;
   Rng rng_;
   std::vector<GuestTask*> tasks_;
-  std::vector<std::uint64_t> rr_cursor_;      // per-vCPU round-robin cursor
+  std::vector<VcpuTasks> vcpu_tasks_;  // indexed by vCPU
   std::vector<VirtioNetFrontend*> netdevs_;
   std::unordered_map<std::uint64_t, FlowSink*> flows_;
   std::int64_t unknown_flow_ = 0;

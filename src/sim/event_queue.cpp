@@ -21,9 +21,11 @@ void EventCore::close() {
         }
         r.gen++;
         r.loc = EventLocation::kFree;
+        r.resident = false;
       }
     }
   }
+  closed_ = true;
   near_.clear();
   far_.clear();
   near_stale_ = far_stale_ = 0;
@@ -157,9 +159,7 @@ void EventCore::enqueue(std::uint32_t slot, SimTime when) {
   if (live_ > stats_.peak_live) stats_.peak_live = live_;
 }
 
-void EventCore::cancel(std::uint32_t slot, std::uint32_t gen) {
-  EventRecord& r = record(slot);
-  if (r.gen != gen || r.loc == EventLocation::kFree) return;
+EventLocation EventCore::unfile(std::uint32_t slot, EventRecord& r) {
   const EventLocation loc = r.loc;
   if (loc == EventLocation::kWheel0) {
     unlink(wheel0_, r, slot);
@@ -170,18 +170,64 @@ void EventCore::cancel(std::uint32_t slot, std::uint32_t gen) {
   } else {
     ++far_stale_;
   }
+  return loc;
+}
+
+void EventCore::note_cancelled(EventLocation was) {
+  stats_.cancelled++;
+  --live_;
+  if (was == EventLocation::kNear) {
+    maybe_compact(near_, near_stale_);
+  } else if (was == EventLocation::kFar) {
+    maybe_compact(far_, far_stale_);
+  }
+}
+
+void EventCore::cancel(std::uint32_t slot, std::uint32_t gen) {
+  EventRecord& r = record(slot);
+  if (r.gen != gen || r.loc == EventLocation::kFree) return;
+  const EventLocation loc = unfile(slot, r);
   // Reclaim (and bump the generation) BEFORE any compaction so the
   // cancelled key is recognisably dead: compacting first would let it
   // survive the pass while the stale counter resets, and skim() would
   // later underflow that counter when the key finally surfaced.
   free_slot(slot);
-  stats_.cancelled++;
-  --live_;
-  if (loc == EventLocation::kNear) {
-    maybe_compact(near_, near_stale_);
-  } else if (loc == EventLocation::kFar) {
-    maybe_compact(far_, far_stale_);
-  }
+  note_cancelled(loc);
+}
+
+std::uint32_t EventCore::bind_resident(const CallbackOps* ops, void* owner) {
+  const std::uint32_t slot = acquire_slot();
+  EventRecord& r = record(slot);
+  ::new (static_cast<void*>(r.buf)) void*(owner);
+  r.ops = ops;
+  r.resident = true;
+  r.loc = EventLocation::kIdle;
+  return slot;
+}
+
+void EventCore::arm_resident(std::uint32_t slot, SimTime when) {
+  ES2_CHECK_MSG(clock_ == nullptr || when >= *clock_,
+                "cannot schedule into the past");
+  ES2_CHECK_MSG(record(slot).loc == EventLocation::kIdle,
+                "resident timer armed while pending");
+  enqueue(slot, when);
+}
+
+void EventCore::cancel_resident(std::uint32_t slot) {
+  EventRecord& r = record(slot);
+  if (r.loc == EventLocation::kIdle) return;
+  const EventLocation loc = unfile(slot, r);
+  // As in cancel(): the generation moves before any compaction.
+  r.gen++;
+  r.loc = EventLocation::kIdle;
+  note_cancelled(loc);
+}
+
+void EventCore::unbind_resident(std::uint32_t slot) {
+  if (closed_) return;  // close() already reclaimed the slot
+  cancel_resident(slot);
+  record(slot).resident = false;
+  free_slot(slot);
 }
 
 void EventCore::skim(std::vector<HeapKey>& heap, std::size_t& stale) {
@@ -332,6 +378,13 @@ void EventCore::fire(HeapKey k) {
   r.gen++;
   --live_;
   stats_.fired++;
+  if (r.resident) {
+    // The binding stays and the slot stays bound. The record is idle
+    // before the call, so the owner may re-arm (or unbind) it inside.
+    r.loc = EventLocation::kIdle;
+    r.ops->fire(r.buf);
+    return;
+  }
   // ops->fire destroys the closure on return and on unwind, so the
   // record no longer owns it; the guard returns the slot to the free
   // list on both paths too.

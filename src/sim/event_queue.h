@@ -44,6 +44,14 @@
 // one of the two heaps leave a stale 24-byte key which is dropped when
 // it surfaces; heaps compact themselves when more than half their keys
 // are stale, so cancel-heavy workloads cannot bloat the queue.
+//
+// A `ResidentTimer` is the re-armable alternative for an owner that keeps
+// at most one event of one kind pending for its whole life (a thread's
+// segment completion, a periodic tick): it binds
+// one record to `(owner, member function)` once, and each arm re-keys
+// that record instead of acquiring a slot, constructing a closure and
+// issuing a handle. Between arms the record sits idle (`kIdle`), off the
+// free list and out of the calendar.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +83,8 @@ inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
 /// Type-erased operations on a callback stored in an EventRecord buffer.
 /// `fire` invokes the callable and then destroys it, also when the call
 /// throws; `destroy` drops a callable that never fired (cancel, close).
+/// A resident binding (ResidentOps) is the exception: its `fire` only
+/// invokes, because the record keeps the binding for the next arm.
 struct CallbackOps {
   void (*fire)(void* buf);
   void (*destroy)(void* buf);
@@ -90,6 +100,19 @@ struct InlineOps {
     (*guard.fn)();
   }
   static void destroy(void* buf) { static_cast<Fn*>(buf)->~Fn(); }
+  static constexpr CallbackOps ops{&fire, &destroy};
+};
+
+/// A resident timer's binding: the `Owner*` sits in the record buffer,
+/// the member function in the type. One static table per (Owner, Method),
+/// so the ops pointer names the firing site like any scheduled lambda's.
+/// Nothing to destroy: the record keeps the binding until the timer dies.
+template <typename Owner, void (Owner::*Method)()>
+struct ResidentOps {
+  static void fire(void* buf) {
+    (static_cast<Owner*>(*static_cast<void**>(buf))->*Method)();
+  }
+  static void destroy(void*) {}
   static constexpr CallbackOps ops{&fire, &destroy};
 };
 
@@ -111,6 +134,7 @@ enum class EventLocation : std::uint8_t {
   kWheel0,     // linked into a level-0 wheel bucket
   kWheel1,     // linked into a level-1 wheel bucket (an epoch)
   kFar,        // keyed into the far overflow heap
+  kIdle,       // bound to a resident timer, not armed
 };
 
 /// One pooled event. Records never move once allocated, so the callback
@@ -120,6 +144,7 @@ struct EventRecord {
   std::uint64_t seq = 0;
   std::uint32_t gen = 0;          // bumped on fire/cancel/free
   EventLocation loc = EventLocation::kFree;
+  bool resident = false;          // bound to a ResidentTimer for life
   std::uint32_t prev = kInvalidSlot;  // wheel-bucket list / unused
   std::uint32_t next = kInvalidSlot;  // wheel-bucket list / free list
   std::uint32_t bucket = 0;           // wheel slot while in a wheel
@@ -156,7 +181,9 @@ class EventCore {
   static constexpr int kEpochShift = 8;  // level-0 buckets per epoch: 256
   static constexpr std::uint32_t kSlabSize = 256;
 
-  EventCore() = default;
+  /// `clock`, if given, is the owner's current time: resident timers may
+  /// not be armed before it (the Simulator passes its clock).
+  explicit EventCore(const SimTime* clock) : clock_(clock) {}
   ~EventCore() { close(); }
   EventCore(const EventCore&) = delete;
   EventCore& operator=(const EventCore&) = delete;
@@ -169,8 +196,10 @@ class EventCore {
 
   /// Destroys every un-fired callback and invalidates all handles.
   /// Called when the owning queue dies; outstanding handles then report
-  /// pending() == false and cancel() as a no-op.
+  /// pending() == false and cancel() as a no-op, and resident timers
+  /// lose their records (arm()/cancel() become no-ops).
   void close();
+  bool closed() const { return closed_; }
 
   /// Pops a record off the free list (growing by one slab if empty) —
   /// the caller constructs the callback into `record(slot).buf` and
@@ -206,6 +235,21 @@ class EventCore {
   bool pending(std::uint32_t slot, std::uint32_t gen) const {
     return record(slot).loc != EventLocation::kFree &&
            record(slot).gen == gen;
+  }
+
+  /// Resident records (see ResidentTimer). bind_resident() takes a slot
+  /// for life and parks it idle; arm_resident() stamps a sequence and
+  /// files it exactly like enqueue(); cancel_resident() unfiles it
+  /// exactly like cancel() but parks it idle again; unbind_resident()
+  /// cancels and returns the slot to the free list. A fired resident
+  /// record goes idle before its callback runs and is never freed.
+  std::uint32_t bind_resident(const CallbackOps* ops, void* owner);
+  void arm_resident(std::uint32_t slot, SimTime when);
+  void cancel_resident(std::uint32_t slot);
+  void unbind_resident(std::uint32_t slot);
+  bool resident_pending(std::uint32_t slot) const {
+    const EventLocation loc = record(slot).loc;
+    return loc != EventLocation::kIdle && loc != EventLocation::kFree;
   }
 
   /// Fires events in (when, seq) order until none is left, the earliest
@@ -255,6 +299,12 @@ class EventCore {
   /// inlined release() on every handle stays a decrement and a test.
   void destroy();
   void free_slot(std::uint32_t slot);
+  /// Takes a filed record out of the calendar: unlinks a wheel entry or
+  /// counts its heap key stale. Returns where it was.
+  EventLocation unfile(std::uint32_t slot, EventRecord& r);
+  /// Cancel bookkeeping once the record is free or idle (its generation
+  /// bumped, so the stale key is recognisably dead to the compaction).
+  void note_cancelled(EventLocation was);
   /// Brings the earliest live key to the near heap's top; live_ > 0.
   const HeapKey& next_key();
   /// Pops the near heap's top `k` and runs its callback.
@@ -295,6 +345,8 @@ class EventCore {
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
   std::uint32_t refs_ = 1;
+  bool closed_ = false;
+  const SimTime* clock_;  // read only while open
   EventQueueStats stats_;
 };
 
@@ -348,9 +400,60 @@ class EventHandle {
   std::uint32_t gen_ = 0;
 };
 
+/// A re-armable timer bound to one pooled event record for its owner's
+/// lifetime: `(owner, member function)` is bound once, at construction
+/// (EventQueue::resident), and every arm re-keys that record. It counts
+/// like a scheduled event: an arm is one
+/// `scheduled` (plus its near/wheel/far hit, `live`, `peak_live`), a
+/// cancel of a pending timer one `cancelled`, a fire one `fired`; and an
+/// arm takes the next sequence number, so firing order is the same as a
+/// schedule at that point. Only an owner with at most one pending event
+/// of the kind may use one: arming a pending timer is a check failure.
+/// Like EventHandle it holds a (non-atomic) core reference, so it may
+/// outlive its queue; after the queue closes arm()/cancel() are no-ops
+/// and pending() is false.
+class ResidentTimer {
+ public:
+  ResidentTimer(const ResidentTimer&) = delete;
+  ResidentTimer& operator=(const ResidentTimer&) = delete;
+  ~ResidentTimer() {
+    core_->unbind_resident(slot_);
+    core_->release();
+  }
+
+  /// Files the timer to fire at absolute time `when` (>= now() in a
+  /// Simulator's queue, as for Simulator::at). The timer must not be
+  /// pending; its own callback may re-arm it.
+  void arm(SimTime when) {
+    if (!core_->closed()) core_->arm_resident(slot_, when);
+  }
+
+  /// Unfiles a pending timer; a no-op when idle or inside its own fire.
+  void cancel() {
+    if (!core_->closed()) core_->cancel_resident(slot_);
+  }
+
+  /// True while armed and not yet fired.
+  bool pending() const {
+    return !core_->closed() && core_->resident_pending(slot_);
+  }
+
+ private:
+  friend class EventQueue;
+  ResidentTimer(detail::EventCore* core, std::uint32_t slot) noexcept
+      : core_(core), slot_(slot) {
+    core_->retain();
+  }
+
+  detail::EventCore* core_;
+  std::uint32_t slot_;
+};
+
 class EventQueue {
  public:
-  EventQueue() : core_(new detail::EventCore) {}
+  /// `clock`: see detail::EventCore's constructor.
+  explicit EventQueue(const SimTime* clock = nullptr)
+      : core_(new detail::EventCore(clock)) {}
   ~EventQueue() {
     core_->close();
     core_->release();
@@ -391,6 +494,13 @@ class EventQueue {
     }
     core.enqueue(slot, when);
     return EventHandle(core_, slot, r.gen);
+  }
+
+  /// Binds a resident timer that runs `(owner->*Method)()` when it fires.
+  template <auto Method, typename Owner>
+  ResidentTimer resident(Owner* owner) {
+    const detail::CallbackOps* ops = &detail::ResidentOps<Owner, Method>::ops;
+    return ResidentTimer(core_, core_->bind_resident(ops, owner));
   }
 
   /// The dispatch loop: see detail::EventCore::run_until.

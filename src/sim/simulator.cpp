@@ -34,7 +34,10 @@ std::uint64_t Simulator::run_to_completion() {
 
 PeriodicTimer::PeriodicTimer(Simulator& sim, SimDuration period,
                              std::function<void()> fn)
-    : sim_(sim), period_(period), fn_(std::move(fn)) {
+    : sim_(sim),
+      period_(period),
+      fn_(std::move(fn)),
+      pending_(sim.queue().resident<&PeriodicTimer::tick>(this)) {
   ES2_CHECK(period_ > 0);
 }
 
@@ -56,12 +59,12 @@ void PeriodicTimer::stop() {
   pending_.cancel();
 }
 
-void PeriodicTimer::arm() {
-  pending_ = sim_.after(period_, [this] {
-    if (!running_) return;
-    fn_();
-    if (running_) arm();
-  });
+void PeriodicTimer::arm() { pending_.arm(sim_.now() + period_); }
+
+void PeriodicTimer::tick() {
+  fn_();
+  // A stop(); start() inside fn_ has already armed the next tick.
+  if (running_ && !pending_.pending()) arm();
 }
 
 }  // namespace es2

@@ -104,7 +104,7 @@ class Simulator : public Snapshottable {
   void snapshot_state(SnapshotWriter& w) const override;
 
  private:
-  EventQueue queue_;
+  EventQueue queue_{&now_};  // checks resident-timer arms against now_
   SimTime now_ = 0;
   std::uint64_t seed_;
   std::uint64_t events_executed_ = 0;
@@ -112,7 +112,9 @@ class Simulator : public Snapshottable {
   Profiler* profiler_ = nullptr;
 };
 
-/// Repeating timer helper built on Simulator::after.
+/// Repeating timer on one resident event record. stop() and start() may
+/// be called from inside the tick callback itself; the timer then runs on
+/// from the restart, with exactly one tick pending.
 class PeriodicTimer {
  public:
   PeriodicTimer(Simulator& sim, SimDuration period, std::function<void()> fn);
@@ -126,10 +128,11 @@ class PeriodicTimer {
 
  private:
   void arm();
+  void tick();
   Simulator& sim_;
   SimDuration period_;
   std::function<void()> fn_;
-  EventHandle pending_;
+  ResidentTimer pending_;
   bool running_ = false;
 };
 

@@ -44,8 +44,9 @@ class ExitStats {
     ++total_;
   }
 
-  /// Accrues vCPU time spent in guest or host context.
-  void add_span(SimDuration span, bool in_guest) { spans_.add(span, in_guest); }
+  /// Accrues vCPU time spent in guest or host context: the vCPU thread
+  /// adds each completed segment's span to it (SimThread::exec).
+  SpanAccumulator& spans() { return spans_; }
 
   /// Starts a measurement window at `now` (typically after warmup).
   void begin_window(SimTime now);

@@ -21,8 +21,10 @@ Vcpu::Vcpu(Vm& vm, int index, int pinned_core)
       sim_(vm.host().sim()),
       index_(index),
       thread_(sim_, format("%s/vcpu%d", vm.name().c_str(), index)),
-      pinned_core_(pinned_core) {
+      pinned_core_(pinned_core),
+      noise_timer_(sim_.queue().resident<&Vcpu::noise_tick>(this)) {
   thread_.set_main([this] { run_loop(); });
+  thread_.set_span_accumulator(&stats_.spans());
   thread_.add_notifier([this](SimThread&, bool in) {
     if (in) {
       on_sched_in();
@@ -43,11 +45,10 @@ void Vcpu::start() {
 // ---------------------------------------------------------------------------
 
 void Vcpu::timed_exec(bool guest, Cycles cost, Callback<void()> done) {
+  // The segment carries its span; the thread adds it to stats_ (the
+  // accumulator installed above) right before `done` runs.
   const SimDuration ns = vm_.host().costs().ns(cost);
-  thread_.exec(ns, [this, guest, ns, done = std::move(done)] {
-    stats_.add_span(ns, guest);
-    done();
-  });
+  thread_.exec(ns, std::move(done), ns, guest);
 }
 
 void Vcpu::guest_exec(Cycles cost, Callback<void()> done) {
@@ -406,7 +407,7 @@ void Vcpu::on_sched_in() {
 void Vcpu::arm_noise_timer() {
   const SimDuration period = vm_.host().costs().other_exit_period;
   if (period <= 0) return;
-  noise_timer_ = sim_.after(period, [this] { noise_tick(); });
+  noise_timer_.arm(sim_.now() + period);
 }
 
 void Vcpu::noise_tick() {

@@ -167,7 +167,7 @@ class Vcpu {
   std::int64_t eli_hazards_ = 0;
   int pinned_core_ = -1;
   std::uint64_t noise_seq_ = 0;
-  EventHandle noise_timer_;
+  ResidentTimer noise_timer_;
 };
 
 }  // namespace es2

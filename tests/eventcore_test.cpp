@@ -2,9 +2,11 @@
 // calendar tiers (near heap / level-0 wheel / level-1 wheel / overflow
 // heap), including the cascade of a level-1 epoch into an occupied
 // level-0 bucket, generation-handle
-// cancellation semantics, handle-outlives-queue safety, determinism under
-// interleaved cancels, inline-callback storage, and the zero-steady-state-
-// allocation guarantee (this binary links es2_alloc_hook).
+// cancellation semantics, handle-outlives-queue safety, resident timers
+// (re-armed records, in every tier and from their own callbacks),
+// determinism under interleaved cancels, inline-callback storage, and the
+// zero-steady-state-allocation guarantee (this binary links
+// es2_alloc_hook).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -339,6 +341,166 @@ TEST(EventCore, PendingCallbackCapturesAreDestroyedWithQueue) {
 }
 
 // ---------------------------------------------------------------------------
+// Resident timers
+// ---------------------------------------------------------------------------
+
+/// An owner with one resident timer that counts its fires.
+struct Ticker {
+  explicit Ticker(EventQueue& q) : timer(q.resident<&Ticker::tick>(this)) {}
+  void tick() { ++fires; }
+  int fires = 0;
+  ResidentTimer timer;
+};
+
+TEST(EventCore, ResidentTimerCountsLikeScheduledEvents) {
+  Simulator sim;
+  const EventQueueStats& stats = sim.queue().stats();
+  Ticker t(sim.queue());
+  EXPECT_FALSE(t.timer.pending());
+  t.timer.cancel();  // idle: no-op, not counted
+  t.timer.arm(usec(5));
+  EXPECT_TRUE(t.timer.pending());
+  EXPECT_EQ(sim.queue().size(), 1u);
+  EXPECT_EQ(stats.scheduled, 1u);
+  EXPECT_EQ(stats.wheel_hits, 1u);
+  t.timer.cancel();
+  EXPECT_FALSE(t.timer.pending());
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(sim.queue().size(), 0u);
+  t.timer.arm(msec(50));  // level 1: counts as far
+  EXPECT_EQ(stats.far_hits, 1u);
+  sim.run_to_completion();
+  EXPECT_EQ(t.fires, 1);
+  EXPECT_FALSE(t.timer.pending());
+  EXPECT_EQ(stats.fired, 1u);
+  EXPECT_EQ(stats.peak_live, 1u);
+  EXPECT_EQ(sim.now(), msec(50));
+}
+
+TEST(EventCore, ResidentTimerTakesSeqOrderAtEachArm) {
+  // An arm takes the next sequence number, exactly like a schedule at
+  // that point: a re-armed timer fires after same-instant events
+  // scheduled between its first arm and the re-arm.
+  Simulator sim;
+  std::string order;
+  struct Mark {
+    explicit Mark(Simulator& s, std::string& o)
+        : out(o), timer(s.queue().resident<&Mark::fire>(this)) {}
+    void fire() { out += 'R'; }
+    std::string& out;
+    ResidentTimer timer;
+  } mark(sim, order);
+  mark.timer.arm(usec(1));
+  sim.at(usec(1), [&] { order += 'a'; });
+  mark.timer.cancel();
+  mark.timer.arm(usec(1));
+  sim.at(usec(1), [&] { order += 'b'; });
+  sim.run_to_completion();
+  EXPECT_EQ(order, "aRb");
+}
+
+TEST(EventCore, ResidentTimerRearmsFromItsOwnCallback) {
+  Simulator sim;
+  struct Self {
+    explicit Self(Simulator& s)
+        : sim(s), timer(s.queue().resident<&Self::fire>(this)) {}
+    void fire() {
+      times.push_back(sim.now());
+      EXPECT_FALSE(timer.pending());
+      timer.cancel();  // inside its own fire: a no-op
+      if (times.size() < 4) timer.arm(sim.now() + msec(100));
+    }
+    Simulator& sim;
+    std::vector<SimTime> times;
+    ResidentTimer timer;
+  } self(sim);
+  self.timer.arm(usec(3));
+  sim.run_to_completion();
+  EXPECT_EQ(self.times, (std::vector<SimTime>{usec(3), usec(3) + msec(100),
+                                              usec(3) + msec(200),
+                                              usec(3) + msec(300)}));
+  EXPECT_EQ(sim.queue().stats().cancelled, 0u);
+  EXPECT_EQ(sim.queue().stats().slabs_allocated, 1u);
+}
+
+TEST(EventCore, ResidentTimerArmChecks) {
+  Simulator sim;
+  Ticker t(sim.queue());
+  sim.run_until(usec(10));
+  EXPECT_DEATH(t.timer.arm(usec(9)), "cannot schedule into the past");
+  t.timer.arm(usec(20));
+  EXPECT_DEATH(t.timer.arm(usec(30)), "armed while pending");
+}
+
+TEST(EventCore, ResidentTimerRearmAfterNearCancelFiresOnce) {
+  // A cancel of a near-heap resident arm leaves a stale key; the re-arm
+  // files a fresh key for the same record. Cancel-and-re-arm enough
+  // timers that the near heap compacts: the stale count must stay exact
+  // (skim() and compaction check it) and each timer fire exactly once.
+  Simulator sim;
+  const EventQueueStats& stats = sim.queue().stats();
+  std::vector<std::unique_ptr<Ticker>> tickers;
+  for (int i = 0; i < 200; ++i) {
+    tickers.push_back(std::make_unique<Ticker>(sim.queue()));
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (auto& t : tickers) t->timer.arm(sim.now() + 7);  // near heap
+    for (auto& t : tickers) t->timer.cancel();
+    for (auto& t : tickers) t->timer.arm(sim.now() + 9);
+    sim.run_for(usec(1));
+  }
+  EXPECT_GT(stats.heap_compactions, 0u)
+      << "not enough stale keys to compact; raise the timer count";
+  for (const auto& t : tickers) EXPECT_EQ(t->fires, 3);
+  EXPECT_EQ(stats.fired, 600u);
+  EXPECT_EQ(stats.cancelled, 600u);
+  EXPECT_EQ(sim.queue().size(), 0u);
+  EXPECT_EQ(sim.run_to_completion(), 0u);
+}
+
+TEST(EventCore, ResidentTimerOutlivesQueue) {
+  std::unique_ptr<Ticker> armed;
+  std::unique_ptr<Ticker> idle;
+  std::unique_ptr<Ticker> fired;
+  {
+    EventQueue q;
+    armed = std::make_unique<Ticker>(q);
+    idle = std::make_unique<Ticker>(q);
+    fired = std::make_unique<Ticker>(q);
+    armed->timer.arm(sec(5));
+    fired->timer.arm(1);
+    SimTime now = 0;
+    EXPECT_EQ(q.run_until(10, 100, now), 1u);
+    EXPECT_TRUE(armed->timer.pending());
+  }
+  // The queue is gone; the core lives on through the timers.
+  for (Ticker* t : {armed.get(), idle.get(), fired.get()}) {
+    EXPECT_FALSE(t->timer.pending());
+    t->timer.cancel();  // must be safe, not a use-after-free
+    t->timer.arm(sec(1));  // a no-op
+    EXPECT_FALSE(t->timer.pending());
+  }
+  EXPECT_EQ(fired->fires, 1);
+  // Destroying them one by one releases the core with the last.
+  armed.reset();
+  idle.reset();
+  fired.reset();
+}
+
+TEST(EventCore, DestroyedResidentTimerUnfilesAndFreesItsSlot) {
+  Simulator sim;
+  const EventQueueStats& stats = sim.queue().stats();
+  for (int i = 0; i < 1000; ++i) {
+    Ticker t(sim.queue());
+    t.timer.arm(sec(1) + i);  // dies pending: unfiled and counted
+  }
+  EXPECT_EQ(sim.queue().size(), 0u);
+  EXPECT_EQ(stats.cancelled, 1000u);
+  EXPECT_EQ(stats.slabs_allocated, 1u);
+  EXPECT_EQ(sim.run_to_completion(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Boxed fallback for oversized captures (via EventQueue directly; the
 // Simulator static_asserts the inline budget for model call sites)
 // ---------------------------------------------------------------------------
@@ -488,55 +650,135 @@ TEST(EventCore, DeterministicOrderAcrossRunsWithInterleavedCancels) {
 // correct reference model (stable sort by (when, seq)).
 // ---------------------------------------------------------------------------
 
+/// A resident timer under fuzz: logs the id of its current arm when it
+/// fires, then re-arms itself from its own callback, under the next id,
+/// while fuzz_rearm_delay() gives it a delay.
+struct FuzzResident {
+  FuzzResident(Simulator& s, std::vector<int>& log, int& ids, int k)
+      : sim(s),
+        fired(log),
+        next_id(ids),
+        index(k),
+        timer(s.queue().resident<&FuzzResident::fire>(this)) {}
+  void arm(SimDuration d) {
+    id = next_id++;
+    timer.arm(sim.now() + d);
+  }
+  void fire();
+
+  Simulator& sim;
+  std::vector<int>& fired;
+  int& next_id;
+  int index;
+  int id = -1;
+  int fires = 0;
+  ResidentTimer timer;
+};
+
+/// A near, level-0 or far delay drawn from `r`.
+SimDuration fuzz_delay(std::uint64_t r) {
+  if (r % 3 == 0) return static_cast<SimDuration>(r % 1000);
+  if (r % 3 == 1) return static_cast<SimDuration>(r % msec(1));
+  return static_cast<SimDuration>(r % sec(2));
+}
+
+/// Resident timer `k`'s self re-arm delay after its `fires`-th fire, or
+/// -1 once it has re-armed itself three times.
+SimDuration fuzz_rearm_delay(int k, int fires) {
+  if (fires > 3) return -1;
+  return fuzz_delay(Rng::stream(static_cast<std::uint64_t>(k * 16 + fires),
+                                "rearm").next_u64());
+}
+
+void FuzzResident::fire() {
+  fired.push_back(id);
+  const SimDuration d = fuzz_rearm_delay(index, ++fires);
+  if (d >= 0) arm(d);
+}
+
 TEST(EventCore, MatchesReferenceModelUnderRandomOps) {
+  // Random schedules and cancels of plain events, and arms, cancels and
+  // re-arms of resident timers, all across near / wheel / far times; the
+  // residents also re-arm from their own callbacks. The reference keeps
+  // (when, seq) keys in a map and replays the same self re-arms.
+  constexpr int kResidents = 6;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Simulator sim(seed);
     Rng rng = sim.make_rng("fuzz");
-    struct Ref {
-      SimTime when;
-      int id;
-      bool cancelled = false;
-    };
-    std::vector<Ref> ref;
-    std::vector<EventHandle> handles;
+    using Key = std::pair<SimTime, std::uint64_t>;  // (when, seq)
+    std::map<Key, int> ref;                         // pending: key -> id
+    std::vector<Key> key_of;                        // id -> key
+    std::vector<int> resident_of;                   // id -> timer, or -1
+    std::vector<int> ref_resident_id(kResidents, -1);  // pending id or -1
+    std::vector<EventHandle> handles;               // id -> plain handle
     std::vector<int> fired;
+    int next_id = 0;
+    std::vector<std::unique_ptr<FuzzResident>> residents;
+    for (int k = 0; k < kResidents; ++k) {
+      residents.push_back(
+          std::make_unique<FuzzResident>(sim, fired, next_id, k));
+    }
+    auto file_ref = [&](SimTime when, int k) {
+      const int id = static_cast<int>(key_of.size());
+      key_of.emplace_back(when, key_of.size());
+      ref.emplace(key_of.back(), id);
+      resident_of.push_back(k);
+      handles.emplace_back();
+      if (k >= 0) ref_resident_id[static_cast<std::size_t>(k)] = id;
+      return id;
+    };
+    auto cancel_resident = [&](int k) {
+      int& id = ref_resident_id[static_cast<std::size_t>(k)];
+      if (id >= 0) ref.erase(key_of[static_cast<std::size_t>(id)]);
+      id = -1;
+      residents[static_cast<std::size_t>(k)]->timer.cancel();
+    };
     for (int i = 0; i < 2000; ++i) {
       const std::uint64_t op = rng.next_u64() % 100;
-      if (op < 70 || ref.empty()) {
-        // Mix of near (same µs), wheel (< 1ms) and far (up to 2s) times.
-        const std::uint64_t r = rng.next_u64();
-        SimDuration d;
-        if (r % 3 == 0) {
-          d = static_cast<SimDuration>(r % 1000);
-        } else if (r % 3 == 1) {
-          d = static_cast<SimDuration>(r % msec(1));
-        } else {
-          d = static_cast<SimDuration>(r % sec(2));
+      if (op < 60 || key_of.empty()) {
+        const SimDuration d = fuzz_delay(rng.next_u64());
+        const int id = file_ref(d, -1);
+        ++next_id;
+        handles[static_cast<std::size_t>(id)] =
+            sim.at(d, [&fired, id] { fired.push_back(id); });
+      } else if (op < 85) {
+        const size_t victim = rng.next_u64() % key_of.size();
+        if (resident_of[victim] < 0) {
+          ref.erase(key_of[victim]);
+          handles[victim].cancel();
         }
-        const int my_id = static_cast<int>(ref.size());
-        ref.push_back(Ref{static_cast<SimTime>(d), my_id});
-        handles.push_back(sim.at(d, [&fired, my_id] {
-          fired.push_back(my_id);
-        }));
       } else {
-        const size_t victim = rng.next_u64() % ref.size();
-        if (!ref[victim].cancelled) {
-          ref[victim].cancelled = true;
-          handles[static_cast<size_t>(ref[victim].id)].cancel();
+        // A resident timer: arm it when idle; when pending, cancel it,
+        // or cancel and re-arm it.
+        const int k = static_cast<int>(rng.next_below(kResidents));
+        FuzzResident& r = *residents[static_cast<std::size_t>(k)];
+        const bool rearm = rng.next_below(2) == 0;
+        if (r.timer.pending()) {
+          cancel_resident(k);
+          if (!rearm) continue;
         }
+        const SimDuration d = fuzz_delay(rng.next_u64());
+        file_ref(d, k);
+        r.arm(d);
       }
     }
     sim.run_to_completion();
-    // Reference: stable sort the live events by (when, insertion order).
-    std::vector<Ref> expect_refs;
-    for (const Ref& r : ref) {
-      if (!r.cancelled) expect_refs.push_back(r);
-    }
-    std::stable_sort(expect_refs.begin(), expect_refs.end(),
-                     [](const Ref& a, const Ref& b) { return a.when < b.when; });
+    // Reference: fire in (when, seq) order, replaying the self re-arms.
     std::vector<int> expect;
-    for (const Ref& r : expect_refs) expect.push_back(r.id);
+    std::vector<int> ref_fires(kResidents, 0);
+    while (!ref.empty()) {
+      const auto [key, id] = *ref.begin();
+      ref.erase(ref.begin());
+      expect.push_back(id);
+      const int k = resident_of[static_cast<std::size_t>(id)];
+      if (k < 0) continue;
+      const SimDuration d =
+          fuzz_rearm_delay(k, ++ref_fires[static_cast<std::size_t>(k)]);
+      if (d >= 0) file_ref(key.first + d, k);
+    }
     EXPECT_EQ(fired, expect) << "seed " << seed;
+    EXPECT_EQ(next_id, static_cast<int>(key_of.size())) << "seed " << seed;
+    EXPECT_GT(sim.queue().stats().cancelled, 0u) << "seed " << seed;
   }
 }
 
@@ -551,7 +793,9 @@ TEST(EventCore, MatchesReferenceModelUnderRandomOps) {
 struct SliceWorld {
   std::vector<std::pair<int, SimTime>> fired;  // (id, now() inside it)
   std::vector<int> cancel_on_fire;             // id -> id it cancels, or -1
+  std::vector<int> resident_of;  // id -> resident timer it armed, or -1
   bool all_tiers = false;  // draw follow-up delays with tier_delay()
+  int residents = 0;       // resident timers in play (0: none)
 };
 
 constexpr int kSliceMaxIds = 3000;
@@ -590,6 +834,19 @@ SimDuration tier_delay(Rng& rng, SimTime now) {
 /// the wheel window and far out; cancels of random earlier ids; and a
 /// same-instant pair whose first event cancels the second, which is then
 /// the very next key in the near heap.
+/// Arms an idle resident timer; cancels a pending one, or cancels and
+/// re-arms it.
+template <typename World>
+void resident_op(World& w, Rng& rng) {
+  const int k = static_cast<int>(
+      rng.next_below(static_cast<std::uint64_t>(w.residents)));
+  if (w.resident_pending(k)) {
+    w.cancel_resident(k);
+    if (rng.next_below(2) == 0) return;
+  }
+  w.arm_resident(k, tier_delay(rng, w.now()));
+}
+
 template <typename World>
 void slice_act(World& w, std::uint64_t seed, int id) {
   const int victim = w.cancel_on_fire[static_cast<std::size_t>(id)];
@@ -620,25 +877,75 @@ void slice_act(World& w, std::uint64_t seed, int id) {
     const int second = w.schedule(0);
     w.cancel_on_fire[static_cast<std::size_t>(first)] = second;
   }
+  if (w.residents == 0) return;
+  // A firing resident timer often re-arms itself from its own callback;
+  // any event may also arm, cancel or cancel and re-arm any timer.
+  const int own = w.resident_of[static_cast<std::size_t>(id)];
+  if (own >= 0 && rng.next_below(2) == 0) {
+    w.arm_resident(own, tier_delay(rng, w.now()));
+  }
+  if (rng.next_below(3) == 0) resident_op(w, rng);
 }
 
 struct RealSliceWorld : SliceWorld {
+  /// A resident timer that fires as the id of its latest arm.
+  struct Resident {
+    explicit Resident(RealSliceWorld& world)
+        : w(world), timer(world.sim.queue().resident<&Resident::fire>(this)) {}
+    void fire() {
+      w.fired.emplace_back(id, w.sim.now());
+      slice_act(w, w.seed, id);
+    }
+    RealSliceWorld& w;
+    int id = -1;
+    ResidentTimer timer;
+  };
+
   Simulator sim;
   std::uint64_t seed;
-  std::vector<EventHandle> handles;
-  explicit RealSliceWorld(std::uint64_t s) : sim(s), seed(s) {}
+  std::vector<EventHandle> handles;  // id -> handle (empty for residents)
+  std::vector<std::unique_ptr<Resident>> timers;
+  RealSliceWorld(std::uint64_t s, int resident_count = 0) : sim(s), seed(s) {
+    residents = resident_count;
+    for (int k = 0; k < residents; ++k) {
+      timers.push_back(std::make_unique<Resident>(*this));
+    }
+  }
   int next_id() const { return static_cast<int>(handles.size()); }
   SimTime now() const { return sim.now(); }
-  int schedule(SimDuration d) {
-    const int id = next_id();
+  int new_id(int resident) {
     cancel_on_fire.push_back(-1);
-    handles.push_back(sim.after(d, [this, id] {
+    resident_of.push_back(resident);
+    handles.emplace_back();
+    return next_id() - 1;
+  }
+  int schedule(SimDuration d) {
+    const int id = new_id(-1);
+    handles.back() = sim.after(d, [this, id] {
       fired.emplace_back(id, sim.now());
       slice_act(*this, seed, id);
-    }));
+    });
     return id;
   }
-  void cancel(int id) { handles[static_cast<std::size_t>(id)].cancel(); }
+  void cancel(int id) {
+    const int k = resident_of[static_cast<std::size_t>(id)];
+    if (k < 0) {
+      handles[static_cast<std::size_t>(id)].cancel();
+    } else if (timers[static_cast<std::size_t>(k)]->id == id) {
+      cancel_resident(k);
+    }
+  }
+  void arm_resident(int k, SimDuration d) {
+    Resident& r = *timers[static_cast<std::size_t>(k)];
+    r.id = new_id(k);
+    r.timer.arm(sim.now() + d);
+  }
+  bool resident_pending(int k) const {
+    return timers[static_cast<std::size_t>(k)]->timer.pending();
+  }
+  void cancel_resident(int k) {
+    timers[static_cast<std::size_t>(k)]->timer.cancel();
+  }
 };
 
 struct RefSliceWorld : SliceWorld {
@@ -647,18 +954,39 @@ struct RefSliceWorld : SliceWorld {
   SimTime clock = 0;
   std::uint64_t next_seq = 0;
   std::map<Key, int> pending;
-  std::vector<Key> key_of;  // id -> its key (valid while pending)
-  explicit RefSliceWorld(std::uint64_t s) : seed(s) {}
+  std::vector<Key> key_of;         // id -> its key (valid while pending)
+  std::vector<int> resident_id;    // timer -> its pending id, or -1
+  RefSliceWorld(std::uint64_t s, int resident_count = 0)
+      : seed(s), resident_id(static_cast<std::size_t>(resident_count), -1) {
+    residents = resident_count;
+  }
   int next_id() const { return static_cast<int>(key_of.size()); }
   SimTime now() const { return clock; }
-  int schedule(SimDuration d) {
+  int schedule(SimDuration d, int resident = -1) {
     const int id = next_id();
     cancel_on_fire.push_back(-1);
+    resident_of.push_back(resident);
     key_of.push_back(Key{clock + d, next_seq++});
     pending.emplace(key_of.back(), id);
     return id;
   }
-  void cancel(int id) { pending.erase(key_of[static_cast<std::size_t>(id)]); }
+  void cancel(int id) {
+    const int k = resident_of[static_cast<std::size_t>(id)];
+    if (k >= 0 && resident_id[static_cast<std::size_t>(k)] == id) {
+      resident_id[static_cast<std::size_t>(k)] = -1;
+    }
+    pending.erase(key_of[static_cast<std::size_t>(id)]);
+  }
+  void arm_resident(int k, SimDuration d) {
+    resident_id[static_cast<std::size_t>(k)] = schedule(d, k);
+  }
+  bool resident_pending(int k) const {
+    return resident_id[static_cast<std::size_t>(k)] >= 0;
+  }
+  void cancel_resident(int k) {
+    const int id = resident_id[static_cast<std::size_t>(k)];
+    if (id >= 0) cancel(id);
+  }
   /// Fires in (when, seq) order up to `deadline`, at most `cap` events.
   std::uint64_t run(SimTime deadline, std::uint64_t cap) {
     std::uint64_t n = 0;
@@ -667,6 +995,9 @@ struct RefSliceWorld : SliceWorld {
       const auto [key, id] = *pending.begin();
       pending.erase(pending.begin());
       clock = key.first;
+      // A firing resident timer is idle again inside its own callback.
+      const int k = resident_of[static_cast<std::size_t>(id)];
+      if (k >= 0) resident_id[static_cast<std::size_t>(k)] = -1;
       fired.emplace_back(id, clock);
       slice_act(*this, seed, id);
       ++n;
@@ -746,14 +1077,16 @@ TEST(EventCore, RunSlicesMatchReferenceModel) {
 
 TEST(EventCore, TwoLevelWheelMatchesReferenceModel) {
   // Every tier and tier boundary, on both sides of the dispatch loop:
-  // between slices the test schedules tier_delay()s and cancels random
-  // pending ids (so cancels hit every tier), and every fired event's
-  // follow-ups draw tier_delay()s too. Slices run from zero to ~300 ms,
+  // between slices the test schedules tier_delay()s, cancels random
+  // pending ids (so cancels hit every tier) and arms, cancels or re-arms
+  // a resident timer; every fired event's follow-ups draw tier_delay()s
+  // too, and resident timers also re-arm from their own callbacks. Slices run from zero to ~300 ms,
   // so the cursor crosses many level-1 epochs, cascading some of them
   // into an occupied level-0 bucket, and jumps onto far-heap tops.
+  constexpr int kResidents = 8;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    RealSliceWorld real(seed);
-    RefSliceWorld ref(seed);
+    RealSliceWorld real(seed, kResidents);
+    RefSliceWorld ref(seed, kResidents);
     real.all_tiers = ref.all_tiers = true;
     Rng rng = Rng::stream(seed, "two-level");
     auto outside = [&] {
@@ -767,6 +1100,11 @@ TEST(EventCore, TwoLevelWheelMatchesReferenceModel) {
             rng.next_below(static_cast<std::uint64_t>(ref.next_id())));
         real.cancel(victim);
         ref.cancel(victim);
+      }
+      if (ref.next_id() < kSliceMaxIds) {
+        Rng resident_rng = rng;  // both worlds draw the same op
+        resident_op(real, resident_rng);
+        resident_op(ref, rng);
       }
     };
     for (int i = 0; i < 32; ++i) outside();
@@ -836,14 +1174,26 @@ TEST(EventCore, SteadyStateScheduleCancelFireAllocatesNothing) {
   Simulator sim;
   std::vector<EventHandle> handles;
   handles.reserve(2048);
+  std::vector<std::unique_ptr<Ticker>> tickers;
+  for (int i = 0; i < 64; ++i) {
+    tickers.push_back(std::make_unique<Ticker>(sim.queue()));
+  }
   // One churn round exercises every tier: same-instant defers, level-0
   // inserts, level-1 and far-heap inserts, cancels of each, fires of the
-  // rest.
+  // rest; resident timers are armed, cancelled and re-armed in each tier
+  // and fire from the near heap and level 0.
   auto churn = [&] {
     for (int i = 0; i < 1000; ++i) {
       sim.after(static_cast<SimDuration>(i % 200) * usec(1) + 1, [] {});
       handles.push_back(sim.after(msec(50), [] {}));
       handles.push_back(sim.after(sec(2), [] {}));
+    }
+    for (std::size_t i = 0; i < tickers.size(); ++i) {
+      ResidentTimer& t = tickers[i]->timer;
+      const SimDuration far = i % 2 == 0 ? msec(50) : sec(2);
+      t.arm(sim.now() + far);
+      t.cancel();
+      t.arm(sim.now() + 1 + static_cast<SimDuration>(i) * usec(3));
     }
     for (EventHandle& h : handles) h.cancel();
     handles.clear();  // keeps capacity
@@ -852,6 +1202,7 @@ TEST(EventCore, SteadyStateScheduleCancelFireAllocatesNothing) {
 
   // Warm up: grow the slab pool, heaps, wheel lists and handle vector.
   for (int round = 0; round < 4; ++round) churn();
+  const std::uint64_t slabs = sim.queue().stats().slabs_allocated;
 
   test::AllocationCounter counter;
   for (int round = 0; round < 8; ++round) churn();
@@ -859,7 +1210,30 @@ TEST(EventCore, SteadyStateScheduleCancelFireAllocatesNothing) {
   EXPECT_EQ(counter.delta(), 0)
       << "steady-state schedule/cancel/fire must not allocate";
   EXPECT_EQ(sim.queue().stats().boxed_callbacks, 0u);
+  EXPECT_EQ(sim.queue().stats().slabs_allocated, slabs);
   EXPECT_GT(sim.queue().stats().fired, 0u);
+  for (const auto& t : tickers) EXPECT_EQ(t->fires, 12);
+}
+
+TEST(EventCore, ResidentChurnNeedsNoSecondSlab) {
+  // Resident records are bound once: arming, cancelling and firing them
+  // never takes another slot, so a handful of timers churning for
+  // thousands of rounds stays inside the first slab.
+  Simulator sim;
+  std::vector<std::unique_ptr<Ticker>> tickers;
+  for (int i = 0; i < 64; ++i) {
+    tickers.push_back(std::make_unique<Ticker>(sim.queue()));
+  }
+  for (int round = 0; round < 2000; ++round) {
+    for (std::size_t i = 0; i < tickers.size(); ++i) {
+      ResidentTimer& t = tickers[i]->timer;
+      t.arm(sim.now() + usec(100) + static_cast<SimDuration>(i));
+      if ((round + i) % 3 == 0) t.cancel();
+    }
+    sim.run_for(msec(1));
+  }
+  EXPECT_EQ(sim.queue().stats().slabs_allocated, 1u);
+  EXPECT_GT(sim.queue().stats().fired, 80000u);
 }
 
 }  // namespace

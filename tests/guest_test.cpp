@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/burn.h"
 #include "guest/guest_os.h"
@@ -75,6 +77,53 @@ TEST(GuestOs, RoundRobinsEqualTasks) {
   w.tb->start();
   w.tb->sim().run_for(msec(50));
   EXPECT_NEAR(a.units, b.units, a.units / 10 + 2);
+}
+
+/// Logs the order in which the guest scheduler picks tasks, per vCPU.
+class PickLogTask final : public GuestTask {
+ public:
+  PickLogTask(GuestOs& os, int id, int vcpu, std::vector<std::string>& log,
+              int stop_after = -1, bool low_priority = false)
+      : GuestTask(os, "pick" + std::to_string(id), vcpu, low_priority),
+        id_(id),
+        log_(log),
+        stop_after_(stop_after) {}
+
+  void run_unit(Vcpu& vcpu) override {
+    log_[static_cast<std::size_t>(vcpu.index())] += std::to_string(id_);
+    vcpu.guest_exec(23000 /* 10us */, [this, &vcpu] {
+      if (++units_ == stop_after_) block_self();
+      os().task_done(vcpu);
+    });
+  }
+
+ private:
+  int id_;
+  std::vector<std::string>& log_;
+  int stop_after_;
+  int units_ = 0;
+};
+
+TEST(GuestOs, PickTaskOrderIsRoundRobinPerVcpu) {
+  // Tasks 0-4 alternate between vCPUs 0 and 1; task 2 is a burn task,
+  // tasks 0, 3 and 4 block after a few units, and task 5 joins vCPU 1
+  // after picking began. vCPU 1 never owns task 0, the cursor's initial
+  // value. The expected sequences pin the scheduler's exact order.
+  GuestWorld w(2);
+  std::vector<std::string> log(2);
+  PickLogTask t0(w.os(), 0, 0, log, /*stop_after=*/3);
+  PickLogTask t1(w.os(), 1, 1, log);
+  PickLogTask t2(w.os(), 2, 0, log, -1, /*low_priority=*/true);
+  PickLogTask t3(w.os(), 3, 1, log, /*stop_after=*/2);
+  PickLogTask t4(w.os(), 4, 0, log, /*stop_after=*/4);
+  PickLogTask t5(w.os(), 5, 1, log);
+  for (GuestTask* t : {&t0, &t1, &t2, &t3, &t4}) w.os().add_task(*t);
+  w.tb->start();
+  w.tb->sim().run_for(usec(80));
+  w.os().add_task(t5);
+  w.tb->sim().run_for(usec(220));
+  EXPECT_EQ(log[0], "40404042222222222222222222222");
+  EXPECT_EQ(log[1], "13131111515151515151515151515");
 }
 
 TEST(GuestOs, BurnTaskYieldsToNormalTasks) {

@@ -160,5 +160,24 @@ TEST(PeriodicTimer, RestartAfterStop) {
   EXPECT_GE(fires, 5);
 }
 
+TEST(PeriodicTimer, RestartInsideOwnTickKeepsOneTickPending) {
+  // stop(); start() from the tick itself re-arms the timer; the tick's
+  // own trailing re-arm must not add a second tick on top of it.
+  Simulator sim;
+  int fires = 0;
+  PeriodicTimer timer(sim, usec(10), [&] {
+    if (++fires == 3) {
+      timer.stop();
+      timer.start();
+    }
+  });
+  timer.start();
+  sim.run_until(usec(35));
+  EXPECT_EQ(sim.queue().size(), 1u);
+  sim.run_until(usec(100));
+  EXPECT_EQ(fires, 10);
+  EXPECT_EQ(sim.queue().size(), 1u);
+}
+
 }  // namespace
 }  // namespace es2

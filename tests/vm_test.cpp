@@ -69,6 +69,69 @@ struct World {
   std::unique_ptr<StubGuest> guest;
 };
 
+/// Runs one long guest work segment, then idles in HLT; each interrupt
+/// costs a short handler segment plus the EOI.
+class OneSegmentGuest final : public GuestCpu {
+ public:
+  static constexpr Cycles kWork = 115000;   // 50us
+  static constexpr Cycles kHandler = 4600;  // 2us
+
+  explicit OneSegmentGuest(Vm& vm) : vm_(vm) { vm.set_guest(this); }
+
+  void run(int vcpu_index) override {
+    Vcpu& vcpu = vm_.vcpu(vcpu_index);
+    if (worked_) {
+      vcpu.guest_halt();
+      return;
+    }
+    worked_ = true;
+    vcpu.guest_exec(kWork, [&vcpu] { vcpu.guest_halt(); });
+  }
+
+  void take_interrupt(int vcpu_index, Vector) override {
+    Vcpu& vcpu = vm_.vcpu(vcpu_index);
+    vcpu.guest_exec(kHandler, [&vcpu] {
+      vcpu.guest_eoi([&vcpu] { vcpu.irq_done(); });
+    });
+  }
+
+ private:
+  Vm& vm_;
+  bool worked_ = false;
+};
+
+TEST(Vcpu, SuspendedGuestSegmentAccountsItsFullSpanOnce) {
+  // A posted interrupt suspends the work segment 20us in; the handler
+  // runs and the segment resumes. Its full 50us must reach guest time
+  // exactly once, and the entry and HLT exit segments host time.
+  Simulator sim;
+  CostModel costs;
+  costs.other_exit_period = 0;  // no background exits
+  KvmHost host(sim, 2, costs);
+  Vm& vm = host.create_vm("vm", {0}, InterruptVirtMode::kPostedInterrupt);
+  vm.set_timer_hz(0);
+  OneSegmentGuest guest(vm);
+  vm.start();
+  Vcpu& vcpu = vm.vcpu(0);
+  sim.run_for(usec(20));
+  ASSERT_TRUE(vcpu.in_guest());
+  ASSERT_TRUE(vcpu.thread().has_active_segment());
+  vcpu.deliver_interrupt(0x41);
+  sim.run_for(msec(1));
+  ASSERT_TRUE(vcpu.halted());
+  EXPECT_EQ(vcpu.irqs_taken(), 1);
+  const CostModel& c = host.costs();
+  EXPECT_EQ(vcpu.stats().guest_time(),
+            c.ns(OneSegmentGuest::kWork) + c.ns(c.pi_sync_deliver) +
+                c.ns(c.guest_irq_dispatch) + c.ns(OneSegmentGuest::kHandler) +
+                c.ns(c.pi_virtual_eoi));
+  EXPECT_EQ(vcpu.stats().host_time(),
+            c.ns(c.entry_transition) + c.ns(c.exit_transition + c.handle_hlt));
+  // Every nanosecond the vCPU thread ran was one segment's span.
+  EXPECT_EQ(vcpu.stats().guest_time() + vcpu.stats().host_time(),
+            vcpu.thread().cpu_time());
+}
+
 TEST(Vcpu, IoKickTriggersExactlyOneIoExit) {
   World w(InterruptVirtMode::kEmulatedLapic);
   w.guest->kicks_to_issue_ = 5;
@@ -217,8 +280,8 @@ TEST(ExitStats, WindowResetsRates) {
 TEST(ExitStats, SummaryMentionsCausesAndTig) {
   ExitStats stats;
   stats.record_exit(ExitReason::kIoInstruction);
-  stats.add_span(70, true);
-  stats.add_span(30, false);
+  stats.spans().add(70, true);
+  stats.spans().add(30, false);
   const std::string s = stats.summary(kSecond);
   EXPECT_NE(s.find("io_instruction"), std::string::npos);
   EXPECT_NE(s.find("TIG=70.0%"), std::string::npos);
