@@ -29,20 +29,35 @@ class VirtioNetFrontend::KsoftirqdTask final : public GuestTask {
   VirtioNetFrontend& fe_;
 };
 
+namespace {
+/// Emits a driver record on the vCPU's current service journey.
+void trace_driver(Vcpu& vcpu, TraceKind kind, std::uint32_t arg) {
+  if (Tracer* tr = vcpu.vm().host().sim().tracer()) {
+    tr->emit(vcpu.vm().host().sim().now(), kind, vcpu.vm().id(),
+             vcpu.index(), -1, arg,
+             tr->current_service(vcpu.vm().id(), vcpu.index()));
+  }
+}
+
+/// Two-strike watchdog debounce: true when `stalled` holds on a second
+/// consecutive tick (the count then restarts); a healthy tick clears it.
+bool second_strike(bool stalled, int& strikes) {
+  if (!stalled) {
+    strikes = 0;
+    return false;
+  }
+  if (++strikes < 2) return false;
+  strikes = 0;
+  return true;
+}
+}  // namespace
+
 VirtioNetFrontend::~VirtioNetFrontend() = default;
 
 VirtioNetFrontend::VirtioNetFrontend(GuestOs& os, VhostNetBackend& backend)
     : os_(os), backend_(backend) {
   const int pairs = backend_.num_queue_pairs();
-  napi_scheduled_.assign(static_cast<std::size_t>(pairs), false);
-  watchdog_last_used_.assign(static_cast<std::size_t>(pairs), 0);
-  watchdog_strikes_.assign(static_cast<std::size_t>(pairs), 0);
-  rx_watchdog_last_polled_.assign(static_cast<std::size_t>(pairs), 0);
-  rx_watchdog_strikes_.assign(static_cast<std::size_t>(pairs), 0);
-  rx_polled_by_pair_.assign(static_cast<std::size_t>(pairs), 0);
-  watchdog_tx_stalled_.assign(static_cast<std::size_t>(pairs), 0);
-  watchdog_rx_stalled_.assign(static_cast<std::size_t>(pairs), 0);
-  ladder_recent_.assign(static_cast<std::size_t>(backend_.num_queues()), 0);
+  pairs_.resize(static_cast<std::size_t>(pairs));
   // Real virtio bring-up through the status register: reset, negotiate,
   // queue setup, DRIVER_OK. The backend boots pre-negotiated (for
   // directly-constructed test rings); this sequence rebuilds the identical
@@ -63,7 +78,6 @@ VirtioNetFrontend::VirtioNetFrontend(GuestOs& os, VhostNetBackend& backend)
   }
   backend_.write_status(kStatusAcknowledge | kStatusDriver |
                         kStatusFeaturesOk | kStatusDriverOk);
-  ksoftirqd_pending_.assign(static_cast<std::size_t>(pairs), 0);
   if (os.params().overload_mitigation) {
     // Created only when armed: unarmed worlds keep their task list — and
     // therefore their round-robin schedules and snapshot bytes — unchanged.
@@ -95,41 +109,30 @@ void VirtioNetFrontend::wake_tx_waiters() {
   waking_.clear();
 }
 
-bool VirtioNetFrontend::owns_vector(Vector v) const {
+int VirtioNetFrontend::pair_of_vector(Vector v) const {
   for (int pair = 0; pair < backend_.num_queue_pairs(); ++pair) {
     if (v == backend_.rx_msi(pair).vector || v == backend_.tx_msi(pair).vector)
-      return true;
+      return pair;
   }
-  return false;
+  return -1;
 }
 
 void VirtioNetFrontend::handle_irq(Vcpu& vcpu, Vector vector) {
   // MSI-X routing: each queue pair owns two vectors; NAPI runs on the pair
   // the vector belongs to, leaving other pairs' suppression state alone.
-  int pair = 0;
-  for (int p = 0; p < backend_.num_queue_pairs(); ++p) {
-    if (vector == backend_.rx_msi(p).vector ||
-        vector == backend_.tx_msi(p).vector) {
-      pair = p;
-      break;
-    }
-  }
+  const int pair = std::max(pair_of_vector(vector), 0);
   const GuestParams& p = os_.params();
   vcpu.guest_exec(p.hardirq, [this, &vcpu, pair] {
     // napi_schedule: mask this pair's interrupts until polling drains.
     backend_.rx_vq(pair).disable_interrupts();
     backend_.tx_vq(pair).disable_interrupts();
-    napi_scheduled_[static_cast<std::size_t>(pair)] = true;
-    if (Tracer* tr = vcpu.vm().host().sim().tracer()) {
-      tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNotifyDisable,
-               vcpu.vm().id(), vcpu.index(), -1, /*arg=*/2,
-               tr->current_service(vcpu.vm().id(), vcpu.index()));
-    }
+    state(pair).napi_scheduled = true;
+    trace_driver(vcpu, TraceKind::kNotifyDisable, /*arg=*/2);
     vcpu.guest_eoi([this, &vcpu, pair] {
       const GuestParams& p = os_.params();
       vcpu.guest_exec(p.softirq_entry, [this, &vcpu, pair] {
         napi_poll(vcpu, pair, [this, &vcpu, pair] {
-          napi_scheduled_[static_cast<std::size_t>(pair)] = false;
+          state(pair).napi_scheduled = false;
           vcpu.irq_done();
         });
       });
@@ -146,11 +149,7 @@ void VirtioNetFrontend::napi_poll(Vcpu& vcpu, int pair,
                    static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
                    vcpu.vm().host().sim().now());
   }
-  if (Tracer* tr = vcpu.vm().host().sim().tracer()) {
-    tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNapiPoll,
-             vcpu.vm().id(), vcpu.index(), -1, /*arg=*/0,
-             tr->current_service(vcpu.vm().id(), vcpu.index()));
-  }
+  trace_driver(vcpu, TraceKind::kNapiPoll, /*arg=*/0);
   reclaim_tx(vcpu, pair, [this, &vcpu, pair, done = std::move(done)]() mutable {
     napi_poll_one(vcpu, pair, os_.params().napi_weight, std::move(done));
   });
@@ -175,52 +174,66 @@ Cycles rx_packet_cost(const GuestParams& p, const Packet& pkt) {
 }
 }  // namespace
 
+void VirtioNetFrontend::rx_step(Vcpu& vcpu, int pair, bool in_task,
+                                Callback<void()> next) {
+  auto entry = backend_.rx_vq(pair).pop_used();
+  ES2_CHECK_MSG(entry && entry->packet != nullptr,
+                "used RX entry without a packet");
+  const Cycles cost = rx_packet_cost(os_.params(), *entry->packet);
+  vcpu.guest_exec(cost, [this, &vcpu, pair, in_task,
+                         packet = std::move(entry->packet),
+                         next = std::move(next)]() mutable {
+    ++rx_polled_;
+    ++state(pair).rx_polled;
+    if (in_task) ++ksoftirqd_polls_;
+    os_.deliver_to_stack(vcpu, packet, std::move(next));
+  });
+}
+
+bool VirtioNetFrontend::rearm_interrupts(int pair) {
+  Virtqueue& rx = backend_.rx_vq(pair);
+  rx.enable_interrupts();
+  if (rx.used_count() > 0) {
+    // Race: more packets completed between the last poll and re-enable.
+    rx.disable_interrupts();
+    return false;
+  }
+  // TX-completion interrupts are armed only while senders wait on a
+  // stopped queue; otherwise virtio-net leaves them off.
+  if (!tx_waiters_.empty()) backend_.tx_vq(pair).enable_interrupts();
+  return true;
+}
+
 void VirtioNetFrontend::napi_poll_one(Vcpu& vcpu, int pair, int budget_left,
                                       Callback<void()> done) {
-  Virtqueue& rx = backend_.rx_vq(pair);
-  auto entry = rx.pop_used();
-  if (!entry) {
+  if (backend_.rx_vq(pair).used_count() == 0) {
     finish_poll(vcpu, pair, std::move(done));
     return;
   }
-  ES2_CHECK_MSG(entry->packet != nullptr, "used RX entry without a packet");
-  const Cycles cost = rx_packet_cost(os_.params(), *entry->packet);
-  PacketPtr packet = entry->packet;
-  vcpu.guest_exec(cost, [this, &vcpu, pair, budget_left,
-                         packet = std::move(packet),
-                         done = std::move(done)]() mutable {
-    ++rx_polled_;
-    ++rx_polled_by_pair_[static_cast<std::size_t>(pair)];
-    os_.deliver_to_stack(
-        vcpu, packet,
-        [this, &vcpu, pair, budget_left, done = std::move(done)]() mutable {
-          if (budget_left <= 1 && overload_rung_ >= 1 &&
-              ksoftirqd_ != nullptr) {
-            // Budget spent at rung >= 1: hand the still-loaded ring to
-            // ksoftirqd (task context) instead of refreshing the budget in
-            // softirq context, ending the interrupt pass.
-            ksoftirqd_defer(vcpu, pair);
-            done();
-            return;
-          }
-          // Linux reschedules the softirq when the budget is spent; the
-          // net effect under sustained load is continued polling, which is
-          // what we model.
-          const int next_budget =
-              budget_left > 1 ? budget_left - 1 : os_.params().napi_weight;
-          napi_poll_one(vcpu, pair, next_budget, std::move(done));
-        });
-  });
+  rx_step(vcpu, pair, /*in_task=*/false,
+          [this, &vcpu, pair, budget_left, done = std::move(done)]() mutable {
+            if (budget_left <= 1 && overload_rung_ >= 1 &&
+                ksoftirqd_ != nullptr) {
+              // Budget spent at rung >= 1: hand the still-loaded ring to
+              // ksoftirqd (task context) instead of refreshing the budget
+              // in softirq context, ending the interrupt pass.
+              ksoftirqd_defer(vcpu, pair);
+              done();
+              return;
+            }
+            // Linux reschedules the softirq when the budget is spent; the
+            // net effect under sustained load is continued polling, which
+            // is what we model.
+            const int next_budget =
+                budget_left > 1 ? budget_left - 1 : os_.params().napi_weight;
+            napi_poll_one(vcpu, pair, next_budget, std::move(done));
+          });
 }
 
 void VirtioNetFrontend::finish_poll(Vcpu& vcpu, int pair,
                                     Callback<void()> done) {
   refill_rx(vcpu, pair, [this, &vcpu, pair, done = std::move(done)]() mutable {
-    Virtqueue& rx = backend_.rx_vq(pair);
-    rx.enable_interrupts();
-    if (rx.used_count() > 0) {
-      // Race: more packets completed between the last poll and re-enable.
-      rx.disable_interrupts();
+    if (!rearm_interrupts(pair)) {
       if (overload_rung_ >= 1 && ksoftirqd_ != nullptr) {
         ksoftirqd_defer(vcpu, pair);
         done();
@@ -229,20 +242,10 @@ void VirtioNetFrontend::finish_poll(Vcpu& vcpu, int pair,
       napi_poll_one(vcpu, pair, os_.params().napi_weight, std::move(done));
       return;
     }
-    if (Tracer* tr = vcpu.vm().host().sim().tracer()) {
-      tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNotifyEnable,
-               vcpu.vm().id(), vcpu.index(), -1, /*arg=*/2,
-               tr->current_service(vcpu.vm().id(), vcpu.index()));
-    }
-    // TX-completion interrupts are armed only while senders wait on a
-    // stopped queue; otherwise virtio-net leaves them off.
+    trace_driver(vcpu, TraceKind::kNotifyEnable, /*arg=*/2);
+    // rearm_interrupts armed TX completions too while senders wait.
     if (!tx_waiters_.empty()) {
-      backend_.tx_vq(pair).enable_interrupts();
-      if (Tracer* tr = vcpu.vm().host().sim().tracer()) {
-        tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNotifyEnable,
-                 vcpu.vm().id(), vcpu.index(), -1, /*arg=*/3,
-                 tr->current_service(vcpu.vm().id(), vcpu.index()));
-      }
+      trace_driver(vcpu, TraceKind::kNotifyEnable, /*arg=*/3);
     }
     if (Profiler* pf = vcpu.vm().host().sim().profiler()) {
       pf->span_end(ProfComp::kGuestNapi,
@@ -364,12 +367,11 @@ void VirtioNetFrontend::tx_watchdog_tick(Vcpu& vcpu,
   // preempts the poll chain mid-segment, which is exactly how a real tick
   // gets through a livelocked CPU. Pure state bookkeeping, no cycles.
   if (ksoftirqd_ != nullptr) overload_tick(vcpu);
-  // Sample every pair's stall signatures up front (pure reads); the
+  // Sample every pair's stall signatures up front (pure reads): the
   // recovery work below may reset queues, and the flags must reflect the
-  // state at tick entry, exactly as the single-queue driver captured them
-  // by value before the ladder stage.
+  // state at tick entry.
   for (int pair = 0; pair < backend_.num_queue_pairs(); ++pair) {
-    const auto i = static_cast<std::size_t>(pair);
+    PairState& ps = state(pair);
     Virtqueue& tx = backend_.tx_vq(pair);
     const std::int64_t used_now = tx.total_used();
     // TX stall signature: descriptors posted, zero completion progress
@@ -378,10 +380,10 @@ void VirtioNetFrontend::tx_watchdog_tick(Vcpu& vcpu,
     // resets the strike counter (a kick may legitimately be in flight at
     // sampling time). Busy-poll modes keep notifications off, so the
     // watchdog stays inert there by construction.
-    watchdog_tx_stalled_[i] = tx.avail_count() > 0 &&
-                              used_now == watchdog_last_used_[i] &&
-                              tx.notifications_enabled();
-    watchdog_last_used_[i] = used_now;
+    ps.tx_stalled = tx.avail_count() > 0 &&
+                    used_now == ps.watchdog_last_used &&
+                    tx.notifications_enabled();
+    ps.watchdog_last_used = used_now;
     // RX missed-interrupt signature (the e1000 watchdog's trick): completed
     // buffers parked in the used ring, zero consumption progress since the
     // last tick, device interrupts armed, and no NAPI pass in flight — the
@@ -390,19 +392,20 @@ void VirtioNetFrontend::tx_watchdog_tick(Vcpu& vcpu,
     // term keeps a merely *pending* interrupt (IRR set, not yet serviced)
     // from ever counting as a stall on healthy paths.
     Virtqueue& rx = backend_.rx_vq(pair);
-    watchdog_rx_stalled_[i] = rx.used_count() > 0 &&
-                              rx_polled_by_pair_[i] ==
-                                  rx_watchdog_last_polled_[i] &&
-                              rx.interrupts_enabled() && !napi_scheduled_[i];
-    rx_watchdog_last_polled_[i] = rx_polled_by_pair_[i];
+    ps.rx_stalled = rx.used_count() > 0 &&
+                    ps.rx_polled == ps.rx_watchdog_last_polled &&
+                    rx.interrupts_enabled() && !ps.napi_scheduled;
+    ps.rx_watchdog_last_polled = ps.rx_polled;
   }
 
   // The watchdog halves run after the (usually pass-through) recovery-
   // ladder stage; a quarantined queue needs a reset, not a re-kick.
   ladder_stage(vcpu, [this, &vcpu, done = std::move(done)]() mutable {
     if (!os_.params().tx_watchdog) {
-      std::fill(watchdog_strikes_.begin(), watchdog_strikes_.end(), 0);
-      std::fill(rx_watchdog_strikes_.begin(), rx_watchdog_strikes_.end(), 0);
+      for (PairState& ps : pairs_) {
+        ps.watchdog_strikes = 0;
+        ps.rx_watchdog_strikes = 0;
+      }
       done();
       return;
     }
@@ -416,7 +419,7 @@ void VirtioNetFrontend::watchdog_pair(Vcpu& vcpu, int pair,
     done();
     return;
   }
-  const auto i = static_cast<std::size_t>(pair);
+  PairState& ps = state(pair);
   auto next = [this, &vcpu, pair, done = std::move(done)]() mutable {
     watchdog_pair(vcpu, pair + 1, std::move(done));
   };
@@ -424,17 +427,11 @@ void VirtioNetFrontend::watchdog_pair(Vcpu& vcpu, int pair,
   // Second half of the pair's tick: recover a lost RX interrupt by running
   // the NAPI pass it would have started. Same two-strike debounce as TX —
   // an MSI legitimately in flight at sampling time never trips it.
-  auto rx_stage = [this, &vcpu, pair, i, next = std::move(next)]() mutable {
-    if (!watchdog_rx_stalled_[i]) {
-      rx_watchdog_strikes_[i] = 0;
+  auto rx_stage = [this, &vcpu, pair, &ps, next = std::move(next)]() mutable {
+    if (!second_strike(ps.rx_stalled, ps.rx_watchdog_strikes)) {
       next();
       return;
     }
-    if (++rx_watchdog_strikes_[i] < 2) {
-      next();
-      return;
-    }
-    rx_watchdog_strikes_[i] = 0;
     ++rx_watchdog_polls_;
     if (RecoveryLog* log = backend_.recovery_log()) {
       log->note_action(RecoveryRung::kGuestWatchdog, kScopeRx);
@@ -445,28 +442,22 @@ void VirtioNetFrontend::watchdog_pair(Vcpu& vcpu, int pair,
     }
     backend_.rx_vq(pair).disable_interrupts();
     backend_.tx_vq(pair).disable_interrupts();
-    napi_scheduled_[i] = true;
+    ps.napi_scheduled = true;
     vcpu.guest_exec(os_.params().softirq_entry,
-                    [this, &vcpu, pair, i, next = std::move(next)]() mutable {
+                    [this, &vcpu, pair, &ps, next = std::move(next)]() mutable {
                       napi_poll(vcpu, pair,
-                                [this, i, next = std::move(next)]() mutable {
-                                  napi_scheduled_[i] = false;
+                                [&ps, next = std::move(next)]() mutable {
+                                  ps.napi_scheduled = false;
                                   next();
                                 });
                     });
   };
 
-  if (!watchdog_tx_stalled_[i]) {
-    watchdog_strikes_[i] = 0;
-    rx_stage();
-    return;
-  }
-  if (++watchdog_strikes_[i] < 2) {
+  if (!second_strike(ps.tx_stalled, ps.watchdog_strikes)) {
     rx_stage();
     return;
   }
   // Two full tick periods without progress: ndo_tx_timeout. Re-kick.
-  watchdog_strikes_[i] = 0;
   ++tx_watchdog_kicks_;
   ++kicks_;
   if (RecoveryLog* log = backend_.recovery_log()) {
@@ -493,7 +484,7 @@ void VirtioNetFrontend::ladder_stage(Vcpu& vcpu, Callback<void()> done) {
   }
   if (!backend_.needs_reset()) {
     // Healthy (or recovered): the episode is over, escalation state decays.
-    std::fill(ladder_recent_.begin(), ladder_recent_.end(), 0);
+    for (PairState& ps : pairs_) ps.ladder_recent = {};
     done();
     return;
   }
@@ -505,7 +496,7 @@ void VirtioNetFrontend::ladder_stage(Vcpu& vcpu, Callback<void()> done) {
       if (first_quarantined < 0) first_quarantined = q;
       ++quarantined;
     }
-    if (ladder_recent_[static_cast<std::size_t>(q)] >=
+    if (state(q / 2).ladder_recent[static_cast<std::size_t>(q % 2)] >=
         p.ladder_device_reset_after) {
       repeat_offender = true;
     }
@@ -518,7 +509,7 @@ void VirtioNetFrontend::ladder_stage(Vcpu& vcpu, Callback<void()> done) {
     return;
   }
   const int q = first_quarantined;
-  ++ladder_recent_[static_cast<std::size_t>(q)];
+  ++state(q / 2).ladder_recent[static_cast<std::size_t>(q % 2)];
   guest_reset_queue(vcpu, q, std::move(done));
 }
 
@@ -528,14 +519,14 @@ void VirtioNetFrontend::guest_reset_queue(Vcpu& vcpu, int q,
   vcpu.guest_exec(os_.params().queue_reset_cost,
                   [this, &vcpu, q, done = std::move(done)]() mutable {
     backend_.reset_queue(q);
-    const auto pair = static_cast<std::size_t>(q / 2);
-    if (q % 2 == 0) {
+    PairState& ps = state(q / 2);
+    if (q % 2 == kScopeTx) {
       // Fresh TX ring: boot suppression state, blocked senders retry into
       // it (their in-flight descriptors are gone; TCP retransmit covers
       // the lost segments).
       backend_.tx_vq(q / 2).disable_interrupts();
-      watchdog_last_used_[pair] = 0;
-      watchdog_strikes_[pair] = 0;
+      ps.watchdog_last_used = 0;
+      ps.watchdog_strikes = 0;
       wake_tx_waiters();
       done();
       return;
@@ -543,7 +534,7 @@ void VirtioNetFrontend::guest_reset_queue(Vcpu& vcpu, int q,
     // Fresh RX ring: re-post every buffer; the ring's notifications come
     // back enabled, so the refill kicks the backend into draining the
     // socket backlog that piled up during the quarantine.
-    rx_watchdog_strikes_[pair] = 0;
+    ps.rx_watchdog_strikes = 0;
     refill_rx(vcpu, q / 2, std::move(done));
   });
 }
@@ -551,7 +542,7 @@ void VirtioNetFrontend::guest_reset_queue(Vcpu& vcpu, int q,
 void VirtioNetFrontend::guest_reset_device(Vcpu& vcpu,
                                            Callback<void()> done) {
   ++ladder_device_resets_;
-  std::fill(ladder_recent_.begin(), ladder_recent_.end(), 0);
+  for (PairState& ps : pairs_) ps.ladder_recent = {};
   vcpu.guest_exec(os_.params().device_reset_cost,
                   [this, &vcpu, done = std::move(done)]() mutable {
     backend_.write_status(0);
@@ -563,9 +554,11 @@ void VirtioNetFrontend::guest_reset_device(Vcpu& vcpu,
       }
       backend_.write_status(kStatusAcknowledge | kStatusDriver |
                             kStatusFeaturesOk | kStatusDriverOk);
-      std::fill(watchdog_last_used_.begin(), watchdog_last_used_.end(), 0);
-      std::fill(watchdog_strikes_.begin(), watchdog_strikes_.end(), 0);
-      std::fill(rx_watchdog_strikes_.begin(), rx_watchdog_strikes_.end(), 0);
+      for (PairState& ps : pairs_) {
+        ps.watchdog_last_used = 0;
+        ps.watchdog_strikes = 0;
+        ps.rx_watchdog_strikes = 0;
+      }
       wake_tx_waiters();
       refill_all_rx(vcpu, 0, std::move(done));
     });
@@ -718,7 +711,7 @@ void VirtioNetFrontend::overload_deescalate() {
 
 void VirtioNetFrontend::ksoftirqd_defer(Vcpu& vcpu, int pair) {
   ++ksoftirqd_defers_;
-  ksoftirqd_pending_[static_cast<std::size_t>(pair)] = 1;
+  state(pair).ksoftirqd_pending = true;
   // The softirq pass genuinely ends here; ksoftirqd's polling is ordinary
   // task work, so the NAPI span closes now.
   if (Profiler* pf = vcpu.vm().host().sim().profiler()) {
@@ -726,20 +719,16 @@ void VirtioNetFrontend::ksoftirqd_defer(Vcpu& vcpu, int pair) {
                  static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
                  vcpu.vm().host().sim().now());
   }
-  if (Tracer* tr = vcpu.vm().host().sim().tracer()) {
-    // arg=1 marks a ksoftirqd handoff (plain poll passes emit arg=0).
-    tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNapiPoll,
-             vcpu.vm().id(), vcpu.index(), -1, /*arg=*/1,
-             tr->current_service(vcpu.vm().id(), vcpu.index()));
-  }
+  // arg=1 marks a ksoftirqd handoff (plain poll passes emit arg=0).
+  trace_driver(vcpu, TraceKind::kNapiPoll, /*arg=*/1);
   ksoftirqd_->wake();
 }
 
 void VirtioNetFrontend::ksoftirqd_unit(Vcpu& vcpu) {
   int pair = -1;
-  for (std::size_t i = 0; i < ksoftirqd_pending_.size(); ++i) {
-    if (ksoftirqd_pending_[i] != 0) {
-      pair = static_cast<int>(i);
+  for (int p = 0; p < backend_.num_queue_pairs(); ++p) {
+    if (state(p).ksoftirqd_pending) {
+      pair = p;
       break;
     }
   }
@@ -760,23 +749,12 @@ void VirtioNetFrontend::ksoftirqd_poll(Vcpu& vcpu, int pair, int budget_left) {
     os_.task_done(vcpu);
     return;
   }
-  Virtqueue& rx = backend_.rx_vq(pair);
-  auto entry = rx.pop_used();
-  if (!entry) {
+  if (backend_.rx_vq(pair).used_count() == 0) {
     ksoftirqd_finish(vcpu, pair);
     return;
   }
-  ES2_CHECK_MSG(entry->packet != nullptr, "used RX entry without a packet");
-  const Cycles cost = rx_packet_cost(os_.params(), *entry->packet);
-  PacketPtr packet = entry->packet;
-  vcpu.guest_exec(cost, [this, &vcpu, pair, budget_left,
-                         packet = std::move(packet)]() mutable {
-    ++rx_polled_;
-    ++rx_polled_by_pair_[static_cast<std::size_t>(pair)];
-    ++ksoftirqd_polls_;
-    os_.deliver_to_stack(vcpu, packet, [this, &vcpu, pair, budget_left] {
-      ksoftirqd_poll(vcpu, pair, budget_left - 1);
-    });
+  rx_step(vcpu, pair, /*in_task=*/true, [this, &vcpu, pair, budget_left] {
+    ksoftirqd_poll(vcpu, pair, budget_left - 1);
   });
 }
 
@@ -785,15 +763,11 @@ void VirtioNetFrontend::ksoftirqd_finish(Vcpu& vcpu, int pair) {
   // interrupts, handle the completion race (by staying pending and taking
   // another scheduling turn rather than re-polling inline).
   refill_rx(vcpu, pair, [this, &vcpu, pair] {
-    Virtqueue& rx = backend_.rx_vq(pair);
-    rx.enable_interrupts();
-    if (rx.used_count() > 0) {
-      rx.disable_interrupts();
+    if (!rearm_interrupts(pair)) {
       os_.task_done(vcpu);
       return;
     }
-    ksoftirqd_pending_[static_cast<std::size_t>(pair)] = 0;
-    if (!tx_waiters_.empty()) backend_.tx_vq(pair).enable_interrupts();
+    state(pair).ksoftirqd_pending = false;
     vcpu.guest_exec(os_.params().napi_complete,
                     [this, &vcpu] { os_.task_done(vcpu); });
   });
@@ -806,17 +780,20 @@ void VirtioNetFrontend::snapshot_state(SnapshotWriter& w) const {
   w.put_i64(kicks_);
   w.put_i64(tx_watchdog_kicks_);
   w.put_i64(rx_watchdog_polls_);
-  for (std::size_t i = 0; i < napi_scheduled_.size(); ++i) {
-    w.put_bool(napi_scheduled_[i]);
-    w.put_i64(watchdog_last_used_[i]);
-    w.put_u32(static_cast<std::uint32_t>(watchdog_strikes_[i]));
-    w.put_i64(rx_watchdog_last_polled_[i]);
-    w.put_u32(static_cast<std::uint32_t>(rx_watchdog_strikes_[i]));
-    w.put_i64(rx_polled_by_pair_[i]);
-    w.put_bool(ksoftirqd_pending_[i] != 0);
+  for (const PairState& ps : pairs_) {
+    w.put_bool(ps.napi_scheduled);
+    w.put_i64(ps.watchdog_last_used);
+    w.put_u32(static_cast<std::uint32_t>(ps.watchdog_strikes));
+    w.put_i64(ps.rx_watchdog_last_polled);
+    w.put_u32(static_cast<std::uint32_t>(ps.rx_watchdog_strikes));
+    w.put_i64(ps.rx_polled);
+    w.put_bool(ps.ksoftirqd_pending);
   }
-  for (int recent : ladder_recent_) {
-    w.put_u32(static_cast<std::uint32_t>(recent));
+  // Ladder counts in flat-queue order.
+  for (const PairState& ps : pairs_) {
+    for (int recent : ps.ladder_recent) {
+      w.put_u32(static_cast<std::uint32_t>(recent));
+    }
   }
   w.put_i64(ladder_queue_resets_);
   w.put_i64(ladder_device_resets_);

@@ -8,8 +8,13 @@
 // off) -> softirq poll loop (budgeted) -> re-enable interrupts when drained.
 // A full TX ring stops the queue and arms TX-completion interrupts,
 // producing real backpressure.
+//
+// Each queue pair's driver state is one `PairState` record. The softirq
+// poll and the ksoftirqd task poll share one per-packet RX step and one
+// interrupt re-arm epilogue.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -34,7 +39,7 @@ class VirtioNetFrontend {
   VirtioNetFrontend& operator=(const VirtioNetFrontend&) = delete;
 
   /// True if this driver owns the given interrupt vector.
-  bool owns_vector(Vector v) const;
+  bool owns_vector(Vector v) const { return pair_of_vector(v) >= 0; }
 
   /// Hardirq entry for this device (called from GuestOs::take_interrupt);
   /// runs hardirq -> EOI -> NAPI softirq, then Vcpu::irq_done().
@@ -119,10 +124,18 @@ class VirtioNetFrontend {
   /// Chains refill_rx across pairs [pair, N).
   void refill_all_rx(Vcpu& vcpu, int pair, Callback<void()> done);
   void wake_tx_waiters();
+  /// The queue pair owning interrupt vector `v`, or -1.
+  int pair_of_vector(Vector v) const;
   void napi_poll(Vcpu& vcpu, int pair, Callback<void()> done);
   void napi_poll_one(Vcpu& vcpu, int pair, int budget_left,
                      Callback<void()> done);
   void finish_poll(Vcpu& vcpu, int pair, Callback<void()> done);
+  /// One RX packet in softirq or ksoftirqd (`in_task`) context: pops the
+  /// pair's next used entry (there must be one) into the stack, then `next`.
+  void rx_step(Vcpu& vcpu, int pair, bool in_task, Callback<void()> next);
+  /// napi_complete's interrupt re-arm (RX, and TX completions while senders
+  /// wait); false, RX left off, if packets completed in the window.
+  bool rearm_interrupts(int pair);
   /// Frees completed TX descriptors; wakes stopped-queue waiters.
   void reclaim_tx(Vcpu& vcpu, int pair, Callback<void()> done);
   void refill_rx(Vcpu& vcpu, int pair, Callback<void()> done);
@@ -147,42 +160,44 @@ class VirtioNetFrontend {
   /// the completion race (which re-queues the pair instead of re-polling).
   void ksoftirqd_finish(Vcpu& vcpu, int pair);
 
+  /// Driver state of one queue pair.
+  struct PairState {
+    bool napi_scheduled = false;
+    // TX watchdog: completion count at the last tick plus a strike
+    // counter — a re-kick needs the stall to persist across two ticks, so
+    // a kick legitimately in flight at sampling time never trips it.
+    std::int64_t watchdog_last_used = 0;
+    int watchdog_strikes = 0;
+    // RX watchdog: the same debounce over `rx_polled`, the packets NAPI
+    // took off this pair (rx_polled_ is the device-wide total).
+    std::int64_t rx_polled = 0;
+    std::int64_t rx_watchdog_last_polled = 0;
+    int rx_watchdog_strikes = 0;
+    bool tx_stalled = false;  // stall flags sampled at watchdog tick entry
+    bool rx_stalled = false;
+    // Queue resets per direction (kScopeTx / kScopeRx) within the current
+    // DEVICE_NEEDS_RESET episode; decays once the device reports healthy.
+    std::array<int, 2> ladder_recent{};
+    bool ksoftirqd_pending = false;  // handed to the ksoftirqd task
+  };
+  PairState& state(int pair) { return pairs_[static_cast<std::size_t>(pair)]; }
+
   GuestOs& os_;
   VhostNetBackend& backend_;
-  // Per-queue-pair NAPI/watchdog state (index = pair).
-  std::vector<bool> napi_scheduled_;
+  std::vector<PairState> pairs_;  // index = queue pair; never resized
   std::vector<GuestTask*> tx_waiters_;
   std::vector<GuestTask*> waking_;  // wake_tx_waiters' reused swap buffer
   std::int64_t tx_stops_ = 0;
   std::int64_t rx_polled_ = 0;
   std::int64_t kicks_ = 0;
-  // TX watchdog state: completion count at the last tick plus a strike
-  // counter — a re-kick needs the stall to persist across two ticks, so a
-  // kick legitimately in flight at sampling time never trips it.
-  std::vector<std::int64_t> watchdog_last_used_;
-  std::vector<int> watchdog_strikes_;
   std::int64_t tx_watchdog_kicks_ = 0;
-  std::vector<std::int64_t> rx_watchdog_last_polled_;
-  std::vector<int> rx_watchdog_strikes_;
   std::int64_t rx_watchdog_polls_ = 0;
-  // Per-pair NAPI consumption counters (rx_polled_ stays the aggregate
-  // telemetry; the per-pair values feed each pair's RX watchdog).
-  std::vector<std::int64_t> rx_polled_by_pair_;
-  // Stall flags sampled at the top of each watchdog tick (members, not
-  // locals, to keep the tick allocation-free).
-  std::vector<char> watchdog_tx_stalled_;
-  std::vector<char> watchdog_rx_stalled_;
-  // Recovery-ladder state: queue resets performed per flat queue index
-  // within the current DEVICE_NEEDS_RESET episode (decays once the device
-  // reports healthy).
-  std::vector<int> ladder_recent_;
   std::int64_t ladder_queue_resets_ = 0;
   std::int64_t ladder_device_resets_ = 0;
   // Overload state. The task exists only when
   // GuestParams::overload_mitigation is set: it joins the guest's task
   // list, and with it the round-robin schedule.
   std::unique_ptr<GuestTask> ksoftirqd_;
-  std::vector<char> ksoftirqd_pending_;
   int overload_rung_ = 0;
   int overload_max_rung_ = 0;
   int overload_strikes_ = 0;

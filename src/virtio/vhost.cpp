@@ -34,6 +34,9 @@ std::string pair_name(const Vm& vm, const char* base, int pair) {
   return pair == 0 ? vm.name() + "/" + base
                    : vm.name() + format("/%s%d", base, pair);
 }
+// Name bases per direction (index = kScopeTx / kScopeRx).
+constexpr const char* kRingBase[2] = {"txq", "rxq"};
+constexpr const char* kHandlerBase[2] = {"tx", "rx"};
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -114,11 +117,11 @@ void VhostWorker::set_poll_mode(PollMode mode, SimDuration poll_interval,
 void VhostWorker::main_loop() {
   if (active_.empty()) {
     if (poll_mode_ != PollMode::kNotify && !crashed_ &&
-        !poll_sources_.empty()) {
+        !poll_devices_.empty()) {
       // Busy-poll idle path: scan the avail rings instead of sleeping.
       bool found = false;
-      for (PollSource& s : poll_sources_) {
-        if (s.check && s.check()) found = true;
+      for (VhostNetBackend* d : poll_devices_) {
+        if (d->poll_check()) found = true;
       }
       if (found) {
         ++poll_harvests_;
@@ -135,8 +138,8 @@ void VhostWorker::main_loop() {
       // Adaptive budget exhausted: re-arm guest notifications (the sleep
       // edge owns the standard vhost re-check race) and go to sleep.
       bool raced = false;
-      for (PollSource& s : poll_sources_) {
-        if (s.rearm && s.rearm()) raced = true;
+      for (VhostNetBackend* d : poll_devices_) {
+        if (d->poll_rearm()) raced = true;
       }
       if (raced) {
         main_loop();
@@ -216,26 +219,28 @@ void VhostWorker::main_loop() {
 }
 
 // ---------------------------------------------------------------------------
-// TX handler — Algorithm 1 (quota = weight reproduces standard vhost)
+// Queue handler — Algorithm 1 (quota = weight reproduces standard vhost)
 // ---------------------------------------------------------------------------
 
-class VhostNetBackend::TxHandler final : public VqHandler {
+/// The handler of one virtqueue. Every turn runs the same loop: trace the
+/// turn, pass the lifecycle gate, disable guest notifications, then move
+/// packets, completing each with the reset-epoch guard, the progress count
+/// and an MSI unless suppression says no. A dry ring re-enables
+/// notifications with the standard re-check race. The queue's direction
+/// picks `take`, `land` and `dry`, each specialized once per direction.
+template <int kDir>
+class VhostNetBackend::QueueHandler final : public VqHandler {
  public:
-  TxHandler(VhostNetBackend& backend, int pair)
-      : VqHandler(pair_name(backend.vm(), "tx", pair)),
+  QueueHandler(VhostNetBackend& backend, int q)
+      : VqHandler(pair_name(backend.vm(), kHandlerBase[kDir], q / 2)),
         backend_(backend),
-        pair_(pair),
-        q_(2 * pair) {
+        q_(q) {
     profile_queue_ = q_;
   }
 
   void service(VhostWorker& worker,
                Callback<void(bool)> done) override {
-    if (Tracer* tr = worker.host().sim().tracer()) {
-      tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
-               worker_core(worker), static_cast<std::uint32_t>(q_),
-               backend_.tx_kick_corr_);
-    }
+    trace(worker, TraceKind::kWorkerTurn);
     // Lifecycle gate: a wedged/quarantined/disabled queue parks the turn
     // (and runs the ring-integrity check on the way in).
     if (!backend_.pre_service(q_)) {
@@ -243,196 +248,88 @@ class VhostNetBackend::TxHandler final : public VqHandler {
       return;
     }
     // Algorithm 1 line 8-10: entering a turn disables guest notifications.
-    if (backend_.tx_vq(pair_).notifications_enabled()) {
-      backend_.tx_vq(pair_).disable_notifications();
-      if (Tracer* tr = worker.host().sim().tracer()) {
-        tr->emit(worker.host().sim().now(), TraceKind::kNotifyDisable, -1, -1,
-                 worker_core(worker), static_cast<std::uint32_t>(q_),
-                 backend_.tx_kick_corr_);
-      }
+    Virtqueue& vq = backend_.queue(q_);
+    if (vq.notifications_enabled()) {
+      vq.disable_notifications();
+      trace(worker, TraceKind::kNotifyDisable);
     }
     workload_ = 0;
     poll(worker, std::move(done));
   }
 
  private:
-  void poll(VhostWorker& worker, Callback<void(bool)> done) {
-    Virtqueue& vq = backend_.tx_vq(pair_);
-    if (workload_ >= backend_.effective_quota()) {
-      // High load: stay in polling mode, wait for the next turn
-      // (Algorithm 1 line 15-17).
-      ++backend_.tx_quota_hits_;
-      done(true);
-      return;
-    }
-    auto entry = vq.pop_avail();
-    if (!entry) {
-      if (backend_.poll_mode() != PollMode::kNotify) {
-        // Busy-poll backend: notifications never come back on; the
-        // worker's poll scan re-activates this handler when work appears.
-        done(false);
-        return;
-      }
-      // Queue empty before the quota filled: the I/O load is low. Return
-      // to notification mode (Algorithm 1 line 19-20), handling the
-      // standard re-enable race.
-      if (vq.enable_notifications()) {
-        vq.disable_notifications();
-        poll(worker, std::move(done));
-        return;
-      }
-      ++backend_.tx_reverts_;
-      if (Tracer* tr = worker.host().sim().tracer()) {
-        tr->emit(worker.host().sim().now(), TraceKind::kNotifyEnable, -1, -1,
-                 worker_core(worker), static_cast<std::uint32_t>(q_),
-                 backend_.tx_kick_corr_);
-      }
-      done(false);
-      return;
-    }
-    const Cycles cost = backend_.tx_cost(*entry);
-    const std::int64_t epoch = vq.reset_epoch();
-    worker.exec(cost, [this, &worker, epoch, entry = std::move(*entry),
-                       done = std::move(done)]() mutable {
-      Virtqueue& vq = backend_.tx_vq(pair_);
-      if (vq.reset_epoch() != epoch) {
-        // The queue was reset mid-flight: this turn's view of the ring is
-        // stale and the descriptor is gone. The packet is dropped (the
-        // peer's TCP retransmit recovers it).
-        done(false);
-        return;
-      }
-      backend_.tx_link_.transmit(entry.packet);
-      ++backend_.pair_at(pair_).tx_packets;
-      vq.push_used(Virtqueue::Entry{nullptr, 0});
-      backend_.note_progress(kScopeTx);
-      if (vq.interrupt_needed()) {
-        ++backend_.tx_irqs_;
-        backend_.raise_msi(backend_.tx_msi(pair_));
-      } else {
-        if (Tracer* tr = worker.host().sim().tracer()) {
-          tr->emit(worker.host().sim().now(), TraceKind::kIrqSuppressed, -1,
-                   -1, worker_core(worker), static_cast<std::uint32_t>(q_),
-                   backend_.tx_kick_corr_);
-        }
-      }
-      ++workload_;
-      poll(worker, std::move(done));
-    });
-  }
+  /// What `take` found: the next packet (and its host cost), the turn's
+  /// limit, nothing to do, or a dry ring.
+  enum class Take { kPacket, kLimit, kIdle, kDry };
+  Take take(PacketPtr& packet, Cycles& cost);
+  /// Lands a packet whose copy finished; returns its used-ring entry.
+  Virtqueue::Entry land(const PacketPtr& packet);
+  /// The ring stayed dry with notifications back on.
+  void dry();
 
-  VhostNetBackend& backend_;
-  const int pair_;
-  const int q_;  // flat queue index (2 * pair_)
-  int workload_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// RX handler
-// ---------------------------------------------------------------------------
-
-class VhostNetBackend::RxHandler final : public VqHandler {
- public:
-  RxHandler(VhostNetBackend& backend, int pair)
-      : VqHandler(pair_name(backend.vm(), "rx", pair)),
-        backend_(backend),
-        pair_(pair),
-        q_(2 * pair + 1) {
-    profile_queue_ = q_;
-  }
-
-  void service(VhostWorker& worker,
-               Callback<void(bool)> done) override {
+  /// Emits a worker-side record for this queue on its direction's journey.
+  void trace(VhostWorker& worker, TraceKind kind) {
     if (Tracer* tr = worker.host().sim().tracer()) {
-      tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
-               worker_core(worker), static_cast<std::uint32_t>(q_),
-               backend_.rx_kick_corr_);
+      tr->emit(worker.host().sim().now(), kind, -1, -1, worker_core(worker),
+               static_cast<std::uint32_t>(q_), backend_.kick_corr_[kDir]);
     }
-    if (!backend_.pre_service(q_)) {
-      done(false);
-      return;
-    }
-    if (backend_.rx_vq(pair_).notifications_enabled()) {
-      backend_.rx_vq(pair_).disable_notifications();
-      if (Tracer* tr = worker.host().sim().tracer()) {
-        tr->emit(worker.host().sim().now(), TraceKind::kNotifyDisable, -1, -1,
-                 worker_core(worker), static_cast<std::uint32_t>(q_),
-                 backend_.rx_kick_corr_);
-      }
-    }
-    workload_ = 0;
-    poll(worker, std::move(done));
   }
 
- private:
   void poll(VhostWorker& worker, Callback<void(bool)> done) {
-    Virtqueue& vq = backend_.rx_vq(pair_);
-    // Ingress draining is bounded by the vhost weight, NOT the ES2 quota:
-    // Algorithm 1 throttles guest *notifications*; wire traffic is not a
-    // guest I/O request.
-    if (workload_ >= backend_.params().weight) {
-      done(true);
-      return;
-    }
-    Ring<PacketPtr>& sock_buf = backend_.pair_at(pair_).sock_buf;
-    if (sock_buf.empty()) {
-      // No more ingress traffic. Refill notifications stay disabled — the
-      // handler reactivates on wire arrivals, not guest kicks.
-      done(false);
-      return;
-    }
-    if (!vq.has_avail()) {
-      if (backend_.poll_mode() != PollMode::kNotify) {
-        // Busy-poll backend: the poll scan notices when the guest posts
-        // fresh receive buffers; no refill notification needed.
+    Virtqueue& vq = backend_.queue(q_);
+    PacketPtr packet;
+    Cycles cost = 0;
+    switch (take(packet, cost)) {
+      case Take::kLimit:
+        // High load: stay in polling mode, wait for the next turn
+        // (Algorithm 1 line 15-17).
+        done(true);
+        return;
+      case Take::kIdle:
         done(false);
         return;
-      }
-      // Out of guest receive buffers: arm the refill notification so the
-      // guest's next buffer post kicks us awake (with the re-check race).
-      if (vq.enable_notifications()) {
-        vq.disable_notifications();
-        poll(worker, std::move(done));
+      case Take::kDry:
+        if (backend_.poll_mode() != PollMode::kNotify) {
+          // Busy-poll backend: notifications never come back on; the
+          // worker's poll scan re-activates this handler when work appears.
+          done(false);
+          return;
+        }
+        // Dry before the limit: the I/O load is low. Return to
+        // notification mode (Algorithm 1 line 19-20), handling the
+        // standard re-enable race.
+        if (vq.enable_notifications()) {
+          vq.disable_notifications();
+          poll(worker, std::move(done));
+          return;
+        }
+        trace(worker, TraceKind::kNotifyEnable);
+        dry();
+        done(false);
         return;
-      }
-      if (Tracer* tr = worker.host().sim().tracer()) {
-        tr->emit(worker.host().sim().now(), TraceKind::kNotifyEnable, -1, -1,
-                 worker_core(worker), static_cast<std::uint32_t>(q_),
-                 backend_.rx_kick_corr_);
-      }
-      // Under fault injection the refill kick itself may be swallowed:
-      // schedule a re-poll so a lost kick degrades to latency, not a wedge.
-      backend_.arm_rx_repoll();
-      done(false);
-      return;
+      case Take::kPacket:
+        break;
     }
-    PacketPtr packet = sock_buf.front();
-    sock_buf.pop_front();
-    const Cycles cost = backend_.rx_cost(packet);
     const std::int64_t epoch = vq.reset_epoch();
     worker.exec(cost, [this, &worker, epoch, packet = std::move(packet),
                        done = std::move(done)]() mutable {
-      Virtqueue& vq = backend_.rx_vq(pair_);
+      Virtqueue& vq = backend_.queue(q_);
       if (vq.reset_epoch() != epoch) {
-        // Reset raced the copy: the buffer this packet was headed for no
-        // longer exists. Drop it; the sender retransmits.
+        // The queue was reset mid-flight: this turn's view of the ring is
+        // stale and the descriptor is gone. The packet is dropped (the
+        // sender's TCP retransmit recovers it).
         done(false);
         return;
       }
-      auto buffer = vq.pop_avail();
-      ES2_CHECK(buffer.has_value());
-      ++backend_.pair_at(pair_).rx_packets;
-      vq.push_used(Virtqueue::Entry{packet, packet->wire_size});
-      backend_.note_progress(kScopeRx);
+      Virtqueue::Entry used = land(packet);
+      ++backend_.rec(q_).packets;
+      vq.push_used(std::move(used));
+      backend_.note_progress(kDir);
       if (vq.interrupt_needed()) {
-        ++backend_.rx_irqs_;
-        backend_.raise_msi(backend_.rx_msi(pair_));
+        ++backend_.irqs_[kDir];
+        backend_.raise_msi(q_);
       } else {
-        if (Tracer* tr = worker.host().sim().tracer()) {
-          tr->emit(worker.host().sim().now(), TraceKind::kIrqSuppressed, -1,
-                   -1, worker_core(worker), static_cast<std::uint32_t>(q_),
-                   backend_.rx_kick_corr_);
-        }
+        trace(worker, TraceKind::kIrqSuppressed);
       }
       ++workload_;
       poll(worker, std::move(done));
@@ -440,31 +337,95 @@ class VhostNetBackend::RxHandler final : public VqHandler {
   }
 
   VhostNetBackend& backend_;
-  const int pair_;
-  const int q_;  // flat queue index (2 * pair_ + 1)
+  const int q_;  // flat queue index (2 * pair + kDir)
   int workload_ = 0;
 };
 
+// TX: Algorithm 1's quota bounds the turn; the guest's descriptor is
+// popped before the copy and the packet goes out on the wire after it.
+template <>
+auto VhostNetBackend::QueueHandler<kScopeTx>::take(PacketPtr& packet,
+                                                   Cycles& cost) -> Take {
+  if (workload_ >= backend_.effective_quota()) {
+    ++backend_.tx_quota_hits_;
+    return Take::kLimit;
+  }
+  auto entry = backend_.queue(q_).pop_avail();
+  if (!entry) return Take::kDry;
+  cost = backend_.copy_cost(backend_.params().tx_per_packet, entry->packet);
+  packet = std::move(entry->packet);
+  return Take::kPacket;
+}
+
+template <>
+Virtqueue::Entry VhostNetBackend::QueueHandler<kScopeTx>::land(
+    const PacketPtr& packet) {
+  backend_.tx_link_.transmit(packet);
+  return Virtqueue::Entry{nullptr, 0};
+}
+
+template <>
+void VhostNetBackend::QueueHandler<kScopeTx>::dry() {
+  ++backend_.tx_reverts_;
+}
+
+// RX: ingress draining is bounded by the vhost weight, NOT the ES2 quota
+// (Algorithm 1 throttles guest *notifications*; wire traffic is not a
+// guest I/O request). The packet comes off the socket buffer before the
+// copy; the guest buffer it lands in is popped after it.
+template <>
+auto VhostNetBackend::QueueHandler<kScopeRx>::take(PacketPtr& packet,
+                                                   Cycles& cost) -> Take {
+  if (workload_ >= backend_.params().weight) return Take::kLimit;
+  Ring<PacketPtr>& sock_buf = backend_.pair_at(q_ / 2).sock_buf;
+  // No more ingress traffic. Refill notifications stay disabled — the
+  // handler reactivates on wire arrivals, not guest kicks.
+  if (sock_buf.empty()) return Take::kIdle;
+  // Out of guest receive buffers: dry until the guest's refill kick.
+  if (!backend_.queue(q_).has_avail()) return Take::kDry;
+  packet = std::move(sock_buf.front());
+  sock_buf.pop_front();
+  cost = backend_.copy_cost(backend_.params().rx_per_packet, packet);
+  return Take::kPacket;
+}
+
+template <>
+Virtqueue::Entry VhostNetBackend::QueueHandler<kScopeRx>::land(
+    const PacketPtr& packet) {
+  auto buffer = backend_.queue(q_).pop_avail();
+  ES2_CHECK(buffer.has_value());
+  return Virtqueue::Entry{packet, packet->wire_size};
+}
+
+// Under fault injection the refill kick itself may be swallowed: schedule
+// a re-poll so a lost kick degrades to latency, not a wedge.
+template <>
+void VhostNetBackend::QueueHandler<kScopeRx>::dry() {
+  backend_.arm_rx_repoll();
+}
+
 // ---------------------------------------------------------------------------
-// QueuePair
+// Queue records
 // ---------------------------------------------------------------------------
 
-VhostNetBackend::QueuePair::QueuePair(VhostNetBackend& backend, int pair)
-    : tx_vq(pair_name(backend.vm(), "txq", pair),
-            backend.params().vq_capacity, backend.params().ring_layout),
-      rx_vq(pair_name(backend.vm(), "rxq", pair),
-            backend.params().vq_capacity, backend.params().ring_layout),
-      tx_handler(std::make_unique<TxHandler>(backend, pair)),
-      rx_handler(std::make_unique<RxHandler>(backend, pair)) {
+VhostNetBackend::Queue::Queue(VhostNetBackend& backend, int q)
+    : vq(pair_name(backend.vm(), kRingBase[q % 2], q / 2),
+         backend.params().vq_capacity, backend.params().ring_layout) {
   // Each pair gets its own virtio-net MSI vectors (kFirstDeviceVector+1/+2
   // for pair 0, then +2 per pair) with guest affinity spread across vCPUs
   // — the standard irqbalance-style queue->vCPU mapping — and
   // lowest-priority delivery (Linux apic_flat default).
-  const int vcpus = backend.vm().num_vcpus();
-  tx_msi = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 1 + 2 * pair),
-                      pair % vcpus, DeliveryMode::kLowestPriority};
-  rx_msi = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 2 + 2 * pair),
-                      pair % vcpus, DeliveryMode::kLowestPriority};
+  msi = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 1 + q),
+                   (q / 2) % backend.vm().num_vcpus(),
+                   DeliveryMode::kLowestPriority};
+}
+
+VhostNetBackend::QueuePair::QueuePair(VhostNetBackend& backend, int pair)
+    : dir{Queue(backend, 2 * pair), Queue(backend, 2 * pair + 1)} {
+  dir[kScopeTx].handler =
+      std::make_unique<QueueHandler<kScopeTx>>(backend, 2 * pair);
+  dir[kScopeRx].handler =
+      std::make_unique<QueueHandler<kScopeRx>>(backend, 2 * pair + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,10 +443,6 @@ VhostNetBackend::VhostNetBackend(Vm& vm, VhostWorker& worker, Link& tx_link,
                 "vhost-net needs at least one queue pair");
   pairs_.reserve(static_cast<std::size_t>(num_queue_pairs()));
   for (int p = 0; p < num_queue_pairs(); ++p) pairs_.emplace_back(*this, p);
-  const std::size_t nq = static_cast<std::size_t>(num_queues());
-  wedged_.assign(nq, false);
-  selfcheck_strikes_.assign(nq, 0);
-  selfcheck_last_progress_.assign(nq, 0);
   // Boot pre-negotiated with everything on offer acked (packed/MQ bits
   // included when configured); the frontend renegotiates from scratch.
   features_acked_ = features_offered();
@@ -495,15 +452,9 @@ VhostNetBackend::~VhostNetBackend() = default;
 
 void VhostNetBackend::set_poll_quota(int quota) { poll_quota_ = quota; }
 
-std::int64_t VhostNetBackend::tx_packets() const {
+std::int64_t VhostNetBackend::packets(int dir) const {
   std::int64_t total = 0;
-  for (const QueuePair& p : pairs_) total += p.tx_packets;
-  return total;
-}
-
-std::int64_t VhostNetBackend::rx_packets() const {
-  std::int64_t total = 0;
-  for (const QueuePair& p : pairs_) total += p.rx_packets;
+  for (const QueuePair& p : pairs_) total += p.dir[dir].packets;
   return total;
 }
 
@@ -517,10 +468,7 @@ int VhostNetBackend::steer_pair(Proto proto, std::uint64_t flow) const {
 void VhostNetBackend::set_poll_mode(PollMode mode) {
   poll_mode_ = mode;
   if (mode == PollMode::kNotify) return;
-  VhostWorker::PollSource source;
-  source.check = [this] { return poll_check(); };
-  source.rearm = [this] { return poll_rearm(); };
-  worker_.add_poll_source(std::move(source));
+  worker_.add_poll_device(*this);
   if (mode == PollMode::kAlwaysPoll) {
     // Exit-less dataplane: the guest never finds notifications enabled,
     // so kick_needed() is permanently false and no I/O exits happen.
@@ -528,21 +476,19 @@ void VhostNetBackend::set_poll_mode(PollMode mode) {
   }
 }
 
+bool VhostNetBackend::has_work(int q) {
+  return q % 2 == kScopeTx ? queue(q).has_avail()
+                           : (!pair_at(q / 2).sock_buf.empty() &&
+                              queue(q).has_avail());
+}
+
 bool VhostNetBackend::poll_check() {
   bool any = false;
-  for (int p = 0; p < num_queue_pairs(); ++p) {
-    QueuePair& qp = pair_at(p);
-    const int txq = 2 * p;
-    const int rxq = 2 * p + 1;
-    if (queue_operational(txq) && !wedged_[static_cast<std::size_t>(txq)] &&
-        qp.tx_vq.has_avail() && !qp.tx_handler->queued()) {
-      worker_.activate(*qp.tx_handler);
-      any = true;
-    }
-    if (queue_operational(rxq) && !wedged_[static_cast<std::size_t>(rxq)] &&
-        !qp.sock_buf.empty() && qp.rx_vq.has_avail() &&
-        !qp.rx_handler->queued()) {
-      worker_.activate(*qp.rx_handler);
+  for (int q = 0; q < num_queues(); ++q) {
+    Queue& r = rec(q);
+    if (queue_operational(q) && !r.wedged && has_work(q) &&
+        !r.handler->queued()) {
+      worker_.activate(*r.handler);
       any = true;
     }
   }
@@ -554,18 +500,20 @@ bool VhostNetBackend::poll_rearm() {
   for (int p = 0; p < num_queue_pairs(); ++p) {
     if (!queue_operational(2 * p) && !queue_operational(2 * p + 1)) continue;
     QueuePair& qp = pair_at(p);
-    if (qp.tx_vq.enable_notifications()) {
-      qp.tx_vq.disable_notifications();
-      worker_.activate(*qp.tx_handler);
+    Queue& tx = qp.dir[kScopeTx];
+    if (tx.vq.enable_notifications()) {
+      tx.vq.disable_notifications();
+      worker_.activate(*tx.handler);
       raced = true;
     }
     // The RX handler is woken by wire arrivals, not guest kicks; the only
     // kick it ever needs is the buffer-refill one, and only while ingress
     // is actually stuck waiting on guest buffers.
+    Queue& rx = qp.dir[kScopeRx];
     if (!qp.sock_buf.empty()) {
-      if (qp.rx_vq.has_avail() || qp.rx_vq.enable_notifications()) {
-        qp.rx_vq.disable_notifications();
-        worker_.activate(*qp.rx_handler);
+      if (rx.vq.has_avail() || rx.vq.enable_notifications()) {
+        rx.vq.disable_notifications();
+        worker_.activate(*rx.handler);
         raced = true;
       }
     }
@@ -580,112 +528,75 @@ Cycles VhostNetBackend::jittered(Cycles c) {
   return static_cast<Cycles>(static_cast<double>(c) * f);
 }
 
-Cycles VhostNetBackend::tx_cost(const Virtqueue::Entry& e) {
-  const Bytes size = e.packet ? e.packet->wire_size : 0;
-  return jittered(params_.tx_per_packet +
+Cycles VhostNetBackend::copy_cost(Cycles per_packet, const PacketPtr& p) {
+  const Bytes size = p ? p->wire_size : 0;
+  return jittered(per_packet +
                   static_cast<Cycles>(params_.cycles_per_byte *
                                       static_cast<double>(size)));
 }
 
-Cycles VhostNetBackend::rx_cost(const PacketPtr& p) {
-  return jittered(params_.rx_per_packet +
-                  static_cast<Cycles>(params_.cycles_per_byte *
-                                      static_cast<double>(p->wire_size)));
-}
-
-void VhostNetBackend::raise_msi(const MsiMessage& msi) {
+void VhostNetBackend::raise_msi(int q) {
+  const MsiMessage& msi = rec(q).msi;
   if (msi_filter_ && !msi_filter_(msi)) return;  // coalesced
   // The raise -> router -> vcpu delivery chain is synchronous, so a sync
   // scope captures its full host cost.
   Profiler::Scope prof_scope(vm_.host().sim().profiler(),
                              ProfComp::kVhostMsi);
-  if (Tracer* tr = vm_.host().sim().tracer()) {
-    std::uint64_t corr =
-        msi.vector == tx_msi(0).vector ? tx_kick_corr_ : rx_kick_corr_;
-    if (corr == 0) corr = tr->begin_journey();
-    if (faults_ != nullptr && faults_->drop_msi()) {
+  Tracer* tr = vm_.host().sim().tracer();
+  std::uint64_t corr = kick_corr_[q % 2];
+  if (tr != nullptr && corr == 0) corr = tr->begin_journey();
+  if (faults_ != nullptr && faults_->drop_msi()) {
+    if (tr != nullptr) {
       tr->emit(vm_.host().sim().now(), TraceKind::kMsiDrop, vm_.id(), -1,
                worker_core(worker_), msi.vector, corr);
-      return;
     }
+    return;
+  }
+  deliver_msi(msi, corr);
+}
+
+void VhostNetBackend::raise_msi_now(const MsiMessage& msi) {
+  Tracer* tr = vm_.host().sim().tracer();
+  deliver_msi(msi, tr != nullptr ? tr->begin_journey() : 0);
+}
+
+void VhostNetBackend::deliver_msi(const MsiMessage& msi, std::uint64_t corr) {
+  if (Tracer* tr = vm_.host().sim().tracer()) {
     tr->emit(vm_.host().sim().now(), TraceKind::kMsiRaise, vm_.id(), -1,
              worker_core(worker_), msi.vector, corr);
     // Hand the journey across the synchronous router -> vcpu delivery.
     tr->set_inflight(corr);
-    vm_.host().router().deliver_msi(vm_, msi);
-    return;
-  }
-  if (faults_ != nullptr && faults_->drop_msi()) return;
-  vm_.host().router().deliver_msi(vm_, msi);
-}
-
-void VhostNetBackend::raise_msi_now(const MsiMessage& msi) {
-  if (Tracer* tr = vm_.host().sim().tracer()) {
-    const std::uint64_t corr = tr->begin_journey();
-    tr->emit(vm_.host().sim().now(), TraceKind::kMsiRaise, vm_.id(), -1,
-             worker_core(worker_), msi.vector, corr);
-    tr->set_inflight(corr);
   }
   vm_.host().router().deliver_msi(vm_, msi);
 }
 
-void VhostNetBackend::notify_tx(int pair) {
+void VhostNetBackend::kick(int q, std::uint64_t* journey) {
+  std::uint64_t corr = 0;
   if (Tracer* tr = vm_.host().sim().tracer()) {
-    // A TX kick opens a fresh journey: everything the handler does on its
-    // next turn is on this kick's behalf.
-    tx_kick_corr_ = tr->begin_journey();
+    corr = tr->begin_journey();
+    if (journey != nullptr) *journey = corr;
     tr->emit(vm_.host().sim().now(), TraceKind::kKick, vm_.id(), -1, -1,
-             static_cast<std::uint32_t>(2 * pair), tx_kick_corr_);
+             static_cast<std::uint32_t>(q), corr);
   }
-  if (kick_blocked(2 * pair)) return;
+  if (kick_blocked(q)) return;
   if (faults_ != nullptr) {
     switch (faults_->kick_fate()) {
       case FaultInjector::KickFate::kDrop:
         if (Tracer* tr = vm_.host().sim().tracer()) {
           tr->emit(vm_.host().sim().now(), TraceKind::kKickDrop, vm_.id(), -1,
-                   -1, static_cast<std::uint32_t>(2 * pair), tx_kick_corr_);
+                   -1, static_cast<std::uint32_t>(q), corr);
         }
         return;
       case FaultInjector::KickFate::kDelay:
-        vm_.host().sim().after(faults_->kick_delay(), [this, pair] {
-          worker_.activate(*pair_at(pair).tx_handler);
+        vm_.host().sim().after(faults_->kick_delay(), [this, q] {
+          worker_.activate(*rec(q).handler);
         });
         return;
       case FaultInjector::KickFate::kDeliver:
         break;
     }
   }
-  worker_.activate(*pair_at(pair).tx_handler);
-}
-
-void VhostNetBackend::notify_rx(int pair) {
-  std::uint64_t refill_corr = 0;
-  if (Tracer* tr = vm_.host().sim().tracer()) {
-    // A refill kick is bookkeeping, not an I/O request: give it its own id
-    // but leave rx_kick_corr_ (the data-path journey) alone.
-    refill_corr = tr->begin_journey();
-    tr->emit(vm_.host().sim().now(), TraceKind::kKick, vm_.id(), -1, -1,
-             static_cast<std::uint32_t>(2 * pair + 1), refill_corr);
-  }
-  if (kick_blocked(2 * pair + 1)) return;
-  if (faults_ != nullptr) {
-    switch (faults_->kick_fate()) {
-      case FaultInjector::KickFate::kDrop:
-        if (Tracer* tr = vm_.host().sim().tracer()) {
-          tr->emit(vm_.host().sim().now(), TraceKind::kKickDrop, vm_.id(), -1,
-                   -1, static_cast<std::uint32_t>(2 * pair + 1), refill_corr);
-        }
-        return;
-      case FaultInjector::KickFate::kDelay:
-        vm_.host().sim().after(faults_->kick_delay(), [this, pair] {
-          worker_.activate(*pair_at(pair).rx_handler);
-        });
-        return;
-      case FaultInjector::KickFate::kDeliver:
-        break;
-    }
-  }
-  worker_.activate(*pair_at(pair).rx_handler);
+  worker_.activate(*rec(q).handler);
 }
 
 // ---------------------------------------------------------------------------
@@ -699,16 +610,7 @@ void VhostNetBackend::write_status(std::uint8_t status) {
     // in-flight completions are dropped by the reset-epoch guard; MSI
     // identities and the ES2 poll quota survive (host module state the
     // driver re-programs identically).
-    for (int q = 0; q < num_queues(); ++q) {
-      Virtqueue& vq = queue(q);
-      vq.reset();
-      vq.set_enabled(false);
-      // reset() re-enables notifications; an exit-less backend keeps them
-      // off across resets (the poll scan is the only wakeup path).
-      if (poll_mode_ == PollMode::kAlwaysPoll) vq.disable_notifications();
-    }
-    std::fill(wedged_.begin(), wedged_.end(), false);
-    std::fill(selfcheck_strikes_.begin(), selfcheck_strikes_.end(), 0);
+    for (int q = 0; q < num_queues(); ++q) clear_queue(q, /*enabled=*/false);
     status_ = 0;
     features_acked_ = 0;
     ++device_resets_;
@@ -748,13 +650,19 @@ bool VhostNetBackend::ack_features(std::uint64_t features) {
   return true;
 }
 
+void VhostNetBackend::clear_queue(int q, bool enabled) {
+  Queue& r = rec(q);
+  r.vq.reset();
+  r.vq.set_enabled(enabled);
+  // reset() re-enables notifications; an exit-less backend keeps them off
+  // across resets (the poll scan is the only wakeup path).
+  if (poll_mode_ == PollMode::kAlwaysPoll) r.vq.disable_notifications();
+  r.wedged = false;
+  r.selfcheck_strikes = 0;
+}
+
 void VhostNetBackend::reset_queue(int q) {
-  Virtqueue& vq = queue(q);
-  vq.reset();
-  vq.set_enabled(true);
-  if (poll_mode_ == PollMode::kAlwaysPoll) vq.disable_notifications();
-  wedged_[static_cast<std::size_t>(q)] = false;
-  selfcheck_strikes_[static_cast<std::size_t>(q)] = 0;
+  clear_queue(q, /*enabled=*/true);
   ++queue_resets_;
   if (recovery_log_ != nullptr) {
     recovery_log_->note_action(RecoveryRung::kQueueReset, q % 2);
@@ -775,7 +683,7 @@ void VhostNetBackend::reset_queue(int q) {
 
 bool VhostNetBackend::pre_service(int q) {
   Virtqueue& vq = queue(q);
-  if (wedged_[static_cast<std::size_t>(q)]) {
+  if (rec(q).wedged) {
     return false;  // eats the activation, does no work
   }
   if (!driver_ok() || !vq.enabled()) return false;
@@ -879,8 +787,8 @@ void VhostNetBackend::inject_avail_tear() {
 void VhostNetBackend::inject_handler_wedge() {
   const int q = wedge_seq_ & 1;
   ++wedge_seq_;
-  if (wedged_[static_cast<std::size_t>(q)]) return;
-  wedged_[static_cast<std::size_t>(q)] = true;
+  if (rec(q).wedged) return;
+  rec(q).wedged = true;
   open_fault(LifecycleFault::kHandlerWedge, q);
 }
 
@@ -890,18 +798,11 @@ void VhostNetBackend::inject_worker_crash(SimDuration restart_delay) {
   worker_.crash_and_restart(restart_delay);
 }
 
-VqHandler& VhostNetBackend::handler_of(int q) {
-  QueuePair& qp = pair_at(q / 2);
-  return q % 2 == 0 ? static_cast<VqHandler&>(*qp.tx_handler)
-                    : static_cast<VqHandler&>(*qp.rx_handler);
-}
-
 void VhostNetBackend::arm_lifecycle_selfcheck() {
   if (selfcheck_armed_ || params_.lifecycle_selfcheck_period <= 0) return;
   selfcheck_armed_ = true;
   for (int q = 0; q < num_queues(); ++q) {
-    selfcheck_last_progress_[static_cast<std::size_t>(q)] =
-        progress_counter(q);
+    rec(q).selfcheck_last_progress = rec(q).packets;
   }
   selfcheck_ = vm_.host().sim().after(params_.lifecycle_selfcheck_period,
                                       [this] { lifecycle_selfcheck_tick(); });
@@ -909,27 +810,22 @@ void VhostNetBackend::arm_lifecycle_selfcheck() {
 
 void VhostNetBackend::lifecycle_selfcheck_tick() {
   for (int q = 0; q < num_queues(); ++q) {
-    const std::size_t qi = static_cast<std::size_t>(q);
-    Virtqueue& vq = queue(q);
-    const std::int64_t progress = progress_counter(q);
-    const bool progressed = progress != selfcheck_last_progress_[qi];
-    selfcheck_last_progress_[qi] = progress;
+    Queue& r = rec(q);
+    Virtqueue& vq = r.vq;
+    const bool progressed = r.packets != r.selfcheck_last_progress;
+    r.selfcheck_last_progress = r.packets;
     // Strikes freeze while the worker is down: re-activating a dead worker
     // is pointless, and the first post-restart tick should escalate from
     // where the stall left off.
     if (worker_.crashed()) continue;
-    const bool work = q % 2 == 0
-                          ? vq.has_avail()
-                          : (!pair_at(q / 2).sock_buf.empty() &&
-                             vq.has_avail());
-    VqHandler& h = handler_of(q);
-    if (!work || progressed || h.queued() || !vq.enabled() ||
+    VqHandler& h = *r.handler;
+    if (!has_work(q) || progressed || h.queued() || !vq.enabled() ||
         vq.pending_fault() != RingFault::kNone || !driver_ok()) {
-      selfcheck_strikes_[qi] = 0;
+      r.selfcheck_strikes = 0;
       continue;
     }
-    ++selfcheck_strikes_[qi];
-    if (selfcheck_strikes_[qi] == 1) {
+    ++r.selfcheck_strikes;
+    if (r.selfcheck_strikes == 1) {
       // First strike: assume a lost activation (swallowed kick, worker
       // crash) and re-poll in its place — the vhost re-poll rung.
       ++selfcheck_repolls_;
@@ -941,7 +837,7 @@ void VhostNetBackend::lifecycle_selfcheck_tick() {
       // Re-polling didn't help: the handler is eating turns without
       // making progress. Declare it wedged and quarantine the queue; the
       // guest ladder takes it from here.
-      selfcheck_strikes_[qi] = 0;
+      r.selfcheck_strikes = 0;
       on_ring_fault(q, RingFault::kHandlerWedge);
     }
   }
@@ -956,11 +852,12 @@ void VhostNetBackend::arm_rx_repoll() {
     bool still_waiting = false;
     for (QueuePair& qp : pairs_) {
       if (qp.sock_buf.empty()) continue;  // drained, nothing to recover
-      if (qp.rx_vq.has_avail()) {
+      Queue& rx = qp.dir[kScopeRx];
+      if (rx.vq.has_avail()) {
         // Buffers appeared but the handler is still asleep: the refill
         // kick was lost. Re-poll in its place.
         ++rx_repolls_;
-        worker_.activate(*qp.rx_handler);
+        worker_.activate(*rx.handler);
       } else {
         still_waiting = true;  // still waiting on guest buffers
       }
@@ -981,12 +878,12 @@ void VhostNetBackend::receive_from_wire(PacketPtr packet) {
   if (Tracer* tr = vm_.host().sim().tracer()) {
     // The RX data path has no guest kick; the wire arrival is the
     // journey's origin (latest arrival wins the batch's id).
-    rx_kick_corr_ = tr->begin_journey();
+    kick_corr_[kScopeRx] = tr->begin_journey();
     tr->emit(vm_.host().sim().now(), TraceKind::kWireRx, vm_.id(), -1, -1,
-             static_cast<std::uint32_t>(pair), rx_kick_corr_);
+             static_cast<std::uint32_t>(pair), kick_corr_[kScopeRx]);
   }
   buf.push_back(std::move(packet));
-  worker_.activate(*pair_at(pair).rx_handler);
+  worker_.activate(*rec(2 * pair + 1).handler);
 }
 
 void VhostNetBackend::set_rx_backpressure(bool on) {
@@ -1036,10 +933,10 @@ void VhostNetBackend::register_metrics(MetricsRegistry& registry) {
     return static_cast<double>(rx_packets());
   });
   registry.probe("vhost.tx.irqs", labels, [this] {
-    return static_cast<double>(tx_irqs_);
+    return static_cast<double>(irqs_[kScopeTx]);
   });
   registry.probe("vhost.rx.irqs", labels, [this] {
-    return static_cast<double>(rx_irqs_);
+    return static_cast<double>(irqs_[kScopeRx]);
   });
   registry.probe("vhost.tx.mode_reverts", labels, [this] {
     return static_cast<double>(tx_reverts_);
@@ -1064,8 +961,7 @@ void VhostNetBackend::register_metrics(MetricsRegistry& registry) {
     return static_cast<double>(total);
   });
   for (QueuePair& qp : pairs_) {
-    qp.tx_vq.register_metrics(registry, vm_.name());
-    qp.rx_vq.register_metrics(registry, vm_.name());
+    for (Queue& q : qp.dir) q.vq.register_metrics(registry, vm_.name());
   }
   if (selfcheck_armed_) {
     registry.probe("vhost.lifecycle.status", labels, [this] {
@@ -1124,29 +1020,27 @@ void VhostWorker::snapshot_state(SnapshotWriter& w) const {
 void VhostNetBackend::snapshot_state(SnapshotWriter& w) const {
   w.put_u32(static_cast<std::uint32_t>(poll_quota_));
   for (const QueuePair& qp : pairs_) {
-    qp.tx_vq.snapshot_state(w);
-    qp.rx_vq.snapshot_state(w);
+    for (const Queue& q : qp.dir) q.vq.snapshot_state(w);
     w.put_u32(static_cast<std::uint32_t>(qp.sock_buf.size()));
     for (const PacketPtr& p : qp.sock_buf) snapshot_packet(w, p);
-    w.put_i64(qp.tx_packets);
-    w.put_i64(qp.rx_packets);
+    for (const Queue& q : qp.dir) w.put_i64(q.packets);
   }
   snapshot_rng(w, rng_);
   w.put_i64(rx_dropped_);
   w.put_i64(rx_repolls_);
-  w.put_i64(tx_irqs_);
-  w.put_i64(rx_irqs_);
+  for (std::int64_t irqs : irqs_) w.put_i64(irqs);
   w.put_i64(tx_reverts_);
   w.put_i64(tx_quota_hits_);
   w.put_u8(status_);
   w.put_u64(features_acked_);
-  for (bool wedged : wedged_) w.put_bool(wedged);
+  // Per-queue lifecycle fields, each in flat-queue order.
+  for (int q = 0; q < num_queues(); ++q) w.put_bool(rec(q).wedged);
   w.put_bool(selfcheck_armed_);
-  for (int strikes : selfcheck_strikes_) {
-    w.put_u32(static_cast<std::uint32_t>(strikes));
+  for (int q = 0; q < num_queues(); ++q) {
+    w.put_u32(static_cast<std::uint32_t>(rec(q).selfcheck_strikes));
   }
-  for (std::int64_t progress : selfcheck_last_progress_) {
-    w.put_i64(progress);
+  for (int q = 0; q < num_queues(); ++q) {
+    w.put_i64(rec(q).selfcheck_last_progress);
   }
   w.put_u32(static_cast<std::uint32_t>(corrupt_seq_));
   w.put_u32(static_cast<std::uint32_t>(tear_seq_));

@@ -18,6 +18,9 @@
 // (large): turns practically always end by draining the queue, so the
 // handler sleeps and every fresh request kicks. The ES2 Hybrid I/O
 // Handling component (src/es2) simply installs a small quota.
+//
+// Every virtqueue, TX or RX, is one `Queue` record served by one handler
+// loop; state kept per direction is indexed by `q % 2` (kScopeTx/kScopeRx).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,7 @@
 
 #include "base/ring.h"
 #include "base/rng.h"
+#include "fault/recovery.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "sim/callback.h"
@@ -40,7 +44,7 @@ namespace es2 {
 
 class FaultInjector;
 class MetricsRegistry;
-class RecoveryLog;
+class VhostNetBackend;
 class VhostWorker;
 
 /// One schedulable unit of back-end work (a virtqueue handler).
@@ -79,17 +83,6 @@ class VhostWorker : public Snapshottable {
   /// bookkeeping, switching between handlers).
   static constexpr Cycles kLoopOverhead = 900;
 
-  /// A busy-poll work source (one per attached device). `check` scans the
-  /// device's avail rings and activates handlers with pending work,
-  /// returning true if it activated anything. `rearm` re-enables guest
-  /// notifications before the adaptive worker goes to sleep, returning
-  /// true if work raced in during the re-enable (the standard vhost
-  /// re-check, hoisted to the worker's sleep edge).
-  struct PollSource {
-    std::function<bool()> check;
-    std::function<bool()> rearm;
-  };
-
   /// `requeue_delay` is the latency until a handler that yielded at its
   /// quota gets its next turn (Algorithm 1 line 16: "descheduled and waits
   /// for its next turn"): cond_resched + worker round-robin + re-reads.
@@ -120,16 +113,18 @@ class VhostWorker : public Snapshottable {
   void activate(VqHandler& handler);
 
   /// Switches the worker's idle discipline (default kNotify: sleep on
-  /// kicks). kAlwaysPoll spins on the registered poll sources forever —
+  /// kicks). kAlwaysPoll spins on the registered poll devices forever —
   /// the exit-less SPDK-style backend; kAdaptive spins for
   /// `adaptive_budget` after the last dispatched work, then re-arms
   /// notifications and sleeps. `poll_interval` is the simulated cost of
-  /// one fruitless scan of every source (ring reads + relax pause).
+  /// one fruitless scan of every device (ring reads + relax pause).
   void set_poll_mode(PollMode mode, SimDuration poll_interval,
                      SimDuration adaptive_budget);
   PollMode poll_mode() const { return poll_mode_; }
-  void add_poll_source(PollSource source) {
-    poll_sources_.push_back(std::move(source));
+  /// Adds a device to the busy-poll scan: the idle worker calls its
+  /// poll_check, and the adaptive worker's sleep edge its poll_rearm.
+  void add_poll_device(VhostNetBackend& device) {
+    poll_devices_.push_back(&device);
   }
 
   /// Fruitless spin iterations / spins that found and activated work.
@@ -200,7 +195,7 @@ class VhostWorker : public Snapshottable {
   PollMode poll_mode_ = PollMode::kNotify;
   SimDuration poll_interval_ = 0;
   SimDuration adaptive_budget_ = 0;
-  std::vector<PollSource> poll_sources_;
+  std::vector<VhostNetBackend*> poll_devices_;
   SimTime last_work_ = 0;
   std::int64_t poll_spins_ = 0;
   std::int64_t poll_harvests_ = 0;
@@ -252,13 +247,13 @@ struct VhostNetParams {
   RingLayout ring_layout = RingLayout::kSplit;
 };
 
-/// vhost-net device instance for one VM: TX + RX virtqueues, their
-/// handlers, the MSI identities, and the wire hookup.
+/// vhost-net device instance for one VM: its queue pairs (each a TX and an
+/// RX `Queue` record plus the host socket buffer), and the wire hookup.
 class VhostNetBackend : public Snapshottable {
  public:
   VhostNetBackend(Vm& vm, VhostWorker& worker, Link& tx_link,
                   VhostNetParams params = {});
-  ~VhostNetBackend();  // out of line: handler types are private/incomplete
+  ~VhostNetBackend();  // out of line: the handler type is private/incomplete
   VhostNetBackend(const VhostNetBackend&) = delete;
   VhostNetBackend& operator=(const VhostNetBackend&) = delete;
 
@@ -272,8 +267,8 @@ class VhostNetBackend : public Snapshottable {
 
   int num_queue_pairs() const { return params_.num_queue_pairs; }
   int num_queues() const { return 2 * params_.num_queue_pairs; }
-  Virtqueue& tx_vq(int pair) { return pair_at(pair).tx_vq; }
-  Virtqueue& rx_vq(int pair) { return pair_at(pair).rx_vq; }
+  Virtqueue& tx_vq(int pair) { return queue(2 * pair); }
+  Virtqueue& rx_vq(int pair) { return queue(2 * pair + 1); }
   /// Steers an ingress flow to a queue pair (RSS by 5-tuple hash).
   int steer_pair(Proto proto, std::uint64_t flow) const;
 
@@ -284,8 +279,8 @@ class VhostNetBackend : public Snapshottable {
   int poll_quota() const { return poll_quota_; }
 
   /// MSI messages a queue pair raises (guest affinity encoded in dest).
-  const MsiMessage& tx_msi(int pair) const { return pair_at(pair).tx_msi; }
-  const MsiMessage& rx_msi(int pair) const { return pair_at(pair).rx_msi; }
+  const MsiMessage& tx_msi(int pair) const { return rec(2 * pair).msi; }
+  const MsiMessage& rx_msi(int pair) const { return rec(2 * pair + 1).msi; }
 
   /// Optional MSI interception for related-work baselines (interrupt
   /// coalescing): return false to swallow the interrupt — the filter
@@ -307,7 +302,7 @@ class VhostNetBackend : public Snapshottable {
   // frontend's constructor immediately performs the real negotiation
   // sequence through write_status/ack_features.
 
-  /// Installs this device as a poll source on its worker and, for
+  /// Adds this device to its worker's busy-poll scan and, for
   /// kAlwaysPoll, permanently disables guest notifications on every queue
   /// (the exit-less dataplane: the guest never executes a kick). Call
   /// after VhostWorker::set_poll_mode; kNotify is a no-op.
@@ -338,7 +333,7 @@ class VhostNetBackend : public Snapshottable {
 
   /// Queues by flat index (2*pair + direction; 0 = TX0, 1 = RX0) and
   /// per-queue enable.
-  Virtqueue& queue(int q) { return q % 2 == 0 ? tx_vq(q / 2) : rx_vq(q / 2); }
+  Virtqueue& queue(int q) { return rec(q).vq; }
   void enable_queue(int q, bool on) { queue(q).set_enabled(on); }
 
   /// Device-side single-queue reset: drains/clears the ring (stale
@@ -386,8 +381,10 @@ class VhostNetBackend : public Snapshottable {
   std::int64_t renegotiations() const { return renegotiations_; }
 
   // --- guest-facing (ioeventfd side of the kick) -------------------------
-  void notify_tx(int pair);
-  void notify_rx(int pair);
+  /// A TX kick opens the journey of its handler's next turn; an RX kick
+  /// only reports refilled receive buffers.
+  void notify_tx(int pair) { kick(2 * pair, &kick_corr_[kScopeTx]); }
+  void notify_rx(int pair) { kick(2 * pair + 1, nullptr); }
 
   // --- wire-facing --------------------------------------------------------
   void receive_from_wire(PacketPtr packet);
@@ -406,10 +403,10 @@ class VhostNetBackend : public Snapshottable {
   /// refill kick; stays 0 without a fault injector.
   std::int64_t rx_repolls() const { return rx_repolls_; }
   /// Packets moved, summed over every queue pair.
-  std::int64_t tx_packets() const;
-  std::int64_t rx_packets() const;
-  std::int64_t tx_irqs() const { return tx_irqs_; }
-  std::int64_t rx_irqs() const { return rx_irqs_; }
+  std::int64_t tx_packets() const { return packets(kScopeTx); }
+  std::int64_t rx_packets() const { return packets(kScopeRx); }
+  std::int64_t tx_irqs() const { return irqs_[kScopeTx]; }
+  std::int64_t rx_irqs() const { return irqs_[kScopeRx]; }
   /// Turns that ended by re-entering notification mode (queue drained
   /// before the quota filled) vs. by hitting the quota (stay polling).
   std::int64_t tx_mode_reverts() const { return tx_reverts_; }
@@ -425,43 +422,66 @@ class VhostNetBackend : public Snapshottable {
   /// state (status, features, wedges, self-check and injection rotation).
   void snapshot_state(SnapshotWriter& w) const override;
 
- private:
-  class TxHandler;
-  class RxHandler;
-  friend class TxHandler;
-  friend class RxHandler;
+  // --- busy-poll scan (called by the worker's idle loop) -------------------
+  /// Activates every handler with pending work; true if it activated any.
+  bool poll_check();
+  /// Adaptive sleep edge: re-enables guest notifications, activating the
+  /// handlers whose work raced in during the re-enable (the standard vhost
+  /// re-check, hoisted to the worker's sleep edge). True on any race.
+  bool poll_rearm();
 
-  /// Rings, handlers, host socket buffer, MSI identities and progress
-  /// counters of one queue pair.
+ private:
+  template <int kDir>
+  class QueueHandler;
+
+  /// One virtqueue and everything the device keeps per queue.
+  struct Queue {
+    Queue(VhostNetBackend& backend, int q);
+
+    Virtqueue vq;
+    std::unique_ptr<VqHandler> handler;
+    MsiMessage msi;
+    std::int64_t packets = 0;  // descriptors completed: the progress counter
+    bool wedged = false;       // injected wedge: eats turns, does no work
+    int selfcheck_strikes = 0;
+    std::int64_t selfcheck_last_progress = 0;
+  };
+  /// One queue pair: its TX and RX queues (index = direction, kScopeTx /
+  /// kScopeRx) and the host socket buffer that feeds RX.
   struct QueuePair {
     QueuePair(VhostNetBackend& backend, int pair);
 
-    Virtqueue tx_vq;
-    Virtqueue rx_vq;
-    std::unique_ptr<TxHandler> tx_handler;
-    std::unique_ptr<RxHandler> rx_handler;
+    Queue dir[2];
     Ring<PacketPtr> sock_buf;
-    MsiMessage tx_msi;
-    MsiMessage rx_msi;
-    std::int64_t tx_packets = 0;
-    std::int64_t rx_packets = 0;
   };
   QueuePair& pair_at(int pair) {
     return pairs_[static_cast<std::size_t>(pair)];
   }
-  const QueuePair& pair_at(int pair) const {
-    return pairs_[static_cast<std::size_t>(pair)];
+  Queue& rec(int q) { return pair_at(q / 2).dir[q % 2]; }
+  const Queue& rec(int q) const {
+    return pairs_[static_cast<std::size_t>(q / 2)].dir[q % 2];
   }
 
-  Cycles tx_cost(const Virtqueue::Entry& e);
-  Cycles rx_cost(const PacketPtr& p);
+  /// Host cost of moving one packet: a per-packet base plus the copy.
+  Cycles copy_cost(Cycles per_packet, const PacketPtr& p);
   Cycles jittered(Cycles c);
-  void raise_msi(const MsiMessage& msi);
+  /// Raises queue `q`'s completion MSI on the journey of its direction.
+  void raise_msi(int q);
+  /// Delivers an MSI, tracing it as a raise on journey `corr`.
+  void deliver_msi(const MsiMessage& msi, std::uint64_t corr);
+  /// Packets moved in direction `dir`, summed over every queue pair.
+  std::int64_t packets(int dir) const;
+  /// The one ioeventfd kick path. With a tracer attached the kick gets a
+  /// fresh journey id, also stored in `journey` when non-null.
+  void kick(int q, std::uint64_t* journey);
   /// Schedules the RX missed-kick re-poll (only with faults attached).
   void arm_rx_repoll();
   int effective_quota() const {
     return poll_quota_ > 0 ? poll_quota_ : params_.weight;
   }
+  /// Resets queue `q`'s ring (left enabled or not) and clears its wedge
+  /// and self-check strikes.
+  void clear_queue(int q, bool enabled);
   /// Handler turn gate: false parks the turn (wedged / disabled /
   /// quarantined queue), running the integrity check on the way in and
   /// quarantining on a fresh fault.
@@ -479,15 +499,10 @@ class VhostNetBackend : public Snapshottable {
   /// True if a kick/activation for queue `q` should be swallowed because
   /// the device is not operational for it.
   bool kick_blocked(int q);
+  /// Queue `q` has work its handler could do now: TX descriptors posted;
+  /// RX ingress waiting with guest buffers to land it in.
+  bool has_work(int q);
   void lifecycle_selfcheck_tick();
-  VqHandler& handler_of(int q);
-  std::int64_t progress_counter(int q) const {
-    return q % 2 == 0 ? pair_at(q / 2).tx_packets : pair_at(q / 2).rx_packets;
-  }
-  /// Busy-poll scan: activates every handler with pending work.
-  bool poll_check();
-  /// Adaptive sleep edge: re-arm notifications, report races.
-  bool poll_rearm();
 
   Vm& vm_;
   VhostWorker& worker_;
@@ -504,16 +519,14 @@ class VhostNetBackend : public Snapshottable {
   Rng rng_;
   std::int64_t rx_dropped_ = 0;
   std::int64_t rx_repolls_ = 0;
-  std::int64_t tx_irqs_ = 0;
-  std::int64_t rx_irqs_ = 0;
+  std::int64_t irqs_[2] = {0, 0};  // completion MSIs raised, per direction
   std::int64_t tx_reverts_ = 0;
   std::int64_t tx_quota_hits_ = 0;
-  // Trace correlation registers: the journey id of the latest TX kick /
-  // RX wire arrival, carried into worker turns and MSI raises. Written
-  // only by the trace hooks, which run when a Tracer is attached; inert
-  // otherwise.
-  std::uint64_t tx_kick_corr_ = 0;
-  std::uint64_t rx_kick_corr_ = 0;
+  // Trace correlation registers, per direction: the journey id of the
+  // latest TX kick / RX wire arrival, carried into worker turns and MSI
+  // raises. Written only by the trace hooks, which run when a Tracer is
+  // attached; inert otherwise.
+  std::uint64_t kick_corr_[2] = {0, 0};
 
   // Lifecycle state. Boots pre-negotiated for directly-constructed test
   // rings; the frontend renegotiates from scratch in its constructor.
@@ -521,13 +534,10 @@ class VhostNetBackend : public Snapshottable {
                          kStatusFeaturesOk | kStatusDriverOk;
   std::uint64_t features_acked_ = kFeatureMrgRxBuf | kFeatureEventIdx |
                                   kFeatureVersion1;
-  std::vector<bool> wedged_;  // one per flat queue index
   RecoveryLog* recovery_log_ = nullptr;
   std::function<void()> reset_listener_;
   EventHandle selfcheck_;
   bool selfcheck_armed_ = false;
-  std::vector<int> selfcheck_strikes_;
-  std::vector<std::int64_t> selfcheck_last_progress_;
   int corrupt_seq_ = 0;
   int tear_seq_ = 0;
   int wedge_seq_ = 0;

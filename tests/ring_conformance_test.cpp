@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -34,7 +35,9 @@
 #include <gtest/gtest.h>
 
 #include "apic/vectors.h"
+#include "apps/netperf.h"
 #include "base/rng.h"
+#include "fault/fault.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
 #include "harness/testbed.h"
@@ -653,6 +656,82 @@ TEST(MultiQueue, TcpStreamSpreadsThreadsAcrossQueuePairs) {
       EXPECT_EQ(added, 0.0) << "unsteered pair " << pair << " moved";
     }
   }
+}
+
+/// One 2-pair world under 20% kick loss with the guest TX watchdog on: a
+/// VM-sending TCP stream per queue pair, sampled halfway and at the end.
+struct MqWatchdogRun {
+  std::int64_t used_mid[2] = {0, 0};
+  std::int64_t used_end[2] = {0, 0};
+  std::int64_t kicks_dropped = 0;
+  std::int64_t tx_watchdog_kicks = 0;
+  std::int64_t rx_watchdog_polls = 0;
+  std::int64_t rx_repolls = 0;
+  std::string image;
+};
+
+MqWatchdogRun run_mq_watchdog() {
+  TestbedOptions o = mq_testbed(2);
+  o.faults.kick_loss = 0.2;
+  o.guest_params.tx_watchdog = true;
+  Testbed tb(std::move(o));
+  std::vector<std::unique_ptr<NetperfSender>> senders;
+  std::vector<std::unique_ptr<PeerStreamReceiver>> receivers;
+  for (int pair = 0; pair < 2; ++pair) {
+    std::uint64_t flow = 100;
+    while (tb.backend().steer_pair(Proto::kTcp, flow) != pair) ++flow;
+    senders.push_back(std::make_unique<NetperfSender>(
+        tb.guest(), tb.frontend(), flow, Proto::kTcp, 1024, 0));
+    receivers.push_back(
+        std::make_unique<PeerStreamReceiver>(tb.peer(), flow, Proto::kTcp));
+    tb.guest().add_task(*senders.back());
+    tb.snapshotter().add("app/netperf-tx" + std::to_string(pair),
+                         *senders.back());
+    tb.snapshotter().add("app/peer-rx" + std::to_string(pair),
+                         *receivers.back());
+  }
+  tb.start();
+  MqWatchdogRun run;
+  tb.sim().run_for(msec(60));
+  for (int p = 0; p < 2; ++p) {
+    run.used_mid[p] = tb.backend().tx_vq(p).total_used();
+  }
+  tb.sim().run_for(msec(60));
+  for (int p = 0; p < 2; ++p) {
+    run.used_end[p] = tb.backend().tx_vq(p).total_used();
+  }
+  run.kicks_dropped = tb.faults()->stats().kicks_dropped;
+  run.tx_watchdog_kicks = tb.frontend().tx_watchdog_kicks();
+  run.rx_watchdog_polls = tb.frontend().rx_watchdog_polls();
+  run.rx_repolls = tb.backend().rx_repolls();
+  run.image = tb.snapshotter().serialize();
+  return run;
+}
+
+TEST(MultiQueue, PerPairTxWatchdogKeepsEveryPairMovingUnderKickLoss) {
+  // A fifth of the kicks vanish. Each pair's watchdog strike state must
+  // notice its own stalled ring and re-kick it, so every pair's TX ring
+  // keeps completing descriptors in both halves of the run.
+  const MqWatchdogRun a = run_mq_watchdog();
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_GT(a.used_mid[p], 0) << "pair " << p;
+    EXPECT_GT(a.used_end[p], a.used_mid[p]) << "pair " << p << " stalled";
+  }
+  EXPECT_GT(a.kicks_dropped, 0);
+  EXPECT_GT(a.tx_watchdog_kicks, 0);
+
+  // Same seed, same ledger: the recovery counters and the whole world
+  // image (per-pair strike state included) repeat exactly.
+  const MqWatchdogRun b = run_mq_watchdog();
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(a.used_mid[p], b.used_mid[p]);
+    EXPECT_EQ(a.used_end[p], b.used_end[p]);
+  }
+  EXPECT_EQ(a.kicks_dropped, b.kicks_dropped);
+  EXPECT_EQ(a.tx_watchdog_kicks, b.tx_watchdog_kicks);
+  EXPECT_EQ(a.rx_watchdog_polls, b.rx_watchdog_polls);
+  EXPECT_EQ(a.rx_repolls, b.rx_repolls);
+  EXPECT_EQ(a.image, b.image);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -439,6 +440,59 @@ TEST(Snapshot, SectionLayoutIndependentOfModes) {
       }
     }
   }
+}
+
+TEST(Snapshot, MultiQueueFaultedWorldBytesArePinned) {
+  // Exact bytes of a 2-pair world with every per-queue mechanism armed:
+  // lifecycle faults (wedges, ring faults, worker crashes) drive the
+  // backend's self-check strikes and progress marks, the recovery ladder
+  // and the TX watchdog drive the frontend's per-pair strike state, and
+  // overload mitigation adds the per-pair ksoftirqd flags. Same-seed
+  // comparisons cannot see a field that moves to another place in the
+  // stream; these constants can. A change that reorders any per-queue
+  // field, or alters what a queue does, moves them.
+  TestbedOptions to;
+  to.config = Es2Config::pi_h_r();
+  to.seed = 1;
+  to.vcpus_per_vm = 2;
+  to.vhost_params.num_queue_pairs = 2;
+  to.faults.desc_corrupt_period = msec(9);
+  to.faults.avail_tear_period = msec(13);
+  to.faults.handler_wedge_period = msec(11);
+  to.faults.worker_crash_period = msec(17);
+  to.faults.kick_loss = 0.05;
+  to.guest_params.recovery_ladder = true;
+  to.guest_params.tx_watchdog = true;
+  to.guest_params.overload_mitigation = true;
+  to.snapshot.hash_epochs = true;
+  to.snapshot.epoch = msec(5);
+  Testbed tb(std::move(to));
+  // One VM-sending TCP stream per queue pair (the first flow from 100 up
+  // that RSS steers to each pair).
+  std::vector<std::unique_ptr<NetperfSender>> senders;
+  std::vector<std::unique_ptr<PeerStreamReceiver>> receivers;
+  for (int pair = 0; pair < 2; ++pair) {
+    std::uint64_t flow = 100;
+    while (tb.backend().steer_pair(Proto::kTcp, flow) != pair) ++flow;
+    senders.push_back(std::make_unique<NetperfSender>(
+        tb.guest(), tb.frontend(), flow, Proto::kTcp, 1024, pair));
+    receivers.push_back(
+        std::make_unique<PeerStreamReceiver>(tb.peer(), flow, Proto::kTcp));
+    tb.guest().add_task(*senders.back());
+    tb.snapshotter().add("app/netperf-tx" + std::to_string(pair),
+                         *senders.back());
+    tb.snapshotter().add("app/peer-rx" + std::to_string(pair),
+                         *receivers.back());
+  }
+  tb.start();
+  tb.sim().run_for(msec(120));
+  ASSERT_NE(tb.recovery_log(), nullptr);
+  EXPECT_GT(tb.recovery_log()->instances().size(), 0u);
+  EXPECT_GT(tb.backend().tx_vq(1).total_used(), 0);
+  const std::string image = tb.snapshotter().serialize();
+  ASSERT_NE(tb.hash_log(), nullptr);
+  EXPECT_EQ(fnv1a(image.data(), image.size()), 0xbf7573eb0fdfbf09ULL);
+  EXPECT_EQ(tb.hash_log()->last_world_hash(), 0xee3637f2e644abaeULL);
 }
 
 TEST(Determinism, EpochHashingIsPassive) {

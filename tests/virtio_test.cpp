@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "trace/trace.h"
 #include "virtio/vhost.h"
 #include "virtio/virtqueue.h"
 
@@ -193,14 +194,14 @@ class NullGuest final : public GuestCpu {
 };
 
 struct BackendWorld {
-  BackendWorld()
+  explicit BackendWorld(VhostNetParams params = {})
       : sim(1),
         host(sim, 2),
         vm(host.create_vm("vm", {0}, InterruptVirtMode::kPostedInterrupt)),
         guest(vm),
         link(sim, 40.0, 1000),
         worker(host, "w", 1),
-        backend(vm, worker, link) {
+        backend(vm, worker, link, params) {
     vm.set_timer_hz(0);
     link.set_receiver([this](PacketPtr p) { wire.push_back(std::move(p)); });
   }
@@ -265,6 +266,38 @@ TEST(VhostNetBackend, RxDeliversIntoGuestBuffersAndRaisesIrq) {
   EXPECT_EQ(w.backend.rx_packets(), 1);
   EXPECT_EQ(w.backend.rx_vq(0).used_count(), 1);
   EXPECT_EQ(w.guest.irqs, 1);
+}
+
+TEST(VhostNetBackend, TxCompletionMsiCarriesItsKickJourneyOnEveryPair) {
+  // A TX completion's MSI belongs to the kick that started the turn, on
+  // every queue pair, not only on pair 0.
+  VhostNetParams params;
+  params.num_queue_pairs = 2;
+  BackendWorld w(params);
+  Tracer tracer;
+  w.sim.set_tracer(&tracer);
+  w.vm.start();
+  w.backend.tx_vq(1).enable_interrupts();
+  ASSERT_TRUE(w.backend.tx_vq(1).add_avail(dummy_entry()));
+  w.backend.notify_tx(1);
+  w.sim.run_for(msec(1));
+  w.sim.set_tracer(nullptr);
+  ASSERT_EQ(w.backend.tx_packets(), 1);
+
+  std::uint64_t kick_corr = 0;
+  std::uint64_t msi_corr = 0;
+  int msi_raises = 0;
+  for (const TraceRecord& r : tracer.snapshot()) {
+    if (r.kind == TraceKind::kKick && r.arg == 2) kick_corr = r.corr;
+    if (r.kind == TraceKind::kMsiRaise &&
+        r.arg == w.backend.tx_msi(1).vector) {
+      msi_corr = r.corr;
+      ++msi_raises;
+    }
+  }
+  ASSERT_NE(kick_corr, 0u);
+  ASSERT_EQ(msi_raises, 1);
+  EXPECT_EQ(msi_corr, kick_corr);
 }
 
 TEST(VhostNetBackend, SockBufferOverflowDrops) {
