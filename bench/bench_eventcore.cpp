@@ -14,6 +14,8 @@
 //   * the model's continuation pattern: a three-deep chain of wrapped
 //     Callbacks built, moved and invoked (FramePool frames);
 //   * packet churn: make_packet, share the handle, release it;
+//   * the storm client's request-id table: a 65,536-id window of
+//     sequential puts, taken one window later (IdTimeTable);
 //   * the end-to-end Fig. 4 quota sweep wall time.
 //
 // Emits BENCH_eventcore.json in the shared es2-bench-v1 schema
@@ -35,6 +37,7 @@
 
 #include "base/alloc_hook.h"
 #include "base/assert.h"
+#include "base/id_time_table.h"
 #include "base/rng.h"
 #include "base/table.h"
 #include "base/units.h"
@@ -318,6 +321,51 @@ ChurnResult run_packet_make_release(std::int64_t target) {
   return r;
 }
 
+/// The storm client's SYN table: ids put in send order, a 65,536-id
+/// window outstanding, each taken at its timeout one window later. One id
+/// in four (a fixed pseudo-random pattern) is answered a few ids after its
+/// put, so its timeout take finds nothing. An op is one put or take; two
+/// windows run untimed first.
+ChurnResult run_id_table_window(std::int64_t target_ops, std::uint64_t seed) {
+  constexpr std::uint64_t kWindow = 65536;
+  constexpr std::uint64_t kAnswerLag = 24;
+  std::vector<bool> answered_early(kWindow);
+  Rng rng = Rng::stream(seed, "eventcore-id-table");
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    answered_early[i] = rng.next_below(4) == 0;
+  }
+  IdTimeTable table;
+  std::uint64_t id = 0;
+  std::int64_t ops = 0;
+  SimTime sink = 0;
+  auto send = [&] {
+    table.put(id, static_cast<SimTime>(id));
+    ++ops;
+    if (id >= kAnswerLag && answered_early[(id - kAnswerLag) % kWindow]) {
+      sink += *table.take(id - kAnswerLag);
+      ++ops;
+    }
+    if (id >= kWindow) {
+      if (const auto sent = table.take(id - kWindow)) sink += *sent;
+      ++ops;
+    }
+    ++id;
+  };
+  while (id < 2 * kWindow) send();
+  ops = 0;
+  const std::int64_t alloc0 = test::allocation_count();
+  const auto start = Clock::now();
+  while (ops < target_ops) send();
+  const double elapsed = seconds_since(start);
+  const std::int64_t allocs = test::allocation_count() - alloc0;
+  ES2_CHECK(sink != 0 && table.size() <= kWindow);
+  ChurnResult r;
+  r.events_per_sec = static_cast<double>(ops) / elapsed;
+  r.ns_per_event = elapsed * 1e9 / static_cast<double>(ops);
+  r.allocs_per_event = static_cast<double>(allocs) / static_cast<double>(ops);
+  return r;
+}
+
 /// End-to-end check: wall time of the Fig. 4 quota sweep (the PR's
 /// representative full-simulation workload) on the production queue.
 double fig4_sweep_seconds(bool fast, std::uint64_t seed) {
@@ -393,6 +441,7 @@ int bench_main(int argc, char** argv) {
   const ChurnResult long_timers = run_long_timer_churn(fires, seed);
   const ChurnResult chain = run_continuation_chain(fires);
   const ChurnResult packets = run_packet_make_release(fires);
+  const ChurnResult ids = run_id_table_window(fires, seed);
 
   Table t({"workload", "impl", "events/s", "ns/event", "allocs/event"});
   auto row = [&t](const char* wl, const char* impl, const ChurnResult& r) {
@@ -406,6 +455,7 @@ int bench_main(int argc, char** argv) {
   row("long-timer churn", "pooled", long_timers);
   row("continuation chain", "pooled", chain);
   row("packet make+release", "pooled", packets);
+  row("id table window", "direct", ids);
   std::printf("%s", t.render().c_str());
 
   const EventQueueStats stats = layer_stats(seed);
@@ -439,6 +489,9 @@ int bench_main(int argc, char** argv) {
   add_churn("long_timer_churn", long_timers);
   add_churn("continuation_chain_pooled", chain);
   add_churn("packet_make_release", packets);
+  // Per table call (put or take), not per event.
+  report.add_info("id_table_window.ns_per_op", ids.ns_per_event);
+  report.add("id_table_window.allocs_per_op", ids.allocs_per_event, 0.0);
   report.add_info("fig4_sweep_wall_seconds", fig4_s);
   // The layer counters are same-seed deterministic: gated exactly.
   report.add("layers.near_hits", static_cast<double>(stats.near_hits), 0.0);

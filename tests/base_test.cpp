@@ -5,9 +5,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
+#include "base/alloc_hook.h"
 #include "base/csv.h"
 #include "base/id_time_table.h"
 #include "base/ring.h"
@@ -211,30 +213,6 @@ TEST(Ring, MoveTransfersTheElements) {
 // IdTimeTable
 // ---------------------------------------------------------------------------
 
-TEST(IdTimeTable, MatchesAMapUnderRandomPutAndTake) {
-  IdTimeTable table;
-  std::map<std::uint64_t, SimTime> model;
-  Rng rng = Rng::stream(5, "id-table");
-  for (int step = 0; step < 50000; ++step) {
-    // A small id space forces long probe runs, collisions and overwrites.
-    const std::uint64_t id = rng.next_below(300);
-    if (rng.next_below(2) == 0) {
-      const SimTime t = static_cast<SimTime>(rng.next_below(1000000));
-      table.put(id, t);
-      model[id] = t;
-    } else {
-      const auto got = table.take(id);
-      const auto it = model.find(id);
-      ASSERT_EQ(got.has_value(), it != model.end()) << "id " << id;
-      if (got) {
-        EXPECT_EQ(*got, it->second);
-        model.erase(it);
-      }
-    }
-    ASSERT_EQ(table.size(), model.size());
-  }
-}
-
 /// Records the field sequence a snapshot writes.
 struct FieldLog {
   std::vector<std::uint64_t> fields;
@@ -242,6 +220,56 @@ struct FieldLog {
   void put_u64(std::uint64_t v) { fields.push_back(v); }
   void put_i64(std::int64_t v) { fields.push_back(static_cast<std::uint64_t>(v)); }
 };
+
+using IdModel = std::map<std::uint64_t, SimTime>;
+
+/// The table's snapshot must list exactly the model's entries, in its
+/// (sorted) order.
+void expect_same_entries(const IdTimeTable& table, const IdModel& model) {
+  FieldLog log;
+  table.snapshot(log);
+  std::vector<std::uint64_t> want{model.size()};
+  for (const auto& [id, at] : model) {
+    want.push_back(id);
+    want.push_back(static_cast<std::uint64_t>(at));
+  }
+  EXPECT_EQ(log.fields, want);
+  EXPECT_EQ(table.size(), model.size());
+}
+
+/// Puts `id` in both the table and the model.
+void put_both(IdTimeTable& table, IdModel& model, std::uint64_t id, SimTime at) {
+  table.put(id, at);
+  model[id] = at;
+}
+
+/// Takes `id` from both, checking that the table answers like the model.
+void take_both(IdTimeTable& table, IdModel& model, std::uint64_t id) {
+  const auto got = table.take(id);
+  const auto it = model.find(id);
+  ASSERT_EQ(got.has_value(), it != model.end()) << "id " << id;
+  if (got) {
+    EXPECT_EQ(*got, it->second) << "id " << id;
+    model.erase(it);
+  }
+}
+
+TEST(IdTimeTable, MatchesAMapUnderRandomPutAndTake) {
+  IdTimeTable table;
+  IdModel model;
+  Rng rng = Rng::stream(5, "id-table");
+  for (int step = 0; step < 50000; ++step) {
+    // Random ids in a small space: home-slot collisions, side-table probe
+    // runs and overwrites.
+    const std::uint64_t id = rng.next_below(300);
+    if (rng.next_below(2) == 0) {
+      put_both(table, model, id, static_cast<SimTime>(rng.next_below(1000000)));
+    } else {
+      take_both(table, model, id);
+    }
+    ASSERT_EQ(table.size(), model.size());
+  }
+}
 
 TEST(IdTimeTable, SnapshotWritesEntriesInIdOrder) {
   IdTimeTable table;
@@ -253,6 +281,188 @@ TEST(IdTimeTable, SnapshotWritesEntriesInIdOrder) {
   table.snapshot(log);
   EXPECT_EQ(log.fields,
             (std::vector<std::uint64_t>{3, 7, 70, 42, 420, 1000, 10000}));
+}
+
+TEST(IdTimeTable, MonotoneIdsTakenOutOfOrderMatchAMap) {
+  // Ids are issued in order, as every load generator does, but answered in
+  // random order; some stay outstanding for a long time, so the live span
+  // grows past the table and stragglers share home slots with newer ids.
+  IdTimeTable table;
+  IdModel model;
+  std::vector<std::uint64_t> live;
+  Rng rng = Rng::stream(7, "id-table-monotone");
+  std::uint64_t next = 1;
+  for (int step = 0; step < 50000; ++step) {
+    const std::uint64_t r = rng.next_below(8);
+    if (r < 4 || live.empty()) {
+      live.push_back(next);
+      put_both(table, model, next++, static_cast<SimTime>(step));
+    } else if (r < 7) {
+      const std::size_t k = rng.next_below(live.size());
+      take_both(table, model, live[k]);
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      // A retry re-puts a live id; a late answer takes one already gone.
+      const std::uint64_t id = 1 + rng.next_below(next - 1);
+      if (model.count(id)) {
+        put_both(table, model, id, static_cast<SimTime>(step));
+      } else {
+        take_both(table, model, id);
+      }
+    }
+    ASSERT_EQ(table.size(), model.size());
+    if (step % 5000 == 0) expect_same_entries(table, model);
+  }
+  expect_same_entries(table, model);
+}
+
+/// Four stragglers (ids 1..4) stay outstanding while `n` later ids come
+/// and go eight at a time. The table then holds at most 12 entries in 32
+/// slots, so every straggler's home slot is taken by newer ids again and
+/// again and the stragglers live in the side table. With a model, every
+/// call is checked against it; without one, only the table is touched.
+void run_stragglers(IdTimeTable& table, IdModel* model, std::uint64_t n) {
+  auto put = [&](std::uint64_t id) {
+    const auto at = static_cast<SimTime>(id * 10);
+    model ? put_both(table, *model, id, at) : table.put(id, at);
+  };
+  auto take = [&](std::uint64_t id) {
+    model ? take_both(table, *model, id) : void(table.take(id));
+  };
+  for (std::uint64_t id = 1; id <= 4; ++id) put(id);
+  for (std::uint64_t id = 5; id < 5 + n; ++id) {
+    put(id);
+    if (id >= 12) take(id - 7);
+  }
+}
+
+TEST(IdTimeTable, StragglersOlderThanTheSpanMoveToTheSideTable) {
+  // Up to id 32 no two live ids share a home slot.
+  test::AllocationCounter allocs;
+  IdTimeTable short_run;
+  run_stragglers(short_run, nullptr, 28);
+  const std::int64_t main_allocs = allocs.delta();
+  // The long run allocates one array more: the side table's 16 slots.
+  allocs.reset();
+  IdTimeTable table;
+  run_stragglers(table, nullptr, 10000);
+  EXPECT_EQ(allocs.delta(), main_allocs + 1);
+  EXPECT_EQ(table.size(), 11u);  // the stragglers and ids 9998..10004
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_EQ(table.take(id), std::optional<SimTime>(static_cast<SimTime>(id * 10)));
+  }
+
+  // The same run checked call by call against a map.
+  IdTimeTable checked;
+  IdModel model;
+  run_stragglers(checked, &model, 10000);
+  expect_same_entries(checked, model);
+}
+
+TEST(IdTimeTable, AbsentIdsAreFoundInNeitherTable) {
+  IdTimeTable table;
+  EXPECT_FALSE(table.take(1).has_value());  // empty table
+  IdModel model;
+  run_stragglers(table, &model, 1000);  // live: 1..4 and 998..1004
+  const std::size_t size = table.size();
+  // Never put, taken long ago, not yet issued, or reserved; 33 shares a
+  // home slot with straggler 1, 1030 with the live id 998.
+  for (std::uint64_t id : {0ull, 5ull, 33ull, 34ull, 965ull, 1005ull,
+                           1030ull, 1ull << 40, ~0ull}) {
+    EXPECT_FALSE(table.take(id).has_value()) << "id " << id;
+  }
+  EXPECT_EQ(table.size(), size);
+  // Taken once, then absent: from the side table and from the main array.
+  take_both(table, model, 2);
+  take_both(table, model, 2);
+  take_both(table, model, 1000);
+  take_both(table, model, 1000);
+  EXPECT_EQ(table.size(), size - 2);
+  expect_same_entries(table, model);
+}
+
+TEST(IdTimeTable, GrowsWhileTheSideTableHoldsEntries) {
+  IdTimeTable table;
+  IdModel model;
+  run_stragglers(table, &model, 1000);
+  // A burst of 5000 new ids with no answers doubles the array nine times;
+  // every straggler and burst id must survive each rebuild.
+  for (std::uint64_t id = 2000; id < 7000; ++id) {
+    put_both(table, model, id, static_cast<SimTime>(id));
+  }
+  expect_same_entries(table, model);
+  // Take them all in a scrambled order.
+  Rng rng = Rng::stream(3, "id-table-grow");
+  std::vector<std::uint64_t> ids;
+  for (const auto& entry : model) ids.push_back(entry.first);
+  for (std::size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.next_below(i)]);
+  }
+  for (std::uint64_t id : ids) take_both(table, model, id);
+  EXPECT_EQ(table.size(), 0u);
+  expect_same_entries(table, model);
+}
+
+TEST(IdTimeTable, SnapshotListsSideEntriesInIdOrder) {
+  IdTimeTable table;
+  IdModel model;
+  run_stragglers(table, &model, 100);
+  // Stragglers 1..4 sit in the side table, ids 98..104 in the main array;
+  // a re-put straggler keeps its place in the sorted output.
+  put_both(table, model, 3, 7);
+  FieldLog log;
+  table.snapshot(log);
+  EXPECT_EQ(log.fields, (std::vector<std::uint64_t>{
+                            11, 1, 10, 2, 20, 3, 7, 4, 40, 98, 980, 99, 990,
+                            100, 1000, 101, 1010, 102, 1020, 103, 1030, 104,
+                            1040}));
+  expect_same_entries(table, model);
+}
+
+TEST(IdTimeTable, RePutOfAPresentIdNeitherGrowsNorAllocates) {
+  IdTimeTable table;
+  for (std::uint64_t id = 1; id <= 8; ++id) table.put(id, 1);  // 8 of 16 slots
+  test::AllocationCounter allocs;
+  table.put(5, 2);  // a ninth entry would grow the table; a re-put must not
+  EXPECT_EQ(table.size(), 8u);
+  EXPECT_EQ(allocs.delta(), 0);
+  EXPECT_EQ(table.take(5), std::optional<SimTime>(2));
+
+  // The same for an id that lives in the side table.
+  IdTimeTable side;
+  IdModel model;
+  run_stragglers(side, &model, 100);
+  const std::size_t size = side.size();
+  allocs.reset();
+  side.put(1, 99);
+  EXPECT_EQ(side.size(), size);
+  EXPECT_EQ(allocs.delta(), 0);
+  EXPECT_EQ(side.take(1), std::optional<SimTime>(99));
+}
+
+TEST(IdTimeTable, CyclingWindowAllocatesNothingAfterWarmUp) {
+  // A storm-sized window: 65,536 outstanding ids, each new put followed by
+  // the take of the id one window older.
+  constexpr std::uint64_t kWindow = 65536;
+  IdTimeTable table;
+  std::uint64_t id = 0;
+  auto cycle = [&table, &id] {
+    for (std::uint64_t i = 0; i < kWindow; ++i, ++id) {
+      table.put(id, static_cast<SimTime>(id));
+      if (id >= kWindow) {
+        ASSERT_EQ(table.take(id - kWindow),
+                  std::optional<SimTime>(static_cast<SimTime>(id - kWindow)));
+      }
+    }
+  };
+  cycle();
+  cycle();  // warm-up: the window fills and the array reaches its size
+  test::AllocationCounter allocs;
+  cycle();
+  cycle();
+  EXPECT_EQ(allocs.delta(), 0);
+  EXPECT_EQ(table.size(), kWindow);
 }
 
 }  // namespace
