@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
                 render_blame_markdown(summary).c_str());
 
     const std::string cell = stacks[s].key;
-    report.add_info(cell + ".journeys", static_cast<double>(blame.journeys));
-    report.add_info(cell + ".attributed", static_cast<double>(blame.complete));
+    report.add(cell + ".journeys", static_cast<double>(blame.journeys), 0);
+    report.add(cell + ".attributed", static_cast<double>(blame.complete), 0);
     if (blame.complete == 0) continue;
 
     // PI+H is expected to land here with a near-zero attributed count:
@@ -101,19 +101,19 @@ int main(int argc, char** argv) {
                    format("%lld", static_cast<long long>(c.p50)),
                    format("%lld", static_cast<long long>(c.p99))});
       // Gate the budget itself. Fractions are ratios of two deterministic
-      // sums, so same-seed runs reproduce them exactly; the tolerance only
-      // buys room for intentional model drift between baseline refreshes.
+      // sums, so same-seed runs reproduce them exactly (and Release and
+      // Debug agree): any model drift is a deliberate re-baseline.
       if (gate_fractions) {
-        report.add(cell + ".frac." + c.name, c.fraction, 0.20);
+        report.add(cell + ".frac." + c.name, c.fraction, 0);
       } else {
         report.add_info(cell + ".frac." + c.name, c.fraction);
       }
     }
     if (gate_fractions) {
       report.add(cell + ".e2e_p99_ns",
-                 static_cast<double>(summary.end_to_end_p99), 0.15);
+                 static_cast<double>(summary.end_to_end_p99), 0);
       report.add(cell + ".journeys_attributed",
-                 static_cast<double>(blame.complete), 0.25);
+                 static_cast<double>(blame.complete), 0);
     } else {
       report.add_info(cell + ".e2e_p99_ns",
                       static_cast<double>(summary.end_to_end_p99));

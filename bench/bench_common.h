@@ -58,8 +58,8 @@ struct BenchArgs {
 };
 
 /// Parses the shared bench flags (`--flag` / `--flag=value` form). `own`
-/// names the bench's own flags, collected into `args.extra`; an entry
-/// ending in `*` matches by prefix. Any other flag exits 2 naming it.
+/// names the bench's own flags, collected into `args.extra`. Any other
+/// flag exits 2 naming it.
 inline BenchArgs parse_args(int argc, char** argv,
                             std::initializer_list<std::string_view> own = {}) {
   BenchArgs args;
@@ -70,10 +70,6 @@ inline BenchArgs parse_args(int argc, char** argv,
       if (!a.starts_with(flag)) return false;
       v = argv[i] + flag.size();
       return true;
-    };
-    const auto is_own = [&a](std::string_view flag) {
-      if (!flag.ends_with('*')) return a == flag;
-      return a.starts_with(flag.substr(0, flag.size() - 1));
     };
     if (a == "--fast") {
       args.fast = true;
@@ -94,7 +90,7 @@ inline BenchArgs parse_args(int argc, char** argv,
       args.retries = static_cast<int>(std::strtol(v, nullptr, 10));
     } else if (is("--die-after=")) {
       args.die_after = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (std::any_of(own.begin(), own.end(), is_own)) {
+    } else if (std::find(own.begin(), own.end(), a) != own.end()) {
       args.extra.emplace_back(a);
     } else if (is("--trace=") || is("--profile=") || is("--hash-epochs=")) {
       std::fprintf(stderr,
@@ -137,7 +133,7 @@ inline void observe_request(const BenchArgs& args, ObserveOptions& o) {
 ///   trace.json      Perfetto journeys, profiler slices merged alongside
 ///   trace.bin       raw ES2T records (tools/latency_blame input)
 ///   profile.folded  collapsed stacks weighted by sim-ns (flamegraph input)
-///   profile.json    es2-prof-v1 aggregate
+///   profile.json    es2-prof-v2 span aggregates
 ///   blame.json      es2-blame-v1 latency budget
 ///   hashes.json     es2-hash-v1 epoch series (tools/divergence_bisect input)
 /// No-op without --observe. Returns false when an artifact is missing, a
@@ -161,8 +157,7 @@ inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
                  to_perfetto_json(trace.records, trace.spans,
                                   prof_perfetto_slices(*a.profile))) &&
       write_file(dir + "trace.bin", to_binary(trace.records)) &&
-      write_file(dir + "profile.folded",
-                 prof_to_collapsed(*a.profile, CollapsedWeight::kSimNs)) &&
+      write_file(dir + "profile.folded", prof_to_collapsed(*a.profile)) &&
       write_file(dir + "profile.json", prof_to_json_text(*a.profile)) &&
       write_blame_file(dir + "blame.json", blame) &&
       write_file(dir + "hashes.json", a.hashes->to_json_text());
@@ -188,9 +183,8 @@ inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
       static_cast<long long>(s.dispatch_to_eoi_p99),
       static_cast<long long>(s.end_to_end_p50),
       static_cast<long long>(s.end_to_end_p99));
-  std::printf("[profile: %zu span stats, %zu scope nodes, %zu slices]\n",
-              a.profile->spans.size(), a.profile->nodes.size(),
-              a.profile->slices.size());
+  std::printf("[profile: %zu span stats, %zu slices]\n",
+              a.profile->spans.size(), a.profile->slices.size());
   std::printf("%s", render_blame_markdown(blame_summary(blame)).c_str());
   std::printf("[blame: %lld journeys (%lld attributed)]\n",
               static_cast<long long>(blame.journeys),
@@ -213,7 +207,7 @@ inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
   return true;
 }
 
-/// --observe for benches without a natural testbed cell (micro, eventcore,
+/// --observe for benches without a natural testbed cell (eventcore,
 /// dataplane, related_work): runs one short canonical stream with every
 /// observer on and exports it. No-op without --observe.
 inline bool export_standalone(const BenchArgs& args) {

@@ -11,6 +11,8 @@
 # then the same run into <b>. Requires all six artifacts in both
 # directories, a byte-identical trace.bin, `divergence_bisect` to find the
 # two hash series identical and `latency_blame` to render a/blame.json.
+# The profile artifacts must match their documented contract: profile.json
+# is es2-prof-v2 and every profile.folded line is a `sim;` frame.
 
 foreach(var BENCH_FIG5 BISECT BLAME WORK_DIR)
   if(NOT DEFINED ${var})
@@ -36,6 +38,21 @@ foreach(run a b)
   endforeach()
 endforeach()
 
+file(READ "${WORK_DIR}/a/profile.json" profile_json)
+if(NOT profile_json MATCHES "\"schema\": \"es2-prof-v2\"")
+  message(FATAL_ERROR "observe_smoke: profile.json is not es2-prof-v2")
+endif()
+file(STRINGS "${WORK_DIR}/a/profile.folded" folded_lines)
+if(NOT folded_lines)
+  message(FATAL_ERROR "observe_smoke: profile.folded is empty")
+endif()
+foreach(line IN LISTS folded_lines)
+  if(NOT line MATCHES "^sim;")
+    message(FATAL_ERROR "observe_smoke: profile.folded line is not a sim; "
+                        "frame: ${line}")
+  endif()
+endforeach()
+
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK_DIR}/a/trace.bin
           ${WORK_DIR}/b/trace.bin
@@ -59,4 +76,5 @@ if(NOT rc EQUAL 0)
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
-message(STATUS "observe_smoke ok: six artifacts, deterministic, tool-readable")
+message(STATUS "observe_smoke ok: six artifacts, deterministic, tool-readable, "
+               "es2-prof-v2 profile with sim; frames only")

@@ -6,7 +6,6 @@
 #include "base/assert.h"
 #include "base/strings.h"
 #include "metrics/metrics.h"
-#include "profile/profiler.h"
 
 namespace es2 {
 
@@ -238,7 +237,6 @@ void CfsScheduler::check_wakeup_preemption(Core& core, SimThread& woken) {
 }
 
 void CfsScheduler::do_resched(Core& core) {
-  Profiler::Scope prof_scope(sim_.profiler(), ProfComp::kCfsResched);
   core.resched_pending_ = false;
   core.slice_timer_.cancel();
   account_current(core);

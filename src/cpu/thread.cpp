@@ -12,16 +12,6 @@ namespace es2 {
 
 namespace {
 std::atomic<std::uint64_t> g_next_thread_id{1};
-
-// Sched records must not carry id_: it comes from a process-global counter,
-// so a second run in the same process would get different values and break
-// byte-identical same-seed traces. Thread names are deterministic; tag the
-// records with an FNV-1a hash of the name instead.
-std::uint32_t trace_thread_tag(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-  return h;
-}
 }
 
 SimThread::SimThread(Simulator& sim, std::string name, int weight)

@@ -5,40 +5,11 @@
 #include <unordered_set>
 
 #include "base/strings.h"
+#include "trace/span.h"
 
 namespace es2 {
 
 namespace {
-
-// Mirror of the sched tracepoints' thread tag (cpu/thread.cpp): FNV-1a-32
-// of the thread name. Duplicated here so the offline analyzer does not
-// pull the whole CPU model into its link line.
-std::uint32_t thread_tag(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-  return h;
-}
-
-// Working landmarks for one journey (first occurrence, as in span.cpp),
-// plus the blame-specific extras: the origin's queue/direction and the
-// first in-journey interrupt-suppression decision.
-struct Landmarks {
-  std::uint64_t corr = 0;
-  std::int8_t vm = -1;
-  std::int8_t vcpu = -1;
-  std::int16_t queue = -1;
-  bool tx_origin = false;
-  SimTime origin = -1;
-  SimTime backend = -1;
-  SimTime suppressed = -1;
-  SimTime msi = -1;
-  SimTime dispatch = -1;
-  SimTime eoi = -1;
-};
-
-void note(SimTime& landmark, SimTime t) {
-  if (landmark < 0) landmark = t;
-}
 
 /// First value in sorted `v` within [lo, hi], or -1.
 SimTime first_in(const std::vector<SimTime>& v, SimTime lo, SimTime hi) {
@@ -94,23 +65,23 @@ double BlameBreakdown::fraction(BlameComponent c) const {
 
 BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
                              const BlameOptions& options) {
-  // Pass 1: landmarks per journey, plus the global time series the
-  // attribution cuts against (worker wakes, worker sched-ins, per-vcpu
-  // sched-ins). Records arrive oldest-first from Tracer::snapshot(), so
-  // the series come out sorted; sort defensively anyway.
-  std::vector<Landmarks> journeys;
-  std::unordered_map<std::uint64_t, std::size_t> by_corr;
-  by_corr.reserve(records.size() / 4 + 1);
+  // The journeys' landmarks come from the span builder; this pass adds the
+  // global time series the attribution cuts against (worker wakes, worker
+  // sched-ins, handler turns, per-vcpu sched-ins). Records arrive
+  // oldest-first from Tracer::snapshot(), so the series come out sorted;
+  // sort defensively anyway.
+  std::vector<JourneySpan> journeys;
+  const SpanBreakdown spans = build_spans(records, &journeys);
 
   std::unordered_set<std::uint32_t> worker_tags;
   for (const std::string& name : options.worker_threads) {
-    worker_tags.insert(thread_tag(name));
+    worker_tags.insert(trace_thread_tag(name));
   }
   std::unordered_map<std::uint32_t, int> vcpu_tags;  // tag -> vm*max+vcpu
   for (int vm = 0; vm < options.max_vms; ++vm) {
     for (int vcpu = 0; vcpu < options.max_vcpus; ++vcpu) {
       const std::string name = format("vm%d/vcpu%d", vm, vcpu);
-      vcpu_tags.emplace(thread_tag(name), vm * options.max_vcpus + vcpu);
+      vcpu_tags.emplace(trace_thread_tag(name), vm * options.max_vcpus + vcpu);
     }
   }
 
@@ -120,65 +91,16 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
   std::unordered_map<int, std::vector<SimTime>> vcpu_sched_in;
 
   for (const TraceRecord& r : records) {
-    if (r.kind == TraceKind::kWorkerTurn) turns.push_back(r.t);
-    if (r.kind == TraceKind::kWorkerWake) {
+    if (r.kind == TraceKind::kWorkerTurn) {
+      turns.push_back(r.t);
+    } else if (r.kind == TraceKind::kWorkerWake) {
       wakes.push_back(r.t);
-      continue;
-    }
-    if (r.kind == TraceKind::kSchedIn) {
+    } else if (r.kind == TraceKind::kSchedIn) {
       if (worker_tags.count(r.arg) != 0) {
         worker_sched_in.push_back(r.t);
       } else if (auto it = vcpu_tags.find(r.arg); it != vcpu_tags.end()) {
         vcpu_sched_in[it->second].push_back(r.t);
       }
-      continue;
-    }
-    if (r.corr == 0) continue;
-    auto [it, inserted] = by_corr.try_emplace(r.corr, journeys.size());
-    if (inserted) {
-      journeys.emplace_back();
-      journeys.back().corr = r.corr;
-    }
-    Landmarks& j = journeys[it->second];
-    if (j.vm < 0 && r.vm >= 0) j.vm = r.vm;
-    if (j.vcpu < 0 && r.vcpu >= 0) j.vcpu = r.vcpu;
-    switch (r.kind) {
-      case TraceKind::kKick:
-        if (j.origin < 0) {
-          j.origin = r.t;
-          j.queue = static_cast<std::int16_t>(r.arg);
-          j.tx_origin = (r.arg % 2) == 0;
-        }
-        break;
-      case TraceKind::kWireRx:
-        if (j.origin < 0) {
-          j.origin = r.t;
-          // kWireRx carries the pair index; the serviced queue is that
-          // pair's RX queue.
-          j.queue = static_cast<std::int16_t>(2 * r.arg + 1);
-          j.tx_origin = false;
-        }
-        break;
-      case TraceKind::kWorkerTurn:
-        note(j.backend, r.t);
-        if (j.queue < 0) j.queue = static_cast<std::int16_t>(r.arg);
-        break;
-      case TraceKind::kIrqSuppressed:
-        note(j.suppressed, r.t);
-        break;
-      case TraceKind::kMsiRaise:
-      case TraceKind::kPiPost:
-      case TraceKind::kLapicPost:
-        note(j.msi, r.t);
-        break;
-      case TraceKind::kIrqDispatch:
-        note(j.dispatch, r.t);
-        break;
-      case TraceKind::kEoi:
-        note(j.eoi, r.t);
-        break;
-      default:
-        break;
     }
   }
   std::sort(wakes.begin(), wakes.end());
@@ -186,32 +108,32 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
   std::sort(turns.begin(), turns.end());
   for (auto& [slot, v] : vcpu_sched_in) std::sort(v.begin(), v.end());
 
-  // Pass 2: attribute every complete, monotone journey by cutting
-  // [origin, eoi] at the landmark and sched/wake times. Cuts are clamped
-  // monotone, so segment sums are exact by construction.
+  // Attribute every complete, monotone journey by cutting [kick, eoi] at
+  // the landmark and sched/wake times. Cuts are clamped monotone, so
+  // segment sums are exact by construction.
   BlameBreakdown out;
-  out.journeys = static_cast<std::int64_t>(journeys.size());
+  out.journeys = spans.journeys;
   std::vector<JourneyBlame> attributed;
   attributed.reserve(journeys.size());
   std::unordered_map<std::uint32_t, std::size_t> group_index;
 
-  for (const Landmarks& j : journeys) {
+  for (const JourneySpan& j : journeys) {
     // Journeys without an I/O origin are intentionally skipped: timer and
     // IPI deliveries mint their own corr at the router, so they show up
     // here with post/dispatch/eoi but no kick/wire_rx — they are not part
     // of the virtual-I/O event path this breakdown budgets.
-    if (j.origin < 0 || j.msi < 0 || j.dispatch < 0 || j.eoi < 0) continue;
+    if (j.kick < 0 || j.msi < 0 || j.dispatch < 0 || j.eoi < 0) continue;
     // Coalesced journeys usually carry no worker-turn record of their own:
     // the turn is tagged with the kick corr that woke the handler, while
     // the interrupt's corr is the latest arrival it covers. The servicing
     // turn is then the latest turn at or before the MSI — clamped to the
     // origin for packets that arrived mid-turn.
     SimTime backend = j.backend;
-    if (backend < j.origin || backend > j.msi) {
+    if (backend < j.kick || backend > j.msi) {
       backend = -1;
       auto it = std::upper_bound(turns.begin(), turns.end(), j.msi);
       if (it != turns.begin()) {
-        backend = std::max(*(it - 1), j.origin);
+        backend = std::max(*(it - 1), j.kick);
       }
     }
     if (backend < 0) continue;
@@ -224,12 +146,12 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
     b.vcpu = j.vcpu;
     b.queue = j.queue;
     b.tx_origin = j.tx_origin;
-    b.start = j.origin;
+    b.start = j.kick;
     b.eoi = j.eoi;
 
     // origin -> backend turn: wake, then on-core, then the handler's turn.
-    const SimTime wake = first_in(wakes, j.origin, backend);
-    SimTime cut = j.origin;
+    const SimTime wake = first_in(wakes, j.kick, backend);
+    SimTime cut = j.kick;
     const SimTime wake_cut = wake >= 0 ? wake : cut;
     b.ns[static_cast<std::size_t>(BlameComponent::kNotifyWake)] =
         wake_cut - cut;

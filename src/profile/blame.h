@@ -27,7 +27,8 @@
 // histograms for distribution shape and a worst-journeys ledger that
 // keeps the full cut sequence of any journey beyond k×p99.
 //
-// Like the span builder this is an offline pass over a record snapshot —
+// The journeys and their landmarks come from the span builder
+// (trace/span.h); this is an offline pass over a record snapshot —
 // nothing here runs on the simulation hot path.
 #pragma once
 
@@ -64,8 +65,9 @@ bool blame_component_is_wait(BlameComponent c);
 
 struct BlameOptions {
   /// Thread names whose kSchedIn records count as "the vhost worker went
-  /// on-core". Matched via the same FNV-1a-32 tag the sched tracepoints
-  /// carry in `arg`. The canonical testbed names one worker per VM.
+  /// on-core". Matched via `trace_thread_tag`, the tag the sched
+  /// tracepoints carry in `arg`. The canonical testbed names one worker
+  /// per VM.
   std::vector<std::string> worker_threads = {"vhost-vm0"};
   /// vCPU thread names are conventional: "<vm>/vcpu<j>". The analyzer
   /// derives tags for vm0..vm{max_vms-1} x vcpu0..vcpu{max_vcpus-1}.

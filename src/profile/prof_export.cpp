@@ -6,63 +6,13 @@
 
 namespace es2 {
 
-namespace {
-
-std::string node_path(const ProfileData& data, std::size_t index) {
-  std::vector<const char*> frames;
-  for (std::int32_t at = static_cast<std::int32_t>(index); at >= 0;
-       at = data.nodes[static_cast<std::size_t>(at)].parent) {
-    frames.push_back(prof_comp_name(data.nodes[static_cast<std::size_t>(at)].comp));
-  }
-  std::string path = "host";
-  for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
-    path += ';';
-    path += *it;
-  }
-  return path;
-}
-
-/// Sync-tree self host-time: total minus the children's totals.
-std::int64_t node_self_host_ns(const ProfileData& data, std::size_t index) {
-  std::int64_t self = data.nodes[index].host_ns;
-  for (std::size_t i = 0; i < data.nodes.size(); ++i) {
-    if (data.nodes[i].parent == static_cast<std::int32_t>(index)) {
-      self -= data.nodes[i].host_ns;
-    }
-  }
-  return self > 0 ? self : 0;
-}
-
-}  // namespace
-
-std::string prof_to_collapsed(const ProfileData& data,
-                              CollapsedWeight weight) {
+std::string prof_to_collapsed(const ProfileData& data) {
   std::vector<std::string> lines;
-  for (std::size_t i = 0; i < data.nodes.size(); ++i) {
-    std::int64_t w = 0;
-    switch (weight) {
-      case CollapsedWeight::kCalls:
-        w = data.nodes[i].calls;
-        break;
-      case CollapsedWeight::kHostNs:
-        w = node_self_host_ns(data, i);
-        break;
-      case CollapsedWeight::kSimNs:
-        w = 0;  // sync scopes run inside one callback: no sim extent
-        break;
-    }
-    if (w <= 0) continue;
-    lines.push_back(node_path(data, i) + format(" %lld", static_cast<long long>(w)));
-  }
-  if (weight != CollapsedWeight::kHostNs) {
-    for (const ProfSpanStat& s : data.spans) {
-      const std::int64_t w =
-          weight == CollapsedWeight::kCalls ? s.count : s.sim_ns;
-      if (w <= 0) continue;
-      lines.push_back(format("sim;%s;%s:k%u %lld", prof_comp_name(s.comp),
-                             prof_comp_name(s.comp), static_cast<unsigned>(s.key),
-                             static_cast<long long>(w)));
-    }
+  for (const ProfSpanStat& s : data.spans) {
+    if (s.sim_ns <= 0) continue;
+    lines.push_back(format("sim;%s;%s:k%u %lld", prof_comp_name(s.comp),
+                           prof_comp_name(s.comp), static_cast<unsigned>(s.key),
+                           static_cast<long long>(s.sim_ns)));
   }
   std::sort(lines.begin(), lines.end());
   std::string out;
@@ -73,7 +23,7 @@ std::string prof_to_collapsed(const ProfileData& data,
   return out;
 }
 
-Json prof_to_json(const ProfileData& data, bool include_host) {
+Json prof_to_json(const ProfileData& data) {
   Json root = Json::object();
   root.set("schema", Json::string(kProfSchema));
   Json spans = Json::array();
@@ -86,29 +36,14 @@ Json prof_to_json(const ProfileData& data, bool include_host) {
     spans.push_back(std::move(row));
   }
   root.set("spans", std::move(spans));
-  Json nodes = Json::array();
-  for (std::size_t i = 0; i < data.nodes.size(); ++i) {
-    const ProfNode& n = data.nodes[i];
-    Json row = Json::object();
-    row.set("comp", Json::string(prof_comp_name(n.comp)));
-    row.set("parent", Json::number(n.parent));
-    row.set("calls", Json::number(static_cast<double>(n.calls)));
-    if (include_host) {
-      row.set("host_ns", Json::number(static_cast<double>(n.host_ns)));
-      row.set("self_host_ns",
-              Json::number(static_cast<double>(node_self_host_ns(data, i))));
-    }
-    nodes.push_back(std::move(row));
-  }
-  root.set("nodes", std::move(nodes));
   root.set("slices_total",
            Json::number(static_cast<double>(data.slices_total)));
   root.set("dropped", Json::number(static_cast<double>(data.dropped)));
   return root;
 }
 
-std::string prof_to_json_text(const ProfileData& data, bool include_host) {
-  return prof_to_json(data, include_host).dump(2) + "\n";
+std::string prof_to_json_text(const ProfileData& data) {
+  return prof_to_json(data).dump(2) + "\n";
 }
 
 std::vector<PerfettoSlice> prof_perfetto_slices(const ProfileData& data) {

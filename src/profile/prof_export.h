@@ -1,11 +1,8 @@
-// Profiler exporters: collapsed stacks (flamegraph-ready), es2-prof-v1
+// Profiler exporters: collapsed stacks (flamegraph-ready), es2-prof-v2
 // JSON, and Perfetto slices that ride along the trace exporter.
 //
-// Determinism contract: `kCalls` and `kSimNs` weights depend only on the
-// simulated schedule, so same-seed runs export byte-identical text.
-// `kHostNs` is wall-clock measurement and varies run to run — useful for
-// "where does the simulator burn host CPU", excluded from golden
-// comparisons.
+// Determinism contract: every exported number is a span count or a
+// sim-time total, so same-seed runs export byte-identical text.
 #pragma once
 
 #include <string>
@@ -17,25 +14,16 @@
 
 namespace es2 {
 
-inline constexpr const char* kProfSchema = "es2-prof-v1";
+inline constexpr const char* kProfSchema = "es2-prof-v2";
 
-enum class CollapsedWeight {
-  kCalls,   // scope/span entry counts (deterministic)
-  kSimNs,   // span sim-time totals (deterministic)
-  kHostNs,  // sync-scope host self-time (measurement noise)
-};
+/// Collapsed-stack text, one "sim;<comp>;<comp>:k<key> <sim-ns>" line per
+/// span aggregate, sorted — pipe into flamegraph.pl / speedscope.
+/// Zero-weight lines are skipped.
+std::string prof_to_collapsed(const ProfileData& data);
 
-/// Collapsed-stack text, one "frame;frame;... <weight>" line per stack,
-/// sorted — pipe into flamegraph.pl / speedscope. Sync scopes render
-/// their tree path under "host;"; async spans render as
-/// "sim;<comp>;<comp>:k<key>". Zero-weight lines are skipped.
-std::string prof_to_collapsed(const ProfileData& data, CollapsedWeight weight);
-
-/// es2-prof-v1 JSON: span aggregates and the sync-scope tree.
-/// `include_host` adds the host_ns fields (off for golden comparisons).
-Json prof_to_json(const ProfileData& data, bool include_host = false);
-std::string prof_to_json_text(const ProfileData& data,
-                              bool include_host = false);
+/// es2-prof-v2 JSON: the span aggregates and the slice/drop counters.
+Json prof_to_json(const ProfileData& data);
+std::string prof_to_json_text(const ProfileData& data);
 
 /// The profiler's slice ring as Perfetto slices for
 /// `to_perfetto_json(records, spans, slices)`.

@@ -8,18 +8,10 @@ const char* prof_comp_name(ProfComp c) {
       return "vhost_turn_tx";
     case ProfComp::kVhostTurnRx:
       return "vhost_turn_rx";
-    case ProfComp::kVhostWireRx:
-      return "vhost_wire_rx";
-    case ProfComp::kVhostMsi:
-      return "vhost_msi";
     case ProfComp::kGuestNapi:
       return "guest_napi";
     case ProfComp::kGuestIrqService:
       return "guest_irq_service";
-    case ProfComp::kVcpuExit:
-      return "vcpu_exit";
-    case ProfComp::kCfsResched:
-      return "cfs_resched";
     case ProfComp::kCount:
       break;
   }
@@ -29,8 +21,6 @@ const char* prof_comp_name(ProfComp c) {
 Profiler::Profiler(ProfileOptions options)
     : ring_capacity_(options.slice_capacity) {
   span_slots_.resize(kProfComps * kMaxKeys);
-  tree_.reserve(kMaxNodes);
-  stack_.reserve(kMaxDepth);
   ring_.reserve(ring_capacity_);
 }
 
@@ -71,60 +61,6 @@ void Profiler::span_end(ProfComp comp, unsigned key, SimTime now) {
   slot.open = -1;
 }
 
-std::int32_t Profiler::child_of(std::int32_t parent, ProfComp comp) {
-  // `tree_` is reserved to kMaxNodes and never grows past it, so the link
-  // pointer into it survives the push_back below.
-  std::int32_t* link = parent < 0
-                           ? &root_first_
-                           : &tree_[static_cast<std::size_t>(parent)].first_child;
-  while (*link >= 0) {
-    TreeNode& n = tree_[static_cast<std::size_t>(*link)];
-    if (n.comp == comp) return *link;
-    link = &n.next_sibling;
-  }
-  if (tree_.size() >= kMaxNodes) return -1;
-  TreeNode node;
-  node.parent = parent;
-  node.comp = comp;
-  tree_.push_back(node);
-  const auto index = static_cast<std::int32_t>(tree_.size() - 1);
-  *link = index;
-  return index;
-}
-
-void Profiler::push(ProfComp comp) {
-  if (stack_.size() >= kMaxDepth) {
-    // Over-deep nesting: keep pop() balanced without growing the stack.
-    ++overflow_depth_;
-    ++dropped_;
-    return;
-  }
-  std::int32_t node = -1;
-  if (stack_.empty()) {
-    node = child_of(-1, comp);
-  } else if (stack_.back().node >= 0) {
-    node = child_of(stack_.back().node, comp);
-  }
-  if (node < 0) ++dropped_;
-  stack_.push_back(Frame{node, std::chrono::steady_clock::now()});
-}
-
-void Profiler::pop() {
-  if (overflow_depth_ > 0) {
-    --overflow_depth_;
-    return;
-  }
-  if (stack_.empty()) return;
-  const Frame frame = stack_.back();
-  stack_.pop_back();
-  if (frame.node < 0) return;
-  TreeNode& node = tree_[static_cast<std::size_t>(frame.node)];
-  ++node.calls;
-  node.host_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - frame.entered)
-                      .count();
-}
-
 ProfileData Profiler::data() const {
   ProfileData out;
   for (std::size_t c = 0; c < kProfComps; ++c) {
@@ -138,15 +74,6 @@ ProfileData Profiler::data() const {
       stat.sim_ns = slot.sim_ns;
       out.spans.push_back(stat);
     }
-  }
-  out.nodes.reserve(tree_.size());
-  for (const TreeNode& n : tree_) {
-    ProfNode node;
-    node.parent = n.parent;
-    node.comp = n.comp;
-    node.calls = n.calls;
-    node.host_ns = n.host_ns;
-    out.nodes.push_back(node);
   }
   out.slices.reserve(ring_.size());
   if (slices_total_ > ring_.size()) {

@@ -93,7 +93,7 @@ class Simulator : public Snapshottable {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
-  /// Scoped profiler attached to this world (not owned); null in
+  /// Span profiler attached to this world (not owned); null in
   /// unprofiled runs. Same carrying-only contract as the tracer.
   void set_profiler(Profiler* profiler) { profiler_ = profiler; }
   Profiler* profiler() const { return profiler_; }

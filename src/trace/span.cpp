@@ -33,10 +33,19 @@ SpanBreakdown build_spans(const std::vector<TraceRecord>& records,
     switch (r.kind) {
       case TraceKind::kKick:
       case TraceKind::kWireRx:
-        note(span.kick, r.t);
+        if (span.kick < 0) {
+          span.kick = r.t;
+          const bool kick = r.kind == TraceKind::kKick;
+          span.queue = static_cast<std::int16_t>(kick ? r.arg : 2 * r.arg + 1);
+          span.tx_origin = kick && r.arg % 2 == 0;
+        }
         break;
       case TraceKind::kWorkerTurn:
         note(span.backend, r.t);
+        if (span.queue < 0) span.queue = static_cast<std::int16_t>(r.arg);
+        break;
+      case TraceKind::kIrqSuppressed:
+        note(span.suppressed, r.t);
         break;
       case TraceKind::kMsiRaise:
       case TraceKind::kPiPost:

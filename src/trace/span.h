@@ -14,6 +14,9 @@
 // no kick; a suppressed TX interrupt has no msi/dispatch/eoi). Stage
 // histograms are fed from every journey that has both endpoints of the
 // stage, so partial journeys still contribute the stages they completed.
+//
+// This is the one place records are grouped by corr: the blame analyzer
+// (profile/blame.h) cuts the same spans into per-component segments.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +31,17 @@ struct JourneySpan {
   std::uint64_t corr = 0;
   std::int8_t vm = -1;
   std::int8_t vcpu = -1;
+  /// Flat queue index (2*pair+dir) of the origin record — a wire arrival
+  /// names its pair's RX queue — or of the first turn when the origin is
+  /// missing; -1 when neither was seen.
+  std::int16_t queue = -1;
+  /// The journey began with a guest TX kick (not an RX refill or wire
+  /// arrival).
+  bool tx_origin = false;
   // Landmark sim-times (ns); -1 = landmark never observed.
   SimTime kick = -1;
   SimTime backend = -1;
+  SimTime suppressed = -1;  // first EVENT_IDX interrupt suppression
   SimTime msi = -1;
   SimTime dispatch = -1;
   SimTime eoi = -1;

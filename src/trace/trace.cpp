@@ -42,6 +42,12 @@ const char* trace_kind_name(TraceKind kind) {
   return "?";
 }
 
+std::uint32_t trace_thread_tag(std::string_view name) {
+  std::uint32_t h = 2166136261u;
+  for (char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+  return h;
+}
+
 Tracer::Tracer(TraceOptions options)
     : capacity_(options.capacity > 0 ? options.capacity : 1) {}
 

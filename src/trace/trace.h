@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "base/units.h"
@@ -43,29 +44,32 @@ enum class TraceKind : std::uint8_t {
   kVmExit = 0,       // arg = ExitReason
   kVmEntry,          // arg = injected vector, or 0xffffffff when none
   kIrqInject,        // Baseline: vector injected during VM entry
-  kKick,             // guest kick (ioeventfd signal); arg: 0=tx 1=rx-refill
+  kKick,             // guest kick (ioeventfd signal); arg = flat queue
+                     // index 2*pair+dir (dir 0=tx, 1=rx refill)
   kKickSuppressed,   // EVENT_IDX said no kick needed; arg: 0=tx 1=rx-refill
   kKickDrop,         // fault injector swallowed the kick
-  kWireRx,           // packet arrived from the wire into the backend
+  kWireRx,           // packet arrived from the wire; arg = queue pair
   kMsiRaise,         // backend raised an MSI; arg = vector
   kMsiDrop,          // fault injector swallowed the MSI; arg = vector
-  kIrqSuppressed,    // EVENT_IDX said no interrupt needed; arg: 0=tx 1=rx
+  kIrqSuppressed,    // EVENT_IDX said no interrupt needed; arg = flat
+                     // queue index 2*pair+dir
   kPiPost,           // posted-interrupt/direct PIR post; arg = vector
   kPiCoalesced,      // PIR post coalesced by the ON bit; arg = vector
   kLapicPost,        // emulated-LAPIC IRR post; arg = vector
   kIrqDispatch,      // vector dispatched through the guest IDT; arg = vector
   kEoi,              // guest EOI write (trapping or virtual)
-  kSchedIn,          // CFS scheduled a thread onto a core; arg = thread id
-  kSchedOut,         // CFS descheduled a thread; arg = thread id
+  kSchedIn,          // CFS scheduled a thread onto a core; arg = thread tag
+  kSchedOut,         // CFS descheduled a thread; arg = thread tag
   kWorkerWake,       // vhost worker activated (handler queued)
-  kWorkerTurn,       // a virtqueue handler starts a turn; arg: 0=tx 1=rx
+  kWorkerTurn,       // a virtqueue handler starts a turn; arg = flat
+                     // queue index 2*pair+dir
   kNotifyEnable,     // notifications/interrupts re-armed; arg: queue code
   kNotifyDisable,    // notifications/interrupts masked; arg: queue code
   kNapiPoll,         // guest NAPI poll pass starts
   kWatchdogRecover,  // netdev watchdog recovery; arg: 0=tx-rekick 1=rx-poll
   kFaultInject,      // lifecycle fault injected; arg = LifecycleFault
   kRingFault,        // ring-integrity fault detected; arg = RingFault
-  kQueueReset,       // single-queue reset+re-enable; arg: 0=tx 1=rx
+  kQueueReset,       // single-queue reset+re-enable; arg = flat queue index
   kDeviceReset,      // full device reset (status -> 0)
   kRenegotiate,      // renegotiation complete (DRIVER_OK); arg = feature bits
   kWorkerCrash,      // vhost worker crashed; arg = restart delay (ns)
@@ -76,6 +80,11 @@ enum class TraceKind : std::uint8_t {
 
 /// Stable lowercase name for exporters ("vm_exit", "kick", ...).
 const char* trace_kind_name(TraceKind kind);
+
+/// The thread tag kSchedIn/kSchedOut records carry in `arg`: FNV-1a-32 of
+/// the thread name. Names are deterministic where thread ids (a process-
+/// global counter) are not, so same-seed traces stay byte-identical.
+std::uint32_t trace_thread_tag(std::string_view name);
 
 /// One trace record. 24 bytes, trivially copyable; the ring stores these
 /// by value.

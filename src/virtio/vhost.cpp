@@ -267,11 +267,11 @@ class VhostNetBackend::QueueHandler final : public VqHandler {
   /// The ring stayed dry with notifications back on.
   void dry();
 
-  /// Emits a worker-side record for this queue on its direction's journey.
+  /// Emits a worker-side record for this queue on its latest journey.
   void trace(VhostWorker& worker, TraceKind kind) {
     if (Tracer* tr = worker.host().sim().tracer()) {
       tr->emit(worker.host().sim().now(), kind, -1, -1, worker_core(worker),
-               static_cast<std::uint32_t>(q_), backend_.kick_corr_[kDir]);
+               static_cast<std::uint32_t>(q_), backend_.rec(q_).kick_corr);
     }
   }
 
@@ -538,12 +538,8 @@ Cycles VhostNetBackend::copy_cost(Cycles per_packet, const PacketPtr& p) {
 void VhostNetBackend::raise_msi(int q) {
   const MsiMessage& msi = rec(q).msi;
   if (msi_filter_ && !msi_filter_(msi)) return;  // coalesced
-  // The raise -> router -> vcpu delivery chain is synchronous, so a sync
-  // scope captures its full host cost.
-  Profiler::Scope prof_scope(vm_.host().sim().profiler(),
-                             ProfComp::kVhostMsi);
   Tracer* tr = vm_.host().sim().tracer();
-  std::uint64_t corr = kick_corr_[q % 2];
+  std::uint64_t corr = rec(q).kick_corr;
   if (tr != nullptr && corr == 0) corr = tr->begin_journey();
   if (faults_ != nullptr && faults_->drop_msi()) {
     if (tr != nullptr) {
@@ -570,11 +566,11 @@ void VhostNetBackend::deliver_msi(const MsiMessage& msi, std::uint64_t corr) {
   vm_.host().router().deliver_msi(vm_, msi);
 }
 
-void VhostNetBackend::kick(int q, std::uint64_t* journey) {
+void VhostNetBackend::kick(int q) {
   std::uint64_t corr = 0;
   if (Tracer* tr = vm_.host().sim().tracer()) {
     corr = tr->begin_journey();
-    if (journey != nullptr) *journey = corr;
+    if (q % 2 == kScopeTx) rec(q).kick_corr = corr;
     tr->emit(vm_.host().sim().now(), TraceKind::kKick, vm_.id(), -1, -1,
              static_cast<std::uint32_t>(q), corr);
   }
@@ -867,23 +863,22 @@ void VhostNetBackend::arm_rx_repoll() {
 }
 
 void VhostNetBackend::receive_from_wire(PacketPtr packet) {
-  Profiler::Scope prof_scope(vm_.host().sim().profiler(),
-                             ProfComp::kVhostWireRx);
   const int pair = steer_pair(packet->proto, packet->flow);
   Ring<PacketPtr>& buf = pair_at(pair).sock_buf;
   if (static_cast<int>(buf.size()) >= params_.sock_buffer) {
     ++rx_dropped_;
     return;
   }
+  Queue& rx = rec(2 * pair + 1);
   if (Tracer* tr = vm_.host().sim().tracer()) {
     // The RX data path has no guest kick; the wire arrival is the
     // journey's origin (latest arrival wins the batch's id).
-    kick_corr_[kScopeRx] = tr->begin_journey();
+    rx.kick_corr = tr->begin_journey();
     tr->emit(vm_.host().sim().now(), TraceKind::kWireRx, vm_.id(), -1, -1,
-             static_cast<std::uint32_t>(pair), kick_corr_[kScopeRx]);
+             static_cast<std::uint32_t>(pair), rx.kick_corr);
   }
   buf.push_back(std::move(packet));
-  worker_.activate(*rec(2 * pair + 1).handler);
+  worker_.activate(*rx.handler);
 }
 
 void VhostNetBackend::set_rx_backpressure(bool on) {

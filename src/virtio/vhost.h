@@ -383,8 +383,8 @@ class VhostNetBackend : public Snapshottable {
   // --- guest-facing (ioeventfd side of the kick) -------------------------
   /// A TX kick opens the journey of its handler's next turn; an RX kick
   /// only reports refilled receive buffers.
-  void notify_tx(int pair) { kick(2 * pair, &kick_corr_[kScopeTx]); }
-  void notify_rx(int pair) { kick(2 * pair + 1, nullptr); }
+  void notify_tx(int pair) { kick(2 * pair); }
+  void notify_rx(int pair) { kick(2 * pair + 1); }
 
   // --- wire-facing --------------------------------------------------------
   void receive_from_wire(PacketPtr packet);
@@ -441,10 +441,16 @@ class VhostNetBackend : public Snapshottable {
     Virtqueue vq;
     std::unique_ptr<VqHandler> handler;
     MsiMessage msi;
-    std::int64_t packets = 0;  // descriptors completed: the progress counter
+    // The two small fields fill the MSI's tail padding, so the journey
+    // register below costs the record no bytes.
+    std::int16_t selfcheck_strikes = 0;
     bool wedged = false;       // injected wedge: eats turns, does no work
-    int selfcheck_strikes = 0;
+    std::int64_t packets = 0;  // descriptors completed: the progress counter
     std::int64_t selfcheck_last_progress = 0;
+    // Trace correlation register: the journey id of this queue's latest
+    // TX kick / RX wire arrival, carried into its worker turns and MSI
+    // raises. Written only while a Tracer is attached; inert otherwise.
+    std::uint64_t kick_corr = 0;
   };
   /// One queue pair: its TX and RX queues (index = direction, kScopeTx /
   /// kScopeRx) and the host socket buffer that feeds RX.
@@ -465,15 +471,15 @@ class VhostNetBackend : public Snapshottable {
   /// Host cost of moving one packet: a per-packet base plus the copy.
   Cycles copy_cost(Cycles per_packet, const PacketPtr& p);
   Cycles jittered(Cycles c);
-  /// Raises queue `q`'s completion MSI on the journey of its direction.
+  /// Raises queue `q`'s completion MSI on the journey of its latest kick.
   void raise_msi(int q);
   /// Delivers an MSI, tracing it as a raise on journey `corr`.
   void deliver_msi(const MsiMessage& msi, std::uint64_t corr);
   /// Packets moved in direction `dir`, summed over every queue pair.
   std::int64_t packets(int dir) const;
   /// The one ioeventfd kick path. With a tracer attached the kick gets a
-  /// fresh journey id, also stored in `journey` when non-null.
-  void kick(int q, std::uint64_t* journey);
+  /// fresh journey id; a TX kick also stores it in its queue's register.
+  void kick(int q);
   /// Schedules the RX missed-kick re-poll (only with faults attached).
   void arm_rx_repoll();
   int effective_quota() const {
@@ -522,11 +528,6 @@ class VhostNetBackend : public Snapshottable {
   std::int64_t irqs_[2] = {0, 0};  // completion MSIs raised, per direction
   std::int64_t tx_reverts_ = 0;
   std::int64_t tx_quota_hits_ = 0;
-  // Trace correlation registers, per direction: the journey id of the
-  // latest TX kick / RX wire arrival, carried into worker turns and MSI
-  // raises. Written only by the trace hooks, which run when a Tracer is
-  // attached; inert otherwise.
-  std::uint64_t kick_corr_[2] = {0, 0};
 
   // Lifecycle state. Boots pre-negotiated for directly-constructed test
   // rings; the frontend renegotiates from scratch in its constructor.

@@ -87,7 +87,6 @@ void Vcpu::vm_exit(ExitReason cause, Cycles handle_cost,
   ES2_CHECK_MSG(mode_ == Mode::kGuest, "vm_exit while already in host mode");
   mode_ = Mode::kHost;
   stats_.record_exit(cause);
-  Profiler::Scope prof_scope(sim_.profiler(), ProfComp::kVcpuExit);
   if (Tracer* tr = sim_.tracer()) {
     tr->emit(sim_.now(), TraceKind::kVmExit, vm_.id(), index_,
              core_of(thread_), static_cast<std::uint32_t>(cause));

@@ -1,9 +1,9 @@
 // Profile-layer tests: the critical-path blame analyzer on hand-crafted
 // record sequences (exact partition, incomplete/coalesced journeys, the
 // worst-journey ledger), the es2-blame-v1 exporter round-trip and diff,
-// the zero-alloc scoped profiler (span aggregation, slice ring, scope
-// tree, allocation guarantee via es2_alloc_hook), and — against real
-// streams — the passivity contract: profiling a run must not change it.
+// the zero-alloc span profiler (span aggregation, slice ring, allocation
+// guarantee via es2_alloc_hook), and — against real streams — the
+// passivity contract: profiling a run must not change it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,13 +21,6 @@
 
 namespace es2 {
 namespace {
-
-// FNV-1a-32 of a thread name, mirroring the sched tracepoints' tag.
-std::uint32_t tag(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-  return h;
-}
 
 TraceRecord rec(SimTime t, TraceKind kind, std::uint64_t corr = 0,
                 std::uint32_t arg = 0, int vm = -1, int vcpu = -1) {
@@ -48,11 +41,11 @@ std::vector<TraceRecord> full_journey(std::uint64_t corr, SimTime base) {
   return {
       rec(base + 0, TraceKind::kKick, corr, /*queue=*/0, 0),
       rec(base + 100, TraceKind::kWorkerWake),
-      rec(base + 250, TraceKind::kSchedIn, 0, tag("vhost-vm0")),
+      rec(base + 250, TraceKind::kSchedIn, 0, trace_thread_tag("vhost-vm0")),
       rec(base + 400, TraceKind::kWorkerTurn, corr, 0),
       rec(base + 600, TraceKind::kIrqSuppressed, corr, 0),
       rec(base + 900, TraceKind::kMsiRaise, corr, 33, 0),
-      rec(base + 1000, TraceKind::kSchedIn, 0, tag("vm0/vcpu0")),
+      rec(base + 1000, TraceKind::kSchedIn, 0, trace_thread_tag("vm0/vcpu0")),
       rec(base + 1200, TraceKind::kIrqDispatch, corr, 33, 0, 0),
       rec(base + 1600, TraceKind::kEoi, corr, 0, 0, 0),
   };
@@ -238,7 +231,7 @@ TEST(BlameExport, DiffNamesTheRegressedComponent) {
 }
 
 // ---------------------------------------------------------------------------
-// Scoped profiler
+// Span profiler
 // ---------------------------------------------------------------------------
 
 TEST(Profiler, SpansAggregatePerComponentKey) {
@@ -266,8 +259,8 @@ TEST(Profiler, SliceRingKeepsTheNewest) {
   o.slice_capacity = 4;
   Profiler p(o);
   for (int i = 0; i < 6; ++i) {
-    p.span_begin(ProfComp::kVhostMsi, 0, i * 100);
-    p.span_end(ProfComp::kVhostMsi, 0, i * 100 + 50);
+    p.span_begin(ProfComp::kGuestIrqService, 0, i * 100);
+    p.span_end(ProfComp::kGuestIrqService, 0, i * 100 + 50);
   }
   const ProfileData d = p.data();
   EXPECT_EQ(d.slices_total, 6u);
@@ -288,73 +281,37 @@ TEST(Profiler, UnbalancedBeginCountsAsDropped) {
   EXPECT_EQ(d.spans[0].sim_ns, 200);  // 300 - the first (kept) begin
 }
 
-TEST(Profiler, ScopeTreeNestsAndSurvivesOverflow) {
-  Profiler p;
-  {
-    Profiler::Scope outer(&p, ProfComp::kVcpuExit);
-    Profiler::Scope inner(&p, ProfComp::kCfsResched);
-  }
-  {
-    Profiler::Scope outer(&p, ProfComp::kVcpuExit);
-  }
-  ProfileData d = p.data();
-  ASSERT_EQ(d.nodes.size(), 2u);
-  EXPECT_EQ(d.nodes[0].comp, ProfComp::kVcpuExit);
-  EXPECT_EQ(d.nodes[0].parent, -1);
-  EXPECT_EQ(d.nodes[0].calls, 2);
-  EXPECT_EQ(d.nodes[1].comp, ProfComp::kCfsResched);
-  EXPECT_EQ(d.nodes[1].parent, 0);
-  EXPECT_EQ(d.nodes[1].calls, 1);
-
-  // Pushing far past the depth budget must neither grow the stack nor
-  // corrupt the tree — the excess is counted and popping unwinds cleanly.
-  for (int i = 0; i < 100; ++i) p.push(ProfComp::kCfsResched);
-  for (int i = 0; i < 100; ++i) p.pop();
-  d = p.data();
-  EXPECT_GT(d.dropped, 0u);
-  Profiler::Scope again(&p, ProfComp::kVcpuExit);
-}
-
 TEST(Profiler, RecordPathsAllocateNothing) {
   Profiler p;
-  // Warm both paths (first touch of a span slot / tree node).
+  // Warm the path (first touch of a span slot).
   p.span_begin(ProfComp::kVhostTurnTx, 2, 0);
   p.span_end(ProfComp::kVhostTurnTx, 2, 10);
-  p.push(ProfComp::kVcpuExit);
-  p.push(ProfComp::kCfsResched);
-  p.pop();
-  p.pop();
 
   test::AllocationCounter allocs;
   for (int i = 0; i < 10000; ++i) {
     p.span_begin(ProfComp::kVhostTurnTx, 2, i * 100);
     p.span_end(ProfComp::kVhostTurnTx, 2, i * 100 + 40);
-    p.push(ProfComp::kVcpuExit);
-    p.push(ProfComp::kCfsResched);
-    p.pop();
-    p.pop();
   }
   EXPECT_EQ(allocs.delta(), 0);
 }
 
 TEST(ProfExport, CollapsedStacksAreSortedAndDeterministic) {
   Profiler p;
-  {
-    Profiler::Scope outer(&p, ProfComp::kVcpuExit);
-    Profiler::Scope inner(&p, ProfComp::kCfsResched);
-  }
   p.span_begin(ProfComp::kVhostTurnTx, 0, 100);
   p.span_end(ProfComp::kVhostTurnTx, 0, 400);
+  p.span_begin(ProfComp::kGuestNapi, 1, 200);
+  p.span_end(ProfComp::kGuestNapi, 1, 250);
+  p.span_begin(ProfComp::kVhostTurnRx, 1, 300);  // never closed: no line
   const ProfileData d = p.data();
-  const std::string calls = prof_to_collapsed(d, CollapsedWeight::kCalls);
-  EXPECT_EQ(calls, prof_to_collapsed(d, CollapsedWeight::kCalls));
-  EXPECT_NE(calls.find("host;vcpu_exit;cfs_resched 1"), std::string::npos);
-  EXPECT_NE(calls.find("sim;vhost_turn_tx"), std::string::npos);
-  // Host-time weights exclude sim spans (host wall-time is measurement
-  // noise; sim spans would pollute the flamegraph with zeros).
-  const std::string host = prof_to_collapsed(d, CollapsedWeight::kHostNs);
-  EXPECT_EQ(host.find("sim;"), std::string::npos);
-  EXPECT_EQ(prof_to_json_text(d), prof_to_json_text(d));
+  const std::string folded = prof_to_collapsed(d);
+  EXPECT_EQ(folded, prof_to_collapsed(d));
+  // Sorted, one line per closed span aggregate, weighted by sim-ns.
+  EXPECT_EQ(folded,
+            "sim;guest_napi;guest_napi:k1 50\n"
+            "sim;vhost_turn_tx;vhost_turn_tx:k0 300\n");
+  const std::string json = prof_to_json_text(d);
+  EXPECT_EQ(json, prof_to_json_text(d));
+  EXPECT_NE(json.find("\"schema\": \"es2-prof-v2\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,8 +359,7 @@ TEST(ProfilePath, SameSeedProfileExportsAreByteIdentical) {
   ASSERT_NE(b.profile, nullptr);
   ASSERT_FALSE(a.profile->spans.empty());
   EXPECT_EQ(prof_to_json_text(*a.profile), prof_to_json_text(*b.profile));
-  EXPECT_EQ(prof_to_collapsed(*a.profile, CollapsedWeight::kSimNs),
-            prof_to_collapsed(*b.profile, CollapsedWeight::kSimNs));
+  EXPECT_EQ(prof_to_collapsed(*a.profile), prof_to_collapsed(*b.profile));
 }
 
 TEST(ProfilePath, SameSeedBlameExportsAreByteIdentical) {
@@ -430,6 +386,8 @@ TEST(ProfilePath, BlameFractionsSumToTracedJourneyTotals) {
   const StreamResult r = run_stream(o);
   const BlameBreakdown b = blame_of(r.trace.get());
   ASSERT_GT(b.complete, 0);
+  // Blame reads the span builder's journeys: both count the same ones.
+  EXPECT_EQ(b.journeys, r.trace->breakdown.journeys);
   std::int64_t sum = 0;
   double fraction_sum = 0;
   for (std::size_t c = 0; c < kBlameComponents; ++c) {

@@ -194,8 +194,30 @@ TEST(SpanBuilder, WireRxOpensTheJourneyLikeAKick) {
   const SpanBreakdown b = build_spans(tracer.snapshot(), &spans);
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].kick, 50);
+  EXPECT_EQ(spans[0].queue, 1);  // pair 0's RX queue
+  EXPECT_FALSE(spans[0].tx_origin);
   EXPECT_TRUE(spans[0].complete());
   EXPECT_EQ(b.complete, 1);
+}
+
+TEST(SpanBuilder, OriginNamesTheQueueAndSuppressionIsALandmark) {
+  Tracer tracer = make_tracer(64);
+  // Journey 5: the turn is seen before the kick; the kick's flat queue
+  // (pair 1 TX) wins. Journey 6 has no origin: the turn names the queue.
+  tracer.emit(100, TraceKind::kWorkerTurn, 0, -1, 4, 3, 5);
+  tracer.emit(120, TraceKind::kKick, 0, -1, -1, 2, 5);
+  tracer.emit(200, TraceKind::kIrqSuppressed, 0, -1, 4, 2, 5);
+  tracer.emit(250, TraceKind::kIrqSuppressed, 0, -1, 4, 2, 5);
+  tracer.emit(300, TraceKind::kWorkerTurn, 0, -1, 4, 3, 6);
+  std::vector<JourneySpan> spans;
+  build_spans(tracer.snapshot(), &spans);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].queue, 2);
+  EXPECT_TRUE(spans[0].tx_origin);
+  EXPECT_EQ(spans[0].suppressed, 200);
+  EXPECT_EQ(spans[1].queue, 3);
+  EXPECT_FALSE(spans[1].tx_origin);
+  EXPECT_EQ(spans[1].suppressed, -1);
 }
 
 TEST(SpanBuilder, PartialJourneysFeedTheStagesTheyCompleted) {

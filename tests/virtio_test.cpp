@@ -300,6 +300,47 @@ TEST(VhostNetBackend, TxCompletionMsiCarriesItsKickJourneyOnEveryPair) {
   EXPECT_EQ(msi_corr, kick_corr);
 }
 
+TEST(VhostNetBackend, EachQueueCarriesItsOwnKickJourney) {
+  // Kicks on pair 0 and then pair 1 land before the worker runs: pair 0's
+  // turn and MSI still belong to pair 0's kick, not the later one.
+  VhostNetParams params;
+  params.num_queue_pairs = 2;
+  BackendWorld w(params);
+  Tracer tracer;
+  w.sim.set_tracer(&tracer);
+  w.vm.start();
+  for (int pair = 0; pair < 2; ++pair) {
+    w.backend.tx_vq(pair).enable_interrupts();
+    ASSERT_TRUE(w.backend.tx_vq(pair).add_avail(dummy_entry()));
+  }
+  w.backend.notify_tx(0);
+  w.backend.notify_tx(1);
+  w.sim.run_for(msec(1));
+  w.sim.set_tracer(nullptr);
+  ASSERT_EQ(w.backend.tx_packets(), 2);
+
+  std::uint64_t kick_corr[2] = {0, 0};
+  std::uint64_t turn_corr = 0;
+  std::uint64_t msi_corr = 0;
+  for (const TraceRecord& r : tracer.snapshot()) {
+    if (r.kind == TraceKind::kKick && r.arg % 2 == 0) {
+      kick_corr[r.arg / 2] = r.corr;
+    }
+    if (r.kind == TraceKind::kWorkerTurn && r.arg == 0 && turn_corr == 0) {
+      turn_corr = r.corr;
+    }
+    if (r.kind == TraceKind::kMsiRaise &&
+        r.arg == w.backend.tx_msi(0).vector) {
+      msi_corr = r.corr;
+    }
+  }
+  ASSERT_NE(kick_corr[0], 0u);
+  ASSERT_NE(kick_corr[1], 0u);
+  ASSERT_NE(kick_corr[0], kick_corr[1]);
+  EXPECT_EQ(turn_corr, kick_corr[0]);
+  EXPECT_EQ(msi_corr, kick_corr[0]);
+}
+
 TEST(VhostNetBackend, SockBufferOverflowDrops) {
   BackendWorld w;
   // Do NOT start the VM/worker processing: freeze the worker by not
