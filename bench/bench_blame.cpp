@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   for (int s = 0; s < 3; ++s) {
     const StreamResult& r = results[static_cast<size_t>(s)];
-    const BlameBreakdown blame = blame_of(r.trace.get());
+    const BlameBreakdown& blame = r.trace->blame;
     const BlameSummary summary = blame_summary(blame);
     std::printf("\n-- %s\n%s", stacks[s].label,
                 render_blame_markdown(summary).c_str());

@@ -157,7 +157,9 @@ std::string stack_key(const char* label) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv, {"--wedge"});
+  const BenchArgs args =
+      parse_args(argc, argv, {"--wedge", "--ckpt=", "--resume=", "--retries=",
+                              "--die-after="});
   if (args.has("--wedge")) return run_wedge(args);
 
   print_header("Chaos", "goodput and recovery under seeded faults");

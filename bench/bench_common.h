@@ -16,13 +16,14 @@
 #include <vector>
 
 #include "base/csv.h"
+#include "base/file.h"
+#include "base/json.h"
 #include "base/strings.h"
 #include "base/table.h"
 #include "harness/experiments.h"
 #include "harness/parallel.h"
 #include "harness/runner.h"
 #include "profile/blame_export.h"
-#include "profile/prof_export.h"
 #include "snapshot/state_hash.h"
 #include "metrics/bench_schema.h"
 #include "trace/export.h"
@@ -40,8 +41,9 @@ struct BenchArgs {
   /// JSON and assert the stage latencies are populated; exit nonzero
   /// otherwise.
   bool trace_smoke = false;
-  /// --ckpt=<dir>: checkpoint each completed sweep cell into <dir>.
-  /// --resume=<dir> additionally replays cells that already finished OK.
+  /// Sweep flags (see parse_args). --ckpt=<dir>: checkpoint each
+  /// completed sweep cell into <dir>; --resume=<dir> additionally replays
+  /// cells that already finished OK.
   std::string ckpt_dir;
   bool resume = false;
   /// --retries=N: bounded per-cell retries before a WATCHDOG row stands.
@@ -58,11 +60,16 @@ struct BenchArgs {
 };
 
 /// Parses the shared bench flags (`--flag` / `--flag=value` form). `own`
-/// names the bench's own flags, collected into `args.extra`. Any other
-/// flag exits 2 naming it.
+/// names the bench's own flags: a plain one (`--wedge`) is collected into
+/// `args.extra`; the sweep flags `--ckpt=`, `--resume=`, `--retries=` and
+/// `--die-after=` are parsed only when named, since only a bench that runs
+/// an ExperimentRunner honours them. Any other flag exits 2 naming it.
 inline BenchArgs parse_args(int argc, char** argv,
                             std::initializer_list<std::string_view> own = {}) {
   BenchArgs args;
+  const auto owns = [&](std::string_view flag) {
+    return std::find(own.begin(), own.end(), flag) != own.end();
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     const char* v = nullptr;  // the value of the flag `is` matched last
@@ -70,6 +77,9 @@ inline BenchArgs parse_args(int argc, char** argv,
       if (!a.starts_with(flag)) return false;
       v = argv[i] + flag.size();
       return true;
+    };
+    const auto sweep = [&](std::string_view flag) {
+      return owns(flag) && is(flag);
     };
     if (a == "--fast") {
       args.fast = true;
@@ -81,22 +91,22 @@ inline BenchArgs parse_args(int argc, char** argv,
       args.out_dir = v;
     } else if (is("--observe=")) {
       args.observe_dir = v;
-    } else if (is("--ckpt=")) {
+    } else if (sweep("--ckpt=")) {
       args.ckpt_dir = v;
-    } else if (is("--resume=")) {
+    } else if (sweep("--resume=")) {
       args.ckpt_dir = v;
       args.resume = true;
-    } else if (is("--retries=")) {
+    } else if (sweep("--retries=")) {
       args.retries = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (is("--die-after=")) {
+    } else if (sweep("--die-after=")) {
       args.die_after = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (std::find(own.begin(), own.end(), a) != own.end()) {
+    } else if (owns(a)) {
       args.extra.emplace_back(a);
     } else if (is("--trace=") || is("--profile=") || is("--hash-epochs=")) {
       std::fprintf(stderr,
                    "%s: %.*s is retired; use --observe=<dir>, which writes "
-                   "trace.json, trace.bin, profile.folded, profile.json, "
-                   "blame.json and hashes.json into <dir>\n",
+                   "trace.json, trace.bin, profile.folded, blame.json and "
+                   "hashes.json into <dir>\n",
                    argv[0], static_cast<int>(a.find('=') + 1), a.data());
       std::exit(2);
     } else {
@@ -123,17 +133,17 @@ inline void observe_request(const BenchArgs& args, ObserveOptions& o) {
   if (args.observe_dir.empty()) return;
   o.trace.enabled = true;
   o.trace.capacity = std::size_t{1} << 18;
-  o.profile.enabled = true;
   o.metrics.enabled = true;
   o.snapshot.hash_epochs = true;
 }
 
 /// Writes the observed cell's artifacts into --observe=<dir> and prints
 /// their summaries:
-///   trace.json      Perfetto journeys, profiler slices merged alongside
+///   trace.json      Perfetto records and journey bars
 ///   trace.bin       raw ES2T records (tools/latency_blame input)
-///   profile.folded  collapsed stacks weighted by sim-ns (flamegraph input)
-///   profile.json    es2-prof-v2 span aggregates
+///   profile.folded  the blame partition as collapsed stacks weighted by
+///                   sim-ns (flamegraph input; empty when no journey was
+///                   attributed)
 ///   blame.json      es2-blame-v1 latency budget
 ///   hashes.json     es2-hash-v1 epoch series (tools/divergence_bisect input)
 /// No-op without --observe. Returns false when an artifact is missing, a
@@ -141,25 +151,23 @@ inline void observe_request(const BenchArgs& args, ObserveOptions& o) {
 /// stage latencies.
 inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
   if (args.observe_dir.empty()) return true;
-  if (a.trace == nullptr || a.trace->records.empty() || a.profile == nullptr ||
-      a.hashes == nullptr || a.hashes->entries.empty()) {
-    std::printf("[--observe: the observed cell left no trace records, "
-                "profile or epoch hashes]\n");
+  if (a.trace == nullptr || a.trace->records.empty() || a.hashes == nullptr ||
+      a.hashes->entries.empty()) {
+    std::printf("[--observe: the observed cell left no trace records or "
+                "epoch hashes]\n");
     return false;
   }
   std::error_code ec;
   std::filesystem::create_directories(args.observe_dir, ec);
   const std::string dir = args.observe_dir + "/";
   const TraceData& trace = *a.trace;
-  const BlameBreakdown blame = blame_of(&trace);
+  const BlameBreakdown& blame = trace.blame;
   const bool written =
       write_file(dir + "trace.json",
-                 to_perfetto_json(trace.records, trace.spans,
-                                  prof_perfetto_slices(*a.profile))) &&
+                 to_perfetto_json(trace.records, trace.spans)) &&
       write_file(dir + "trace.bin", to_binary(trace.records)) &&
-      write_file(dir + "profile.folded", prof_to_collapsed(*a.profile)) &&
-      write_file(dir + "profile.json", prof_to_json_text(*a.profile)) &&
-      write_blame_file(dir + "blame.json", blame) &&
+      write_file(dir + "profile.folded", blame_to_collapsed(blame)) &&
+      write_file(dir + "blame.json", blame_to_json_text(blame)) &&
       write_file(dir + "hashes.json", a.hashes->to_json_text());
   if (!written) {
     std::printf("[--observe: writing into %s failed]\n", dir.c_str());
@@ -183,8 +191,6 @@ inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
       static_cast<long long>(s.dispatch_to_eoi_p99),
       static_cast<long long>(s.end_to_end_p50),
       static_cast<long long>(s.end_to_end_p99));
-  std::printf("[profile: %zu span stats, %zu slices]\n",
-              a.profile->spans.size(), a.profile->slices.size());
   std::printf("%s", render_blame_markdown(blame_summary(blame)).c_str());
   std::printf("[blame: %lld journeys (%lld attributed)]\n",
               static_cast<long long>(blame.journeys),
@@ -194,8 +200,12 @@ inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
   std::printf("[observed artifacts written to %s]\n", dir.c_str());
   if (!args.trace_smoke) return true;
   std::string reread;
-  if (!read_file(dir + "trace.json", &reread) || !json_valid(reread)) {
-    std::printf("[trace smoke FAILED: exported JSON does not parse]\n");
+  Json parsed;
+  std::string error;
+  if (!read_file(dir + "trace.json", &reread) ||
+      !Json::parse(reread, &parsed, &error)) {
+    std::printf("[trace smoke FAILED: exported JSON does not parse: %s]\n",
+                error.c_str());
     return false;
   }
   if (s.complete <= 0 || s.end_to_end_p50 <= 0 || s.msi_to_dispatch_p50 <= 0 ||

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
               "vcpu%", "msi%", "guest%", "p99 us"});
     for (int s = 0; s < 3; ++s) {
       const StreamResult& r = results[c * 3 + s];
-      const BlameSummary summary = blame_summary(blame_of(r.trace.get()));
+      const BlameSummary summary = blame_summary(r.trace->blame);
       std::vector<std::string> row{config_names[s]};
       for (const BlameSummary::Component& comp : summary.components) {
         row.push_back(fixed(comp.fraction * 100.0, 1));

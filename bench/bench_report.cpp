@@ -26,8 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "base/file.h"
 #include "metrics/bench_schema.h"
-#include "trace/export.h"
 
 namespace es2 {
 namespace {

@@ -150,7 +150,8 @@ bool restore_cell(const ScenarioReport& rep, StormResult* r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(
+      argc, argv, {"--ckpt=", "--resume=", "--retries=", "--die-after="});
   print_header("Storm", "connection storms, livelock, graceful degradation");
 
   const std::vector<Stack> stacks = {

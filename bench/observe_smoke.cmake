@@ -8,11 +8,12 @@
 #
 # Runs `bench_fig5 --fast --observe=<a> --trace-smoke` (which re-reads
 # a/trace.json and requires valid JSON with populated stage latencies),
-# then the same run into <b>. Requires all six artifacts in both
-# directories, a byte-identical trace.bin, `divergence_bisect` to find the
-# two hash series identical and `latency_blame` to render a/blame.json.
-# The profile artifacts must match their documented contract: profile.json
-# is es2-prof-v2 and every profile.folded line is a `sim;` frame.
+# then the same run into <b>. Requires the five artifacts (and no
+# profile.json) in both directories, byte-identical trace.bin and
+# profile.folded, `divergence_bisect` to find the two hash series
+# identical and `latency_blame` to render a/blame.json. profile.folded
+# must be the blame partition: one `sim;<component>;vm<v>:q<queue> <ns>`
+# frame per line, weights summing to blame.json's total_ns.
 
 foreach(var BENCH_FIG5 BISECT BLAME WORK_DIR)
   if(NOT DEFINED ${var})
@@ -30,36 +31,46 @@ foreach(run a b)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "observe_smoke: run ${run} failed (${rc}):\n${out}")
   endif()
-  foreach(f trace.json trace.bin profile.folded profile.json blame.json
-            hashes.json)
+  foreach(f trace.json trace.bin profile.folded blame.json hashes.json)
     if(NOT EXISTS "${WORK_DIR}/${run}/${f}")
       message(FATAL_ERROR "observe_smoke: run ${run} wrote no ${f}")
     endif()
   endforeach()
+  if(EXISTS "${WORK_DIR}/${run}/profile.json")
+    message(FATAL_ERROR "observe_smoke: run ${run} wrote a profile.json")
+  endif()
 endforeach()
 
-file(READ "${WORK_DIR}/a/profile.json" profile_json)
-if(NOT profile_json MATCHES "\"schema\": \"es2-prof-v2\"")
-  message(FATAL_ERROR "observe_smoke: profile.json is not es2-prof-v2")
-endif()
+set(frame_re "^sim;(notify_wake|sched_delay|queue_wait|backend_service|suppression|vcpu_wait|msi_delivery|guest_service);vm[0-9]+:q-?[0-9]+ [0-9]+$")
 file(STRINGS "${WORK_DIR}/a/profile.folded" folded_lines)
 if(NOT folded_lines)
   message(FATAL_ERROR "observe_smoke: profile.folded is empty")
 endif()
+set(folded_sum 0)
 foreach(line IN LISTS folded_lines)
-  if(NOT line MATCHES "^sim;")
-    message(FATAL_ERROR "observe_smoke: profile.folded line is not a sim; "
+  if(NOT line MATCHES "${frame_re}")
+    message(FATAL_ERROR "observe_smoke: profile.folded line is not a blame "
                         "frame: ${line}")
   endif()
+  string(REGEX REPLACE "^.* " "" weight "${line}")
+  math(EXPR folded_sum "${folded_sum} + ${weight}")
 endforeach()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK_DIR}/a/trace.bin
-          ${WORK_DIR}/b/trace.bin
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "observe_smoke: same-seed runs wrote different trace.bin")
+file(READ "${WORK_DIR}/a/blame.json" blame_json)
+string(REGEX MATCH "\"total_ns\": ([0-9]+)" _ "${blame_json}")
+if(NOT folded_sum EQUAL "${CMAKE_MATCH_1}")
+  message(FATAL_ERROR "observe_smoke: profile.folded weighs ${folded_sum} ns, "
+                      "blame.json total_ns is '${CMAKE_MATCH_1}'")
 endif()
+
+foreach(f trace.bin profile.folded)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK_DIR}/a/${f}
+            ${WORK_DIR}/b/${f}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "observe_smoke: same-seed runs wrote different ${f}")
+  endif()
+endforeach()
 
 execute_process(
   COMMAND "${BISECT}" ${WORK_DIR}/a/hashes.json ${WORK_DIR}/b/hashes.json
@@ -76,5 +87,5 @@ if(NOT rc EQUAL 0)
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
-message(STATUS "observe_smoke ok: six artifacts, deterministic, tool-readable, "
-               "es2-prof-v2 profile with sim; frames only")
+message(STATUS "observe_smoke ok: five artifacts, deterministic, tool-readable, "
+               "profile.folded is the blame partition")

@@ -1,5 +1,5 @@
-# Requires a bench to refuse a retired flag: nonzero exit plus a message
-# that points at its replacement.
+# Requires a bench to refuse a flag: nonzero exit plus a message matching
+# EXPECT (for a retired flag, one that points at its replacement).
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<bench exe> -DFLAG=<flag> -DEXPECT=<regex>

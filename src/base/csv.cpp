@@ -1,9 +1,9 @@
 #include "base/csv.h"
 
 #include <filesystem>
-#include <fstream>
 
 #include "base/assert.h"
+#include "base/file.h"
 
 namespace es2 {
 
@@ -47,10 +47,7 @@ bool CsvWriter::write_file(const std::string& path) const {
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << render();
-  return static_cast<bool>(out);
+  return es2::write_file(path, render());
 }
 
 }  // namespace es2

@@ -6,7 +6,6 @@
 #include "fault/recovery.h"
 #include "guest/guest_os.h"
 #include "metrics/metrics.h"
-#include "profile/profiler.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -142,13 +141,6 @@ void VirtioNetFrontend::handle_irq(Vcpu& vcpu, Vector vector) {
 
 void VirtioNetFrontend::napi_poll(Vcpu& vcpu, int pair,
                                   Callback<void()> done) {
-  // One poll pass per (vm, pair); the span closes in finish_poll when the
-  // pass re-arms interrupts (the napi_complete epilogue is excluded).
-  if (Profiler* pf = vcpu.vm().host().sim().profiler()) {
-    pf->span_begin(ProfComp::kGuestNapi,
-                   static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
-                   vcpu.vm().host().sim().now());
-  }
   trace_driver(vcpu, TraceKind::kNapiPoll, /*arg=*/0);
   reclaim_tx(vcpu, pair, [this, &vcpu, pair, done = std::move(done)]() mutable {
     napi_poll_one(vcpu, pair, os_.params().napi_weight, std::move(done));
@@ -246,11 +238,6 @@ void VirtioNetFrontend::finish_poll(Vcpu& vcpu, int pair,
     // rearm_interrupts armed TX completions too while senders wait.
     if (!tx_waiters_.empty()) {
       trace_driver(vcpu, TraceKind::kNotifyEnable, /*arg=*/3);
-    }
-    if (Profiler* pf = vcpu.vm().host().sim().profiler()) {
-      pf->span_end(ProfComp::kGuestNapi,
-                   static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
-                   vcpu.vm().host().sim().now());
     }
     vcpu.guest_exec(os_.params().napi_complete, std::move(done));
   });
@@ -712,13 +699,6 @@ void VirtioNetFrontend::overload_deescalate() {
 void VirtioNetFrontend::ksoftirqd_defer(Vcpu& vcpu, int pair) {
   ++ksoftirqd_defers_;
   state(pair).ksoftirqd_pending = true;
-  // The softirq pass genuinely ends here; ksoftirqd's polling is ordinary
-  // task work, so the NAPI span closes now.
-  if (Profiler* pf = vcpu.vm().host().sim().profiler()) {
-    pf->span_end(ProfComp::kGuestNapi,
-                 static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
-                 vcpu.vm().host().sim().now());
-  }
   // arg=1 marks a ksoftirqd handoff (plain poll passes emit arg=0).
   trace_driver(vcpu, TraceKind::kNapiPoll, /*arg=*/1);
   ksoftirqd_->wake();

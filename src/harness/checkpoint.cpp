@@ -1,10 +1,10 @@
 #include "harness/checkpoint.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
+#include "base/file.h"
 #include "base/json.h"
 #include "base/strings.h"
 #include "snapshot/snapshot.h"
@@ -14,46 +14,7 @@ namespace es2 {
 namespace fs = std::filesystem;
 
 namespace {
-
 constexpr const char* kSchema = "es2-ckpt-v1";
-
-bool read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool write_file_atomic(const std::string& path, const std::string& text,
-                       std::string* error) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    *error = "cannot open " + tmp;
-    return false;
-  }
-  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    *error = "short write to " + tmp;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  // rename(2) is atomic within a filesystem: readers see the old cell or
-  // the new one, never a torn file.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    *error = "rename " + tmp + " -> " + path + " failed";
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string CellCheckpoint::to_json_text() const {
@@ -146,7 +107,13 @@ bool CheckpointDir::store(const CellCheckpoint& cell, std::string* error) {
   }
   const std::string path =
       dir_ + "/" + sanitize(cell.report.name) + ".json";
-  return write_file_atomic(path, cell.to_json_text(), error);
+  // write_file lands atomically: a reader sees the old cell or the new
+  // one, never a torn file.
+  if (!write_file(path, cell.to_json_text())) {
+    *error = "cannot write " + path;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace es2

@@ -131,6 +131,7 @@ void harvest(Testbed& tb, RunArtifacts& out) {
     TraceData& t = *out.trace;
     t.records = tracer->snapshot();
     t.breakdown = build_spans(t.records, &t.spans);
+    t.blame = analyze_blame(t.records, t.spans);
     const SpanBreakdown& b = t.breakdown;
     TraceStages& s = out.stages;
     s.journeys = static_cast<std::int64_t>(t.spans.size());
@@ -146,18 +147,10 @@ void harvest(Testbed& tb, RunArtifacts& out) {
     s.end_to_end_p50 = b.end_to_end.p50();
     s.end_to_end_p99 = b.end_to_end.p99();
   }
-  if (const Profiler* profiler = tb.profiler()) {
-    out.profile = std::make_shared<ProfileData>(profiler->data());
-  }
   out.metrics = harvest_metrics(tb);
   if (const EpochHashLog* log = tb.hash_log()) {
     out.hashes = std::make_shared<HashSeries>(log->series());
   }
-}
-
-BlameBreakdown blame_of(const TraceData* data, const BlameOptions& options) {
-  if (data == nullptr) return BlameBreakdown{};
-  return analyze_blame(data->records, options);
 }
 
 ExitBreakdown exit_breakdown(const ExitStats& stats, SimTime now) {

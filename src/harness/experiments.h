@@ -16,7 +16,6 @@
 #include "harness/testbed.h"
 #include "metrics/export.h"
 #include "profile/blame.h"
-#include "profile/profiler.h"
 #include "stats/histogram.h"
 #include "trace/span.h"
 #include "trace/trace.h"
@@ -27,12 +26,14 @@ namespace es2 {
 // Run artifacts (shared by every runner)
 // ---------------------------------------------------------------------------
 
-/// Raw harvest from one traced run: the record snapshot plus the stitched
-/// per-I/O journeys and their stage-latency breakdown.
+/// Raw harvest from one traced run: the record snapshot, the per-I/O
+/// journeys stitched from it once, their stage-latency breakdown and the
+/// critical-path blame over the same journeys.
 struct TraceData {
   std::vector<TraceRecord> records;
   std::vector<JourneySpan> spans;
   SpanBreakdown breakdown;
+  BlameBreakdown blame;
 };
 
 /// Flattened stage-latency summary (ns) for experiment rows / CSV columns.
@@ -67,15 +68,13 @@ struct MetricsData {
 /// Call after the measured span, before teardown. Never null.
 std::shared_ptr<MetricsData> harvest_metrics(Testbed& tb);
 
-/// What the four observers (ObserveOptions) leave behind after one run.
+/// What the three observers (ObserveOptions) leave behind after one run.
 /// Every runner's result inherits it. Self-contained: outlives the testbed.
 struct RunArtifacts {
   /// Null unless the run was traced.
   std::shared_ptr<TraceData> trace;
   /// Stage summary of `trace` (all zeros when untraced).
   TraceStages stages;
-  /// Null unless the run was profiled.
-  std::shared_ptr<ProfileData> profile;
   /// Final registry snapshot (never null after a harvest).
   std::shared_ptr<MetricsData> metrics;
   /// Null unless the run hashed epochs.
@@ -83,15 +82,9 @@ struct RunArtifacts {
 };
 
 /// Reads every observer of `tb` into `out`: the tracer's records stitched
-/// into journeys, the profiler, the registry and the epoch-hash series.
-/// Call after the measured span, before teardown.
+/// into journeys and blamed, the registry and the epoch-hash series. Call
+/// after the measured span, before teardown.
 void harvest(Testbed& tb, RunArtifacts& out);
-
-/// Critical-path blame over a harvested trace (empty breakdown for null
-/// or untraced data). The analyzer is offline; call it on result rows,
-/// never inside the run.
-BlameBreakdown blame_of(const TraceData* data,
-                        const BlameOptions& options = {});
 
 /// Paper-style exit breakdown (Table I / Fig. 5 rows).
 struct ExitBreakdown {

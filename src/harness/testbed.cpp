@@ -7,6 +7,13 @@
 
 namespace es2 {
 
+namespace {
+// The link is the paper's back-to-back 40GbE (§VI-A); guests tick at 250 Hz.
+constexpr double kLinkGbps = 40.0;
+constexpr SimDuration kLinkLatency = 1500;  // ns: cable + NIC + host stack entry
+constexpr int kGuestTimerHz = 250;
+}  // namespace
+
 Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   const TestbedOptions& o = options_;
   ES2_CHECK(o.num_vms >= 1 && o.vcpus_per_vm >= 1);
@@ -16,10 +23,6 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   if (o.trace.enabled) {
     tracer_ = std::make_unique<Tracer>(o.trace);
     sim_->set_tracer(tracer_.get());
-  }
-  if (o.profile.enabled) {
-    profiler_ = std::make_unique<Profiler>(o.profile);
-    sim_->set_profiler(profiler_.get());
   }
   host_ = std::make_unique<KvmHost>(*sim_, o.host_cores, o.costs);
   es2_ = std::make_unique<Es2System>(*host_, o.config);
@@ -32,12 +35,12 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
       pins[static_cast<size_t>(j)] = core;
     }
     Vm& vm = host_->create_vm(format("vm%d", v), pins, o.config.irq_mode());
-    vm.set_timer_hz(o.guest_timer_hz);
+    vm.set_timer_hz(kGuestTimerHz);
     guests_.push_back(std::make_unique<GuestOs>(vm, o.guest_params));
   }
 
   // Only the tested VM (VM 0) gets a paravirtual network device.
-  link_ = std::make_unique<DuplexLink>(*sim_, o.link_gbps, o.link_latency);
+  link_ = std::make_unique<DuplexLink>(*sim_, kLinkGbps, kLinkLatency);
   peer_ = std::make_unique<PeerHost>(*sim_, link_->b_to_a);
   peer_->attach_rx(link_->a_to_b);
   worker_ = std::make_unique<VhostWorker>(*host_, "vhost-vm0", o.vhost_core);
@@ -240,13 +243,6 @@ void Testbed::start() {
   // set.
   if (sampler_) sampler_->start();
   for (int v = 0; v < host_->num_vms(); ++v) host_->vm(v).start();
-}
-
-SimDuration Testbed::run_measured(SimDuration warmup, SimDuration measure) {
-  sim_->run_for(warmup);
-  for (int v = 0; v < host_->num_vms(); ++v) host_->vm(v).begin_stats_window();
-  sim_->run_for(measure);
-  return measure;
 }
 
 }  // namespace es2

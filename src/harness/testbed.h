@@ -26,7 +26,6 @@
 #include "metrics/sampler.h"
 #include "net/link.h"
 #include "net/peer.h"
-#include "profile/profiler.h"
 #include "sim/invariant_auditor.h"
 #include "snapshot/state_hash.h"
 #include "trace/trace.h"
@@ -35,16 +34,13 @@
 
 namespace es2 {
 
-/// The four passive observers of a run: on-vs-off leaves golden outputs
+/// The three passive observers of a run: on-vs-off leaves golden outputs
 /// bit-identical. `TestbedOptions` and every runner's options inherit
-/// this, so one base assignment carries all four through the harness.
+/// this, so one base assignment carries all three through the harness.
 struct ObserveOptions {
   /// Event-path tracing. `trace.enabled` builds a Tracer and attaches it
   /// to the simulator. Off by default: no records, one null test per hook.
   TraceOptions trace;
-  /// Scoped profiling. `profile.enabled` builds a Profiler and attaches
-  /// it to the simulator.
-  ProfileOptions profile;
   /// Unified telemetry. Instruments register across every layer either
   /// way; `metrics.enabled` (the default) additionally runs a
   /// MetricsSampler on a deterministic in-sim cadence.
@@ -68,8 +64,6 @@ struct TestbedOptions : ObserveOptions {
   int vhost_core = 4;
   /// Add one lowest-priority burn task per vCPU in every VM.
   bool cpu_burn = true;
-  double link_gbps = 40.0;
-  SimDuration link_latency = 1500;  // ns: cable + NIC + host stack entry
   CostModel costs;
   GuestParams guest_params;
   VhostNetParams vhost_params;
@@ -82,7 +76,6 @@ struct TestbedOptions : ObserveOptions {
   SimDuration poll_interval = usec(2);
   /// kAdaptive only: how long past the last work the worker keeps spinning.
   SimDuration adaptive_poll_budget = usec(50);
-  int guest_timer_hz = 250;
   /// Seeded fault plan. All-zero (the default) builds no injector at all,
   /// so healthy runs draw zero fault RNG numbers and stay bit-identical.
   FaultPlan faults;
@@ -122,8 +115,6 @@ class Testbed {
   RecoveryLog* recovery_log() { return recovery_log_.get(); }
   /// Null unless options.trace.enabled.
   Tracer* tracer() { return tracer_.get(); }
-  /// Null unless options.profile.enabled.
-  Profiler* profiler() { return profiler_.get(); }
 
   /// The unified registry; every layer's instruments live here.
   MetricsRegistry& metrics() { return registry_; }
@@ -143,10 +134,6 @@ class Testbed {
   /// Starts every VM (vCPUs + guest timers).
   void start();
 
-  /// Runs warmup, opens measurement windows, runs the measured span, and
-  /// returns the window length.
-  SimDuration run_measured(SimDuration warmup, SimDuration measure);
-
  private:
   void register_all_metrics();
 
@@ -165,7 +152,6 @@ class Testbed {
   std::unique_ptr<RecoveryLog> recovery_log_;
   std::unique_ptr<InvariantAuditor> auditor_;
   std::unique_ptr<Tracer> tracer_;
-  std::unique_ptr<Profiler> profiler_;
   WorldSnapshotter snapshotter_;
   std::unique_ptr<EpochHashLog> hash_log_;
   std::unique_ptr<PeriodicTimer> hash_timer_;

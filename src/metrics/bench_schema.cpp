@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "base/file.h"
 #include "base/strings.h"
-#include "trace/export.h"  // write_file / read_file
 
 namespace es2 {
 

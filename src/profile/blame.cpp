@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "base/strings.h"
-#include "trace/span.h"
 
 namespace es2 {
 
@@ -64,14 +63,13 @@ double BlameBreakdown::fraction(BlameComponent c) const {
 }
 
 BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
+                             const std::vector<JourneySpan>& journeys,
                              const BlameOptions& options) {
   // The journeys' landmarks come from the span builder; this pass adds the
   // global time series the attribution cuts against (worker wakes, worker
   // sched-ins, handler turns, per-vcpu sched-ins). Records arrive
   // oldest-first from Tracer::snapshot(), so the series come out sorted;
   // sort defensively anyway.
-  std::vector<JourneySpan> journeys;
-  const SpanBreakdown spans = build_spans(records, &journeys);
 
   std::unordered_set<std::uint32_t> worker_tags;
   for (const std::string& name : options.worker_threads) {
@@ -112,7 +110,7 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
   // the landmark and sched/wake times. Cuts are clamped monotone, so
   // segment sums are exact by construction.
   BlameBreakdown out;
-  out.journeys = spans.journeys;
+  out.journeys = static_cast<std::int64_t>(journeys.size());
   std::vector<JourneyBlame> attributed;
   attributed.reserve(journeys.size());
   std::unordered_map<std::uint32_t, std::size_t> group_index;

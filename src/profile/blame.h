@@ -28,8 +28,8 @@
 // keeps the full cut sequence of any journey beyond k×p99.
 //
 // The journeys and their landmarks come from the span builder
-// (trace/span.h); this is an offline pass over a record snapshot —
-// nothing here runs on the simulation hot path.
+// (trace/span.h), which the caller runs once per record snapshot; this is
+// an offline pass — nothing here runs on the simulation hot path.
 #pragma once
 
 #include <array>
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "stats/histogram.h"
+#include "trace/span.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -128,9 +129,12 @@ struct BlameBreakdown {
   double fraction(BlameComponent c) const;
 };
 
-/// Walks a record snapshot (any order) and attributes every complete
-/// journey. Journeys missing a landmark are counted but not attributed.
+/// Attributes every complete journey of `journeys`, the spans
+/// `build_spans` stitched from `records` (any order); the records supply
+/// the worker and vCPU sched/wake series the cuts land on. Journeys
+/// missing a landmark are counted but not attributed.
 BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
+                             const std::vector<JourneySpan>& journeys,
                              const BlameOptions& options = {});
 
 /// The cut sequence of one journey as "component=<ns>" text, path order,

@@ -1,7 +1,7 @@
 #include "profile/blame_export.h"
 
+#include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "base/strings.h"
 
@@ -80,12 +80,22 @@ std::string blame_to_json_text(const BlameBreakdown& b) {
   return blame_to_json(b).dump(2) + "\n";
 }
 
-bool write_blame_file(const std::string& path, const BlameBreakdown& b) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const std::string text = blame_to_json_text(b);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return static_cast<bool>(out);
+std::string blame_to_collapsed(const BlameBreakdown& b) {
+  std::vector<std::string> lines;
+  for (const BlameGroup& g : b.groups) {
+    for (std::size_t c = 0; c < kBlameComponents; ++c) {
+      if (g.ns[c] == 0) continue;
+      lines.push_back(
+          format("sim;%s;vm%d:q%d %lld\n",
+                 blame_component_name(static_cast<BlameComponent>(c)),
+                 static_cast<int>(g.vm), static_cast<int>(g.queue),
+                 static_cast<long long>(g.ns[c])));
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line;
+  return out;
 }
 
 BlameSummary blame_summary(const BlameBreakdown& b) {

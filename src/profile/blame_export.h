@@ -1,5 +1,6 @@
-// es2-blame-v1: the versioned export of a blame breakdown, plus the
-// renderers the `tools/latency_blame` CLI and bench_blame share.
+// es2-blame-v1: the versioned export of a blame breakdown, the folded
+// flame-graph stacks of its partition, and the renderers the
+// `tools/latency_blame` CLI and bench_blame share.
 //
 // The JSON is fully deterministic (insertion-ordered members, integer
 // nanoseconds, shortest-round-trip doubles), so same-seed runs export
@@ -25,7 +26,12 @@ inline constexpr const char* kBlameSchema = "es2-blame-v1";
 /// p50/p99), per-(vm,queue) groups and the worst-journey ledger.
 Json blame_to_json(const BlameBreakdown& b);
 std::string blame_to_json_text(const BlameBreakdown& b);
-bool write_blame_file(const std::string& path, const BlameBreakdown& b);
+
+/// Collapsed-stack text (flamegraph.pl / speedscope input): one sorted
+/// "sim;<component>;vm<v>:q<queue> <ns>" line per non-zero cell of
+/// `b.groups`, so the weights sum to `b.total_ns` exactly. A breakdown
+/// that attributed no journeys renders as the empty string.
+std::string blame_to_collapsed(const BlameBreakdown& b);
 
 /// The comparable subset of one export (enough to render the budget table
 /// and diff two runs).

@@ -21,7 +21,6 @@
 namespace es2 {
 
 class Tracer;
-class Profiler;
 
 class Simulator : public Snapshottable {
  public:
@@ -93,11 +92,6 @@ class Simulator : public Snapshottable {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
-  /// Span profiler attached to this world (not owned); null in
-  /// unprofiled runs. Same carrying-only contract as the tracer.
-  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
-  Profiler* profiler() const { return profiler_; }
-
   /// Kernel state: clock, seed, executed-event count, live queue depth.
   /// Pending events themselves are not serialized (callbacks capture
   /// closures); restore is deterministic re-execution — see DESIGN.md §4f.
@@ -109,7 +103,6 @@ class Simulator : public Snapshottable {
   std::uint64_t seed_;
   std::uint64_t events_executed_ = 0;
   Tracer* tracer_ = nullptr;
-  Profiler* profiler_ = nullptr;
 };
 
 /// Repeating timer on one resident event record. stop() and start() may

@@ -1,8 +1,6 @@
 #include "snapshot/snapshot.h"
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 #include "base/strings.h"
 
@@ -92,17 +90,6 @@ std::string SnapshotWriter::serialize() const {
   return out;
 }
 
-bool SnapshotWriter::write_file(const std::string& path) const {
-  const std::filesystem::path p(path);
-  std::error_code ec;
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path(), ec);
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  const std::string bytes = serialize();
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(f);
-}
-
 void SnapshotWriter::clear() {
   buf_.clear();
   sections_.clear();
@@ -183,17 +170,6 @@ bool SnapshotReader::load(std::string bytes, std::string* error) {
   cursor_ = 0;
   section_end_ = 0;
   return true;
-}
-
-bool SnapshotReader::load_file(const std::string& path, std::string* error) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-  return load(std::move(bytes), error);
 }
 
 std::uint64_t SnapshotReader::section_hash(std::size_t i) const {

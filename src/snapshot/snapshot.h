@@ -110,8 +110,6 @@ class SnapshotWriter {
   /// trailing FNV-1a checksum of everything before it.
   std::string serialize() const;
 
-  bool write_file(const std::string& path) const;
-
   /// Resets to empty (reusable scratch writer for hashing).
   void clear();
 
@@ -135,7 +133,6 @@ class SnapshotReader {
   /// `error` is non-null, explains why (bad magic, version, truncation,
   /// checksum mismatch).
   bool load(std::string bytes, std::string* error = nullptr);
-  bool load_file(const std::string& path, std::string* error = nullptr);
 
   std::size_t section_count() const { return sections_.size(); }
   const std::string& section_name(std::size_t i) const {

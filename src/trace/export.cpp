@@ -1,7 +1,5 @@
 #include "trace/export.h"
 
-#include <cstdio>
-
 #include "base/strings.h"
 
 namespace es2 {
@@ -25,11 +23,9 @@ int lane_tid(const TraceRecord& r) { return r.vcpu < 0 ? 0 : r.vcpu + 1; }
 }  // namespace
 
 std::string to_perfetto_json(const std::vector<TraceRecord>& records,
-                             const std::vector<JourneySpan>& spans,
-                             const std::vector<PerfettoSlice>& extra_slices) {
+                             const std::vector<JourneySpan>& spans) {
   std::string out;
-  out.reserve(records.size() * 120 + spans.size() * 160 +
-              extra_slices.size() * 110 + 64);
+  out.reserve(records.size() * 120 + spans.size() * 160 + 64);
   out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
   for (const TraceRecord& r : records) {
@@ -57,19 +53,6 @@ std::string to_perfetto_json(const std::vector<TraceRecord>& records,
         ",{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"e\","
         "\"id\":%llu,\"ts\":%s,\"pid\":%d,\"tid\":%d}",
         id, ts_us(s.eoi).c_str(), pid, s.vcpu < 0 ? 0 : s.vcpu + 1);
-  }
-  // Profiler scopes land on their own pid so they group as one "process"
-  // under the journey lanes in the Perfetto UI.
-  constexpr int kProfilerPid = 100;
-  for (const PerfettoSlice& s : extra_slices) {
-    if (s.end < s.begin) continue;
-    if (!first) out += ',';
-    first = false;
-    out += format(
-        "{\"name\":\"%s\",\"cat\":\"profile\",\"ph\":\"X\",\"ts\":%s,"
-        "\"dur\":%s,\"pid\":%d,\"tid\":%d}",
-        s.name.c_str(), ts_us(s.begin).c_str(), ts_us(s.end - s.begin).c_str(),
-        kProfilerPid, s.track);
   }
   out += "]}";
   return out;
@@ -162,150 +145,5 @@ bool read_binary(const std::string& data, std::vector<TraceRecord>* out) {
   }
   return true;
 }
-
-bool write_file(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == data.size();
-  return ok;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  out->clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON validator
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool run() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return at_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (at_ >= text_.size()) return false;
-    switch (text_[at_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++at_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++at_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++at_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++at_; continue; }
-      if (peek() == '}') { ++at_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++at_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++at_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++at_; continue; }
-      if (peek() == ']') { ++at_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++at_;
-    while (at_ < text_.size()) {
-      const char c = text_[at_];
-      if (c == '"') { ++at_; return true; }
-      if (c == '\\') {
-        ++at_;
-        if (at_ >= text_.size()) return false;
-      }
-      ++at_;
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = at_;
-    if (peek() == '-') ++at_;
-    while (is_digit(peek())) ++at_;
-    if (peek() == '.') {
-      ++at_;
-      if (!is_digit(peek())) return false;
-      while (is_digit(peek())) ++at_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++at_;
-      if (peek() == '+' || peek() == '-') ++at_;
-      if (!is_digit(peek())) return false;
-      while (is_digit(peek())) ++at_;
-    }
-    // At least one digit somewhere past an optional sign.
-    return at_ > start + (text_[start] == '-' ? 1u : 0u);
-  }
-
-  bool literal(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p, ++at_) {
-      if (at_ >= text_.size() || text_[at_] != *p) return false;
-    }
-    return true;
-  }
-
-  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
-  char peek() const { return at_ < text_.size() ? text_[at_] : '\0'; }
-  void skip_ws() {
-    while (at_ < text_.size() &&
-           (text_[at_] == ' ' || text_[at_] == '\t' || text_[at_] == '\n' ||
-            text_[at_] == '\r')) {
-      ++at_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t at_ = 0;
-};
-
-}  // namespace
-
-bool json_valid(const std::string& text) { return JsonChecker(text).run(); }
 
 }  // namespace es2

@@ -7,7 +7,6 @@
 #include "fault/fault.h"
 #include "fault/recovery.h"
 #include "metrics/metrics.h"
-#include "profile/profiler.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -15,16 +14,6 @@ namespace es2 {
 namespace {
 int worker_core(VhostWorker& worker) {
   return worker.thread().core() != nullptr ? worker.thread().core()->id() : -1;
-}
-
-ProfComp turn_comp(const VqHandler& h) {
-  const int q = h.profile_queue();
-  return q >= 0 && q % 2 != 0 ? ProfComp::kVhostTurnRx
-                              : ProfComp::kVhostTurnTx;
-}
-unsigned turn_key(const VqHandler& h) {
-  const int q = h.profile_queue();
-  return q >= 0 ? static_cast<unsigned>(q) : 0u;
 }
 
 /// Queue and handler names: bare for pair 0 ("vm0/txq", "vm0/tx"),
@@ -198,17 +187,9 @@ void VhostWorker::main_loop() {
     wait += faults_->worker_stall();
   }
   // One turn = dispatch wait + wakeup latency + the handler's service,
-  // closed by the continuation below. The span slot is keyed by the flat
-  // queue index, so per-queue turn residency falls out of the export.
-  if (Profiler* pf = host_.sim().profiler()) {
-    pf->span_begin(turn_comp(*handler), turn_key(*handler), now);
-  }
+  // closed by the continuation below.
   thread_.exec(wait + host_.costs().ns(kLoopOverhead), [this, handler] {
     handler->service(*this, [this, handler](bool requeue) {
-      if (Profiler* pf = host_.sim().profiler()) {
-        pf->span_end(turn_comp(*handler), turn_key(*handler),
-                     host_.sim().now());
-      }
       if (requeue) {
         handler->ready_at_ = host_.sim().now() + requeue_delay_;
         activate(*handler);
@@ -234,9 +215,7 @@ class VhostNetBackend::QueueHandler final : public VqHandler {
   QueueHandler(VhostNetBackend& backend, int q)
       : VqHandler(pair_name(backend.vm(), kHandlerBase[kDir], q / 2)),
         backend_(backend),
-        q_(q) {
-    profile_queue_ = q_;
-  }
+        q_(q) {}
 
   void service(VhostWorker& worker,
                Callback<void(bool)> done) override {

@@ -62,12 +62,6 @@ class VqHandler {
   /// True while queued (or running) on the worker; the backend lifecycle
   /// self-check uses it to tell "parked" from "scheduled".
   bool queued() const { return queued_; }
-  /// Flat queue index for profiler/blame labels (2*pair for TX handlers,
-  /// 2*pair+1 for RX); -1 when the handler is not a net queue.
-  int profile_queue() const { return profile_queue_; }
-
- protected:
-  int profile_queue_ = -1;
 
  private:
   friend class VhostWorker;

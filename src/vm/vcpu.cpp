@@ -4,7 +4,6 @@
 #include "base/log.h"
 #include "base/strings.h"
 #include "metrics/metrics.h"
-#include "profile/profiler.h"
 #include "trace/trace.h"
 #include "vm/vm.h"
 
@@ -151,13 +150,6 @@ void Vcpu::dispatch_irq(Vector vector) {
     tr->emit(sim_.now(), TraceKind::kIrqDispatch, vm_.id(), index_,
              core_of(thread_), vector, corr);
   }
-  // dispatch -> EOI is this vcpu's interrupt-service span (nested
-  // interrupts fold into the outer span; the begin-on-open counts as
-  // dropped rather than opening a second slot).
-  if (Profiler* pf = sim_.profiler()) {
-    pf->span_begin(ProfComp::kGuestIrqService,
-                   static_cast<unsigned>(vm_.id() * 16 + index_), sim_.now());
-  }
   const CostModel& c = vm_.host().costs();
   guest_exec(c.guest_irq_dispatch,
              [this, vector] { vm_.guest().take_interrupt(index_, vector); });
@@ -179,10 +171,6 @@ void Vcpu::guest_io_kick(Callback<void()> notify, Callback<void()> done) {
 }
 
 void Vcpu::guest_eoi(Callback<void()> done) {
-  if (Profiler* pf = sim_.profiler()) {
-    pf->span_end(ProfComp::kGuestIrqService,
-                 static_cast<unsigned>(vm_.id() * 16 + index_), sim_.now());
-  }
   if (Tracer* tr = sim_.tracer()) {
     // The EOI write closes the innermost in-service frame, whichever
     // mechanism (trap or virtual EOI) retires it below.

@@ -11,7 +11,9 @@
 
 #include "base/alloc_hook.h"
 #include "base/csv.h"
+#include "base/file.h"
 #include "base/id_time_table.h"
+#include "base/json.h"
 #include "base/ring.h"
 #include "base/rng.h"
 #include "base/strings.h"
@@ -170,6 +172,38 @@ TEST(Csv, WritesFile) {
   w.add_row({"v"});
   const std::string path = ::testing::TempDir() + "/es2_csv_test/out.csv";
   EXPECT_TRUE(w.write_file(path));
+}
+
+// ---------------------------------------------------------------------------
+// Whole-file I/O and JSON parsing
+// ---------------------------------------------------------------------------
+
+TEST(File, WriteReplacesTheFileAndLeavesNoTemp) {
+  const std::string path = ::testing::TempDir() + "/es2_file_test.bin";
+  const std::string bytes("a\0b\n", 4);
+  ASSERT_TRUE(write_file(path, "an older, longer file"));
+  ASSERT_TRUE(write_file(path, bytes));
+  std::string back = "stale";
+  ASSERT_TRUE(read_file(path, &back));
+  EXPECT_EQ(back, bytes);
+  EXPECT_FALSE(read_file(path + ".tmp", &back));
+  EXPECT_TRUE(back.empty());
+
+  const std::string missing = ::testing::TempDir() + "/es2_no_such_dir/f";
+  EXPECT_FALSE(write_file(missing, bytes));
+  EXPECT_FALSE(read_file(missing + ".tmp", &back));
+}
+
+TEST(Json, ParseRejectsMalformedInput) {
+  Json doc;
+  std::string error;
+  EXPECT_TRUE(Json::parse("{}", &doc, &error)) << error;
+  EXPECT_TRUE(Json::parse("{\"a\": [1, 2.5, \"x\", null, true]}", &doc, &error))
+      << error;
+  for (const char* bad : {"{", "{\"a\": }", "{} trailing", ""}) {
+    EXPECT_FALSE(Json::parse(bad, &doc, &error)) << "accepted: " << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

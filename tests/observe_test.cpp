@@ -1,8 +1,7 @@
-// Passivity of all four observers across every runner.
+// Passivity of all three observers across every runner.
 //
 // Each case runs one runner twice on a short span: once with epoch hashing
-// only, once with trace, profile, metrics sampling and epoch hashing all
-// on. Observing must not change the run: every result scalar and the
+// only, once with trace, metrics sampling and epoch hashing all on. Observing must not change the run: every result scalar and the
 // epoch-hash series must be equal. Each artifact must be present exactly
 // when its observer was requested. The metrics sampler stays at its
 // default (on) in both runs: it is itself a hashed component, so turning
@@ -297,7 +296,6 @@ TEST_P(ObservePassivity, EveryObserverOnChangesNothing) {
   ObserveOptions all = hashing;
   all.trace.enabled = true;
   all.trace.capacity = std::size_t{1} << 18;
-  all.profile.enabled = true;
   all.metrics.enabled = true;
 
   const Outcome plain = GetParam().run(hashing);
@@ -314,12 +312,10 @@ TEST_P(ObservePassivity, EveryObserverOnChangesNothing) {
 
   // Each artifact is present exactly when its observer was requested.
   EXPECT_EQ(plain.artifacts.trace, nullptr);
-  EXPECT_EQ(plain.artifacts.profile, nullptr);
   EXPECT_EQ(plain.artifacts.stages.journeys, 0);
   ASSERT_NE(observed.artifacts.trace, nullptr);
   EXPECT_FALSE(observed.artifacts.trace->records.empty());
   EXPECT_GT(observed.artifacts.stages.journeys, 0);
-  EXPECT_NE(observed.artifacts.profile, nullptr);
   ASSERT_NE(plain.artifacts.metrics, nullptr);
   ASSERT_NE(observed.artifacts.metrics, nullptr);
   EXPECT_GT(observed.artifacts.metrics->sampler_frames, 0u);

@@ -1,22 +1,19 @@
 // Profile-layer tests: the critical-path blame analyzer on hand-crafted
 // record sequences (exact partition, incomplete/coalesced journeys, the
 // worst-journey ledger), the es2-blame-v1 exporter round-trip and diff,
-// the zero-alloc span profiler (span aggregation, slice ring, allocation
-// guarantee via es2_alloc_hook), and — against real streams — the
-// passivity contract: profiling a run must not change it.
+// the folded flame-graph stacks of the partition, and — against real
+// streams — the passivity contract (profiling a run must not change it)
+// and exact, deterministic exports.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 #include <vector>
 
-#include "base/alloc_hook.h"
 #include "harness/experiments.h"
 #include "profile/blame.h"
 #include "profile/blame_export.h"
-#include "profile/prof_export.h"
-#include "profile/profiler.h"
-#include "trace/export.h"
+#include "trace/span.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -51,6 +48,14 @@ std::vector<TraceRecord> full_journey(std::uint64_t corr, SimTime base) {
   };
 }
 
+/// Stitches `records` once and blames the journeys, as the harness does.
+BlameBreakdown analyze(const std::vector<TraceRecord>& records,
+                       const BlameOptions& options = {}) {
+  std::vector<JourneySpan> journeys;
+  build_spans(records, &journeys);
+  return analyze_blame(records, journeys, options);
+}
+
 SimDuration ns_of(const BlameBreakdown& b, BlameComponent c) {
   return b.component_ns[static_cast<std::size_t>(c)];
 }
@@ -60,7 +65,7 @@ SimDuration ns_of(const BlameBreakdown& b, BlameComponent c) {
 // ---------------------------------------------------------------------------
 
 TEST(BlameAnalyzer, AttributesEveryNanosecondExactly) {
-  const BlameBreakdown b = analyze_blame(full_journey(7, 1000));
+  const BlameBreakdown b = analyze(full_journey(7, 1000));
   EXPECT_EQ(b.journeys, 1);
   EXPECT_EQ(b.complete, 1);
   EXPECT_EQ(b.total_ns, 1600);
@@ -86,7 +91,7 @@ TEST(BlameAnalyzer, AttributesEveryNanosecondExactly) {
 TEST(BlameAnalyzer, IncompleteJourneyIsCountedButNotAttributed) {
   std::vector<TraceRecord> records = full_journey(7, 1000);
   records.pop_back();  // drop the EOI
-  const BlameBreakdown b = analyze_blame(records);
+  const BlameBreakdown b = analyze(records);
   EXPECT_EQ(b.journeys, 1);
   EXPECT_EQ(b.complete, 0);
   EXPECT_EQ(b.total_ns, 0);
@@ -101,7 +106,7 @@ TEST(BlameAnalyzer, CoalescedLandmarkOrderIsSkipped) {
       rec(1300, TraceKind::kIrqDispatch, 9, 33, 0, 0),
       rec(1400, TraceKind::kEoi, 9, 0, 0, 0),
   };
-  const BlameBreakdown b = analyze_blame(records);
+  const BlameBreakdown b = analyze(records);
   EXPECT_EQ(b.journeys, 1);
   EXPECT_EQ(b.complete, 0);
 }
@@ -116,7 +121,7 @@ TEST(BlameAnalyzer, JourneyWithoutWakeChargesQueueWait) {
       rec(1700, TraceKind::kIrqDispatch, 11, 33, 0, 0),
       rec(1800, TraceKind::kEoi, 11, 0, 0, 0),
   };
-  const BlameBreakdown b = analyze_blame(records);
+  const BlameBreakdown b = analyze(records);
   EXPECT_EQ(b.complete, 1);
   EXPECT_EQ(ns_of(b, BlameComponent::kNotifyWake), 0);
   EXPECT_EQ(ns_of(b, BlameComponent::kSchedDelay), 0);
@@ -134,7 +139,7 @@ TEST(BlameAnalyzer, WireRxOriginMapsToTheRxQueue) {
       rec(1700, TraceKind::kIrqDispatch, 13, 34, 0, 0),
       rec(1800, TraceKind::kEoi, 13, 0, 0, 0),
   };
-  const BlameBreakdown b = analyze_blame(records);
+  const BlameBreakdown b = analyze(records);
   ASSERT_EQ(b.worst.size(), 1u);
   EXPECT_EQ(b.worst[0].queue, 3);  // pair 1 -> flat RX queue index 3
   EXPECT_FALSE(b.worst[0].tx_origin);
@@ -155,14 +160,14 @@ TEST(BlameAnalyzer, LedgerIsWorstFirstAndDeterministic) {
   BlameOptions o;
   o.ledger_k = 0.0;  // threshold 0: every journey makes the ledger
   o.ledger_top_n = 2;
-  const BlameBreakdown a = analyze_blame(records, o);
+  const BlameBreakdown a = analyze(records, o);
   ASSERT_EQ(a.worst.size(), 2u);
   EXPECT_EQ(a.worst[0].corr, 22u);
   EXPECT_EQ(a.worst[0].total(), 3600);
   EXPECT_EQ(a.worst[1].corr, 21u);
 
   // Same input -> identical ledger, including the rendered critical paths.
-  const BlameBreakdown b = analyze_blame(records, o);
+  const BlameBreakdown b = analyze(records, o);
   ASSERT_EQ(b.worst.size(), a.worst.size());
   for (std::size_t i = 0; i < a.worst.size(); ++i) {
     EXPECT_EQ(blame_critical_path(a.worst[i]), blame_critical_path(b.worst[i]));
@@ -173,7 +178,7 @@ TEST(BlameAnalyzer, GroupsAccumulatePerVmQueue) {
   std::vector<TraceRecord> records = full_journey(31, 1000);
   std::vector<TraceRecord> second = full_journey(32, 50000);
   records.insert(records.end(), second.begin(), second.end());
-  const BlameBreakdown b = analyze_blame(records);
+  const BlameBreakdown b = analyze(records);
   ASSERT_EQ(b.groups.size(), 1u);
   EXPECT_EQ(b.groups[0].vm, 0);
   EXPECT_EQ(b.groups[0].queue, 0);
@@ -186,7 +191,7 @@ TEST(BlameAnalyzer, GroupsAccumulatePerVmQueue) {
 // ---------------------------------------------------------------------------
 
 TEST(BlameExport, JsonIsByteStableAndRoundTrips) {
-  const BlameBreakdown b = analyze_blame(full_journey(7, 1000));
+  const BlameBreakdown b = analyze(full_journey(7, 1000));
   const std::string text = blame_to_json_text(b);
   EXPECT_EQ(text, blame_to_json_text(b));
   EXPECT_NE(text.find(kBlameSchema), std::string::npos);
@@ -209,20 +214,20 @@ TEST(BlameExport, JsonIsByteStableAndRoundTrips) {
 
 TEST(BlameExport, MarkdownCarriesTheBudgetTable) {
   const std::string md =
-      render_blame_markdown(blame_summary(analyze_blame(full_journey(7, 1000))));
+      render_blame_markdown(blame_summary(analyze(full_journey(7, 1000))));
   EXPECT_NE(md.find("guest_service"), std::string::npos);
   EXPECT_NE(md.find("| **total** |"), std::string::npos);
 }
 
 TEST(BlameExport, DiffNamesTheRegressedComponent) {
-  const BlameSummary a = blame_summary(analyze_blame(full_journey(7, 1000)));
+  const BlameSummary a = blame_summary(analyze(full_journey(7, 1000)));
   // Same journey with the suppression window stretched by 600ns: its
   // share grows at everyone else's expense.
   std::vector<TraceRecord> slow = full_journey(7, 1000);
   for (TraceRecord& r : slow) {
     if (r.t >= 1900) r.t += 600;  // push msi and everything after
   }
-  const BlameSummary b = blame_summary(analyze_blame(slow));
+  const BlameSummary b = blame_summary(analyze(slow));
   const BlameDiff d = diff_blame(a, b);
   EXPECT_EQ(d.regressed, "suppression");
   EXPECT_GT(d.regressed_delta, 0.0);
@@ -231,87 +236,42 @@ TEST(BlameExport, DiffNamesTheRegressedComponent) {
 }
 
 // ---------------------------------------------------------------------------
-// Span profiler
+// Folded profile (profile.folded): the blame partition as collapsed stacks
 // ---------------------------------------------------------------------------
 
-TEST(Profiler, SpansAggregatePerComponentKey) {
-  Profiler p;
-  p.span_begin(ProfComp::kVhostTurnTx, 0, 1000);
-  p.span_end(ProfComp::kVhostTurnTx, 0, 1400);
-  p.span_begin(ProfComp::kVhostTurnTx, 0, 2000);
-  p.span_end(ProfComp::kVhostTurnTx, 0, 2100);
-  p.span_begin(ProfComp::kGuestNapi, 3, 1500);
-  p.span_end(ProfComp::kGuestNapi, 3, 1800);
-  const ProfileData d = p.data();
-  ASSERT_EQ(d.spans.size(), 2u);
-  EXPECT_EQ(d.spans[0].comp, ProfComp::kVhostTurnTx);
-  EXPECT_EQ(d.spans[0].count, 2);
-  EXPECT_EQ(d.spans[0].sim_ns, 500);
-  EXPECT_EQ(d.spans[1].comp, ProfComp::kGuestNapi);
-  EXPECT_EQ(d.spans[1].key, 3);
-  EXPECT_EQ(d.spans[1].sim_ns, 300);
-  EXPECT_EQ(d.slices_total, 3u);
-  EXPECT_EQ(d.dropped, 0u);
-}
-
-TEST(Profiler, SliceRingKeepsTheNewest) {
-  ProfileOptions o;
-  o.slice_capacity = 4;
-  Profiler p(o);
-  for (int i = 0; i < 6; ++i) {
-    p.span_begin(ProfComp::kGuestIrqService, 0, i * 100);
-    p.span_end(ProfComp::kGuestIrqService, 0, i * 100 + 50);
-  }
-  const ProfileData d = p.data();
-  EXPECT_EQ(d.slices_total, 6u);
-  ASSERT_EQ(d.slices.size(), 4u);
-  EXPECT_EQ(d.slices.front().begin, 200);  // oldest surviving
-  EXPECT_EQ(d.slices.back().begin, 500);
-}
-
-TEST(Profiler, UnbalancedBeginCountsAsDropped) {
-  Profiler p;
-  p.span_begin(ProfComp::kVhostTurnRx, 1, 100);
-  p.span_begin(ProfComp::kVhostTurnRx, 1, 200);  // slot already open
-  p.span_end(ProfComp::kVhostTurnRx, 1, 300);
-  const ProfileData d = p.data();
-  EXPECT_EQ(d.dropped, 1u);
-  ASSERT_EQ(d.spans.size(), 1u);
-  EXPECT_EQ(d.spans[0].count, 1);
-  EXPECT_EQ(d.spans[0].sim_ns, 200);  // 300 - the first (kept) begin
-}
-
-TEST(Profiler, RecordPathsAllocateNothing) {
-  Profiler p;
-  // Warm the path (first touch of a span slot).
-  p.span_begin(ProfComp::kVhostTurnTx, 2, 0);
-  p.span_end(ProfComp::kVhostTurnTx, 2, 10);
-
-  test::AllocationCounter allocs;
-  for (int i = 0; i < 10000; ++i) {
-    p.span_begin(ProfComp::kVhostTurnTx, 2, i * 100);
-    p.span_end(ProfComp::kVhostTurnTx, 2, i * 100 + 40);
-  }
-  EXPECT_EQ(allocs.delta(), 0);
-}
-
 TEST(ProfExport, CollapsedStacksAreSortedAndDeterministic) {
-  Profiler p;
-  p.span_begin(ProfComp::kVhostTurnTx, 0, 100);
-  p.span_end(ProfComp::kVhostTurnTx, 0, 400);
-  p.span_begin(ProfComp::kGuestNapi, 1, 200);
-  p.span_end(ProfComp::kGuestNapi, 1, 250);
-  p.span_begin(ProfComp::kVhostTurnRx, 1, 300);  // never closed: no line
-  const ProfileData d = p.data();
-  const std::string folded = prof_to_collapsed(d);
-  EXPECT_EQ(folded, prof_to_collapsed(d));
-  // Sorted, one line per closed span aggregate, weighted by sim-ns.
+  // Journey 7 on TX queue 0; journey 8 arrives from the wire on pair 1
+  // (flat RX queue 3) with no wake or sched-in of its own to cut on.
+  std::vector<TraceRecord> records = full_journey(7, 1000);
+  const std::vector<TraceRecord> rx = {
+      rec(5000, TraceKind::kWireRx, 8, /*pair=*/1),
+      rec(5300, TraceKind::kWorkerTurn, 8, 3),
+      rec(5400, TraceKind::kMsiRaise, 8, 34, 0),
+      rec(5450, TraceKind::kIrqDispatch, 8, 34, 0, 0),
+      rec(5700, TraceKind::kEoi, 8, 0, 0, 0),
+  };
+  records.insert(records.end(), rx.begin(), rx.end());
+  const BlameBreakdown b = analyze(records);
+  const std::string folded = blame_to_collapsed(b);
+  EXPECT_EQ(folded, blame_to_collapsed(analyze(records)));
+  // Sorted, one line per non-zero (component, vm, queue) cell, weighted
+  // by sim-ns; zero cells (queue 3 has no wake, sched, suppression or
+  // vCPU wait) write no line.
   EXPECT_EQ(folded,
-            "sim;guest_napi;guest_napi:k1 50\n"
-            "sim;vhost_turn_tx;vhost_turn_tx:k0 300\n");
-  const std::string json = prof_to_json_text(d);
-  EXPECT_EQ(json, prof_to_json_text(d));
-  EXPECT_NE(json.find("\"schema\": \"es2-prof-v2\""), std::string::npos);
+            "sim;backend_service;vm0:q0 200\n"
+            "sim;backend_service;vm0:q3 100\n"
+            "sim;guest_service;vm0:q0 400\n"
+            "sim;guest_service;vm0:q3 250\n"
+            "sim;msi_delivery;vm0:q0 200\n"
+            "sim;msi_delivery;vm0:q3 50\n"
+            "sim;notify_wake;vm0:q0 100\n"
+            "sim;queue_wait;vm0:q0 150\n"
+            "sim;queue_wait;vm0:q3 300\n"
+            "sim;sched_delay;vm0:q0 150\n"
+            "sim;suppression;vm0:q0 300\n"
+            "sim;vcpu_wait;vm0:q0 100\n");
+  // A breakdown that attributed nothing renders no frames.
+  EXPECT_EQ(blame_to_collapsed(BlameBreakdown{}), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -327,20 +287,41 @@ StreamOptions short_stream(std::uint64_t seed) {
   return o;
 }
 
+StreamOptions traced_stream(std::uint64_t seed) {
+  StreamOptions o = short_stream(seed);
+  o.trace.enabled = true;
+  o.trace.capacity = std::size_t{1} << 17;
+  return o;
+}
+
+/// Sum of the weights of a collapsed-stack text.
+std::int64_t folded_weight(const std::string& folded) {
+  std::int64_t sum = 0;
+  std::size_t line = 0;
+  while (line < folded.size()) {
+    const std::size_t end = folded.find('\n', line);
+    const std::size_t space = folded.rfind(' ', end);
+    sum += std::stoll(folded.substr(space + 1, end - space - 1));
+    line = end + 1;
+  }
+  return sum;
+}
+
 TEST(ProfilePath, ProfilingIsPassive) {
-  // The strong oracle: profiled and unprofiled same-seed runs must agree
-  // on every headline number AND on the epoch state-hash series (the
-  // bit-identity witness for the whole world).
-  StreamOptions profiled = short_stream(41);
-  profiled.profile.enabled = true;
+  // The strong oracle: the profile (the blame partition of the traced
+  // journeys) costs the run nothing. Profiled and unprofiled same-seed
+  // runs must agree on every headline number AND on the epoch state-hash
+  // series (the bit-identity witness for the whole world).
+  StreamOptions profiled = traced_stream(41);
   profiled.snapshot.hash_epochs = true;
   StreamOptions plain = short_stream(41);
   plain.snapshot.hash_epochs = true;
 
   const StreamResult with = run_stream(profiled);
   const StreamResult without = run_stream(plain);
-  ASSERT_NE(with.profile, nullptr);
-  EXPECT_EQ(without.profile, nullptr);
+  ASSERT_NE(with.trace, nullptr);
+  EXPECT_GT(with.trace->blame.complete, 0);
+  EXPECT_EQ(without.trace, nullptr);
   EXPECT_DOUBLE_EQ(with.throughput_mbps, without.throughput_mbps);
   EXPECT_DOUBLE_EQ(with.packets_per_sec, without.packets_per_sec);
   EXPECT_DOUBLE_EQ(with.kicks_per_sec, without.kicks_per_sec);
@@ -351,25 +332,18 @@ TEST(ProfilePath, ProfilingIsPassive) {
 }
 
 TEST(ProfilePath, SameSeedProfileExportsAreByteIdentical) {
-  StreamOptions o = short_stream(42);
-  o.profile.enabled = true;
-  const StreamResult a = run_stream(o);
-  const StreamResult b = run_stream(o);
-  ASSERT_NE(a.profile, nullptr);
-  ASSERT_NE(b.profile, nullptr);
-  ASSERT_FALSE(a.profile->spans.empty());
-  EXPECT_EQ(prof_to_json_text(*a.profile), prof_to_json_text(*b.profile));
-  EXPECT_EQ(prof_to_collapsed(*a.profile), prof_to_collapsed(*b.profile));
+  const StreamResult a = run_stream(traced_stream(42));
+  const StreamResult b = run_stream(traced_stream(42));
+  const std::string folded = blame_to_collapsed(a.trace->blame);
+  ASSERT_FALSE(folded.empty());
+  EXPECT_EQ(folded, blame_to_collapsed(b.trace->blame));
 }
 
 TEST(ProfilePath, SameSeedBlameExportsAreByteIdentical) {
-  StreamOptions o = short_stream(43);
-  o.trace.enabled = true;
-  o.trace.capacity = std::size_t{1} << 17;
-  const StreamResult a = run_stream(o);
-  const StreamResult b = run_stream(o);
-  const BlameBreakdown ba = blame_of(a.trace.get());
-  const BlameBreakdown bb = blame_of(b.trace.get());
+  const StreamResult a = run_stream(traced_stream(43));
+  const StreamResult b = run_stream(traced_stream(43));
+  const BlameBreakdown& ba = a.trace->blame;
+  const BlameBreakdown& bb = b.trace->blame;
   ASSERT_GT(ba.complete, 0);
   EXPECT_EQ(blame_to_json_text(ba), blame_to_json_text(bb));
   ASSERT_EQ(ba.worst.size(), bb.worst.size());
@@ -380,11 +354,8 @@ TEST(ProfilePath, SameSeedBlameExportsAreByteIdentical) {
 }
 
 TEST(ProfilePath, BlameFractionsSumToTracedJourneyTotals) {
-  StreamOptions o = short_stream(44);
-  o.trace.enabled = true;
-  o.trace.capacity = std::size_t{1} << 17;
-  const StreamResult r = run_stream(o);
-  const BlameBreakdown b = blame_of(r.trace.get());
+  const StreamResult r = run_stream(traced_stream(44));
+  const BlameBreakdown& b = r.trace->blame;
   ASSERT_GT(b.complete, 0);
   // Blame reads the span builder's journeys: both count the same ones.
   EXPECT_EQ(b.journeys, r.trace->breakdown.journeys);
@@ -404,22 +375,18 @@ TEST(ProfilePath, BlameFractionsSumToTracedJourneyTotals) {
   }
 }
 
-TEST(ProfilePath, ProfiledStreamRecordsVhostSpans) {
-  StreamOptions o = short_stream(45);
-  o.profile.enabled = true;
-  const StreamResult r = run_stream(o);
-  ASSERT_NE(r.profile, nullptr);
-  bool saw_turn = false;
-  bool saw_guest = false;
-  for (const ProfSpanStat& s : r.profile->spans) {
-    if (s.comp == ProfComp::kVhostTurnTx || s.comp == ProfComp::kVhostTurnRx) {
-      saw_turn = true;
-      EXPECT_GT(s.count, 0);
-    }
-    if (s.comp == ProfComp::kGuestIrqService) saw_guest = true;
-  }
-  EXPECT_TRUE(saw_turn);
-  EXPECT_TRUE(saw_guest);
+TEST(ProfilePath, FoldedWeightsSumToBlameTotal) {
+  const StreamResult r = run_stream(traced_stream(45));
+  const BlameBreakdown& b = r.trace->blame;
+  ASSERT_GT(b.complete, 0);
+  const std::string folded = blame_to_collapsed(b);
+  // The folded stacks are the blame partition: every attributed
+  // nanosecond lands in exactly one frame.
+  EXPECT_EQ(folded_weight(folded), b.total_ns);
+  // The vhost turn and the guest's interrupt service appear as blame
+  // components.
+  EXPECT_NE(folded.find("sim;backend_service;vm0:q"), std::string::npos);
+  EXPECT_NE(folded.find("sim;guest_service;vm0:q"), std::string::npos);
 }
 
 }  // namespace

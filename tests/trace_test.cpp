@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "base/alloc_hook.h"
+#include "base/json.h"
 #include "harness/runner.h"
 #include "sim/invariant_auditor.h"
 #include "sim/simulator.h"
@@ -306,18 +307,11 @@ TEST(TraceExport, PerfettoJsonIsStructurallyValid) {
   std::vector<TraceRecord> records = sample_records();
   build_spans(records, &spans);
   const std::string json = to_perfetto_json(records, spans);
-  EXPECT_TRUE(json_valid(json));
+  Json doc;
+  std::string error;
+  EXPECT_TRUE(Json::parse(json, &doc, &error)) << error;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("msi_raise"), std::string::npos);
-}
-
-TEST(TraceExport, JsonValidatorRejectsMalformedInput) {
-  EXPECT_TRUE(json_valid("{}"));
-  EXPECT_TRUE(json_valid("{\"a\": [1, 2.5, \"x\", null, true]}"));
-  EXPECT_FALSE(json_valid("{"));
-  EXPECT_FALSE(json_valid("{\"a\": }"));
-  EXPECT_FALSE(json_valid("{} trailing"));
-  EXPECT_FALSE(json_valid(""));
 }
 
 // ---------------------------------------------------------------------------

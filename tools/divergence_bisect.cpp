@@ -19,26 +19,16 @@
 #include <cstring>
 #include <string>
 
+#include "base/file.h"
 #include "snapshot/state_hash.h"
 
 using namespace es2;
 
 namespace {
 
-bool slurp(const char* path, std::string* out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 bool load_series(const char* path, HashSeries* out) {
   std::string text;
-  if (!slurp(path, &text)) {
+  if (!read_file(path, &text)) {
     std::fprintf(stderr, "divergence_bisect: cannot read %s\n", path);
     return false;
   }

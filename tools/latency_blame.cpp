@@ -22,30 +22,21 @@
 #include <string>
 #include <vector>
 
+#include "base/file.h"
 #include "base/json.h"
 #include "profile/blame.h"
 #include "profile/blame_export.h"
 #include "trace/export.h"
+#include "trace/span.h"
 #include "trace/trace.h"
 
 using namespace es2;
 
 namespace {
 
-bool slurp(const char* path, std::string* out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 bool load_summary(const char* path, BlameSummary* out) {
   std::string text;
-  if (!slurp(path, &text)) {
+  if (!read_file(path, &text)) {
     std::fprintf(stderr, "latency_blame: cannot read %s\n", path);
     return false;
   }
@@ -114,14 +105,16 @@ int main(int argc, char** argv) {
 
   if (inputs.size() != 1) return usage();
   std::string data;
-  if (!slurp(inputs[0], &data)) {
+  if (!read_file(inputs[0], &data)) {
     std::fprintf(stderr, "latency_blame: cannot read %s\n", inputs[0]);
     return 2;
   }
 
   std::vector<TraceRecord> records;
   if (read_binary(data, &records)) {
-    const BlameBreakdown blame = analyze_blame(records, options);
+    std::vector<JourneySpan> journeys;
+    build_spans(records, &journeys);
+    const BlameBreakdown blame = analyze_blame(records, journeys, options);
     if (blame.journeys == 0) {
       std::fprintf(stderr, "latency_blame: %s holds no journeys\n",
                    inputs[0]);
@@ -129,7 +122,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", render_blame_markdown(blame_summary(blame)).c_str());
     if (!json_out.empty()) {
-      if (!write_blame_file(json_out, blame)) {
+      if (!write_file(json_out, blame_to_json_text(blame))) {
         std::fprintf(stderr, "latency_blame: cannot write %s\n",
                      json_out.c_str());
         return 2;
