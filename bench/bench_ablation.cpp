@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 4; ++i) {
     const Histogram& h = ping_results[i].rtt;
     report.add(std::string("redirect.") + policy_keys[i] + ".rtt_p99_ms",
-               h.p99() / 1e6, 0.1);
+               h.p99() / 1e6);
     report.add(std::string("redirect.") + policy_keys[i] + ".rtt_mean_ms",
-               h.mean() / 1e6, 0.1);
+               h.mean() / 1e6);
   }
   std::vector<double> quota_curve;
   for (size_t q = 0; q < quotas.size(); ++q) {

@@ -67,18 +67,13 @@ int main(int argc, char** argv) {
                 render_blame_markdown(summary).c_str());
 
     const std::string cell = stacks[s].key;
-    report.add(cell + ".journeys", static_cast<double>(blame.journeys), 0);
-    report.add(cell + ".attributed", static_cast<double>(blame.complete), 0);
+    report.add(cell + ".journeys", static_cast<double>(blame.journeys));
+    report.add(cell + ".attributed", static_cast<double>(blame.complete));
+    // PI+H attributes almost no journeys: quota-based hybrid handling
+    // suppresses virtually every completion interrupt (the guest polls
+    // instead), so few kick→MSI→EOI journeys exist to decompose. That *is*
+    // the result; its fractions are still same-seed exact, so they gate.
     if (blame.complete == 0) continue;
-
-    // PI+H is expected to land here with a near-zero attributed count:
-    // quota-based hybrid handling suppresses virtually every completion
-    // interrupt (the guest polls instead), so almost no kick→MSI→EOI
-    // journeys exist to decompose. That *is* the result — the budget
-    // table above shows the path PI+H removed — but fractions computed
-    // from a handful of journeys would gate on noise, so small samples
-    // report informationally only.
-    const bool gate_fractions = blame.complete >= 16;
 
     // The exactness check behind the gate: blame is a partition of the
     // journey interval, so the component sum must equal the journey-total
@@ -103,23 +98,10 @@ int main(int argc, char** argv) {
       // Gate the budget itself. Fractions are ratios of two deterministic
       // sums, so same-seed runs reproduce them exactly (and Release and
       // Debug agree): any model drift is a deliberate re-baseline.
-      if (gate_fractions) {
-        report.add(cell + ".frac." + c.name, c.fraction, 0);
-      } else {
-        report.add_info(cell + ".frac." + c.name, c.fraction);
-      }
+      report.add(cell + ".frac." + c.name, c.fraction);
     }
-    if (gate_fractions) {
-      report.add(cell + ".e2e_p99_ns",
-                 static_cast<double>(summary.end_to_end_p99), 0);
-      report.add(cell + ".journeys_attributed",
-                 static_cast<double>(blame.complete), 0);
-    } else {
-      report.add_info(cell + ".e2e_p99_ns",
-                      static_cast<double>(summary.end_to_end_p99));
-      report.add_info(cell + ".journeys_attributed",
-                      static_cast<double>(blame.complete));
-    }
+    report.add(cell + ".e2e_p99_ns",
+               static_cast<double>(summary.end_to_end_p99));
   }
 
   write_csv(args, "blame", csv);

@@ -279,15 +279,15 @@ int main(int argc, char** argv) {
       // Every row is a same-seed deterministic output: gated exactly. A
       // cell that wedges where the baseline run survived (or vice versa)
       // fails the diff regardless of goodput.
-      report.add(cell + "ok", r.report.ok() ? 1.0 : 0.0, 0.0);
-      report.add(cell + "goodput_mbps", r.stream.throughput_mbps, 0.0);
+      report.add(cell + "ok", r.report.ok() ? 1.0 : 0.0);
+      report.add(cell + "goodput_mbps", r.stream.throughput_mbps);
       report.add(cell + "fast_retransmits",
-                 static_cast<double>(r.fast_retransmits), 0.0);
+                 static_cast<double>(r.fast_retransmits));
       report.add(cell + "rto_retransmits",
-                 static_cast<double>(r.rto_retransmits), 0.0);
-      report.add(cell + "rx_repolls", static_cast<double>(r.rx_repolls), 0.0);
+                 static_cast<double>(r.rto_retransmits));
+      report.add(cell + "rx_repolls", static_cast<double>(r.rx_repolls));
       report.add(cell + "audit_violations",
-                 static_cast<double>(r.audit_violations), 0.0);
+                 static_cast<double>(r.audit_violations));
     }
   }
   write_bench_report(args, report);

@@ -12,8 +12,8 @@
 //  * gated invariants: split and packed must produce bit-identical stream
 //    scalars per (mode, load) cell, always-poll must run exit-less
 //    (kicks/s == 0), and adaptive must kick strictly less than notify;
-//  * informational: the always-poll:hybrid kick-savings ratio per load —
-//    the crossover EXPERIMENTS.md discusses.
+//  * gated: the always-poll:hybrid packets/s ratio per load — the
+//    crossover EXPERIMENTS.md discusses.
 //
 // Usage: bench_dataplane [--fast] [--seed=N] [--out=DIR]
 #include <string>
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
         const std::string key = std::string(loads[l].name) + "." +
                                 layout_names[y] + "." + modes[m].name;
         // Same-seed deterministic simulation rates: gated exactly.
-        report.add(key + ".packets_per_sec", r.packets_per_sec, 0.0);
-        report.add(key + ".kicks_per_sec", r.kicks_per_sec, 0.0);
+        report.add(key + ".packets_per_sec", r.packets_per_sec);
+        report.add(key + ".kicks_per_sec", r.kicks_per_sec);
         t.add_row({modes[m].name, loads[l].name, layout_names[y],
                    count_str(r.packets_per_sec), count_str(r.kicks_per_sec),
                    count_str(r.guest_irqs_per_sec),
@@ -140,24 +140,23 @@ int main(int argc, char** argv) {
       }
     }
   }
-  report.add("invariant.layout_identical", invariant_ok ? 1.0 : 0.0, 0.0);
-  report.add("invariant.always_poll_exitless", exitless_ok ? 1.0 : 0.0, 0.0);
-  report.add("invariant.adaptive_kicks_below_notify", adaptive_ok ? 1.0 : 0.0,
-             0.0);
+  report.add("invariant.layout_identical", invariant_ok ? 1.0 : 0.0);
+  report.add("invariant.always_poll_exitless", exitless_ok ? 1.0 : 0.0);
+  report.add("invariant.adaptive_kicks_below_notify", adaptive_ok ? 1.0 : 0.0);
   std::printf(
       "invariants: layout_identical=%d always_poll_exitless=%d "
       "adaptive_kicks_below_notify=%d\n",
       invariant_ok, exitless_ok, adaptive_ok);
 
-  // The crossover story (informational): what does always-poll buy over the
-  // kick-driven hybrid path as the load rises?
+  // The crossover story: what does always-poll buy over the kick-driven
+  // hybrid path as the load rises? A ratio of two gated rates, so gated too.
   for (int l = 0; l < kLoads; ++l) {
     const double hybrid_pps = cell(0, l, 0).packets_per_sec;
     const double poll_pps = cell(1, l, 0).packets_per_sec;
     const double ratio = hybrid_pps > 0 ? poll_pps / hybrid_pps : 0.0;
-    report.add_info(std::string("crossover.") + loads[l].name +
-                        ".always_poll_vs_hybrid_pps_ratio",
-                    ratio);
+    report.add(std::string("crossover.") + loads[l].name +
+                   ".always_poll_vs_hybrid_pps_ratio",
+               ratio);
     std::printf("crossover %s: always-poll/hybrid packets/s = %.3f\n",
                 loads[l].name, ratio);
   }

@@ -18,7 +18,7 @@
 //     sequential puts, taken one window later (IdTimeTable);
 //   * the end-to-end Fig. 4 quota sweep wall time.
 //
-// Emits BENCH_eventcore.json in the shared es2-bench-v1 schema
+// Emits BENCH_eventcore.json in the shared es2-bench-v2 schema
 // (events/sec, ns/event, allocations/event, fig4 wall seconds, queue layer
 // counters). Wall-clock rates are informational (never gated);
 // allocation counts and queue-layer counters are deterministic and gated.
@@ -480,7 +480,7 @@ int bench_main(int argc, char** argv) {
     // zero-steady-state-allocation claim.
     report.add_info(p + "events_per_sec", r.events_per_sec);
     report.add_info(p + "ns_per_event", r.ns_per_event);
-    report.add(p + "allocs_per_event", r.allocs_per_event, 0.0);
+    report.add(p + "allocs_per_event", r.allocs_per_event);
   };
   add_churn("schedule_fire_pooled", fire_new);
   add_churn("simulator_run_until", fire_sim);
@@ -491,17 +491,17 @@ int bench_main(int argc, char** argv) {
   add_churn("packet_make_release", packets);
   // Per table call (put or take), not per event.
   report.add_info("id_table_window.ns_per_op", ids.ns_per_event);
-  report.add("id_table_window.allocs_per_op", ids.allocs_per_event, 0.0);
+  report.add("id_table_window.allocs_per_op", ids.allocs_per_event);
   report.add_info("fig4_sweep_wall_seconds", fig4_s);
   // The layer counters are same-seed deterministic: gated exactly.
-  report.add("layers.near_hits", static_cast<double>(stats.near_hits), 0.0);
-  report.add("layers.wheel_hits", static_cast<double>(stats.wheel_hits), 0.0);
-  report.add("layers.far_hits", static_cast<double>(stats.far_hits), 0.0);
+  report.add("layers.near_hits", static_cast<double>(stats.near_hits));
+  report.add("layers.wheel_hits", static_cast<double>(stats.wheel_hits));
+  report.add("layers.far_hits", static_cast<double>(stats.far_hits));
   report.add("layers.far_migrations",
-             static_cast<double>(stats.far_migrations), 0.0);
-  report.add("layers.peak_live", static_cast<double>(stats.peak_live), 0.0);
+             static_cast<double>(stats.far_migrations));
+  report.add("layers.peak_live", static_cast<double>(stats.peak_live));
   report.add("layers.boxed_callbacks",
-             static_cast<double>(stats.boxed_callbacks), 0.0);
+             static_cast<double>(stats.boxed_callbacks));
   bench::write_bench_report(args, report);
   if (!bench::export_standalone(args)) return 1;
   return 0;

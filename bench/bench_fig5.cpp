@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
       const std::string cell =
           std::string(case_keys[c]) + "." + config_keys[s];
       report.add(cell + ".exits_total", r.exits.total);
-      report.add(cell + ".tig_percent", r.exits.tig_percent, 0.1);
+      report.add(cell + ".tig_percent", r.exits.tig_percent);
     }
   }
   write_bench_report(args, report);

@@ -58,10 +58,10 @@ int main(int argc, char** argv) {
   const char* keys[3] = {"baseline", "pi", "pi_h_r"};
   for (int i = 0; i < 3; ++i) {
     const Histogram& h = results[i].rtt;
-    report.add(std::string(keys[i]) + ".rtt_p50_ms", h.p50() / 1e6, 0.0);
-    report.add(std::string(keys[i]) + ".rtt_p99_ms", h.p99() / 1e6, 0.0);
+    report.add(std::string(keys[i]) + ".rtt_p50_ms", h.p50() / 1e6);
+    report.add(std::string(keys[i]) + ".rtt_p99_ms", h.p99() / 1e6);
     report.add(std::string(keys[i]) + ".lost",
-               static_cast<double>(results[i].lost), 0.0);
+               static_cast<double>(results[i].lost));
     std::vector<double> series;
     for (const SimDuration rtt : results[i].samples) {
       series.push_back(static_cast<double>(rtt) / 1e6);

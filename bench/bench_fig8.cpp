@@ -75,12 +75,11 @@ int main(int argc, char** argv) {
   const char* keys[] = {"baseline", "pi", "pi_h", "pi_h_r"};
   for (int c = 0; c < 4; ++c) {
     const std::string k = keys[c];
-    report.add("memcached." + k + ".ops_per_sec", mem[c].ops_per_sec, 0.0);
+    report.add("memcached." + k + ".ops_per_sec", mem[c].ops_per_sec);
     report.add("memcached." + k + ".latency_p99_ms",
-               mem[c].latency.p99() / 1e6, 0.0);
-    report.add("apache." + k + ".requests_per_sec", ap[c].requests_per_sec,
-               0.0);
-    report.add("apache." + k + ".throughput_mbps", ap[c].throughput_mbps, 0.0);
+               mem[c].latency.p99() / 1e6);
+    report.add("apache." + k + ".requests_per_sec", ap[c].requests_per_sec);
+    report.add("apache." + k + ".throughput_mbps", ap[c].throughput_mbps);
   }
   write_bench_report(args, report);
 

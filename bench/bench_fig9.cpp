@@ -71,10 +71,10 @@ int main(int argc, char** argv) {
       report.add(std::string(keys[c]) + ".r" +
                      std::to_string(static_cast<int>(rates[r])) +
                      ".avg_connect_ms",
-                 res.avg_connect_ms, 0.0);
+                 res.avg_connect_ms);
       report.add(std::string(keys[c]) + ".r" +
                      std::to_string(static_cast<int>(rates[r])) + ".established",
-                 static_cast<double>(res.established), 0.0);
+                 static_cast<double>(res.established));
       curve.push_back(res.avg_connect_ms);
     }
     report.add_series(std::string(keys[c]) + ".avg_connect_ms",

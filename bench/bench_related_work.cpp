@@ -195,8 +195,8 @@ int main(int argc, char** argv) {
   auto add_latency = [&report](const char* key, const LatencyLoad& r) {
     const std::string p = std::string("moderation.") + key + ".";
     report.add(p + "irqs_per_sec", r.irqs_per_sec);
-    report.add(p + "rtt_p50_ms", r.rtt_p50_ms, 0.1);
-    report.add(p + "rtt_p99_ms", r.rtt_p99_ms, 0.1);
+    report.add(p + "rtt_p50_ms", r.rtt_p50_ms);
+    report.add(p + "rtt_p99_ms", r.rtt_p99_ms);
   };
   add_latency("stock", stock);
   add_latency("coalesced", coalesced);
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
                              "eli_muxed"};
   for (size_t i = 0; i < cases.size(); ++i) {
     const std::string p = std::string("eli_vs_pi.") + eli_keys[i] + ".";
-    report.add(p + "rtt_p99_ms", cases[i].p99, 0.1);
+    report.add(p + "rtt_p99_ms", cases[i].p99);
     report.add(p + "stalled_irqs", static_cast<double>(cases[i].stalls));
     report.add(p + "hazards", static_cast<double>(cases[i].hazards));
   }

@@ -2,18 +2,19 @@
 //
 // Reads every `BENCH_<name>.json` under --baseline (committed reference
 // runs, generated with `--fast --seed=1`) and --current (this build's
-// bench output), diffs them metric by metric with the per-metric relative
-// tolerances from the schema, and renders a markdown report with
-// sparklines for the recorded series.
+// bench output), diffs them metric by metric — a gated metric passes only
+// if it equals its baseline bit for bit — and renders a markdown report
+// with sparklines for the recorded series.
 //
 //   bench_report                       render the diff to stdout
 //   bench_report --out=report.md      ... and write it to a file
 //   bench_report --check              exit non-zero on any gated failure,
 //                                     naming each failing metric
-//   bench_report --self-test          inject a synthetic 10% regression
-//                                     into a copied baseline and verify
-//                                     the gate catches it (exit non-zero
-//                                     if the gate stays silent)
+//   bench_report --self-test          move a gated row of a copied
+//                                     baseline by one ulp and scale an
+//                                     info row x30; exit non-zero unless
+//                                     the first fails and the second
+//                                     passes
 //
 // A current report missing for a committed baseline is a gate failure
 // (a bench silently not running must not pass CI); an extra current
@@ -150,7 +151,7 @@ int report_failures(const std::vector<BenchDiff>& diffs) {
   int failures = 0;
   for (const BenchDiff& d : diffs) {
     if (d.ok()) continue;
-    // failures() entries are already "<bench>/<metric>: <delta vs tol>".
+    // failures() entries are already "<bench>/<metric>: <cur> != ...".
     for (const std::string& failure : d.failures()) {
       std::printf("REGRESSION %s\n", failure.c_str());
       ++failures;
@@ -189,67 +190,67 @@ int run_check(const ReportArgs& args) {
       std::printf("bench gate: %d failing metric(s)\n", failures);
       return 1;
     }
-    std::printf("bench gate: all %zu benches within tolerance\n",
+    std::printf("bench gate: all %zu benches match their baselines\n",
                 g.diffs.size());
   }
   return args.check && failures > 0 ? 1 : 0;
 }
 
-/// Proves the gate trips: copies the first baseline with a suitable gated
-/// metric, inflates that metric by 10% (past its tolerance), and checks
-/// the diff fails *and names the metric*. The clean copy must still pass.
+/// Proves the gate is exact and gates only what it should: every untouched
+/// baseline copy passes, the first gated row moved by one ulp fails and is
+/// named, and the first nonzero info row scaled x30 still passes.
 int run_self_test(const ReportArgs& args) {
+  std::string ulp_row, info_row;
   for (const std::string& path : list_reports(args.baseline_dir)) {
     BenchReport baseline;
     std::string error;
     if (!BenchReport::read_file(path, &baseline, &error)) {
-      std::printf("self-test: skipping unreadable %s (%s)\n", path.c_str(),
+      std::printf("self-test FAILED: unreadable %s (%s)\n", path.c_str(),
                   error.c_str());
-      continue;
+      return 1;
     }
-    // A 10% regression must exceed the metric's tolerance to trip.
-    const std::string* victim = nullptr;
-    double victim_value = 0, victim_tol = 0;
-    for (const auto& [name, m] : baseline.metrics()) {
-      if (m.gate && m.value != 0 && m.tol < 0.10) {
-        victim = &name;
-        victim_value = m.value;
-        victim_tol = m.tol;
-        break;
-      }
-    }
-    if (victim == nullptr) continue;
-
-    // The untouched copy must pass...
-    BenchReport copy = baseline;
-    const BenchDiff clean = diff_bench(baseline, copy);
-    if (!clean.ok()) {
+    if (!diff_bench(baseline, baseline).ok()) {
       std::printf("self-test FAILED: identical copy of %s does not pass\n",
                   baseline.bench().c_str());
       return 1;
     }
-    // ... and the 10%-regressed copy must fail, naming the metric.
-    copy.add(*victim, victim_value * 1.10, victim_tol);
-    const BenchDiff regressed = diff_bench(baseline, copy);
-    bool named = false;
-    for (const std::string& failure : regressed.failures()) {
-      if (failure.find(*victim) != std::string::npos) named = true;
+    for (const auto& [name, m] : baseline.metrics()) {
+      const std::string row = baseline.bench() + "/" + name;
+      if (m.gate && ulp_row.empty()) {
+        BenchReport copy = baseline;
+        copy.add(name, std::nextafter(m.value, INFINITY));
+        const BenchDiff moved = diff_bench(baseline, copy);
+        const std::vector<std::string> failures = moved.failures();
+        if (moved.ok() || failures.size() != 1 ||
+            failures[0].rfind(row + ":", 0) != 0) {
+          std::printf("self-test FAILED: one ulp on %s not caught\n",
+                      row.c_str());
+          return 1;
+        }
+        std::printf("REGRESSION %s (injected)\n", failures[0].c_str());
+        ulp_row = row;
+      } else if (!m.gate && m.value != 0 && info_row.empty()) {
+        BenchReport copy = baseline;
+        copy.add_info(name, m.value * 30);
+        if (!diff_bench(baseline, copy).ok()) {
+          std::printf("self-test FAILED: x30 on info row %s failed the gate\n",
+                      row.c_str());
+          return 1;
+        }
+        info_row = row;
+      }
     }
-    if (regressed.ok() || !named) {
-      std::printf(
-          "self-test FAILED: +10%% on %s.%s (tol %.0f%%) not caught\n",
-          baseline.bench().c_str(), victim->c_str(), victim_tol * 100);
-      return 1;
-    }
-    std::printf("REGRESSION %s.%s (injected)\n", baseline.bench().c_str(),
-                victim->c_str());
-    std::printf("self-test ok: +10%% on %s.%s tripped the gate\n",
-                baseline.bench().c_str(), victim->c_str());
-    return 0;
   }
-  std::printf("self-test FAILED: no baseline with a gated metric under %s\n",
-              args.baseline_dir.c_str());
-  return 1;
+  if (ulp_row.empty() || info_row.empty()) {
+    std::printf("self-test FAILED: need a gated and a nonzero info row "
+                "under %s\n",
+                args.baseline_dir.c_str());
+    return 1;
+  }
+  std::printf("self-test ok: one ulp on %s tripped the gate; x30 on %s "
+              "(info) passed\n",
+              ulp_row.c_str(), info_row.c_str());
+  return 0;
 }
 
 }  // namespace

@@ -60,18 +60,18 @@ int main(int argc, char** argv) {
 
   BenchReport report = make_report(args, "snapshot");
 
-  // --- deterministic image shape (gated; tol 0: bytes are bytes) ----------
+  // --- deterministic image shape (gated: bytes are bytes) ----------------
   SnapshotWriter w;
   tb.snapshotter().write(w);
-  report.add("world.sections", static_cast<double>(w.sections().size()), 0.0);
-  report.add("world.total_bytes", static_cast<double>(w.byte_size()), 0.0);
+  report.add("world.sections", static_cast<double>(w.sections().size()));
+  report.add("world.total_bytes", static_cast<double>(w.byte_size()));
 
   CsvWriter csv({"component", "bytes", "hash"});
   Table t({"component", "bytes", "hash"});
   for (std::size_t i = 0; i < w.sections().size(); ++i) {
     const SnapshotWriter::Section& s = w.sections()[i];
     const std::size_t size = w.section_size(i);
-    report.add("bytes." + key_of(s.name), static_cast<double>(size), 0.0);
+    report.add("bytes." + key_of(s.name), static_cast<double>(size));
     const std::string hex = format("%016llx", static_cast<unsigned long long>(
                                                   w.section_hash(i)));
     csv.add_row({s.name, std::to_string(size), hex});
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   // --- invariants (gated) --------------------------------------------------
   const std::uint64_t h1 = tb.snapshotter().world_hash();
   const std::uint64_t h2 = tb.snapshotter().world_hash();
-  report.add("world.hash_stable", h1 == h2 ? 1.0 : 0.0, 0.0);
+  report.add("world.hash_stable", h1 == h2 ? 1.0 : 0.0);
 
   const std::string image = tb.snapshotter().serialize();
   SnapshotReader reader;
@@ -95,9 +95,8 @@ int main(int argc, char** argv) {
     std::printf("[roundtrip FAILED: %s]\n",
                 error.empty() ? "hash/section mismatch" : error.c_str());
   }
-  report.add("roundtrip.ok", roundtrip ? 1.0 : 0.0, 0.0);
-  report.add("epochs.recorded", static_cast<double>(tb.hash_log()->epochs()),
-             0.0);
+  report.add("roundtrip.ok", roundtrip ? 1.0 : 0.0);
+  report.add("epochs.recorded", static_cast<double>(tb.hash_log()->epochs()));
 
   // --- wall-clock costs (informational, never gated) ----------------------
   using Clock = std::chrono::steady_clock;

@@ -278,15 +278,15 @@ int main(int argc, char** argv) {
                                ramp_list[p].label + ".";
       require(roff.acceptable(), cell + "off: " + roff.report.to_line());
       require(ron.report.ok(), cell + "on: " + ron.report.to_line());
-      report.add(cell + "off.ok", roff.acceptable() ? 1.0 : 0.0, 0.0);
-      report.add(cell + "on.ok", ron.report.ok() ? 1.0 : 0.0, 0.0);
+      report.add(cell + "off.ok", roff.acceptable() ? 1.0 : 0.0);
+      report.add(cell + "on.ok", ron.report.ok() ? 1.0 : 0.0);
       // Counts are deterministic per seed: gated exactly.
       report.add(cell + "off.established",
-                 static_cast<double>(roff.established), 0.0);
+                 static_cast<double>(roff.established));
       report.add(cell + "on.established",
-                 static_cast<double>(ron.established), 0.0);
+                 static_cast<double>(ron.established));
       report.add(cell + "on.max_rung",
-                 static_cast<double>(ron.overload_max_rung), 0.0);
+                 static_cast<double>(ron.overload_max_rung));
       if (!ramp_list[p].collapses) {
         // Benign ramps: mitigation must be a no-op verdict-wise, and the
         // ladder must not fire (no false-positive livelock detections).
@@ -314,11 +314,11 @@ int main(int argc, char** argv) {
                      cell.c_str(), retained,
                      static_cast<long long>(ron.established),
                      static_cast<long long>(roff.established)));
-      report.add(cell + "retention_x", retained, 0.0);
-      report.add(cell + "off.livelocked", roff.livelocked ? 1.0 : 0.0, 0.0);
+      report.add(cell + "retention_x", retained);
+      report.add(cell + "off.livelocked", roff.livelocked ? 1.0 : 0.0);
       report.add(cell + "on.episodes_recovered",
-                 static_cast<double>(ron.episodes_recovered), 0.0);
-      report.add_info(cell + "on.mttr_p50_us", ron.mttr_p50 / 1e3);
+                 static_cast<double>(ron.episodes_recovered));
+      report.add(cell + "on.mttr_p50_us", ron.mttr_p50 / 1e3);
     }
   }
   write_bench_report(args, report);

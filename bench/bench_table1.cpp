@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     report.add(p + "exits.completion", r.exits.interrupt_completion);
     report.add(p + "exits.io_request", r.exits.io_instruction);
     report.add(p + "exits.total", r.exits.total);
-    report.add(p + "tig_percent", r.exits.tig_percent, 0.1);
+    report.add(p + "tig_percent", r.exits.tig_percent);
     report.add(p + "throughput_mbps", r.throughput_mbps);
   };
   add_config("baseline", base);

@@ -10,71 +10,89 @@ namespace es2 {
 
 Json Json::boolean(bool b) {
   Json j;
-  j.kind_ = Kind::kBool;
-  j.bool_ = b;
+  j.value_ = b;
   return j;
 }
 
 Json Json::number(double v) {
   Json j;
-  j.kind_ = Kind::kNumber;
-  j.number_ = v;
+  j.value_ = v;
   return j;
 }
 
 Json Json::string(std::string s) {
   Json j;
-  j.kind_ = Kind::kString;
-  j.string_ = std::move(s);
+  j.value_ = std::move(s);
   return j;
 }
 
 Json Json::array() {
   Json j;
-  j.kind_ = Kind::kArray;
+  j.value_ = Array();
   return j;
 }
 
 Json Json::object() {
   Json j;
-  j.kind_ = Kind::kObject;
+  j.value_ = Members();
   return j;
 }
 
 bool Json::as_bool(bool fallback) const {
-  return kind_ == Kind::kBool ? bool_ : fallback;
+  const bool* b = std::get_if<bool>(&value_);
+  return b ? *b : fallback;
 }
 
 double Json::as_number(double fallback) const {
-  return kind_ == Kind::kNumber ? number_ : fallback;
+  const double* v = std::get_if<double>(&value_);
+  return v ? *v : fallback;
+}
+
+const std::string& Json::as_string() const {
+  static const std::string kEmpty;
+  const std::string* s = std::get_if<std::string>(&value_);
+  return s ? *s : kEmpty;
+}
+
+std::size_t Json::size() const {
+  const Array* items = std::get_if<Array>(&value_);
+  return items ? items->size() : 0;
 }
 
 const Json& Json::at(std::size_t i) const {
   static const Json kNullValue;
-  return i < items_.size() ? items_[i] : kNullValue;
+  const Array* items = std::get_if<Array>(&value_);
+  return items && i < items->size() ? (*items)[i] : kNullValue;
 }
 
 void Json::push_back(Json v) {
-  kind_ = Kind::kArray;
-  items_.push_back(std::move(v));
+  if (!is_array()) value_ = Array();
+  std::get<Array>(value_).push_back(std::move(v));
+}
+
+const std::vector<std::pair<std::string, Json>>& Json::members() const {
+  static const Members kNoMembers;
+  const Members* members = std::get_if<Members>(&value_);
+  return members ? *members : kNoMembers;
 }
 
 const Json* Json::find(const std::string& key) const {
-  for (const auto& [k, v] : members_) {
+  for (const auto& [k, v] : members()) {
     if (k == key) return &v;
   }
   return nullptr;
 }
 
 void Json::set(std::string key, Json v) {
-  kind_ = Kind::kObject;
-  for (auto& [k, existing] : members_) {
+  if (!is_object()) value_ = Members();
+  Members& members = std::get<Members>(value_);
+  for (auto& [k, existing] : members) {
     if (k == key) {
       existing = std::move(v);
       return;
     }
   }
-  members_.emplace_back(std::move(key), std::move(v));
+  members.emplace_back(std::move(key), std::move(v));
 }
 
 double Json::number_or(const std::string& key, double fallback) const {
@@ -150,42 +168,44 @@ void newline_indent(std::string* out, int indent, int depth) {
 }  // namespace
 
 void Json::dump_to(std::string* out, int indent, int depth) const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kNull:
       *out += "null";
       break;
     case Kind::kBool:
-      *out += bool_ ? "true" : "false";
+      *out += std::get<bool>(value_) ? "true" : "false";
       break;
     case Kind::kNumber:
-      *out += json_number(number_);
+      *out += json_number(std::get<double>(value_));
       break;
     case Kind::kString:
-      *out += escape(string_);
+      *out += escape(std::get<std::string>(value_));
       break;
     case Kind::kArray: {
-      if (items_.empty()) {
+      const Array& items = std::get<Array>(value_);
+      if (items.empty()) {
         *out += "[]";
         break;
       }
       out->push_back('[');
-      for (std::size_t i = 0; i < items_.size(); ++i) {
+      for (std::size_t i = 0; i < items.size(); ++i) {
         if (i) out->push_back(',');
         newline_indent(out, indent, depth + 1);
-        items_[i].dump_to(out, indent, depth + 1);
+        items[i].dump_to(out, indent, depth + 1);
       }
       newline_indent(out, indent, depth);
       out->push_back(']');
       break;
     }
     case Kind::kObject: {
-      if (members_.empty()) {
+      const Members& members = std::get<Members>(value_);
+      if (members.empty()) {
         *out += "{}";
         break;
       }
       out->push_back('{');
       bool first = true;
-      for (const auto& [k, v] : members_) {
+      for (const auto& [k, v] : members) {
         if (!first) out->push_back(',');
         first = false;
         newline_indent(out, indent, depth + 1);

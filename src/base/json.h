@@ -1,18 +1,19 @@
 // Minimal JSON document model with a strict parser and a deterministic
 // serializer.
 //
-// The repo speaks JSON in three places — metrics exports, BENCH_*.json
-// perf snapshots, and trace exports — and the regression gate must *read*
-// the first two back. This is a small, dependency-free value type: objects
+// The repo speaks JSON in BENCH_*.json reports, run artifacts (blame,
+// epoch hashes, sweep checkpoints) and trace exports, and reads each of
+// them back. This is a small, dependency-free value type: objects
 // preserve insertion order (so serialize(parse(x)) is stable), numbers are
 // doubles, and the parser rejects trailing garbage. It is not a streaming
-// parser; documents here are a few hundred KiB at most.
+// parser; the largest document it reads is a traced run's `trace.json`
+// (tens of MB), so a value holds only the payload of its own kind.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace es2 {
@@ -29,20 +30,21 @@ class Json {
   static Json array();
   static Json object();
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
+  Kind kind() const { return static_cast<Kind>(value_.index()); }
+  bool is_null() const { return kind() == Kind::kNull; }
+  bool is_bool() const { return kind() == Kind::kBool; }
+  bool is_number() const { return kind() == Kind::kNumber; }
+  bool is_string() const { return kind() == Kind::kString; }
+  bool is_array() const { return kind() == Kind::kArray; }
+  bool is_object() const { return kind() == Kind::kObject; }
 
   bool as_bool(bool fallback = false) const;
   double as_number(double fallback = 0.0) const;
-  const std::string& as_string() const { return string_; }
+  /// Empty unless this is a string.
+  const std::string& as_string() const;
 
   // --- arrays --------------------------------------------------------------
-  std::size_t size() const { return items_.size(); }
+  std::size_t size() const;
   const Json& at(std::size_t i) const;
   void push_back(Json v);
 
@@ -52,9 +54,8 @@ class Json {
   bool has(const std::string& key) const { return find(key) != nullptr; }
   /// Inserts or overwrites `key`.
   void set(std::string key, Json v);
-  const std::vector<std::pair<std::string, Json>>& members() const {
-    return members_;
-  }
+  /// Empty unless this is an object.
+  const std::vector<std::pair<std::string, Json>>& members() const;
 
   /// Convenience lookups with fallbacks (object use only).
   double number_or(const std::string& key, double fallback) const;
@@ -75,14 +76,14 @@ class Json {
   static std::string escape(const std::string& s);
 
  private:
+  using Array = std::vector<Json>;
+  using Members = std::vector<std::pair<std::string, Json>>;
+
   void dump_to(std::string* out, int indent, int depth) const;
 
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> items_;                            // arrays
-  std::vector<std::pair<std::string, Json>> members_;  // objects
+  // One payload per value, in `Kind` order (index() is the kind).
+  std::variant<std::monostate, bool, double, std::string, Array, Members>
+      value_;
 };
 
 /// Formats a double with the shortest representation that round-trips

@@ -9,7 +9,7 @@
 namespace es2 {
 
 namespace {
-constexpr const char* kBenchSchema = "es2-bench-v1";
+constexpr const char* kBenchSchema = "es2-bench-v2";
 }
 
 void BenchReport::upsert(const std::string& name, BenchMetric m) {
@@ -58,7 +58,6 @@ Json BenchReport::to_json() const {
   for (const auto& [name, m] : metrics_) {
     Json entry = Json::object();
     entry.set("value", Json::number(m.value));
-    entry.set("tol", Json::number(m.tol));
     entry.set("gate", Json::boolean(m.gate));
     metrics.set(name, std::move(entry));
   }
@@ -79,7 +78,7 @@ bool BenchReport::from_json(const Json& doc, BenchReport* out,
                             std::string* error) {
   *out = BenchReport();
   if (doc.string_or("schema", "") != kBenchSchema) {
-    if (error) *error = "bench: unexpected schema (want es2-bench-v1)";
+    if (error) *error = "bench: unexpected schema (want es2-bench-v2)";
     return false;
   }
   out->bench_ = doc.string_or("bench", "");
@@ -97,7 +96,6 @@ bool BenchReport::from_json(const Json& doc, BenchReport* out,
   for (const auto& [name, entry] : metrics->members()) {
     BenchMetric m;
     m.value = entry.number_or("value", 0.0);
-    m.tol = entry.number_or("tol", 0.05);
     m.gate = entry.bool_or("gate", true);
     out->metrics_.emplace_back(name, m);
   }
@@ -144,9 +142,9 @@ std::vector<std::string> BenchDiff::failures() const {
   if (!comparable) out.push_back(bench + ": " + incomparable_why);
   for (const MetricDelta& d : deltas) {
     if (d.fail) {
-      out.push_back(bench + "/" + d.metric + ": " +
-                    format("%+.2f%% vs baseline (tol %.1f%%)", d.rel * 100.0,
-                           d.tol * 100.0));
+      out.push_back(bench + "/" + d.metric + ": " + json_number(d.current) +
+                    " != baseline " + json_number(d.baseline) +
+                    format(" (%+.2f%%)", d.rel * 100.0));
     }
   }
   for (const std::string& m : missing) {
@@ -185,14 +183,13 @@ BenchDiff diff_bench(const BenchReport& baseline, const BenchReport& current) {
     d.metric = name;
     d.baseline = base.value;
     d.current = cur->value;
-    d.tol = base.tol;
     d.gate = base.gate;
     if (base.value != 0.0) {
       d.rel = cur->value / base.value - 1.0;
     } else {
       d.rel = cur->value == 0.0 ? 0.0 : INFINITY;
     }
-    d.fail = d.gate && std::fabs(d.rel) > d.tol;
+    d.fail = d.gate && cur->value != base.value;
     diff.deltas.push_back(std::move(d));
   }
   for (const auto& [name, m] : current.metrics()) {
@@ -281,8 +278,8 @@ std::string render_markdown(const std::vector<BenchDiff>& diffs,
       out += d.incomparable_why + "\n\n";
       continue;
     }
-    out += "| metric | baseline | current | delta | tol | trend |\n";
-    out += "|---|---:|---:|---:|---:|---|\n";
+    out += "| metric | baseline | current | delta | trend |\n";
+    out += "|---|---:|---:|---:|---|\n";
     for (const MetricDelta& m : d.deltas) {
       // Per-metric trend: the run's sampled series when the bench exported
       // one, else the two-point baseline->current pair.
@@ -300,18 +297,17 @@ std::string render_markdown(const std::vector<BenchDiff>& diffs,
       if (m.fail) delta = "**" + delta + "**";
       out += "| " + m.metric + (m.gate ? "" : " *(info)*") + " | " +
              human(m.baseline) + " | " + human(m.current) + " | " + delta +
-             " | " + (m.gate ? format("%.1f%%", m.tol * 100.0) : "—") + " | " +
-             trend + " |\n";
+             " | " + trend + " |\n";
     }
     for (const std::string& name : d.missing) {
       out += "| " + name + " | " +
              (base && base->find(name) ? human(base->find(name)->value) : "?") +
-             " | *missing* | **missing** | — | |\n";
+             " | *missing* | **missing** | |\n";
     }
     for (const std::string& name : d.extra) {
       out += "| " + name + " *(new)* | — | " +
              (cur && cur->find(name) ? human(cur->find(name)->value) : "?") +
-             " | — | — | |\n";
+             " | — | |\n";
     }
     out += "\n";
   }

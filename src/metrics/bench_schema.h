@@ -1,14 +1,18 @@
-// The shared `BENCH_<name>.json` schema ("es2-bench-v1") and the regression
+// The shared `BENCH_<name>.json` schema ("es2-bench-v2") and the regression
 // gate that diffs a run against committed baselines.
 //
 // Every bench binary reduces its run to named scalar metrics, each with a
-// relative tolerance and a gate flag:
+// gate flag, and the gate has one rule:
 //
-//  * `gate: true`  — deterministic sim-derived quantities (throughput in
-//    simulated Mbps, exits per packet, retransmit counts). The gate fails
-//    when |current/baseline - 1| exceeds `tol`.
-//  * `gate: false` — machine-dependent wall-clock quantities (events/sec,
+//  * `gate: true`  — sim-derived quantities (throughput in simulated Mbps,
+//    exits per packet, retransmit counts). The simulator is deterministic,
+//    so each has exactly one value per seed: the gate fails when the
+//    current value differs from the baseline's in any bit.
+//  * `gate: false` — host-time (wall-clock) quantities (events/sec,
 //    ns/event). Reported in the markdown diff, never failed on.
+//
+// A v1 document is rejected: it carried a per-metric tolerance that this
+// reader would otherwise silently drop.
 //
 // Baselines live in `bench/baseline/BENCH_<name>.json`, generated with
 // `--fast --seed=1`; `bench_report --check` refuses to compare runs whose
@@ -27,7 +31,6 @@ namespace es2 {
 
 struct BenchMetric {
   double value = 0.0;
-  double tol = 0.05;  // relative tolerance vs baseline
   bool gate = true;
 };
 
@@ -41,13 +44,14 @@ class BenchReport {
   bool fast() const { return fast_; }
   std::uint64_t seed() const { return seed_; }
 
-  /// Adds (or overwrites) a gated metric.
-  void add(const std::string& name, double value, double tol = 0.05) {
-    upsert(name, {value, tol, true});
+  /// Adds (or overwrites) a gated metric: a sim-derived value the run
+  /// must reproduce exactly.
+  void add(const std::string& name, double value) {
+    upsert(name, {value, true});
   }
-  /// Adds an informational metric — reported, never gated (wall-clock).
+  /// Adds a host-time (wall-clock) metric — reported, never gated.
   void add_info(const std::string& name, double value) {
-    upsert(name, {value, 0.0, false});
+    upsert(name, {value, false});
   }
   /// Adds a sampled series (plotted as a sparkline in the markdown diff).
   void add_series(const std::string& name, std::vector<double> values);
@@ -85,10 +89,9 @@ struct MetricDelta {
   std::string metric;
   double baseline = 0.0;
   double current = 0.0;
-  double rel = 0.0;  // current/baseline - 1 (0 when baseline == 0 == current)
-  double tol = 0.0;
+  double rel = 0.0;  // current/baseline - 1, for display only
   bool gate = false;
-  bool fail = false;  // gate && |rel| > tol
+  bool fail = false;  // gate && current != baseline
 };
 
 /// Whole-bench comparison result.

@@ -16,220 +16,12 @@ std::vector<MetricSample> snapshot(const MetricsRegistry& registry) {
     MetricSample s;
     s.name = inst.name;
     s.labels = inst.labels;
-    s.kind = inst.kind;
     s.value = registry.value(i);
     if (inst.kind == MetricKind::kHistogram && inst.histogram->count() > 0) {
-      const Histogram& h = *inst.histogram;
-      s.hist_min = static_cast<double>(h.min());
-      s.hist_max = static_cast<double>(h.max());
-      s.hist_mean = h.mean();
-      s.hist_p50 = static_cast<double>(h.p50());
-      s.hist_p90 = static_cast<double>(h.p90());
-      s.hist_p99 = static_cast<double>(h.p99());
+      s.hist_p50 = static_cast<double>(inst.histogram->p50());
+      s.hist_p99 = static_cast<double>(inst.histogram->p99());
     }
     out.push_back(std::move(s));
-  }
-  return out;
-}
-
-namespace {
-
-std::string prometheus_name(const std::string& name) {
-  std::string out = "es2_";
-  for (char c : name) out.push_back(c == '.' || c == '-' ? '_' : c);
-  return out;
-}
-
-std::string prometheus_labels(const MetricLabels& labels,
-                              const std::string& extra_key = "",
-                              const std::string& extra_value = "") {
-  if (labels.empty() && extra_key.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += k;
-    out += "=\"";
-    out += v;
-    out += "\"";
-  }
-  if (!extra_key.empty()) {
-    if (!first) out.push_back(',');
-    out += extra_key;
-    out += "=\"";
-    out += extra_value;
-    out += "\"";
-  }
-  out.push_back('}');
-  return out;
-}
-
-}  // namespace
-
-std::string to_prometheus_text(const std::vector<MetricSample>& samples) {
-  std::string out;
-  std::string last_family;
-  for (const MetricSample& s : samples) {
-    const std::string family = prometheus_name(s.name);
-    if (family != last_family) {
-      last_family = family;
-      out += "# TYPE ";
-      out += family;
-      out += s.kind == MetricKind::kCounter ? " counter\n" : " gauge\n";
-    }
-    if (s.kind == MetricKind::kHistogram) {
-      const std::string labels = prometheus_labels(s.labels);
-      out += family + "_count" + labels + " " + json_number(s.value) + "\n";
-      out += family + "_min" + labels + " " + json_number(s.hist_min) + "\n";
-      out += family + "_max" + labels + " " + json_number(s.hist_max) + "\n";
-      out += family + "_mean" + labels + " " + json_number(s.hist_mean) + "\n";
-      out += family + prometheus_labels(s.labels, "quantile", "0.5") + " " +
-             json_number(s.hist_p50) + "\n";
-      out += family + prometheus_labels(s.labels, "quantile", "0.9") + " " +
-             json_number(s.hist_p90) + "\n";
-      out += family + prometheus_labels(s.labels, "quantile", "0.99") + " " +
-             json_number(s.hist_p99) + "\n";
-    } else {
-      out += family + prometheus_labels(s.labels) + " " + json_number(s.value) +
-             "\n";
-    }
-  }
-  return out;
-}
-
-namespace {
-
-constexpr const char* kSnapshotSchema = "es2-metrics-v1";
-constexpr const char* kSeriesSchema = "es2-series-v1";
-
-MetricKind kind_from_name(const std::string& name) {
-  if (name == "counter") return MetricKind::kCounter;
-  if (name == "time_weighted") return MetricKind::kTimeWeighted;
-  if (name == "histogram") return MetricKind::kHistogram;
-  if (name == "probe") return MetricKind::kProbe;
-  return MetricKind::kGauge;
-}
-
-}  // namespace
-
-std::string to_json(const std::vector<MetricSample>& samples) {
-  Json doc = Json::object();
-  doc.set("schema", Json::string(kSnapshotSchema));
-  Json arr = Json::array();
-  for (const MetricSample& s : samples) {
-    Json m = Json::object();
-    m.set("name", Json::string(s.name));
-    if (!s.labels.empty()) {
-      Json labels = Json::object();
-      for (const auto& [k, v] : s.labels) labels.set(k, Json::string(v));
-      m.set("labels", std::move(labels));
-    }
-    m.set("kind", Json::string(metric_kind_name(s.kind)));
-    m.set("value", Json::number(s.value));
-    if (s.kind == MetricKind::kHistogram) {
-      Json h = Json::object();
-      h.set("min", Json::number(s.hist_min));
-      h.set("max", Json::number(s.hist_max));
-      h.set("mean", Json::number(s.hist_mean));
-      h.set("p50", Json::number(s.hist_p50));
-      h.set("p90", Json::number(s.hist_p90));
-      h.set("p99", Json::number(s.hist_p99));
-      m.set("histogram", std::move(h));
-    }
-    arr.push_back(std::move(m));
-  }
-  doc.set("metrics", std::move(arr));
-  return doc.dump(2);
-}
-
-bool from_json(const std::string& text, std::vector<MetricSample>* out,
-               std::string* error) {
-  out->clear();
-  Json doc;
-  if (!Json::parse(text, &doc, error)) return false;
-  if (doc.string_or("schema", "") != kSnapshotSchema) {
-    if (error) *error = "metrics: unexpected schema";
-    return false;
-  }
-  const Json* metrics = doc.find("metrics");
-  if (!metrics || !metrics->is_array()) {
-    if (error) *error = "metrics: missing metrics array";
-    return false;
-  }
-  for (std::size_t i = 0; i < metrics->size(); ++i) {
-    const Json& m = metrics->at(i);
-    MetricSample s;
-    s.name = m.string_or("name", "");
-    if (s.name.empty()) {
-      if (error) *error = "metrics: entry without name";
-      return false;
-    }
-    if (const Json* labels = m.find("labels")) {
-      for (const auto& [k, v] : labels->members()) {
-        s.labels.emplace_back(k, v.as_string());
-      }
-      std::sort(s.labels.begin(), s.labels.end());
-    }
-    s.kind = kind_from_name(m.string_or("kind", "gauge"));
-    s.value = m.number_or("value", 0.0);
-    if (const Json* h = m.find("histogram")) {
-      s.hist_min = h->number_or("min", 0.0);
-      s.hist_max = h->number_or("max", 0.0);
-      s.hist_mean = h->number_or("mean", 0.0);
-      s.hist_p50 = h->number_or("p50", 0.0);
-      s.hist_p90 = h->number_or("p90", 0.0);
-      s.hist_p99 = h->number_or("p99", 0.0);
-    }
-    out->push_back(std::move(s));
-  }
-  return true;
-}
-
-std::string series_to_json(const MetricsRegistry& registry,
-                           const MetricsSampler& sampler) {
-  Json doc = Json::object();
-  doc.set("schema", Json::string(kSeriesSchema));
-  doc.set("period_ns", Json::number(static_cast<double>(sampler.period())));
-  doc.set("total_samples",
-          Json::number(static_cast<double>(sampler.total_samples())));
-  Json times = Json::array();
-  for (std::size_t f = 0; f < sampler.frames(); ++f) {
-    times.push_back(Json::number(static_cast<double>(sampler.frame_time(f))));
-  }
-  doc.set("times", std::move(times));
-  Json series = Json::object();
-  for (std::size_t i : registry.sorted_indices()) {
-    if (i >= sampler.instruments()) continue;  // registered after start()
-    Json values = Json::array();
-    for (std::size_t f = 0; f < sampler.frames(); ++f) {
-      values.push_back(Json::number(sampler.frame_value(f, i)));
-    }
-    series.set(registry.instrument(i).key, std::move(values));
-  }
-  doc.set("series", std::move(series));
-  return doc.dump(2);
-}
-
-std::string series_to_csv(const MetricsRegistry& registry,
-                          const MetricsSampler& sampler) {
-  std::vector<std::size_t> cols;
-  for (std::size_t i : registry.sorted_indices()) {
-    if (i < sampler.instruments()) cols.push_back(i);
-  }
-  std::string out = "time_ns";
-  for (std::size_t i : cols) {
-    out.push_back(',');
-    out += registry.instrument(i).key;
-  }
-  out.push_back('\n');
-  for (std::size_t f = 0; f < sampler.frames(); ++f) {
-    out += json_number(static_cast<double>(sampler.frame_time(f)));
-    for (std::size_t i : cols) {
-      out.push_back(',');
-      out += json_number(sampler.frame_value(f, i));
-    }
-    out.push_back('\n');
   }
   return out;
 }

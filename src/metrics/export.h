@@ -1,65 +1,33 @@
-// Metrics exporters: Prometheus text, JSON snapshots/time-series, CSV.
+// Metrics readout: a sorted snapshot of the registry and a one-line digest
+// of what moved over the sampler's window.
 //
-// All exporters render from a `snapshot()` — a sorted, self-contained copy
-// of the registry's current values — so they share one canonical order
-// (sorted metric keys) and one number formatter (json_number), making
-// same-seed exports byte-identical across formats and runs. The JSON
-// snapshot round-trips through `from_json`, which the regression tests use
-// to prove the Prometheus rendering is a pure function of the data.
+// `snapshot()` is a self-contained copy of every instrument's current value
+// in one canonical order (sorted metric keys), so same-seed runs harvest
+// identical sample lists; run results carry it as `MetricsData::samples`.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "base/units.h"
 #include "metrics/metrics.h"
 #include "metrics/sampler.h"
 
 namespace es2 {
 
-/// One instrument's exported state. For histograms the scalar `value` is
-/// the sample count and the distribution detail rides in `hist_*`.
+/// One instrument's state. For histograms the scalar `value` is the sample
+/// count and the two quantiles ride in `hist_p50`/`hist_p99`.
 struct MetricSample {
   std::string name;
   MetricLabels labels;  // canonical (key-sorted)
-  MetricKind kind = MetricKind::kGauge;
   double value = 0.0;
-  double hist_min = 0.0;
-  double hist_max = 0.0;
-  double hist_mean = 0.0;
   double hist_p50 = 0.0;
-  double hist_p90 = 0.0;
   double hist_p99 = 0.0;
+
+  bool operator==(const MetricSample&) const = default;
 };
 
 /// Reads every instrument, sorted by canonical key.
 std::vector<MetricSample> snapshot(const MetricsRegistry& registry);
-
-/// Prometheus text exposition: names prefixed `es2_` with dots mangled to
-/// underscores, labels in canonical order, one HELP/TYPE pair per family.
-/// Histograms expand to `_count/_min/_max/_mean` plus quantile-labelled
-/// lines. Probes and time-weighted values export as gauges.
-std::string to_prometheus_text(const std::vector<MetricSample>& samples);
-
-/// `{"schema":"es2-metrics-v1","metrics":[...]}`, insertion order = sorted
-/// key order.
-std::string to_json(const std::vector<MetricSample>& samples);
-
-/// Parses `to_json` output back into samples. Returns false with a
-/// diagnostic in `error` on schema mismatch or malformed input.
-bool from_json(const std::string& text, std::vector<MetricSample>* out,
-               std::string* error);
-
-/// Time-series export of everything the sampler retained:
-/// `{"schema":"es2-series-v1","period_ns":...,"times":[...],
-///   "series":{"<key>":[...],...}}` with keys sorted.
-std::string series_to_json(const MetricsRegistry& registry,
-                           const MetricsSampler& sampler);
-
-/// CSV with a `time_ns` column then one column per metric key (sorted).
-std::string series_to_csv(const MetricsRegistry& registry,
-                          const MetricsSampler& sampler);
 
 /// One human-readable line per top-|delta| metric over the sampler's
 /// retained window (newest frame minus oldest), e.g.

@@ -6,17 +6,6 @@
 
 namespace es2 {
 
-const char* metric_kind_name(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kTimeWeighted: return "time_weighted";
-    case MetricKind::kHistogram: return "histogram";
-    case MetricKind::kProbe: return "probe";
-  }
-  return "?";
-}
-
 std::string metric_key(const std::string& name, const MetricLabels& labels) {
   if (labels.empty()) return name;
   MetricLabels sorted = labels;

@@ -6,7 +6,7 @@
 // only surfaced as final scalars in experiment rows. The registry gives
 // those signals one namespace (`vm.exits{cause=ept_violation}`,
 // `vhost.worker.turns`, `cfs.preemptions{core=0}`, `tcp.retransmits`),
-// one snapshot path, and one export story (Prometheus / JSON / CSV).
+// and one snapshot path (`snapshot()` in metrics/export.h).
 //
 // Two rules keep it out of the hot path:
 //
@@ -45,8 +45,6 @@ enum class MetricKind : std::uint8_t {
   kHistogram,     // log-bucketed distribution
   kProbe,         // read-only closure over an existing layer accessor
 };
-
-const char* metric_kind_name(MetricKind kind);
 
 /// Label set, canonicalised to key-sorted order on registration.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;

@@ -4,7 +4,7 @@
 //
 // The JSON is fully deterministic (insertion-ordered members, integer
 // nanoseconds, shortest-round-trip doubles), so same-seed runs export
-// byte-identical files — the same discipline as es2-bench-v1 and
+// byte-identical files — the same discipline as es2-bench-v2 and
 // es2-hash-v1. `BlameSummary` is the schema-stable subset two runs are
 // diffed over; `diff_blame` names the component whose share of the
 // journey total regressed the most.
