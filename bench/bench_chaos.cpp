@@ -15,23 +15,13 @@
 // "WATCHDOG ..." report. That path is what keeps a chaos sweep from ever
 // hanging CI.
 //
-// The sweep is crash-safe: `--ckpt=DIR` checkpoints every finished cell
-// (atomic per-cell JSON), `--resume=DIR` replays finished cells and
-// re-runs only the missing/failed ones, reconstructing byte-identical CSV
-// and report output from the checkpointed artifacts. `--retries=N` gives
-// each cell bounded attempts before its WATCHDOG row stands.
-//
 // Usage: bench_chaos [--fast] [--seed=N] [--out=DIR] [--wedge]
-//                    [--ckpt=DIR | --resume=DIR] [--retries=N]
-//                    [--die-after=N]
 #include <cctype>
 #include <string>
 #include <vector>
 
-#include "base/json.h"
 #include "bench_common.h"
 #include "harness/runner.h"
-#include "metrics/metrics.h"
 
 using namespace es2;
 using namespace es2::bench;
@@ -91,56 +81,6 @@ int run_wedge(const BenchArgs& args) {
   return r.report.status == ScenarioStatus::kNoProgress ? 2 : 3;
 }
 
-/// The checkpoint artifact: every derived value the CSV/table/report rows
-/// need, so a resumed cell reconstructs them without re-running. Doubles
-/// survive the round-trip exactly (json_number is shortest-round-trip).
-std::string cell_artifact(const ChaosStreamResult& r) {
-  Json a = Json::object();
-  a.set("goodput_mbps", Json::number(r.stream.throughput_mbps));
-  a.set("link_dropped", Json::number(static_cast<double>(r.stream.link_dropped)));
-  a.set("sock_backlog_drops",
-        Json::number(static_cast<double>(r.stream.drops.sock_backlog)));
-  a.set("backpressure_drops",
-        Json::number(static_cast<double>(r.stream.drops.backpressure)));
-  a.set("kicks_dropped", Json::number(static_cast<double>(r.faults.kicks_dropped)));
-  a.set("fast_retransmits", Json::number(static_cast<double>(r.fast_retransmits)));
-  a.set("rto_retransmits", Json::number(static_cast<double>(r.rto_retransmits)));
-  a.set("tx_watchdog_kicks", Json::number(static_cast<double>(r.tx_watchdog_kicks)));
-  a.set("rx_watchdog_polls", Json::number(static_cast<double>(r.rx_watchdog_polls)));
-  a.set("rx_repolls", Json::number(static_cast<double>(r.rx_repolls)));
-  a.set("audit_violations", Json::number(static_cast<double>(r.audit_violations)));
-  return a.dump();
-}
-
-bool restore_cell(const ScenarioReport& rep, ChaosStreamResult* r) {
-  Json a;
-  std::string error;
-  if (!Json::parse(rep.artifact, &a, &error) || !a.is_object()) return false;
-  r->report = rep;
-  r->stream.throughput_mbps = a.number_or("goodput_mbps", 0);
-  r->stream.link_dropped =
-      static_cast<std::int64_t>(a.number_or("link_dropped", 0));
-  r->stream.drops.wire = r->stream.link_dropped;
-  r->stream.drops.sock_backlog =
-      static_cast<std::int64_t>(a.number_or("sock_backlog_drops", 0));
-  r->stream.drops.backpressure =
-      static_cast<std::int64_t>(a.number_or("backpressure_drops", 0));
-  r->faults.kicks_dropped =
-      static_cast<std::int64_t>(a.number_or("kicks_dropped", 0));
-  r->fast_retransmits =
-      static_cast<std::int64_t>(a.number_or("fast_retransmits", 0));
-  r->rto_retransmits =
-      static_cast<std::int64_t>(a.number_or("rto_retransmits", 0));
-  r->tx_watchdog_kicks =
-      static_cast<std::int64_t>(a.number_or("tx_watchdog_kicks", 0));
-  r->rx_watchdog_polls =
-      static_cast<std::int64_t>(a.number_or("rx_watchdog_polls", 0));
-  r->rx_repolls = static_cast<std::int64_t>(a.number_or("rx_repolls", 0));
-  r->audit_violations =
-      static_cast<std::int64_t>(a.number_or("audit_violations", 0));
-  return true;
-}
-
 /// Stack label -> metric-key fragment ("PI+H+R" -> "pi_h_r").
 std::string stack_key(const char* label) {
   std::string key;
@@ -157,9 +97,7 @@ std::string stack_key(const char* label) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args =
-      parse_args(argc, argv, {"--wedge", "--ckpt=", "--resume=", "--retries=",
-                              "--die-after="});
+  const BenchArgs args = parse_args(argc, argv, {"--wedge"});
   if (args.has("--wedge")) return run_wedge(args);
 
   print_header("Chaos", "goodput and recovery under seeded faults");
@@ -176,10 +114,7 @@ int main(int argc, char** argv) {
                                                                0.05};
 
   std::vector<ChaosStreamResult> results(losses.size() * stacks.size());
-  MetricsRegistry sweep_registry;
-  RunnerOptions ro = runner_options(args);
-  ro.registry = &sweep_registry;
-  ExperimentRunner runner(ro);
+  ExperimentRunner runner;
   for (size_t l = 0; l < losses.size(); ++l) {
     for (size_t s = 0; s < stacks.size(); ++s) {
       const size_t idx = l * stacks.size() + s;
@@ -204,29 +139,11 @@ int main(int argc, char** argv) {
                    // zero loss) — the chaos determinism oracle.
                    if (idx == 0) observe_request(args, o.stream);
                    results[idx] = run_chaos_stream(o, name);
-                   ScenarioReport rep = results[idx].report;
-                   rep.artifact = cell_artifact(results[idx]);
-                   return rep;
+                   return results[idx].report;
                  });
     }
   }
   runner.run_all();
-
-  // Cells replayed from checkpoints never ran: rebuild their rows from
-  // the checkpointed artifacts so the CSV/report output is byte-identical
-  // to an uninterrupted sweep.
-  for (size_t i = 0; i < runner.reports().size(); ++i) {
-    const ScenarioReport& rep = runner.reports()[i];
-    if (rep.resumed && !restore_cell(rep, &results[i])) {
-      std::printf("[WARNING: unusable checkpoint artifact for %s]\n",
-                  rep.name.c_str());
-    }
-  }
-  if (runner.resumed_cells() > 0 || runner.retries() > 0) {
-    std::printf("[runner: %lld cells resumed from checkpoint, %lld retries]\n",
-                static_cast<long long>(runner.resumed_cells()),
-                static_cast<long long>(runner.retries()));
-  }
 
   CsvWriter csv({"stack", "loss_pct", "status", "goodput_mbps",
                  "link_dropped", "sock_backlog_drops", "backpressure_drops",

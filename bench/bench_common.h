@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,7 +18,6 @@
 
 #include "base/csv.h"
 #include "base/file.h"
-#include "base/json.h"
 #include "base/strings.h"
 #include "base/table.h"
 #include "harness/experiments.h"
@@ -37,20 +37,6 @@ struct BenchArgs {
   /// --observe=<dir>: run the bench's elected cell with every observer on
   /// and write its artifacts into <dir> (see export_artifacts).
   std::string observe_dir;
-  /// --trace-smoke: after exporting, re-read <dir>/trace.json, validate the
-  /// JSON and assert the stage latencies are populated; exit nonzero
-  /// otherwise.
-  bool trace_smoke = false;
-  /// Sweep flags (see parse_args). --ckpt=<dir>: checkpoint each
-  /// completed sweep cell into <dir>; --resume=<dir> additionally replays
-  /// cells that already finished OK.
-  std::string ckpt_dir;
-  bool resume = false;
-  /// --retries=N: bounded per-cell retries before a WATCHDOG row stands.
-  int retries = 1;
-  /// --die-after=N: crash-safety test hook — _Exit after N cells
-  /// checkpoint (requires --ckpt).
-  int die_after = 0;
   /// This bench's own flags that were given, in order (see parse_args).
   std::vector<std::string> extra;
 
@@ -60,10 +46,9 @@ struct BenchArgs {
 };
 
 /// Parses the shared bench flags (`--flag` / `--flag=value` form). `own`
-/// names the bench's own flags: a plain one (`--wedge`) is collected into
-/// `args.extra`; the sweep flags `--ckpt=`, `--resume=`, `--retries=` and
-/// `--die-after=` are parsed only when named, since only a bench that runs
-/// an ExperimentRunner honours them. Any other flag exits 2 naming it.
+/// names the bench's own flags (`--wedge`, `--soak`), collected into
+/// `args.extra`. Any other flag, or a `--seed=` that is not a whole
+/// decimal number, exits 2 naming it.
 inline BenchArgs parse_args(int argc, char** argv,
                             std::initializer_list<std::string_view> own = {}) {
   BenchArgs args;
@@ -78,28 +63,20 @@ inline BenchArgs parse_args(int argc, char** argv,
       v = argv[i] + flag.size();
       return true;
     };
-    const auto sweep = [&](std::string_view flag) {
-      return owns(flag) && is(flag);
-    };
     if (a == "--fast") {
       args.fast = true;
-    } else if (a == "--trace-smoke") {
-      args.trace_smoke = true;
     } else if (is("--seed=")) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      const char* end = a.data() + a.size();
+      const auto [ptr, ec] = std::from_chars(v, end, args.seed);
+      if (ec != std::errc() || ptr != end) {
+        std::fprintf(stderr, "%s: --seed= needs a decimal number, got '%s'\n",
+                     argv[0], v);
+        std::exit(2);
+      }
     } else if (is("--out=")) {
       args.out_dir = v;
     } else if (is("--observe=")) {
       args.observe_dir = v;
-    } else if (sweep("--ckpt=")) {
-      args.ckpt_dir = v;
-    } else if (sweep("--resume=")) {
-      args.ckpt_dir = v;
-      args.resume = true;
-    } else if (sweep("--retries=")) {
-      args.retries = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (sweep("--die-after=")) {
-      args.die_after = static_cast<int>(std::strtol(v, nullptr, 10));
     } else if (owns(a)) {
       args.extra.emplace_back(a);
     } else if (is("--trace=") || is("--profile=") || is("--hash-epochs=")) {
@@ -115,16 +92,6 @@ inline BenchArgs parse_args(int argc, char** argv,
     }
   }
   return args;
-}
-
-/// Runner options carrying this bench's checkpoint/resume/retry flags.
-inline RunnerOptions runner_options(const BenchArgs& args) {
-  RunnerOptions o;
-  o.checkpoint_dir = args.ckpt_dir;
-  o.resume = args.resume;
-  o.max_attempts = args.retries < 1 ? 1 : args.retries;
-  o.die_after_cells = args.die_after;
-  return o;
 }
 
 /// Arms every observer on `o` when --observe was given. Benches call it on
@@ -146,9 +113,8 @@ inline void observe_request(const BenchArgs& args, ObserveOptions& o) {
 ///                   attributed)
 ///   blame.json      es2-blame-v1 latency budget
 ///   hashes.json     es2-hash-v1 epoch series (tools/divergence_bisect input)
-/// No-op without --observe. Returns false when an artifact is missing, a
-/// write failed, or --trace-smoke found an unparsable trace.json or empty
-/// stage latencies.
+/// No-op without --observe. Returns false when an artifact is missing or a
+/// write failed.
 inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
   if (args.observe_dir.empty()) return true;
   if (a.trace == nullptr || a.trace->records.empty() || a.hashes == nullptr ||
@@ -198,22 +164,6 @@ inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
   std::printf("[epoch hashes: %zu epochs x %zu components]\n",
               a.hashes->entries.size(), a.hashes->component_names.size());
   std::printf("[observed artifacts written to %s]\n", dir.c_str());
-  if (!args.trace_smoke) return true;
-  std::string reread;
-  Json parsed;
-  std::string error;
-  if (!read_file(dir + "trace.json", &reread) ||
-      !Json::parse(reread, &parsed, &error)) {
-    std::printf("[trace smoke FAILED: exported JSON does not parse: %s]\n",
-                error.c_str());
-    return false;
-  }
-  if (s.complete <= 0 || s.end_to_end_p50 <= 0 || s.msi_to_dispatch_p50 <= 0 ||
-      s.dispatch_to_eoi_p50 <= 0) {
-    std::printf("[trace smoke FAILED: stage latencies not populated]\n");
-    return false;
-  }
-  std::printf("[trace smoke ok]\n");
   return true;
 }
 

@@ -17,14 +17,11 @@
 // accept_shed}); the CSV is the blame table of where load was shed.
 //
 // Usage: bench_storm [--fast] [--seed=N] [--out=DIR]
-//                    [--ckpt=DIR | --resume=DIR] [--retries=N]
 #include <string>
 #include <vector>
 
-#include "base/json.h"
 #include "bench_common.h"
 #include "harness/runner.h"
-#include "metrics/metrics.h"
 
 using namespace es2;
 using namespace es2::bench;
@@ -80,78 +77,10 @@ StormOptions cell_options(const BenchArgs& args, const Es2Config& config,
   return o;
 }
 
-std::string cell_artifact(const StormResult& r) {
-  Json a = Json::object();
-  auto put = [&a](const char* k, double v) { a.set(k, Json::number(v)); };
-  put("attempted", static_cast<double>(r.attempted));
-  put("established", static_cast<double>(r.established));
-  put("retries", static_cast<double>(r.retries));
-  put("abandoned", static_cast<double>(r.abandoned));
-  put("accepts", static_cast<double>(r.accepts));
-  put("served", static_cast<double>(r.served));
-  put("goodput_mbps", r.goodput_mbps);
-  put("conns_per_sec", r.conns_per_sec);
-  put("connect_p50_ms", r.connect_p50_ms);
-  put("connect_p99_ms", r.connect_p99_ms);
-  put("drops_wire", static_cast<double>(r.drops.wire));
-  put("drops_backpressure", static_cast<double>(r.drops.backpressure));
-  put("drops_sock_backlog", static_cast<double>(r.drops.sock_backlog));
-  put("drops_syn_backlog", static_cast<double>(r.drops.syn_backlog));
-  put("drops_accept_queue", static_cast<double>(r.drops.accept_queue));
-  put("drops_accept_shed", static_cast<double>(r.drops.accept_shed));
-  put("max_rung", static_cast<double>(r.overload_max_rung));
-  put("detections", static_cast<double>(r.livelock_detections));
-  put("ksoftirqd_polls", static_cast<double>(r.ksoftirqd_polls));
-  put("episodes", static_cast<double>(r.episodes));
-  put("episodes_recovered", static_cast<double>(r.episodes_recovered));
-  put("mttr_p50_ns", static_cast<double>(r.mttr_p50));
-  put("mttr_p99_ns", static_cast<double>(r.mttr_p99));
-  put("livelocked", r.livelocked ? 1.0 : 0.0);
-  put("livelock_expected", r.livelock_expected ? 1.0 : 0.0);
-  return a.dump();
-}
-
-bool restore_cell(const ScenarioReport& rep, StormResult* r) {
-  Json a;
-  std::string error;
-  if (!Json::parse(rep.artifact, &a, &error) || !a.is_object()) return false;
-  r->report = rep;
-  auto i64 = [&a](const char* k) {
-    return static_cast<std::int64_t>(a.number_or(k, 0));
-  };
-  r->attempted = i64("attempted");
-  r->established = i64("established");
-  r->retries = i64("retries");
-  r->abandoned = i64("abandoned");
-  r->accepts = i64("accepts");
-  r->served = i64("served");
-  r->goodput_mbps = a.number_or("goodput_mbps", 0);
-  r->conns_per_sec = a.number_or("conns_per_sec", 0);
-  r->connect_p50_ms = a.number_or("connect_p50_ms", 0);
-  r->connect_p99_ms = a.number_or("connect_p99_ms", 0);
-  r->drops.wire = i64("drops_wire");
-  r->drops.backpressure = i64("drops_backpressure");
-  r->drops.sock_backlog = i64("drops_sock_backlog");
-  r->drops.syn_backlog = i64("drops_syn_backlog");
-  r->drops.accept_queue = i64("drops_accept_queue");
-  r->drops.accept_shed = i64("drops_accept_shed");
-  r->overload_max_rung = static_cast<int>(a.number_or("max_rung", 0));
-  r->livelock_detections = i64("detections");
-  r->ksoftirqd_polls = i64("ksoftirqd_polls");
-  r->episodes = i64("episodes");
-  r->episodes_recovered = i64("episodes_recovered");
-  r->mttr_p50 = static_cast<SimDuration>(a.number_or("mttr_p50_ns", 0));
-  r->mttr_p99 = static_cast<SimDuration>(a.number_or("mttr_p99_ns", 0));
-  r->livelocked = a.number_or("livelocked", 0) != 0;
-  r->livelock_expected = a.number_or("livelock_expected", 0) != 0;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(
-      argc, argv, {"--ckpt=", "--resume=", "--retries=", "--die-after="});
+  const BenchArgs args = parse_args(argc, argv);
   print_header("Storm", "connection storms, livelock, graceful degradation");
 
   const std::vector<Stack> stacks = {
@@ -163,10 +92,7 @@ int main(int argc, char** argv) {
 
   const size_t cells = stacks.size() * ramp_list.size() * arms.size();
   std::vector<StormResult> results(cells);
-  MetricsRegistry sweep_registry;
-  RunnerOptions ro = runner_options(args);
-  ro.registry = &sweep_registry;
-  ExperimentRunner runner(ro);
+  ExperimentRunner runner;
   for (size_t s = 0; s < stacks.size(); ++s) {
     for (size_t p = 0; p < ramp_list.size(); ++p) {
       for (size_t m = 0; m < arms.size(); ++m) {
@@ -183,33 +109,18 @@ int main(int argc, char** argv) {
               results[idx] = run_storm(o, name);
               ScenarioReport rep = results[idx].report;
               // An expected livelock verdict is this cell succeeding at
-              // demonstrating the failure mode; report it as OK so the
-              // runner does not retry or fail the sweep on it. The raw
-              // status survives in the artifact and CSV.
+              // demonstrating the failure mode; report it as OK so it does
+              // not fail the sweep. The raw status survives in the CSV.
               if (results[idx].acceptable()) {
                 rep.status = ScenarioStatus::kOk;
                 rep.detail.clear();
               }
-              rep.artifact = cell_artifact(results[idx]);
               return rep;
             });
       }
     }
   }
   runner.run_all();
-
-  for (size_t i = 0; i < runner.reports().size(); ++i) {
-    const ScenarioReport& rep = runner.reports()[i];
-    if (rep.resumed && !restore_cell(rep, &results[i])) {
-      std::printf("[WARNING: unusable checkpoint artifact for %s]\n",
-                  rep.name.c_str());
-    }
-  }
-  if (runner.resumed_cells() > 0 || runner.retries() > 0) {
-    std::printf("[runner: %lld cells resumed from checkpoint, %lld retries]\n",
-                static_cast<long long>(runner.resumed_cells()),
-                static_cast<long long>(runner.retries()));
-  }
 
   CsvWriter csv({"stack", "ramp", "mitigation", "status", "established",
                  "attempted", "served", "goodput_mbps", "connect_p99_ms",

@@ -6,14 +6,13 @@
 #         -DBLAME=<latency_blame exe> -DWORK_DIR=<scratch dir>
 #         -P observe_smoke.cmake
 #
-# Runs `bench_fig5 --fast --observe=<a> --trace-smoke` (which re-reads
-# a/trace.json and requires valid JSON with populated stage latencies),
-# then the same run into <b>. Requires the five artifacts (and no
-# profile.json) in both directories, byte-identical trace.bin and
-# profile.folded, `divergence_bisect` to find the two hash series
-# identical and `latency_blame` to render a/blame.json. profile.folded
-# must be the blame partition: one `sim;<component>;vm<v>:q<queue> <ns>`
-# frame per line, weights summing to blame.json's total_ns.
+# Runs `bench_fig5 --fast --observe=<a>`, then the same run into <b>.
+# Requires the five artifacts (and no profile.json) in both directories,
+# byte-identical trace.json, trace.bin and profile.folded,
+# `divergence_bisect` to find the two hash series identical and
+# `latency_blame` to render a/blame.json. profile.folded must be the blame
+# partition: one `sim;<component>;vm<v>:q<queue> <ns>` frame per line,
+# weights summing to blame.json's total_ns.
 
 foreach(var BENCH_FIG5 BISECT BLAME WORK_DIR)
   if(NOT DEFINED ${var})
@@ -25,7 +24,7 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 
 foreach(run a b)
   execute_process(
-    COMMAND "${BENCH_FIG5}" --fast --observe=${WORK_DIR}/${run} --trace-smoke
+    COMMAND "${BENCH_FIG5}" --fast --observe=${WORK_DIR}/${run}
             --out=${WORK_DIR}/out_${run}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
   if(NOT rc EQUAL 0)
@@ -62,7 +61,7 @@ if(NOT folded_sum EQUAL "${CMAKE_MATCH_1}")
                       "blame.json total_ns is '${CMAKE_MATCH_1}'")
 endif()
 
-foreach(f trace.bin profile.folded)
+foreach(f trace.json trace.bin profile.folded)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK_DIR}/a/${f}
             ${WORK_DIR}/b/${f}

@@ -1,5 +1,5 @@
-// Whole-file I/O, the one read/write pair every artifact, report,
-// checkpoint and CSV goes through.
+// Whole-file I/O, the one read/write pair every artifact, report and CSV
+// goes through.
 #pragma once
 
 #include <string>

@@ -2,12 +2,12 @@
 // serializer.
 //
 // The repo speaks JSON in BENCH_*.json reports, run artifacts (blame,
-// epoch hashes, sweep checkpoints) and trace exports, and reads each of
-// them back. This is a small, dependency-free value type: objects
-// preserve insertion order (so serialize(parse(x)) is stable), numbers are
-// doubles, and the parser rejects trailing garbage. It is not a streaming
-// parser; the largest document it reads is a traced run's `trace.json`
-// (tens of MB), so a value holds only the payload of its own kind.
+// epoch hashes) and trace exports, and reads each of them back. This is a
+// small, dependency-free value type: objects preserve insertion order (so
+// serialize(parse(x)) is stable), numbers are doubles, and the parser
+// rejects trailing garbage. It is not a streaming parser; the largest
+// document it reads is a traced run's `trace.json` (tens of MB), so a
+// value holds only the payload of its own kind.
 #pragma once
 
 #include <cstdint>

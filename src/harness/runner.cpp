@@ -1,17 +1,12 @@
 #include "harness/runner.h"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 
 #include "base/assert.h"
 #include "base/log.h"
 #include "base/strings.h"
-#include "harness/checkpoint.h"
 #include "harness/parallel.h"
-#include "metrics/metrics.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -32,16 +27,6 @@ const char* to_string(ScenarioStatus status) {
       return "exception";
   }
   return "?";
-}
-
-ScenarioStatus scenario_status_from_string(const std::string& s) {
-  for (ScenarioStatus status :
-       {ScenarioStatus::kOk, ScenarioStatus::kSimTimeBudget,
-        ScenarioStatus::kEventBudget, ScenarioStatus::kNoProgress,
-        ScenarioStatus::kLivelock, ScenarioStatus::kException}) {
-    if (s == to_string(status)) return status;
-  }
-  return ScenarioStatus::kException;
 }
 
 std::string ScenarioReport::to_line() const {
@@ -162,84 +147,25 @@ void ExperimentRunner::add(std::string name, ScenarioFn fn) {
 
 void ExperimentRunner::run_all() {
   reports_.assign(entries_.size(), ScenarioReport{});
-  const int max_attempts = options_.max_attempts < 1 ? 1 : options_.max_attempts;
-
-  CheckpointDir ckpt(options_.checkpoint_dir);
-  if (options_.resume) ckpt.load();
-  std::atomic<int> stored{0};
-
   parallel_for(
       static_cast<int>(entries_.size()),
-      [this, &ckpt, &stored, max_attempts](int i) {
+      [this](int i) {
         const Entry& e = entries_[static_cast<std::size_t>(i)];
         ScenarioReport& slot = reports_[static_cast<std::size_t>(i)];
-
-        // Replay cells a previous run finished OK. Failed cells re-run:
-        // the checkpoint is a crash record, not a verdict to inherit.
-        if (const CellCheckpoint* cell = ckpt.find(e.name);
-            cell != nullptr && cell->report.ok()) {
-          slot = cell->report;
-          slot.resumed = true;
-          return;
+        try {
+          slot = e.fn(e.name);
+        } catch (const std::exception& ex) {
+          slot = ScenarioReport{};
+          slot.status = ScenarioStatus::kException;
+          slot.detail = ex.what();
+        } catch (...) {
+          slot = ScenarioReport{};
+          slot.status = ScenarioStatus::kException;
+          slot.detail = "unknown exception";
         }
-
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-          try {
-            slot = e.fn(e.name);
-            slot.name = e.name;
-          } catch (const std::exception& ex) {
-            slot = ScenarioReport{};
-            slot.name = e.name;
-            slot.status = ScenarioStatus::kException;
-            slot.detail = ex.what();
-          } catch (...) {
-            slot = ScenarioReport{};
-            slot.name = e.name;
-            slot.status = ScenarioStatus::kException;
-            slot.detail = "unknown exception";
-          }
-          slot.attempts = attempt;
-          if (slot.ok()) break;
-          if (attempt < max_attempts) {
-            ES2_WARN(0, "retrying %s (attempt %d/%d failed: %s)",
-                     e.name.c_str(), attempt, max_attempts,
-                     to_string(slot.status));
-          }
-        }
-
-        // Persist the final verdict — pass or WATCHDOG row — so a killed
-        // sweep resumes from here rather than from zero.
-        if (ckpt.enabled()) {
-          CellCheckpoint cell;
-          cell.report = slot;
-          std::string error;
-          if (!ckpt.store(cell, &error)) {
-            ES2_WARN(0, "checkpoint store failed for %s: %s", e.name.c_str(),
-                     error.c_str());
-          } else if (options_.die_after_cells > 0 &&
-                     stored.fetch_add(1) + 1 >= options_.die_after_cells) {
-            // Crash-safety test hook: die at a cell boundary, checkpoint
-            // already durable. _Exit skips destructors on purpose — a
-            // real crash would too.
-            std::_Exit(kDieExitCode);
-          }
-        }
+        slot.name = e.name;
       },
-      options_.threads);
-
-  retries_ = 0;
-  resumed_ = 0;
-  for (const ScenarioReport& r : reports_) {
-    if (r.resumed) {
-      ++resumed_;
-    } else {
-      retries_ += r.attempts - 1;
-    }
-  }
-  if (options_.registry != nullptr) {
-    options_.registry->counter("runner.retries").add(retries_);
-    options_.registry->counter("runner.resumed_cells").add(resumed_);
-  }
+      threads_);
 }
 
 bool ExperimentRunner::all_ok() const {

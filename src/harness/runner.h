@@ -50,8 +50,6 @@ enum class ScenarioStatus {
 };
 
 const char* to_string(ScenarioStatus status);
-/// Inverse of to_string (checkpoint replay); unknown text -> kException.
-ScenarioStatus scenario_status_from_string(const std::string& s);
 
 struct ScenarioReport {
   std::string name;
@@ -63,13 +61,6 @@ struct ScenarioReport {
   /// metrics sampler); appended to failure lines so a tripped scenario
   /// reports what was — or wasn't — moving.
   std::string telemetry;
-  /// Opaque bench-defined payload (usually a JSON row) carried through
-  /// checkpoints so a resumed sweep rebuilds byte-identical output.
-  std::string artifact;
-  /// Attempts this cell consumed (retries = attempts - 1).
-  int attempts = 1;
-  /// True when the report was replayed from a checkpoint, not run.
-  bool resumed = false;
 
   bool ok() const { return status == ScenarioStatus::kOk; }
   /// One-line structured form, grep-able as "WATCHDOG <name>: ...".
@@ -122,46 +113,17 @@ class ScenarioWatchdog {
   bool activity_in_every_flat_window_ = false;
 };
 
-class MetricsRegistry;
-
-struct RunnerOptions {
-  /// <= 0 uses hardware concurrency.
-  int threads = 0;
-  /// Non-empty: write one es2-ckpt-v1 file per completed cell here.
-  std::string checkpoint_dir;
-  /// Load checkpoint_dir first and replay cells that finished OK instead
-  /// of re-running them (failed cells always re-run: self-healing resume).
-  bool resume = false;
-  /// Bounded retries: a cell that fails is re-run until it passes or
-  /// `max_attempts` is exhausted, then its last report (WATCHDOG row)
-  /// stands. Deterministic scenarios fail deterministically, so the
-  /// default is 1; chaos sweeps with wall-clock-sensitive budgets set 2-3.
-  int max_attempts = 1;
-  /// When set, total retries land in its `runner.retries` counter.
-  MetricsRegistry* registry = nullptr;
-  /// Test hook for crash-safety: _Exit(kDieExitCode) after this many
-  /// cells have been checkpointed this run (0 = never). Requires a
-  /// checkpoint_dir; lets tests kill a sweep mid-flight at a cell
-  /// boundary and resume it.
-  int die_after_cells = 0;
-};
-
 /// Runs a set of named scenarios (in parallel — each must own its world),
 /// collecting a report per scenario. Failures never abort the sweep; they
-/// make exit_code() non-zero. With a checkpoint directory the sweep is
-/// crash-safe: finished cells are persisted atomically and a resumed run
-/// replays them byte-identically.
+/// make exit_code() non-zero. Each cell runs once: scenarios are
+/// deterministic per seed, so a killed or failed sweep is simply run
+/// again and reproduces the same reports.
 class ExperimentRunner {
  public:
   using ScenarioFn = std::function<ScenarioReport(const std::string& name)>;
 
-  /// Process exit code used by the die_after_cells crash hook.
-  static constexpr int kDieExitCode = 17;
-
   /// `threads` <= 0 uses hardware concurrency.
-  explicit ExperimentRunner(int threads = 0) { options_.threads = threads; }
-  explicit ExperimentRunner(RunnerOptions options)
-      : options_(std::move(options)) {}
+  explicit ExperimentRunner(int threads = 0) : threads_(threads) {}
 
   void add(std::string name, ScenarioFn fn);
 
@@ -172,13 +134,6 @@ class ExperimentRunner {
   bool all_ok() const;
   int exit_code() const { return all_ok() ? 0 : 1; }
 
-  /// Total retries consumed across the sweep (sum of attempts - 1,
-  /// replayed cells excluded). Also mirrored into options.registry's
-  /// `runner.retries` counter when one was supplied.
-  std::int64_t retries() const { return retries_; }
-  /// Cells replayed from checkpoints instead of run.
-  std::int64_t resumed_cells() const { return resumed_; }
-
   /// Prints one structured line per failed scenario (nothing when clean).
   void print_failures(std::FILE* out) const;
 
@@ -188,11 +143,9 @@ class ExperimentRunner {
     ScenarioFn fn;
   };
 
-  RunnerOptions options_;
+  int threads_;
   std::vector<Entry> entries_;
   std::vector<ScenarioReport> reports_;
-  std::int64_t retries_ = 0;
-  std::int64_t resumed_ = 0;
 };
 
 }  // namespace es2

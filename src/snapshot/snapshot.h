@@ -1,11 +1,10 @@
 // Versioned, byte-stable state serialization (es2-snap-v2).
 //
-// The snapshot layer is the substrate for three robustness features:
+// The snapshot layer is the substrate for two robustness features:
 // epoch state-hashing (a per-epoch digest of every stateful component,
-// recorded as a metrics series), crash-safe sweep resumption (completed
-// cells are checkpointed; a resumed sweep skips them), and the divergence
-// bisector (two same-seed runs whose epoch hashes differ are localized to
-// the first divergent epoch and the guilty component).
+// recorded as a metrics series) and the divergence bisector (two same-seed
+// runs whose epoch hashes differ are localized to the first divergent
+// epoch and the guilty component).
 //
 // Format rules that make snapshots *byte*-stable, not merely
 // value-stable:

@@ -258,6 +258,10 @@ TEST(ExperimentRunner, CollectsReportsAndFailuresDoNotAbortTheSweep) {
   });
   runner.run_all();
   ASSERT_EQ(runner.reports().size(), 3u);
+  // run_all names every report after its cell, whatever the body returned.
+  EXPECT_EQ(runner.reports()[0].name, "ok");
+  EXPECT_EQ(runner.reports()[1].name, "throws");
+  EXPECT_EQ(runner.reports()[2].name, "wedged");
   EXPECT_TRUE(runner.reports()[0].ok());
   EXPECT_EQ(runner.reports()[1].status, ScenarioStatus::kException);
   EXPECT_EQ(runner.reports()[1].detail, "boom");

@@ -1,31 +1,22 @@
-// Snapshot / restore / resume tests: es2-snap-v2 byte stability, the
-// epoch-hash determinism oracle, sweep checkpoints, and self-healing
-// resume. The headline guarantees:
+// Snapshot tests: es2-snap-v2 byte stability and the epoch-hash
+// determinism oracle. The headline guarantees:
 //
 //   * serialize -> load round-trips byte-exactly, and corruption in any
 //     region (magic, body, tail) is detected, never silently accepted;
 //   * two same-seed worlds driven through the same span serialize to
-//     byte-identical images and identical epoch-hash series;
-//   * a sweep resumed from checkpoints reproduces the uninterrupted
-//     sweep's reports byte-for-byte, replaying finished cells and
-//     re-running failed ones.
+//     byte-identical images and identical epoch-hash series.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/netperf.h"
-#include "harness/checkpoint.h"
 #include "harness/experiments.h"
-#include "harness/runner.h"
 #include "harness/testbed.h"
-#include "metrics/metrics.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/state_hash.h"
 
@@ -307,7 +298,7 @@ TEST(Determinism, SameSeedWorldsSerializeByteIdentically) {
   EXPECT_GE(r.section_count(), 10u);  // sim, cfs, vm, guest, vhost, ...
 }
 
-TEST(Determinism, ResumeEquivalenceAcrossSeeds) {
+TEST(Determinism, SameSeedRunsRepeatTheirEpochHashes) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     StreamOptions o;
     o.config = Es2Config::pi_h_r();
@@ -512,196 +503,6 @@ TEST(Determinism, EpochHashingIsPassive) {
   EXPECT_EQ(plain.kicks_per_sec, hashed.kicks_per_sec);
   EXPECT_EQ(plain.hashes, nullptr);
   ASSERT_NE(hashed.hashes, nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoints and self-healing resume
-// ---------------------------------------------------------------------------
-
-TEST(Checkpoint, SanitizeIsFilesystemSafeAndCollisionFree) {
-  const std::string a = CheckpointDir::sanitize("loss=0.1%/stack PI+H");
-  for (char c : a) {
-    EXPECT_TRUE((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-')
-        << "unsafe char in " << a;
-  }
-  // Names that sanitize to the same stem stay distinct via the FNV suffix.
-  EXPECT_NE(CheckpointDir::sanitize("a/b"), CheckpointDir::sanitize("a+b"));
-  EXPECT_EQ(CheckpointDir::sanitize("x"), CheckpointDir::sanitize("x"));
-}
-
-TEST(Checkpoint, CellJsonRoundTrip) {
-  CellCheckpoint cell;
-  cell.report.name = "loss=1% PI+H";
-  cell.report.status = ScenarioStatus::kNoProgress;
-  cell.report.sim_now = msec(123);
-  cell.report.events = 456789;
-  cell.report.detail = "flat across 8 windows";
-  cell.report.telemetry = "vhost.kicks +0";
-  cell.report.artifact = "{\"goodput_mbps\":123.456}";
-  cell.report.attempts = 3;
-
-  CellCheckpoint back;
-  std::string error;
-  ASSERT_TRUE(CellCheckpoint::parse(cell.to_json_text(), &back, &error))
-      << error;
-  EXPECT_EQ(back.report.name, cell.report.name);
-  EXPECT_EQ(back.report.status, cell.report.status);
-  EXPECT_EQ(back.report.sim_now, cell.report.sim_now);
-  EXPECT_EQ(back.report.events, cell.report.events);
-  EXPECT_EQ(back.report.detail, cell.report.detail);
-  EXPECT_EQ(back.report.telemetry, cell.report.telemetry);
-  EXPECT_EQ(back.report.artifact, cell.report.artifact);
-  EXPECT_EQ(back.report.attempts, cell.report.attempts);
-  EXPECT_FALSE(back.report.resumed);
-
-  EXPECT_FALSE(CellCheckpoint::parse("{}", &back, &error));
-  EXPECT_FALSE(CellCheckpoint::parse("not json", &back, &error));
-}
-
-TEST(Checkpoint, StoreAndLoadDirectory) {
-  const std::string dir =
-      (std::filesystem::path(testing::TempDir()) / "es2_ckpt_dir").string();
-  std::filesystem::remove_all(dir);
-
-  CheckpointDir store(dir);
-  ASSERT_TRUE(store.enabled());
-  CellCheckpoint cell;
-  cell.report.name = "cell a";
-  cell.report.artifact = "{\"v\":1}";
-  std::string error;
-  ASSERT_TRUE(store.store(cell, &error)) << error;
-  cell.report.name = "cell b";
-  cell.report.status = ScenarioStatus::kException;
-  ASSERT_TRUE(store.store(cell, &error)) << error;
-
-  CheckpointDir load(dir);
-  EXPECT_EQ(load.load(), 2u);
-  ASSERT_NE(load.find("cell a"), nullptr);
-  ASSERT_NE(load.find("cell b"), nullptr);
-  EXPECT_EQ(load.find("cell a")->report.artifact, "{\"v\":1}");
-  EXPECT_EQ(load.find("cell b")->report.status, ScenarioStatus::kException);
-  EXPECT_EQ(load.find("cell c"), nullptr);
-
-  CheckpointDir disabled("");
-  EXPECT_FALSE(disabled.enabled());
-  EXPECT_EQ(disabled.load(), 0u);
-  EXPECT_TRUE(disabled.store(cell, &error));  // trivially succeeds
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Runner, BoundedRetriesHealFlakyCellsAndAreCounted) {
-  MetricsRegistry registry;
-  RunnerOptions ro;
-  ro.threads = 1;
-  ro.max_attempts = 3;
-  ro.registry = &registry;
-  ExperimentRunner runner(ro);
-
-  std::atomic<int> flaky_runs{0};
-  runner.add("flaky", [&](const std::string& name) {
-    ScenarioReport rep;
-    rep.name = name;
-    if (flaky_runs.fetch_add(1) < 2) {
-      rep.status = ScenarioStatus::kNoProgress;
-      rep.detail = "transient";
-    }
-    return rep;
-  });
-  runner.add("steady", [&](const std::string& name) {
-    ScenarioReport rep;
-    rep.name = name;
-    return rep;
-  });
-  runner.add("hopeless", [&](const std::string& name) -> ScenarioReport {
-    throw std::runtime_error("always dies: " + name);
-  });
-  runner.run_all();
-
-  ASSERT_EQ(runner.reports().size(), 3u);
-  EXPECT_TRUE(runner.reports()[0].ok());
-  EXPECT_EQ(runner.reports()[0].attempts, 3);
-  EXPECT_TRUE(runner.reports()[1].ok());
-  EXPECT_EQ(runner.reports()[1].attempts, 1);
-  EXPECT_EQ(runner.reports()[2].status, ScenarioStatus::kException);
-  EXPECT_EQ(runner.reports()[2].attempts, 3);
-  EXPECT_FALSE(runner.all_ok());
-  EXPECT_EQ(runner.exit_code(), 1);
-
-  // flaky burned 2 retries, hopeless burned 2: counter and accessor agree.
-  EXPECT_EQ(runner.retries(), 4);
-  EXPECT_EQ(registry.counter("runner.retries").value(), 4);
-}
-
-TEST(Runner, ResumeReplaysFinishedCellsAndRerunsFailedOnes) {
-  const std::string dir =
-      (std::filesystem::path(testing::TempDir()) / "es2_resume_dir").string();
-  std::filesystem::remove_all(dir);
-
-  std::atomic<int> good_runs{0};
-  std::atomic<int> bad_runs{0};
-  std::atomic<bool> healed{false};
-  auto add_cells = [&](ExperimentRunner& r) {
-    r.add("good", [&](const std::string& name) {
-      good_runs.fetch_add(1);
-      ScenarioReport rep;
-      rep.name = name;
-      rep.sim_now = msec(500);
-      rep.events = 1234;
-      rep.artifact = "{\"goodput\":42.5}";
-      return rep;
-    });
-    r.add("bad", [&](const std::string& name) {
-      bad_runs.fetch_add(1);
-      ScenarioReport rep;
-      rep.name = name;
-      if (!healed.load()) {
-        rep.status = ScenarioStatus::kNoProgress;
-        rep.detail = "wedged";
-      }
-      return rep;
-    });
-  };
-
-  {
-    RunnerOptions ro;
-    ro.threads = 1;
-    ro.checkpoint_dir = dir;
-    ExperimentRunner first(ro);
-    add_cells(first);
-    first.run_all();
-    EXPECT_FALSE(first.all_ok());
-    EXPECT_EQ(first.resumed_cells(), 0);
-  }
-  EXPECT_EQ(good_runs.load(), 1);
-  EXPECT_EQ(bad_runs.load(), 1);
-
-  // The environment is "fixed" before the resume; the failed cell must be
-  // re-run (self-healing), the finished one replayed from disk.
-  healed.store(true);
-  RunnerOptions ro;
-  ro.threads = 1;
-  ro.checkpoint_dir = dir;
-  ro.resume = true;
-  ExperimentRunner second(ro);
-  add_cells(second);
-  second.run_all();
-
-  EXPECT_EQ(good_runs.load(), 1);  // replayed, not re-run
-  EXPECT_EQ(bad_runs.load(), 2);   // re-run and healed
-  EXPECT_TRUE(second.all_ok());
-  EXPECT_EQ(second.resumed_cells(), 1);
-
-  ASSERT_EQ(second.reports().size(), 2u);
-  const ScenarioReport& good = second.reports()[0];
-  EXPECT_TRUE(good.resumed);
-  EXPECT_EQ(good.sim_now, msec(500));
-  EXPECT_EQ(good.events, 1234u);
-  EXPECT_EQ(good.artifact, "{\"goodput\":42.5}");
-  EXPECT_FALSE(second.reports()[1].resumed);
-
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "harness/experiments.h"
 #include "trace/export.h"
 #include "vm/exit.h"
@@ -103,6 +105,13 @@ TEST(TracePath, TracedRunStitchesCompleteJourneys) {
   EXPECT_GT(r.stages.end_to_end_p50, 0);
   EXPECT_GT(r.stages.msi_to_dispatch_p50, 0);
   EXPECT_GT(r.stages.dispatch_to_eoi_p50, 0);
+  // The Perfetto export of the same run is valid JSON with its events.
+  Json doc;
+  std::string error;
+  ASSERT_TRUE(Json::parse(to_perfetto_json(r.trace->records, r.trace->spans),
+                          &doc, &error))
+      << error;
+  EXPECT_TRUE(doc.has("traceEvents"));
 }
 
 TEST(TracePath, ChaosTraceShowsMissedMsiWatchdogRecovery) {
