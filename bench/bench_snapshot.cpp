@@ -1,20 +1,21 @@
-// Snapshot microbench — what does the robustness layer cost and carry?
+// Snapshot microbench — what does the state-hashing layer cost and carry?
 //
-// Not a paper figure: this bench characterizes the es2-snap-v2 layer. It
+// Not a paper figure: this bench characterizes the epoch-hash layer. It
 // builds the canonical micro testbed (PI+H+R, one netperf TCP stream),
 // runs it warm with epoch hashing on, and reports:
 //
-//  * deterministic, gated: the serialized world image size, the section
-//    count, per-component section bytes (a new field in any component's
-//    snapshot_state shows up here as a deliberate baseline update), the
-//    epoch count recorded by the hash log, hash stability (two digests of
-//    an idle world must agree) and the serialize->load round trip;
-//  * wall-clock, informational: ns per world hash and ns per serialize —
-//    the price of one epoch tick and of one checkpoint.
+//  * deterministic, gated: the component count, the bytes each
+//    component's snapshot_state hashes and their total (a new field in
+//    any component shows up here as a deliberate baseline update), the
+//    epoch count recorded by the hash log and hash stability (two digests
+//    of an idle world must agree);
+//  * wall-clock, informational: ns per world hash, the price of one
+//    epoch tick.
 //
 // Usage: bench_snapshot [--fast] [--seed=N] [--out=DIR] [--observe=DIR]
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "apps/netperf.h"
 #include "bench_common.h"
@@ -39,7 +40,7 @@ std::string key_of(const std::string& component) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = parse_args(argc, argv);
-  print_header("Snapshot", "es2-snap-v2 image size and hashing cost");
+  print_header("Snapshot", "per-component state bytes and hashing cost");
 
   TestbedOptions to;
   to.config = Es2Config::pi_h_r();
@@ -60,22 +61,23 @@ int main(int argc, char** argv) {
 
   BenchReport report = make_report(args, "snapshot");
 
-  // --- deterministic image shape (gated: bytes are bytes) ----------------
-  SnapshotWriter w;
-  tb.snapshotter().write(w);
-  report.add("world.sections", static_cast<double>(w.sections().size()));
-  report.add("world.total_bytes", static_cast<double>(w.byte_size()));
+  // --- deterministic state shape (gated: bytes are bytes) ----------------
+  const std::vector<std::string> names = tb.snapshotter().names();
+  const std::vector<SnapshotWriter> walk = tb.snapshotter().walk();
+  std::size_t total_bytes = 0;
+  for (const SnapshotWriter& w : walk) total_bytes += w.byte_size();
+  report.add("world.sections", static_cast<double>(walk.size()));
+  report.add("world.total_bytes", static_cast<double>(total_bytes));
 
   CsvWriter csv({"component", "bytes", "hash"});
   Table t({"component", "bytes", "hash"});
-  for (std::size_t i = 0; i < w.sections().size(); ++i) {
-    const SnapshotWriter::Section& s = w.sections()[i];
-    const std::size_t size = w.section_size(i);
-    report.add("bytes." + key_of(s.name), static_cast<double>(size));
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    const std::size_t size = walk[i].byte_size();
+    report.add("bytes." + key_of(names[i]), static_cast<double>(size));
     const std::string hex = format("%016llx", static_cast<unsigned long long>(
-                                                  w.section_hash(i)));
-    csv.add_row({s.name, std::to_string(size), hex});
-    t.add_row({s.name, std::to_string(size), hex});
+                                                  walk[i].hash()));
+    csv.add_row({names[i], std::to_string(size), hex});
+    t.add_row({names[i], std::to_string(size), hex});
   }
   std::printf("%s", t.render().c_str());
   write_csv(args, "snapshot", csv);
@@ -84,21 +86,9 @@ int main(int argc, char** argv) {
   const std::uint64_t h1 = tb.snapshotter().world_hash();
   const std::uint64_t h2 = tb.snapshotter().world_hash();
   report.add("world.hash_stable", h1 == h2 ? 1.0 : 0.0);
-
-  const std::string image = tb.snapshotter().serialize();
-  SnapshotReader reader;
-  std::string error;
-  bool roundtrip = reader.load(image, &error);
-  roundtrip = roundtrip && reader.section_count() == w.sections().size() &&
-              reader.world_hash() == h1;
-  if (!roundtrip) {
-    std::printf("[roundtrip FAILED: %s]\n",
-                error.empty() ? "hash/section mismatch" : error.c_str());
-  }
-  report.add("roundtrip.ok", roundtrip ? 1.0 : 0.0);
   report.add("epochs.recorded", static_cast<double>(tb.hash_log()->epochs()));
 
-  // --- wall-clock costs (informational, never gated) ----------------------
+  // --- wall-clock cost (informational, never gated) -----------------------
   using Clock = std::chrono::steady_clock;
   const int iters = args.fast ? 64 : 256;
   std::uint64_t sink = 0;
@@ -109,21 +99,11 @@ int main(int argc, char** argv) {
                               Clock::now() - hash_start)
                               .count()) /
       iters;
-  const auto ser_start = Clock::now();
-  std::size_t ser_bytes = 0;
-  for (int i = 0; i < iters; ++i) ser_bytes += tb.snapshotter().serialize().size();
-  const double ser_ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              Clock::now() - ser_start)
-                              .count()) /
-      iters;
   report.add_info("hash.ns_per_world_hash", hash_ns);
-  report.add_info("serialize.ns_per_image", ser_ns);
   std::printf(
-      "world: %zu sections, %zu bytes; hash %.0f ns, serialize %.0f ns "
-      "(x%d, sink=%llx, %zu bytes total)\n",
-      w.sections().size(), w.byte_size(), hash_ns, ser_ns, iters,
-      static_cast<unsigned long long>(sink & 0xF), ser_bytes);
+      "world: %zu components, %zu bytes; hash %.0f ns (x%d, sink=%llx)\n",
+      walk.size(), total_bytes, hash_ns, iters,
+      static_cast<unsigned long long>(sink & 0xF));
 
   write_bench_report(args, report);
   RunArtifacts artifacts;

@@ -51,7 +51,7 @@ class EmulatedLapic {
 
   void reset();
 
-  /// Serializes IRR/ISR words plus lifetime counters (es2-snap-v2 fields).
+  /// Hashes IRR/ISR words plus lifetime counters.
   void snapshot_state(SnapshotWriter& w) const;
 
  private:

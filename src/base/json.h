@@ -10,8 +10,11 @@
 // value holds only the payload of its own kind.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -62,6 +65,13 @@ class Json {
   bool bool_or(const std::string& key, bool fallback) const;
   std::string string_or(const std::string& key,
                         const std::string& fallback) const;
+  /// Checked integer lookup (object use only): `*out` is member `key` when
+  /// it is a whole number T can hold, or `fallback` when the key is absent.
+  /// Returns false for any other value (a non-number, a fraction, a
+  /// negative number for an unsigned T, or one out of T's range), whose
+  /// cast to T would be undefined.
+  template <typename T>
+  bool integer_or(const std::string& key, T fallback, T* out) const;
 
   // --- text ----------------------------------------------------------------
   /// Parses `text` (full input must be consumed). Returns false and fills
@@ -85,6 +95,26 @@ class Json {
   std::variant<std::monostate, bool, double, std::string, Array, Members>
       value_;
 };
+
+template <typename T>
+bool Json::integer_or(const std::string& key, T fallback, T* out) const {
+  static_assert(std::is_integral_v<T>);
+  const Json* v = find(key);
+  if (v == nullptr) {
+    *out = fallback;
+    return true;
+  }
+  if (!v->is_number()) return false;
+  const double d = v->as_number();
+  // T's range as doubles: [min, max + 1), both bounds exact (0 or powers
+  // of two).
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!(d >= lo && d < hi) || d != std::trunc(d)) return false;
+  *out = static_cast<T>(d);
+  return true;
+}
 
 /// Formats a double with the shortest representation that round-trips
 /// (integers print without a fraction). Shared by every JSON emitter so

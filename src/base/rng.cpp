@@ -99,10 +99,6 @@ Rng::State Rng::state() const {
   return st;
 }
 
-void Rng::restore(const State& st) {
-  for (int i = 0; i < 4; ++i) state_[i] = st.s[i];
-}
-
 double Rng::normal(double mean, double stddev, bool nonneg) {
   double u1 = next_double();
   if (u1 <= 0.0) u1 = 0x1.0p-53;

@@ -42,13 +42,11 @@ class Rng {
   /// Normal variate (Box–Muller), clamped to >= 0 when `nonneg` is set.
   double normal(double mean, double stddev, bool nonneg = true);
 
-  /// Raw engine state for checkpointing. A stream restored from a saved
-  /// state produces exactly the draws the original would have produced.
+  /// Raw engine state, for state hashing (`snapshot_rng`).
   struct State {
     std::uint64_t s[4];
   };
   State state() const;
-  void restore(const State& st);
 
  private:
   std::uint64_t state_[4];

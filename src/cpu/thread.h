@@ -116,9 +116,9 @@ class SimThread {
   /// Total CPU time this thread has consumed.
   SimDuration cpu_time() const;
 
-  /// Serializes scheduling state (es2-snap-v2 fields): state, weight,
-  /// vruntime, consumed CPU time and the active segment's remaining work.
-  /// Owners embed this in their own snapshot section.
+  /// Serializes scheduling state: state, weight, vruntime, consumed CPU
+  /// time and the active segment's remaining work. Owners embed this in
+  /// their own digest.
   void snapshot_state(SnapshotWriter& w) const;
 
   Simulator& sim() { return sim_; }

@@ -121,8 +121,8 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   }
 
   // World snapshot registry: every stateful component under a stable name,
-  // in construction order (the snapshot section order and the hash-vector
-  // index order). Workloads append themselves when they attach.
+  // in construction order (the hash-vector index order). Workloads append
+  // themselves when they attach.
   snapshotter_.add("sim", *sim_);
   snapshotter_.add("cfs", host_->sched());
   for (int v = 0; v < host_->num_vms(); ++v) {

@@ -87,7 +87,10 @@ bool BenchReport::from_json(const Json& doc, BenchReport* out,
     return false;
   }
   out->fast_ = doc.bool_or("fast", false);
-  out->seed_ = static_cast<std::uint64_t>(doc.number_or("seed", 1));
+  if (!doc.integer_or<std::uint64_t>("seed", 1, &out->seed_)) {
+    if (error) *error = "bench: seed is not an unsigned 64-bit integer";
+    return false;
+  }
   const Json* metrics = doc.find("metrics");
   if (!metrics || !metrics->is_object()) {
     if (error) *error = "bench: missing metrics object";

@@ -138,12 +138,16 @@ bool blame_summary_from_json(const std::string& text, BlameSummary* out,
     return false;
   }
   BlameSummary s;
-  s.journeys = static_cast<std::int64_t>(root.number_or("journeys", 0));
-  s.complete = static_cast<std::int64_t>(root.number_or("complete", 0));
-  s.total_ns = static_cast<std::int64_t>(root.number_or("total_ns", 0));
+  std::string bad;  // first integer field that failed its checked read
+  auto integer = [&bad](const Json& obj, const char* key, std::int64_t* v) {
+    if (!obj.integer_or<std::int64_t>(key, 0, v) && bad.empty()) bad = key;
+  };
+  integer(root, "journeys", &s.journeys);
+  integer(root, "complete", &s.complete);
+  integer(root, "total_ns", &s.total_ns);
   if (const Json* e2e = root.find("end_to_end"); e2e != nullptr) {
-    s.end_to_end_p50 = static_cast<std::int64_t>(e2e->number_or("p50", 0));
-    s.end_to_end_p99 = static_cast<std::int64_t>(e2e->number_or("p99", 0));
+    integer(*e2e, "p50", &s.end_to_end_p50);
+    integer(*e2e, "p99", &s.end_to_end_p99);
   }
   const Json* comps = root.find("components");
   if (comps == nullptr || !comps->is_array()) {
@@ -155,11 +159,15 @@ bool blame_summary_from_json(const std::string& text, BlameSummary* out,
     BlameSummary::Component c;
     c.name = row.string_or("name", "?");
     c.wait = row.string_or("kind", "service") == "wait";
-    c.ns = static_cast<std::int64_t>(row.number_or("ns", 0));
+    integer(row, "ns", &c.ns);
     c.fraction = row.number_or("fraction", 0);
-    c.p50 = static_cast<std::int64_t>(row.number_or("p50", 0));
-    c.p99 = static_cast<std::int64_t>(row.number_or("p99", 0));
+    integer(row, "p50", &c.p50);
+    integer(row, "p99", &c.p99);
     s.components.push_back(std::move(c));
+  }
+  if (!bad.empty()) {
+    if (error != nullptr) *error = "'" + bad + "' is not a 64-bit integer";
+    return false;
   }
   if (const Json* worst = root.find("worst");
       worst != nullptr && worst->is_array()) {

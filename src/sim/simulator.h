@@ -93,7 +93,7 @@ class Simulator : public Snapshottable {
   Tracer* tracer() const { return tracer_; }
 
   /// Kernel state: clock, seed, executed-event count, live queue depth.
-  /// Pending events themselves are not serialized (callbacks capture
+  /// Pending events themselves are not hashed (callbacks capture
   /// closures); restore is deterministic re-execution — see DESIGN.md §4f.
   void snapshot_state(SnapshotWriter& w) const override;
 

@@ -44,6 +44,16 @@ bool hex_to_hash(const std::string& s, std::uint64_t* out) {
 // WorldSnapshotter
 // ---------------------------------------------------------------------------
 
+std::uint64_t world_digest(const std::vector<std::string>& names,
+                           const std::vector<std::uint64_t>& digests) {
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    h = fnv1a(names[i].data(), names[i].size(), h);
+    h = fnv1a(&digests[i], sizeof(digests[i]), h);
+  }
+  return h;
+}
+
 void WorldSnapshotter::add(std::string name, const Snapshottable& component) {
 #ifndef NDEBUG
   for (const Entry& e : components_) assert(e.name != name);
@@ -58,37 +68,25 @@ std::vector<std::string> WorldSnapshotter::names() const {
   return out;
 }
 
-void WorldSnapshotter::write(SnapshotWriter& w) const {
-  for (const Entry& e : components_) {
-    w.begin_section(e.name);
-    e.component->snapshot_state(w);
-  }
-}
-
-std::string WorldSnapshotter::serialize() const {
-  scratch_.clear();
-  write(scratch_);
-  std::string bytes = scratch_.serialize();
-  scratch_.clear();
-  return bytes;
+std::vector<SnapshotWriter> WorldSnapshotter::walk() const {
+  std::vector<SnapshotWriter> out(components_.size());
+  for (std::size_t i = 0; i < components_.size(); ++i)
+    components_[i].component->snapshot_state(out[i]);
+  return out;
 }
 
 std::uint64_t WorldSnapshotter::world_hash() const {
-  scratch_.clear();
-  write(scratch_);
-  const std::uint64_t h = scratch_.world_hash();
-  scratch_.clear();
-  return h;
+  return world_digest(names(), component_hashes());
 }
 
 std::vector<std::uint64_t> WorldSnapshotter::component_hashes() const {
-  scratch_.clear();
-  write(scratch_);
   std::vector<std::uint64_t> out;
   out.reserve(components_.size());
-  for (std::size_t i = 0; i < scratch_.sections().size(); ++i)
-    out.push_back(scratch_.section_hash(i));
-  scratch_.clear();
+  for (const Entry& e : components_) {
+    SnapshotWriter w;
+    e.component->snapshot_state(w);
+    out.push_back(w.hash());
+  }
   return out;
 }
 
@@ -131,8 +129,10 @@ bool HashSeries::from_json(const Json& doc, HashSeries* out,
   if (!doc.is_object()) return fail("not a JSON object");
   if (doc.string_or("schema", "") != "es2-hash-v1")
     return fail("unsupported schema: expected es2-hash-v1");
-  out->seed = static_cast<std::uint64_t>(doc.number_or("seed", 0));
-  out->epoch = static_cast<SimDuration>(doc.number_or("epoch_ns", 0));
+  if (!doc.integer_or<std::uint64_t>("seed", 0, &out->seed))
+    return fail("seed is not an unsigned 64-bit integer");
+  if (!doc.integer_or<SimDuration>("epoch_ns", 0, &out->epoch))
+    return fail("epoch_ns is not a 64-bit integer");
   out->component_names.clear();
   out->entries.clear();
   const Json* comps = doc.find("components");
@@ -149,7 +149,8 @@ bool HashSeries::from_json(const Json& doc, HashSeries* out,
     const Json& row = epochs->at(i);
     if (!row.is_object()) return fail("epoch entry is not an object");
     EpochHash e;
-    e.t = static_cast<SimTime>(row.number_or("t", 0));
+    if (!row.integer_or<SimTime>("t", 0, &e.t))
+      return fail("epoch entry t is not a 64-bit integer");
     if (!hex_to_hash(row.string_or("world", ""), &e.world))
       return fail("bad world hash in epoch entry");
     const Json* comp = row.find("comp");
@@ -242,26 +243,18 @@ Divergence find_divergence(const HashSeries& a, const HashSeries& b) {
 
 EpochHashLog::EpochHashLog(const WorldSnapshotter& world,
                            SnapshotOptions options, std::uint64_t seed)
-    : world_(world), options_(options) {
+    : world_(world) {
   series_.seed = seed;
-  series_.epoch = options_.epoch;
+  series_.epoch = options.epoch;
   series_.component_names = world_.names();
 }
 
 void EpochHashLog::record(SimTime now) {
-  if (series_.entries.size() >= options_.max_epochs) return;
+  if (series_.entries.size() >= kMaxEpochs) return;
   EpochHash e;
   e.t = now;
   e.components = world_.component_hashes();
-  // World digest folded from (name, digest) pairs — identical to
-  // SnapshotWriter::world_hash over the same sections.
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < e.components.size(); ++i) {
-    const std::string& name = series_.component_names[i];
-    h = fnv1a(name.data(), name.size(), h);
-    h = fnv1a(&e.components[i], sizeof(e.components[i]), h);
-  }
-  e.world = h;
+  e.world = world_digest(series_.component_names, e.components);
   series_.entries.push_back(std::move(e));
 }
 

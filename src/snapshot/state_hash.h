@@ -3,12 +3,12 @@
 //
 // A `WorldSnapshotter` is an ordered registry of every Snapshottable in
 // one world (the Testbed fills it at construction; workloads append
-// themselves when they attach). Walking it produces either a full
-// es2-snap-v2 image or — via a reusable scratch writer — a per-component
-// hash vector. `EpochHashLog` records those vectors each epoch; the
-// es2-hash-v1 JSON export of two same-seed runs feeds
-// `tools/divergence_bisect`, which finds the first divergent epoch and
-// names the component whose digest split.
+// themselves when they attach). Walking it hashes each component with a
+// fresh SnapshotWriter, giving a per-component digest vector that
+// `world_digest` folds into one world digest. `EpochHashLog` records
+// those vectors each epoch; the es2-hash-v1 JSON export of two same-seed
+// runs feeds `tools/divergence_bisect`, which finds the first divergent
+// epoch and names the component whose digest split.
 //
 // Recording is passive: hashing draws no RNG values and mutates nothing,
 // so a hashed run's model trajectory is bit-identical to an unhashed one
@@ -32,9 +32,16 @@ class Json;
 struct SnapshotOptions {
   bool hash_epochs = false;
   SimDuration epoch = msec(10);
-  /// Entries retained (a sweep cell records a few hundred at most).
-  std::size_t max_epochs = 65536;
 };
+
+/// Epochs an EpochHashLog retains (a sweep cell records a few hundred at
+/// most); later ones are dropped.
+inline constexpr std::size_t kMaxEpochs = 65536;
+
+/// World digest: each component's (name, digest) folded in order. The one
+/// definition shared by WorldSnapshotter::world_hash and EpochHashLog.
+std::uint64_t world_digest(const std::vector<std::string>& names,
+                           const std::vector<std::uint64_t>& digests);
 
 class WorldSnapshotter {
  public:
@@ -42,19 +49,17 @@ class WorldSnapshotter {
   WorldSnapshotter(const WorldSnapshotter&) = delete;
   WorldSnapshotter& operator=(const WorldSnapshotter&) = delete;
 
-  /// Registers a component under a stable name. Order is the snapshot
-  /// section order and the hash-vector index order; register in a
-  /// deterministic construction order. Names must be unique.
+  /// Registers a component under a stable name. Order is the hash-vector
+  /// index order; register in a deterministic construction order. Names
+  /// must be unique.
   void add(std::string name, const Snapshottable& component);
 
   std::size_t size() const { return components_.size(); }
   std::vector<std::string> names() const;
 
-  /// Writes one named section per component into `w`.
-  void write(SnapshotWriter& w) const;
-
-  /// Serialized es2-snap-v2 image of the whole world.
-  std::string serialize() const;
+  /// One writer per component, in registration order, each holding that
+  /// component's digest and byte count.
+  std::vector<SnapshotWriter> walk() const;
 
   /// Digest of the whole world right now.
   std::uint64_t world_hash() const;
@@ -68,7 +73,6 @@ class WorldSnapshotter {
     const Snapshottable* component;
   };
   std::vector<Entry> components_;
-  mutable SnapshotWriter scratch_;  // reused across hash calls
 };
 
 /// One recorded epoch: the world digest plus each component's digest.
@@ -116,7 +120,7 @@ class EpochHashLog {
                std::uint64_t seed);
 
   /// Hashes every component now and appends an entry (dropped once
-  /// max_epochs is reached — the bisector needs the prefix, not a ring).
+  /// kMaxEpochs is reached — the bisector needs the prefix, not a ring).
   void record(SimTime now);
 
   std::size_t epochs() const { return series_.entries.size(); }
@@ -126,7 +130,6 @@ class EpochHashLog {
 
  private:
   const WorldSnapshotter& world_;
-  SnapshotOptions options_;
   HashSeries series_;
 };
 

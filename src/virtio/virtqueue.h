@@ -173,7 +173,7 @@ class Virtqueue {
   /// the full EVENT_IDX suppression state, the packed wrap counters (kept
   /// in step by split rings too) and the lifecycle/integrity state (enable
   /// bit, reset epoch, fault markers). Embedded in the owning device's
-  /// snapshot section.
+  /// digest.
   void snapshot_state(SnapshotWriter& w) const;
 
  private:

@@ -122,7 +122,7 @@ class Vcpu {
 
   /// Serializes mode, interrupt state (LAPIC/vAPIC), exit statistics and
   /// the vCPU thread's scheduling state. Embedded in the owning Vm's
-  /// snapshot section.
+  /// digest.
   void snapshot_state(SnapshotWriter& w) const;
 
  private:

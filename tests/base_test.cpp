@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "base/alloc_hook.h"
@@ -88,35 +90,6 @@ TEST(Rng, NormalClampsNonNegative) {
   Rng r(55);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GE(r.normal(1.0, 3.0, /*nonneg=*/true), 0.0);
-  }
-}
-
-TEST(Rng, StateRestoreResumesEveryNamedStream) {
-  // Every stream label the model derives (checkpoint coverage): a stream
-  // restored from state() must replay exactly the draws the original
-  // would have produced, for each label and across draw types.
-  const char* labels[] = {"fault",        "redirector", "memaslap",
-                          "cfs",          "guest/vm0",  "vhost/vm0",
-                          "vhost-worker/vhost-vm0"};
-  for (const char* label : labels) {
-    Rng rng = Rng::stream(42, label);
-    // Burn a prefix so the saved state is mid-sequence, not the seed.
-    for (int i = 0; i < 17; ++i) (void)rng.next_u64();
-    const Rng::State saved = rng.state();
-
-    std::vector<std::uint64_t> raw;
-    std::vector<double> doubles;
-    for (int i = 0; i < 32; ++i) raw.push_back(rng.next_u64());
-    for (int i = 0; i < 8; ++i) doubles.push_back(rng.exponential(2.0));
-
-    Rng restored(999);  // wrong seed on purpose; restore must overwrite it
-    restored.restore(saved);
-    for (std::uint64_t v : raw) {
-      EXPECT_EQ(restored.next_u64(), v) << "label " << label;
-    }
-    for (double v : doubles) {
-      EXPECT_EQ(restored.exponential(2.0), v) << "label " << label;
-    }
   }
 }
 
@@ -204,6 +177,33 @@ TEST(Json, ParseRejectsMalformedInput) {
     EXPECT_FALSE(Json::parse(bad, &doc, &error)) << "accepted: " << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
+}
+
+TEST(Json, IntegerOrAcceptsOnlyWholeNumbersInRange) {
+  Json doc;
+  std::string error;
+  ASSERT_TRUE(Json::parse(R"({"zero": 0, "neg": -1, "big": 1e300,
+      "half": 2.5, "text": "7", "top": 18446744073709551615,
+      "min": -9223372036854775808})",
+                          &doc, &error))
+      << error;
+  std::uint64_t u = 99;
+  EXPECT_TRUE(doc.integer_or<std::uint64_t>("absent", 5, &u));
+  EXPECT_EQ(u, 5u);
+  EXPECT_TRUE(doc.integer_or<std::uint64_t>("zero", 5, &u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_FALSE(doc.integer_or<std::uint64_t>("neg", 0, &u));
+  EXPECT_FALSE(doc.integer_or<std::uint64_t>("big", 0, &u));
+  EXPECT_FALSE(doc.integer_or<std::uint64_t>("half", 0, &u));
+  EXPECT_FALSE(doc.integer_or<std::uint64_t>("text", 0, &u));
+  // 2^64 - 1 parses as the double 2^64: one past the range.
+  EXPECT_FALSE(doc.integer_or<std::uint64_t>("top", 0, &u));
+  std::int64_t i = 0;
+  EXPECT_TRUE(doc.integer_or<std::int64_t>("neg", 0, &i));
+  EXPECT_EQ(i, -1);
+  EXPECT_TRUE(doc.integer_or<std::int64_t>("min", 0, &i));
+  EXPECT_EQ(i, std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(doc.integer_or<std::int64_t>("big", 0, &i));
 }
 
 // ---------------------------------------------------------------------------

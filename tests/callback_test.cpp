@@ -332,13 +332,12 @@ TEST(PacketPtr, LastHandleReturnsThePacketToThePool) {
 
 TEST(PacketPtr, SnapshotBytesMatchTheSharedPtrEncoding) {
   SnapshotWriter w;
-  w.begin_section("packets");
   snapshot_packet(w, make_packet(sample_packet()));
   snapshot_packet(w, PacketPtr());
   // Digest of the same two records written by the shared_ptr<const
   // Packet> handle this type replaced.
   EXPECT_EQ(w.byte_size(), 62u);
-  EXPECT_EQ(w.section_hash(0), 0xaf4678ce09fa8d1eull);
+  EXPECT_EQ(w.hash(), 0xaf4678ce09fa8d1eull);
 }
 
 }  // namespace

@@ -415,6 +415,20 @@ TEST(BenchSchema, V1DocumentIsRejected) {
   EXPECT_NE(error.find("es2-bench-v2"), std::string::npos) << error;
 }
 
+TEST(BenchSchema, SeedThatIsNotAnUnsignedIntegerIsRejected) {
+  for (const char* seed : {"-1", "1e300", "1.5"}) {
+    const std::string text = std::string(R"({"schema": "es2-bench-v2",
+        "bench": "demo", "fast": true, "seed": )") +
+                             seed + R"(, "metrics": {}})";
+    Json doc;
+    std::string error;
+    ASSERT_TRUE(Json::parse(text, &doc, &error)) << error;
+    BenchReport reread;
+    EXPECT_FALSE(BenchReport::from_json(doc, &reread, &error)) << seed;
+    EXPECT_NE(error.find("seed"), std::string::npos) << error;
+  }
+}
+
 TEST(BenchSchema, SparklineRendersAndHandlesEdges) {
   EXPECT_EQ(sparkline({}), "");
   EXPECT_FALSE(sparkline({1, 2, 3, 4, 5}).empty());

@@ -212,6 +212,23 @@ TEST(BlameExport, JsonIsByteStableAndRoundTrips) {
   }
 }
 
+TEST(BlameExport, NonIntegerNanosecondsAreAParseError) {
+  const std::string text =
+      blame_to_json_text(analyze(full_journey(7, 1000)));
+  const std::string key = "\"total_ns\": ";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = text.find_first_of(",\n}", at + key.size());
+  for (const char* bad : {"1e300", "2.5"}) {
+    std::string edited = text;
+    edited.replace(at + key.size(), end - at - key.size(), bad);
+    BlameSummary parsed;
+    std::string error;
+    EXPECT_FALSE(blame_summary_from_json(edited, &parsed, &error)) << bad;
+    EXPECT_NE(error.find("total_ns"), std::string::npos) << error;
+  }
+}
+
 TEST(BlameExport, MarkdownCarriesTheBudgetTable) {
   const std::string md =
       render_blame_markdown(blame_summary(analyze(full_journey(7, 1000))));

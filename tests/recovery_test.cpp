@@ -298,34 +298,42 @@ TEST(RecoveryLadder, LadderOffLeavesTheFaultAsALoudOpenInstance) {
 // Reset/snapshot drift guards (satellite: audit of reset() methods)
 // ---------------------------------------------------------------------------
 //
-// Each guard reads a component's snapshot back field-by-field. If someone
-// adds a field to snapshot_state without updating reset() *and this
-// inventory*, the trailing read probe trips: after consuming every known
-// field the reader must be exactly at the section end.
+// Each guard writes a component's annotated field inventory into a second
+// writer. The byte counts must match, so a field added to snapshot_state
+// without updating reset() *and this inventory* trips the guard; where
+// the inventory spells out the post-reset values, the digests must match
+// too, so a field that reset() skips trips it.
 
-/// Reads `n` trailing bytes to prove exhaustion: ok() must still hold,
-/// and one more byte must poison the reader.
-void expect_exhausted(SnapshotReader& r) {
-  EXPECT_TRUE(r.ok()) << "snapshot has fewer fields than the inventory";
-  (void)r.get_u8();
-  EXPECT_FALSE(r.ok()) << "snapshot has more fields than the inventory — "
-                          "update reset() and this test together";
+/// `component`'s snapshot must hash exactly the inventory's bytes and,
+/// when `values` is set, the inventory's values.
+template <typename Component>
+void expect_inventory(const Component& component,
+                      const SnapshotWriter& inventory, bool values = true) {
+  SnapshotWriter w;
+  component.snapshot_state(w);
+  EXPECT_EQ(w.byte_size(), inventory.byte_size())
+      << "snapshot and inventory list different fields — update reset() "
+         "and this test together";
+  if (values) {
+    EXPECT_EQ(w.hash(), inventory.hash())
+        << "a field differs from its inventory value (did reset() skip it?)";
+  }
 }
 
-/// Reads a just-reset ring's occupancy and EVENT_IDX suppression fields
+/// A just-reset ring's occupancy and EVENT_IDX suppression fields
 /// (capacity 8, both rings empty, notifications and interrupts re-enabled,
 /// indices zeroed) up to the cumulative telemetry.
-void expect_reset_ring_fields(SnapshotReader& r) {
-  EXPECT_EQ(r.get_u32(), 8u);   // capacity survives reset
-  EXPECT_EQ(r.get_u32(), 0u);   // avail ring emptied
-  EXPECT_EQ(r.get_u32(), 0u);   // used ring emptied
-  EXPECT_EQ(r.get_u32(), 0u);   // in flight
-  EXPECT_TRUE(r.get_bool());    // notifications re-enabled
-  EXPECT_EQ(r.get_i64(), 0);    // avail_idx
-  EXPECT_EQ(r.get_i64(), 0);    // avail_event
-  EXPECT_TRUE(r.get_bool());    // interrupts re-enabled
-  EXPECT_EQ(r.get_i64(), 0);    // used_idx
-  EXPECT_EQ(r.get_i64(), 0);    // used_event
+void put_reset_ring_fields(SnapshotWriter& w) {
+  w.put_u32(8);      // capacity survives reset
+  w.put_u32(0);      // avail ring emptied
+  w.put_u32(0);      // used ring emptied
+  w.put_u32(0);      // in flight
+  w.put_bool(true);  // notifications re-enabled
+  w.put_i64(0);      // avail_idx
+  w.put_i64(0);      // avail_event
+  w.put_bool(true);  // interrupts re-enabled
+  w.put_i64(0);      // used_idx
+  w.put_i64(0);      // used_event
 }
 
 TEST(ResetSnapshotDrift, VirtqueueInventoryMatchesAndResetRestoresIt) {
@@ -337,28 +345,22 @@ TEST(ResetSnapshotDrift, VirtqueueInventoryMatchesAndResetRestoresIt) {
   vq.enable_interrupts();
   vq.reset();
 
-  SnapshotWriter w;
-  w.begin_section("vq");
-  vq.snapshot_state(w);
-  SnapshotReader r;
-  std::string error;
-  ASSERT_TRUE(r.load(w.serialize(), &error)) << error;
-  ASSERT_TRUE(r.seek("vq"));
-  expect_reset_ring_fields(r);
-  EXPECT_EQ(r.get_i64(), 0);    // notify_enables: cumulative telemetry,
-  EXPECT_EQ(r.get_i64(), 1);    // irq_enables:    deliberately kept
-  EXPECT_TRUE(r.get_bool());    // driver wrap counter at the boot phase
-  EXPECT_TRUE(r.get_bool());    // device wrap counter at the boot phase
-  EXPECT_TRUE(r.get_bool());    // enabled
-  EXPECT_EQ(r.get_i64(), 1);    // reset epoch bumped
-  EXPECT_EQ(r.get_u8(), 0u);    // no injected fault
-  EXPECT_EQ(r.get_u8(), 0u);    // no pending fault
-  expect_exhausted(r);
+  SnapshotWriter inv;
+  put_reset_ring_fields(inv);
+  inv.put_i64(0);      // notify_enables: cumulative telemetry,
+  inv.put_i64(1);      // irq_enables:    deliberately kept
+  inv.put_bool(true);  // driver wrap counter at the boot phase
+  inv.put_bool(true);  // device wrap counter at the boot phase
+  inv.put_bool(true);  // enabled
+  inv.put_i64(1);      // reset epoch bumped
+  inv.put_u8(0);       // no injected fault
+  inv.put_u8(0);       // no pending fault
+  expect_inventory(vq, inv);
 }
 
 TEST(ResetSnapshotDrift, PackedVirtqueueResetRestoresTheWrapCounters) {
-  // Packed and split rings serialize the same fields; reset() returns
-  // both wrap counters to the boot phase.
+  // Packed and split rings write the same fields; reset() returns both
+  // wrap counters to the boot phase.
   Virtqueue vq("tx", 8, RingLayout::kPacked);
   for (int i = 0; i < 9; ++i) {  // cross one wrap so the phase flipped
     ASSERT_TRUE(vq.add_avail({nullptr, 64}));
@@ -368,26 +370,22 @@ TEST(ResetSnapshotDrift, PackedVirtqueueResetRestoresTheWrapCounters) {
   }
   vq.reset();
 
-  SnapshotWriter w;
-  w.begin_section("vq");
-  vq.snapshot_state(w);
+  SnapshotWriter packed;
+  vq.snapshot_state(packed);
   SnapshotWriter split;
-  split.begin_section("vq");
   Virtqueue("tx", 8).snapshot_state(split);
-  EXPECT_EQ(w.byte_size(), split.byte_size());
-  SnapshotReader r;
-  ASSERT_TRUE(r.load(w.serialize()));
-  ASSERT_TRUE(r.seek("vq"));
-  expect_reset_ring_fields(r);
-  EXPECT_EQ(r.get_i64(), 0);    // notify_enables
-  EXPECT_EQ(r.get_i64(), 0);    // irq_enables
-  EXPECT_TRUE(r.get_bool());    // driver wrap counter back to boot phase
-  EXPECT_TRUE(r.get_bool());    // device wrap counter back to boot phase
-  EXPECT_TRUE(r.get_bool());    // enabled
-  EXPECT_EQ(r.get_i64(), 1);    // reset epoch bumped
-  EXPECT_EQ(r.get_u8(), 0u);    // no injected fault
-  EXPECT_EQ(r.get_u8(), 0u);    // no pending fault
-  expect_exhausted(r);
+  EXPECT_EQ(packed.byte_size(), split.byte_size());
+  SnapshotWriter inv;
+  put_reset_ring_fields(inv);
+  inv.put_i64(0);      // notify_enables
+  inv.put_i64(0);      // irq_enables
+  inv.put_bool(true);  // driver wrap counter back to boot phase
+  inv.put_bool(true);  // device wrap counter back to boot phase
+  inv.put_bool(true);  // enabled
+  inv.put_i64(1);      // reset epoch bumped
+  inv.put_u8(0);       // no injected fault
+  inv.put_u8(0);       // no pending fault
+  expect_inventory(vq, inv);
 }
 
 TEST(ResetSnapshotDrift, VirtqueueLifecycleInventoryMatches) {
@@ -396,22 +394,17 @@ TEST(ResetSnapshotDrift, VirtqueueLifecycleInventoryMatches) {
   vq.flag_fault(vq.check_integrity());
   vq.reset();
 
-  SnapshotWriter w;
-  w.begin_section("vq");
-  vq.snapshot_state(w);
-  SnapshotReader r;
-  ASSERT_TRUE(r.load(w.serialize()));
-  ASSERT_TRUE(r.seek("vq"));
-  expect_reset_ring_fields(r);
-  (void)r.get_i64();          // notify_enables
-  (void)r.get_i64();          // irq_enables
-  (void)r.get_bool();         // driver wrap counter
-  (void)r.get_bool();         // device wrap counter
-  EXPECT_TRUE(r.get_bool());  // enabled (reset leaves the queue enabled)
-  EXPECT_EQ(r.get_i64(), 1);  // reset epoch bumped
-  EXPECT_EQ(r.get_u8(), 0u);  // injected fault cleared
-  EXPECT_EQ(r.get_u8(), 0u);  // pending fault cleared
-  expect_exhausted(r);
+  SnapshotWriter inv;
+  put_reset_ring_fields(inv);
+  inv.put_i64(0);      // notify_enables
+  inv.put_i64(0);      // irq_enables
+  inv.put_bool(true);  // driver wrap counter
+  inv.put_bool(true);  // device wrap counter
+  inv.put_bool(true);  // enabled (reset leaves the queue enabled)
+  inv.put_i64(1);      // reset epoch bumped
+  inv.put_u8(0);       // injected fault cleared
+  inv.put_u8(0);       // pending fault cleared
+  expect_inventory(vq, inv);
 }
 
 TEST(ResetSnapshotDrift, EmulatedLapicInventoryMatchesAndResetRestoresIt) {
@@ -421,17 +414,12 @@ TEST(ResetSnapshotDrift, EmulatedLapicInventoryMatchesAndResetRestoresIt) {
   lapic.begin_service(50);
   lapic.reset();
 
-  SnapshotWriter w;
-  w.begin_section("lapic");
-  lapic.snapshot_state(w);
-  SnapshotReader r;
-  ASSERT_TRUE(r.load(w.serialize()));
-  ASSERT_TRUE(r.seek("lapic"));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(r.get_u64(), 0u);  // IRR cleared
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(r.get_u64(), 0u);  // ISR cleared
-  EXPECT_EQ(r.get_i64(), 2);  // posts: lifetime counter, kept
-  EXPECT_EQ(r.get_i64(), 0);  // eois
-  expect_exhausted(r);
+  SnapshotWriter inv;
+  for (int i = 0; i < 4; ++i) inv.put_u64(0);  // IRR cleared
+  for (int i = 0; i < 4; ++i) inv.put_u64(0);  // ISR cleared
+  inv.put_i64(2);  // posts: lifetime counter, kept
+  inv.put_i64(0);  // eois
+  expect_inventory(lapic, inv);
 }
 
 TEST(ResetSnapshotDrift, VApicPageInventoryMatchesAndResetRestoresIt) {
@@ -440,61 +428,51 @@ TEST(ResetSnapshotDrift, VApicPageInventoryMatchesAndResetRestoresIt) {
   vapic.sync_pir();
   vapic.reset();
 
-  SnapshotWriter w;
-  w.begin_section("vapic");
-  vapic.snapshot_state(w);
-  SnapshotReader r;
-  ASSERT_TRUE(r.load(w.serialize()));
-  ASSERT_TRUE(r.seek("vapic"));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(r.get_u64(), 0u);  // PIR cleared
-  EXPECT_FALSE(r.get_bool());  // ON cleared
-  EXPECT_EQ(r.get_i64(), 1);   // pi posts: lifetime counter, kept
-  EXPECT_EQ(r.get_i64(), 1);   // pi notification IPIs: lifetime, kept
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(r.get_u64(), 0u);  // vIRR cleared
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(r.get_u64(), 0u);  // vISR cleared
-  EXPECT_EQ(r.get_i64(), 0);   // eois
-  expect_exhausted(r);
+  SnapshotWriter inv;
+  for (int i = 0; i < 4; ++i) inv.put_u64(0);  // PIR cleared
+  inv.put_bool(false);  // ON cleared
+  inv.put_i64(1);       // pi posts: lifetime counter, kept
+  inv.put_i64(1);       // pi notification IPIs: lifetime, kept
+  for (int i = 0; i < 4; ++i) inv.put_u64(0);  // vIRR cleared
+  for (int i = 0; i < 4; ++i) inv.put_u64(0);  // vISR cleared
+  inv.put_i64(0);       // eois
+  expect_inventory(vapic, inv);
 }
 
 TEST(ResetSnapshotDrift, FrontendInventoryMatches) {
   RecoveryWorld w;
-  SnapshotWriter sw;
-  sw.begin_section("net");
-  w.tb->frontend().snapshot_state(sw);
-  SnapshotReader r;
-  ASSERT_TRUE(r.load(sw.serialize()));
-  ASSERT_TRUE(r.seek("net"));
-  (void)r.get_u32();   // tx_waiters
-  (void)r.get_i64();   // tx_stops
-  (void)r.get_i64();   // rx_polled
-  (void)r.get_i64();   // kicks
-  (void)r.get_i64();   // tx_watchdog_kicks
-  (void)r.get_i64();   // rx_watchdog_polls
+  SnapshotWriter inv;  // field widths only: the values are a live run's
+  inv.put_u32(0);       // tx_waiters
+  inv.put_i64(0);       // tx_stops
+  inv.put_i64(0);       // rx_polled
+  inv.put_i64(0);       // kicks
+  inv.put_i64(0);       // tx_watchdog_kicks
+  inv.put_i64(0);       // rx_watchdog_polls
   // The one queue pair.
-  (void)r.get_bool();  // napi_scheduled
-  (void)r.get_i64();   // watchdog_last_used
-  (void)r.get_u32();   // watchdog_strikes
-  (void)r.get_i64();   // rx_watchdog_last_polled
-  (void)r.get_u32();   // rx_watchdog_strikes
-  (void)r.get_i64();   // rx_polled_by_pair
-  (void)r.get_bool();  // ksoftirqd_pending
+  inv.put_bool(false);  // napi_scheduled
+  inv.put_i64(0);       // watchdog_last_used
+  inv.put_u32(0);       // watchdog_strikes
+  inv.put_i64(0);       // rx_watchdog_last_polled
+  inv.put_u32(0);       // rx_watchdog_strikes
+  inv.put_i64(0);       // rx_polled_by_pair
+  inv.put_bool(false);  // ksoftirqd_pending
   // Recovery ladder: one recent-reset count per flat queue, then totals.
-  (void)r.get_u32();   // ladder_recent[TX0]
-  (void)r.get_u32();   // ladder_recent[RX0]
-  (void)r.get_i64();   // ladder_queue_resets
-  (void)r.get_i64();   // ladder_device_resets
+  inv.put_u32(0);       // ladder_recent[TX0]
+  inv.put_u32(0);       // ladder_recent[RX0]
+  inv.put_i64(0);       // ladder_queue_resets
+  inv.put_i64(0);       // ladder_device_resets
   // Overload detector and ladder.
-  (void)r.get_u32();   // overload_rung
-  (void)r.get_u32();   // overload_max_rung
-  (void)r.get_u32();   // overload_strikes
-  (void)r.get_u32();   // overload_clear
-  (void)r.get_bool();  // overload_episode_open
-  (void)r.get_i64();   // overload_last_polls
-  (void)r.get_i64();   // overload_last_progress
-  (void)r.get_i64();   // livelock_detections
-  (void)r.get_i64();   // ksoftirqd_defers
-  (void)r.get_i64();   // ksoftirqd_polls
-  expect_exhausted(r);
+  inv.put_u32(0);       // overload_rung
+  inv.put_u32(0);       // overload_max_rung
+  inv.put_u32(0);       // overload_strikes
+  inv.put_u32(0);       // overload_clear
+  inv.put_bool(false);  // overload_episode_open
+  inv.put_i64(0);       // overload_last_polls
+  inv.put_i64(0);       // overload_last_progress
+  inv.put_i64(0);       // livelock_detections
+  inv.put_i64(0);       // ksoftirqd_defers
+  inv.put_i64(0);       // ksoftirqd_polls
+  expect_inventory(w.tb->frontend(), inv, /*values=*/false);
 }
 
 // ---------------------------------------------------------------------------

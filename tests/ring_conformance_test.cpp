@@ -667,7 +667,7 @@ struct MqWatchdogRun {
   std::int64_t tx_watchdog_kicks = 0;
   std::int64_t rx_watchdog_polls = 0;
   std::int64_t rx_repolls = 0;
-  std::string image;
+  std::vector<std::uint64_t> digests;
 };
 
 MqWatchdogRun run_mq_watchdog() {
@@ -704,7 +704,7 @@ MqWatchdogRun run_mq_watchdog() {
   run.tx_watchdog_kicks = tb.frontend().tx_watchdog_kicks();
   run.rx_watchdog_polls = tb.frontend().rx_watchdog_polls();
   run.rx_repolls = tb.backend().rx_repolls();
-  run.image = tb.snapshotter().serialize();
+  run.digests = tb.snapshotter().component_hashes();
   return run;
 }
 
@@ -720,8 +720,8 @@ TEST(MultiQueue, PerPairTxWatchdogKeepsEveryPairMovingUnderKickLoss) {
   EXPECT_GT(a.kicks_dropped, 0);
   EXPECT_GT(a.tx_watchdog_kicks, 0);
 
-  // Same seed, same ledger: the recovery counters and the whole world
-  // image (per-pair strike state included) repeat exactly.
+  // Same seed, same ledger: the recovery counters and every component
+  // digest (per-pair strike state included) repeat exactly.
   const MqWatchdogRun b = run_mq_watchdog();
   for (int p = 0; p < 2; ++p) {
     EXPECT_EQ(a.used_mid[p], b.used_mid[p]);
@@ -731,7 +731,7 @@ TEST(MultiQueue, PerPairTxWatchdogKeepsEveryPairMovingUnderKickLoss) {
   EXPECT_EQ(a.tx_watchdog_kicks, b.tx_watchdog_kicks);
   EXPECT_EQ(a.rx_watchdog_polls, b.rx_watchdog_polls);
   EXPECT_EQ(a.rx_repolls, b.rx_repolls);
-  EXPECT_EQ(a.image, b.image);
+  EXPECT_EQ(a.digests, b.digests);
 }
 
 // ---------------------------------------------------------------------------
