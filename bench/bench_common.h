@@ -82,8 +82,8 @@ inline BenchArgs parse_args(int argc, char** argv,
     } else if (is("--trace=") || is("--profile=") || is("--hash-epochs=")) {
       std::fprintf(stderr,
                    "%s: %.*s is retired; use --observe=<dir>, which writes "
-                   "trace.json, trace.bin, profile.folded, blame.json and "
-                   "hashes.json into <dir>\n",
+                   "trace.json, profile.folded, blame.json and hashes.json "
+                   "into <dir>\n",
                    argv[0], static_cast<int>(a.find('=') + 1), a.data());
       std::exit(2);
     } else {
@@ -106,12 +106,13 @@ inline void observe_request(const BenchArgs& args, ObserveOptions& o) {
 
 /// Writes the observed cell's artifacts into --observe=<dir> and prints
 /// their summaries:
-///   trace.json      Perfetto records and journey bars
-///   trace.bin       raw ES2T records (tools/latency_blame input)
+///   trace.json      Perfetto records (every TraceRecord field) and
+///                   journey bars
 ///   profile.folded  the blame partition as collapsed stacks weighted by
 ///                   sim-ns (flamegraph input; empty when no journey was
 ///                   attributed)
-///   blame.json      es2-blame-v1 latency budget
+///   blame.json      es2-blame-v1 latency budget (tools/latency_blame
+///                   input)
 ///   hashes.json     es2-hash-v1 epoch series (tools/divergence_bisect input)
 /// No-op without --observe. Returns false when an artifact is missing or a
 /// write failed.
@@ -131,7 +132,6 @@ inline bool export_artifacts(const BenchArgs& args, const RunArtifacts& a) {
   const bool written =
       write_file(dir + "trace.json",
                  to_perfetto_json(trace.records, trace.spans)) &&
-      write_file(dir + "trace.bin", to_binary(trace.records)) &&
       write_file(dir + "profile.folded", blame_to_collapsed(blame)) &&
       write_file(dir + "blame.json", blame_to_json_text(blame)) &&
       write_file(dir + "hashes.json", a.hashes->to_json_text());

@@ -160,13 +160,6 @@ int main(int argc, char** argv) {
     std::printf("crossover %s: always-poll/hybrid packets/s = %.3f\n",
                 loads[l].name, ratio);
   }
-  for (int m = 0; m < kModes; ++m) {
-    std::vector<double> curve;
-    for (int l = 0; l < kLoads; ++l) curve.push_back(cell(m, l, 0).packets_per_sec);
-    report.add_series(std::string(modes[m].name) + ".packets_per_sec",
-                      std::move(curve));
-  }
-
   write_csv(args, "dataplane", csv);
   write_bench_report(args, report);
   if (!export_standalone(args)) return 1;

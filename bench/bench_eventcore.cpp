@@ -15,13 +15,14 @@
 //     Callbacks built, moved and invoked (FramePool frames);
 //   * packet churn: make_packet, share the handle, release it;
 //   * the storm client's request-id table: a 65,536-id window of
-//     sequential puts, taken one window later (IdTimeTable);
-//   * the end-to-end Fig. 4 quota sweep wall time.
+//     sequential puts, taken one window later (IdTimeTable).
+//
+// End-to-end simulation cost is perfbench's to measure, not this bench's.
 //
 // Emits BENCH_eventcore.json in the shared es2-bench-v2 schema
-// (events/sec, ns/event, allocations/event, fig4 wall seconds, queue layer
-// counters). Wall-clock rates are informational (never gated);
-// allocation counts and queue-layer counters are deterministic and gated.
+// (events/sec, ns/event, allocations/event, queue layer counters).
+// Wall-clock rates are informational (never gated); allocation counts and
+// queue-layer counters are deterministic and gated.
 // This binary links es2_alloc_hook, so allocations/event is measured, not
 // estimated.
 //
@@ -29,7 +30,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -44,8 +44,6 @@
 #include "bench_common.h"
 #include "cpu/cfs.h"
 #include "cpu/thread.h"
-#include "harness/experiments.h"
-#include "harness/parallel.h"
 #include "net/packet.h"
 #include "sim/callback.h"
 #include "sim/event_queue.h"
@@ -366,41 +364,6 @@ ChurnResult run_id_table_window(std::int64_t target_ops, std::uint64_t seed) {
   return r;
 }
 
-/// End-to-end check: wall time of the Fig. 4 quota sweep (the PR's
-/// representative full-simulation workload) on the production queue.
-double fig4_sweep_seconds(bool fast, std::uint64_t seed) {
-  struct Case {
-    Proto proto;
-    Bytes msg;
-  };
-  const std::vector<Case> cases = fast
-      ? std::vector<Case>{{Proto::kUdp, 1024}, {Proto::kTcp, 1024}}
-      : std::vector<Case>{{Proto::kUdp, 256}, {Proto::kUdp, 1024},
-                          {Proto::kTcp, 1024}};
-  const std::vector<int> quotas =
-      fast ? std::vector<int>{0, 8, 2} : std::vector<int>{0, 64, 32, 16, 8, 4, 2};
-  std::vector<StreamResult> results(cases.size() * quotas.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t c = 0; c < cases.size(); ++c) {
-    for (size_t q = 0; q < quotas.size(); ++q) {
-      tasks.push_back([&, c, q] {
-        StreamOptions o;
-        o.config = quotas[q] == 0 ? Es2Config::pi() : Es2Config::pi_h(quotas[q]);
-        o.proto = cases[c].proto;
-        o.msg_size = cases[c].msg;
-        o.vm_sends = true;
-        o.seed = seed;
-        o.warmup = fast ? msec(50) : msec(250);
-        o.measure = fast ? msec(150) : msec(800);
-        results[c * quotas.size() + q] = run_stream(o);
-      });
-    }
-  }
-  const auto start = Clock::now();
-  ParallelRunner().run(std::move(tasks));
-  return seconds_since(start);
-}
-
 /// Runs a long enough mixed workload on the production queue to report
 /// the calendar-layer counters in the JSON.
 EventQueueStats layer_stats(std::uint64_t seed) {
@@ -467,10 +430,6 @@ int bench_main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.far_migrations),
       static_cast<unsigned long long>(stats.boxed_callbacks));
 
-  const double fig4_s = fig4_sweep_seconds(fast, seed);
-  std::printf("fig4 sweep wall time: %.3fs%s\n", fig4_s,
-              fast ? " (--fast)" : "");
-
   BenchReport report = bench::make_report(args, "eventcore");
   auto add_churn = [&report](const char* name, const ChurnResult& r) {
     const std::string p = std::string(name) + ".";
@@ -492,7 +451,6 @@ int bench_main(int argc, char** argv) {
   // Per table call (put or take), not per event.
   report.add_info("id_table_window.ns_per_op", ids.ns_per_event);
   report.add("id_table_window.allocs_per_op", ids.allocs_per_event);
-  report.add_info("fig4_sweep_wall_seconds", fig4_s);
   // The layer counters are same-seed deterministic: gated exactly.
   report.add("layers.near_hits", static_cast<double>(stats.near_hits));
   report.add("layers.wheel_hits", static_cast<double>(stats.wheel_hits));

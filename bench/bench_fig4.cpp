@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
   BenchReport report = make_report(args, "fig4");
   const char* keys[] = {"udp256", "udp1024", "tcp1024"};
   for (size_t c = 0; c < 3; ++c) {
-    std::vector<double> io_exits_curve;
     for (size_t q = 0; q < quotas.size(); ++q) {
       const StreamResult& r = results[c * quotas.size() + q];
       const std::string cell =
@@ -87,10 +86,7 @@ int main(int argc, char** argv) {
           (quotas[q] == 0 ? std::string("stock") : std::to_string(quotas[q]));
       report.add(cell + ".io_exits_per_sec", r.exits.io_instruction);
       report.add(cell + ".packets_per_sec", r.packets_per_sec);
-      io_exits_curve.push_back(r.exits.io_instruction);
     }
-    report.add_series(std::string(keys[c]) + ".io_exits_per_sec",
-                      std::move(io_exits_curve));
   }
   write_bench_report(args, report);
 

@@ -4,6 +4,16 @@
 // Paper reference TIG: send TCP 70% -> (PI) -> 97.5% (PI+H);
 // send UDP 68.5% -> 99.7%; recv TCP 91.1% -> 94.8% -> ~95%;
 // recv UDP: PI and PI+H above 99%.
+//
+// Every cell runs traced and is blamed per event-path component
+// (fig5_blame.csv). The recv-TCP cells, the paper's canonical exit-less
+// delivery path, also gate their latency budget: per-component fractions
+// of the journey total plus end-to-end p99, as `recv_tcp.<stack>.*` rows.
+// A regression that moves time *between* components trips the gate even
+// when the end-to-end mean barely moves. The per-journey partition is
+// exact by construction (cut differences over [origin, eoi]), and this
+// bench re-asserts it: summed component ns must equal the summed journey
+// totals, or it exits non-zero whatever the report gate says.
 #include <vector>
 
 #include "bench_common.h"
@@ -86,8 +96,7 @@ int main(int argc, char** argv) {
   write_csv(args, "fig5", csv);
 
   // Per-stage blame columns: the share of total journey time each
-  // event-path component owns, per cell. The budget gate proper lives in
-  // bench_blame.
+  // event-path component owns, per cell.
   CsvWriter blame_csv(
       {"case", "config", "component", "kind", "ns", "fraction"});
   for (size_t c = 0; c < 4; ++c) {
@@ -125,9 +134,34 @@ int main(int argc, char** argv) {
       report.add(cell + ".tig_percent", r.exits.tig_percent);
     }
   }
+
+  // The recv-TCP latency budgets (cells 6..8).
+  bool sum_ok = true;
+  for (int s = 0; s < 3; ++s) {
+    const BlameBreakdown& blame = results[6 + s].trace->blame;
+    const BlameSummary summary = blame_summary(blame);
+    const std::string cell = std::string("recv_tcp.") + config_keys[s];
+    report.add(cell + ".journeys", static_cast<double>(blame.journeys));
+    report.add(cell + ".attributed", static_cast<double>(blame.complete));
+    if (blame.complete == 0) continue;
+    std::int64_t component_sum = 0;
+    for (const BlameSummary::Component& c : summary.components) {
+      component_sum += c.ns;
+      report.add(cell + ".frac." + c.name, c.fraction);
+    }
+    report.add(cell + ".e2e_p99_ns",
+               static_cast<double>(summary.end_to_end_p99));
+    if (component_sum != blame.total_ns) {
+      std::printf("BLAME SUM VIOLATION (recv TCP %s): components %lld != "
+                  "total %lld\n",
+                  config_names[s], static_cast<long long>(component_sum),
+                  static_cast<long long>(blame.total_ns));
+      sum_ok = false;
+    }
+  }
   write_bench_report(args, report);
 
   const StreamResult& traced = results[7];
   if (!export_artifacts(args, traced)) return 1;
-  return 0;
+  return sum_ok ? 0 : 1;
 }

@@ -74,16 +74,12 @@ int main(int argc, char** argv) {
     std::printf("%s", t.render().c_str());
     const std::string dir = vm_sends ? "send" : "recv";
     for (int c = 0; c < 4; ++c) {
-      std::vector<double> curve;
       for (size_t s = 0; s < sizes.size(); ++s) {
         const StreamResult& r = results[s * 4 + c];
         report.add(dir + "." + config_keys[c] + "." +
                        std::to_string(sizes[s]) + "b.throughput_mbps",
                    r.throughput_mbps);
-        curve.push_back(r.throughput_mbps);
       }
-      report.add_series(dir + "." + config_keys[c] + ".throughput_mbps",
-                        std::move(curve));
     }
     if (!vm_sends) {
       const StreamResult& traced = results[(sizes.size() - 1) * 4 + 3];

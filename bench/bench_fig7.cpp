@@ -62,11 +62,6 @@ int main(int argc, char** argv) {
     report.add(std::string(keys[i]) + ".rtt_p99_ms", h.p99() / 1e6);
     report.add(std::string(keys[i]) + ".lost",
                static_cast<double>(results[i].lost));
-    std::vector<double> series;
-    for (const SimDuration rtt : results[i].samples) {
-      series.push_back(static_cast<double>(rtt) / 1e6);
-    }
-    report.add_series(std::string(keys[i]) + ".rtt_ms", std::move(series));
   }
   write_bench_report(args, report);
 

@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   BenchReport report = make_report(args, "fig9");
   const char* keys[4] = {"baseline", "pi", "pi_h", "pi_h_r"};
   for (int c = 0; c < 4; ++c) {
-    std::vector<double> curve;
     for (size_t r = 0; r < rates.size(); ++r) {
       const HttperfResult& res = results[r * 4 + c];
       report.add(std::string(keys[c]) + ".r" +
@@ -75,10 +74,7 @@ int main(int argc, char** argv) {
       report.add(std::string(keys[c]) + ".r" +
                      std::to_string(static_cast<int>(rates[r])) + ".established",
                  static_cast<double>(res.established));
-      curve.push_back(res.avg_connect_ms);
     }
-    report.add_series(std::string(keys[c]) + ".avg_connect_ms",
-                      std::move(curve));
   }
   write_bench_report(args, report);
 

@@ -4,7 +4,7 @@
 // runs, generated with `--fast --seed=1`) and --current (this build's
 // bench output), diffs them metric by metric — a gated metric passes only
 // if it equals its baseline bit for bit — and renders a markdown report
-// with sparklines for the recorded series.
+// with a baseline->current sparkline per row.
 //
 //   bench_report                       render the diff to stdout
 //   bench_report --out=report.md      ... and write it to a file
@@ -18,10 +18,12 @@
 //
 // A current report missing for a committed baseline is a gate failure
 // (a bench silently not running must not pass CI); an extra current
-// report is informational.
+// report is informational. Any other argument exits 2 naming it, so a
+// misspelt --check cannot skip the gate.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -56,6 +58,7 @@ ReportArgs parse(int argc, char** argv) {
       args.self_test = true;
     } else {
       std::fprintf(stderr, "bench_report: unknown argument %s\n", argv[i]);
+      std::exit(2);
     }
   }
   return args;

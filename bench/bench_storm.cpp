@@ -47,12 +47,11 @@ struct Ramp {
 /// outrunning softirq, "collapse" (with the burst multiplier and the RTO
 /// flywheel on top) outruns the poll loop itself.
 std::vector<Ramp> ramps(bool fast) {
-  std::vector<Ramp> r = {
-      {"calm", 1000, 3000, false},
-      {"collapse", 4000, 400000, true},
-  };
-  if (!fast) r.insert(r.begin() + 1, Ramp{"surge", 2000, 30000, false});
-  return r;
+  const Ramp calm{"calm", 1000, 3000, false};
+  const Ramp surge{"surge", 2000, 30000, false};
+  const Ramp collapse{"collapse", 4000, 400000, true};
+  if (fast) return {calm, collapse};
+  return {calm, surge, collapse};
 }
 
 StormOptions cell_options(const BenchArgs& args, const Es2Config& config,

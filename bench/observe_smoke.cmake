@@ -7,12 +7,13 @@
 #         -P observe_smoke.cmake
 #
 # Runs `bench_fig5 --fast --observe=<a>`, then the same run into <b>.
-# Requires the five artifacts (and no profile.json) in both directories,
-# byte-identical trace.json, trace.bin and profile.folded,
-# `divergence_bisect` to find the two hash series identical and
-# `latency_blame` to render a/blame.json. profile.folded must be the blame
-# partition: one `sim;<component>;vm<v>:q<queue> <ns>` frame per line,
-# weights summing to blame.json's total_ns.
+# Requires the four artifacts (and no profile.json or trace.bin) in both
+# directories, byte-identical trace.json and profile.folded,
+# `divergence_bisect` to find the two hash series identical, and
+# `latency_blame` to render a/blame.json and to diff a/ against b/ clean
+# (exit 0) but refuse `--threshold=abc` (exit 2). profile.folded must be
+# the blame partition: one `sim;<component>;vm<v>:q<queue> <ns>` frame per
+# line, weights summing to blame.json's total_ns.
 
 foreach(var BENCH_FIG5 BISECT BLAME WORK_DIR)
   if(NOT DEFINED ${var})
@@ -30,14 +31,16 @@ foreach(run a b)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "observe_smoke: run ${run} failed (${rc}):\n${out}")
   endif()
-  foreach(f trace.json trace.bin profile.folded blame.json hashes.json)
+  foreach(f trace.json profile.folded blame.json hashes.json)
     if(NOT EXISTS "${WORK_DIR}/${run}/${f}")
       message(FATAL_ERROR "observe_smoke: run ${run} wrote no ${f}")
     endif()
   endforeach()
-  if(EXISTS "${WORK_DIR}/${run}/profile.json")
-    message(FATAL_ERROR "observe_smoke: run ${run} wrote a profile.json")
-  endif()
+  foreach(f profile.json trace.bin)
+    if(EXISTS "${WORK_DIR}/${run}/${f}")
+      message(FATAL_ERROR "observe_smoke: run ${run} wrote a ${f}")
+    endif()
+  endforeach()
 endforeach()
 
 set(frame_re "^sim;(notify_wake|sched_delay|queue_wait|backend_service|suppression|vcpu_wait|msi_delivery|guest_service);vm[0-9]+:q-?[0-9]+ [0-9]+$")
@@ -61,7 +64,7 @@ if(NOT folded_sum EQUAL "${CMAKE_MATCH_1}")
                       "blame.json total_ns is '${CMAKE_MATCH_1}'")
 endif()
 
-foreach(f trace.json trace.bin profile.folded)
+foreach(f trace.json profile.folded)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK_DIR}/a/${f}
             ${WORK_DIR}/b/${f}
@@ -85,6 +88,23 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "observe_smoke: latency_blame exit ${rc}:\n${out}")
 endif()
 
+execute_process(
+  COMMAND "${BLAME}" --diff ${WORK_DIR}/a/blame.json ${WORK_DIR}/b/blame.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "observe_smoke: latency_blame --diff of same-seed runs "
+                      "exit ${rc}:\n${out}")
+endif()
+
+execute_process(
+  COMMAND "${BLAME}" --diff ${WORK_DIR}/a/blame.json ${WORK_DIR}/b/blame.json
+          --threshold=abc
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "observe_smoke: latency_blame --threshold=abc exit "
+                      "${rc}, expected 2:\n${out}")
+endif()
+
 file(REMOVE_RECURSE "${WORK_DIR}")
-message(STATUS "observe_smoke ok: five artifacts, deterministic, tool-readable, "
+message(STATUS "observe_smoke ok: four artifacts, deterministic, tool-readable, "
                "profile.folded is the blame partition")

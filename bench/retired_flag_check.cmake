@@ -3,10 +3,11 @@
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<bench exe> -DFLAG=<flag> -DEXPECT=<regex>
-#         -P retired_flag_check.cmake
+#         [-DARGS=<arg;arg...>] -P retired_flag_check.cmake
+# ARGS, when given, are passed before FLAG.
 
 execute_process(
-  COMMAND "${BENCH}" "${FLAG}"
+  COMMAND "${BENCH}" ${ARGS} "${FLAG}"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
 if(rc EQUAL 0 OR NOT out MATCHES "${EXPECT}")
   message(FATAL_ERROR

@@ -22,28 +22,9 @@ void BenchReport::upsert(const std::string& name, BenchMetric m) {
   metrics_.emplace_back(name, m);
 }
 
-void BenchReport::add_series(const std::string& name,
-                             std::vector<double> values) {
-  for (auto& [k, existing] : series_) {
-    if (k == name) {
-      existing = std::move(values);
-      return;
-    }
-  }
-  series_.emplace_back(name, std::move(values));
-}
-
 const BenchMetric* BenchReport::find(const std::string& name) const {
   for (const auto& [k, m] : metrics_) {
     if (k == name) return &m;
-  }
-  return nullptr;
-}
-
-const std::vector<double>* BenchReport::find_series(
-    const std::string& name) const {
-  for (const auto& [k, v] : series_) {
-    if (k == name) return &v;
   }
   return nullptr;
 }
@@ -62,15 +43,6 @@ Json BenchReport::to_json() const {
     metrics.set(name, std::move(entry));
   }
   doc.set("metrics", std::move(metrics));
-  if (!series_.empty()) {
-    Json series = Json::object();
-    for (const auto& [name, values] : series_) {
-      Json arr = Json::array();
-      for (double v : values) arr.push_back(Json::number(v));
-      series.set(name, std::move(arr));
-    }
-    doc.set("series", std::move(series));
-  }
   return doc;
 }
 
@@ -97,20 +69,18 @@ bool BenchReport::from_json(const Json& doc, BenchReport* out,
     return false;
   }
   for (const auto& [name, entry] : metrics->members()) {
-    BenchMetric m;
-    m.value = entry.number_or("value", 0.0);
-    m.gate = entry.bool_or("gate", true);
-    out->metrics_.emplace_back(name, m);
-  }
-  if (const Json* series = doc.find("series")) {
-    for (const auto& [name, arr] : series->members()) {
-      std::vector<double> values;
-      values.reserve(arr.size());
-      for (std::size_t i = 0; i < arr.size(); ++i) {
-        values.push_back(arr.at(i).as_number());
+    // A malformed row must not read as a gated 0 that a zeroed run matches.
+    const Json* value = entry.find("value");
+    const Json* gate = entry.find("gate");
+    if (!value || !value->is_number() || !gate || !gate->is_bool()) {
+      if (error) {
+        *error = "bench: metric " + name +
+                 " is not {\"value\": <number>, \"gate\": <bool>}";
       }
-      out->series_.emplace_back(name, std::move(values));
+      return false;
     }
+    out->metrics_.emplace_back(name,
+                               BenchMetric{value->as_number(), gate->as_bool()});
   }
   return true;
 }
@@ -284,16 +254,7 @@ std::string render_markdown(const std::vector<BenchDiff>& diffs,
     out += "| metric | baseline | current | delta | trend |\n";
     out += "|---|---:|---:|---:|---|\n";
     for (const MetricDelta& m : d.deltas) {
-      // Per-metric trend: the run's sampled series when the bench exported
-      // one, else the two-point baseline->current pair.
-      std::string trend;
-      const std::vector<double>* series =
-          cur ? cur->find_series(m.metric) : nullptr;
-      if (series && !series->empty()) {
-        trend = sparkline(*series);
-      } else {
-        trend = sparkline({m.baseline, m.current}, 2);
-      }
+      const std::string trend = sparkline({m.baseline, m.current}, 2);
       std::string delta = std::isinf(m.rel)
                               ? "new-nonzero"
                               : format("%+.2f%%", m.rel * 100.0);

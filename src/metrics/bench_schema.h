@@ -12,7 +12,8 @@
 //    ns/event). Reported in the markdown diff, never failed on.
 //
 // A v1 document is rejected: it carried a per-metric tolerance that this
-// reader would otherwise silently drop.
+// reader would otherwise silently drop. So is a metric entry that is not
+// `{"value": <number>, "gate": <bool>}`, naming the row.
 //
 // Baselines live in `bench/baseline/BENCH_<name>.json`, generated with
 // `--fast --seed=1`; `bench_report --check` refuses to compare runs whose
@@ -53,18 +54,11 @@ class BenchReport {
   void add_info(const std::string& name, double value) {
     upsert(name, {value, false});
   }
-  /// Adds a sampled series (plotted as a sparkline in the markdown diff).
-  void add_series(const std::string& name, std::vector<double> values);
 
   const std::vector<std::pair<std::string, BenchMetric>>& metrics() const {
     return metrics_;
   }
-  const std::vector<std::pair<std::string, std::vector<double>>>& series()
-      const {
-    return series_;
-  }
   const BenchMetric* find(const std::string& name) const;
-  const std::vector<double>* find_series(const std::string& name) const;
 
   Json to_json() const;
   static bool from_json(const Json& doc, BenchReport* out, std::string* error);
@@ -81,7 +75,6 @@ class BenchReport {
   bool fast_ = false;
   std::uint64_t seed_ = 1;
   std::vector<std::pair<std::string, BenchMetric>> metrics_;
-  std::vector<std::pair<std::string, std::vector<double>>> series_;
 };
 
 /// One metric's baseline-vs-current comparison.
@@ -115,8 +108,8 @@ BenchDiff diff_bench(const BenchReport& baseline, const BenchReport& current);
 std::string sparkline(const std::vector<double>& values, std::size_t width = 24);
 
 /// Markdown regression report over a set of bench diffs: status table,
-/// per-metric deltas with sparklines (baseline series vs current series
-/// when present), and a failure summary.
+/// per-metric deltas with a two-point baseline->current sparkline, and a
+/// failure summary.
 std::string render_markdown(const std::vector<BenchDiff>& diffs,
                             const std::vector<const BenchReport*>& baselines,
                             const std::vector<const BenchReport*>& currents);

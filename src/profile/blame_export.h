@@ -1,6 +1,6 @@
 // es2-blame-v1: the versioned export of a blame breakdown, the folded
 // flame-graph stacks of its partition, and the renderers the
-// `tools/latency_blame` CLI and bench_blame share.
+// `tools/latency_blame` CLI and the benches share.
 //
 // The JSON is fully deterministic (insertion-ordered members, integer
 // nanoseconds, shortest-round-trip doubles), so same-seed runs export

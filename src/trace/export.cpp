@@ -4,10 +4,6 @@
 
 namespace es2 {
 
-// ---------------------------------------------------------------------------
-// Perfetto / chrome://tracing JSON
-// ---------------------------------------------------------------------------
-
 namespace {
 
 /// Trace-event `ts` is microseconds; emit with ns precision.
@@ -56,94 +52,6 @@ std::string to_perfetto_json(const std::vector<TraceRecord>& records,
   }
   out += "]}";
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Binary format
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr char kMagic[4] = {'E', 'S', '2', 'T'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderSize = 16;
-constexpr std::size_t kRecordSize = 24;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const std::string& in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(in[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const std::string& in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(in[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-std::string to_binary(const std::vector<TraceRecord>& records) {
-  std::string out;
-  out.reserve(kHeaderSize + records.size() * kRecordSize);
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kVersion);
-  put_u64(out, static_cast<std::uint64_t>(records.size()));
-  for (const TraceRecord& r : records) {
-    put_u64(out, static_cast<std::uint64_t>(r.t));
-    put_u64(out, r.corr);
-    put_u32(out, r.arg);
-    out.push_back(static_cast<char>(r.kind));
-    out.push_back(static_cast<char>(r.cpu));
-    out.push_back(static_cast<char>(r.vm));
-    out.push_back(static_cast<char>(r.vcpu));
-  }
-  return out;
-}
-
-bool read_binary(const std::string& data, std::vector<TraceRecord>* out) {
-  out->clear();
-  if (data.size() < kHeaderSize) return false;
-  if (data.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-    return false;
-  }
-  if (get_u32(data, 4) != kVersion) return false;
-  const std::uint64_t count = get_u64(data, 8);
-  if (data.size() != kHeaderSize + count * kRecordSize) return false;
-  out->reserve(static_cast<std::size_t>(count));
-  std::size_t at = kHeaderSize;
-  for (std::uint64_t i = 0; i < count; ++i, at += kRecordSize) {
-    TraceRecord r;
-    r.t = static_cast<SimTime>(get_u64(data, at));
-    r.corr = get_u64(data, at + 8);
-    r.arg = get_u32(data, at + 16);
-    r.kind = static_cast<TraceKind>(static_cast<unsigned char>(data[at + 20]));
-    r.cpu = static_cast<std::int8_t>(data[at + 21]);
-    r.vm = static_cast<std::int8_t>(data[at + 22]);
-    r.vcpu = static_cast<std::int8_t>(data[at + 23]);
-    out->push_back(r);
-  }
-  return true;
 }
 
 }  // namespace es2

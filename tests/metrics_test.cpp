@@ -324,7 +324,6 @@ BenchReport sample_report() {
   r.add("throughput", 100.0);
   r.add("exits", 5000.0);
   r.add_info("wall_seconds", 3.2);
-  r.add_series("curve", {1, 2, 3, 4});
   return r;
 }
 
@@ -394,9 +393,6 @@ TEST(BenchSchema, FileRoundTrip) {
   const BenchMetric* m = reread.find("throughput");
   ASSERT_NE(m, nullptr);
   EXPECT_DOUBLE_EQ(m->value, 100.0);
-  const std::vector<double>* s = reread.find_series("curve");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->size(), 4u);
   // A reread report diffs clean against the original.
   EXPECT_TRUE(diff_bench(sample_report(), reread).ok());
 }
@@ -426,6 +422,26 @@ TEST(BenchSchema, SeedThatIsNotAnUnsignedIntegerIsRejected) {
     BenchReport reread;
     EXPECT_FALSE(BenchReport::from_json(doc, &reread, &error)) << seed;
     EXPECT_NE(error.find("seed"), std::string::npos) << error;
+  }
+}
+
+TEST(BenchSchema, MalformedMetricEntryIsAParseError) {
+  // Each of these once loaded silently (a bad value as a gated 0, a bad or
+  // missing gate as gated), so a run with the row at 0 could pass against
+  // it. Every one must fail and name the row.
+  for (const char* entry :
+       {R"(7)", R"({"value": "12", "gate": true})", R"({"gate": true})",
+        R"({"value": 12, "gate": "yes"})", R"({"value": 12})"}) {
+    const std::string text = std::string(R"({"schema": "es2-bench-v2",
+        "bench": "demo", "fast": true, "seed": 1,
+        "metrics": {"ok": {"value": 1, "gate": true}, "rows": )") +
+                             entry + "}}";
+    Json doc;
+    std::string error;
+    ASSERT_TRUE(Json::parse(text, &doc, &error)) << error;
+    BenchReport reread;
+    EXPECT_FALSE(BenchReport::from_json(doc, &reread, &error)) << entry;
+    EXPECT_NE(error.find("metric rows"), std::string::npos) << error;
   }
 }
 

@@ -1,7 +1,7 @@
 // Trace-based event-path regression tests.
 //
 // These lock down the event path itself, not just aggregate counters:
-//   * determinism — same seed, same workload => byte-identical traces;
+//   * determinism — same seed, same workload => identical trace records;
 //   * passivity — tracing a run must not change any of its metrics;
 //   * the paper's core claim in trace form — posted interrupts remove
 //     interrupt-delivery and EOI-completion VM exits from the path;
@@ -56,7 +56,7 @@ TEST(TracePath, SameSeedTracesAreByteIdentical) {
   ASSERT_NE(a.trace, nullptr);
   ASSERT_NE(b.trace, nullptr);
   ASSERT_FALSE(a.trace->records.empty());
-  EXPECT_EQ(to_binary(a.trace->records), to_binary(b.trace->records));
+  EXPECT_EQ(a.trace->records, b.trace->records);
 }
 
 TEST(TracePath, TracingDoesNotPerturbTheRun) {

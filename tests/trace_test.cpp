@@ -1,5 +1,5 @@
 // Tracer unit tests: ring-buffer wraparound, correlation-id plumbing, the
-// span builder on hand-crafted record sequences, exporter round-trips and
+// span builder on hand-crafted record sequences, the Perfetto exporter and
 // the zero-allocation guarantee on the hot emit path (this binary links
 // es2_alloc_hook).
 #include <gtest/gtest.h>
@@ -269,37 +269,6 @@ std::vector<TraceRecord> sample_records() {
   tracer.emit(900, TraceKind::kEoi, 0, 0, 1, 0, 7);
   tracer.emit(950, TraceKind::kSchedOut, -1, -1, 1, 12);
   return tracer.snapshot();
-}
-
-TEST(TraceExport, BinaryRoundTripIsLossless) {
-  const std::vector<TraceRecord> records = sample_records();
-  const std::string blob = to_binary(records);
-  EXPECT_EQ(blob.size(), 16u + records.size() * 24u);
-  std::vector<TraceRecord> back;
-  ASSERT_TRUE(read_binary(blob, &back));
-  EXPECT_EQ(back, records);
-}
-
-TEST(TraceExport, BinaryReaderRejectsCorruptInput) {
-  const std::string blob = to_binary(sample_records());
-  std::vector<TraceRecord> out;
-
-  std::string bad_magic = blob;
-  bad_magic[0] = 'X';
-  EXPECT_FALSE(read_binary(bad_magic, &out));
-  EXPECT_TRUE(out.empty());
-
-  std::string truncated = blob.substr(0, blob.size() - 5);
-  EXPECT_FALSE(read_binary(truncated, &out));
-  EXPECT_TRUE(out.empty());
-
-  EXPECT_FALSE(read_binary(std::string("ES"), &out));
-}
-
-TEST(TraceExport, EmptyTraceRoundTrips) {
-  std::vector<TraceRecord> out{TraceRecord{}};
-  ASSERT_TRUE(read_binary(to_binary({}), &out));
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(TraceExport, PerfettoJsonIsStructurallyValid) {

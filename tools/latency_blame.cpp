@@ -1,34 +1,28 @@
 // Latency-blame CLI: who owns each nanosecond of the virtio event path?
 //
-// Three modes, picked by the inputs:
+// Two modes, both over es2-blame-v1 reports (any bench run with
+// `--observe=<dir>` writes `<dir>/blame.json`):
 //
-//  * `latency_blame trace.bin` — read a raw ES2T binary trace (any bench
-//    run with `--observe=<dir>` writes `<dir>/trace.bin`; `to_binary`
-//    makes one from records), run the critical-path analyzer, and print
-//    the markdown latency-budget table plus the worst-journey ledger.
-//    `--json=<path>` additionally writes the es2-blame-v1 report.
-//  * `latency_blame blame.json` — re-render an existing es2-blame-v1
-//    report (e.g. `<dir>/blame.json` from `--observe=<dir>`) as the same
-//    markdown table.
-//  * `latency_blame --diff a.json b.json` — diff two es2-blame-v1 reports
-//    and name the component whose share of the journey total grew the
-//    most: the answer to "which stage regressed between these runs?".
+//  * `latency_blame blame.json` — render the report as the markdown
+//    latency-budget table.
+//  * `latency_blame --diff a.json b.json` — diff two reports and name the
+//    component whose share of the journey total grew the most: the answer
+//    to "which stage regressed between these runs?".
 //
 // Exit codes: 0 = ok (diff mode: no component regressed by more than
 // --threshold), 1 = diff found a regression past the threshold, 2 = usage
-// or unreadable/malformed input.
+// (including a --threshold= that is not a non-negative number) or
+// unreadable/malformed input.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "base/file.h"
-#include "base/json.h"
-#include "profile/blame.h"
 #include "profile/blame_export.h"
-#include "trace/export.h"
-#include "trace/span.h"
-#include "trace/trace.h"
 
 using namespace es2;
 
@@ -50,36 +44,37 @@ bool load_summary(const char* path, BlameSummary* out) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: latency_blame <trace.bin> [--json=<out.json>] "
-               "[--top=N] [--k=F]\n"
-               "       latency_blame <blame.json>\n"
+               "usage: latency_blame <blame.json>\n"
                "       latency_blame --diff <a.json> <b.json> "
                "[--threshold=F]\n"
-               "  trace.bin, blame.json: written by any bench run with "
-               "--observe=<dir>\n");
+               "  blame.json: written by any bench run with "
+               "--observe=<dir>\n"
+               "  F: a non-negative fraction of the journey total "
+               "(default 0.05)\n");
   return 2;
+}
+
+/// Parses a whole non-negative finite number; false on anything else.
+bool parse_threshold(const char* text, double* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out) && *out >= 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<const char*> inputs;
-  std::string json_out;
   bool diff = false;
   double threshold = 0.05;
-  BlameOptions options;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--diff") == 0) {
       diff = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_out = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--top=", 6) == 0) {
-      options.ledger_top_n =
-          static_cast<int>(std::strtol(argv[i] + 6, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--k=", 4) == 0) {
-      options.ledger_k = std::strtod(argv[i] + 4, nullptr);
     } else if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
-      threshold = std::strtod(argv[i] + 12, nullptr);
+      if (!parse_threshold(argv[i] + 12, &threshold)) {
+        std::fprintf(stderr, "latency_blame: bad %s\n", argv[i]);
+        return usage();
+      }
     } else if (argv[i][0] == '-') {
       return usage();
     } else {
@@ -104,35 +99,6 @@ int main(int argc, char** argv) {
   }
 
   if (inputs.size() != 1) return usage();
-  std::string data;
-  if (!read_file(inputs[0], &data)) {
-    std::fprintf(stderr, "latency_blame: cannot read %s\n", inputs[0]);
-    return 2;
-  }
-
-  std::vector<TraceRecord> records;
-  if (read_binary(data, &records)) {
-    std::vector<JourneySpan> journeys;
-    build_spans(records, &journeys);
-    const BlameBreakdown blame = analyze_blame(records, journeys, options);
-    if (blame.journeys == 0) {
-      std::fprintf(stderr, "latency_blame: %s holds no journeys\n",
-                   inputs[0]);
-      return 2;
-    }
-    std::printf("%s", render_blame_markdown(blame_summary(blame)).c_str());
-    if (!json_out.empty()) {
-      if (!write_file(json_out, blame_to_json_text(blame))) {
-        std::fprintf(stderr, "latency_blame: cannot write %s\n",
-                     json_out.c_str());
-        return 2;
-      }
-      std::printf("[es2-blame-v1 report written to %s]\n", json_out.c_str());
-    }
-    return 0;
-  }
-
-  // Not an ES2T binary: try an existing es2-blame-v1 report.
   BlameSummary s;
   if (!load_summary(inputs[0], &s)) return 2;
   std::printf("%s", render_blame_markdown(s).c_str());
