@@ -100,7 +100,6 @@ inline void observe_request(const BenchArgs& args, ObserveOptions& o) {
   if (args.observe_dir.empty()) return;
   o.trace.enabled = true;
   o.trace.capacity = std::size_t{1} << 18;
-  o.metrics.enabled = true;
   o.snapshot.hash_epochs = true;
 }
 

@@ -117,11 +117,7 @@ double MetricsData::value(const std::string& key, double fallback) const {
 std::shared_ptr<MetricsData> harvest_metrics(Testbed& tb) {
   auto data = std::make_shared<MetricsData>();
   data->samples = snapshot(tb.metrics());
-  if (const MetricsSampler* sampler = tb.sampler()) {
-    data->sampler_frames = sampler->frames();
-    data->sampler_total = sampler->total_samples();
-    data->top_deltas = top_metric_deltas(tb.metrics(), *sampler, 5);
-  }
+  data->top_deltas = tb.top_metric_deltas(5);
   return data;
 }
 

@@ -56,20 +56,24 @@ struct TraceStages {
 /// TraceStages. Self-contained: outlives the testbed.
 struct MetricsData {
   std::vector<MetricSample> samples;  // sorted by canonical key
-  std::uint64_t sampler_frames = 0;   // time-series frames retained
-  std::uint64_t sampler_total = 0;    // ticks taken (incl. evicted)
-  std::string top_deltas;             // top-5 moving metrics, one line
+  // Always 0: no time series is sampled. Kept only because the host-cost
+  // benchmark's result digest (perfbench/workloads.cpp) still reads them.
+  std::uint64_t sampler_frames = 0;
+  std::uint64_t sampler_total = 0;
+  std::string top_deltas;  // top-5 metrics by change since start(), one line
 
   /// Scalar value of a metric by canonical key, or `fallback`.
   double value(const std::string& key, double fallback = 0) const;
 };
 
-/// Reads the testbed's registry (and sampler, if any) into a MetricsData.
-/// Call after the measured span, before teardown. Never null.
+/// Reads the testbed's registry into a MetricsData: the final snapshot and
+/// the top-5 deltas against the start() read. Call after the measured
+/// span, before teardown. Never null.
 std::shared_ptr<MetricsData> harvest_metrics(Testbed& tb);
 
-/// What the three observers (ObserveOptions) leave behind after one run.
-/// Every runner's result inherits it. Self-contained: outlives the testbed.
+/// What the two observers (ObserveOptions) and the metrics registry leave
+/// behind after one run. Every runner's result inherits it.
+/// Self-contained: outlives the testbed.
 struct RunArtifacts {
   /// Null unless the run was traced.
   std::shared_ptr<TraceData> trace;

@@ -57,8 +57,8 @@ struct ScenarioReport {
   SimTime sim_now = 0;
   std::uint64_t events = 0;
   std::string detail;
-  /// Top metric deltas over the run's sampled window (empty without a
-  /// metrics sampler); appended to failure lines so a tripped scenario
+  /// Top metric deltas since the testbed's start() (Testbed::
+  /// top_metric_deltas); appended to failure lines so a tripped scenario
   /// reports what was — or wasn't — moving.
   std::string telemetry;
 

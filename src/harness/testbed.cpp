@@ -142,20 +142,15 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   if (recovery_log_) snapshotter_.add("recovery", *recovery_log_);
 
   register_all_metrics();
-  if (o.metrics.enabled) {
-    SamplerOptions so;
-    so.period = o.metrics.sample_period;
-    so.ring_capacity = o.metrics.ring_capacity;
-    sampler_ = std::make_unique<MetricsSampler>(*sim_, registry_, so);
-    snapshotter_.add("metrics.sampler", *sampler_);
-  }
   if (auditor_) {
     // A failed audit reports which metrics were moving when it tripped.
-    auditor_->set_context([this] {
-      if (sampler_ == nullptr) return std::string();
-      return top_metric_deltas(registry_, *sampler_, 5);
-    });
+    auditor_->set_context([this] { return top_metric_deltas(5); });
   }
+}
+
+std::string Testbed::top_metric_deltas(std::size_t n) const {
+  return es2::top_metric_deltas(registry_, metrics_at_start_,
+                                sim_->now() - started_at_, n);
 }
 
 void Testbed::register_all_metrics() {
@@ -238,10 +233,10 @@ void Testbed::start() {
         [this] { hash_log_->record(sim_->now()); });
     hash_timer_->start();
   }
-  // Start the sampler first so late-registered workload instruments (apps
-  // attach between construction and start) are still inside the frozen
-  // set.
-  if (sampler_) sampler_->start();
+  // The start read of the registry: failure telemetry subtracts it.
+  // Workloads have attached by now, so their instruments are in it.
+  metrics_at_start_ = read_values(registry_);
+  started_at_ = sim_->now();
   for (int v = 0; v < host_->num_vms(); ++v) host_->vm(v).start();
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/burn.h"
@@ -23,7 +24,6 @@
 #include "guest/guest_os.h"
 #include "guest/virtio_net.h"
 #include "metrics/metrics.h"
-#include "metrics/sampler.h"
 #include "net/link.h"
 #include "net/peer.h"
 #include "sim/invariant_auditor.h"
@@ -34,17 +34,15 @@
 
 namespace es2 {
 
-/// The three passive observers of a run: on-vs-off leaves golden outputs
+/// The two passive observers of a run: on-vs-off leaves golden outputs
 /// bit-identical. `TestbedOptions` and every runner's options inherit
-/// this, so one base assignment carries all three through the harness.
+/// this, so one base assignment carries both through the harness. The
+/// metrics registry is not an observer: its instruments register in every
+/// run and are only read (at start() and at harvest).
 struct ObserveOptions {
   /// Event-path tracing. `trace.enabled` builds a Tracer and attaches it
   /// to the simulator. Off by default: no records, one null test per hook.
   TraceOptions trace;
-  /// Unified telemetry. Instruments register across every layer either
-  /// way; `metrics.enabled` (the default) additionally runs a
-  /// MetricsSampler on a deterministic in-sim cadence.
-  MetricsOptions metrics;
   /// Epoch state-hashing. `snapshot.hash_epochs` arms a periodic FNV
   /// digest of every registered component (the determinism oracle behind
   /// `tools/divergence_bisect`).
@@ -119,8 +117,9 @@ class Testbed {
   /// The unified registry; every layer's instruments live here.
   MetricsRegistry& metrics() { return registry_; }
   const MetricsRegistry& metrics() const { return registry_; }
-  /// Null unless options.metrics.enabled; started by start().
-  MetricsSampler* sampler() { return sampler_.get(); }
+  /// The top-`n` metrics by change since start() read the registry, one
+  /// line (see `top_metric_deltas`); failure reports carry it.
+  std::string top_metric_deltas(std::size_t n) const;
 
   /// The world snapshot registry: every stateful component under a stable
   /// name, in construction order. Workloads append themselves when they
@@ -155,10 +154,10 @@ class Testbed {
   WorldSnapshotter snapshotter_;
   std::unique_ptr<EpochHashLog> hash_log_;
   std::unique_ptr<PeriodicTimer> hash_timer_;
-  // Last: the sampler references both the registry and the simulator, so
-  // it must be torn down first.
   MetricsRegistry registry_;
-  std::unique_ptr<MetricsSampler> sampler_;
+  // Every instrument's value when start() ran, and when that was.
+  std::vector<double> metrics_at_start_;
+  SimTime started_at_ = 0;
 };
 
 }  // namespace es2

@@ -26,31 +26,27 @@ std::vector<MetricSample> snapshot(const MetricsRegistry& registry) {
   return out;
 }
 
+std::vector<double> read_values(const MetricsRegistry& registry) {
+  std::vector<double> values(registry.size());
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = registry.value(i);
+  return values;
+}
+
 std::string top_metric_deltas(const MetricsRegistry& registry,
-                              const MetricsSampler& sampler, std::size_t n) {
+                              const std::vector<double>& start_values,
+                              SimDuration span, std::size_t n) {
   struct Entry {
     std::size_t slot;
     double delta;
     double per_second;
   };
   std::vector<Entry> entries;
-  const std::size_t frames = sampler.frames();
-  if (frames >= 2) {
-    const SimTime t0 = sampler.frame_time(0);
-    const SimTime t1 = sampler.frame_time(frames - 1);
-    const double span_s = to_seconds(t1 - t0);
-    for (std::size_t i = 0; i < sampler.instruments(); ++i) {
-      const double delta =
-          sampler.frame_value(frames - 1, i) - sampler.frame_value(0, i);
-      if (delta == 0.0) continue;
-      entries.push_back({i, delta, span_s > 0 ? delta / span_s : 0.0});
-    }
-  } else {
-    for (std::size_t i = 0; i < registry.size(); ++i) {
-      const double v = registry.value(i);
-      if (v == 0.0) continue;
-      entries.push_back({i, v, 0.0});
-    }
+  const double span_s = to_seconds(span);
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    const double start = i < start_values.size() ? start_values[i] : 0.0;
+    const double delta = registry.value(i) - start;
+    if (delta == 0.0) continue;
+    entries.push_back({i, delta, span_s > 0 ? delta / span_s : 0.0});
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) {

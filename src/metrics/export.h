@@ -1,5 +1,5 @@
 // Metrics readout: a sorted snapshot of the registry and a one-line digest
-// of what moved over the sampler's window.
+// of what moved since a start read of it.
 //
 // `snapshot()` is a self-contained copy of every instrument's current value
 // in one canonical order (sorted metric keys), so same-seed runs harvest
@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "base/units.h"
 #include "metrics/metrics.h"
-#include "metrics/sampler.h"
 
 namespace es2 {
 
@@ -29,12 +29,19 @@ struct MetricSample {
 /// Reads every instrument, sorted by canonical key.
 std::vector<MetricSample> snapshot(const MetricsRegistry& registry);
 
-/// One human-readable line per top-|delta| metric over the sampler's
-/// retained window (newest frame minus oldest), e.g.
-/// `vm.exits{cause=msr_access} +1204 (841.2/s)`. Falls back to the largest
-/// current values when fewer than two frames exist. Empty registry -> "".
-/// Used by ScenarioWatchdog / InvariantAuditor failure reports.
+/// Every instrument's current value, in registration order: the start
+/// read `top_metric_deltas` subtracts.
+std::vector<double> read_values(const MetricsRegistry& registry);
+
+/// One human-readable line per top-|delta| metric: current value minus
+/// `start_values` (one per instrument, registration order, as
+/// `read_values` returns them), e.g.
+/// `vm.exits{cause=msr_access} +1204 (841.2/s)` with the rate over `span`.
+/// Instruments registered after the start read count from 0, and with no
+/// start read at all the line names the largest current values. Nothing
+/// moved -> "". Used by watchdog and InvariantAuditor failure reports.
 std::string top_metric_deltas(const MetricsRegistry& registry,
-                              const MetricsSampler& sampler, std::size_t n);
+                              const std::vector<double>& start_values,
+                              SimDuration span, std::size_t n);
 
 }  // namespace es2

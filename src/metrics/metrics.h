@@ -16,12 +16,10 @@
 //    per model event. New plain counters are added to a layer only where
 //    no signal existed.
 //  * **Passivity.** Reading any instrument draws no RNG values, writes no
-//    model state, and schedules nothing. A metrics-on run is bit-identical
-//    to a metrics-off run on every committed golden (the sampler's timer
-//    shifts event sequence numbers uniformly, which preserves order).
+//    model state, and schedules nothing. A run reads the registry twice,
+//    at `Testbed::start()` and at harvest, so it costs nothing per event.
 //
-// Registration happens at testbed construction (allocation is fine there);
-// after `MetricsSampler::start()` the steady state allocates nothing.
+// Registration happens at testbed construction (allocation is fine there).
 #pragma once
 
 #include <cstdint>

@@ -2,13 +2,23 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "base/strings.h"
 
 namespace es2 {
 
 namespace {
+
+/// The vhost worker thread whose kSchedIn records (matched via
+/// `trace_thread_tag`, the tag the sched tracepoints carry in `arg`) mark
+/// "the worker went on-core". The canonical testbed has one.
+constexpr const char* kWorkerThread = "vhost-vm0";
+/// vCPU threads are named "<vm>/vcpu<j>"; tags are derived for
+/// vm0..vm{kMaxVms-1} x vcpu0..vcpu{kMaxVcpus-1}.
+constexpr int kMaxVms = 8;
+constexpr int kMaxVcpus = 16;
+/// Worst-journey ledger length: the worst journeys at or beyond p99.
+constexpr std::size_t kLedgerTopN = 8;
 
 /// First value in sorted `v` within [lo, hi], or -1.
 SimTime first_in(const std::vector<SimTime>& v, SimTime lo, SimTime hi) {
@@ -63,23 +73,19 @@ double BlameBreakdown::fraction(BlameComponent c) const {
 }
 
 BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
-                             const std::vector<JourneySpan>& journeys,
-                             const BlameOptions& options) {
+                             const std::vector<JourneySpan>& journeys) {
   // The journeys' landmarks come from the span builder; this pass adds the
   // global time series the attribution cuts against (worker wakes, worker
   // sched-ins, handler turns, per-vcpu sched-ins). Records arrive
   // oldest-first from Tracer::snapshot(), so the series come out sorted;
   // sort defensively anyway.
 
-  std::unordered_set<std::uint32_t> worker_tags;
-  for (const std::string& name : options.worker_threads) {
-    worker_tags.insert(trace_thread_tag(name));
-  }
+  const std::uint32_t worker_tag = trace_thread_tag(kWorkerThread);
   std::unordered_map<std::uint32_t, int> vcpu_tags;  // tag -> vm*max+vcpu
-  for (int vm = 0; vm < options.max_vms; ++vm) {
-    for (int vcpu = 0; vcpu < options.max_vcpus; ++vcpu) {
+  for (int vm = 0; vm < kMaxVms; ++vm) {
+    for (int vcpu = 0; vcpu < kMaxVcpus; ++vcpu) {
       const std::string name = format("vm%d/vcpu%d", vm, vcpu);
-      vcpu_tags.emplace(trace_thread_tag(name), vm * options.max_vcpus + vcpu);
+      vcpu_tags.emplace(trace_thread_tag(name), vm * kMaxVcpus + vcpu);
     }
   }
 
@@ -94,7 +100,7 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
     } else if (r.kind == TraceKind::kWorkerWake) {
       wakes.push_back(r.t);
     } else if (r.kind == TraceKind::kSchedIn) {
-      if (worker_tags.count(r.arg) != 0) {
+      if (r.arg == worker_tag) {
         worker_sched_in.push_back(r.t);
       } else if (auto it = vcpu_tags.find(r.arg); it != vcpu_tags.end()) {
         vcpu_sched_in[it->second].push_back(r.t);
@@ -177,7 +183,7 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
     // route + inject.
     SimTime vcpu_on = -1;
     if (j.vm >= 0 && j.vcpu >= 0) {
-      auto it = vcpu_sched_in.find(j.vm * options.max_vcpus + j.vcpu);
+      auto it = vcpu_sched_in.find(j.vm * kMaxVcpus + j.vcpu);
       if (it != vcpu_sched_in.end()) {
         vcpu_on = first_in(it->second, j.msi, j.dispatch);
       }
@@ -223,9 +229,8 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
               return a.queue < b.queue;
             });
 
-  // Worst-journey ledger: everything beyond k x p99, worst first.
-  out.ledger_threshold = static_cast<SimDuration>(
-      options.ledger_k * static_cast<double>(out.end_to_end.p99()));
+  // Worst-journey ledger: everything at or beyond p99, worst first.
+  out.ledger_threshold = out.end_to_end.p99();
   std::vector<JourneyBlame> worst;
   for (const JourneyBlame& b : attributed) {
     if (b.total() >= out.ledger_threshold) worst.push_back(b);
@@ -235,10 +240,7 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
               if (a.total() != b.total()) return a.total() > b.total();
               return a.corr < b.corr;
             });
-  if (options.ledger_top_n >= 0 &&
-      worst.size() > static_cast<std::size_t>(options.ledger_top_n)) {
-    worst.resize(static_cast<std::size_t>(options.ledger_top_n));
-  }
+  if (worst.size() > kLedgerTopN) worst.resize(kLedgerTopN);
   out.worst = std::move(worst);
   return out;
 }

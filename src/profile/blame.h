@@ -25,7 +25,7 @@
 // suppression, vcpu_wait) vs service (the rest); "tail blame" is the
 // per-component share of total journey time, with per-component
 // histograms for distribution shape and a worst-journeys ledger that
-// keeps the full cut sequence of any journey beyond k×p99.
+// keeps the full cut sequence of the worst journeys at or beyond p99.
 //
 // The journeys and their landmarks come from the span builder
 // (trace/span.h), which the caller runs once per record snapshot; this is
@@ -63,22 +63,6 @@ const char* blame_component_name(BlameComponent c);
 /// true for time spent waiting (queueing/sched/suppression), false for
 /// time spent doing useful work (copy, delivery, guest service).
 bool blame_component_is_wait(BlameComponent c);
-
-struct BlameOptions {
-  /// Thread names whose kSchedIn records count as "the vhost worker went
-  /// on-core". Matched via `trace_thread_tag`, the tag the sched
-  /// tracepoints carry in `arg`. The canonical testbed names one worker
-  /// per VM.
-  std::vector<std::string> worker_threads = {"vhost-vm0"};
-  /// vCPU thread names are conventional: "<vm>/vcpu<j>". The analyzer
-  /// derives tags for vm0..vm{max_vms-1} x vcpu0..vcpu{max_vcpus-1}.
-  int max_vms = 8;
-  int max_vcpus = 16;
-  /// Worst-journey ledger: keep up to `ledger_top_n` journeys whose total
-  /// exceeds `ledger_k` x p99(end-to-end).
-  int ledger_top_n = 8;
-  double ledger_k = 1.0;
-};
 
 /// One attributed journey: a monotone cut sequence over [start, eoi]
 /// rendered as per-component durations (ns). Exact: sum(ns) == total.
@@ -118,8 +102,8 @@ struct BlameBreakdown {
   std::array<Histogram, kBlameComponents> component_hist;
   Histogram end_to_end;
   SimDuration total_ns = 0;  // sum of journey totals
-  /// Worst-journey ledger: complete journeys with total > k x p99,
-  /// descending by total (ties broken by corr), at most top_n.
+  /// Worst-journey ledger: complete journeys with total >= p99,
+  /// descending by total (ties broken by corr), at most 8.
   std::vector<JourneyBlame> worst;
   SimDuration ledger_threshold = 0;
   /// Per-(vm, queue) rollups, sorted by (vm, queue).
@@ -132,10 +116,10 @@ struct BlameBreakdown {
 /// Attributes every complete journey of `journeys`, the spans
 /// `build_spans` stitched from `records` (any order); the records supply
 /// the worker and vCPU sched/wake series the cuts land on. Journeys
-/// missing a landmark are counted but not attributed.
+/// missing a landmark are counted but not attributed. The threads are the
+/// canonical testbed's: worker "vhost-vm0", vCPUs "vm<v>/vcpu<j>".
 BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
-                             const std::vector<JourneySpan>& journeys,
-                             const BlameOptions& options = {});
+                             const std::vector<JourneySpan>& journeys);
 
 /// The cut sequence of one journey as "component=<ns>" text, path order,
 /// zero segments skipped — the ledger's human-readable critical path.

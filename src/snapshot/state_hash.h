@@ -12,8 +12,8 @@
 //
 // Recording is passive: hashing draws no RNG values and mutates nothing,
 // so a hashed run's model trajectory is bit-identical to an unhashed one
-// (the epoch timer shifts event sequence numbers uniformly, exactly like
-// the metrics sampler).
+// (the epoch timer shifts the sequence numbers of later events uniformly,
+// which preserves their order).
 #pragma once
 
 #include <cstdint>

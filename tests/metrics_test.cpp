@@ -1,9 +1,9 @@
-// Metrics subsystem tests: registry identity and lookup, deterministic
-// sampler cadence, same-seed identity of snapshots and sampled frames,
-// passivity of the sampling path, zero steady-state allocation, histogram
-// edge cases, and the bench-report schema's regression-gate logic.
+// Metrics subsystem tests: registry identity and lookup, same-seed
+// identity of snapshots, the process allocation probes, histogram edge
+// cases, the top-deltas readout, and the bench-report schema's
+// regression-gate logic.
 //
-// This binary links es2_alloc_hook, so the allocation assertions measure
+// This binary links es2_alloc_hook, so the process.allocs probes measure
 // real global operator new traffic.
 #include <gtest/gtest.h>
 
@@ -11,14 +11,12 @@
 #include <string>
 #include <vector>
 
-#include "base/alloc_hook.h"
 #include "harness/experiments.h"
 #include "harness/testbed.h"
 #include "metrics/alloc_metrics.h"
 #include "metrics/bench_schema.h"
 #include "metrics/export.h"
 #include "metrics/metrics.h"
-#include "metrics/sampler.h"
 #include "sim/simulator.h"
 #include "stats/histogram.h"
 
@@ -88,72 +86,12 @@ TEST(MetricsRegistry, SortedIndicesAreExportOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampler: deterministic cadence, ring retention, freeze semantics
+// Snapshot determinism
 // ---------------------------------------------------------------------------
 
-TEST(MetricsSampler, TicksOnExactSimCadence) {
-  Simulator sim(1);
-  MetricsRegistry reg;
-  Counter& events = reg.counter("events");
-  PeriodicTimer work(sim, usec(100), [&events] { events.add(1); });
-  work.start();
-  SamplerOptions so;
-  so.period = msec(1);
-  MetricsSampler sampler(sim, reg, so);
-  sampler.start();
-  sim.run_for(msec(10));
-  EXPECT_EQ(sampler.instruments(), 1u);
-  EXPECT_EQ(sampler.total_samples(), 10u);
-  ASSERT_EQ(sampler.frames(), 10u);
-  for (std::size_t f = 0; f + 1 < sampler.frames(); ++f) {
-    EXPECT_EQ(sampler.frame_time(f + 1) - sampler.frame_time(f), msec(1));
-    // The counter grows by 10 work ticks per sample period.
-    EXPECT_EQ(sampler.frame_value(f + 1, 0) - sampler.frame_value(f, 0), 10.0);
-  }
-}
-
-TEST(MetricsSampler, RingEvictsOldestFrames) {
-  Simulator sim(1);
-  MetricsRegistry reg;
-  reg.counter("x");
-  SamplerOptions so;
-  so.period = msec(1);
-  so.ring_capacity = 4;
-  MetricsSampler sampler(sim, reg, so);
-  sampler.start();
-  sim.run_for(msec(10));
-  EXPECT_EQ(sampler.total_samples(), 10u);
-  ASSERT_EQ(sampler.frames(), 4u);
-  // Oldest retained frame is tick #7 of 10 (1-indexed by period).
-  EXPECT_EQ(sampler.frame_time(0), msec(7));
-  EXPECT_EQ(sampler.frame_time(3), msec(10));
-}
-
-TEST(MetricsSampler, InstrumentsRegisteredAfterStartAreNotSampled) {
-  Simulator sim(1);
-  MetricsRegistry reg;
-  reg.counter("early");
-  MetricsSampler sampler(sim, reg, {});
-  sampler.start();
-  reg.counter("late").add(5);
-  sim.run_for(msec(4));
-  EXPECT_EQ(sampler.instruments(), 1u);  // frozen at start()
-  // ... but the final snapshot still sees the late instrument.
-  const std::vector<MetricSample> snap = snapshot(reg);
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[1].name, "late");
-  EXPECT_DOUBLE_EQ(snap[1].value, 5.0);
-}
-
-/// Same seed => identical snapshots and identical sampled frames (times
-/// and every instrument's value), from a full testbed run (guest timers,
-/// vhost worker, CFS all live).
-TEST(MetricsSampler, SameSeedExportsAreByteIdentical) {
-  struct Run {
-    std::vector<MetricSample> snap;
-    std::vector<SimTime> times;
-    std::vector<double> frames;  // frame-major, every sampled instrument
-  };
+/// Same seed => identical registry snapshots, from a full testbed run
+/// (guest timers, vhost worker, CFS all live).
+TEST(MetricsRegistry, SameSeedSnapshotsAreIdentical) {
   auto run_once = [](std::uint64_t seed) {
     TestbedOptions o;
     o.config = Es2Config::pi();
@@ -161,24 +99,11 @@ TEST(MetricsSampler, SameSeedExportsAreByteIdentical) {
     Testbed tb(o);
     tb.start();
     tb.sim().run_for(msec(30));
-    Run r;
-    r.snap = snapshot(tb.metrics());
-    const MetricsSampler& sampler = *tb.sampler();
-    for (std::size_t f = 0; f < sampler.frames(); ++f) {
-      r.times.push_back(sampler.frame_time(f));
-      for (std::size_t i = 0; i < sampler.instruments(); ++i) {
-        r.frames.push_back(sampler.frame_value(f, i));
-      }
-    }
-    return r;
+    return snapshot(tb.metrics());
   };
-  const Run a = run_once(42);
-  const Run b = run_once(42);
-  ASSERT_FALSE(a.snap.empty());
-  ASSERT_FALSE(a.times.empty());
-  EXPECT_TRUE(a.snap == b.snap);
-  EXPECT_EQ(a.times, b.times);
-  EXPECT_EQ(a.frames, b.frames);
+  const std::vector<MetricSample> a = run_once(42);
+  ASSERT_FALSE(a.empty());
+  EXPECT_TRUE(a == run_once(42));
   // A different seed must change the telemetry. The bare testbed is
   // seed-invariant (no traffic), so this leg drives a seeded stream
   // workload and compares its harvested snapshots.
@@ -193,56 +118,9 @@ TEST(MetricsSampler, SameSeedExportsAreByteIdentical) {
   EXPECT_FALSE(stream_samples(42) == stream_samples(43));
 }
 
-/// Passivity: running with the sampler on yields the same model results as
-/// running with metrics disabled.
-TEST(MetricsSampler, SamplingIsPassive) {
-  StreamOptions o;
-  o.config = Es2Config::pi();
-  o.warmup = msec(50);
-  o.measure = msec(150);
-  o.metrics.enabled = true;
-  const StreamResult on = run_stream(o);
-  o.metrics.enabled = false;
-  const StreamResult off = run_stream(o);
-  EXPECT_DOUBLE_EQ(on.throughput_mbps, off.throughput_mbps);
-  EXPECT_DOUBLE_EQ(on.packets_per_sec, off.packets_per_sec);
-  EXPECT_DOUBLE_EQ(on.exits.total, off.exits.total);
-  EXPECT_EQ(on.rx_dropped, off.rx_dropped);
-  // The metrics-off run still harvests a final snapshot (registry is
-  // always populated); only the time series differs.
-  ASSERT_NE(off.metrics, nullptr);
-  EXPECT_EQ(off.metrics->sampler_frames, 0u);
-  EXPECT_GT(on.metrics->sampler_frames, 0u);
-}
-
 // ---------------------------------------------------------------------------
-// Zero steady-state allocation
+// Process allocation probes
 // ---------------------------------------------------------------------------
-
-TEST(MetricsSampler, SteadyStateSamplingAllocatesNothing) {
-  Simulator sim(1);
-  MetricsRegistry reg;
-  Counter& events = reg.counter("events", {{"kind", "work"}});
-  std::uint64_t side = 0;
-  reg.probe("side", [&side] { return static_cast<double>(side); });
-  register_alloc_metrics(reg);
-  PeriodicTimer work(sim, usec(50), [&] {
-    events.add(1);
-    ++side;
-  });
-  work.start();
-  SamplerOptions so;
-  so.period = usec(500);
-  so.ring_capacity = 64;
-  MetricsSampler sampler(sim, reg, so);
-  sampler.start();
-  // Settle: first ticks may fault in pooled event slabs.
-  sim.run_for(msec(50));
-  test::AllocationCounter c;
-  sim.run_for(msec(100));  // 200 samples, ring wraps repeatedly
-  EXPECT_EQ(c.delta(), 0) << "sampler steady state must not allocate";
-  EXPECT_GE(sampler.total_samples(), 200u);
-}
 
 TEST(AllocMetrics, RegistersProcessCounters) {
   MetricsRegistry reg;
@@ -305,14 +183,22 @@ TEST(MetricsExport, TopDeltasNamesMovingMetrics) {
   Simulator sim(1);
   MetricsRegistry reg;
   Counter& busy = reg.counter("busy.counter");
-  reg.counter("idle.counter");
+  busy.add(3);
+  std::uint64_t level = 40;
+  reg.probe("steady.probe", [&level] { return static_cast<double>(level); });
   PeriodicTimer work(sim, usec(100), [&busy] { busy.add(7); });
   work.start();
-  MetricsSampler sampler(sim, reg, {});
-  sampler.start();
+  const std::vector<double> start = read_values(reg);
   sim.run_for(msec(20));
-  const std::string top = top_metric_deltas(reg, sampler, 2);
-  EXPECT_NE(top.find("busy.counter"), std::string::npos);
+  // 200 ticks x 7 over 20 ms: the delta and its rate, not the total.
+  EXPECT_EQ(top_metric_deltas(reg, start, msec(20), 5),
+            "busy.counter +1400 (70.0k/s)");
+  // An instrument registered after the start read counts from 0.
+  reg.counter("late.counter").add(2);
+  EXPECT_EQ(top_metric_deltas(reg, start, msec(20), 1),
+            "busy.counter +1400 (70.0k/s)");
+  EXPECT_NE(top_metric_deltas(reg, start, msec(20), 5).find("late.counter +2"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

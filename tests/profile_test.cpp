@@ -49,11 +49,10 @@ std::vector<TraceRecord> full_journey(std::uint64_t corr, SimTime base) {
 }
 
 /// Stitches `records` once and blames the journeys, as the harness does.
-BlameBreakdown analyze(const std::vector<TraceRecord>& records,
-                       const BlameOptions& options = {}) {
+BlameBreakdown analyze(const std::vector<TraceRecord>& records) {
   std::vector<JourneySpan> journeys;
   build_spans(records, &journeys);
-  return analyze_blame(records, journeys, options);
+  return analyze_blame(records, journeys);
 }
 
 SimDuration ns_of(const BlameBreakdown& b, BlameComponent c) {
@@ -149,25 +148,30 @@ TEST(BlameAnalyzer, WireRxOriginMapsToTheRxQueue) {
 }
 
 TEST(BlameAnalyzer, LedgerIsWorstFirstAndDeterministic) {
-  // Three journeys, stretched guest service: totals 1600, 2600, 3600.
+  // 2000 short journeys (total 1600) hold p99, so each of the 12 long ones
+  // (guest service stretched: totals 11600 .. 22600) is beyond it; the
+  // ledger keeps the 8 worst of them, worst first.
+  constexpr int kShort = 2000;
+  constexpr int kLong = 12;
   std::vector<TraceRecord> records;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kShort + kLong; ++i) {
     std::vector<TraceRecord> j =
-        full_journey(static_cast<std::uint64_t>(20 + i), 10000 * (i + 1));
-    j.back().t += 1000 * i;  // push the EOI out
+        full_journey(static_cast<std::uint64_t>(100 + i), 100000 * (i + 1));
+    if (i >= kShort) j.back().t += 10000 + 1000 * (i - kShort);
     records.insert(records.end(), j.begin(), j.end());
   }
-  BlameOptions o;
-  o.ledger_k = 0.0;  // threshold 0: every journey makes the ledger
-  o.ledger_top_n = 2;
-  const BlameBreakdown a = analyze(records, o);
-  ASSERT_EQ(a.worst.size(), 2u);
-  EXPECT_EQ(a.worst[0].corr, 22u);
-  EXPECT_EQ(a.worst[0].total(), 3600);
-  EXPECT_EQ(a.worst[1].corr, 21u);
+  const BlameBreakdown a = analyze(records);
+  EXPECT_EQ(a.complete, kShort + kLong);
+  EXPECT_LT(a.ledger_threshold, 11600);
+  ASSERT_EQ(a.worst.size(), 8u);
+  for (std::size_t i = 0; i < a.worst.size(); ++i) {
+    const std::uint64_t corr = 100 + kShort + kLong - 1 - i;
+    EXPECT_EQ(a.worst[i].corr, corr);
+    EXPECT_EQ(a.worst[i].total(), 22600 - 1000 * static_cast<SimDuration>(i));
+  }
 
   // Same input -> identical ledger, including the rendered critical paths.
-  const BlameBreakdown b = analyze(records, o);
+  const BlameBreakdown b = analyze(records);
   ASSERT_EQ(b.worst.size(), a.worst.size());
   for (std::size_t i = 0; i < a.worst.size(); ++i) {
     EXPECT_EQ(blame_critical_path(a.worst[i]), blame_critical_path(b.worst[i]));

@@ -417,8 +417,8 @@ TEST(Snapshot, MultiQueueFaultedWorldBytesArePinned) {
   EXPECT_GT(tb.recovery_log()->instances().size(), 0u);
   EXPECT_GT(tb.backend().tx_vq(1).total_used(), 0);
   ASSERT_NE(tb.hash_log(), nullptr);
-  EXPECT_EQ(tb.snapshotter().world_hash(), 0xa9f3af2ac0f8427bULL);
-  EXPECT_EQ(tb.hash_log()->last_world_hash(), 0xee3637f2e644abaeULL);
+  EXPECT_EQ(tb.snapshotter().world_hash(), 0x3c8e75619cf81a37ULL);
+  EXPECT_EQ(tb.hash_log()->last_world_hash(), 0x25573c2f6a8ef9d4ULL);
 }
 
 TEST(Determinism, EpochHashingIsPassive) {
