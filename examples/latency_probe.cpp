@@ -10,15 +10,20 @@
 #include "apps/ping.h"
 #include "base/strings.h"
 #include "harness/testbed.h"
+#include "example_args.h"
 
 using namespace es2;
 
 int main(int argc, char** argv) {
   int samples = 40;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) samples = 20;
-    if (std::strcmp(argv[i], "--samples") == 0 && i + 1 < argc) {
-      samples = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--fast") == 0) {
+      samples = 20;
+    } else if (std::strcmp(argv[i], "--samples") == 0) {
+      samples = example::positive_int(argv[0], "--samples",
+                                      example::value_of(argc, argv, i));
+    } else {
+      example::refuse(argv[0], argv[i], "unknown flag");
     }
   }
 

@@ -8,39 +8,51 @@
 // configuration, and reading out throughput/latency.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "apps/memcached.h"
 #include "base/strings.h"
 #include "harness/testbed.h"
+#include "example_args.h"
 
 using namespace es2;
 
 namespace {
 
-Es2Config config_by_name(const std::string& name) {
+std::optional<Es2Config> config_by_name(const std::string& name) {
   if (name == "baseline") return Es2Config::baseline();
   if (name == "pi") return Es2Config::pi();
   if (name == "pi_h") return Es2Config::pi_h();
-  return Es2Config::pi_h_r();
+  if (name == "pi_h_r") return Es2Config::pi_h_r();
+  return std::nullopt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool fast = false;
-  std::string config_name = "pi_h_r";
+  Es2Config config = Es2Config::pi_h_r();
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-    if (std::strcmp(argv[i], "--config") == 0 && i + 1 < argc) {
-      config_name = argv[++i];
+    if (std::strcmp(argv[i], "--fast") == 0) {
+      fast = true;
+    } else if (std::strcmp(argv[i], "--config") == 0) {
+      const char* name = example::value_of(argc, argv, i);
+      const std::optional<Es2Config> named = config_by_name(name);
+      if (!named) {
+        example::refuse(argv[0], name,
+                        "--config needs baseline|pi|pi_h|pi_h_r, got");
+      }
+      config = *named;
+    } else {
+      example::refuse(argv[0], argv[i], "unknown flag");
     }
   }
 
   // The paper's macro testbed: four 4-vCPU VMs time-sharing four cores,
   // CPU-burn everywhere, the tested VM runs memcached.
   TestbedOptions options;
-  options.config = config_by_name(config_name);
+  options.config = config;
   options.num_vms = 4;
   options.vcpus_per_vm = 4;
   options.stack_vms = true;

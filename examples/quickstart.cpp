@@ -3,14 +3,14 @@
 //
 //   $ ./quickstart [--fast]
 #include <cstdio>
-#include <cstring>
 
 #include "base/strings.h"
 #include "base/table.h"
 #include "harness/experiments.h"
+#include "example_args.h"
 
 int main(int argc, char** argv) {
-  const bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+  const bool fast = es2::example::fast_only(argc, argv);
 
   es2::Table table({"Config", "IRQ deliv/s", "IRQ compl/s", "I/O req/s",
                     "Others/s", "TIG %", "Throughput Mb/s"});

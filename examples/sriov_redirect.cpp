@@ -9,13 +9,13 @@
 //
 //   $ ./sriov_redirect [--fast]
 #include <cstdio>
-#include <cstring>
 
 #include "base/strings.h"
 #include "base/table.h"
 #include "es2/sriov.h"
 #include "stats/histogram.h"
 #include "harness/testbed.h"
+#include "example_args.h"
 
 using namespace es2;
 
@@ -74,7 +74,7 @@ class VfEchoGuest final : public GuestCpu {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+  const bool fast = es2::example::fast_only(argc, argv);
   const int probes = fast ? 40 : 120;
 
   Table t({"Deployment", "p50 RTT", "p99 RTT", "VM exits/s"});

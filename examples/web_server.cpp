@@ -4,17 +4,17 @@
 //
 //   $ ./web_server [--fast]
 #include <cstdio>
-#include <cstring>
 
 #include "apps/httpd.h"
 #include "base/strings.h"
 #include "base/table.h"
 #include "harness/testbed.h"
+#include "example_args.h"
 
 using namespace es2;
 
 int main(int argc, char** argv) {
-  const bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+  const bool fast = es2::example::fast_only(argc, argv);
 
   std::printf("Part 1: ApacheBench throughput, Baseline vs full ES2\n");
   Table t({"Config", "req/s", "Mb/s"});

@@ -1,6 +1,7 @@
 #include "apps/storm.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "base/assert.h"
 
@@ -38,7 +39,8 @@ StormClient::StormClient(PeerHost& peer, std::uint64_t listen_flow,
       syn_rto_(syn_rto),
       max_retries_(max_retries),
       max_pending_(max_pending),
-      syn_payload_(syn_payload) {
+      syn_payload_(syn_payload),
+      rtos_(peer.sim(), this) {
   ES2_CHECK(shape.base_rate > 0 && shape.peak_rate >= shape.base_rate);
   ES2_CHECK(syn_rto > 0 && max_retries >= 0 && max_pending > 0);
   peer.register_flow(listen_flow,
@@ -83,18 +85,21 @@ void StormClient::send_syn(std::uint64_t conn_id, SimTime first_attempt,
   syn.flags.syn = true;
   syn.probe_id = conn_id;
   peer_.send(make_packet(std::move(syn)));
-  peer_.sim().after(syn_rto_, [this, conn_id, first_attempt, tries] {
-    if (!running_) return;
-    if (!pending_.take(conn_id)) return;  // established meanwhile
-    if (tries + 1 >= max_retries_) {
-      // Retry budget exhausted: the user gave up. This is what eventually
-      // deflates the retransmit flywheel once the ramp ends.
-      ++abandoned_;
-      return;
-    }
-    ++retries_;
-    send_syn(conn_id, first_attempt, tries + 1);
-  });
+  rtos_.push(peer_.sim().now() + syn_rto_, SynRto{conn_id, tries});
+}
+
+void StormClient::on_rto(SynRto rto) {
+  if (!running_) return;
+  const std::optional<SimTime> first_attempt = pending_.take(rto.conn_id);
+  if (!first_attempt) return;  // established meanwhile
+  if (rto.tries + 1 >= max_retries_) {
+    // Retry budget exhausted: the user gave up. This is what eventually
+    // deflates the retransmit flywheel once the ramp ends.
+    ++abandoned_;
+    return;
+  }
+  ++retries_;
+  send_syn(rto.conn_id, *first_attempt, rto.tries + 1);
 }
 
 void StormClient::on_packet(const PacketPtr& packet) {

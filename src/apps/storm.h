@@ -18,6 +18,7 @@
 
 #include "base/id_time_table.h"
 #include "net/peer.h"
+#include "sim/delay_line.h"
 #include "stats/histogram.h"
 
 namespace es2 {
@@ -73,8 +74,16 @@ class StormClient : public Snapshottable {
   void snapshot_state(SnapshotWriter& w) const override;
 
  private:
+  /// One outstanding SYN's retransmission timer. The first attempt's time
+  /// is not carried: it is the value `pending_` holds for the connection.
+  struct SynRto {
+    std::uint64_t conn_id;
+    int tries;
+  };
+
   void open_connection();
   void send_syn(std::uint64_t conn_id, SimTime first_attempt, int tries);
+  void on_rto(SynRto rto);
   void on_packet(const PacketPtr& packet);
 
   PeerHost& peer_;
@@ -98,6 +107,9 @@ class StormClient : public Snapshottable {
   SimTime window_start_ = 0;
   Histogram connect_time_;
   IdTimeTable pending_;  // conn -> first SYN
+  // Every SYN arms one syn_rto_ timer and none is ever cancelled, so the
+  // deadlines arrive sorted: a FIFO, with only its head in the calendar.
+  DelayLine<SynRto, &StormClient::on_rto> rtos_;
 };
 
 }  // namespace es2

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "base/assert.h"
-
 namespace es2 {
 
 PeerHost::PeerHost(Simulator& sim, Link& to_vm, SimDuration proc_delay)
@@ -21,12 +19,7 @@ void PeerHost::register_flow(std::uint64_t flow, FlowHandler handler) {
 void PeerHost::unregister_flow(std::uint64_t flow) { flows_.erase(flow); }
 
 void PeerHost::send(PacketPtr packet) {
-  send_after(proc_delay_, std::move(packet));
-}
-
-void PeerHost::send_after(SimDuration delay, PacketPtr packet) {
-  ES2_CHECK(delay >= 0);
-  sim_.after(delay, [this, packet = std::move(packet)]() mutable {
+  sim_.after(proc_delay_, [this, packet = std::move(packet)]() mutable {
     to_vm_.transmit(std::move(packet));
   });
 }

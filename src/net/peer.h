@@ -33,8 +33,6 @@ class PeerHost : public Snapshottable {
 
   /// Transmits after the bare-metal processing delay.
   void send(PacketPtr packet);
-  /// Transmits after an explicit additional delay.
-  void send_after(SimDuration delay, PacketPtr packet);
 
   Simulator& sim() { return sim_; }
   std::int64_t unrouted() const { return unrouted_; }

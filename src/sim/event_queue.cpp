@@ -32,6 +32,7 @@ void EventCore::close() {
   wheel0_.clear();
   wheel1_.clear();
   live_ = 0;
+  parked_ = 0;
   // Rebuild the free list from scratch (idempotent), keeping low slots
   // first, so every slab's records stay reachable if the core is used
   // again after close().
@@ -137,10 +138,15 @@ EventLocation EventCore::place(std::uint32_t slot, EventRecord& r) {
 }
 
 void EventCore::enqueue(std::uint32_t slot, SimTime when) {
+  enqueue(slot, when, reserve_seq());
+}
+
+void EventCore::enqueue(std::uint32_t slot, SimTime when,
+                        std::uint64_t seq) {
   ES2_CHECK_MSG(when >= 0, "cannot schedule before time 0");
   EventRecord& r = record(slot);
   r.when = when;
-  r.seq = next_seq_++;
+  r.seq = seq;
   // The counters keep their single-wheel meaning: far = past the
   // level-0 horizon, whichever of level 1 or the far heap holds it.
   switch (place(slot, r)) {
@@ -154,7 +160,6 @@ void EventCore::enqueue(std::uint32_t slot, SimTime when) {
       stats_.far_hits++;
       break;
   }
-  stats_.scheduled++;
   ++live_;
   if (live_ > stats_.peak_live) stats_.peak_live = live_;
 }
@@ -206,11 +211,17 @@ std::uint32_t EventCore::bind_resident(const CallbackOps* ops, void* owner) {
 }
 
 void EventCore::arm_resident(std::uint32_t slot, SimTime when) {
+  arm_resident(slot, when, reserve_seq());
+}
+
+void EventCore::arm_resident(std::uint32_t slot, SimTime when,
+                             std::uint64_t seq) {
   ES2_CHECK_MSG(clock_ == nullptr || when >= *clock_,
                 "cannot schedule into the past");
   ES2_CHECK_MSG(record(slot).loc == EventLocation::kIdle,
                 "resident timer armed while pending");
-  enqueue(slot, when);
+  ES2_CHECK(seq < next_seq_);
+  enqueue(slot, when, seq);
 }
 
 void EventCore::cancel_resident(std::uint32_t slot) {

@@ -51,7 +51,10 @@
 // one record to `(owner, member function)` once, and each arm re-keys
 // that record instead of acquiring a slot, constructing a closure and
 // issuing a handle. Between arms the record sits idle (`kIdle`), off the
-// free list and out of the calendar.
+// free list and out of the calendar. A DelayLine (sim/delay_line.h) puts
+// one in front of a FIFO of constant-delay entries, armed at each entry's
+// reserved key in turn (reserve_seq, ResidentTimer::arm_at); the entries
+// behind it are parked, and size() counts them.
 #pragma once
 
 #include <cstddef>
@@ -223,9 +226,22 @@ class EventCore {
     return slabs_[slot / kSlabSize]->records[slot % kSlabSize];
   }
 
+  /// Takes the sequence number that a schedule at this moment would
+  /// take, and counts the `scheduled` it would count: an owner that
+  /// files the event later, at this exact key (arm_resident with a seq),
+  /// keeps the global (when, seq) order and the counters of scheduling it
+  /// now.
+  std::uint64_t reserve_seq() {
+    stats_.scheduled++;
+    return next_seq_++;
+  }
+
   /// Files a freshly constructed event into the calendar (see place())
   /// and stamps its sequence.
   void enqueue(std::uint32_t slot, SimTime when);
+  /// Files it at an exact, already reserved key; counts its tier hit and
+  /// `live`, not another `scheduled`.
+  void enqueue(std::uint32_t slot, SimTime when, std::uint64_t seq);
 
   /// O(1): destroys the callback, bumps the generation and reclaims the
   /// slot. Wheel entries (either level) unlink immediately; heap entries
@@ -239,12 +255,14 @@ class EventCore {
 
   /// Resident records (see ResidentTimer). bind_resident() takes a slot
   /// for life and parks it idle; arm_resident() stamps a sequence and
-  /// files it exactly like enqueue(); cancel_resident() unfiles it
-  /// exactly like cancel() but parks it idle again; unbind_resident()
-  /// cancels and returns the slot to the free list. A fired resident
-  /// record goes idle before its callback runs and is never freed.
+  /// files it exactly like enqueue() (given a reserved `seq`, it files at
+  /// that exact key instead); cancel_resident() unfiles it exactly like
+  /// cancel() but parks it idle again; unbind_resident() cancels and
+  /// returns the slot to the free list. A fired resident record goes idle
+  /// before its callback runs and is never freed.
   std::uint32_t bind_resident(const CallbackOps* ops, void* owner);
   void arm_resident(std::uint32_t slot, SimTime when);
+  void arm_resident(std::uint32_t slot, SimTime when, std::uint64_t seq);
   void cancel_resident(std::uint32_t slot);
   void unbind_resident(std::uint32_t slot);
   bool resident_pending(std::uint32_t slot) const {
@@ -260,6 +278,10 @@ class EventCore {
                           SimTime& now);
 
   std::size_t live() const { return live_; }
+  /// Entries that owners hold back for a later exact-key arm (a
+  /// DelayLine's entries behind its head): pending, but not filed.
+  std::size_t parked() const { return parked_; }
+  void add_parked(std::ptrdiff_t n) { parked_ += static_cast<std::size_t>(n); }
   const EventQueueStats& stats() const { return stats_; }
   EventQueueStats& stats() { return stats_; }
 
@@ -344,6 +366,7 @@ class EventCore {
 
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  std::size_t parked_ = 0;
   std::uint32_t refs_ = 1;
   bool closed_ = false;
   const SimTime* clock_;  // read only while open
@@ -428,6 +451,20 @@ class ResidentTimer {
     if (!core_->closed()) core_->arm_resident(slot_, when);
   }
 
+  /// Files the idle timer at an exact key: `seq` was taken earlier with
+  /// EventQueue::reserve_seq(), which already counted its `scheduled`, so
+  /// this arm counts only its tier hit. The timer fires exactly where an
+  /// event scheduled at the reservation would have.
+  void arm_at(SimTime when, std::uint64_t seq) {
+    if (!core_->closed()) core_->arm_resident(slot_, when, seq);
+  }
+
+  /// Adds `n` (negative to remove) to the entries this timer's owner
+  /// holds parked for later arm_at()s; EventQueue::size() counts them.
+  void park(std::ptrdiff_t n) {
+    if (!core_->closed()) core_->add_parked(n);
+  }
+
   /// Unfiles a pending timer; a no-op when idle or inside its own fire.
   void cancel() {
     if (!core_->closed()) core_->cancel_resident(slot_);
@@ -503,14 +540,19 @@ class EventQueue {
     return ResidentTimer(core_, core_->bind_resident(ops, owner));
   }
 
+  /// See detail::EventCore::reserve_seq (used with ResidentTimer::arm_at).
+  std::uint64_t reserve_seq() { return core_->reserve_seq(); }
+
   /// The dispatch loop: see detail::EventCore::run_until.
   std::uint64_t run_until(SimTime deadline, std::uint64_t max_events,
                           SimTime& now) {
     return core_->run_until(deadline, max_events, now);
   }
 
-  /// Live (scheduled, not cancelled) events.
-  size_t size() const { return core_->live(); }
+  /// Pending events: live (scheduled, not cancelled) records plus the
+  /// entries parked behind a resident timer (see ResidentTimer::park), so
+  /// a delay line's entries count as the events they stand for.
+  size_t size() const { return core_->live() + core_->parked(); }
 
   /// Perf counters for this queue (see stats/event_stats.h).
   const EventQueueStats& stats() const { return core_->stats(); }

@@ -4,9 +4,11 @@
 // level-0 bucket, generation-handle
 // cancellation semantics, handle-outlives-queue safety, resident timers
 // (re-armed records, in every tier and from their own callbacks),
-// determinism under interleaved cancels, inline-callback storage, and the
+// determinism under interleaved cancels, inline-callback storage, the
 // zero-steady-state-allocation guarantee (this binary links
-// es2_alloc_hook).
+// es2_alloc_hook), and delay lines (exact firing order against a twin that
+// schedules every entry, parked-entry accounting, payload ownership and
+// allocation-free cycling).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "base/rng.h"
 #include "net/packet.h"
 #include "sim/callback.h"
+#include "sim/delay_line.h"
 #include "sim/simulator.h"
 
 namespace es2 {
@@ -1234,6 +1237,226 @@ TEST(EventCore, ResidentChurnNeedsNoSecondSlab) {
   }
   EXPECT_EQ(sim.queue().stats().slabs_allocated, 1u);
   EXPECT_GT(sim.queue().stats().fired, 80000u);
+}
+
+// ---------------------------------------------------------------------------
+// Delay lines
+// ---------------------------------------------------------------------------
+
+/// One random program of events, run either with its constant-delay timers
+/// on DelayLines or with every event scheduled through Simulator::at. Each
+/// fire logs `(time, id, queue size)` and spawns follow-ups from the
+/// program's own RNG, so both runs make the same draws and, if the lines
+/// are exact, the same log.
+class DelayProgram {
+ public:
+  struct Fire {
+    SimTime when;
+    int id;
+    std::size_t queue_size;
+    bool operator==(const Fire&) const = default;
+  };
+
+  DelayProgram(bool use_lines, std::uint64_t seed)
+      : use_lines_(use_lines), rng_(Rng::stream(seed, "delay-line")) {
+    for (const SimDuration d : kLineDelays) {
+      lanes_.push_back(std::make_unique<Lane>(this, d));
+    }
+  }
+
+  std::vector<Fire> run() {
+    for (int i = 0; i < 64; ++i) spawn();
+    sim_.run_to_completion();
+    return log_;
+  }
+
+  const EventQueueStats& stats() { return sim_.queue().stats(); }
+  std::uint64_t rearms_from_empty() const { return rearms_from_empty_; }
+  std::uint64_t pushes_in_delivery() const { return pushes_in_delivery_; }
+
+  // Two lanes share 2 ms, and `at` delays repeat the lane delays, so
+  // same-instant ties mix lanes and plain events; 300 ms and 1 s reach
+  // past the level-1 horizon into the far heap.
+  static constexpr std::array<SimDuration, 6> kLineDelays = {
+      0, usec(3), msec(2), msec(2), msec(300), sec(1)};
+
+ private:
+  struct Lane {
+    Lane(DelayProgram* p, SimDuration d)
+        : program(p), delay(d), line(p->sim_, this) {}
+    void deliver(int id) { program->fired(id, /*in_line=*/true); }
+    DelayProgram* program;
+    SimDuration delay;
+    DelayLine<int, &Lane::deliver> line;
+  };
+
+  void fired(int id, bool in_line) {
+    in_line_ = in_line;
+    log_.push_back({sim_.now(), id, sim_.queue().size()});
+    // Mostly one child, sometimes none or two: the population drifts, so
+    // lanes drain empty and restart.
+    const std::uint64_t roll = rng_.next_below(10);
+    const int children = roll == 0 ? 0 : roll == 1 ? 2 : 1;
+    for (int i = 0; i < children; ++i) spawn();
+    in_line_ = false;
+  }
+
+  void spawn() {
+    if (next_id_ >= kMaxIds) return;
+    const int id = next_id_++;
+    const std::uint64_t pick = rng_.next_below(lanes_.size() + 2);
+    if (pick < lanes_.size()) {
+      Lane& lane = *lanes_[pick];
+      const SimTime when = sim_.now() + lane.delay;
+      if (use_lines_) {
+        if (lane.line.size() == 0) ++rearms_from_empty_;
+        if (in_line_) ++pushes_in_delivery_;
+        lane.line.push(when, id);
+      } else {
+        sim_.at(when, [this, id] { fired(id, false); });
+      }
+      return;
+    }
+    // A plain event: a lane's delay (a tie with its entries) or a random
+    // one anywhere up to past the far horizon.
+    const SimDuration d =
+        pick == lanes_.size()
+            ? kLineDelays[rng_.next_below(kLineDelays.size())]
+            : static_cast<SimDuration>(rng_.next_below(msec(400)));
+    sim_.at(sim_.now() + d, [this, id] { fired(id, false); });
+  }
+
+  static constexpr int kMaxIds = 20000;
+  bool use_lines_;
+  Rng rng_;
+  Simulator sim_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<Fire> log_;
+  int next_id_ = 0;
+  bool in_line_ = false;
+  std::uint64_t rearms_from_empty_ = 0;
+  std::uint64_t pushes_in_delivery_ = 0;
+};
+
+TEST(DelayLine, FiresExactlyLikeOneScheduledEventPerEntry) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    DelayProgram lines(/*use_lines=*/true, seed);
+    DelayProgram twin(/*use_lines=*/false, seed);
+    const std::vector<DelayProgram::Fire> got = lines.run();
+    const std::vector<DelayProgram::Fire> want = twin.run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " fire " << i;
+    }
+    // Same `scheduled` and `fired`; the lines keep few records live.
+    EXPECT_EQ(lines.stats().scheduled, twin.stats().scheduled);
+    EXPECT_EQ(lines.stats().fired, twin.stats().fired);
+    EXPECT_LT(lines.stats().peak_live, twin.stats().peak_live);
+    // The run covers what it is meant to cover.
+    EXPECT_GT(lines.rearms_from_empty(), 100u) << "seed " << seed;
+    EXPECT_GT(lines.pushes_in_delivery(), 1000u) << "seed " << seed;
+    EXPECT_GT(twin.stats().far_hits, 0u) << "seed " << seed;
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < want.size(); ++i) {
+      ties += want[i].when == want[i - 1].when;
+    }
+    EXPECT_GT(ties, 1000u) << "seed " << seed;
+  }
+}
+
+/// Owns a line of `int` entries and records what it delivers.
+struct Sink {
+  explicit Sink(Simulator& sim) : line(sim, this) {}
+  void deliver(int id) { got.push_back(id); }
+  std::vector<int> got;
+  DelayLine<int, &Sink::deliver> line;
+};
+
+TEST(DelayLine, QueueSizeCountsParkedEntries) {
+  Simulator sim;
+  const EventQueueStats& stats = sim.queue().stats();
+  {
+    Sink sink(sim);
+    for (int i = 0; i < 3; ++i) sink.line.push(msec(50) + i, i);
+    EXPECT_EQ(sim.queue().size(), 3u);  // one armed record, two parked
+    EXPECT_EQ(stats.scheduled, 3u);
+    EXPECT_EQ(stats.peak_live, 1u);
+    sim.run_until(msec(50));
+    EXPECT_EQ(sink.got, (std::vector<int>{0}));
+    EXPECT_EQ(sim.queue().size(), 2u);
+    sim.run_until(msec(50) + 1);
+    EXPECT_EQ(sim.queue().size(), 1u);
+  }
+  // A destroyed line takes its entries (armed and parked) with it.
+  EXPECT_EQ(sim.queue().size(), 0u);
+  EXPECT_EQ(stats.fired, 2u);
+  EXPECT_EQ(sim.run_to_completion(), 0u);
+}
+
+TEST(DelayLine, DestroyedLineDestroysPendingPayloads) {
+  auto payload = std::make_shared<int>(0);
+  struct Holder {
+    explicit Holder(Simulator& sim) : line(sim, this) {}
+    void deliver(std::shared_ptr<int> p) { ++*p; }
+    DelayLine<std::shared_ptr<int>, &Holder::deliver> line;
+  };
+  Simulator sim;
+  {
+    Holder h(sim);
+    // Three blocks' worth: some delivered (their block goes spare), the
+    // rest span two blocks when the line dies.
+    const int n = 3 * static_cast<int>(decltype(h.line)::kBlockEntries);
+    for (int i = 0; i < n; ++i) h.line.push(usec(10) + i, payload);
+    EXPECT_EQ(payload.use_count(), n + 1);
+    sim.run_until(usec(10) + 700);
+    EXPECT_EQ(*payload, 701);
+    EXPECT_EQ(payload.use_count(), n - 701 + 1);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
+  EXPECT_EQ(sim.queue().size(), 0u);
+}
+
+TEST(DelayLine, NonMonotonePushIsACheckFailure) {
+  Simulator sim;
+  Sink sink(sim);
+  sink.line.push(usec(10), 1);
+  sink.line.push(usec(10), 2);  // ties are in order
+  EXPECT_DEATH(sink.line.push(usec(9), 3), "pushed out of order");
+  sim.run_until(usec(5));
+  EXPECT_DEATH(sink.line.push(usec(4), 3), "into the past");
+}
+
+TEST(DelayLine, WarmLineCyclingBelowItsHighWaterAllocatesNothing) {
+  // A self-sustaining stream: every delivery pushes its successor one
+  // constant delay out, and a driver event adds a burst each round, so
+  // the occupancy cycles across block boundaries from inside deliveries
+  // and from outside.
+  struct Stream {
+    explicit Stream(Simulator& s) : sim(s), line(s, this) {}
+    void deliver(int hops) {
+      ++delivered;
+      if (hops > 0) line.push(sim.now() + msec(2), hops - 1);
+    }
+    Simulator& sim;
+    std::uint64_t delivered = 0;
+    DelayLine<int, &Stream::deliver> line;
+  };
+  Simulator sim;
+  Stream stream(sim);
+  auto round = [&] {
+    for (int i = 0; i < 1500; ++i) {
+      stream.line.push(sim.now() + msec(2) + i, /*hops=*/2);
+    }
+    sim.run_for(msec(10));
+  };
+  for (int i = 0; i < 2; ++i) round();  // warm: blocks up to the peak
+  const std::uint64_t slabs = sim.queue().stats().slabs_allocated;
+  test::AllocationCounter counter;
+  for (int i = 0; i < 20; ++i) round();
+  EXPECT_EQ(counter.delta(), 0) << "a warm delay line must not allocate";
+  EXPECT_EQ(sim.queue().stats().slabs_allocated, slabs);
+  EXPECT_EQ(stream.delivered, 22u * 1500 * 3);
+  EXPECT_EQ(stream.line.size(), 0u);
 }
 
 }  // namespace

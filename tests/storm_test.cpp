@@ -176,6 +176,18 @@ TEST(Storm, MitigationClearsLivelockAndRetainsGoodput) {
   EXPECT_GE(on.served, 2 * off.served);
 }
 
+TEST(Storm, MitigatedCollapseKeepsTheEventWorkingSetSmall) {
+  // Every SYN arms a 50 ms retransmission timer. On a delay line only the
+  // earliest is filed in the event core, so the live-record peak stays
+  // with the model's own few hundred events instead of one record per
+  // outstanding SYN (~65k at this ramp when each was its own event).
+  const StormResult r = run_storm(collapse_options(/*mitigation=*/true),
+                                  "storm_on");
+  EXPECT_GT(r.retries, 10000);
+  EXPECT_LT(r.metrics->value("eventcore.peak_live"), 1000.0);
+  EXPECT_EQ(r.metrics->value("eventcore.boxed_callbacks"), 0.0);
+}
+
 TEST(Storm, CalmRampMitigationIsPassive) {
   const StormResult off = run_storm(calm_options(/*mitigation=*/false),
                                     "calm_off");
