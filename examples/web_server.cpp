@@ -5,10 +5,9 @@
 //   $ ./web_server [--fast]
 #include <cstdio>
 
-#include "apps/httpd.h"
 #include "base/strings.h"
 #include "base/table.h"
-#include "harness/testbed.h"
+#include "harness/experiments.h"
 #include "example_args.h"
 
 using namespace es2;
@@ -19,24 +18,16 @@ int main(int argc, char** argv) {
   std::printf("Part 1: ApacheBench throughput, Baseline vs full ES2\n");
   Table t({"Config", "req/s", "Mb/s"});
   for (const Es2Config cfg : {Es2Config::baseline(), Es2Config::pi_h_r()}) {
-    TestbedOptions options;
-    options.config = cfg;
-    options.num_vms = 4;
-    options.vcpus_per_vm = 4;
-    options.stack_vms = true;
-    Testbed testbed(options);
-    ApacheServer server(testbed.guest(), testbed.frontend(), 2000,
-                        /*client_conns=*/16, /*workers=*/8);
-    AbClient ab(testbed.peer(), 2000, 16);
-    testbed.start();
-    ab.start();
-    testbed.sim().run_for(fast ? msec(200) : msec(400));
-    ab.begin_window(testbed.sim().now());
-    testbed.sim().run_for(fast ? msec(400) : sec(1));
+    ApacheOptions o;
+    o.config = cfg;
+    o.concurrency = 16;
+    o.workers = 8;
+    o.warmup = fast ? msec(200) : msec(400);
+    o.measure = fast ? msec(400) : sec(1);
+    const ApacheResult r = run_apache(o);
     t.add_row({cfg.name(),
-               with_commas(static_cast<std::int64_t>(
-                   ab.requests_per_sec(testbed.sim().now()))),
-               fixed(ab.response_mbps(testbed.sim().now()), 0)});
+               with_commas(static_cast<std::int64_t>(r.requests_per_sec)),
+               fixed(r.throughput_mbps, 0)});
   }
   std::printf("%s", t.render().c_str());
 
@@ -46,20 +37,11 @@ int main(int argc, char** argv) {
     double avg[2];
     int i = 0;
     for (const Es2Config cfg : {Es2Config::baseline(), Es2Config::pi_h_r()}) {
-      TestbedOptions options;
-      options.config = cfg;
-      options.num_vms = 4;
-      options.vcpus_per_vm = 4;
-      options.stack_vms = true;
-      Testbed testbed(options);
-      ApacheServer server(testbed.guest(), testbed.frontend(), 3000, 1, 4);
-      HttperfClient httperf(testbed.peer(), server.listen_flow(), rate);
-      testbed.start();
-      httperf.start();
-      testbed.sim().run_for(fast ? sec(1) : sec(2));
-      httperf.stop();
-      testbed.sim().run_for(msec(500));
-      avg[i++] = httperf.connect_time().mean() / 1e6;
+      HttperfOptions o;
+      o.config = cfg;
+      o.rate_per_sec = rate;
+      o.duration = fast ? sec(1) : sec(2);
+      avg[i++] = run_httperf(o).avg_connect_ms;
     }
     t2.add_row({fixed(rate, 0) + "/s", fixed(avg[0], 2) + "ms",
                 fixed(avg[1], 2) + "ms"});

@@ -12,6 +12,11 @@ namespace es2 {
 // ApacheServer
 // ---------------------------------------------------------------------------
 
+/// Rung-3 graceful degradation: once the guest's overload ladder reaches
+/// kAcceptShed, the listen path sheds SYNs beyond this tiny backlog
+/// (SYN-cookie-style early drop, before the expensive accept).
+constexpr std::size_t kShedBacklog = 16;
+
 struct HttpRequest {
   std::uint64_t flow = 0;
   std::uint64_t probe_id = 0;
@@ -161,14 +166,13 @@ class ApacheServer::ListenerTask final : public GuestTask {
             if (sent) {
               ++server_.accepts_;
               os().note_app_progress();
-              if (server_.costs_.serve_page_per_connection &&
-                  !server_.workers_.empty()) {
-                // The new connection immediately carries one HTTP request.
-                const size_t w = probe % server_.workers_.size();
-                if (!server_.workers_[w]->enqueue(
-                        HttpRequest{server_.listen_flow_, probe})) {
-                  ++server_.accept_queue_drops_;
-                }
+              // Connections are real HTTP conversations: the new one
+              // immediately carries one request (parse + page send), which
+              // is what saturates the server at the paper's knee rates.
+              const size_t w = probe % server_.workers_.size();
+              if (!server_.workers_[w]->enqueue(
+                      HttpRequest{server_.listen_flow_, probe})) {
+                ++server_.accept_queue_drops_;
               }
             }
             os().task_done(vcpu);
@@ -194,8 +198,7 @@ class ApacheServer::ListenSink final : public FlowSink {
     // the expensive accept, reserving the remaining CPU for connections
     // already admitted.
     if (server_.dev_.overload_rung() >= 3 &&
-        server_.listener_->backlog_size() >=
-            static_cast<std::size_t>(server_.costs_.shed_backlog)) {
+        server_.listener_->backlog_size() >= kShedBacklog) {
       ++server_.shed_drops_;
       done();
       return;
@@ -291,74 +294,6 @@ double AbClient::response_mbps(SimTime now) const {
   return mbps(resp_bytes_ - resp_bytes_base_, now - window_start_);
 }
 
-// ---------------------------------------------------------------------------
-// HttperfClient
-// ---------------------------------------------------------------------------
-
-HttperfClient::HttperfClient(PeerHost& peer, std::uint64_t listen_flow,
-                             double rate_per_sec, SimDuration syn_rto,
-                             int max_pending)
-    : peer_(peer),
-      listen_flow_(listen_flow),
-      rate_(rate_per_sec),
-      syn_rto_(syn_rto),
-      max_pending_(max_pending) {
-  ES2_CHECK(rate_per_sec > 0);
-  ES2_CHECK(max_pending > 0);
-  // Flow tables are per host: the guest's listener and this client both
-  // key on the listen flow; SYN/ACKs route back here by the same id.
-  peer.register_flow(listen_flow,
-                     [this](const PacketPtr& p) { on_packet(p); });
-}
-
-void HttperfClient::start() {
-  ES2_CHECK(!running_);
-  running_ = true;
-  open_connection();
-}
-
-void HttperfClient::open_connection() {
-  if (!running_) return;
-  const std::uint64_t conn = next_conn_++;
-  ++attempted_;
-  send_syn(conn, peer_.sim().now());
-  const auto interval = static_cast<SimDuration>(1e9 / rate_);
-  peer_.sim().after(std::max<SimDuration>(interval, 1),
-                    [this] { open_connection(); });
-}
-
-void HttperfClient::send_syn(std::uint64_t conn_id, SimTime first_attempt) {
-  if (!running_) return;
-  if (static_cast<int>(pending_.size()) >= max_pending_) {
-    // Client-side socket/port exhaustion: the attempt is abandoned, not
-    // tracked forever — the pending table stays bounded by construction.
-    ++pending_overflows_;
-    return;
-  }
-  pending_.put(conn_id, first_attempt);
-  Packet syn;
-  syn.proto = Proto::kTcp;
-  syn.flow = listen_flow_;
-  syn.wire_size = kTcpUdpHeader;
-  syn.flags.syn = true;
-  syn.probe_id = conn_id;
-  peer_.send(make_packet(std::move(syn)));
-  // SYN retransmission timer (dropped on establishment).
-  peer_.sim().after(syn_rto_, [this, conn_id, first_attempt] {
-    if (!running_) return;
-    if (!pending_.take(conn_id)) return;  // established meanwhile
-    ++retries_;
-    send_syn(conn_id, first_attempt);
-  });
-}
-
-void HttperfClient::on_packet(const PacketPtr& packet) {
-  const auto sent = pending_.take(packet->probe_id);
-  if (!sent) return;  // duplicate SYN/ACK after a retry
-  connect_time_.record(peer_.sim().now() - *sent);
-  ++established_;
-}
-
 void ApacheServer::register_metrics(MetricsRegistry& registry) {
   const std::string vm = os_.vm().name();
   MetricLabels labels = {{"vm", vm}};
@@ -403,18 +338,6 @@ void AbClient::snapshot_state(SnapshotWriter& w) const {
     w.put_u64(k);
     w.put_i64(rx_progress_.at(k));
   }
-}
-
-void HttperfClient::snapshot_state(SnapshotWriter& w) const {
-  w.put_u64(listen_flow_);
-  w.put_bool(running_);
-  w.put_u64(next_conn_);
-  w.put_i64(attempted_);
-  w.put_i64(established_);
-  w.put_i64(retries_);
-  w.put_i64(pending_overflows_);
-  w.put_i64(connect_time_.count());
-  pending_.snapshot(w);
 }
 
 }  // namespace es2

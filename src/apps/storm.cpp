@@ -7,6 +7,20 @@
 
 namespace es2 {
 
+namespace {
+
+/// Client-side bound on outstanding connections (a real load generator
+/// runs out of sockets/ports eventually). No caller comes near it: pending
+/// attempts never exceed rate x duration.
+constexpr int kMaxPending = 65536;
+
+}  // namespace
+
+StormShape StormShape::steady(double rate) {
+  return {.base_rate = rate, .peak_rate = rate, .ramp_up = 0, .hold = 0,
+          .ramp_down = 0, .burst_period = 0};
+}
+
 double StormShape::rate_at(SimDuration t) const {
   double r;
   if (t < ramp_up && ramp_up > 0) {
@@ -32,17 +46,18 @@ double StormShape::rate_at(SimDuration t) const {
 
 StormClient::StormClient(PeerHost& peer, std::uint64_t listen_flow,
                          StormShape shape, SimDuration syn_rto,
-                         int max_retries, int max_pending, Bytes syn_payload)
+                         int max_retries, Bytes syn_payload)
     : peer_(peer),
       listen_flow_(listen_flow),
       shape_(shape),
       syn_rto_(syn_rto),
       max_retries_(max_retries),
-      max_pending_(max_pending),
       syn_payload_(syn_payload),
       rtos_(peer.sim(), this) {
   ES2_CHECK(shape.base_rate > 0 && shape.peak_rate >= shape.base_rate);
-  ES2_CHECK(syn_rto > 0 && max_retries >= 0 && max_pending > 0);
+  ES2_CHECK(syn_rto > 0 && max_retries >= 0);
+  // Flow tables are per host: the guest's listener and this client both
+  // key on the listen flow; SYN/ACKs route back here by the same id.
   peer.register_flow(listen_flow,
                      [this](const PacketPtr& p) { on_packet(p); });
 }
@@ -59,7 +74,7 @@ void StormClient::open_connection() {
   if (!running_) return;
   const SimTime now = peer_.sim().now();
   const std::uint64_t conn = next_conn_++;
-  if (static_cast<int>(pending_.size()) >= max_pending_) {
+  if (static_cast<int>(pending_.size()) >= kMaxPending) {
     ++pending_overflows_;
   } else {
     ++attempted_;

@@ -1,17 +1,21 @@
-// Connection-storm load generator (overload-resilience workloads).
+// Connection-opening load generator: the SYN client of both the Fig. 9
+// httperf ramp and the overload-resilience storms.
 //
-// Drives the guest's listen path the way a SYN-flood-shaped flash crowd
-// does: the arrival rate ramps from a calm base to a peak, holds, and
-// ramps back down, with a deterministic square-wave "diurnal burst"
-// multiplier on top. Connections are TFO-style — the SYN carries a small
-// request payload, so every arriving packet costs the guest the full TCP
-// receive path (a pure header-only SYN is too cheap to outrun the poll
-// loop; real storms carry data). Unanswered SYNs retransmit on an
-// aggressive RTO from a bounded pending table, which is what sustains the
-// offered load once the server stops answering — the livelock flywheel.
+// Opens connections at a shaped rate. A storm drives the guest's listen
+// path the way a SYN-flood-shaped flash crowd does: the arrival rate ramps
+// from a calm base to a peak, holds, and ramps back down, with a
+// deterministic square-wave "diurnal burst" multiplier on top, and its
+// SYNs are TFO-style — they carry a small request payload, so every
+// arriving packet costs the guest the full TCP receive path (a pure
+// header-only SYN is too cheap to outrun the poll loop; real storms carry
+// data). Httperf is the same client on a steady shape with header-only
+// SYNs, a 1 s RTO and no retry cap. Unanswered SYNs retransmit on a
+// constant RTO from a bounded pending table, which is what sustains the
+// offered load once the server stops answering — the livelock flywheel,
+// and past Fig. 9's knee the "suspending event overflow".
 //
 // Everything is deterministic: no RNG, shaped interarrival times and a
-// square-wave burst gate only, so same-seed storm runs are bit-identical.
+// square-wave burst gate only, so same-seed runs are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +40,9 @@ struct StormShape {
   double burst_duty = 0.5;
   double burst_mult = 1.5;
 
+  /// A constant `rate` conn/s: no ramp, no bursts (httperf).
+  static StormShape steady(double rate);
+
   /// Instantaneous arrival rate `t` after the storm started.
   double rate_at(SimDuration t) const;
 };
@@ -45,9 +52,11 @@ struct StormShape {
 /// bytes (page payload received back on established connections).
 class StormClient : public Snapshottable {
  public:
+  /// Every SYN is retransmitted `syn_rto` after it was sent until it is
+  /// answered or `max_retries` SYNs of the connection went unanswered;
+  /// each carries `syn_payload` request bytes.
   StormClient(PeerHost& peer, std::uint64_t listen_flow, StormShape shape,
-              SimDuration syn_rto = msec(50), int max_retries = 5,
-              int max_pending = 65536, Bytes syn_payload = 64);
+              SimDuration syn_rto, int max_retries, Bytes syn_payload);
 
   void start();
   void stop() { running_ = false; }
@@ -91,7 +100,6 @@ class StormClient : public Snapshottable {
   StormShape shape_;
   SimDuration syn_rto_;
   int max_retries_;
-  int max_pending_;
   Bytes syn_payload_;
   bool running_ = false;
   SimTime started_at_ = 0;

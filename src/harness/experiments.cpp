@@ -2,6 +2,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "apps/httpd.h"
@@ -544,7 +545,12 @@ HttperfResult run_httperf(const HttperfOptions& opts) {
   const std::uint64_t base_flow = 3000;
   ApacheServer server(tb.guest(), tb.frontend(), base_flow, /*client_conns=*/1,
                       /*workers=*/4);
-  HttperfClient client(tb.peer(), server.listen_flow(), opts.rate_per_sec);
+  // Header-only SYNs at a steady rate, retransmitted every second until
+  // answered.
+  StormClient client(tb.peer(), server.listen_flow(),
+                     StormShape::steady(opts.rate_per_sec), kSecond,
+                     /*max_retries=*/std::numeric_limits<int>::max(),
+                     /*syn_payload=*/0);
   tb.snapshotter().add("app/httpd", server);
   tb.snapshotter().add("app/httperf", client);
 
@@ -573,13 +579,17 @@ StormResult run_storm(const StormOptions& opts, const std::string& name) {
   TestbedOptions to = testbed_options(opts, /*macro=*/false);
   to.guest_params.overload_mitigation = opts.mitigation;
   Testbed tb(to);
+  // Server sizing: the accept queue sits well below its paper-rate default
+  // so overload actually overflows something.
   ApacheCosts costs;
-  costs.syn_backlog = opts.syn_backlog;
-  costs.accept_queue = opts.accept_queue;
+  costs.accept_queue = 512;
   ApacheServer server(tb.guest(), tb.frontend(), /*base_flow=*/4000,
-                      /*client_conns=*/1, opts.workers, costs);
-  StormClient client(tb.peer(), server.listen_flow(), opts.shape, opts.syn_rto,
-                     opts.max_retries, /*max_pending=*/65536, opts.syn_payload);
+                      /*client_conns=*/1, /*workers=*/4, costs);
+  // Client impatience: an aggressive SYN RTO sustains the retransmit
+  // flywheel; the retry cap is what eventually deflates it.
+  StormClient client(tb.peer(), server.listen_flow(), opts.shape,
+                     /*syn_rto=*/msec(50), /*max_retries=*/5,
+                     opts.syn_payload);
   server.register_metrics(tb.metrics());
   tb.snapshotter().add("app/httpd", server);
   tb.snapshotter().add("app/storm", client);

@@ -382,15 +382,6 @@ struct StormOptions : ObserveOptions {
   /// backpressure + accept shedding). Off reproduces the classic receive
   /// livelock; on is the graceful-degradation arm of the same cell.
   bool mitigation = false;
-  /// Server sizing. The storm defaults tighten the accept queue well below
-  /// its paper-rate default so overload actually overflows something.
-  int workers = 4;
-  int syn_backlog = 128;
-  int accept_queue = 512;
-  /// Client impatience: aggressive SYN RTO sustains the retransmit
-  /// flywheel; the retry cap is what eventually deflates it.
-  SimDuration syn_rto = msec(50);
-  int max_retries = 5;
   /// TFO request payload per SYN: the data-bearing SYN takes the full TCP
   /// receive path (rx_tcp_per_packet, ~8.5k cycles) instead of the cheap
   /// ACK path. Payload size itself barely moves the per-packet cost

@@ -2,16 +2,21 @@
 // apache/ab, httperf.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "apps/httpd.h"
 #include "apps/memcached.h"
 #include "apps/netperf.h"
 #include "apps/ping.h"
+#include "apps/storm.h"
 #include "harness/testbed.h"
 
 namespace es2 {
 namespace {
+
+/// Httperf retransmits an unanswered SYN for as long as it runs.
+constexpr int kUncapped = std::numeric_limits<int>::max();
 
 struct AppWorld {
   explicit AppWorld(Es2Config cfg = Es2Config::pi(), std::uint64_t seed = 1) {
@@ -172,9 +177,16 @@ TEST(Apache, ServesPagesToAb) {
 }
 
 TEST(Httperf, HandshakesAtLowRateAreFast) {
+  // Httperf is a steady storm: the shape's rate never moves.
+  const StormShape steady = StormShape::steady(200.0);
+  for (const SimDuration t :
+       {SimDuration{0}, SimDuration{1}, sec(1), sec(10)}) {
+    EXPECT_EQ(steady.rate_at(t), 200.0) << "t=" << t;
+  }
   AppWorld w;
   ApacheServer server(w.tb->guest(), w.tb->frontend(), 3000, 1, 2);
-  HttperfClient client(w.tb->peer(), server.listen_flow(), 200.0);
+  StormClient client(w.tb->peer(), server.listen_flow(), steady, kSecond,
+                     kUncapped, /*syn_payload=*/0);
   w.tb->start();
   client.start();
   w.tb->sim().run_for(msec(500));
@@ -190,16 +202,26 @@ TEST(Httperf, BacklogOverflowTriggersSynRetries) {
   costs.syn_backlog = 4;
   costs.accept_cost = 2300000;  // 1ms per accept: easily saturated
   ApacheServer server(w.tb->guest(), w.tb->frontend(), 3000, 1, 1, costs);
-  HttperfClient client(w.tb->peer(), server.listen_flow(), 5000.0,
-                       /*syn_rto=*/msec(50));
+  const SimDuration rto = msec(50);
+  StormClient client(w.tb->peer(), server.listen_flow(),
+                     StormShape::steady(5000.0), rto, kUncapped,
+                     /*syn_payload=*/0);
   w.tb->start();
   client.start();
   w.tb->sim().run_for(msec(300));
-  client.stop();
   EXPECT_GT(server.syn_drops(), 0);
   EXPECT_GT(client.retries(), 0);
   // Retried connections show the RTO in their connect time.
-  EXPECT_GT(client.connect_time().max(), msec(50));
+  EXPECT_GT(client.connect_time().max(), rto);
+  // Keep going until some connection was answered only after more than
+  // five retransmissions (a connect time past six RTOs): a retry cap of
+  // five would have abandoned it, httperf never gives up.
+  for (int i = 0; i < 20 && client.connect_time().max() <= 6 * rto; ++i) {
+    w.tb->sim().run_for(msec(100));
+  }
+  client.stop();
+  EXPECT_GT(client.connect_time().max(), 6 * rto);
+  EXPECT_EQ(client.abandoned(), 0);
 }
 
 TEST(Burn, ConsumesOnlySlackCpu) {

@@ -149,6 +149,21 @@ TEST(Integration, HttperfKneeLaterWithEs2) {
   EXPECT_GT(rb.avg_connect_ms, re.avg_connect_ms);
 }
 
+TEST(Integration, HttperfSynTimersStayOffTheCalendar) {
+  // Perfbench's request cell: 1000 conn/s for 500 ms. Every SYN's 1 s
+  // retransmission timer rides the client's delay line, so only its head
+  // is a live event; one event per SYN would hold ~500 live records.
+  for (const Es2Config cfg : {Es2Config::baseline(), Es2Config::pi_h_r()}) {
+    HttperfOptions o;
+    o.config = cfg;
+    o.rate_per_sec = 1000;
+    o.duration = msec(500);
+    const HttperfResult r = run_httperf(o);
+    EXPECT_LT(r.metrics->value("eventcore.peak_live"), 100.0) << cfg.name();
+    EXPECT_EQ(r.established, 501) << cfg.name();
+  }
+}
+
 TEST(Integration, DeterministicAcrossRuns) {
   auto opts = quick_stream(Es2Config::pi_h(4), Proto::kTcp, true);
   opts.seed = 77;
