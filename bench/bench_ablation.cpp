@@ -26,7 +26,9 @@ int main(int argc, char** argv) {
       {"round-robin online", RedirectPolicy::kRoundRobin},
       {"random offline prediction", RedirectPolicy::kRandomOffline},
   };
+  // --observe watches the paper's policy.
   PingResult ping_results[4];
+  constexpr int kObserved = 0;
   parallel_for(4, [&](int i) {
     PingOptions o;
     o.config = Es2Config::pi_h_r();
@@ -34,8 +36,7 @@ int main(int argc, char** argv) {
     o.samples = args.fast ? 40 : 120;
     o.interval = msec(80);
     o.seed = args.seed;
-    // --observe watches the paper's policy.
-    if (i == 0) observe_request(args, o);
+    if (i == kObserved) observe_request(args, o);
     ping_results[i] = run_ping(o);
   });
 
@@ -68,6 +69,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_artifacts(args, ping_results[0])) return 1;
+  if (!export_artifacts(args, ping_results[kObserved])) return 1;
   return 0;
 }

@@ -113,37 +113,32 @@ int main(int argc, char** argv) {
                                          : std::vector<double>{0, 0.001, 0.01,
                                                                0.05};
 
+  // Cell i is loss i / |stacks| on stack i % |stacks|. --observe watches
+  // the healthiest cell (first stack, zero loss) — the chaos determinism
+  // oracle.
   std::vector<ChaosStreamResult> results(losses.size() * stacks.size());
-  ExperimentRunner runner;
-  for (size_t l = 0; l < losses.size(); ++l) {
-    for (size_t s = 0; s < stacks.size(); ++s) {
-      const size_t idx = l * stacks.size() + s;
-      runner.add(format("%s/loss=%.3f%%", stacks[s].label, losses[l] * 100),
-                 [&, l, s, idx](const std::string& name) {
-                   ChaosStreamOptions o;
-                   o.stream.config = stacks[s].config;
-                   // Peer->VM TCP: exercises the peer's retransmit
-                   // machinery, the vhost RX path and the guest IRQ path
-                   // all at once.
-                   o.stream.vm_sends = false;
-                   o.stream.seed = args.seed;
-                   o.stream.warmup = args.fast ? msec(150) : msec(300);
-                   o.stream.measure = args.fast ? msec(500) : msec(1500);
-                   o.faults = plan_for(losses[l]);
-                   // A capped-backoff RTO can go silent for up to
-                   // rto << max_rto_backoff = 320 ms; tolerate a few in
-                   // a row before calling the cell wedged.
-                   o.budget.progress_window = msec(100);
-                   o.budget.stall_windows = 12;
-                   // --observe watches the healthiest cell (first stack,
-                   // zero loss) — the chaos determinism oracle.
-                   if (idx == 0) observe_request(args, o.stream);
-                   results[idx] = run_chaos_stream(o, name);
-                   return results[idx].report;
-                 });
-    }
-  }
-  runner.run_all();
+  constexpr int kObserved = 0;
+  parallel_for(static_cast<int>(results.size()), [&](int i) {
+    const size_t l = static_cast<size_t>(i) / stacks.size();
+    const size_t s = static_cast<size_t>(i) % stacks.size();
+    ChaosStreamOptions o;
+    o.stream.config = stacks[s].config;
+    // Peer->VM TCP: exercises the peer's retransmit machinery, the vhost
+    // RX path and the guest IRQ path all at once.
+    o.stream.vm_sends = false;
+    o.stream.seed = args.seed;
+    o.stream.warmup = args.fast ? msec(150) : msec(300);
+    o.stream.measure = args.fast ? msec(500) : msec(1500);
+    o.faults = plan_for(losses[l]);
+    // A capped-backoff RTO can go silent for up to
+    // rto << max_rto_backoff = 320 ms; tolerate a few in a row before
+    // calling the cell wedged.
+    o.budget.progress_window = msec(100);
+    o.budget.stall_windows = 12;
+    if (i == kObserved) observe_request(args, o.stream);
+    results[static_cast<size_t>(i)] = run_chaos_stream(
+        o, format("%s/loss=%.3f%%", stacks[s].label, losses[l] * 100));
+  });
 
   CsvWriter csv({"stack", "loss_pct", "status", "goodput_mbps",
                  "link_dropped", "sock_backlog_drops", "backpressure_drops",
@@ -209,8 +204,13 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_artifacts(args, results[0].stream)) return 1;
+  if (!export_artifacts(args, results[kObserved].stream)) return 1;
 
-  runner.print_failures(stdout);
-  return runner.exit_code();
+  int exit_code = 0;
+  for (const ChaosStreamResult& r : results) {
+    if (r.report.ok()) continue;
+    std::printf("%s\n", r.report.to_line().c_str());
+    exit_code = 1;
+  }
+  return exit_code;
 }

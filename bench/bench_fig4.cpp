@@ -31,26 +31,24 @@ int main(int argc, char** argv) {
   CsvWriter csv({"case", "quota", "io_exits_per_sec", "packets_per_sec",
                  "tig_percent"});
 
+  // Cell c * |quotas| + q is case c at quotas[q]. --observe watches TCP
+  // 1024B at the paper-selected quota 4.
   std::vector<StreamResult> results(3 * quotas.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t c = 0; c < 3; ++c) {
-    for (size_t q = 0; q < quotas.size(); ++q) {
-      tasks.push_back([&, c, q] {
-        StreamOptions o;
-        o.config = quotas[q] == 0 ? Es2Config::pi() : Es2Config::pi_h(quotas[q]);
-        o.proto = cases[c].proto;
-        o.msg_size = cases[c].msg;
-        o.vm_sends = true;
-        o.seed = args.seed;
-        o.warmup = args.fast ? msec(100) : msec(250);
-        o.measure = args.fast ? msec(250) : msec(800);
-        // --observe watches TCP 1024B at the paper-selected quota 4.
-        if (c == 2 && quotas[q] == 4) observe_request(args, o);
-        results[c * quotas.size() + q] = run_stream(o);
-      });
-    }
-  }
-  ParallelRunner().run(std::move(tasks));
+  const int observed = static_cast<int>(2 * quotas.size() + 5);
+  parallel_for(static_cast<int>(results.size()), [&](int i) {
+    const size_t c = static_cast<size_t>(i) / quotas.size();
+    const size_t q = static_cast<size_t>(i) % quotas.size();
+    StreamOptions o;
+    o.config = quotas[q] == 0 ? Es2Config::pi() : Es2Config::pi_h(quotas[q]);
+    o.proto = cases[c].proto;
+    o.msg_size = cases[c].msg;
+    o.vm_sends = true;
+    o.seed = args.seed;
+    o.warmup = args.fast ? msec(100) : msec(250);
+    o.measure = args.fast ? msec(250) : msec(800);
+    if (i == observed) observe_request(args, o);
+    results[static_cast<size_t>(i)] = run_stream(o);
+  });
 
   for (size_t c = 0; c < 3; ++c) {
     Table t({"quota", "I/O exits/s", "packets/s", "TIG %"});
@@ -90,7 +88,8 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  const StreamResult& traced = results[2 * quotas.size() + 5];  // TCP, quota 4
-  if (!export_artifacts(args, traced)) return 1;
+  if (!export_artifacts(args, results[static_cast<size_t>(observed)])) {
+    return 1;
+  }
   return 0;
 }

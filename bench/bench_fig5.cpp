@@ -42,37 +42,34 @@ int main(int argc, char** argv) {
   CsvWriter csv({"case", "config", "delivery", "completion", "io", "others",
                  "total", "tig_percent"});
 
+  // Cell c * 3 + s is case c on config s (Baseline, PI, PI+H). --observe
+  // watches the recv-TCP / PI cell, the paper's canonical exit-less
+  // delivery path.
   std::vector<StreamResult> results(12);
-  std::vector<std::function<void()>> tasks;
-  for (size_t c = 0; c < 4; ++c) {
-    for (int s = 0; s < 3; ++s) {
-      tasks.push_back([&, c, s] {
-        StreamOptions o;
-        o.config = s == 0 ? Es2Config::baseline()
-                          : (s == 1 ? Es2Config::pi()
-                                    : Es2Config::pi_h(
-                                          cases[c].proto == Proto::kUdp
-                                              ? HybridIoHandling::kQuotaUdp
-                                              : HybridIoHandling::kQuotaTcp));
-        o.proto = cases[c].proto;
-        o.msg_size = 1024;
-        o.vm_sends = cases[c].vm_sends;
-        o.seed = args.seed;
-        o.warmup = args.fast ? msec(100) : msec(250);
-        o.measure = args.fast ? msec(250) : msec(800);
-        // Every cell runs traced so the per-stage blame columns below
-        // cover the whole grid (tracing is passive; the exit/TIG numbers
-        // and the gated report are unchanged).
-        o.trace.enabled = true;
-        o.trace.capacity = std::size_t{1} << 18;
-        // --observe watches the recv-TCP / PI cell,
-        // the paper's canonical exit-less delivery path.
-        if (c * 3 + s == 7) observe_request(args, o);
-        results[c * 3 + s] = run_stream(o);
-      });
-    }
-  }
-  ParallelRunner().run(std::move(tasks));
+  constexpr int kObserved = 7;
+  parallel_for(static_cast<int>(results.size()), [&](int i) {
+    const size_t c = static_cast<size_t>(i) / 3;
+    const int s = i % 3;
+    StreamOptions o;
+    o.config = s == 0 ? Es2Config::baseline()
+                      : (s == 1 ? Es2Config::pi()
+                                : Es2Config::pi_h(cases[c].proto == Proto::kUdp
+                                                      ? kQuotaUdp
+                                                      : kQuotaTcp));
+    o.proto = cases[c].proto;
+    o.msg_size = 1024;
+    o.vm_sends = cases[c].vm_sends;
+    o.seed = args.seed;
+    o.warmup = args.fast ? msec(100) : msec(250);
+    o.measure = args.fast ? msec(250) : msec(800);
+    // Every cell runs traced so the per-stage blame columns below cover
+    // the whole grid (tracing is passive; the exit/TIG numbers and the
+    // gated report are unchanged).
+    o.trace.enabled = true;
+    o.trace.capacity = std::size_t{1} << 18;
+    if (i == kObserved) observe_request(args, o);
+    results[static_cast<size_t>(i)] = run_stream(o);
+  });
 
   const char* config_names[] = {"Baseline", "PI", "PI+H"};
   for (size_t c = 0; c < 4; ++c) {
@@ -161,7 +158,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  const StreamResult& traced = results[7];
-  if (!export_artifacts(args, traced)) return 1;
+  if (!export_artifacts(args, results[kObserved])) return 1;
   return sum_ok ? 0 : 1;
 }

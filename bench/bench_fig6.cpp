@@ -28,32 +28,26 @@ int main(int argc, char** argv) {
   BenchReport report = make_report(args, "fig6");
   const char* config_keys[] = {"baseline", "pi", "pi_h", "pi_h_r"};
 
+  // Cell s * 4 + c is sizes[s] on config c. --observe watches the
+  // receiving PI+H+R cell at the largest size (the last cell) — the full
+  // redirected event path under oversubscription.
+  const int observed = static_cast<int>(sizes.size() * 4) - 1;
   for (const bool vm_sends : {true, false}) {
     std::vector<StreamResult> results(sizes.size() * 4);
-    std::vector<std::function<void()>> tasks;
-    for (size_t s = 0; s < sizes.size(); ++s) {
-      for (int c = 0; c < 4; ++c) {
-        tasks.push_back([&, s, c] {
-          StreamOptions o;
-          o.config = Es2Config::all4()[c];
-          o.proto = Proto::kTcp;
-          o.msg_size = sizes[s];
-          o.vm_sends = vm_sends;
-          o.macro = true;
-          o.threads = 4;
-          o.seed = args.seed;
-          o.warmup = args.fast ? msec(200) : msec(400);
-          o.measure = args.fast ? msec(400) : sec(1);
-          // --observe watches the receiving PI+H+R cell at the largest
-          // size — the full redirected event path under oversubscription.
-          if (!vm_sends && c == 3 && s == sizes.size() - 1) {
-            observe_request(args, o);
-          }
-          results[s * 4 + c] = run_stream(o);
-        });
-      }
-    }
-    ParallelRunner().run(std::move(tasks));
+    parallel_for(static_cast<int>(results.size()), [&](int i) {
+      StreamOptions o;
+      o.config = Es2Config::all4()[i % 4];
+      o.proto = Proto::kTcp;
+      o.msg_size = sizes[static_cast<size_t>(i / 4)];
+      o.vm_sends = vm_sends;
+      o.macro = true;
+      o.threads = 4;
+      o.seed = args.seed;
+      o.warmup = args.fast ? msec(200) : msec(400);
+      o.measure = args.fast ? msec(400) : sec(1);
+      if (!vm_sends && i == observed) observe_request(args, o);
+      results[static_cast<size_t>(i)] = run_stream(o);
+    });
 
     std::printf("\n-- %s TCP stream (Mb/s)\n", vm_sends ? "sending" : "receiving");
     Table t({"msg size", "Baseline", "PI", "PI+H", "PI+H+R"});
@@ -81,9 +75,9 @@ int main(int argc, char** argv) {
                    r.throughput_mbps);
       }
     }
-    if (!vm_sends) {
-      const StreamResult& traced = results[(sizes.size() - 1) * 4 + 3];
-      if (!export_artifacts(args, traced)) return 1;
+    if (!vm_sends &&
+        !export_artifacts(args, results[static_cast<size_t>(observed)])) {
+      return 1;
     }
   }
   std::printf(

@@ -23,15 +23,16 @@ int main(int argc, char** argv) {
   const Es2Config configs[3] = {Es2Config::baseline(), Es2Config::pi(),
                                 Es2Config::pi_h_r()};
   const char* names[3] = {"Baseline", "PI", "PI+H+R (ES2)"};
+  // --observe watches the full-ES2 config, the one the paper plots flat.
   PingResult results[3];
+  constexpr int kObserved = 2;
   parallel_for(3, [&](int i) {
     PingOptions o;
     o.config = configs[i];
     o.samples = samples;
     o.interval = interval;
     o.seed = args.seed;
-    // --observe watches the full-ES2 config, the one the paper plots flat.
-    if (i == 2) observe_request(args, o);
+    if (i == kObserved) observe_request(args, o);
     results[i] = run_ping(o);
   });
 
@@ -65,6 +66,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_artifacts(args, results[2])) return 1;
+  if (!export_artifacts(args, results[kObserved])) return 1;
   return 0;
 }

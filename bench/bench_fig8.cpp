@@ -16,28 +16,28 @@ int main(int argc, char** argv) {
 
   MemcachedResult mem[4];
   ApacheResult ap[4];
-  std::vector<std::function<void()>> tasks;
-  for (int c = 0; c < 4; ++c) {
-    tasks.push_back([&, c] {
+  // Cell 2c is memcached and cell 2c + 1 Apache on config c. --observe
+  // watches the full-ES2 memcached cell.
+  constexpr int kObserved = 6;
+  parallel_for(8, [&](int i) {
+    const int c = i / 2;
+    if (i % 2 == 0) {
       MemcachedOptions o;
       o.config = Es2Config::all4()[c];
       o.seed = args.seed;
       o.warmup = args.fast ? msec(200) : msec(400);
       o.measure = args.fast ? msec(400) : sec(1);
-      // --observe watches the full-ES2 memcached cell.
-      if (c == 3) observe_request(args, o);
+      if (i == kObserved) observe_request(args, o);
       mem[c] = run_memcached(o);
-    });
-    tasks.push_back([&, c] {
+    } else {
       ApacheOptions o;
       o.config = Es2Config::all4()[c];
       o.seed = args.seed;
       o.warmup = args.fast ? msec(200) : msec(400);
       o.measure = args.fast ? msec(400) : sec(1);
       ap[c] = run_apache(o);
-    });
-  }
-  ParallelRunner().run(std::move(tasks));
+    }
+  });
 
   CsvWriter csv({"workload", "config", "throughput", "throughput_mbps",
                  "latency_p50_ms", "latency_p99_ms"});
@@ -83,6 +83,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_artifacts(args, mem[3])) return 1;
+  if (!export_artifacts(args, mem[kObserved / 2])) return 1;
   return 0;
 }

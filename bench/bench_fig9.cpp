@@ -23,23 +23,19 @@ int main(int argc, char** argv) {
 
   const Es2Config configs[4] = {Es2Config::baseline(), Es2Config::pi(),
                                 Es2Config::pi_h(), Es2Config::pi_h_r()};
+  // Cell r * 4 + c is rates[r] on configs[c]. --observe watches full ES2
+  // at the lowest (healthy) request rate.
   std::vector<HttperfResult> results(rates.size() * 4);
-  std::vector<std::function<void()>> tasks;
-  for (size_t r = 0; r < rates.size(); ++r) {
-    for (int c = 0; c < 4; ++c) {
-      tasks.push_back([&, r, c] {
-        HttperfOptions o;
-        o.config = configs[c];
-        o.rate_per_sec = rates[r];
-        o.duration = args.fast ? sec(1) : sec(2);
-        o.seed = args.seed;
-        // --observe watches full ES2 at the lowest (healthy) request rate.
-        if (r == 0 && c == 3) observe_request(args, o);
-        results[r * 4 + c] = run_httperf(o);
-      });
-    }
-  }
-  ParallelRunner().run(std::move(tasks));
+  constexpr int kObserved = 3;
+  parallel_for(static_cast<int>(results.size()), [&](int i) {
+    HttperfOptions o;
+    o.config = configs[i % 4];
+    o.rate_per_sec = rates[static_cast<size_t>(i / 4)];
+    o.duration = args.fast ? sec(1) : sec(2);
+    o.seed = args.seed;
+    if (i == kObserved) observe_request(args, o);
+    results[static_cast<size_t>(i)] = run_httperf(o);
+  });
 
   Table t({"req rate", "Baseline", "PI", "PI+H", "PI+H+R"});
   CsvWriter csv({"rate", "config", "avg_connect_ms", "p99_connect_ms",
@@ -78,6 +74,6 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_artifacts(args, results[3])) return 1;
+  if (!export_artifacts(args, results[kObserved])) return 1;
   return 0;
 }

@@ -84,14 +84,14 @@ int main(int argc, char** argv) {
   const SimDuration measure = args.fast ? msec(300) : sec(1);
 
   // --- 1 + 2: coalescing and poll-mode driver vs stock NAPI --------------
-  LatencyLoad stock, coalesced, polled;
-  {
-    std::vector<std::function<void()>> tasks;
-    tasks.push_back([&] { stock = run_latency_case(false, false, args.seed, measure); });
-    tasks.push_back([&] { coalesced = run_latency_case(true, false, args.seed, measure); });
-    tasks.push_back([&] { polled = run_latency_case(false, true, args.seed, measure); });
-    ParallelRunner().run(std::move(tasks));
-  }
+  // Case 0 is stock NAPI, 1 adds coalescing, 2 is the poll-mode driver.
+  LatencyLoad loads[3];
+  parallel_for(3, [&](int i) {
+    loads[i] = run_latency_case(i == 1, i == 2, args.seed, measure);
+  });
+  const LatencyLoad& stock = loads[0];
+  const LatencyLoad& coalesced = loads[1];
+  const LatencyLoad& polled = loads[2];
   std::printf("\n-- Interrupt moderation/substitution, Baseline stack,\n"
               "   40k pps UDP ingress + ping (micro testbed)\n");
   Table t1({"Approach", "guest irqs/s", "ping p50", "ping p99", "note"});
@@ -123,53 +123,50 @@ int main(int argc, char** argv) {
       {"PI,  4x multiplexed", InterruptVirtMode::kPostedInterrupt, true},
       {"ELI, 4x multiplexed", InterruptVirtMode::kExitlessDirect, true},
   };
-  std::vector<std::function<void()>> tasks;
-  for (auto& c : cases) {
-    tasks.push_back([&c, &args] {
-      // ELI is not an Es2Config member (it is a related-work baseline), so
-      // the world is built through the low-level API, setting the tested
-      // VM's InterruptVirtMode directly.
-      Simulator sim(args.seed);
-      KvmHost host(sim, 8);
-      std::vector<std::unique_ptr<GuestOs>> guests;
-      std::vector<std::unique_ptr<CpuBurnTask>> burns;
-      const int vms = c.macro_world ? 4 : 1;
-      const int vcpus = c.macro_world ? 4 : 1;
-      for (int v = 0; v < vms; ++v) {
-        std::vector<int> pins;
-        for (int j = 0; j < vcpus; ++j)
-          pins.push_back(c.macro_world ? j : v * vcpus + j);
-        Vm& vm = host.create_vm(format("vm%d", v), pins,
-                                v == 0 ? c.mode
-                                       : InterruptVirtMode::kPostedInterrupt);
-        guests.push_back(std::make_unique<GuestOs>(vm));
-        for (int j = 0; j < vcpus; ++j) {
-          burns.push_back(std::make_unique<CpuBurnTask>(*guests.back(), j));
-          guests.back()->add_task(*burns.back());
-        }
-      }
-      DuplexLink cable(sim, 40.0, 1500);
-      PeerHost peer(sim, cable.b_to_a);
-      peer.attach_rx(cable.a_to_b);
-      VhostWorker worker(host, "vhost", c.macro_world ? 4 : 4);
-      VhostNetBackend backend(host.vm(0), worker, cable.a_to_b);
-      cable.b_to_a.set_receiver(
-          [&backend](PacketPtr p) { backend.receive_from_wire(std::move(p)); });
-      VirtioNetFrontend frontend(*guests[0], backend);
-      PingResponder responder(*guests[0], frontend, 7);
-      PingClient ping(peer, 7, msec(40));
-      for (int v = 0; v < vms; ++v) host.vm(v).start();
-      ping.start();
-      sim.run_for(msec(40) * (args.fast ? 50 : 130));
-      c.p50 = static_cast<double>(ping.rtt().p50()) / 1e6;
-      c.p99 = static_cast<double>(ping.rtt().p99()) / 1e6;
+  parallel_for(static_cast<int>(cases.size()), [&](int i) {
+    EliCase& c = cases[static_cast<size_t>(i)];
+    // ELI is not an Es2Config member (it is a related-work baseline), so
+    // the world is built through the low-level API, setting the tested
+    // VM's InterruptVirtMode directly.
+    Simulator sim(args.seed);
+    KvmHost host(sim, 8);
+    std::vector<std::unique_ptr<GuestOs>> guests;
+    std::vector<std::unique_ptr<CpuBurnTask>> burns;
+    const int vms = c.macro_world ? 4 : 1;
+    const int vcpus = c.macro_world ? 4 : 1;
+    for (int v = 0; v < vms; ++v) {
+      std::vector<int> pins;
+      for (int j = 0; j < vcpus; ++j)
+        pins.push_back(c.macro_world ? j : v * vcpus + j);
+      Vm& vm = host.create_vm(format("vm%d", v), pins,
+                              v == 0 ? c.mode
+                                     : InterruptVirtMode::kPostedInterrupt);
+      guests.push_back(std::make_unique<GuestOs>(vm));
       for (int j = 0; j < vcpus; ++j) {
-        c.stalls += host.vm(0).vcpu(j).eli_stalls();
-        c.hazards += host.vm(0).vcpu(j).eli_hazards();
+        burns.push_back(std::make_unique<CpuBurnTask>(*guests.back(), j));
+        guests.back()->add_task(*burns.back());
       }
-    });
-  }
-  ParallelRunner().run(std::move(tasks));
+    }
+    DuplexLink cable(sim, 40.0, 1500);
+    PeerHost peer(sim, cable.b_to_a);
+    peer.attach_rx(cable.a_to_b);
+    VhostWorker worker(host, "vhost", c.macro_world ? 4 : 4);
+    VhostNetBackend backend(host.vm(0), worker, cable.a_to_b);
+    cable.b_to_a.set_receiver(
+        [&backend](PacketPtr p) { backend.receive_from_wire(std::move(p)); });
+    VirtioNetFrontend frontend(*guests[0], backend);
+    PingResponder responder(*guests[0], frontend, 7);
+    PingClient ping(peer, 7, msec(40));
+    for (int v = 0; v < vms; ++v) host.vm(v).start();
+    ping.start();
+    sim.run_for(msec(40) * (args.fast ? 50 : 130));
+    c.p50 = static_cast<double>(ping.rtt().p50()) / 1e6;
+    c.p99 = static_cast<double>(ping.rtt().p99()) / 1e6;
+    for (int j = 0; j < vcpus; ++j) {
+      c.stalls += host.vm(0).vcpu(j).eli_stalls();
+      c.hazards += host.vm(0).vcpu(j).eli_hazards();
+    }
+  });
 
   Table t2({"Deployment", "ping p50", "ping p99", "stalled irqs", "hazards"});
   CsvWriter csv({"section", "variant", "metric", "value"});

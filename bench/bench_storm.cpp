@@ -89,37 +89,22 @@ int main(int argc, char** argv) {
   const std::vector<Ramp> ramp_list = ramps(args.fast);
   const std::vector<bool> arms = {false, true};
 
+  // Cell (s, p, m) is index (s * |ramps| + p) * |arms| + m. --observe
+  // watches the calmest cell as the storm determinism oracle.
   const size_t cells = stacks.size() * ramp_list.size() * arms.size();
   std::vector<StormResult> results(cells);
-  ExperimentRunner runner;
-  for (size_t s = 0; s < stacks.size(); ++s) {
-    for (size_t p = 0; p < ramp_list.size(); ++p) {
-      for (size_t m = 0; m < arms.size(); ++m) {
-        const size_t idx = (s * ramp_list.size() + p) * arms.size() + m;
-        runner.add(
-            format("%s/%s/mitigation=%s", stacks[s].label,
-                   ramp_list[p].label, arms[m] ? "on" : "off"),
-            [&, s, p, m, idx](const std::string& name) {
-              StormOptions o =
-                  cell_options(args, stacks[s].config, ramp_list[p], arms[m]);
-              // --observe watches the calmest cell as the storm
-              // determinism oracle.
-              if (idx == 0) observe_request(args, o);
-              results[idx] = run_storm(o, name);
-              ScenarioReport rep = results[idx].report;
-              // An expected livelock verdict is this cell succeeding at
-              // demonstrating the failure mode; report it as OK so it does
-              // not fail the sweep. The raw status survives in the CSV.
-              if (results[idx].acceptable()) {
-                rep.status = ScenarioStatus::kOk;
-                rep.detail.clear();
-              }
-              return rep;
-            });
-      }
-    }
-  }
-  runner.run_all();
+  constexpr int kObserved = 0;
+  parallel_for(static_cast<int>(cells), [&](int i) {
+    const size_t m = static_cast<size_t>(i) % arms.size();
+    const size_t p = static_cast<size_t>(i) / arms.size() % ramp_list.size();
+    const size_t s = static_cast<size_t>(i) / arms.size() / ramp_list.size();
+    StormOptions o =
+        cell_options(args, stacks[s].config, ramp_list[p], arms[m]);
+    if (i == kObserved) observe_request(args, o);
+    results[static_cast<size_t>(i)] =
+        run_storm(o, format("%s/%s/mitigation=%s", stacks[s].label,
+                            ramp_list[p].label, arms[m] ? "on" : "off"));
+  });
 
   CsvWriter csv({"stack", "ramp", "mitigation", "status", "established",
                  "attempted", "served", "goodput_mbps", "connect_p99_ms",
@@ -233,12 +218,20 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_artifacts(args, results[0])) return 1;
+  if (!export_artifacts(args, results[kObserved])) return 1;
 
-  runner.print_failures(stdout);
+  // An expected livelock verdict is a cell succeeding at demonstrating the
+  // failure mode (acceptable()); only the others fail the sweep. The raw
+  // status survives in the CSV.
+  bool cells_ok = true;
+  for (const StormResult& r : results) {
+    if (r.acceptable()) continue;
+    std::printf("%s\n", r.report.to_line().c_str());
+    cells_ok = false;
+  }
   if (failures > 0) {
     std::printf("%d storm gate(s) failed\n", failures);
     return 1;
   }
-  return runner.exit_code();
+  return cells_ok ? 0 : 1;
 }

@@ -25,13 +25,14 @@ int main(int argc, char** argv) {
     base_opts.measure = sec(1);
   }
 
+  // Cell 0 is Baseline, cell 1 PI. --observe watches the Baseline cell —
+  // the exit-heavy path the table dissects.
   StreamResult results[2];
+  constexpr int kObserved = 0;
   parallel_for(2, [&](int i) {
     StreamOptions o = base_opts;
     o.config = i == 0 ? Es2Config::baseline() : Es2Config::pi();
-    // --observe watches the Baseline cell — the exit-heavy path the table
-    // dissects.
-    if (i == 0) observe_request(args, o);
+    if (i == kObserved) observe_request(args, o);
     results[i] = run_stream(o);
   });
 
@@ -89,6 +90,6 @@ int main(int argc, char** argv) {
   add_config("pi", pi);
   write_bench_report(args, report);
 
-  if (!export_artifacts(args, base)) return 1;
+  if (!export_artifacts(args, results[kObserved])) return 1;
   return 0;
 }

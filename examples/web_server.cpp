@@ -20,8 +20,6 @@ int main(int argc, char** argv) {
   for (const Es2Config cfg : {Es2Config::baseline(), Es2Config::pi_h_r()}) {
     ApacheOptions o;
     o.config = cfg;
-    o.concurrency = 16;
-    o.workers = 8;
     o.warmup = fast ? msec(200) : msec(400);
     o.measure = fast ? msec(400) : sec(1);
     const ApacheResult r = run_apache(o);

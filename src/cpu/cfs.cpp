@@ -27,7 +27,6 @@ CfsScheduler::CfsScheduler(Simulator& sim, int num_cores, CfsParams params)
   cores_.reserve(static_cast<size_t>(num_cores));
   for (int i = 0; i < num_cores; ++i) {
     cores_.push_back(std::make_unique<Core>(*this, i));
-    cores_.back()->busy_.set(sim_.now(), 0.0);
   }
 }
 
@@ -108,7 +107,6 @@ void CfsScheduler::on_block(SimThread& thread) {
     thread.sched_out();
     thread.state_ = SimThread::State::kBlocked;
     c->current_ = nullptr;
-    c->busy_.set(sim_.now(), 0.0);
     update_min_vruntime(*c);
     request_resched(*c);
     return;
@@ -128,7 +126,6 @@ void CfsScheduler::on_finish(SimThread& thread) {
       account_current(*c);
       thread.sched_out();
       c->current_ = nullptr;
-      c->busy_.set(sim_.now(), 0.0);
       request_resched(*c);
       break;
     }
@@ -259,12 +256,9 @@ void CfsScheduler::do_resched(Core& core) {
     dequeue(core, *best);
     core.current_ = best;
     ++core.context_switches_;
-    core.busy_.set(sim_.now(), 1.0);
     best->sched_in(core);
     // sched_in may have synchronously blocked the thread via its main body.
     if (core.current_ == best) arm_slice_timer(core);
-  } else {
-    core.busy_.set(sim_.now(), 0.0);
   }
   update_min_vruntime(core);
 }

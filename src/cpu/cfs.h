@@ -19,7 +19,6 @@
 #include "base/rng.h"
 #include "cpu/thread.h"
 #include "sim/simulator.h"
-#include "stats/meters.h"
 
 namespace es2 {
 
@@ -59,9 +58,6 @@ class Core {
   /// Total load weight of runnable threads (for least-loaded placement).
   std::int64_t load() const;
 
-  /// Fraction of time this core was busy since simulation start.
-  double utilization(SimTime now) const { return busy_.average(now); }
-
   /// Floor of the core's virtual-runtime clock; must never move backwards
   /// (exposed for invariant auditing).
   double min_vruntime() const { return min_vruntime_; }
@@ -96,7 +92,6 @@ class Core {
   EventHandle slice_timer_;
   std::uint64_t context_switches_ = 0;
   std::uint64_t preemptions_ = 0;
-  TimeWeighted busy_;
 };
 
 class CfsScheduler : public Snapshottable {

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "base/assert.h"
-#include "base/log.h"
 #include "cpu/cfs.h"
 #include "stats/meters.h"
 #include "trace/trace.h"

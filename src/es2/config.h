@@ -21,13 +21,17 @@ enum class RedirectPolicy {
   kRandomOffline,  // paper online policy, random offline prediction
 };
 
+/// Hybrid I/O Handling's (paper §IV-B) empirically selected Algorithm 1
+/// quotas: 4 for TCP-dominated and 8 for UDP-dominated workloads.
+inline constexpr int kQuotaTcp = 4;
+inline constexpr int kQuotaUdp = 8;
+
 struct Es2Config {
   bool posted_interrupts = false;
   bool hybrid_io = false;
   bool redirection = false;
-  /// Algorithm 1 quota (the vhost poll_quota module parameter). The paper
-  /// selects 4 for TCP-dominated and 8 for UDP-dominated workloads.
-  int poll_quota = 4;
+  /// Algorithm 1 quota (the vhost poll_quota module parameter).
+  int poll_quota = kQuotaTcp;
   RedirectPolicy policy = RedirectPolicy::kPaper;
   /// Multi-queue extension: give each MSI vector its own sticky steering
   /// target instead of one per VM, so a multi-queue device's pairs settle
@@ -35,11 +39,13 @@ struct Es2Config {
   bool per_queue_affinity = false;
 
   static Es2Config baseline() { return {}; }
-  static Es2Config pi() { return {true, false, false, 4, RedirectPolicy::kPaper}; }
-  static Es2Config pi_h(int quota = 4) {
+  static Es2Config pi() {
+    return {true, false, false, kQuotaTcp, RedirectPolicy::kPaper};
+  }
+  static Es2Config pi_h(int quota = kQuotaTcp) {
     return {true, true, false, quota, RedirectPolicy::kPaper};
   }
-  static Es2Config pi_h_r(int quota = 4) {
+  static Es2Config pi_h_r(int quota = kQuotaTcp) {
     return {true, true, true, quota, RedirectPolicy::kPaper};
   }
   /// All four stacks in the paper's presentation order.

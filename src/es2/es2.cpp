@@ -16,7 +16,7 @@ void Es2System::enable_for(Vm& vm, VhostNetBackend& backend) {
   ES2_CHECK_MSG(vm.irq_mode() == config_.irq_mode(),
                 "VM interrupt mode does not match the ES2 configuration");
   if (config_.hybrid_io) {
-    HybridIoHandling::attach(backend, config_.poll_quota);
+    backend.set_poll_quota(config_.poll_quota);
   }
   if (config_.redirection) {
     redirector_->track(vm);

@@ -21,25 +21,15 @@
 
 namespace es2 {
 
-/// Hybrid I/O Handling (paper §IV-B): installs Algorithm 1's quota on a
-/// device's virtqueue handlers. The paper's empirically selected values.
-struct HybridIoHandling {
-  static constexpr int kQuotaTcp = 4;
-  static constexpr int kQuotaUdp = 8;
-
-  static void attach(VhostNetBackend& backend, int quota) {
-    backend.set_poll_quota(quota);
-  }
-  static void detach(VhostNetBackend& backend) { backend.set_poll_quota(0); }
-};
-
 class Es2System {
  public:
   Es2System(KvmHost& host, Es2Config config);
 
   const Es2Config& config() const { return config_; }
 
-  /// Applies the configured components to a VM and its paravirtual device.
+  /// Applies the configured components to a VM and its paravirtual device:
+  /// Hybrid I/O Handling (paper §IV-B) installs Algorithm 1's quota on the
+  /// device's virtqueue handlers, and redirection starts tracking the VM.
   void enable_for(Vm& vm, VhostNetBackend& backend);
 
   /// Present only when redirection is on.

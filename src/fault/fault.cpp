@@ -10,8 +10,7 @@ namespace es2 {
 FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan)
     : sim_(sim),
       plan_(plan),
-      rng_(sim.make_rng("fault")),
-      warn_limit_(msec(10), 4) {
+      rng_(sim.make_rng("fault")) {
   ES2_CHECK(plan_.link_loss >= 0 && plan_.link_loss <= 1);
   ES2_CHECK(plan_.kick_loss >= 0 && plan_.kick_loss <= 1);
   ES2_CHECK(plan_.msi_loss >= 0 && plan_.msi_loss <= 1);
@@ -32,8 +31,6 @@ bool FaultInjector::drop_packet() {
   }
   if (p <= 0 || !rng_.bernoulli(p)) return false;
   ++stats_.link_dropped;
-  ES2_WARN_RL(warn_limit_, sim_.now(), "fault: link dropped packet #%lld",
-              static_cast<long long>(stats_.link_dropped));
   return true;
 }
 
@@ -58,8 +55,6 @@ SimDuration FaultInjector::reorder_extra_delay() {
 FaultInjector::KickFate FaultInjector::kick_fate() {
   if (plan_.kick_loss > 0 && rng_.bernoulli(plan_.kick_loss)) {
     ++stats_.kicks_dropped;
-    ES2_WARN_RL(warn_limit_, sim_.now(), "fault: eventfd kick swallowed (#%lld)",
-                static_cast<long long>(stats_.kicks_dropped));
     return KickFate::kDrop;
   }
   if (plan_.kick_delay_prob > 0 && rng_.bernoulli(plan_.kick_delay_prob)) {
@@ -72,8 +67,6 @@ FaultInjector::KickFate FaultInjector::kick_fate() {
 bool FaultInjector::drop_msi() {
   if (plan_.msi_loss <= 0 || !rng_.bernoulli(plan_.msi_loss)) return false;
   ++stats_.msis_dropped;
-  ES2_WARN_RL(warn_limit_, sim_.now(), "fault: MSI dropped (#%lld)",
-              static_cast<long long>(stats_.msis_dropped));
   return true;
 }
 
@@ -97,10 +90,6 @@ void FaultInjector::start_spurious(std::function<void()> fire) {
         fire();
       });
   spurious_timer_->start();
-}
-
-void FaultInjector::stop_spurious() {
-  if (spurious_timer_) spurious_timer_->stop();
 }
 
 void FaultInjector::start_lifecycle(LifecycleHooks hooks) {
@@ -165,9 +154,6 @@ void FaultInjector::register_metrics(MetricsRegistry& registry) {
   });
   registry.probe("fault.worker_crashes", {}, [this] {
     return static_cast<double>(stats_.worker_crashes);
-  });
-  registry.probe("log.suppressed", {{"source", "fault"}}, [this] {
-    return static_cast<double>(warn_limit_.total_suppressed());
   });
 }
 

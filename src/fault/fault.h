@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "apic/vectors.h"
-#include "base/log.h"
 #include "base/rng.h"
 #include "base/units.h"
 #include "sim/simulator.h"
@@ -156,7 +155,6 @@ class FaultInjector : public Snapshottable {
   /// Arms the periodic spurious-interrupt source; `fire` delivers
   /// kSpuriousFaultVector into the victim VM.
   void start_spurious(std::function<void()> fire);
-  void stop_spurious();
 
   /// Arms one PeriodicTimer per enabled lifecycle mode. The periods are
   /// plan-configured and RNG-free, so same-seed runs inject identically
@@ -164,8 +162,7 @@ class FaultInjector : public Snapshottable {
   void start_lifecycle(LifecycleHooks hooks);
   void stop_lifecycle();
 
-  /// Registers fired-fault counters plus the injector's suppressed-log
-  /// count as probes.
+  /// Registers the fired-fault counters as probes.
   void register_metrics(MetricsRegistry& registry);
 
   /// Serializes the fault RNG, the Gilbert–Elliott chain state and every
@@ -178,7 +175,6 @@ class FaultInjector : public Snapshottable {
   FaultStats stats_;
   Rng rng_;
   bool burst_bad_ = false;  // Gilbert–Elliott state
-  LogRateLimiter warn_limit_;
   std::unique_ptr<PeriodicTimer> spurious_timer_;
   std::vector<std::unique_ptr<PeriodicTimer>> lifecycle_timers_;
 };

@@ -65,16 +65,9 @@ void GuestOs::attach_netdev(VirtioNetFrontend& dev) {
   netdevs_.push_back(&dev);
 }
 
-VirtioNetFrontend& GuestOs::netdev() {
-  ES2_CHECK_MSG(!netdevs_.empty(), "guest has no network device");
-  return *netdevs_.front();
-}
-
 void GuestOs::register_flow(std::uint64_t flow, FlowSink& sink) {
   flows_[flow] = &sink;
 }
-
-void GuestOs::unregister_flow(std::uint64_t flow) { flows_.erase(flow); }
 
 GuestTask* GuestOs::pick_task(int vcpu_index) {
   VcpuTasks& v = vcpu_tasks_[static_cast<size_t>(vcpu_index)];
@@ -113,10 +106,6 @@ void GuestOs::run(int vcpu_index) {
 }
 
 void GuestOs::task_done(Vcpu& vcpu) { run(vcpu.index()); }
-
-bool GuestOs::cpu_idle(int vcpu_index) const {
-  return vm_.vcpu(vcpu_index).halted();
-}
 
 void GuestOs::wake_vcpu_for_task(const GuestTask& task) {
   // If the task's CPU idles in HLT, a resched IPI (a per-vCPU interrupt

@@ -107,22 +107,15 @@ class GuestOs final : public GuestCpu, public Snapshottable {
 
   /// Routes packets with `flow` to `sink` (guest protocol endpoint).
   void register_flow(std::uint64_t flow, FlowSink& sink);
-  void unregister_flow(std::uint64_t flow);
 
   // --- task-facing ----------------------------------------------------------
   /// A task's work unit finished; the guest scheduler picks what's next.
   void task_done(Vcpu& vcpu);
 
-  /// The default netdev for transmit (first attached).
-  VirtioNetFrontend& netdev();
-
   // --- driver-facing ----------------------------------------------------------
   /// Delivers a received packet to its flow sink (NAPI context).
   void deliver_to_stack(Vcpu& vcpu, const PacketPtr& packet,
                         Callback<void()> done);
-
-  /// True if `vcpu_index`'s logical CPU sits halted in the idle loop.
-  bool cpu_idle(int vcpu_index) const;
 
   std::int64_t packets_to_unknown_flows() const { return unknown_flow_; }
 

@@ -17,6 +17,11 @@ namespace es2 {
 namespace {
 
 inline constexpr std::uint64_t kStreamFlowBase = 100;
+/// Offered load of a peer->VM UDP stream, split across its threads.
+inline constexpr double kUdpOfferedPps = 220000;
+/// The peer TCP sender's dup-ACK threshold in supervised (chaos and
+/// recovery) streams; healthy streams keep RTO-only recovery (0).
+inline constexpr int kSupervisedDupackThreshold = 3;
 
 /// The canonical micro/macro testbed for a runner's options: its config,
 /// seed and observers (one base assignment carries all four).
@@ -55,7 +60,7 @@ struct StreamWorkload {
   std::vector<std::unique_ptr<NetperfReceiver>> guest_rx;
   std::vector<std::unique_ptr<PeerStreamSender>> peer_tx;
 
-  void attach(Testbed& tb, const StreamOptions& opts) {
+  void attach(Testbed& tb, const StreamOptions& opts, int dupack_threshold) {
     const int vcpus = tb.tested_vm().num_vcpus();
     for (int t = 0; t < opts.threads; ++t) {
       const std::uint64_t flow =
@@ -79,8 +84,8 @@ struct StreamWorkload {
         PeerStreamSender::Params p;
         p.proto = opts.proto;
         p.msg_size = opts.msg_size;
-        p.udp_rate_pps = opts.udp_offered_pps / opts.threads;
-        p.dupack_threshold = opts.dupack_threshold;
+        p.udp_rate_pps = kUdpOfferedPps / opts.threads;
+        p.dupack_threshold = dupack_threshold;
         peer_tx.push_back(
             std::make_unique<PeerStreamSender>(tb.peer(), flow, p));
         peer_tx.back()->register_metrics(tb.metrics());
@@ -250,11 +255,8 @@ struct StreamWindow {
 
 StreamResult run_stream(const StreamOptions& opts) {
   Testbed tb(stream_testbed_options(opts));
-  if (opts.quota_override > 0) {
-    HybridIoHandling::attach(tb.backend(), opts.quota_override);
-  }
   StreamWorkload w;
-  w.attach(tb, opts);
+  w.attach(tb, opts, /*dupack_threshold=*/0);
 
   tb.start();
   w.start_sources();
@@ -345,15 +347,8 @@ ChaosStreamResult supervise_stream(Testbed& tb, StreamWorkload& w,
 ChaosStreamResult run_chaos_stream(const ChaosStreamOptions& opts,
                                    const std::string& name) {
   Testbed tb(chaos_testbed_options(opts));
-  if (opts.stream.quota_override > 0) {
-    HybridIoHandling::attach(tb.backend(), opts.stream.quota_override);
-  }
-  StreamOptions stream_opts = opts.stream;
-  if (stream_opts.dupack_threshold == 0) {
-    stream_opts.dupack_threshold = opts.dupack_threshold;
-  }
   StreamWorkload w;
-  w.attach(tb, stream_opts);
+  w.attach(tb, opts.stream, kSupervisedDupackThreshold);
   return supervise_stream(tb, w, opts, name, /*drain=*/0, nullptr);
 }
 
@@ -380,15 +375,8 @@ RecoveryStreamResult run_recovery_stream(const RecoveryStreamOptions& opts,
   TestbedOptions to = chaos_testbed_options(co);
   to.guest_params.recovery_ladder = opts.recovery_ladder;
   Testbed tb(to);
-  if (co.stream.quota_override > 0) {
-    HybridIoHandling::attach(tb.backend(), co.stream.quota_override);
-  }
-  StreamOptions stream_opts = co.stream;
-  if (stream_opts.dupack_threshold == 0) {
-    stream_opts.dupack_threshold = co.dupack_threshold;
-  }
   StreamWorkload w;
-  w.attach(tb, stream_opts);
+  w.attach(tb, co.stream, kSupervisedDupackThreshold);
 
   RecoveryStreamResult result;
   result.chaos = supervise_stream(tb, w, co, name, opts.drain, [&tb] {
@@ -490,13 +478,11 @@ PingResult run_ping(const PingOptions& opts) {
 MemcachedResult run_memcached(const MemcachedOptions& opts) {
   Testbed tb(testbed_options(opts, /*macro=*/true));
   const std::uint64_t base_flow = 1000;
-  MemcachedServer server(tb.guest(), tb.frontend(), base_flow,
-                         opts.client_threads, opts.workers);
-  MemaslapClient::Params cp;
-  cp.threads = opts.client_threads;
-  cp.concurrency_per_thread = opts.concurrency_per_thread;
-  cp.get_ratio = opts.get_ratio;
+  MemaslapClient::Params cp;  // 16 threads x 16 in flight, get/set 9:1
+  MemcachedServer server(tb.guest(), tb.frontend(), base_flow, cp.threads,
+                         /*workers=*/4);
   MemaslapClient client(tb.peer(), base_flow, cp, opts.seed);
+  server.register_metrics(tb.metrics());
   tb.snapshotter().add("app/memcached", server);
   tb.snapshotter().add("app/memaslap", client);
 
@@ -521,9 +507,11 @@ MemcachedResult run_memcached(const MemcachedOptions& opts) {
 ApacheResult run_apache(const ApacheOptions& opts) {
   Testbed tb(testbed_options(opts, /*macro=*/true));
   const std::uint64_t base_flow = 2000;
-  ApacheServer server(tb.guest(), tb.frontend(), base_flow, opts.concurrency,
-                      opts.workers);
-  AbClient client(tb.peer(), base_flow, opts.concurrency);
+  constexpr int kConcurrency = 16;
+  ApacheServer server(tb.guest(), tb.frontend(), base_flow, kConcurrency,
+                      /*workers=*/8);
+  AbClient client(tb.peer(), base_flow, kConcurrency);
+  server.register_metrics(tb.metrics());
   tb.snapshotter().add("app/httpd", server);
   tb.snapshotter().add("app/ab", client);
 
@@ -551,6 +539,7 @@ HttperfResult run_httperf(const HttperfOptions& opts) {
                      StormShape::steady(opts.rate_per_sec), kSecond,
                      /*max_retries=*/std::numeric_limits<int>::max(),
                      /*syn_payload=*/0);
+  server.register_metrics(tb.metrics());
   tb.snapshotter().add("app/httpd", server);
   tb.snapshotter().add("app/httperf", client);
 

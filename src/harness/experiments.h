@@ -134,13 +134,6 @@ struct StreamOptions : ObserveOptions {
   bool macro = false;
   /// Number of concurrent netperf threads in the tested VM.
   int threads = 1;
-  /// Explicit Algorithm 1 quota (Fig. 4 sweeps); <= 0 uses config default.
-  int quota_override = 0;
-  /// Offered load for peer->VM UDP streams.
-  double udp_offered_pps = 220000;
-  /// Dup-ACK fast-retransmit threshold for the peer's TCP sender
-  /// (peer->VM streams only); <= 0 keeps RTO-only recovery.
-  int dupack_threshold = 0;
   /// Dataplane shape: virtio-net queue pairs (RSS-steered when > 1) and
   /// the ring layout both sides negotiate.
   int num_queue_pairs = 1;
@@ -177,9 +170,6 @@ StreamResult run_stream(const StreamOptions& opts);
 struct ChaosStreamOptions {
   StreamOptions stream;
   FaultPlan faults;
-  /// Chaos runs face real holes, so fast retransmit defaults on here
-  /// (applied over stream.dupack_threshold when that is unset).
-  int dupack_threshold = 3;
   /// Disable to demonstrate an unrecovered wedge (100% kick loss with no
   /// guest TX watchdog must be caught by the scenario watchdog instead).
   bool tx_watchdog = true;
@@ -206,8 +196,11 @@ struct ChaosStreamResult {
 
 /// run_stream under a fault plan: same topology and workload, but the run
 /// is supervised by a ScenarioWatchdog (progress = packets delivered
-/// end-to-end) and instrumented with the invariant auditor. Never hangs:
-/// a wedged world comes back with report.status != kOk and partial stats.
+/// end-to-end) and instrumented with the invariant auditor. Chaos runs
+/// face real holes, so the peer's TCP sender fast-retransmits on three
+/// duplicate ACKs where a healthy stream keeps RTO-only recovery. Never
+/// hangs: a wedged world comes back with report.status != kOk and
+/// partial stats.
 ChaosStreamResult run_chaos_stream(const ChaosStreamOptions& opts,
                                    const std::string& name = "chaos");
 
@@ -315,12 +308,10 @@ PingResult run_ping(const PingOptions& opts);
 // Memcached (Fig. 8a)
 // ---------------------------------------------------------------------------
 
+/// memaslap's paper load: 16 client threads x 16 concurrent requests,
+/// get/set 9:1, against 4 memcached workers.
 struct MemcachedOptions : ObserveOptions {
   Es2Config config;
-  int client_threads = 16;
-  int concurrency_per_thread = 16;  // 256 concurrent requests total
-  double get_ratio = 0.9;
-  int workers = 4;
   std::uint64_t seed = 1;
   SimDuration warmup = msec(300);
   SimDuration measure = sec(1);
@@ -338,10 +329,10 @@ MemcachedResult run_memcached(const MemcachedOptions& opts);
 // Apache (Fig. 8b) and Httperf (Fig. 9)
 // ---------------------------------------------------------------------------
 
+/// ApacheBench's paper load: 16 concurrent connections against 8 httpd
+/// workers.
 struct ApacheOptions : ObserveOptions {
   Es2Config config;
-  int concurrency = 16;
-  int workers = 8;
   std::uint64_t seed = 1;
   SimDuration warmup = msec(300);
   SimDuration measure = sec(1);

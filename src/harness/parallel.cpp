@@ -5,27 +5,24 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "base/assert.h"
 
 namespace es2 {
 
-ParallelRunner::ParallelRunner(int threads) : threads_(threads) {
-  if (threads_ <= 0) {
-    threads_ = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads_ <= 0) threads_ = 1;
+void parallel_for(int n, const std::function<void(int)>& fn, int threads) {
+  ES2_CHECK(n >= 0);
+  if (threads <= 0) {
+    threads =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   }
-}
-
-void ParallelRunner::run(std::vector<std::function<void()>> tasks) const {
-  if (tasks.empty()) return;
-  const int workers =
-      std::min<int>(threads_, static_cast<int>(tasks.size()));
+  const int workers = std::min(threads, n);
   if (workers <= 1) {
     std::exception_ptr first;
-    for (auto& task : tasks) {
+    for (int i = 0; i < n; ++i) {
       try {
-        task();
+        fn(i);
       } catch (...) {
         if (!first) first = std::current_exception();
       }
@@ -33,21 +30,21 @@ void ParallelRunner::run(std::vector<std::function<void()>> tasks) const {
     if (first) std::rethrow_exception(first);
     return;
   }
-  // Shared work index: every worker pulls the next unclaimed task, so
+  // Shared work index: every worker pulls the next unclaimed index, so
   // skewed task durations balance automatically (no pre-partitioning).
-  std::atomic<size_t> next{0};
+  std::atomic<int> next{0};
   std::mutex error_mutex;
-  size_t error_index = tasks.size();
+  int error_index = n;
   std::exception_ptr error;
   std::vector<std::thread> pool;
   pool.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     pool.emplace_back([&] {
       for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) return;
+        const int i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
         try {
-          tasks[i]();
+          fn(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (i < error_index) {
@@ -60,16 +57,6 @@ void ParallelRunner::run(std::vector<std::function<void()>> tasks) const {
   }
   for (auto& t : pool) t.join();
   if (error) std::rethrow_exception(error);
-}
-
-void parallel_for(int n, const std::function<void(int)>& fn, int threads) {
-  ES2_CHECK(n >= 0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    tasks.push_back([i, &fn] { fn(i); });
-  }
-  ParallelRunner(threads).run(std::move(tasks));
 }
 
 }  // namespace es2

@@ -1,12 +1,7 @@
 #include "harness/runner.h"
 
-#include <cstdio>
-#include <exception>
-
 #include "base/assert.h"
-#include "base/log.h"
 #include "base/strings.h"
-#include "harness/parallel.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -23,8 +18,6 @@ const char* to_string(ScenarioStatus status) {
       return "no-progress";
     case ScenarioStatus::kLivelock:
       return "livelock";
-    case ScenarioStatus::kException:
-      return "exception";
   }
   return "?";
 }
@@ -127,8 +120,6 @@ void ScenarioWatchdog::trip(ScenarioStatus status, std::string detail) {
     detail_ += format(" [near corr=%llu]",
                       static_cast<unsigned long long>(tracer->last_corr()));
   }
-  ES2_WARN(sim_.now(), "watchdog tripped: %s (%s)", to_string(status_),
-           detail_.c_str());
 }
 
 ScenarioReport ScenarioWatchdog::report(std::string name) const {
@@ -139,47 +130,6 @@ ScenarioReport ScenarioWatchdog::report(std::string name) const {
   r.events = sim_.events_executed() - events_start_;
   r.detail = detail_;
   return r;
-}
-
-void ExperimentRunner::add(std::string name, ScenarioFn fn) {
-  entries_.push_back({std::move(name), std::move(fn)});
-}
-
-void ExperimentRunner::run_all() {
-  reports_.assign(entries_.size(), ScenarioReport{});
-  parallel_for(
-      static_cast<int>(entries_.size()),
-      [this](int i) {
-        const Entry& e = entries_[static_cast<std::size_t>(i)];
-        ScenarioReport& slot = reports_[static_cast<std::size_t>(i)];
-        try {
-          slot = e.fn(e.name);
-        } catch (const std::exception& ex) {
-          slot = ScenarioReport{};
-          slot.status = ScenarioStatus::kException;
-          slot.detail = ex.what();
-        } catch (...) {
-          slot = ScenarioReport{};
-          slot.status = ScenarioStatus::kException;
-          slot.detail = "unknown exception";
-        }
-        slot.name = e.name;
-      },
-      threads_);
-}
-
-bool ExperimentRunner::all_ok() const {
-  if (reports_.size() != entries_.size()) return false;
-  for (const ScenarioReport& r : reports_) {
-    if (!r.ok()) return false;
-  }
-  return true;
-}
-
-void ExperimentRunner::print_failures(std::FILE* out) const {
-  for (const ScenarioReport& r : reports_) {
-    if (!r.ok()) std::fprintf(out, "%s\n", r.to_line().c_str());
-  }
 }
 
 }  // namespace es2

@@ -1,19 +1,18 @@
-// Scenario budgets, the no-progress watchdog, and the sweep runner.
+// Scenario budgets and the no-progress watchdog.
 //
 // A chaos sweep intentionally runs scenarios that may wedge: 100% kick
 // loss with the guest watchdog off is *supposed* to stall forever. Without
 // supervision one such scenario hangs the whole bench process. The
 // watchdog runs each scenario in bounded slices (sim-time budget, event
 // budget, progress probes) and converts a hang or livelock into a
-// structured `ScenarioReport`; `ExperimentRunner` keeps the rest of the
-// sweep going and turns any failure into a non-zero process exit.
+// structured `ScenarioReport` on the cell's result. The sweep itself runs
+// on `parallel_for` (harness/parallel.h); a bench prints every failing
+// report's `to_line()` and exits non-zero.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "sim/simulator.h"
 
@@ -46,7 +45,6 @@ enum class ScenarioStatus {
   kEventBudget,    // exceeded max_events (livelock signature)
   kNoProgress,     // events churn but the progress probe is flat
   kLivelock,       // progress flat while the activity probe kept climbing
-  kException,      // the scenario body threw
 };
 
 const char* to_string(ScenarioStatus status);
@@ -111,41 +109,6 @@ class ScenarioWatchdog {
   ProgressProbe activity_;
   std::int64_t last_activity_ = 0;
   bool activity_in_every_flat_window_ = false;
-};
-
-/// Runs a set of named scenarios (in parallel — each must own its world),
-/// collecting a report per scenario. Failures never abort the sweep; they
-/// make exit_code() non-zero. Each cell runs once: scenarios are
-/// deterministic per seed, so a killed or failed sweep is simply run
-/// again and reproduces the same reports.
-class ExperimentRunner {
- public:
-  using ScenarioFn = std::function<ScenarioReport(const std::string& name)>;
-
-  /// `threads` <= 0 uses hardware concurrency.
-  explicit ExperimentRunner(int threads = 0) : threads_(threads) {}
-
-  void add(std::string name, ScenarioFn fn);
-
-  /// Runs every added scenario; exceptions become kException reports.
-  void run_all();
-
-  const std::vector<ScenarioReport>& reports() const { return reports_; }
-  bool all_ok() const;
-  int exit_code() const { return all_ok() ? 0 : 1; }
-
-  /// Prints one structured line per failed scenario (nothing when clean).
-  void print_failures(std::FILE* out) const;
-
- private:
-  struct Entry {
-    std::string name;
-    ScenarioFn fn;
-  };
-
-  int threads_;
-  std::vector<Entry> entries_;
-  std::vector<ScenarioReport> reports_;
 };
 
 }  // namespace es2

@@ -47,20 +47,6 @@ MetricsRegistry::Instrument& MetricsRegistry::intern(const std::string& name,
   return *instruments_.back();
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, MetricLabels labels) {
-  return intern(name, std::move(labels), MetricKind::kCounter).counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name, MetricLabels labels) {
-  return intern(name, std::move(labels), MetricKind::kGauge).gauge;
-}
-
-TimeWeighted& MetricsRegistry::time_weighted(const std::string& name,
-                                             MetricLabels labels) {
-  return intern(name, std::move(labels), MetricKind::kTimeWeighted)
-      .time_weighted;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       MetricLabels labels) {
   return *intern(name, std::move(labels), MetricKind::kHistogram).histogram;
@@ -74,12 +60,6 @@ void MetricsRegistry::probe(const std::string& name, MetricLabels labels,
 double MetricsRegistry::value(std::size_t i) const {
   const Instrument& inst = *instruments_[i];
   switch (inst.kind) {
-    case MetricKind::kCounter:
-      return static_cast<double>(inst.counter.value());
-    case MetricKind::kGauge:
-      return inst.gauge.value();
-    case MetricKind::kTimeWeighted:
-      return inst.time_weighted.current();
     case MetricKind::kHistogram:
       return static_cast<double>(inst.histogram->count());
     case MetricKind::kProbe:

@@ -2,8 +2,8 @@
 //
 // The paper's evaluation is built from aggregate telemetry — VM exits by
 // cause, notifications suppressed, interrupts posted, TIG — and before this
-// registry each subsystem hand-rolled `Counter`/`RateMeter` members that
-// only surfaced as final scalars in experiment rows. The registry gives
+// registry each subsystem's counters only surfaced as final scalars in
+// experiment rows. The registry gives
 // those signals one namespace (`vm.exits{cause=ept_violation}`,
 // `vhost.worker.turns`, `cfs.preemptions{core=0}`, `tcp.retransmits`),
 // and one snapshot path (`snapshot()` in metrics/export.h).
@@ -11,10 +11,10 @@
 // Two rules keep it out of the hot path:
 //
 //  * **Probes over counters.** Layers already count everything the paper
-//    needs; a registry instrument is usually a `Probe` — a read-only
-//    closure over an existing accessor — so registration adds zero work
-//    per model event. New plain counters are added to a layer only where
-//    no signal existed.
+//    needs, so a registry instrument is a `Probe` — a read-only closure
+//    over an existing accessor — and registration adds zero work per
+//    model event. The one other kind is a `Histogram` the registry owns,
+//    for a distribution no layer keeps (recovery MTTR).
 //  * **Passivity.** Reading any instrument draws no RNG values, writes no
 //    model state, and schedules nothing. A run reads the registry twice,
 //    at `Testbed::start()` and at harvest, so it costs nothing per event.
@@ -30,33 +30,17 @@
 #include <utility>
 #include <vector>
 
-#include "base/units.h"
 #include "stats/histogram.h"
-#include "stats/meters.h"
 
 namespace es2 {
 
 enum class MetricKind : std::uint8_t {
-  kCounter,       // monotone event count
-  kGauge,         // instantaneous level, set by the owner
-  kTimeWeighted,  // piecewise-constant level integrated over sim time
-  kHistogram,     // log-bucketed distribution
-  kProbe,         // read-only closure over an existing layer accessor
+  kHistogram,  // log-bucketed distribution
+  kProbe,      // read-only closure over an existing layer accessor
 };
 
 /// Label set, canonicalised to key-sorted order on registration.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
-
-/// Instantaneous level instrument (queue depth, window size, mode flag).
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double delta) { value_ += delta; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Canonical metric key: `name` when unlabelled, else `name{k=v,...}` with
 /// keys sorted. This is the registry's identity and every exporter's sort
@@ -71,12 +55,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Each getter registers on first use and returns the existing instrument
-  /// on re-registration with the same name+labels. Registering the same key
+  /// Registers on first use and returns the existing histogram on
+  /// re-registration with the same name+labels. Registering the same key
   /// with a different kind is a programming error (ES2_CHECK).
-  Counter& counter(const std::string& name, MetricLabels labels = {});
-  Gauge& gauge(const std::string& name, MetricLabels labels = {});
-  TimeWeighted& time_weighted(const std::string& name, MetricLabels labels = {});
   Histogram& histogram(const std::string& name, MetricLabels labels = {});
 
   /// Registers a read-only closure evaluated at sample/snapshot time.
@@ -94,9 +75,6 @@ class MetricsRegistry {
     MetricLabels labels;
     std::string key;  // canonical, see metric_key()
     MetricKind kind;
-    Counter counter;
-    Gauge gauge;
-    TimeWeighted time_weighted;
     std::unique_ptr<Histogram> histogram;  // only for kHistogram
     Probe probe;
   };
@@ -105,8 +83,7 @@ class MetricsRegistry {
   /// of the registry (deque storage, nothing is ever removed).
   const Instrument& instrument(std::size_t i) const { return *instruments_[i]; }
 
-  /// Scalar value of instrument `i` right now: counter/gauge read their
-  /// value, time-weighted reads the current level, histograms report their
+  /// Scalar value of instrument `i` right now: histograms report their
   /// sample count (distribution detail lives in the exporters), probes are
   /// invoked. Read-only — never mutates model or registry state.
   double value(std::size_t i) const;

@@ -1,6 +1,5 @@
 #include "sim/invariant_auditor.h"
 
-#include "base/log.h"
 #include "base/strings.h"
 #include "trace/trace.h"
 
@@ -33,8 +32,6 @@ int InvariantAuditor::run_now() {
       *violation += format(" [near corr=%llu]",
                            static_cast<unsigned long long>(corr));
     }
-    ES2_ERROR(sim_.now(), "invariant violated [%s]: %s", c.name.c_str(),
-              violation->c_str());
     if (static_cast<int>(violations_.size()) < kMaxRecorded) {
       std::string context = context_ ? context_() : std::string();
       violations_.push_back(Violation{sim_.now(), c.name,

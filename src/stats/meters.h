@@ -1,10 +1,7 @@
-// Counters, rate meters and time-weighted gauges.
+// Counters and time-span accumulators.
 //
 // These are the measurement primitives behind the paper's metrics:
 //  * `Counter`      — event counts (VM exits by cause, packets, interrupts);
-//  * `RateMeter`    — count over a measurement window -> events/second;
-//  * `TimeWeighted` — integrates a piecewise-constant value over simulated
-//                     time (queue depths, online-vCPU counts);
 //  * `SpanAccumulator` — accrues labelled time spans (guest vs host time),
 //                     which is exactly how the paper computes TIG.
 #pragma once
@@ -24,48 +21,6 @@ class Counter {
 
  private:
   std::int64_t value_ = 0;
-};
-
-/// Converts a counter delta over a time window into a per-second rate.
-class RateMeter {
- public:
-  /// Marks the start of the measurement window.
-  void start(SimTime now) {
-    window_start_ = now;
-    base_ = count_;
-  }
-
-  void add(std::int64_t n = 1) { count_ += n; }
-
-  /// Events per second since start(); zero if no time elapsed.
-  double rate(SimTime now) const {
-    const SimDuration span = now - window_start_;
-    if (span <= 0) return 0.0;
-    return static_cast<double>(count_ - base_) / to_seconds(span);
-  }
-
-  std::int64_t total() const { return count_; }
-  std::int64_t in_window() const { return count_ - base_; }
-
- private:
-  std::int64_t count_ = 0;
-  std::int64_t base_ = 0;
-  SimTime window_start_ = 0;
-};
-
-/// Integrates a piecewise-constant value over time.
-class TimeWeighted {
- public:
-  void set(SimTime now, double value);
-  double average(SimTime now) const;
-  double current() const { return value_; }
-
- private:
-  double value_ = 0.0;
-  double integral_ = 0.0;
-  SimTime last_change_ = 0;
-  SimTime origin_ = 0;
-  bool started_ = false;
 };
 
 /// Accrues time spent in named states; `fraction(state)` gives the share of

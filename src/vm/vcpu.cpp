@@ -1,7 +1,6 @@
 #include "vm/vcpu.h"
 
 #include "base/assert.h"
-#include "base/log.h"
 #include "base/strings.h"
 #include "metrics/metrics.h"
 #include "trace/trace.h"

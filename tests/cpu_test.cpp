@@ -234,16 +234,6 @@ TEST(Cfs, BlockedThreadConsumesNoCpu) {
   EXPECT_NEAR(to_seconds(a.thread.cpu_time()), 1.0, 0.01);
 }
 
-TEST(Cfs, UtilizationTracksBusyCore) {
-  Simulator sim;
-  CfsScheduler sched(sim, 2, no_jitter());
-  BusyThread a(sim, sched, "a", 0);
-  a.thread.wake();
-  sim.run_for(sec(1));
-  EXPECT_GT(sched.core(0).utilization(sim.now()), 0.99);
-  EXPECT_LT(sched.core(1).utilization(sim.now()), 0.01);
-}
-
 TEST(Cfs, FinishRemovesThread) {
   Simulator sim;
   CfsScheduler sched(sim, 1, no_jitter());

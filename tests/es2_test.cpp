@@ -227,15 +227,5 @@ TEST(Es2System, BaselineHasNoRedirectorAndNoQuota) {
   EXPECT_EQ(tb.backend().poll_quota(), 0);
 }
 
-TEST(HybridIoHandling, AttachDetach) {
-  TestbedOptions o;
-  o.config = Es2Config::pi();
-  Testbed tb(std::move(o));
-  HybridIoHandling::attach(tb.backend(), HybridIoHandling::kQuotaUdp);
-  EXPECT_EQ(tb.backend().poll_quota(), 8);
-  HybridIoHandling::detach(tb.backend());
-  EXPECT_EQ(tb.backend().poll_quota(), 0);
-}
-
 }  // namespace
 }  // namespace es2

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "apps/netperf.h"
-#include "base/log.h"
 #include "fault/fault.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
@@ -19,30 +18,6 @@
 
 namespace es2 {
 namespace {
-
-// ---------------------------------------------------------------------------
-// LogRateLimiter
-// ---------------------------------------------------------------------------
-
-TEST(LogRateLimiter, AllowsUpToMaxPerWindowThenSuppresses) {
-  LogRateLimiter rl(msec(1), 2);
-  std::int64_t suppressed = -1;
-  EXPECT_TRUE(rl.allow(usec(10), &suppressed));
-  EXPECT_EQ(suppressed, 0);
-  EXPECT_TRUE(rl.allow(usec(20), &suppressed));
-  EXPECT_FALSE(rl.allow(usec(30), &suppressed));
-  EXPECT_FALSE(rl.allow(usec(40), &suppressed));
-  // New window: allowed again, and the caller learns what was dropped.
-  EXPECT_TRUE(rl.allow(msec(1) + usec(10), &suppressed));
-  EXPECT_EQ(suppressed, 2);
-  EXPECT_EQ(rl.total_suppressed(), 2);
-}
-
-TEST(LogRateLimiter, UnlimitedWhenMaxIsZeroOrNegative) {
-  LogRateLimiter rl(msec(1), 0);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(rl.allow(usec(i)));
-  EXPECT_EQ(rl.total_suppressed(), 0);
-}
 
 // ---------------------------------------------------------------------------
 // FaultInjector primitives
@@ -239,35 +214,6 @@ TEST(ScenarioWatchdog, TripsOnSimTimeBudget) {
   // Progress keeps moving, so only the sim-time ceiling can trip.
   EXPECT_FALSE(wd.run_for(msec(10), [&] { return ++fake_progress; }));
   EXPECT_EQ(wd.status(), ScenarioStatus::kSimTimeBudget);
-}
-
-// ---------------------------------------------------------------------------
-// ExperimentRunner
-// ---------------------------------------------------------------------------
-
-TEST(ExperimentRunner, CollectsReportsAndFailuresDoNotAbortTheSweep) {
-  ExperimentRunner runner(2);
-  runner.add("ok", [](const std::string&) { return ScenarioReport{}; });
-  runner.add("throws", [](const std::string&) -> ScenarioReport {
-    throw std::runtime_error("boom");
-  });
-  runner.add("wedged", [](const std::string&) {
-    ScenarioReport r;
-    r.status = ScenarioStatus::kNoProgress;
-    return r;
-  });
-  runner.run_all();
-  ASSERT_EQ(runner.reports().size(), 3u);
-  // run_all names every report after its cell, whatever the body returned.
-  EXPECT_EQ(runner.reports()[0].name, "ok");
-  EXPECT_EQ(runner.reports()[1].name, "throws");
-  EXPECT_EQ(runner.reports()[2].name, "wedged");
-  EXPECT_TRUE(runner.reports()[0].ok());
-  EXPECT_EQ(runner.reports()[1].status, ScenarioStatus::kException);
-  EXPECT_EQ(runner.reports()[1].detail, "boom");
-  EXPECT_EQ(runner.reports()[2].status, ScenarioStatus::kNoProgress);
-  EXPECT_FALSE(runner.all_ok());
-  EXPECT_EQ(runner.exit_code(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-// Tests for the parallel sweep runner: shared-work-index balancing under
-// skewed task durations, completeness, determinism of result slots,
-// exception propagation out of worker threads, and the one-thread-per-
-// event-core rule that sweep tasks rely on.
+// Tests for the parallel sweep runner (parallel_for): shared-work-index
+// balancing under skewed task durations, completeness, determinism of
+// result slots, exception propagation out of worker threads, and the
+// one-thread-per-event-core rule that sweep tasks rely on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,11 +22,7 @@ using Clock = std::chrono::steady_clock;
 
 TEST(ParallelRunner, RunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> ran(64);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.push_back([&ran, i] { ran[static_cast<size_t>(i)]++; });
-  }
-  ParallelRunner(4).run(std::move(tasks));
+  parallel_for(64, [&ran](int i) { ran[static_cast<size_t>(i)]++; }, 4);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(ran[static_cast<size_t>(i)], 1);
 }
 
@@ -38,13 +34,13 @@ TEST(ParallelRunner, SkewedTaskDurationsDoNotTailStall) {
   // chews the long one. Budget is generous (2x the balanced optimum)
   // so the assertion stays robust on loaded CI machines.
   using std::chrono::milliseconds;
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([] { std::this_thread::sleep_for(milliseconds(150)); });
-  for (int i = 0; i < 30; ++i) {
-    tasks.push_back([] { std::this_thread::sleep_for(milliseconds(5)); });
-  }
   const auto start = Clock::now();
-  ParallelRunner(2).run(std::move(tasks));
+  parallel_for(
+      31,
+      [](int i) {
+        std::this_thread::sleep_for(milliseconds(i == 0 ? 150 : 5));
+      },
+      2);
   const auto elapsed =
       std::chrono::duration_cast<milliseconds>(Clock::now() - start);
   // Balanced: max(150, 30*5) = 150ms. Serial: 300ms. A tail-stalled
@@ -58,24 +54,23 @@ TEST(ParallelRunner, WorkIndexBalancesSkewAcrossWorkers) {
   // first task blocking until every other task has run, a static
   // pre-partition would deadlock or stall; the work queue finishes.
   std::atomic<int> done{0};
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&done] {
-    while (done.load() < 15) std::this_thread::yield();
-  });
-  for (int i = 0; i < 15; ++i) {
-    tasks.push_back([&done] { done.fetch_add(1); });
-  }
-  ParallelRunner(2).run(std::move(tasks));
+  parallel_for(
+      16,
+      [&done](int i) {
+        if (i > 0) {
+          done.fetch_add(1);
+          return;
+        }
+        while (done.load() < 15) std::this_thread::yield();
+      },
+      2);
   EXPECT_EQ(done.load(), 15);
 }
 
 TEST(ParallelRunner, ResultSlotsAreDeterministic) {
   std::vector<int> results(100, 0);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&results, i] { results[static_cast<size_t>(i)] = i * i; });
-  }
-  ParallelRunner(8).run(std::move(tasks));
+  parallel_for(
+      100, [&results](int i) { results[static_cast<size_t>(i)] = i * i; }, 8);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(results[static_cast<size_t>(i)], i * i);
   }
@@ -83,16 +78,15 @@ TEST(ParallelRunner, ResultSlotsAreDeterministic) {
 
 TEST(ParallelRunner, PropagatesFirstExceptionAfterFinishingOthers) {
   std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 16; ++i) {
-    tasks.push_back([&ran, i] {
-      ran.fetch_add(1);
-      if (i == 3) throw std::runtime_error("task 3 failed");
-      if (i == 9) throw std::runtime_error("task 9 failed");
-    });
-  }
   try {
-    ParallelRunner(4).run(std::move(tasks));
+    parallel_for(
+        16,
+        [&ran](int i) {
+          ran.fetch_add(1);
+          if (i == 3) throw std::runtime_error("task 3 failed");
+          if (i == 9) throw std::runtime_error("task 9 failed");
+        },
+        4);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task 3 failed");
@@ -102,13 +96,14 @@ TEST(ParallelRunner, PropagatesFirstExceptionAfterFinishingOthers) {
 
 TEST(ParallelRunner, SerialPathAlsoPropagates) {
   std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&ran] {
-    ran.fetch_add(1);
-    throw std::runtime_error("boom");
-  });
-  tasks.push_back([&ran] { ran.fetch_add(1); });
-  EXPECT_THROW(ParallelRunner(1).run(std::move(tasks)), std::runtime_error);
+  EXPECT_THROW(parallel_for(
+                   2,
+                   [&ran](int i) {
+                     ran.fetch_add(1);
+                     if (i == 0) throw std::runtime_error("boom");
+                   },
+                   1),
+               std::runtime_error);
   EXPECT_EQ(ran.load(), 2);
 }
 
@@ -142,14 +137,13 @@ TEST(ParallelRunner, SimulatorsKeepTheirEventHandlesOnTheirWorker) {
   // show up as a data race on that count.
   constexpr int kSims = 6;
   std::vector<std::uint64_t> parallel(kSims, 0);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < kSims; ++i) {
-    tasks.push_back([&parallel, i] {
-      parallel[static_cast<size_t>(i)] =
-          run_handle_churn(static_cast<std::uint64_t>(i) + 1);
-    });
-  }
-  ParallelRunner(4).run(std::move(tasks));
+  parallel_for(
+      kSims,
+      [&parallel](int i) {
+        parallel[static_cast<size_t>(i)] =
+            run_handle_churn(static_cast<std::uint64_t>(i) + 1);
+      },
+      4);
   for (int i = 0; i < kSims; ++i) {
     const std::uint64_t serial =
         run_handle_churn(static_cast<std::uint64_t>(i) + 1);

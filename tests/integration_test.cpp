@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiments.h"
+#include "base/strings.h"
 #include "harness/parallel.h"
 
 namespace es2 {
@@ -162,6 +163,34 @@ TEST(Integration, HttperfSynTimersStayOffTheCalendar) {
     EXPECT_LT(r.metrics->value("eventcore.peak_live"), 100.0) << cfg.name();
     EXPECT_EQ(r.established, 501) << cfg.name();
   }
+}
+
+TEST(Integration, RequestRunnersHarvestTheirServersMetrics) {
+  // Every finite queue reports into drops{cause=...} (DropCounts), so each
+  // request runner's server registers its drop rows and app counters.
+  MemcachedOptions mo;
+  mo.warmup = msec(20);
+  mo.measure = msec(50);
+  const MetricsData mem = *run_memcached(mo).metrics;
+  EXPECT_GE(mem.value("drops{cause=worker_queue,vm=vm0}", -1), 0.0);
+  EXPECT_GT(mem.value("app.memcached.responses{vm=vm0}"), 0.0);
+
+  ApacheOptions ao;
+  ao.warmup = msec(20);
+  ao.measure = msec(50);
+  HttperfOptions ho;
+  ho.duration = msec(100);
+  const MetricsData apache = *run_apache(ao).metrics;
+  const MetricsData httperf = *run_httperf(ho).metrics;
+  for (const MetricsData* d : {&apache, &httperf}) {
+    for (const char* cause : {"syn_backlog", "accept_queue", "accept_shed"}) {
+      EXPECT_GE(d->value(format("drops{cause=%s,vm=vm0}", cause), -1), 0.0)
+          << cause;
+    }
+  }
+  // ab's connections are persistent; httperf opens one per SYN.
+  EXPECT_GT(apache.value("app.httpd.served{vm=vm0}"), 0.0);
+  EXPECT_GT(httperf.value("app.httpd.accepts{vm=vm0}"), 0.0);
 }
 
 TEST(Integration, DeterministicAcrossRuns) {

@@ -37,25 +37,29 @@ TEST(MetricsRegistry, CanonicalKeySortsLabels) {
 
 TEST(MetricsRegistry, SameNameAndLabelsReturnsSameInstrument) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("vm.exits", {{"cause", "io"}});
-  Counter& b = reg.counter("vm.exits", {{"cause", "io"}});
+  Histogram& a = reg.histogram("recovery.mttr_ns", {{"mode", "wedge"}});
+  Histogram& b = reg.histogram("recovery.mttr_ns", {{"mode", "wedge"}});
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(reg.size(), 1u);
   // Different labels make a different instrument.
-  Counter& c = reg.counter("vm.exits", {{"cause", "hlt"}});
+  Histogram& c = reg.histogram("recovery.mttr_ns", {{"mode", "crash"}});
   EXPECT_NE(&a, &c);
   EXPECT_EQ(reg.size(), 2u);
+  // Re-registering a probe key keeps its slot and replaces the closure.
+  reg.probe("vm.exits", {{"cause", "io"}}, [] { return 1.0; });
+  reg.probe("vm.exits", {{"cause", "io"}}, [] { return 2.0; });
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_DOUBLE_EQ(reg.value(2), 2.0);
 }
 
 TEST(MetricsRegistry, FindByCanonicalKey) {
   MetricsRegistry reg;
-  reg.counter("tcp.retransmits", {{"flow", "7"}}).add(3);
-  reg.gauge("vq.depth").set(12);
-  const MetricsRegistry::Instrument* rtx =
-      reg.find("tcp.retransmits{flow=7}");
-  ASSERT_NE(rtx, nullptr);
-  EXPECT_EQ(rtx->kind, MetricKind::kCounter);
-  EXPECT_EQ(rtx->counter.value(), 3);
+  reg.histogram("tcp.rtt_ns", {{"flow", "7"}}).record(3000);
+  reg.probe("vq.depth", [] { return 12.0; });
+  const MetricsRegistry::Instrument* rtt = reg.find("tcp.rtt_ns{flow=7}");
+  ASSERT_NE(rtt, nullptr);
+  EXPECT_EQ(rtt->kind, MetricKind::kHistogram);
+  EXPECT_EQ(rtt->histogram->count(), 1);
   ASSERT_NE(reg.find("vq.depth"), nullptr);
   EXPECT_EQ(reg.find("vq.depth{core=0}"), nullptr);
   EXPECT_EQ(reg.find("nope"), nullptr);
@@ -75,9 +79,9 @@ TEST(MetricsRegistry, ProbeReadsThroughClosure) {
 
 TEST(MetricsRegistry, SortedIndicesAreExportOrder) {
   MetricsRegistry reg;
-  reg.counter("b.second");
-  reg.counter("a.first");
-  reg.counter("c.third");
+  reg.probe("b.second", [] { return 0.0; });
+  reg.histogram("a.first");
+  reg.probe("c.third", [] { return 0.0; });
   const std::vector<std::size_t> order = reg.sorted_indices();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(reg.instrument(order[0]).key, "a.first");
@@ -182,11 +186,11 @@ TEST(HistogramEdge, MergeDisjointRanges) {
 TEST(MetricsExport, TopDeltasNamesMovingMetrics) {
   Simulator sim(1);
   MetricsRegistry reg;
-  Counter& busy = reg.counter("busy.counter");
-  busy.add(3);
+  std::int64_t busy = 3;
+  reg.probe("busy.counter", [&busy] { return static_cast<double>(busy); });
   std::uint64_t level = 40;
   reg.probe("steady.probe", [&level] { return static_cast<double>(level); });
-  PeriodicTimer work(sim, usec(100), [&busy] { busy.add(7); });
+  PeriodicTimer work(sim, usec(100), [&busy] { busy += 7; });
   work.start();
   const std::vector<double> start = read_values(reg);
   sim.run_for(msec(20));
@@ -194,7 +198,7 @@ TEST(MetricsExport, TopDeltasNamesMovingMetrics) {
   EXPECT_EQ(top_metric_deltas(reg, start, msec(20), 5),
             "busy.counter +1400 (70.0k/s)");
   // An instrument registered after the start read counts from 0.
-  reg.counter("late.counter").add(2);
+  reg.probe("late.counter", [] { return 2.0; });
   EXPECT_EQ(top_metric_deltas(reg, start, msec(20), 1),
             "busy.counter +1400 (70.0k/s)");
   EXPECT_NE(top_metric_deltas(reg, start, msec(20), 5).find("late.counter +2"),

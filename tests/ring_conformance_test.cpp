@@ -39,7 +39,7 @@
 #include "base/rng.h"
 #include "fault/fault.h"
 #include "harness/experiments.h"
-#include "harness/runner.h"
+#include "harness/parallel.h"
 #include "harness/testbed.h"
 #include "metrics/metrics.h"
 #include "net/packet.h"
@@ -811,41 +811,37 @@ TEST(BusyPoll, AdaptivePollKicksBetweenAlwaysPollAndNotify) {
 // ---------------------------------------------------------------------------
 
 TEST(DataplaneSweep, LayoutPollMatrixRunsConcurrently) {
-  ExperimentRunner runner(4);
-  for (const RingLayout layout : {RingLayout::kSplit, RingLayout::kPacked}) {
-    for (const PollMode mode :
-         {PollMode::kNotify, PollMode::kAlwaysPoll, PollMode::kAdaptive}) {
-      const std::string name =
-          std::string(layout == RingLayout::kSplit ? "split" : "packed") +
-          "/" + poll_mode_name(mode);
-      runner.add(name, [layout, mode](const std::string& cell) {
+  // Cell i is layout i / 3 under poll mode i % 3; the verdicts are read on
+  // the main thread once every cell has finished.
+  const RingLayout layouts[] = {RingLayout::kSplit, RingLayout::kPacked};
+  const PollMode modes[] = {PollMode::kNotify, PollMode::kAlwaysPoll,
+                            PollMode::kAdaptive};
+  std::vector<StreamResult> results(6);
+  parallel_for(
+      6,
+      [&](int i) {
         StreamOptions o;
         o.config = Es2Config::pi_h_r();
-        o.ring_layout = layout;
-        o.poll_mode = mode;
+        o.ring_layout = layouts[i / 3];
+        o.poll_mode = modes[i % 3];
         o.num_queue_pairs = 2;
         o.threads = 2;
         o.warmup = msec(20);
         o.measure = msec(100);
-        const StreamResult res = run_stream(o);
-        ScenarioReport r;
-        r.name = cell;
-        if (res.packets_per_sec <= 0.0) {
-          r.status = ScenarioStatus::kException;
-          r.detail = "no packets delivered";
-        }
-        if (mode == PollMode::kAlwaysPoll && res.kicks_per_sec != 0.0) {
-          r.status = ScenarioStatus::kException;
-          r.detail = "always-poll cell executed guest kicks";
-        }
-        return r;
-      });
+        results[static_cast<size_t>(i)] = run_stream(o);
+      },
+      4);
+  for (int i = 0; i < 6; ++i) {
+    const std::string cell =
+        std::string(i / 3 == 0 ? "split" : "packed") + "/" +
+        poll_mode_name(modes[i % 3]);
+    const StreamResult& r = results[static_cast<size_t>(i)];
+    EXPECT_GT(r.packets_per_sec, 0.0) << cell << ": no packets delivered";
+    if (modes[i % 3] == PollMode::kAlwaysPoll) {
+      EXPECT_EQ(r.kicks_per_sec, 0.0)
+          << cell << ": always-poll cell executed guest kicks";
     }
   }
-  runner.run_all();
-  EXPECT_TRUE(runner.all_ok());
-  runner.print_failures(stderr);
-  EXPECT_EQ(runner.reports().size(), 6u);
 }
 
 }  // namespace

@@ -79,45 +79,6 @@ TEST(Histogram, LargeValuesDoNotOverflowBuckets) {
   EXPECT_GT(h.p50(), std::int64_t{1} << 39);
 }
 
-TEST(RateMeter, ComputesRateOverWindow) {
-  RateMeter m;
-  m.start(0);
-  for (int i = 0; i < 500; ++i) m.add();
-  EXPECT_DOUBLE_EQ(m.rate(kSecond), 500.0);
-  EXPECT_DOUBLE_EQ(m.rate(kSecond / 2), 1000.0);
-}
-
-TEST(RateMeter, WindowRestartExcludesHistory) {
-  RateMeter m;
-  m.start(0);
-  m.add(1000);
-  m.start(kSecond);
-  m.add(10);
-  EXPECT_DOUBLE_EQ(m.rate(2 * kSecond), 10.0);
-  EXPECT_EQ(m.total(), 1010);
-  EXPECT_EQ(m.in_window(), 10);
-}
-
-TEST(RateMeter, ZeroWindowIsZeroRate) {
-  RateMeter m;
-  m.start(100);
-  m.add(5);
-  EXPECT_DOUBLE_EQ(m.rate(100), 0.0);
-}
-
-TEST(TimeWeighted, AveragesPiecewiseConstant) {
-  TimeWeighted g;
-  g.set(0, 1.0);
-  g.set(100, 3.0);   // value 1.0 held for 100
-  EXPECT_DOUBLE_EQ(g.average(200), (1.0 * 100 + 3.0 * 100) / 200.0);
-}
-
-TEST(TimeWeighted, CurrentTracksLastSet) {
-  TimeWeighted g;
-  g.set(0, 7.5);
-  EXPECT_DOUBLE_EQ(g.current(), 7.5);
-}
-
 TEST(SpanAccumulator, TigPercent) {
   SpanAccumulator s;
   s.add(700, true);
