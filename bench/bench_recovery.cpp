@@ -158,7 +158,20 @@ int main(int argc, char** argv) {
       LifecycleFault::kDescCorrupt, LifecycleFault::kAvailTear,
       LifecycleFault::kHandlerWedge, LifecycleFault::kWorkerCrash};
 
-  std::vector<RecoveryStreamResult> results;
+  // Cell i is mode i % |modes| on stack i / |modes|. --observe watches
+  // the first cell.
+  std::vector<RecoveryStreamResult> results(stacks.size() * modes.size());
+  constexpr int kObserved = 0;
+  parallel_for(static_cast<int>(results.size()), [&](int i) {
+    const Stack& s = stacks[static_cast<size_t>(i) / modes.size()];
+    const LifecycleFault mode = modes[static_cast<size_t>(i) % modes.size()];
+    RecoveryStreamOptions o = cell_options(args, s.config);
+    o.chaos.faults = plan_for(mode);
+    if (i == kObserved) observe_request(args, o.chaos.stream);
+    results[static_cast<size_t>(i)] = run_recovery_stream(
+        o, format("%s/%s", s.label, lifecycle_fault_name(mode)));
+  });
+
   CsvWriter csv({"stack", "mode", "status", "injected", "recovered",
                  "unrecovered", "mttr_p50_us", "mttr_p99_us", "queue_resets",
                  "device_resets", "ring_faults", "audit_violations"});
@@ -166,58 +179,49 @@ int main(int argc, char** argv) {
            "mttr p99 us", "q-resets", "d-resets", "ring flt", "audit"});
   BenchReport report = make_report(args, "recovery");
   int rc = 0;
-  for (const Stack& s : stacks) {
-    for (const LifecycleFault mode : modes) {
-      RecoveryStreamOptions o = cell_options(args, s.config);
-      o.chaos.faults = plan_for(mode);
-      // --observe watches the first cell.
-      if (results.empty()) observe_request(args, o.chaos.stream);
-      const std::string name =
-          format("%s/%s", s.label, lifecycle_fault_name(mode));
-      const RecoveryStreamResult r = run_recovery_stream(o, name);
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Stack& s = stacks[i / modes.size()];
+    const LifecycleFault mode = modes[i % modes.size()];
+    const RecoveryStreamResult& r = results[i];
+    const std::string p50_us = format("%.1f", r.mttr_p50 / 1e3);
+    const std::string p99_us = format("%.1f", r.mttr_p99 / 1e3);
+    csv.add_row({s.label, lifecycle_fault_name(mode),
+                 to_string(r.chaos.report.status), std::to_string(r.injected),
+                 std::to_string(r.recovered), std::to_string(r.unrecovered),
+                 p50_us, p99_us, std::to_string(r.queue_resets),
+                 std::to_string(r.device_resets),
+                 std::to_string(r.ring_faults_detected),
+                 std::to_string(r.chaos.audit_violations)});
+    t.add_row({s.label, lifecycle_fault_name(mode),
+               to_string(r.chaos.report.status), with_commas(r.injected),
+               with_commas(r.recovered), with_commas(r.unrecovered), p50_us,
+               p99_us, with_commas(r.queue_resets),
+               with_commas(r.device_resets),
+               with_commas(r.ring_faults_detected),
+               with_commas(r.chaos.audit_violations)});
 
-      const std::string p50_us = format("%.1f", r.mttr_p50 / 1e3);
-      const std::string p99_us = format("%.1f", r.mttr_p99 / 1e3);
-      csv.add_row({s.label, lifecycle_fault_name(mode),
-                   to_string(r.chaos.report.status),
-                   std::to_string(r.injected), std::to_string(r.recovered),
-                   std::to_string(r.unrecovered), p50_us, p99_us,
-                   std::to_string(r.queue_resets),
-                   std::to_string(r.device_resets),
-                   std::to_string(r.ring_faults_detected),
-                   std::to_string(r.chaos.audit_violations)});
-      t.add_row({s.label, lifecycle_fault_name(mode),
-                 to_string(r.chaos.report.status), with_commas(r.injected),
-                 with_commas(r.recovered), with_commas(r.unrecovered), p50_us,
-                 p99_us, with_commas(r.queue_resets),
-                 with_commas(r.device_resets),
-                 with_commas(r.ring_faults_detected),
-                 with_commas(r.chaos.audit_violations)});
+    const std::string cell =
+        std::string(s.key) + "." + lifecycle_fault_name(mode) + ".";
+    // The ledger counts are hard gates: losing (or double-counting) a
+    // fault instance is a correctness bug regardless of timing.
+    report.add(cell + "injected", static_cast<double>(r.injected));
+    report.add(cell + "recovered", static_cast<double>(r.recovered));
+    report.add(cell + "unrecovered", static_cast<double>(r.unrecovered));
+    report.add(cell + "ok", r.clean() ? 1.0 : 0.0);
+    // MTTR is quantized by watchdog/selfcheck cadences but still a
+    // same-seed deterministic output: gated exactly.
+    report.add(cell + "mttr_p50_us", r.mttr_p50 / 1e3);
+    report.add(cell + "mttr_p99_us", r.mttr_p99 / 1e3);
 
-      const std::string cell =
-          std::string(s.key) + "." + lifecycle_fault_name(mode) + ".";
-      // The ledger counts are hard gates: losing (or double-counting) a
-      // fault instance is a correctness bug regardless of timing.
-      report.add(cell + "injected", static_cast<double>(r.injected));
-      report.add(cell + "recovered", static_cast<double>(r.recovered));
-      report.add(cell + "unrecovered", static_cast<double>(r.unrecovered));
-      report.add(cell + "ok", r.clean() ? 1.0 : 0.0);
-      // MTTR is quantized by watchdog/selfcheck cadences but still a
-      // same-seed deterministic output: gated exactly.
-      report.add(cell + "mttr_p50_us", r.mttr_p50 / 1e3);
-      report.add(cell + "mttr_p99_us", r.mttr_p99 / 1e3);
-
-      for (const WedgeReport& wr : r.wedges) {
-        std::printf("%s\n", wr.detail.c_str());
-      }
-      if (!r.clean()) rc = 3;
-      results.push_back(r);
+    for (const WedgeReport& wr : r.wedges) {
+      std::printf("%s\n", wr.detail.c_str());
     }
+    if (!r.clean()) rc = 3;
   }
   std::printf("%s", t.render().c_str());
   write_csv(args, "recovery", csv);
   write_bench_report(args, report);
-  if (!export_artifacts(args, results.front().chaos.stream)) return 1;
+  if (!export_artifacts(args, results[kObserved].chaos.stream)) return 1;
   if (rc != 0) std::printf("RECOVERY FAILED: see wedge reports above\n");
   return rc;
 }

@@ -168,11 +168,11 @@ void Testbed::register_all_metrics() {
                   [qs] { return static_cast<double>(qs->peak_live); });
   registry_.probe("eventcore.slabs_allocated",
                   [qs] { return static_cast<double>(qs->slabs_allocated); });
-  // Timing-wheel placement counters: where events landed (near heap,
+  // Timing-wheel placement counters: where events landed (near tier,
   // level-0 wheel, or past its horizon in the level-1 wheel / far heap),
   // how many past-horizon events reached level 0 or near, and how often
-  // the heaps compacted — the event-core pressure signals blame reports
-  // read next to the per-stage attribution.
+  // stale keys were compacted — the event-core pressure signals blame
+  // reports read next to the per-stage attribution.
   registry_.probe("eventcore.near_hits",
                   [qs] { return static_cast<double>(qs->near_hits); });
   registry_.probe("eventcore.wheel_hits",

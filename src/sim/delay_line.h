@@ -22,7 +22,7 @@
 //
 // Use one only for a delay that is constant per line (pushes must not go
 // backwards in time) and for timers that are never cancelled; a delay
-// within the ~1 ms level-0 horizon gains nothing, as it never cascades.
+// within the ~16.8 ms level-0 window gains nothing, as it never cascades.
 #pragma once
 
 #include <cstddef>

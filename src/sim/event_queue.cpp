@@ -26,7 +26,7 @@ void EventCore::close() {
     }
   }
   closed_ = true;
-  near_.clear();
+  run_head_ = run_end_ = side_size_ = 0;
   far_.clear();
   near_stale_ = far_stale_ = 0;
   wheel0_.clear();
@@ -85,10 +85,43 @@ void EventCore::free_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
+void EventCore::make_near_room() {
+  // A consumed prefix of at least a quarter of the run is dropped, so
+  // the move stays amortised over its pops; otherwise the buffer doubles
+  // and the side heap moves to the new end.
+  if (run_head_ > 0 && run_head_ * 4 >= run_end_) {
+    std::copy(near_at(run_head_), near_at(run_end_), near_.begin());
+    run_end_ -= run_head_;
+    run_head_ = 0;
+    return;
+  }
+  const std::size_t old = near_.size();
+  near_.resize(std::max<std::size_t>(1, 2 * old));
+  std::copy(near_at(old - side_size_), near_at(old),
+            near_at(near_.size() - side_size_));
+}
+
 void EventCore::push_near(std::uint32_t slot, EventRecord& r) {
   r.loc = EventLocation::kNear;
-  near_.push_back(HeapKey{r.when, r.seq, slot, r.gen});
-  std::push_heap(near_.begin(), near_.end(), KeyLater{});
+  const HeapKey k{r.when, r.seq, slot, r.gen};
+  std::size_t at = run_end_;
+  while (at > run_head_ && KeyEarlier{}(k, near_[at - 1])) {
+    if (run_end_ - at == kNearSlack) {
+      if (run_end_ + side_size_ == near_.size()) make_near_room();
+      ++side_size_;
+      *(side_end() - 1) = k;
+      std::push_heap(side_begin(), side_end(), KeyLater{});
+      return;
+    }
+    --at;
+  }
+  const std::size_t head = run_head_;
+  append_run(k);
+  at -= head - run_head_;  // a dropped prefix shifted the run down
+  if (at != run_end_ - 1) {
+    std::move_backward(near_at(at), near_at(run_end_ - 1), near_at(run_end_));
+    near_[at] = k;
+  }
 }
 
 void EventCore::push_far(std::uint32_t slot, EventRecord& r) {
@@ -121,10 +154,16 @@ void EventCore::unlink(Wheel& w, EventRecord& r, std::uint32_t slot) {
   }
 }
 
-EventLocation EventCore::place(std::uint32_t slot, EventRecord& r) {
+EventLocation EventCore::place(std::uint32_t slot, EventRecord& r,
+                               bool bulk) {
   const std::uint64_t b = bucket_index(r.when);
   if (b <= cursor_) {
-    push_near(slot, r);
+    if (bulk) {
+      r.loc = EventLocation::kNear;
+      append_run(HeapKey{r.when, r.seq, slot, r.gen});
+    } else {
+      push_near(slot, r);
+    }
   } else if (b < cursor_ + kWheelBuckets) {
     r.loc = EventLocation::kWheel0;
     link(wheel0_, Wheel::slot_of(b), slot, r);
@@ -149,7 +188,7 @@ void EventCore::enqueue(std::uint32_t slot, SimTime when,
   r.seq = seq;
   // The counters keep their single-wheel meaning: far = past the
   // level-0 horizon, whichever of level 1 or the far heap holds it.
-  switch (place(slot, r)) {
+  switch (place(slot, r, /*bulk=*/false)) {
     case EventLocation::kNear:
       stats_.near_hits++;
       break;
@@ -171,7 +210,19 @@ EventLocation EventCore::unfile(std::uint32_t slot, EventRecord& r) {
   } else if (loc == EventLocation::kWheel1) {
     unlink(wheel1_, r, slot);
   } else if (loc == EventLocation::kNear) {
-    ++near_stale_;
+    // A key cancelled while it is still the last one filed on its side
+    // (scheduled, then cancelled before anything else filed there) is
+    // taken back outright; any other leaves a stale key.
+    auto is_key = [&r, slot](const HeapKey& k) {
+      return k.slot == slot && k.gen == r.gen;
+    };
+    if (run_end_ != 0 && is_key(near_[run_end_ - 1])) {
+      if (--run_end_ == run_head_) run_head_ = run_end_ = 0;
+    } else if (side_size_ != 0 && is_key(*(side_end() - 1))) {
+      --side_size_;  // the heap's last leaf
+    } else {
+      ++near_stale_;
+    }
   } else {
     ++far_stale_;
   }
@@ -182,7 +233,7 @@ void EventCore::note_cancelled(EventLocation was) {
   stats_.cancelled++;
   --live_;
   if (was == EventLocation::kNear) {
-    maybe_compact(near_, near_stale_);
+    maybe_compact_near();
   } else if (was == EventLocation::kFar) {
     maybe_compact(far_, far_stale_);
   }
@@ -266,6 +317,52 @@ void EventCore::maybe_compact(std::vector<HeapKey>& heap, std::size_t& stale) {
   stats_.heap_compactions++;
 }
 
+void EventCore::skim_near() {
+  auto dead = [this](const HeapKey& k) {
+    return record(k.slot).gen != k.gen;
+  };
+  while (run_end_ != 0 && dead(near_[run_head_])) {
+    ES2_DCHECK(near_stale_ > 0);
+    --near_stale_;
+    pop_run();
+  }
+  while (side_size_ != 0 && dead(near_.back())) {
+    ES2_DCHECK(near_stale_ > 0);
+    --near_stale_;
+    std::pop_heap(side_begin(), side_end(), KeyLater{});
+    --side_size_;
+  }
+}
+
+void EventCore::maybe_compact_near() {
+  const std::size_t keys = run_end_ - run_head_ + side_size_;
+  if (near_stale_ < 64 || near_stale_ * 2 <= keys) return;
+  // As in maybe_compact(): every counted-stale key is already dead. The
+  // run keeps its order as it moves down over its consumed prefix, and
+  // the side heap's live keys pack towards the buffer's end.
+  auto live = [this](const HeapKey& k) {
+    return record(k.slot).gen == k.gen;
+  };
+  std::size_t out = 0;
+  for (std::size_t i = run_head_; i < run_end_; ++i) {
+    if (live(near_[i])) near_[out++] = near_[i];
+  }
+  run_head_ = 0;
+  run_end_ = out;
+  std::size_t kept = 0;
+  const auto side = side_begin();
+  for (std::size_t i = 0; i < side_size_; ++i) {
+    if (live(side[static_cast<std::ptrdiff_t>(i)])) {
+      side[static_cast<std::ptrdiff_t>(kept++)] =
+          side[static_cast<std::ptrdiff_t>(i)];
+    }
+  }
+  side_size_ = kept;
+  std::make_heap(side_begin(), side_end(), KeyLater{});
+  near_stale_ = 0;
+  stats_.heap_compactions++;
+}
+
 void EventCore::Wheel::clear() {
   for (Bucket& b : buckets) b.head = kInvalidSlot;
   for (std::uint64_t& word : occupied) word = 0;
@@ -307,7 +404,7 @@ std::uint64_t EventCore::cascade(Wheel& w, std::uint32_t idx) {
     EventRecord& r = record(slot);
     const std::uint32_t next = r.next;
     r.prev = r.next = kInvalidSlot;
-    place(slot, r);
+    place(slot, r, /*bulk=*/true);
     slot = next;
     ++moved;
   }
@@ -327,14 +424,15 @@ void EventCore::migrate_far() {
     far_.pop_back();
     // Counted once, on entering level 0 or near; a stop in level 1
     // counts when its epoch cascades.
-    if (place(k.slot, record(k.slot)) != EventLocation::kWheel1) {
+    if (place(k.slot, record(k.slot), /*bulk=*/true) !=
+        EventLocation::kWheel1) {
       stats_.far_migrations++;
     }
   }
 }
 
 void EventCore::refill_near() {
-  while (near_.empty()) {
+  while (near_empty()) {
     // The cursor moves to the earliest of: the next occupied level-0
     // bucket, the start of the next occupied level-1 epoch, or (with
     // both wheels empty) the far heap's top. Every far event lies past
@@ -362,24 +460,36 @@ void EventCore::refill_near() {
       cursor_ = bucket_index(far_.front().when);
     }
     // Level 0's window is strictly after the cursor: drain the bucket
-    // the cursor now stands on into the near heap, in the same step.
+    // the cursor now stands on into the near tier, in the same step.
     const std::uint32_t idx = Wheel::slot_of(cursor_);
     if (wheel0_.occupied_at(idx)) cascade(wheel0_, idx);
     // A new epoch moves the level-1 window: admit far events that now
     // fit. Within one epoch every far event stays past the window.
     if ((cursor_ >> kEpochShift) != epoch) migrate_far();
+    // Every key above came in through a bulk place() into the empty
+    // tier: sort them once.
+    std::sort(near_.begin(), near_at(run_end_), KeyEarlier{});
   }
 }
 
 const HeapKey& EventCore::next_key() {
-  skim(near_, near_stale_);
-  if (near_.empty()) refill_near();
-  return near_.front();
+  skim_near();
+  if (near_empty()) refill_near();
+  if (side_size_ == 0) return near_[run_head_];
+  if (run_end_ == 0 || KeyEarlier{}(near_.back(), near_[run_head_])) {
+    return near_.back();
+  }
+  return near_[run_head_];
 }
 
 void EventCore::fire(HeapKey k) {
-  std::pop_heap(near_.begin(), near_.end(), KeyLater{});
-  near_.pop_back();
+  // Sequence numbers are unique, so `k` names the head it came from.
+  if (side_size_ != 0 && near_.back().seq == k.seq) {
+    std::pop_heap(side_begin(), side_end(), KeyLater{});
+    --side_size_;
+  } else {
+    pop_run();
+  }
   EventRecord& r = record(k.slot);
   ES2_DCHECK(r.gen == k.gen);
   // Invalidate handles before running, matching the seed's semantics:

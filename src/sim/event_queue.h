@@ -24,11 +24,11 @@
 //    rule PacketPtr relies on.
 //
 //  * A calendar-queue front-end keyed on `SimTime`, four tiers deep: a
-//    small "near" heap carries everything due in the current
+//    small "near" tier carries everything due in the current
 //    2^kBucketShift-ns bucket or earlier; a level-0 timing wheel of
-//    kWheelBuckets intrusive lists (one 4096-ns bucket each) covers the
-//    next ~1 ms; a level-1 wheel of kWheelBuckets lists (one 2^20-ns
-//    "epoch" = 256 level-0 buckets each) covers the next ~268 ms; and a
+//    kWheelBuckets intrusive lists (one 65,536-ns bucket each) covers the
+//    next ~16.8 ms; a level-1 wheel of kWheelBuckets lists (one 2^24-ns
+//    "epoch" = 256 level-0 buckets each) covers the next ~4.3 s; and a
 //    sorted overflow ("far") heap holds the rest. One placement rule,
 //    place(), files an event by its bucket relative to the cursor, on
 //    schedule and again whenever the cursor moves: a level-1 epoch
@@ -36,14 +36,26 @@
 //    the epoch's start, and far events cascade into the wheels as the
 //    horizon reaches them (Varghese & Lauck's hierarchical wheel).
 //    Every event carries a global sequence number and only the near
-//    heap fires, in (when, seq) order, so firing order is exactly the
+//    tier fires, in (when, seq) order, so firing order is exactly the
 //    deterministic (time, insertion-order) contract, independent of
 //    tier layout.
 //
+//  * The near tier is the Ladder Queue's sorted bottom (Tang, Goh &
+//    Thng, TOMACS 2005): a run of keys sorted ascending from a head
+//    index, plus a small side heap. Keys scheduled into the current
+//    bucket arrive almost in order, so the common insert is a tail
+//    append and every pop from the run is O(1); a key that would land
+//    more than kNearSlack places before the run's end goes to the side
+//    heap instead, and the next key is the smaller of the two heads. A
+//    bucket that cascades into the empty tier is appended and sorted
+//    once. Both share one buffer, the run growing up from its front and
+//    the heap down from its back; the run's consumed prefix is dropped
+//    before the buffer grows.
+//
 // Wheel entries unlink on cancel in O(1). Cancelled events that sit in
-// one of the two heaps leave a stale 24-byte key which is dropped when
-// it surfaces; heaps compact themselves when more than half their keys
-// are stale, so cancel-heavy workloads cannot bloat the queue.
+// the near tier or the far heap leave a stale 24-byte key which is
+// dropped when it surfaces; each compacts itself when more than half its
+// keys are stale, so cancel-heavy workloads cannot bloat the queue.
 //
 // A `ResidentTimer` is the re-armable alternative for an owner that keeps
 // at most one event of one kind pending for its whole life (a thread's
@@ -133,7 +145,7 @@ struct BoxedOps {
 /// Where a live event currently lives (drives O(1) cancellation).
 enum class EventLocation : std::uint8_t {
   kFree = 0,   // on the free list
-  kNear,       // keyed into the near heap
+  kNear,       // keyed into the near tier (sorted run or side heap)
   kWheel0,     // linked into a level-0 wheel bucket
   kWheel1,     // linked into a level-1 wheel bucket (an epoch)
   kFar,        // keyed into the far overflow heap
@@ -155,8 +167,8 @@ struct EventRecord {
   alignas(std::max_align_t) unsigned char buf[kInlineCallbackCapacity];
 };
 
-/// Key stored in the near/far heaps. Stale keys (generation mismatch)
-/// are skimmed when they surface.
+/// Key stored in the near tier and the far heap. Stale keys (generation
+/// mismatch) are skimmed when they surface.
 struct HeapKey {
   SimTime when;
   std::uint64_t seq;
@@ -171,6 +183,12 @@ struct KeyLater {
   }
 };
 
+struct KeyEarlier {
+  bool operator()(const HeapKey& a, const HeapKey& b) const {
+    return KeyLater{}(b, a);
+  }
+};
+
 /// The pool + calendar state. Owned jointly by the EventQueue and any
 /// outstanding handles through an intrusive, non-atomic reference count
 /// (the queue holds one reference, each handle one more), so a handle
@@ -179,10 +197,13 @@ struct KeyLater {
 /// at a time.
 class EventCore {
  public:
-  static constexpr int kBucketShift = 12;           // 4096 ns per bucket
+  static constexpr int kBucketShift = 16;           // 65,536 ns per bucket
   static constexpr std::uint32_t kWheelBuckets = 256;  // slots per level
   static constexpr int kEpochShift = 8;  // level-0 buckets per epoch: 256
   static constexpr std::uint32_t kSlabSize = 256;
+  /// A near key landing more than this many places before the sorted
+  /// run's end goes to the side heap instead of shifting the run.
+  static constexpr std::size_t kNearSlack = 8;
 
   /// `clock`, if given, is the owner's current time: resident timers may
   /// not be armed before it (the Simulator passes its clock).
@@ -327,27 +348,59 @@ class EventCore {
   /// Cancel bookkeeping once the record is free or idle (its generation
   /// bumped, so the stale key is recognisably dead to the compaction).
   void note_cancelled(EventLocation was);
-  /// Brings the earliest live key to the near heap's top; live_ > 0.
+  /// Skims both near heads and refills the tier if it ran empty; returns
+  /// the earliest live key. Requires live_ > 0.
   const HeapKey& next_key();
-  /// Pops the near heap's top `k` and runs its callback.
+  /// Pops the near tier's earliest key `k` and runs its callback.
   void fire(HeapKey k);
+  bool near_empty() const { return run_end_ == 0 && side_size_ == 0; }
+  /// Files a near key: a tail append or a short insert near the run's
+  /// end, else the side heap.
   void push_near(std::uint32_t slot, EventRecord& r);
+  /// Appends to the run, which must stay sorted (or be sorted after a
+  /// bulk refill).
+  void append_run(const HeapKey& k) {
+    if (run_end_ + side_size_ == near_.size()) make_near_room();
+    near_[run_end_++] = k;
+  }
+  /// Consumes the run's head key; an emptied run restarts at index 0.
+  void pop_run() {
+    if (++run_head_ == run_end_) run_head_ = run_end_ = 0;
+  }
+  std::vector<HeapKey>::iterator near_at(std::size_t i) {
+    return near_.begin() + static_cast<std::ptrdiff_t>(i);
+  }
+  /// The side heap as a range: its top is near_.back().
+  auto side_begin() { return near_.rbegin(); }
+  auto side_end() {
+    return near_.rbegin() + static_cast<std::ptrdiff_t>(side_size_);
+  }
+  /// Frees a slot between the run and the side heap: drops the run's
+  /// consumed prefix, or doubles the buffer.
+  void make_near_room();
+
   void push_far(std::uint32_t slot, EventRecord& r);
   void link(Wheel& w, std::uint32_t idx, std::uint32_t slot, EventRecord& r);
   void unlink(Wheel& w, EventRecord& r, std::uint32_t slot);
-  /// Files an event by its bucket b: b <= cursor_ -> near heap; within
+  /// Files an event by its bucket b: b <= cursor_ -> near tier; within
   /// the level-0 window -> level 0; epoch within the level-1 window ->
-  /// level 1; otherwise the far heap. Sets and returns `r.loc`.
-  EventLocation place(std::uint32_t slot, EventRecord& r);
-  /// Empties one wheel slot, handing each of its events to place();
-  /// returns how many it moved.
+  /// level 1; otherwise the far heap. Sets and returns `r.loc`. A `bulk`
+  /// placement (a refill into the empty near tier) appends a near key
+  /// unsorted; refill_near() sorts the run once afterwards.
+  EventLocation place(std::uint32_t slot, EventRecord& r, bool bulk);
+  /// Empties one wheel slot, handing each of its events to a bulk
+  /// place(); returns how many it moved.
   std::uint64_t cascade(Wheel& w, std::uint32_t idx);
 
   /// Drops stale keys off a heap top; compacts when >half stale.
   void skim(std::vector<HeapKey>& heap, std::size_t& stale);
   void maybe_compact(std::vector<HeapKey>& heap, std::size_t& stale);
+  /// Drops stale keys off both near heads.
+  void skim_near();
+  /// Compacts the run and the side heap together when >half stale.
+  void maybe_compact_near();
 
-  /// Advances the wheel cursor until the near heap holds the earliest
+  /// Advances the wheel cursor until the near tier holds the earliest
   /// live event. Requires live_ > 0.
   void refill_near();
   /// Pulls far-heap events that now fall inside the level-1 window.
@@ -356,8 +409,15 @@ class EventCore {
   std::vector<std::unique_ptr<Slab>> slabs_;
   std::uint32_t free_head_ = kInvalidSlot;
 
-  std::vector<HeapKey> near_;  // events with bucket_index(when) <= cursor_
-  std::size_t near_stale_ = 0;
+  // The near tier, events with bucket_index(when) <= cursor_, in one
+  // buffer: the sorted run grows up from the front, in
+  // [run_head_, run_end_), and the side heap of out-of-order keys down
+  // from the back, in the last side_size_ slots.
+  std::vector<HeapKey> near_;
+  std::size_t run_head_ = 0;     // both 0 whenever the run is empty
+  std::size_t run_end_ = 0;
+  std::size_t side_size_ = 0;
+  std::size_t near_stale_ = 0;   // stale keys in the run and side heap
   std::vector<HeapKey> far_;   // events past the level-1 horizon
   std::size_t far_stale_ = 0;
   Wheel wheel0_;               // buckets in (cursor_, cursor_ + 256)

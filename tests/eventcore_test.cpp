@@ -1,7 +1,8 @@
 // Contract tests for the zero-allocation event core: ordering across the
-// calendar tiers (near heap / level-0 wheel / level-1 wheel / overflow
+// calendar tiers (near tier / level-0 wheel / level-1 wheel / overflow
 // heap), including the cascade of a level-1 epoch into an occupied
-// level-0 bucket, generation-handle
+// level-0 bucket, the near tier's sorted run and side heap (bursts in
+// every order, compaction, allocation-free cycling), generation-handle
 // cancellation semantics, handle-outlives-queue safety, resident timers
 // (re-armed records, in every tier and from their own callbacks),
 // determinism under interleaved cancels, inline-callback storage, the
@@ -32,6 +33,20 @@ namespace {
 
 using detail::kInlineCallbackCapacity;
 
+// The calendar's geometry, from the core's own constants: a level-0
+// bucket, a level-1 epoch, the level-0 window and the level-1 horizon.
+using Core = detail::EventCore;
+constexpr SimTime kBucket = SimTime{1} << Core::kBucketShift;
+constexpr SimTime kEpoch = kBucket << Core::kEpochShift;
+constexpr SimTime kWindow0 = kBucket * Core::kWheelBuckets;
+constexpr SimTime kHorizon = kEpoch * Core::kWheelBuckets;
+
+/// A uniform draw from [0, n).
+SimDuration draw_below(Rng& rng, SimTime n) {
+  return static_cast<SimDuration>(
+      rng.next_below(static_cast<std::uint64_t>(n)));
+}
+
 // ---------------------------------------------------------------------------
 // Inline-storage budget: the capture patterns used across the models must
 // fit the pooled record's inline buffer (this is what keeps scheduling
@@ -60,14 +75,15 @@ static_assert(sizeof(Callback<void()>) + sizeof(void*) <=
 
 TEST(EventCore, OrderingAcrossNearWheelAndFarLayers) {
   // Times chosen to land in every tier: same-bucket (near), within the
-  // ~1 ms level-0 horizon, within the ~268 ms level-1 horizon, and far
-  // beyond it.
+  // level-0 window, within the level-1 horizon, and far beyond it.
   Simulator sim;
   std::vector<SimTime> fired;
   const std::vector<SimTime> times = {
-      0,       1,        2,          4095,     4096,      5000,
-      100000,  999999,   1048575,    1048576,  2000000,   50000000,
-      sec(1),  sec(1) + 1, sec(2),   msec(3),  usec(7),   123456789};
+      0,            1,           2,            kBucket - 1,
+      kBucket,      kBucket + 904, 100000,     kWindow0 - 1,
+      kWindow0,     kEpoch + 1,  2 * kWindow0, 50 * kWindow0,
+      kHorizon - 1, kHorizon,    kHorizon + 1, 2 * kHorizon,
+      usec(7),      123456789};
   std::vector<SimTime> shuffled = times;
   Rng rng = Rng::stream(7, "shuffle");
   for (size_t i = shuffled.size(); i > 1; --i) {
@@ -88,12 +104,12 @@ TEST(EventCore, SameInstantFifoAcrossLayerMigration) {
   // scheduling order even after migrating far -> wheel -> near.
   Simulator sim;
   std::vector<int> order;
-  const SimTime t = sec(3);  // far beyond the wheel horizon
+  const SimTime t = 2 * kHorizon;  // far beyond the wheel horizon
   for (int i = 0; i < 100; ++i) {
     sim.at(t, [&order, i] { order.push_back(i); });
   }
   // Force the cursor to sweep through many buckets first.
-  for (SimTime k = 0; k < sec(3); k += msec(50)) sim.at(k, [] {});
+  for (SimTime k = 0; k < t; k += 3 * kEpoch) sim.at(k, [] {});
   sim.run_to_completion();
   ASSERT_EQ(order.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -106,15 +122,14 @@ TEST(EventCore, LevelOneCascadeIntoOccupiedLevelZeroBucketKeepsOrder) {
   // and drain the level-0 bucket in the same step; otherwise B fires
   // alone, ahead of the earlier A and of C, which shares B's instant
   // but was scheduled after it.
-  constexpr SimTime kEpoch = SimTime{1} << 20;  // 256 level-0 buckets
   Simulator sim;
   const EventQueueStats& stats = sim.queue().stats();
   std::string order;
   sim.at(kEpoch + 10, [&] { order += 'B'; });
   EXPECT_EQ(stats.far_hits, 1u);  // past the level-0 horizon: level 1
-  sim.at(4096, [&] { order += 'x'; });
+  sim.at(kBucket, [&] { order += 'x'; });
   // Fire x alone: the cap stops the loop before it refills again.
-  ASSERT_EQ(sim.run_until_capped(4096, 1), 1u);
+  ASSERT_EQ(sim.run_until_capped(kBucket, 1), 1u);
   sim.at(kEpoch + 5, [&] { order += 'A'; });
   sim.at(kEpoch + 10, [&] { order += 'C'; });
   EXPECT_EQ(stats.wheel_hits, 3u);  // x, A, C: all in level 0
@@ -131,17 +146,14 @@ TEST(EventCore, LoneEventsOnTierBoundariesFireOnTime) {
   // there first. Each event is scheduled from inside a callback, where
   // the cursor stands on now's bucket, at an offset from now or from
   // now's level-1 epoch start.
-  constexpr SimTime kBucket = 4096;
-  constexpr SimTime kEpoch = SimTime{1} << 20;
-  constexpr SimTime kHorizon = SimTime{1} << 28;  // level-1 horizon
   const std::vector<SimTime> starts = {
       0,      1,          kBucket - 1, kBucket,
       kEpoch, kEpoch - 1, kEpoch + 255 * kBucket, 7 * kEpoch + 77};
   const std::vector<SimTime> offsets = {
-      256 * kBucket - 1, 256 * kBucket, 256 * kBucket + 1,
-      kEpoch - 1,        kEpoch,        kEpoch + 1,
-      255 * kEpoch,      kHorizon - kBucket, kHorizon - 1,
-      kHorizon,          kHorizon + 1,  kHorizon + kBucket};
+      kWindow0 - 1,  kWindow0,           kWindow0 + 1,
+      kEpoch - 1,    kEpoch,             kEpoch + 1,
+      255 * kEpoch,  kHorizon - kBucket, kHorizon - 1,
+      kHorizon,      kHorizon + 1,       kHorizon + kBucket};
   for (const SimTime start : starts) {
     for (const bool from_epoch : {false, true}) {
       for (const SimTime offset : offsets) {
@@ -173,6 +185,164 @@ TEST(EventCore, DeferRunsAfterQueuedSameInstantEvents) {
 }
 
 // ---------------------------------------------------------------------------
+// The near tier: a sorted run plus a side heap
+// ---------------------------------------------------------------------------
+
+TEST(EventCore, NearTierBurstsFireInReferenceOrder) {
+  // Several hundred keys in one level-0 bucket, filed in ascending (tail
+  // appends), descending (the side heap) and random order (both), with
+  // same-instant ties and interleaved cancels, three ways: straight into
+  // the near tier from outside, into a later bucket that cascades into
+  // the empty tier as one bulk, and from inside a callback standing on
+  // its bucket. Ids follow filing order, so the reference order is
+  // (when, id).
+  constexpr int kKeys = 400;
+  for (int order = 0; order < 3; ++order) {
+    Simulator sim;
+    Rng rng = Rng::stream(static_cast<std::uint64_t>(order), "near-burst");
+    std::vector<std::pair<SimTime, int>> want;
+    std::vector<EventHandle> handles;
+    std::vector<int> fired;
+    std::uint64_t cancels = 0;
+    auto cancel = [&](int id) {
+      handles[static_cast<std::size_t>(id)].cancel();
+      want[static_cast<std::size_t>(id)].second = -1;
+      ++cancels;
+    };
+    auto burst = [&](SimTime bucket_start) {
+      SimTime offset = 1;
+      for (int i = 0; i < kKeys; ++i) {
+        if (i % 4 != 3) {  // every fourth key ties with the one before
+          const SimTime rank = order == 1 ? kKeys - i : i;
+          offset = order == 2 ? 1 + draw_below(rng, kBucket - 1)
+                              : 1 + rank * (kBucket / (2 * kKeys));
+        }
+        const int id = static_cast<int>(handles.size());
+        const SimTime when = bucket_start + offset;
+        handles.push_back(sim.at(when, [&fired, id] { fired.push_back(id); }));
+        want.emplace_back(when, id);
+        // The key just filed (taken back at once), or an earlier one
+        // (left stale inside the run or the side heap).
+        if (i % 7 == 3) cancel(id);
+        if (i % 5 == 4 && want[static_cast<std::size_t>(id - 3)].second >= 0) {
+          cancel(id - 3);
+        }
+      }
+    };
+    burst(0);             // the cursor stands on bucket 0
+    burst(5 * kBucket);   // level 0, then one bulk cascade
+    sim.at(9 * kBucket, [&] { burst(9 * kBucket); });
+    sim.run_to_completion();
+    std::vector<std::pair<SimTime, int>> live;
+    for (const auto& [when, id] : want) {
+      if (id >= 0) live.emplace_back(when, id);
+    }
+    std::sort(live.begin(), live.end());
+    std::vector<int> expect;
+    for (const auto& key : live) expect.push_back(key.second);
+    EXPECT_EQ(fired, expect) << "order " << order;
+    EXPECT_EQ(sim.queue().stats().cancelled, cancels) << "order " << order;
+    EXPECT_EQ(sim.queue().size(), 0u);
+  }
+}
+
+TEST(EventCore, NearTierCancelStormCompactsRunAndSideHeapExactly) {
+  // Each round stands on a fresh bucket and files 200 ascending keys (the
+  // run) and 200 descending keys, all earlier than the run (the side
+  // heap), then one sentinel at the end of each: the run's tail, and a
+  // side key later than every other side key, which stays the heap's
+  // last leaf. Neither sentinel is cancelled, so no cancel below takes a
+  // key back: each leaves a stale key. Of the 402 keys the 202nd cancel
+  // is the first with more than half stale, so the one compaction must
+  // come exactly there; a stale count left over from an earlier round
+  // (or wrapped below zero) moves it. After the pass, cancels at both
+  // heads are skimmed as they surface (Debug builds check the count
+  // never underflows) and the rest fire in order.
+  constexpr int kPerSide = 200;
+  Simulator sim;
+  const EventQueueStats& stats = sim.queue().stats();
+  std::vector<SimTime> fired;
+  auto record = [&fired, &sim] { fired.push_back(sim.now()); };
+  for (int round = 0; round < 4; ++round) {
+    const SimTime start = (4 * round + 1) * kBucket;
+    sim.at(start, [&, start] {
+      std::vector<EventHandle> run;
+      std::vector<EventHandle> side;
+      for (int i = 0; i < kPerSide; ++i) {
+        run.push_back(sim.at(start + 1000 + i, record));
+      }
+      for (int i = 0; i < kPerSide; ++i) {
+        side.push_back(sim.at(start + 998 - i, record));
+      }
+      sim.at(start + 5000, record);  // the run's tail
+      sim.at(start + 999, record);   // the side heap's last leaf
+      const std::uint64_t before = stats.heap_compactions;
+      for (int c = 0; c < 202; ++c) {
+        EXPECT_EQ(stats.heap_compactions, before) << "cancel " << c;
+        (c % 2 == 0 ? run : side)[static_cast<std::size_t>(c / 2)].cancel();
+      }
+      EXPECT_EQ(stats.heap_compactions, before + 1) << "round " << round;
+      // 200 live keys: 99 on each side plus the sentinels. Cancel the 30
+      // earliest of each side: too few to compact again.
+      for (int i = 0; i < 30; ++i) {
+        run[static_cast<std::size_t>(101 + i)].cancel();
+        side[static_cast<std::size_t>(kPerSide - 1 - i)].cancel();
+      }
+      EXPECT_EQ(stats.heap_compactions, before + 1) << "round " << round;
+    });
+  }
+  sim.run_to_completion();
+  std::vector<SimTime> expect;
+  for (int round = 0; round < 4; ++round) {
+    const SimTime start = (4 * round + 1) * kBucket;
+    for (int i = 101; i < kPerSide - 30; ++i) expect.push_back(start + 998 - i);
+    std::sort(expect.end() - (kPerSide - 30 - 101), expect.end());
+    expect.push_back(start + 999);
+    for (int i = 131; i < kPerSide; ++i) expect.push_back(start + 1000 + i);
+    expect.push_back(start + 5000);
+  }
+  EXPECT_EQ(fired, expect);
+  EXPECT_EQ(stats.heap_compactions, 4u);
+  EXPECT_EQ(sim.queue().size(), 0u);
+}
+
+TEST(EventCore, WarmNearTierCyclingAllocatesNothing) {
+  // 100 chains each file their next key 100 ns out, so every fire pops
+  // the run's head and appends at its tail; one fire in seven also files
+  // a one-shot 1 ns out, ahead of the whole run (the side heap), and one
+  // in eleven files two keys and cancels the first (a stale key). A
+  // level-0 bucket holds ~650 steps of each chain, so the run's consumed
+  // prefix grows by a key per fire: it must be dropped, not grown into.
+  // The chains then cross buckets, each refilled as one bulk.
+  struct Step {
+    Simulator* sim;
+    std::uint64_t* fires;
+    void operator()() const {
+      const std::uint64_t n = ++*fires;
+      sim->after(100, *this);
+      if (n % 7 == 0) sim->after(1, [f = fires] { ++*f; });
+      if (n % 11 == 0) {
+        EventHandle early = sim->after(50, [] {});
+        sim->after(60, [] {});
+        early.cancel();
+      }
+    }
+  };
+  Simulator sim;
+  std::uint64_t fires = 0;
+  for (int i = 0; i < 100; ++i) sim.at(1 + i, Step{&sim, &fires});
+  sim.run_until(kBucket / 8);  // warm: the buffer reaches its working size
+  const std::uint64_t slabs = sim.queue().stats().slabs_allocated;
+  const std::uint64_t warm_fires = fires;
+  test::AllocationCounter counter;
+  sim.run_until(4 * kBucket);
+  EXPECT_EQ(counter.delta(), 0) << "a warm near tier must not allocate";
+  EXPECT_EQ(sim.queue().stats().slabs_allocated, slabs);
+  EXPECT_GT(fires - warm_fires, 200000u);
+  EXPECT_GT(sim.queue().stats().cancelled, 15000u);
+}
+
+// ---------------------------------------------------------------------------
 // Cancellation semantics
 // ---------------------------------------------------------------------------
 
@@ -181,7 +351,7 @@ TEST(EventCore, CancelThenFireAndDoubleCancelAreSafe) {
   int fired = 0;
   EventHandle a = sim.at(usec(1), [&] { ++fired; });
   EventHandle b = sim.at(usec(1), [&] { ++fired; });
-  EventHandle far = sim.at(sec(5), [&] { ++fired; });
+  EventHandle far = sim.at(2 * kHorizon, [&] { ++fired; });
   a.cancel();
   a.cancel();  // double cancel: no-op
   far.cancel();
@@ -223,12 +393,13 @@ TEST(EventCore, HeapCompactionDuringCancelStormKeepsStaleCountExact) {
     std::vector<EventHandle> near_events;
     std::vector<EventHandle> far_events;
     for (int i = 0; i < 300; ++i) {
-      near_events.push_back(sim.after(1, [] {}));      // near heap
-      far_events.push_back(sim.after(sec(3), [] {}));  // far overflow heap
+      near_events.push_back(sim.after(1, [] {}));  // near tier
+      far_events.push_back(
+          sim.after(kHorizon + kEpoch, [] {}));  // far overflow heap
     }
     for (EventHandle& h : near_events) h.cancel();
-    // sec(3) lies past the level-1 horizon, so these keys sit in the far
-    // heap and cancelling them all must compact it.
+    // kHorizon + kEpoch lies past the level-1 horizon, so these keys sit
+    // in the far heap and cancelling them all must compact it.
     const std::uint64_t compactions = stats.heap_compactions;
     for (EventHandle& h : far_events) h.cancel();
     EXPECT_GT(stats.heap_compactions, compactions) << "round " << round;
@@ -361,7 +532,7 @@ TEST(EventCore, ResidentTimerCountsLikeScheduledEvents) {
   Ticker t(sim.queue());
   EXPECT_FALSE(t.timer.pending());
   t.timer.cancel();  // idle: no-op, not counted
-  t.timer.arm(usec(5));
+  t.timer.arm(kBucket + usec(5));  // level 0
   EXPECT_TRUE(t.timer.pending());
   EXPECT_EQ(sim.queue().size(), 1u);
   EXPECT_EQ(stats.scheduled, 1u);
@@ -370,14 +541,14 @@ TEST(EventCore, ResidentTimerCountsLikeScheduledEvents) {
   EXPECT_FALSE(t.timer.pending());
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(sim.queue().size(), 0u);
-  t.timer.arm(msec(50));  // level 1: counts as far
+  t.timer.arm(3 * kWindow0);  // level 1: counts as far
   EXPECT_EQ(stats.far_hits, 1u);
   sim.run_to_completion();
   EXPECT_EQ(t.fires, 1);
   EXPECT_FALSE(t.timer.pending());
   EXPECT_EQ(stats.fired, 1u);
   EXPECT_EQ(stats.peak_live, 1u);
-  EXPECT_EQ(sim.now(), msec(50));
+  EXPECT_EQ(sim.now(), 3 * kWindow0);
 }
 
 TEST(EventCore, ResidentTimerTakesSeqOrderAtEachArm) {
@@ -436,9 +607,9 @@ TEST(EventCore, ResidentTimerArmChecks) {
 }
 
 TEST(EventCore, ResidentTimerRearmAfterNearCancelFiresOnce) {
-  // A cancel of a near-heap resident arm leaves a stale key; the re-arm
+  // A cancel of a near-tier resident arm leaves a stale key; the re-arm
   // files a fresh key for the same record. Cancel-and-re-arm enough
-  // timers that the near heap compacts: the stale count must stay exact
+  // timers that the near tier compacts: the stale count must stay exact
   // (skim() and compaction check it) and each timer fire exactly once.
   Simulator sim;
   const EventQueueStats& stats = sim.queue().stats();
@@ -447,7 +618,7 @@ TEST(EventCore, ResidentTimerRearmAfterNearCancelFiresOnce) {
     tickers.push_back(std::make_unique<Ticker>(sim.queue()));
   }
   for (int round = 0; round < 3; ++round) {
-    for (auto& t : tickers) t->timer.arm(sim.now() + 7);  // near heap
+    for (auto& t : tickers) t->timer.arm(sim.now() + 7);  // near tier
     for (auto& t : tickers) t->timer.cancel();
     for (auto& t : tickers) t->timer.arm(sim.now() + 9);
     sim.run_for(usec(1));
@@ -680,9 +851,12 @@ struct FuzzResident {
 
 /// A near, level-0 or far delay drawn from `r`.
 SimDuration fuzz_delay(std::uint64_t r) {
-  if (r % 3 == 0) return static_cast<SimDuration>(r % 1000);
-  if (r % 3 == 1) return static_cast<SimDuration>(r % msec(1));
-  return static_cast<SimDuration>(r % sec(2));
+  const auto below = [r](SimTime n) {
+    return static_cast<SimDuration>(r % static_cast<std::uint64_t>(n));
+  };
+  if (r % 3 == 0) return below(kBucket / 4);
+  if (r % 3 == 1) return below(kWindow0);
+  return below(2 * kHorizon);
 }
 
 /// Resident timer `k`'s self re-arm delay after its `fires`-th fire, or
@@ -804,24 +978,18 @@ struct SliceWorld {
 constexpr int kSliceMaxIds = 3000;
 
 /// A delay from one calendar tier, or from one of the tier boundaries:
-/// the current level-0 bucket, the level-0 window (< 1 ms), the level-1
-/// window (1-268 ms), past the level-1 horizon, an exact level-1 epoch
-/// start k * 2^20 or one ns either side, and the 2^28-ns level-1 horizon
-/// plus or minus one level-0 bucket, from now and from now's epoch start.
+/// the current level-0 bucket, the level-0 window, the level-1 window,
+/// past the level-1 horizon, an exact level-1 epoch start or one ns
+/// either side, and the level-1 horizon plus or minus one level-0
+/// bucket, from now and from now's epoch start.
 SimDuration tier_delay(Rng& rng, SimTime now) {
-  constexpr SimTime kBucket = 4096;
-  constexpr SimTime kEpoch = SimTime{1} << 20;
-  constexpr SimTime kHorizon = SimTime{1} << 28;
   const SimTime bucket_step =
       kBucket * (static_cast<SimTime>(rng.next_below(3)) - 1);
   switch (rng.next_below(7)) {
-    case 0:
-      return static_cast<SimDuration>(
-          rng.next_below(static_cast<std::uint64_t>(kBucket - now % kBucket)));
-    case 1: return static_cast<SimDuration>(rng.next_below(msec(1)));
-    case 2:
-      return msec(1) + static_cast<SimDuration>(rng.next_below(msec(267)));
-    case 3: return kHorizon + static_cast<SimDuration>(rng.next_below(sec(1)));
+    case 0: return draw_below(rng, kBucket - now % kBucket);
+    case 1: return draw_below(rng, kWindow0);
+    case 2: return kWindow0 + draw_below(rng, kHorizon - kWindow0);
+    case 3: return kHorizon + draw_below(rng, kHorizon / 4);
     case 4: {
       const SimTime k =
           now / kEpoch + 1 + static_cast<SimTime>(rng.next_below(300));
@@ -836,7 +1004,7 @@ SimDuration tier_delay(Rng& rng, SimTime now) {
 /// the world's own state: follow-ups at now, in the current bucket, in
 /// the wheel window and far out; cancels of random earlier ids; and a
 /// same-instant pair whose first event cancels the second, which is then
-/// the very next key in the near heap.
+/// the very next key in the near tier.
 /// Arms an idle resident timer; cancels a pending one, or cancels and
 /// re-arms it.
 template <typename World>
@@ -865,9 +1033,9 @@ void slice_act(World& w, std::uint64_t seed, int id) {
     SimDuration d = 0;
     switch (rng.next_below(4)) {
       case 0: d = 0; break;
-      case 1: d = static_cast<SimDuration>(rng.next_below(4096)); break;
-      case 2: d = static_cast<SimDuration>(rng.next_below(msec(1))); break;
-      default: d = static_cast<SimDuration>(rng.next_below(msec(40))); break;
+      case 1: d = draw_below(rng, kBucket); break;
+      case 2: d = draw_below(rng, kWindow0); break;
+      default: d = draw_below(rng, 40 * kWindow0); break;
     }
     w.schedule(d);
   }
@@ -1050,8 +1218,7 @@ TEST(EventCore, RunSlicesMatchReferenceModel) {
     RefSliceWorld ref(seed);
     Rng rng = Rng::stream(seed, "slices");
     for (int i = 0; i < 64; ++i) {
-      const SimDuration d =
-          static_cast<SimDuration>(rng.next_below(msec(5)));
+      const SimDuration d = draw_below(rng, 5 * kWindow0);
       real.schedule(d);
       ref.schedule(d);
     }
@@ -1061,9 +1228,7 @@ TEST(EventCore, RunSlicesMatchReferenceModel) {
       ++calls;
       // Spans from zero (same-instant slices) to past the wheel window.
       const SimDuration span =
-          rng.next_below(4) == 0
-              ? 0
-              : static_cast<SimDuration>(rng.next_below(msec(3)));
+          rng.next_below(4) == 0 ? 0 : draw_below(rng, 3 * kWindow0);
       if (run_one_slice(real, ref, rng, span)) ++capped_calls;
       ASSERT_FALSE(HasFailure()) << "seed " << seed << " call " << calls;
     }
@@ -1083,9 +1248,10 @@ TEST(EventCore, TwoLevelWheelMatchesReferenceModel) {
   // between slices the test schedules tier_delay()s, cancels random
   // pending ids (so cancels hit every tier) and arms, cancels or re-arms
   // a resident timer; every fired event's follow-ups draw tier_delay()s
-  // too, and resident timers also re-arm from their own callbacks. Slices run from zero to ~300 ms,
-  // so the cursor crosses many level-1 epochs, cascading some of them
-  // into an occupied level-0 bucket, and jumps onto far-heap tops.
+  // too, and resident timers also re-arm from their own callbacks.
+  // Slices run from zero to past the level-1 horizon, so the cursor
+  // crosses many level-1 epochs, cascading some of them into an occupied
+  // level-0 bucket, and jumps onto far-heap tops.
   constexpr int kResidents = 8;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     RealSliceWorld real(seed, kResidents);
@@ -1118,14 +1284,10 @@ TEST(EventCore, TwoLevelWheelMatchesReferenceModel) {
       SimDuration span = 0;
       switch (rng.next_below(5)) {
         case 0: break;
-        case 1: span = static_cast<SimDuration>(rng.next_below(4096)); break;
-        case 2: span = static_cast<SimDuration>(rng.next_below(msec(1))); break;
-        case 3:
-          span = static_cast<SimDuration>(rng.next_below(msec(20)));
-          break;
-        default:
-          span = static_cast<SimDuration>(rng.next_below(msec(300)));
-          break;
+        case 1: span = draw_below(rng, kBucket); break;
+        case 2: span = draw_below(rng, kWindow0); break;
+        case 3: span = draw_below(rng, 20 * kEpoch); break;
+        default: span = draw_below(rng, kHorizon + kHorizon / 8); break;
       }
       run_one_slice(real, ref, rng, span);
       ASSERT_FALSE(HasFailure()) << "seed " << seed << " call " << calls;
@@ -1147,12 +1309,12 @@ TEST(EventCore, TwoLevelWheelMatchesReferenceModel) {
 TEST(EventCore, StatsCountersTrackScheduleCancelFireAndLayers) {
   Simulator sim;
   const EventQueueStats& stats = sim.queue().stats();
-  sim.at(0, [] {});                      // near (bucket 0)
-  sim.at(usec(100), [] {});              // level-0 wheel
-  sim.at(msec(50), [] {});               // level-1 wheel: counts as far
-  sim.at(msec(300), [] {});  // far heap; level 1 once the cursor
-                             // reaches the 50 ms timer's epoch
-  EventHandle far = sim.at(sec(4), [] {});  // far heap
+  sim.at(0, [] {});                 // near (bucket 0)
+  sim.at(2 * kBucket, [] {});       // level-0 wheel
+  sim.at(50 * kEpoch, [] {});       // level-1 wheel: counts as far
+  sim.at(kHorizon + 10 * kEpoch, [] {});  // far heap; level 1 once the
+                                          // cursor reaches epoch 50
+  EventHandle far = sim.at(4 * kHorizon, [] {});  // far heap
   EXPECT_EQ(stats.scheduled, 5u);
   EXPECT_EQ(stats.near_hits, 1u);
   EXPECT_EQ(stats.wheel_hits, 1u);
@@ -1162,9 +1324,8 @@ TEST(EventCore, StatsCountersTrackScheduleCancelFireAndLayers) {
   EXPECT_EQ(stats.cancelled, 1u);
   sim.run_to_completion();
   EXPECT_EQ(stats.fired, 4u);
-  // The 50 ms and 300 ms timers each entered level 0 / near exactly once
-  // (the 300 ms one by way of level 1); the cancelled far event never
-  // did.
+  // The level-1 and far timers each entered level 0 / near exactly once
+  // (the far one by way of level 1); the cancelled far event never did.
   EXPECT_EQ(stats.far_migrations, 2u);
   EXPECT_EQ(stats.boxed_callbacks, 0u);
 }
@@ -1184,16 +1345,16 @@ TEST(EventCore, SteadyStateScheduleCancelFireAllocatesNothing) {
   // One churn round exercises every tier: same-instant defers, level-0
   // inserts, level-1 and far-heap inserts, cancels of each, fires of the
   // rest; resident timers are armed, cancelled and re-armed in each tier
-  // and fire from the near heap and level 0.
+  // and fire from the near tier and level 0.
   auto churn = [&] {
     for (int i = 0; i < 1000; ++i) {
       sim.after(static_cast<SimDuration>(i % 200) * usec(1) + 1, [] {});
-      handles.push_back(sim.after(msec(50), [] {}));
-      handles.push_back(sim.after(sec(2), [] {}));
+      handles.push_back(sim.after(3 * kWindow0, [] {}));
+      handles.push_back(sim.after(2 * kHorizon, [] {}));
     }
     for (std::size_t i = 0; i < tickers.size(); ++i) {
       ResidentTimer& t = tickers[i]->timer;
-      const SimDuration far = i % 2 == 0 ? msec(50) : sec(2);
+      const SimDuration far = i % 2 == 0 ? 3 * kWindow0 : 2 * kHorizon;
       t.arm(sim.now() + far);
       t.cancel();
       t.arm(sim.now() + 1 + static_cast<SimDuration>(i) * usec(3));
@@ -1275,10 +1436,10 @@ class DelayProgram {
   std::uint64_t pushes_in_delivery() const { return pushes_in_delivery_; }
 
   // Two lanes share 2 ms, and `at` delays repeat the lane delays, so
-  // same-instant ties mix lanes and plain events; 300 ms and 1 s reach
+  // same-instant ties mix lanes and plain events; the last two reach
   // past the level-1 horizon into the far heap.
   static constexpr std::array<SimDuration, 6> kLineDelays = {
-      0, usec(3), msec(2), msec(2), msec(300), sec(1)};
+      0, usec(3), msec(2), msec(2), kHorizon + kHorizon / 8, 4 * kHorizon};
 
  private:
   struct Lane {
@@ -1322,7 +1483,7 @@ class DelayProgram {
     const SimDuration d =
         pick == lanes_.size()
             ? kLineDelays[rng_.next_below(kLineDelays.size())]
-            : static_cast<SimDuration>(rng_.next_below(msec(400)));
+            : draw_below(rng_, kHorizon + kHorizon / 2);
     sim_.at(sim_.now() + d, [this, id] { fired(id, false); });
   }
 
